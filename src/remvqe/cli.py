@@ -61,7 +61,7 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--confusion", default="ideal",
-        help="readout model: ideal, figure-s2, calibrate, or a CSV path",
+        help="readout model: ideal, figure-s2 (alias device), calibrate, or a CSV path",
     )
 
 
@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend(d)
     _add_protocol(d)
     d.add_argument("--svg", metavar="PATH", help="write a two-panel plot to PATH")
-    d.add_argument("--workers", type=int, default=1, help="parallel geometry workers")
     _add_common(d)
 
     s = sub.add_parser(
@@ -109,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ansatz", choices=ANSATZE, default=None)
     s.add_argument("--grid-points", dest="grid_points", type=int, default=25)
     s.add_argument("--svg", metavar="PATH")
-    s.add_argument("--workers", type=int, default=1)
     _add_common(s)
 
     o = sub.add_parser(
@@ -126,7 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--molecule", help="sets the qubit count (default 2)")
     c.add_argument(
         "--confusion", default="figure-s2",
-        help="readout model to calibrate against: ideal, figure-s2, or a CSV path",
+        help="readout model to calibrate against: ideal (identity), figure-s2 "
+        "(alias device or calibrate), or a CSV path",
     )
     c.add_argument(
         "--shots-per-state", dest="shots_per_state", type=int, default=1000,

@@ -13,13 +13,13 @@ Pipelines per point (all four always computed for curve commands):
 
 err_vqe compares the raw pipeline and err_rem the readout+rem pipeline
 against exact diagonalization. Identical configurations (seed included)
-produce byte-identical CSV text; worker count never changes output.
+produce byte-identical CSV text, because every random draw is keyed by the
+point's index, not by the order in which points run.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ from .vqe import (
     minimize,
     reference_exact_energy,
     sweep_and_fit,
-    with_reference,
 )
 
 # Index for re-measuring the optimized point, disjoint from both optimizer
@@ -90,7 +89,6 @@ class RunConfig:
     svg: str | None = None
     r: float | None = None
     reference: str | None = None
-    workers: int = 1
     grid_points: int = 25
     shots_per_state: int = 1000
     repeats: int = 100
@@ -122,21 +120,26 @@ def _matrix_sampler(c: ConfusionMatrix) -> Sampler:
 
     def sampler(prepared: int, shots: int, ss: np.random.SeedSequence):
         rng = np.random.default_rng(ss)
-        draws = rng.multinomial(shots, c.matrix[:, prepared])
-        n = c.n_qubits
-        return {format(i, f"0{n}b"): int(v) for i, v in enumerate(draws) if v}
+        return rng.multinomial(shots, c.matrix[:, prepared])
 
     return sampler
 
 
-def _confusion_sources(cfg: RunConfig, n_qubits: int):
-    """(matrix applied to outcomes, matrix used for unfolding)."""
+def _confusion_sources(cfg: RunConfig, n_qubits: int, calibrate: bool = False):
+    """(matrix applied to outcomes, matrix used for unfolding) of cfg.confusion.
+
+    `figure-s2` (alias `device`) is the stock device matrix; `calibrate`
+    applies it but unfolds with a prepare-and-measure estimate of it; any
+    other value is a confusion CSV path. With calibrate=True (the calibrate
+    command) every source is estimated, and `ideal` means the identity.
+    """
     src = cfg.confusion
+    calibrate = calibrate or src == "calibrate"
     if src == "ideal":
-        return None, None
-    if src in ("device", "figure-s2"):
-        truth = device_confusion()
-    elif src == "calibrate":
+        if not calibrate:
+            return None, None
+        truth = ConfusionMatrix.identity(n_qubits)
+    elif src in ("device", "figure-s2", "calibrate"):
         truth = device_confusion()
     else:
         path = Path(src)
@@ -144,23 +147,27 @@ def _confusion_sources(cfg: RunConfig, n_qubits: int):
             raise ConfigError(f"confusion source {src!r} is not a known mode or a file")
         try:
             truth = read_confusion_csv(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{src}: {exc}") from None
     if truth.n_qubits != n_qubits:
         raise ConfigError(
             f"confusion matrix covers {truth.n_qubits} qubits but the problem "
             f"has {n_qubits}"
         )
-    if src == "calibrate":
-        estimate = calibrate_confusion(
-            _matrix_sampler(truth),
-            n_qubits,
-            shots_per_state=cfg.shots_per_state,
-            repeats=cfg.repeats,
-            seed=cfg.seed,
-        )
-        return truth, estimate
-    return truth, truth
+    if not calibrate:
+        return truth, truth
+    if cfg.shots_per_state <= 0:
+        raise ConfigError("shots_per_state must be positive")
+    if cfg.repeats <= 0:
+        raise ConfigError("repeats must be positive")
+    estimate = calibrate_confusion(
+        _matrix_sampler(truth),
+        n_qubits,
+        shots_per_state=cfg.shots_per_state,
+        repeats=cfg.repeats,
+        seed=cfg.seed,
+    )
+    return truth, estimate
 
 
 def _resolve_ansatz(cfg: RunConfig, n_qubits: int, hf_bitstring: str) -> AnsatzSpec:
@@ -204,8 +211,6 @@ def resolve(cfg: RunConfig) -> _Problem:
         raise ConfigError(f"p1 must lie in [0, 1], got {cfg.p1}")
     if cfg.shots is not None and cfg.shots <= 0:
         raise ConfigError("shots must be positive")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
     if cfg.grid_points < 4:
         raise ConfigError("sweep grids need at least 4 points")
     if cfg.molecule is not None and cfg.hamiltonian_path is not None:
@@ -303,43 +308,53 @@ class PointResult:
     theta: tuple[float, ...]
 
 
+def _optimize(problem: _Problem, ev: EnergyEvaluator):
+    """(theta, sweep fit or None, optimizer outcome or None) minimizing ev."""
+    if problem.optimizer == "sweep":
+        fit = sweep_and_fit(ev, default_grid(problem.cfg.grid_points))
+        return (fit.theta_min,), fit, None
+    outcome = minimize(ev, optimizer=problem.optimizer)
+    return tuple(float(v) for v in outcome.theta), None, outcome
+
+
+def _rem_at(
+    ev: EnergyEvaluator,
+    theta: tuple[float, ...],
+    fit: SweepFit | None,
+    e_exact_ref: float,
+    e_exact_min: float,
+) -> RemReport:
+    """Reference-state correction of ev's energy at the optimum theta.
+
+    A sweep fit gives both energies from its model: the minimum and the
+    value at theta = 0. Otherwise the optimum and the reference state (all
+    parameters 0) are measured afresh under their own evaluation indices.
+    """
+    if fit is not None:
+        e_vqe_min, e_vqe_ref = fit.e_min, fit.value_at(0.0)
+    else:
+        e_vqe_min = evaluate(ev, theta, index=MEASURE_INDEX)
+        e_vqe_ref = evaluate(ev, np.zeros(len(theta)), index=REFERENCE_INDEX)
+    return rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
+
+
 def _run_point(problem: _Problem, h: PauliHamiltonian, seed: int) -> PointResult:
     raw, unfolded = _evaluator_pair(problem, h, seed)
     e_exact = ground_state_energy(h)[0]
     e_ref_exact = reference_exact_energy(raw)
-    zeros = np.zeros(problem.spec.n_params)
-    if problem.optimizer == "sweep":
-        grid = default_grid(problem.cfg.grid_points)
-        fit_raw = sweep_and_fit(raw, grid)
-        fit_unf = sweep_and_fit(unfolded, grid) if unfolded is not raw else fit_raw
-        e_vqe, e_vqe_readout = fit_raw.e_min, fit_unf.e_min
-        delta_raw = fit_raw.value_at(0.0) - e_ref_exact
-        delta_unf = fit_unf.value_at(0.0) - e_ref_exact
-        theta = (fit_raw.theta_min,)
-        converged = True
-    else:
-        outcome = minimize(raw, optimizer=problem.optimizer)
-        theta = tuple(float(v) for v in outcome.theta)
-        e_vqe = evaluate(raw, theta, index=MEASURE_INDEX)
-        e_vqe_readout = (
-            evaluate(unfolded, theta, index=MEASURE_INDEX)
-            if unfolded is not raw
-            else e_vqe
-        )
-        delta_raw = evaluate(raw, zeros, index=REFERENCE_INDEX) - e_ref_exact
-        delta_unf = (
-            evaluate(unfolded, zeros, index=REFERENCE_INDEX) - e_ref_exact
-            if unfolded is not raw
-            else delta_raw
-        )
-        converged = outcome.converged
+    theta, fit, outcome = _optimize(problem, raw)
+    rep_raw = rep_unf = _rem_at(raw, theta, fit, e_ref_exact, e_exact)
+    if unfolded is not raw:
+        # a sweep refits the unfolded curve; an optimizer's theta is shared
+        fit_unf = sweep_and_fit(unfolded, fit.grid) if fit is not None else None
+        rep_unf = _rem_at(unfolded, theta, fit_unf, e_ref_exact, e_exact)
     return PointResult(
         e_exact=e_exact,
-        e_vqe=e_vqe,
-        e_vqe_readout=e_vqe_readout,
-        e_rem=e_vqe - delta_raw,
-        e_readout_rem=e_vqe_readout - delta_unf,
-        converged=converged,
+        e_vqe=rep_raw.e_vqe_min,
+        e_vqe_readout=rep_unf.e_vqe_min,
+        e_rem=rep_raw.e_rem,
+        e_readout_rem=rep_unf.e_rem,
+        converged=outcome is None or outcome.converged,
         theta=theta,
     )
 
@@ -355,15 +370,6 @@ def four_pipelines(cfg: RunConfig) -> PointResult:
     else:
         h = problem.hamiltonian
     return _run_point(problem, h, _point_seed(cfg.seed, 0))
-
-
-def _map_points(cfg: RunConfig, tasks):
-    """Run point closures, preserving input order; workers=1 stays inline."""
-    if cfg.workers == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -387,11 +393,10 @@ def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
         raise ConfigError(
             f"{problem.dataset.name} has a single geometry; use single-point"
         )
-    tasks = [
-        (lambda g=g, i=i: _run_point(problem, g.hamiltonian, _point_seed(cfg.seed, i)))
+    points = [
+        _run_point(problem, g.hamiltonian, _point_seed(cfg.seed, i))
         for i, g in enumerate(geometries)
     ]
-    points = _map_points(cfg, tasks)
     lines = [_DISSOCIATION_HEADER]
     warnings = []
     for g, p in zip(geometries, points):
@@ -493,14 +498,13 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
         base.r if base.r is not None else problem.dataset.equilibrium_r
     )
 
-    def run_at(i: int, p2: float) -> PointResult:
+    points = []
+    for i, p2 in enumerate(grid):
         p1 = base.p1 if base.p1 is not None else 0.1 * p2
-        cfg_i = replace(base, p2=p2, p1=p1)
-        problem_i = replace(problem, cfg=cfg_i, optimizer="sweep")
-        return _run_point(problem_i, geometry.hamiltonian, _point_seed(base.seed, i))
-
-    tasks = [(lambda i=i, p2=p2: run_at(i, p2)) for i, p2 in enumerate(grid)]
-    points = _map_points(base, tasks)
+        problem_i = replace(problem, cfg=replace(base, p2=p2, p1=p1), optimizer="sweep")
+        points.append(
+            _run_point(problem_i, geometry.hamiltonian, _point_seed(base.seed, i))
+        )
     err = {
         "vqe": tuple(abs(p.e_vqe - p.e_exact) for p in points),
         "readout": tuple(abs(p.e_vqe_readout - p.e_exact) for p in points),
@@ -573,25 +577,12 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
         label = str(cfg.hamiltonian_path)
     raw, unfolded = _evaluator_pair(problem, h, _point_seed(cfg.seed, 0))
     ev = unfolded if cfg.readout_flag else raw
-    e_exact_min = ground_state_energy(h)[0]
-    outcome = None
-    fit = None
-    if problem.optimizer == "sweep":
-        fit = sweep_and_fit(ev, default_grid(cfg.grid_points))
-        theta = (fit.theta_min,)
-        e_vqe_min = fit.e_min
-        e_vqe_ref = fit.value_at(0.0)
-        e_exact_ref = reference_exact_energy(ev)
-        converged = True
-        n_evaluations = len(fit.grid)
-    else:
-        _, e_vqe_ref, e_exact_ref = with_reference(ev)
-        outcome = minimize(ev, optimizer=problem.optimizer)
-        theta = tuple(float(v) for v in outcome.theta)
-        e_vqe_min = evaluate(ev, theta, index=MEASURE_INDEX)
-        converged = outcome.converged
-        n_evaluations = outcome.n_evaluations
-    report = rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
+    theta, fit, outcome = _optimize(problem, ev)
+    report = _rem_at(
+        ev, theta, fit, reference_exact_energy(ev), ground_state_energy(h)[0]
+    )
+    converged = outcome is None or outcome.converged
+    n_evaluations = len(fit.grid) if fit is not None else outcome.n_evaluations
     record = {
         "problem": label,
         "r": cfg.r if problem.dataset is None or cfg.r is not None
@@ -648,29 +639,7 @@ def cmd_calibrate(cfg: RunConfig) -> ConfusionMatrix:
             raise ConfigError(str(exc)) from None
     else:
         n_qubits = 2
-    if cfg.confusion in ("device", "figure-s2", "calibrate"):
-        truth = device_confusion()
-    elif cfg.confusion == "ideal":
-        truth = ConfusionMatrix.identity(n_qubits)
-    else:
-        path = Path(cfg.confusion)
-        if not path.exists():
-            raise ConfigError(
-                f"confusion source {cfg.confusion!r} is not a known mode or a file"
-            )
-        truth = read_confusion_csv(path)
-    if truth.n_qubits != n_qubits:
-        raise ConfigError(
-            f"confusion matrix covers {truth.n_qubits} qubits but the problem "
-            f"has {n_qubits}"
-        )
-    estimate = calibrate_confusion(
-        _matrix_sampler(truth),
-        n_qubits,
-        shots_per_state=cfg.shots_per_state,
-        repeats=cfg.repeats,
-        seed=cfg.seed,
-    )
+    _, estimate = _confusion_sources(cfg, n_qubits, calibrate=True)
     if cfg.out:
         Path(cfg.out).write_text(format_confusion_csv(estimate))
     return estimate

@@ -18,8 +18,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-Counts = dict[str, int]
-
 _COLUMN_TOL = 1e-9
 
 
@@ -86,7 +84,8 @@ def device_confusion() -> ConfusionMatrix:
     return ConfusionMatrix(2, mat, np.array(_DEVICE_PERCENT_SIGMA) / 100.0)
 
 
-Sampler = Callable[[int, int, np.random.SeedSequence], Counts]
+# (prepared index, shots, seed sequence) -> count vector indexed by outcome
+Sampler = Callable[[int, int, np.random.SeedSequence], np.ndarray]
 
 
 def calibrate_confusion(
@@ -98,11 +97,12 @@ def calibrate_confusion(
 ) -> ConfusionMatrix:
     """Estimate the confusion matrix of a backend by prepare-and-measure runs.
 
-    `sampler(prepared_index, shots, seed_sequence)` must return outcome counts
-    for the requested computational basis state under the backend's readout
-    noise. Column i is the empirical distribution averaged over `repeats`
-    independent runs; the per-entry uncertainty is the sample std over repeats
-    (zero when repeats == 1).
+    `sampler(prepared_index, shots, seed_sequence)` must return the count
+    vector (length 2**n_qubits, indexed by outcome) for the requested
+    computational basis state under the backend's readout noise. Column i
+    is the empirical distribution averaged over `repeats` independent runs;
+    the per-entry uncertainty is the sample std over repeats (zero when
+    repeats == 1).
     """
     if shots_per_state <= 0:
         raise ValueError("shots_per_state must be positive")
@@ -114,10 +114,14 @@ def calibrate_confusion(
     for i in range(dim):
         runs = np.zeros((repeats, dim))
         for k in range(repeats):
-            counts = sampler(i, shots_per_state, np.random.SeedSequence((seed, i, k)))
-            for outcome, cnt in counts.items():
-                runs[k, int(outcome, 2)] += cnt
-            runs[k] /= shots_per_state
+            counts = np.asarray(
+                sampler(i, shots_per_state, np.random.SeedSequence((seed, i, k)))
+            )
+            if counts.shape != (dim,):
+                raise ValueError(
+                    f"sampler returned counts of shape {counts.shape}, expected ({dim},)"
+                )
+            runs[k] = counts / shots_per_state
         mean[:, i] = runs.mean(axis=0)
         if repeats > 1:
             sigma[:, i] = runs.std(axis=0, ddof=1)
@@ -191,16 +195,12 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 0.0, x)
 
 
-def counts_to_distribution(counts: Counts, n_qubits: int) -> np.ndarray:
-    """Normalized outcome distribution vector from counts."""
-    vec = np.zeros(1 << n_qubits)
-    total = 0
-    for outcome, cnt in counts.items():
-        vec[int(outcome, 2)] += cnt
-        total += cnt
+def counts_to_distribution(counts: np.ndarray) -> np.ndarray:
+    """Normalized outcome distribution from a count vector."""
+    total = counts.sum()
     if total <= 0:
         raise ValueError("counts are empty")
-    return vec / total
+    return counts / total
 
 
 def rem_delta(e_vqe_ref: float, e_exact_ref: float) -> float:

@@ -48,6 +48,11 @@ class PauliString:
         n = len(self.label)
         return tuple(q for q in range(n) if self.label[n - 1 - q] != "I")
 
+    @property
+    def support_mask(self) -> int:
+        """The support as a bit mask (bit q set when qubit q is acted on)."""
+        return sum(1 << q for q in self.support)
+
     def __str__(self) -> str:
         return self.label
 
@@ -59,6 +64,23 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
             f"Pauli label {text!r} has length {len(text)}, expected {n_qubits}"
         )
     return PauliString(text)
+
+
+@lru_cache(maxsize=4096)
+def sign_table(n_qubits: int, mask: int) -> np.ndarray:
+    """(-1)^(parity of i & mask) for every basis index i (read-only).
+
+    This is the diagonal of the Z-string on the qubits set in `mask`: the
+    eigenvalue a term contributes per outcome once it is rotated into the Z
+    basis.
+    """
+    masked = np.arange(1 << n_qubits) & mask
+    parity = np.zeros(1 << n_qubits, dtype=np.int64)
+    for q in range(n_qubits):
+        parity ^= (masked >> q) & 1
+    signs = np.where(parity, -1.0, 1.0)
+    signs.setflags(write=False)
+    return signs
 
 
 @lru_cache(maxsize=4096)
@@ -76,12 +98,7 @@ def _action(label: str) -> tuple[int, np.ndarray]:
             sign_mask |= 1 << q
         if ch == "Y":
             n_y += 1
-    idx = np.arange(1 << n)
-    parity = np.zeros(1 << n, dtype=np.int64)
-    masked = idx & sign_mask
-    for q in range(n):
-        parity ^= (masked >> q) & 1
-    phases = (1j) ** n_y * np.where(parity, -1.0, 1.0)
+    phases = (1j) ** n_y * sign_table(n, sign_mask)
     return flip, phases.astype(complex)
 
 

@@ -9,8 +9,8 @@ pairs is applied with probability p2/15. Channels are deterministic mixtures
 (no stochastic Pauli insertion), attached to gates only; idle qubits stay
 clean. Readout noise acts on counts, not on the state.
 
-Basis index convention: bit q of an outcome index (and the q-th character
-from the right of an outcome string) is qubit q.
+Basis index convention: bit q of an outcome index is qubit q. Counts are
+np.int64 vectors of length 2**n indexed by outcome.
 """
 from __future__ import annotations
 
@@ -21,9 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, gate_matrix
 from .mitigation import ConfusionMatrix
-from .pauli import MeasurementGroup, PauliHamiltonian, PauliString, is_compatible
-
-Counts = dict[str, int]
+from .pauli import PauliString
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,7 @@ def _basis_probabilities(state: QuantumState, basis: PauliString) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample_counts(state: QuantumState, basis: PauliString, shots: int, seed) -> Counts:
+def sample_counts(state: QuantumState, basis: PauliString, shots: int, seed) -> np.ndarray:
     """Draw `shots` outcomes in the given measurement basis.
 
     The exact outcome distribution is computed first (basis letters I are
@@ -225,58 +223,24 @@ def sample_counts(state: QuantumState, basis: PauliString, shots: int, seed) -> 
     if shots <= 0:
         raise ValueError("shots must be positive")
     probs = _basis_probabilities(state, basis)
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    n = state.n_qubits
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c}
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
-def apply_readout_noise(counts: Counts, confusion: ConfusionMatrix, seed) -> Counts:
-    """Resample each shot's outcome i to j with probability C[j][i]."""
-    if not counts:
-        return {}
-    n = len(next(iter(counts)))
-    if confusion.n_qubits != n:
+def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) -> np.ndarray:
+    """Resample each shot's outcome i to j with probability C[j][i].
+
+    Outcomes are resampled in ascending index order, skipping empty ones.
+    """
+    if np.shape(counts) != (confusion.dim,):
         raise ValueError(
-            f"confusion matrix is for {confusion.n_qubits} qubits, counts have {n}"
+            f"confusion matrix is for {confusion.n_qubits} qubits, "
+            f"counts have shape {np.shape(counts)}"
         )
     rng = np.random.default_rng(seed)
     out = np.zeros(confusion.dim, dtype=np.int64)
-    for outcome, cnt in sorted(counts.items()):
-        if len(outcome) != n:
-            raise ValueError(f"inconsistent outcome length {outcome!r}")
-        out += rng.multinomial(cnt, confusion.matrix[:, int(outcome, 2)])
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(out) if c}
-
-
-def expectation_from_counts(
-    counts: Counts, group: MeasurementGroup, h: PauliHamiltonian
-) -> float:
-    """Partial energy of the group's terms from counts drawn in group.basis.
-
-    Each outcome contributes the product of (-1)^bit over a term's non-identity
-    positions; the return value is sum_i c_i * mean eigenvalue, offset excluded.
-    """
-    total_shots = sum(counts.values())
-    if total_shots <= 0:
-        raise ValueError("counts are empty")
-    n = h.n_qubits
-    partial = 0.0
-    for t in group.members:
-        pauli, coeff = h.terms[t]
-        if not is_compatible(pauli, group.basis):
-            raise ValueError(
-                f"term {pauli.label!r} is not measurable in basis {group.basis.label!r}"
-            )
-        mask = 0
-        for q in pauli.support:
-            mask |= 1 << q
-        acc = 0
-        for outcome, cnt in counts.items():
-            parity = bin(int(outcome, 2) & mask).count("1") & 1
-            acc += -cnt if parity else cnt
-        partial += coeff * acc / total_shots
-    return partial
+    for i in np.flatnonzero(counts):
+        out += rng.multinomial(counts[i], confusion.matrix[:, i])
+    return out
 
 
 def hf_state(n_qubits: int, bitstring: str) -> QuantumState:

@@ -30,7 +30,13 @@ from .mitigation import (
     rem_delta,
     unfold,
 )
-from .pauli import MeasurementGroup, PauliHamiltonian, expectation, group_terms
+from .pauli import (
+    MeasurementGroup,
+    PauliHamiltonian,
+    expectation,
+    group_terms,
+    sign_table,
+)
 from .sim import (
     NoiseModel,
     QuantumState,
@@ -86,26 +92,13 @@ def _grouping(h: PauliHamiltonian) -> tuple[MeasurementGroup, ...]:
     return tuple(group_terms(h))
 
 
-@lru_cache(maxsize=4096)
-def _parity_signs(n_qubits: int, mask: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    signs = np.array([-1.0 if bin(v).count("1") & 1 else 1.0 for v in idx & mask])
-    signs.setflags(write=False)
-    return signs
-
-
-def _term_mask(h: PauliHamiltonian, t: int) -> int:
-    mask = 0
-    for q in h.terms[t][0].support:
-        mask |= 1 << q
-    return mask
-
-
 def _group_energy(dist: np.ndarray, group: MeasurementGroup, h: PauliHamiltonian) -> float:
+    """Partial energy of the group's terms from an outcome distribution drawn
+    in group.basis (offset excluded)."""
     total = 0.0
     for t in group.members:
-        signs = _parity_signs(h.n_qubits, _term_mask(h, t))
-        total += h.terms[t][1] * float(signs @ dist)
+        pauli, coeff = h.terms[t]
+        total += coeff * float(sign_table(h.n_qubits, pauli.support_mask) @ dist)
     return total
 
 
@@ -156,7 +149,7 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
                 if confusion is not None:
                     ss = np.random.SeedSequence((ev.seed, index, g, 1))
                     counts = apply_readout_noise(counts, confusion, ss)
-                dist = counts_to_distribution(counts, h.n_qubits)
+                dist = counts_to_distribution(counts)
             if ev.readout_mitigation:
                 dist = unfold(ev.inverse_confusion, dist)
             energy += _group_energy(dist, group, h)

@@ -105,6 +105,31 @@ def test_calibrate_csv(tmp_path, capsys):
     assert out.read_text() == captured.out
 
 
+def test_calibrate_rejects_malformed_confusion_csv(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# confusion n=2\n1,0,0,0\n0,1,0,0\n")
+    for command in ("calibrate", "single-point"):
+        extra = ["--molecule", "h2"] if command == "single-point" else []
+        rc = main([command, *extra, "--confusion", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert "expected 4 matrix rows, got 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag,message",
+    [("--repeats", "repeats must be positive"),
+     ("--shots-per-state", "shots_per_state must be positive")],
+)
+def test_calibrate_rejects_empty_budget(flag, message, capsys):
+    rc = main(["calibrate", flag, "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_calibrate_ideal_identity(capsys):
     rc = main(
         ["calibrate", "--confusion", "ideal", "--shots-per-state", "20",

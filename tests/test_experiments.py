@@ -56,7 +56,7 @@ BAD_CONFIGS = [
     (dict(molecule="h2", p2=1.5), r"p2 must lie in \[0, 1\]"),
     (dict(molecule="h2", p1=-0.1), r"p1 must lie in \[0, 1\]"),
     (dict(molecule="h2", shots=0), "shots must be positive"),
-    (dict(molecule="h2", workers=0), "workers must be at least 1"),
+    (dict(molecule="h2", confusion="calibrate", repeats=0), "repeats must be positive"),
     (dict(molecule="h2", grid_points=3), "at least 4 points"),
     (dict(molecule="h2", hamiltonian_path="x.txt"), "not both"),
     (dict(), "a molecule or a Hamiltonian file is required"),
@@ -68,6 +68,10 @@ BAD_CONFIGS = [
     (dict(molecule="h2", mitigation="readout"), "other than 'ideal'"),
     (dict(molecule="h2", confusion="/nonexistent.csv"), "not a known mode or a file"),
     (dict(molecule="lih", confusion="figure-s2"), "covers 2 qubits but the problem has 4"),
+    (
+        dict(molecule="h2", confusion="calibrate", shots_per_state=0),
+        "shots_per_state must be positive",
+    ),
 ]
 
 
@@ -239,8 +243,6 @@ def test_dissociation_runs_are_reproducible():
     a = cmd_dissociation(noisy_h2_cfg())
     b = cmd_dissociation(noisy_h2_cfg())
     assert a.csv == b.csv
-    c = cmd_dissociation(noisy_h2_cfg(workers=2))
-    assert a.csv == c.csv
 
 
 def test_dissociation_output_files(tmp_path):

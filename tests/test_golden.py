@@ -1,0 +1,79 @@
+"""Golden transcripts of the four CLI subcommands at fixed seeds.
+
+Each case runs `remvqe.cli.main` in-process and compares its exact stdout,
+stderr and exit code with `tests/golden/<name>.txt`. The configs are small
+but cover shot sampling, the figure-s2 readout model, `--confusion
+calibrate`, a confusion CSV file, unfolding, both optimizer paths and exit
+codes 0, 2 and 3. `{golden}` in an argument stands for the golden directory.
+
+A change that alters output on purpose regenerates the files with
+`PYTHONPATH=src python tests/test_golden.py` and says why.
+"""
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from remvqe.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "dissociation-h2-shots-figure-s2": (
+        "dissociation --molecule h2 --backend noisy --shots 1000 --confusion figure-s2 "
+        "--mitigation readout+rem --grid-points 5 --seed 3"
+    ),
+    "dissociation-h2-calibrate-nelder-mead": (
+        "dissociation --molecule h2 --backend noisy --confusion calibrate "
+        "--mitigation readout+rem --optimizer nelder-mead --seed 4"
+    ),
+    "noise-sweep-h2-shots-calibrate": (
+        "noise-sweep --molecule h2 --p2 0.001,0.01 --shots 1000 --confusion calibrate "
+        "--grid-points 5 --seed 1"
+    ),
+    "single-point-h2-sweep-calibrate": (
+        "single-point --molecule h2 --backend noisy --shots 2000 --confusion calibrate "
+        "--mitigation readout+rem --grid-points 6 --seed 5"
+    ),
+    "single-point-h2-csv-readout": (
+        "single-point --molecule h2 --shots 1000 --confusion {golden}/skewed.csv "
+        "--mitigation readout --grid-points 5 --seed 8"
+    ),
+    "single-point-heh+-spsa-unfold": (
+        "single-point --molecule heh+ --backend noisy --shots 1000 --confusion figure-s2 "
+        "--mitigation readout+rem --seed 6"
+    ),
+    "single-point-h2-spsa-not-converged": (
+        "single-point --molecule h2 --backend noisy --shots 500 --optimizer spsa --seed 1"
+    ),
+    "single-point-lih-qubit-mismatch": "single-point --molecule lih --confusion figure-s2",
+    "calibrate-figure-s2": "calibrate --shots-per-state 50 --repeats 4 --seed 2",
+    "calibrate-ideal-lih": (
+        "calibrate --confusion ideal --molecule lih --shots-per-state 20 --repeats 2 --seed 2"
+    ),
+    "calibrate-csv": (
+        "calibrate --confusion {golden}/skewed.csv --shots-per-state 100 --repeats 3 --seed 9"
+    ),
+}
+
+
+def transcript(command: str) -> str:
+    argv = [arg.replace("{golden}", str(GOLDEN)) for arg in command.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return (
+        f"$ remvqe {command}\n{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {rc}\n"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_transcript(name):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert transcript(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    for name, command in CASES.items():
+        (GOLDEN / f"{name}.txt").write_text(transcript(command))

@@ -122,6 +122,60 @@ def test_unfold_against_reference_qp_solver():
         assert np.max(np.abs(unfold(c, m) - x.value)) < 1e-5
 
 
+def enumerated_simplex_qp(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
+    """Offline oracle for argmin ||m - Cx||^2 over the probability simplex.
+
+    For full-rank C the minimizer is unique and, on its own support S, is the
+    minimizer under sum(x) = 1 alone, which solves the KKT system
+    [[H_SS, -1], [1, 0]] [x_S, mu] = [b_S, 1] with H = C^T C, b = C^T m. So
+    solving that system on every nonempty support and keeping the feasible
+    solution of least residual is exact; 2^dim - 1 supports keep it to
+    dim <= 16.
+    """
+    C = c.matrix
+    H, b = C.T @ C, C.T @ m
+    best, best_cost = None, np.inf
+    for bits in range(1, 1 << c.dim):
+        support = [i for i in range(c.dim) if bits >> i & 1]
+        k = len(support)
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = H[np.ix_(support, support)]
+        kkt[:k, k] = -1.0
+        kkt[k, :k] = 1.0
+        sol = np.linalg.solve(kkt, np.append(b[support], 1.0))
+        if sol[:k].min() < -1e-12:
+            continue
+        x = np.zeros(c.dim)
+        x[support] = sol[:k]
+        cost = float(np.sum((m - C @ x) ** 2))
+        if cost < best_cost:
+            best, best_cost = x, cost
+    return best
+
+
+def random_confusion(rng: np.random.Generator, n_qubits: int) -> ConfusionMatrix:
+    dim = 1 << n_qubits
+    noise = rng.dirichlet(np.ones(dim), size=dim).T
+    c = ConfusionMatrix(n_qubits, 0.6 * np.eye(dim) + 0.4 * noise)
+    assert np.linalg.matrix_rank(c.matrix) == dim
+    return c
+
+
+@pytest.mark.parametrize("which", ["device", "random-3q"])
+def test_unfold_against_enumerated_supports(which):
+    rng = np.random.default_rng(11)
+    c = device_confusion() if which == "device" else random_confusion(rng, 3)
+    boundary_hits = 0
+    for trial in range(40):
+        # sparse Dirichlet draws put many measured vectors outside C(simplex),
+        # so the bounds bind; dense ones keep interior cases in the mix
+        m = rng.dirichlet(np.full(c.dim, 0.3 if trial % 2 else 3.0))
+        expected = enumerated_simplex_qp(c, m)
+        boundary_hits += int(expected.min() == 0.0)
+        assert np.max(np.abs(unfold(c, m) - expected)) < 1e-8
+    assert boundary_hits >= 5
+
+
 def test_unfold_validation():
     c = ConfusionMatrix.identity(2)
     with pytest.raises(ValueError, match="length 4"):
@@ -134,10 +188,10 @@ def test_unfold_validation():
 
 
 def test_counts_to_distribution():
-    dist = counts_to_distribution({"00": 30, "11": 10}, 2)
+    dist = counts_to_distribution(np.array([30, 0, 0, 10]))
     assert np.allclose(dist, [0.75, 0.0, 0.0, 0.25])
     with pytest.raises(ValueError, match="empty"):
-        counts_to_distribution({}, 2)
+        counts_to_distribution(np.zeros(4, dtype=np.int64))
 
 
 # --- calibration -------------------------------------------------------------
@@ -145,9 +199,7 @@ def test_counts_to_distribution():
 
 def matrix_sampler(c: ConfusionMatrix):
     def sampler(prepared, shots, ss):
-        rng = np.random.default_rng(ss)
-        draws = rng.multinomial(shots, c.matrix[:, prepared])
-        return {format(i, f"0{c.n_qubits}b"): int(v) for i, v in enumerate(draws) if v}
+        return np.random.default_rng(ss).multinomial(shots, c.matrix[:, prepared])
 
     return sampler
 
@@ -187,6 +239,9 @@ def test_calibrate_validation():
         calibrate_confusion(matrix_sampler(ConfusionMatrix.identity(1)), 1, 0, 1)
     with pytest.raises(ValueError, match="repeats"):
         calibrate_confusion(matrix_sampler(ConfusionMatrix.identity(1)), 1, 10, 0)
+    # the sampler is outside input: a count vector of the wrong length is refused
+    with pytest.raises(ValueError, match=r"shape \(4,\), expected \(2,\)"):
+        calibrate_confusion(matrix_sampler(ConfusionMatrix.identity(2)), 1, 10, 1)
 
 
 def test_calibrate_seed_determinism():

@@ -14,9 +14,9 @@ from remvqe import (
     QuantumState,
     apply_readout_noise,
     builtin,
+    counts_to_distribution,
     device_confusion,
     expectation,
-    expectation_from_counts,
     gate_matrix,
     ground_state_energy,
     group_terms,
@@ -26,6 +26,7 @@ from remvqe import (
     run_statevector,
     sample_counts,
 )
+from remvqe.vqe import _group_energy
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -239,23 +240,24 @@ def test_hf_state():
 
 def test_sample_counts_deterministic_state():
     counts = sample_counts(hf_state(2, "00"), PauliString("ZZ"), 100, seed=0)
-    assert counts == {"00": 100}
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [100, 0, 0, 0]
 
 
 def test_sample_counts_plus_state_in_x_basis():
     plus = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert sample_counts(plus, PauliString("X"), 500, seed=1) == {"0": 500}
+    assert sample_counts(plus, PauliString("X"), 500, seed=1).tolist() == [500, 0]
 
 
 def test_sample_counts_y_basis():
     # (|0> + i|1>)/sqrt(2) is the +1 eigenstate of Y
     state = QuantumState(np.array([1.0, 1.0j]) / np.sqrt(2))
-    assert sample_counts(state, PauliString("Y"), 200, seed=2) == {"0": 200}
+    assert sample_counts(state, PauliString("Y"), 200, seed=2).tolist() == [200, 0]
 
 
 def test_sample_counts_hf_xx_unbiased():
     counts = sample_counts(hf_state(2, "01"), PauliString("XX"), 5000, seed=42)
-    acc = sum(c if bin(int(o, 2)).count("1") % 2 == 0 else -c for o, c in counts.items())
+    acc = sum(c if bin(i).count("1") % 2 == 0 else -c for i, c in enumerate(counts))
     assert abs(acc / 5000) < 3.0 / np.sqrt(5000)
 
 
@@ -264,8 +266,8 @@ def test_sample_counts_seed_determinism():
     a = sample_counts(state, PauliString("ZZ"), 1000, seed=9)
     b = sample_counts(state, PauliString("ZZ"), 1000, seed=9)
     c = sample_counts(state, PauliString("ZZ"), 1000, seed=10)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_counts_validation():
@@ -279,36 +281,44 @@ def test_sample_counts_validation():
 
 
 def test_readout_identity_is_noop():
-    counts = {"00": 40, "11": 60}
-    assert apply_readout_noise(counts, ConfusionMatrix.identity(2), seed=0) == counts
+    counts = np.array([40, 0, 0, 60])
+    out = apply_readout_noise(counts, ConfusionMatrix.identity(2), seed=0)
+    assert np.array_equal(out, counts)
 
 
 def test_readout_device_matrix_retention():
     n = 200000
-    noisy = apply_readout_noise({"00": n}, device_confusion(), seed=4)
+    noisy = apply_readout_noise(np.array([n, 0, 0, 0]), device_confusion(), seed=4)
     p = device_confusion().matrix[0, 0]
-    assert sum(noisy.values()) == n
-    assert abs(noisy["00"] / n - p) < 5 * np.sqrt(p * (1 - p) / n)
+    assert noisy.sum() == n
+    assert abs(noisy[0] / n - p) < 5 * np.sqrt(p * (1 - p) / n)
 
 
 def test_readout_uniform_confusion_flattens():
     uniform = ConfusionMatrix(2, np.full((4, 4), 0.25))
     n = 100000
-    out = apply_readout_noise({"01": n}, uniform, seed=6)
+    out = apply_readout_noise(np.array([0, n, 0, 0]), uniform, seed=6)
     sigma = np.sqrt(0.25 * 0.75 * n)
-    for outcome in ("00", "01", "10", "11"):
+    for outcome in range(4):
         assert abs(out[outcome] - n / 4) < 5 * sigma
 
 
 def test_readout_validation():
-    assert apply_readout_noise({}, ConfusionMatrix.identity(2), seed=0) == {}
+    zeros = np.zeros(4, dtype=np.int64)
+    assert np.array_equal(
+        apply_readout_noise(zeros, ConfusionMatrix.identity(2), seed=0), zeros
+    )
     with pytest.raises(ValueError, match="confusion matrix is for 2"):
-        apply_readout_noise({"000": 5}, ConfusionMatrix.identity(2), seed=0)
-    with pytest.raises(ValueError, match="inconsistent outcome"):
-        apply_readout_noise({"00": 5, "111": 5}, ConfusionMatrix.identity(2), seed=0)
+        apply_readout_noise(np.array([5] + [0] * 7), ConfusionMatrix.identity(2), seed=0)
+    with pytest.raises(ValueError, match="confusion matrix is for 2"):
+        apply_readout_noise(np.array([[5, 0, 0, 0]]), ConfusionMatrix.identity(2), seed=0)
 
 
-# --- expectation from counts -------------------------------------------------
+# --- energy from counts ------------------------------------------------------
+
+
+def counts_energy(counts, group, h) -> float:
+    return _group_energy(counts_to_distribution(np.asarray(counts)), group, h)
 
 
 def zz_hamiltonian(coeff: float = 1.0) -> PauliHamiltonian:
@@ -318,13 +328,13 @@ def zz_hamiltonian(coeff: float = 1.0) -> PauliHamiltonian:
 def test_counts_expectation_aligned():
     h = zz_hamiltonian()
     group = group_terms(h)[0]
-    assert expectation_from_counts({"00": 100}, group, h) == 1.0
+    assert counts_energy([100, 0, 0, 0], group, h) == 1.0
 
 
 def test_counts_expectation_antialigned():
     h = zz_hamiltonian()
     group = group_terms(h)[0]
-    assert expectation_from_counts({"01": 50, "10": 50}, group, h) == -1.0
+    assert counts_energy([0, 50, 50, 0], group, h) == -1.0
 
 
 def test_counts_expectation_z_group_hand_value():
@@ -337,7 +347,7 @@ def test_counts_expectation_z_group_hand_value():
     )
     group = group_terms(h)[0]
     counts = sample_counts(hf_state(2, "01"), group.basis, 4000, seed=0)
-    assert expectation_from_counts(counts, group, h) == pytest.approx(-0.777, abs=5e-4)
+    assert counts_energy(counts, group, h) == pytest.approx(-0.777, abs=5e-4)
 
 
 def test_counts_expectation_large_shot_consistency():
@@ -347,7 +357,7 @@ def test_counts_expectation_large_shot_consistency():
     xx_group = group_terms(h)[1]
     shots = 10**6
     counts = sample_counts(state, xx_group.basis, shots, seed=12)
-    estimate = expectation_from_counts(counts, xx_group, h)
+    estimate = counts_energy(counts, xx_group, h)
     coeff = h.coefficient("XX")
     exact = expectation(PauliHamiltonian(2, (("XX", coeff),)), state)
     sigma = abs(coeff) * np.sqrt(max(1.0 - (exact / coeff) ** 2, 1e-12) / shots)
@@ -358,7 +368,4 @@ def test_counts_expectation_validation():
     h = zz_hamiltonian()
     group = group_terms(h)[0]
     with pytest.raises(ValueError, match="empty"):
-        expectation_from_counts({}, group, h)
-    other = PauliHamiltonian(2, (("XZ", 1.0),))
-    with pytest.raises(ValueError, match="not measurable"):
-        expectation_from_counts({"00": 10}, group_terms(other)[0], zz_hamiltonian())
+        counts_energy([0, 0, 0, 0], group, h)
