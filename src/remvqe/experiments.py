@@ -108,7 +108,8 @@ class _Problem:
 
     cfg: RunConfig
     dataset: MoleculeDataset | None
-    hamiltonian: PauliHamiltonian | None
+    # the file's Hamiltonian, or the dataset's at --r (default equilibrium)
+    hamiltonian: PauliHamiltonian
     spec: AnsatzSpec
     optimizer: str
     applied_confusion: ConfusionMatrix | None
@@ -217,10 +218,11 @@ def resolve(cfg: RunConfig) -> _Problem:
         raise ConfigError("give either a molecule or a Hamiltonian file, not both")
 
     dataset = None
-    hamiltonian = None
     if cfg.molecule is not None:
         try:
             dataset = builtin(cfg.molecule)
+            r = dataset.equilibrium_r if cfg.r is None else cfg.r
+            hamiltonian = dataset.geometry(r).hamiltonian
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         n_qubits = dataset.n_qubits
@@ -268,8 +270,6 @@ def resolve(cfg: RunConfig) -> _Problem:
         raise ConfigError(
             "readout mitigation needs a confusion source other than 'ideal'"
         )
-    if cfg.r is not None and dataset is not None:
-        dataset.geometry(cfg.r)
     return _Problem(cfg, dataset, hamiltonian, spec, optimizer, applied, unfolding)
 
 
@@ -362,14 +362,7 @@ def _run_point(problem: _Problem, h: PauliHamiltonian, seed: int) -> PointResult
 def four_pipelines(cfg: RunConfig) -> PointResult:
     """All four pipeline energies at one geometry (--r, default equilibrium)."""
     problem = resolve(cfg)
-    if problem.dataset is not None:
-        geometry = problem.dataset.geometry(
-            cfg.r if cfg.r is not None else problem.dataset.equilibrium_r
-        )
-        h = geometry.hamiltonian
-    else:
-        h = problem.hamiltonian
-    return _run_point(problem, h, _point_seed(cfg.seed, 0))
+    return _run_point(problem, problem.hamiltonian, _point_seed(cfg.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -479,7 +472,7 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
     """Absolute errors of the four pipelines vs two-qubit error rate.
 
     Runs the 1-parameter sweep protocol at one geometry (--r, default
-    equilibrium) for each p2; p1 follows as 0.1*p2 unless pinned.
+    equilibrium) for each p2; p1 keeps the NoiseModel default unless pinned.
     """
     grid = tuple(float(v) for v in (default_p2_grid() if p2_grid is None else p2_grid))
     if not grid or any(v < 0 for v in grid):
@@ -494,16 +487,12 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
         raise ConfigError(
             "noise sweeps use the 1-parameter sweep protocol on a builtin molecule"
         )
-    geometry = problem.dataset.geometry(
-        base.r if base.r is not None else problem.dataset.equilibrium_r
-    )
 
     points = []
     for i, p2 in enumerate(grid):
-        p1 = base.p1 if base.p1 is not None else 0.1 * p2
-        problem_i = replace(problem, cfg=replace(base, p2=p2, p1=p1), optimizer="sweep")
+        problem_i = replace(problem, cfg=replace(base, p2=p2), optimizer="sweep")
         points.append(
-            _run_point(problem_i, geometry.hamiltonian, _point_seed(base.seed, i))
+            _run_point(problem_i, problem.hamiltonian, _point_seed(base.seed, i))
         )
     err = {
         "vqe": tuple(abs(p.e_vqe - p.e_exact) for p in points),
@@ -566,15 +555,8 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
     Errors compare against exact diagonalization.
     """
     problem = resolve(cfg)
-    if problem.dataset is not None:
-        geometry = problem.dataset.geometry(
-            cfg.r if cfg.r is not None else problem.dataset.equilibrium_r
-        )
-        h = geometry.hamiltonian
-        label = problem.dataset.name
-    else:
-        h = problem.hamiltonian
-        label = str(cfg.hamiltonian_path)
+    h = problem.hamiltonian
+    label = str(cfg.hamiltonian_path) if problem.dataset is None else problem.dataset.name
     raw, unfolded = _evaluator_pair(problem, h, _point_seed(cfg.seed, 0))
     ev = unfolded if cfg.readout_flag else raw
     theta, fit, outcome = _optimize(problem, ev)
@@ -589,9 +571,7 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
         else problem.dataset.equilibrium_r,
         "backend": cfg.backend,
         "p2": cfg.p2 if cfg.backend == "noisy" else 0.0,
-        "p1": (cfg.p1 if cfg.p1 is not None else 0.1 * cfg.p2)
-        if cfg.backend == "noisy"
-        else 0.0,
+        "p1": NoiseModel(cfg.p2, cfg.p1).p1 if cfg.backend == "noisy" else 0.0,
         "shots": cfg.shots,
         "seed": cfg.seed,
         "ansatz": problem.spec.family,

@@ -9,6 +9,16 @@ pairs is applied with probability p2/15. Channels are deterministic mixtures
 (no stochastic Pauli insertion), attached to gates only; idle qubits stay
 clean. Readout noise acts on counts, not on the state.
 
+One kernel serves kets, density matrices and basis changes. A density matrix
+evolves as vec(rho) = rho.reshape(-1), a vector on 2n register qubits: column
+qubit q is register qubit q and row qubit q is register qubit q + n. A k-qubit
+gate U followed by its depolarizing channel with probability p is then the
+d^2 x d^2 matrix (d = 2^k, f = d^2 p / (d^2 - 1))
+
+    (1-f) U (x) conj(U) + (f/d) |vec I><vec I|
+
+on the register qubits (q + n for q in qubits) + qubits.
+
 Basis index convention: bit q of an outcome index is qubit q. Counts are
 np.int64 vectors of length 2**n indexed by outcome.
 """
@@ -85,59 +95,45 @@ class NoiseModel:
         object.__setattr__(self, "p2", float(self.p2))
 
 
-def _apply_left(arr: np.ndarray, unitary: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply `unitary` to the ket index of `arr` (vector or matrix) on `qubits`.
+def _apply_left(v: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Apply `matrix` on `qubits` to the vector `v` of an n-qubit register.
 
-    The unitary's basis orders the first listed qubit as the most significant
+    The matrix's basis orders the first listed qubit as the most significant
     bit.
     """
     k = len(qubits)
-    rest = arr.shape[1:]
-    t = arr.reshape((2,) * n + rest)
     axes = [n - 1 - q for q in qubits]
-    t = np.moveaxis(t, axes, range(k))
+    t = np.moveaxis(v.reshape((2,) * n), axes, range(k))
     shape = t.shape
-    t = (unitary @ t.reshape(1 << k, -1)).reshape(shape)
-    t = np.moveaxis(t, range(k), axes)
-    return t.reshape((1 << n,) + rest)
+    t = (matrix @ t.reshape(1 << k, -1)).reshape(shape)
+    return np.moveaxis(t, range(k), axes).reshape(1 << n)
 
 
-def _conjugate(rho: np.ndarray, unitary: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """U rho U-dagger on the given qubits."""
-    left = _apply_left(rho, unitary, qubits, n)
-    return np.conj(_apply_left(np.conj(left).T, unitary, qubits, n)).T
+def _channel(unitary: np.ndarray, p: float) -> np.ndarray:
+    """Superoperator of `unitary` followed by depolarizing with p (module doc).
 
-
-def _replace_with_mixed(rho: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Trace out `qubits` and reinsert the maximally mixed state there."""
-    k = len(qubits)
-    t = rho.reshape((2,) * (2 * n))
-    row = [n - 1 - q for q in qubits]
-    col = [2 * n - 1 - q for q in qubits]
-    t = np.moveaxis(t, row + col, range(2 * k))
-    out = np.zeros_like(t)
-    if k == 1:
-        out[0, 0] = out[1, 1] = 0.5 * (t[0, 0] + t[1, 1])
-    else:
-        traced = t[0, 0, 0, 0] + t[0, 1, 0, 1] + t[1, 0, 1, 0] + t[1, 1, 1, 1]
-        for a in (0, 1):
-            for b in (0, 1):
-                out[a, b, a, b] = 0.25 * traced
-    out = np.moveaxis(out, range(2 * k), row + col)
-    return out.reshape(rho.shape)
-
-
-def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """Uniform mixture of the 4^k - 1 non-identity Pauli conjugations.
-
-    Computed through the twirl identity sum_P P rho P = 4^k * mixed - rho
-    (sum over non-identity P), which avoids forming each conjugation.
+    The mixed part is the twirl identity sum_P P rho P = d^2 mixed(rho) - rho
+    (sum over non-identity P), where mixed(rho) replaces the gate's qubits by
+    I/d. It is exact without U because U leaves the partial trace over its
+    own qubits unchanged, so mixed(U rho U-dagger) = mixed(rho).
     """
-    if p == 0.0:
-        return rho
-    d2 = 1 << (2 * len(qubits))
-    frac = d2 * p / (d2 - 1.0)
-    return (1.0 - frac) * rho + frac * _replace_with_mixed(rho, qubits, n)
+    d = unitary.shape[0]
+    s = (unitary[:, None, :, None] * np.conj(unitary)[None, :, None, :]).reshape(d * d, d * d)
+    if p:
+        f = d * d * p / (d * d - 1.0)
+        s *= 1.0 - f
+        s[:: d + 1, :: d + 1] += f / d
+    return s
+
+
+def _apply_gate(
+    v: np.ndarray, unitary: np.ndarray, qubits: tuple[int, ...], n: int, p: float | None
+) -> np.ndarray:
+    """Gate on a ket (p None), or on vec(rho) followed by depolarizing with p."""
+    if p is None:
+        return _apply_left(v, unitary, qubits, n)
+    rows = tuple(q + n for q in qubits)
+    return _apply_left(v, _channel(unitary, p), rows + qubits, 2 * n)
 
 
 def _resolve(circuit: Circuit, bindings: Mapping[str, float] | None):
@@ -152,14 +148,22 @@ def _resolve(circuit: Circuit, bindings: Mapping[str, float] | None):
     return resolved
 
 
+def _evolve(
+    circuit: Circuit, bindings: Mapping[str, float] | None, noise: NoiseModel | None
+) -> np.ndarray:
+    """The one gate loop from |0...0>: a ket when noise is None, else vec(rho)."""
+    n = circuit.n_qubits
+    v = np.zeros(1 << (n if noise is None else 2 * n), dtype=complex)
+    v[0] = 1.0
+    for kind, qubits, params in _resolve(circuit, bindings):
+        p = None if noise is None else (noise.p1 if len(qubits) == 1 else noise.p2)
+        v = _apply_gate(v, gate_matrix(kind, params), qubits, n, p)
+    return v
+
+
 def run_statevector(circuit: Circuit, bindings: Mapping[str, float] | None = None) -> QuantumState:
     """Noise-free execution from |0...0>."""
-    n = circuit.n_qubits
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    for kind, qubits, params in _resolve(circuit, bindings):
-        psi = _apply_left(psi, gate_matrix(kind, params), qubits, n)
-    return QuantumState(psi)
+    return QuantumState(_evolve(circuit, bindings, None))
 
 
 def run_density(
@@ -168,14 +172,9 @@ def run_density(
     noise: NoiseModel | None = None,
 ) -> QuantumState:
     """Density-matrix execution with per-gate depolarizing channels."""
-    noise = noise or NoiseModel()
-    n = circuit.n_qubits
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
-    rho[0, 0] = 1.0
-    for kind, qubits, params in _resolve(circuit, bindings):
-        rho = _conjugate(rho, gate_matrix(kind, params), qubits, n)
-        rho = _depolarize(rho, qubits, noise.p1 if len(qubits) == 1 else noise.p2, n)
-    return QuantumState(rho)
+    dim = 1 << circuit.n_qubits
+    vec = _evolve(circuit, bindings, noise or NoiseModel())
+    return QuantumState(vec.reshape(dim, dim))
 
 
 # Basis-change unitaries: U P U-dagger = Z for P in {X, Y}. Applied as exact
@@ -199,16 +198,14 @@ def _basis_probabilities(state: QuantumState, basis: PauliString) -> np.ndarray:
             rotations.append((q, _Y_TO_Z))
         else:
             raise ValueError(f"invalid basis letter {ch!r}")
+    p = 0.0 if state.is_density else None
+    v = state.data.reshape(-1)
+    for q, u in rotations:
+        v = _apply_gate(v, u, (q,), n, p)
     if state.is_density:
-        rho = state.data
-        for q, u in rotations:
-            rho = _conjugate(rho, u, (q,), n)
-        probs = np.real(np.diag(rho)).copy()
+        probs = np.real(v[:: (1 << n) + 1]).copy()
     else:
-        psi = state.data
-        for q, u in rotations:
-            psi = _apply_left(psi, u, (q,), n)
-        probs = np.abs(psi) ** 2
+        probs = np.abs(v) ** 2
     probs[probs < 0] = 0.0
     return probs / probs.sum()
 

@@ -62,6 +62,19 @@ def test_unknown_molecule_is_config_error(capsys):
     assert "unknown molecule" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["single-point", "--molecule", "h2", "--r", "0.5"],
+     ["noise-sweep", "--molecule", "h2", "--r", "0.5", "--p2", "0.01"]],
+)
+def test_unknown_geometry_is_config_error(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: h2 has no geometry r=0.5")
+    assert captured.out == ""
+
+
 def test_bad_choice_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["single-point", "--molecule", "h2", "--backend", "magic"])

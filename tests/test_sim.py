@@ -1,7 +1,11 @@
 """Statevector/density execution, depolarizing channels, sampling, readout noise."""
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
 from remvqe import (
     Circuit,
@@ -26,6 +30,8 @@ from remvqe import (
     run_statevector,
     sample_counts,
 )
+from remvqe.circuits import GATE_KINDS
+from remvqe.sim import _basis_probabilities
 from remvqe.vqe import _group_energy
 
 PAULI_1Q = {
@@ -166,6 +172,71 @@ def test_two_qubit_channel_matches_pauli_mixture():
 
     noisy = run_density(prep.extended(Gate("CNOT", (0, 1))), noise=NoiseModel(p2=p, p1=0.0))
     assert np.allclose(noisy.data, mixture, atol=1e-12)
+
+
+@st.composite
+def noisy_circuits(draw):
+    """Circuits over every gate kind on 3-4 qubits, any qubit order, any noise."""
+    n = draw(st.integers(3, 4))
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        arity, n_params = GATE_KINDS[kind]
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n_params, max_size=n_params))
+        gates.append(Gate(kind, qubits, tuple(angles)))
+    noise = NoiseModel(p2=draw(st.floats(0.0, 1.0)), p1=draw(st.floats(0.0, 1.0)))
+    return Circuit(n, tuple(gates)), noise
+
+
+def kraus_reference(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Dense oracle: U rho U+ then sum_K K rho K+ over the gate's Pauli Kraus operators."""
+    n = circuit.n_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        k = len(gate.qubits)
+        u = embed(gate_matrix(gate.kind, gate.resolved({})), gate.qubits, n)
+        rho = u @ rho @ u.conj().T
+        p = noise.p1 if k == 1 else noise.p2
+        kraus = []
+        for labels in itertools.product("IXYZ", repeat=k):
+            pauli = embed(reduce(np.kron, [PAULI_1Q[c] for c in labels]), gate.qubits, n)
+            weight = 1.0 - p if set(labels) == {"I"} else p / (4**k - 1)
+            kraus.append(np.sqrt(weight) * pauli)
+        rho = sum(K @ rho @ K.conj().T for K in kraus)
+    return rho
+
+
+@settings(deadline=None, max_examples=40)
+@given(noisy_circuits())
+@example(
+    (
+        Circuit(4, (Gate("H", (2,)), Gate("CNOT", (2, 0)), Gate("U3", (3,), (0.3, -1.1, 2.0)),
+                    Gate("CZ", (3, 1)))),
+        NoiseModel(p2=0.2, p1=0.07),
+    )
+)
+def test_density_matches_kraus_reference(case):
+    circuit, noise = case
+    rho = run_density(circuit, noise=noise).data
+    assert np.max(np.abs(rho - kraus_reference(circuit, noise))) < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.text(alphabet="XYZ", min_size=n, max_size=n)),
+    st.integers(0, 2**32 - 1),
+)
+def test_basis_probabilities_density_matches_ket(label, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << len(label)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    basis = PauliString(label)
+    ket = _basis_probabilities(QuantumState(psi), basis)
+    density = _basis_probabilities(QuantumState(np.outer(psi, psi.conj())), basis)
+    assert np.max(np.abs(ket - density)) < 1e-12
 
 
 def test_total_probability_three_quarters_fully_mixes():
