@@ -1,9 +1,9 @@
 """
 Walkthrough of reference-state error mitigation on the H2 molecule.
 
-The correction needs no extra quantum resources: measure the energy of the
-Hartree-Fock state (whose exact energy is classically known), call the
-difference delta, and subtract delta from every optimized energy.
+The correction needs no extra quantum resources: read the energy of the
+Hartree-Fock state (whose exact energy is classically known) off the measured
+curve, call the difference delta, and subtract delta from the optimized energy.
 """
 import numpy as np
 
@@ -14,8 +14,8 @@ from remvqe import (
     ground_state_energy,
     h2_compact_spec,
     reference_exact_energy,
+    rem_report,
     sweep_and_fit,
-    with_reference,
 )
 
 
@@ -33,27 +33,30 @@ def main():
     noise = NoiseModel(p2=1.8e-2, p1=1.8e-3)
     ev = EnergyEvaluator(h, h2_compact_spec(), noise=noise, shots=5000, seed=7)
 
-    # --- 3. Measure the reference state through the same pipeline ---
-    # All parameters at zero prepare the Hartree-Fock state |01>.
-    armed, e_vqe_ref, e_exact_ref = with_reference(ev)
-    delta = armed.delta
-    print(f"reference, exact:        {e_exact_ref:+.6f}")
-    print(f"reference, measured:     {e_vqe_ref:+.6f}")
-    print(f"delta:                   {delta:+.6f}")
-
-    # --- 4. Optimize, then correct ---
+    # --- 3. Optimize ---
     # The single-parameter ansatz traces a cosine, so a grid sweep plus a
     # least-squares fit replaces iterative optimization outright.
-    fit_raw = sweep_and_fit(ev)
-    fit_rem = sweep_and_fit(armed)
-    print(f"noisy minimum:           {fit_raw.e_min:+.6f}")
-    print(f"corrected minimum:       {fit_rem.e_min:+.6f}")
+    fit = sweep_and_fit(ev)
+    print(f"noisy minimum:           {fit.e_min:+.6f}")
+
+    # --- 4. Correct with the reference state ---
+    # All parameters at zero prepare the Hartree-Fock state |01>, so the
+    # fitted curve already holds its measured energy: no extra measurement.
+    e_vqe_ref = fit.value_at(0.0)
+    report = rem_report(e_vqe_ref, reference_exact_energy(ev), fit.e_min, e_exact)
+    print(f"reference, exact:        {report.e_exact_ref:+.6f}")
+    print(f"reference, measured:     {report.e_vqe_ref:+.6f}")
+    print(f"delta:                   {report.delta_rem:+.6f}")
+    print(f"corrected minimum:       {report.e_rem:+.6f}")
 
     # --- 5. The correction is a rigid shift ---
-    shift = np.array(fit_raw.energies) - np.array(fit_rem.energies)
+    corrected = [
+        rem_report(e_vqe_ref, report.e_exact_ref, e).e_rem for e in fit.energies
+    ]
+    shift = np.array(fit.energies) - np.array(corrected)
     print(f"curve shift (constant):  {shift.min():+.6f} .. {shift.max():+.6f}")
-    print(f"error before:            {abs(fit_raw.e_min - e_exact):.6f}")
-    print(f"error after:             {abs(fit_rem.e_min - e_exact):.6f}")
+    print(f"error before:            {abs(report.err_vqe):.6f}")
+    print(f"error after:             {abs(report.err_rem):.6f}")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from dataclasses import fields
 from .experiments import (
     ANSATZE,
     BACKENDS,
+    DEVICE_P2,
     MITIGATIONS,
     OPTIMIZERS,
     ConfigError,
@@ -48,7 +49,7 @@ def _add_problem(p: argparse.ArgumentParser, molecule_only: bool = False) -> Non
 def _add_backend(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=BACKENDS, default="ideal")
     p.add_argument(
-        "--p2", type=float, default=1.8e-2,
+        "--p2", type=float, default=DEVICE_P2,
         help="two-qubit depolarizing probability (noisy backend)",
     )
     p.add_argument(
@@ -164,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             return 3 if result.warnings else 0
         if args.command == "noise-sweep":
             grid = _parse_grid(args.p2) if args.p2 is not None else None
-            result = cmd_noise_sweep(_config(args, p2=1.8e-2), p2_grid=grid)
+            result = cmd_noise_sweep(_config(args, p2=DEVICE_P2), p2_grid=grid)
             sys.stdout.write(result.csv)
             return 0
         if args.command == "single-point":

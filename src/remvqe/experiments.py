@@ -280,19 +280,14 @@ def _point_seed(master: int, index: int) -> int:
 def _evaluator_pair(problem: _Problem, h: PauliHamiltonian, seed: int):
     """(raw, readout-unfolded) evaluators sharing every random draw."""
     cfg = problem.cfg
-    confusion = problem.applied_confusion
-    noise = None
-    if cfg.backend == "noisy":
-        noise = NoiseModel(cfg.p2, cfg.p1, confusion=confusion)
-    elif confusion is not None:
-        noise = NoiseModel(0.0, 0.0, confusion=confusion)
-    raw = EnergyEvaluator(h, problem.spec, noise=noise, shots=cfg.shots, seed=seed)
+    noise = NoiseModel(cfg.p2, cfg.p1) if cfg.backend == "noisy" else None
+    raw = EnergyEvaluator(
+        h, problem.spec, noise=noise, shots=cfg.shots, seed=seed,
+        confusion=problem.applied_confusion,
+    )
     if problem.unfold_confusion is None:
         return raw, raw
-    unfolded = replace(
-        raw, readout_mitigation=True, unfold_matrix=problem.unfold_confusion
-    )
-    return raw, unfolded
+    return raw, replace(raw, unfold_matrix=problem.unfold_confusion)
 
 
 @dataclass(frozen=True)
@@ -475,8 +470,11 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
     equilibrium) for each p2; p1 keeps the NoiseModel default unless pinned.
     """
     grid = tuple(float(v) for v in (default_p2_grid() if p2_grid is None else p2_grid))
-    if not grid or any(v < 0 for v in grid):
-        raise ConfigError("p2 grid values must be non-negative")
+    if not grid:
+        raise ConfigError("p2 grid is empty")
+    for v in grid:
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"p2 must lie in [0, 1], got {v}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("p2 grid must be strictly increasing")
     if cfg.hamiltonian_path is not None:

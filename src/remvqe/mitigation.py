@@ -14,7 +14,7 @@ the exact minimum; they are deliberately not clamped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -203,37 +203,6 @@ def counts_to_distribution(counts: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-def rem_delta(e_vqe_ref: float, e_exact_ref: float) -> float:
-    """Reference-state energy discrepancy delta = e_vqe_ref - e_exact_ref."""
-    if not (np.isfinite(e_vqe_ref) and np.isfinite(e_exact_ref)):
-        raise ValueError("reference energies must be finite")
-    return float(e_vqe_ref) - float(e_exact_ref)
-
-
-Energy = Union[float, np.ndarray]
-
-
-def rem_apply(e_vqe: Energy, delta: float) -> Energy:
-    """Subtract the reference discrepancy pointwise from an energy or curve."""
-    if np.isscalar(e_vqe):
-        return float(e_vqe) - delta
-    return np.asarray(e_vqe, dtype=float) - delta
-
-
-def error_metrics(
-    e_vqe_min: float, e_exact_min: float, delta: float
-) -> tuple[float, float]:
-    """(err_vqe, err_rem) against the noise-free minimum.
-
-    err_vqe = e_vqe_min - e_exact_min; err_rem is the residual of the
-    corrected energy, (e_vqe_min - delta) - e_exact_min. Positive err_vqe
-    means noise raised the energy; err_rem may be negative (over-correction).
-    """
-    err_vqe = float(e_vqe_min) - float(e_exact_min)
-    err_rem = (float(e_vqe_min) - float(delta)) - float(e_exact_min)
-    return err_vqe, err_rem
-
-
 @dataclass(frozen=True)
 class RemReport:
     """All quantities of one reference-state mitigation run.
@@ -264,12 +233,21 @@ def rem_report(
     e_vqe_min: float,
     e_exact_min: float | None = None,
 ) -> RemReport:
-    """Assemble a RemReport from the four primary measured/exact energies."""
-    delta = rem_delta(e_vqe_ref, e_exact_ref)
-    e_rem = rem_apply(e_vqe_min, delta)
+    """Correct a measured minimum by the reference discrepancy.
+
+    delta_rem = e_vqe_ref - e_exact_ref and e_rem = e_vqe_min - delta_rem.
+    Given the noise-free minimum, err_vqe = e_vqe_min - e_exact_min and
+    err_rem = e_rem - e_exact_min: positive err_vqe means noise raised the
+    energy; err_rem may be negative (over-correction).
+    """
+    if not (np.isfinite(e_vqe_ref) and np.isfinite(e_exact_ref)):
+        raise ValueError("reference energies must be finite")
+    delta = float(e_vqe_ref) - float(e_exact_ref)
+    e_rem = float(e_vqe_min) - delta
     err_vqe = err_rem = None
     if e_exact_min is not None:
-        err_vqe, err_rem = error_metrics(e_vqe_min, e_exact_min, delta)
+        err_vqe = float(e_vqe_min) - float(e_exact_min)
+        err_rem = e_rem - float(e_exact_min)
     return RemReport(
         e_vqe_ref=e_vqe_ref,
         e_exact_ref=e_exact_ref,

@@ -67,23 +67,17 @@ class QuantumState:
     def n_qubits(self) -> int:
         return int(self.data.shape[0]).bit_length() - 1
 
-    def density(self) -> np.ndarray:
-        """Density-matrix view (outer product for pure states)."""
-        if self.is_density:
-            return self.data
-        return np.outer(self.data, np.conj(self.data))
-
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing probabilities plus optional readout confusion.
+    """Gate depolarizing probabilities; p1 defaults to 0.1 * p2 when not given.
 
-    p1 defaults to 0.1 * p2 when not given.
+    Readout noise is not part of it: the evaluator applies a confusion matrix
+    to measurement outcomes.
     """
 
     p2: float = 0.0
     p1: float | None = None
-    confusion: ConfusionMatrix | None = None
 
     def __post_init__(self) -> None:
         p1 = 0.1 * self.p2 if self.p1 is None else self.p1

@@ -15,7 +15,7 @@ matter the call order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -23,13 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from .ansatz import AnsatzSpec, ansatz_circuit
-from .mitigation import (
-    ConfusionMatrix,
-    counts_to_distribution,
-    rem_apply,
-    rem_delta,
-    unfold,
-)
+from .mitigation import ConfusionMatrix, counts_to_distribution, unfold
 from .pauli import (
     MeasurementGroup,
     PauliHamiltonian,
@@ -58,33 +52,22 @@ class EnergyEvaluator:
     """Immutable recipe for measuring <H> at a parameter vector.
 
     noise=None runs the pure statevector; shots=None skips sampling and uses
-    exact outcome distributions. With rem=True, `delta` (set by
-    with_reference) is subtracted from every energy.
+    exact outcome distributions. `confusion` is applied to measurement
+    outcomes; with `unfold_matrix` set, every outcome distribution is
+    unfolded through that matrix.
     """
 
     hamiltonian: PauliHamiltonian
     ansatz: AnsatzSpec
     noise: NoiseModel | None = None
     shots: int | None = None
-    readout_mitigation: bool = False
-    rem: bool = False
     seed: int = 0
+    confusion: ConfusionMatrix | None = None
     unfold_matrix: ConfusionMatrix | None = None
-    delta: float | None = None
 
     def __post_init__(self) -> None:
         if self.shots is not None and self.shots <= 0:
             raise ValueError("shots must be positive when sampling")
-
-    @property
-    def confusion(self) -> ConfusionMatrix | None:
-        """Confusion applied to outcomes (from the noise model)."""
-        return self.noise.confusion if self.noise is not None else None
-
-    @property
-    def inverse_confusion(self) -> ConfusionMatrix | None:
-        """Matrix used for unfolding; defaults to the noise model's own."""
-        return self.unfold_matrix if self.unfold_matrix is not None else self.confusion
 
 
 @lru_cache(maxsize=64)
@@ -116,8 +99,8 @@ def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
     bindings = {name: float(v) for name, v in zip(spec.parameter_names(), theta)}
     circuit = ansatz_circuit(spec)
     noise = ev.noise
-    # Readout confusion acts on measurement outcomes, not on the state, so a
-    # noise model with zero gate-error rates still runs the pure statevector.
+    # A noise model with zero gate-error rates (a noise-sweep point at p2 = 0)
+    # leaves the state pure, so it runs the statevector.
     if noise is None or (noise.p1 == 0.0 and noise.p2 == 0.0):
         return run_statevector(circuit, bindings)
     return run_density(circuit, bindings, noise)
@@ -125,36 +108,29 @@ def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
 
 def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> float:
     """Energy at `theta`; `index` keys this evaluation's random draws."""
-    if ev.rem and ev.delta is None:
-        raise ValueError("rem flag requires a reference evaluation (see with_reference)")
     state = _prepare(ev, theta)
     h = ev.hamiltonian
     confusion = ev.confusion
-    if ev.shots is None and confusion is None and not ev.readout_mitigation:
-        energy = expectation(h, state)
-    else:
-        if ev.readout_mitigation and ev.inverse_confusion is None:
-            raise ValueError("readout mitigation needs a confusion matrix")
-        groups = _grouping(h)
-        shots = _shot_split(ev.shots, len(groups)) if ev.shots is not None else None
-        energy = h.offset
-        for g, group in enumerate(groups):
-            if shots is None:
-                dist = _basis_probabilities(state, group.basis)
-                if confusion is not None:
-                    dist = confusion.matrix @ dist
-            else:
-                ss = np.random.SeedSequence((ev.seed, index, g, 0))
-                counts = sample_counts(state, group.basis, shots[g], ss)
-                if confusion is not None:
-                    ss = np.random.SeedSequence((ev.seed, index, g, 1))
-                    counts = apply_readout_noise(counts, confusion, ss)
-                dist = counts_to_distribution(counts)
-            if ev.readout_mitigation:
-                dist = unfold(ev.inverse_confusion, dist)
-            energy += _group_energy(dist, group, h)
-    if ev.rem:
-        energy = rem_apply(energy, ev.delta)
+    if ev.shots is None and confusion is None and ev.unfold_matrix is None:
+        return float(expectation(h, state))
+    groups = _grouping(h)
+    shots = _shot_split(ev.shots, len(groups)) if ev.shots is not None else None
+    energy = h.offset
+    for g, group in enumerate(groups):
+        if shots is None:
+            dist = _basis_probabilities(state, group.basis)
+            if confusion is not None:
+                dist = confusion.matrix @ dist
+        else:
+            ss = np.random.SeedSequence((ev.seed, index, g, 0))
+            counts = sample_counts(state, group.basis, shots[g], ss)
+            if confusion is not None:
+                ss = np.random.SeedSequence((ev.seed, index, g, 1))
+                counts = apply_readout_noise(counts, confusion, ss)
+            dist = counts_to_distribution(counts)
+        if ev.unfold_matrix is not None:
+            dist = unfold(ev.unfold_matrix, dist)
+        energy += _group_energy(dist, group, h)
     return float(energy)
 
 
@@ -163,25 +139,6 @@ def reference_exact_energy(ev: EnergyEvaluator) -> float:
     return expectation(
         ev.hamiltonian, hf_state(ev.ansatz.n_qubits, ev.ansatz.hf_bitstring)
     )
-
-
-def with_reference(
-    ev: EnergyEvaluator,
-    e_exact_ref: float | None = None,
-    index: int = REFERENCE_INDEX,
-) -> tuple[EnergyEvaluator, float, float]:
-    """Measure the reference state through ev's pipeline and arm REM.
-
-    All parameters are bound to 0, which every ansatz family maps to the HF
-    state, so this reuses the optimizer's standard initial guess. Returns
-    (armed evaluator, measured reference energy, exact reference energy).
-    """
-    base = replace(ev, rem=False, delta=None)
-    e_vqe_ref = evaluate(base, np.zeros(ev.ansatz.n_params), index=index)
-    if e_exact_ref is None:
-        e_exact_ref = reference_exact_energy(ev)
-    delta = rem_delta(e_vqe_ref, e_exact_ref)
-    return replace(ev, rem=True, delta=delta), e_vqe_ref, float(e_exact_ref)
 
 
 @dataclass(frozen=True)

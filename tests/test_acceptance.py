@@ -24,14 +24,16 @@ from remvqe import (
     h2_compact_spec,
     hartree_fock_energy,
     minimize,
+    reference_exact_energy,
+    rem_report,
     run_density,
     run_statevector,
     sweep_and_fit,
     uccsd_spec,
     unfold,
-    with_reference,
 )
 from remvqe.experiments import DEVICE_P2, RunConfig, cmd_noise_sweep, cmd_single_point, four_pipelines
+from remvqe.vqe import REFERENCE_INDEX
 
 # Column layout of the benchmark rows: geometry, then exact / uncorrected /
 # readout-corrected reference energies, the three minimum energies, the two
@@ -221,13 +223,14 @@ def test_criterion_9_structural_invariants():
     noisy = EnergyEvaluator(
         h, spec, noise=NoiseModel(DEVICE_P2, 1.8e-3), shots=2000, seed=5
     )
-    armed, *_ = with_reference(noisy)
-    fit_raw = sweep_and_fit(noisy)
-    fit_rem = sweep_and_fit(armed)
-    assert np.argmin(fit_raw.energies) == np.argmin(fit_rem.energies)
-    assert np.allclose(
-        np.array(fit_raw.energies) - np.array(fit_rem.energies), armed.delta, atol=1e-12
-    )
+    fit = sweep_and_fit(noisy)
+    e_vqe_ref = evaluate(noisy, np.zeros(1), index=REFERENCE_INDEX)
+    reports = [
+        rem_report(e_vqe_ref, reference_exact_energy(noisy), e) for e in fit.energies
+    ]
+    assert np.argmin(fit.energies) == np.argmin([r.e_rem for r in reports])
+    for e, r in zip(fit.energies, reports):
+        assert e - r.e_rem == pytest.approx(r.delta_rem, abs=1e-12)
 
     # zero-noise channels must reproduce the pure-state pipeline exactly
     circuit = ansatz_circuit(spec)

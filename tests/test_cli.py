@@ -104,6 +104,15 @@ def test_noise_sweep_rejects_malformed_grid(capsys):
     assert "could not parse p2 grid" in captured.err
 
 
+@pytest.mark.parametrize("grid", ["0.5,2", "nan"])
+def test_noise_sweep_rejects_out_of_range_grid(grid, capsys):
+    rc = main(["noise-sweep", "--molecule", "h2", "--p2", grid])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: p2 must lie in [0, 1]")
+    assert captured.out == ""
+
+
 def test_calibrate_csv(tmp_path, capsys):
     out = tmp_path / "confusion.csv"
     rc = main(

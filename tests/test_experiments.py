@@ -300,8 +300,9 @@ def test_noise_sweep_device_rate_ratio():
 def test_noise_sweep_guards(tmp_path):
     with pytest.raises(ConfigError, match="builtin molecules only"):
         cmd_noise_sweep(RunConfig(hamiltonian_path=h2_file(tmp_path)))
-    with pytest.raises(ConfigError, match="non-negative"):
-        cmd_noise_sweep(RunConfig(molecule="h2"), p2_grid=(-0.1, 0.1))
+    for grid in ((-0.1, 0.1), (0.5, 2.0), (float("nan"),)):
+        with pytest.raises(ConfigError, match=r"p2 must lie in \[0, 1\]"):
+            cmd_noise_sweep(RunConfig(molecule="h2"), p2_grid=grid)
     with pytest.raises(ConfigError, match="strictly increasing"):
         cmd_noise_sweep(RunConfig(molecule="h2"), p2_grid=(0.01, 0.01))
     with pytest.raises(ConfigError, match="1-parameter sweep protocol"):
@@ -344,6 +345,21 @@ def test_single_point_writes_record(tmp_path):
     out = tmp_path / "point.json"
     res = cmd_single_point(RunConfig(molecule="h2", out=str(out)))
     assert json.loads(out.read_text()) == res.record
+
+
+def test_single_point_rem_is_post_processing():
+    # the reference-state shift is computed after measurement, so asking for
+    # it changes no draw, no optimum and no measured energy
+    a, b = (
+        cmd_single_point(
+            RunConfig(
+                molecule="h2", backend="noisy", shots=2000, seed=3, mitigation=m
+            )
+        ).record
+        for m in ("rem", "none")
+    )
+    for key in ("theta_min", "e_vqe_ref", "e_vqe_min", "e_rem"):
+        assert a[key] == b[key]
 
 
 def test_single_point_file_loaded_reference(tmp_path):

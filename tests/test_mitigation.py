@@ -9,12 +9,9 @@ from remvqe import (
     calibrate_confusion,
     counts_to_distribution,
     device_confusion,
-    error_metrics,
     format_confusion_csv,
     parse_confusion_csv,
     read_confusion_csv,
-    rem_apply,
-    rem_delta,
     rem_report,
     unfold,
     write_confusion_csv,
@@ -257,39 +254,44 @@ def test_calibrate_seed_determinism():
 
 
 def test_rem_delta_fixtures():
-    assert rem_delta(-1.0897, -1.1167) == pytest.approx(0.0270, abs=1e-12)
-    assert rem_delta(-7.6071, -7.8620) == pytest.approx(0.2549, abs=1e-12)
-    assert rem_delta(0.4, 0.4) == 0.0
+    assert rem_report(-1.0897, -1.1167, 0.0).delta_rem == pytest.approx(0.0270, abs=1e-12)
+    assert rem_report(-7.6071, -7.8620, 0.0).delta_rem == pytest.approx(0.2549, abs=1e-12)
+    assert rem_report(0.4, 0.4, 0.0).delta_rem == 0.0
     with pytest.raises(ValueError, match="finite"):
-        rem_delta(float("nan"), 0.0)
+        rem_report(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        rem_delta(0.0, float("inf"))
+        rem_report(0.0, float("inf"), 0.0)
 
 
 def test_rem_apply_fixtures():
-    assert rem_apply(-1.1085, 0.0270) == pytest.approx(-1.1355, abs=1e-12)
-    assert rem_apply(-7.6102, 0.2549) == pytest.approx(-7.8651, abs=1e-12)
-    curve = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(rem_apply(curve, 0.0), curve)
+    assert rem_report(-1.0897, -1.1167, -1.1085).e_rem == pytest.approx(-1.1355, abs=1e-12)
+    assert rem_report(-7.6071, -7.8620, -7.6102).e_rem == pytest.approx(-7.8651, abs=1e-12)
+    for e in (1.0, 2.0, 3.0):
+        assert rem_report(0.4, 0.4, e).e_rem == e
 
 
 def test_rem_apply_preserves_argmin():
+    # the correction of every point of a curve is the same rigid shift
     rng = np.random.default_rng(2)
     curve = rng.normal(size=40)
-    shifted = rem_apply(curve, 0.321)
+    reports = [rem_report(-0.679, -1.0, e) for e in curve]
+    shifted = np.array([r.e_rem for r in reports])
     assert np.argmin(shifted) == np.argmin(curve)
-    assert np.allclose(curve - shifted, 0.321, atol=1e-15)
+    for e, r in zip(curve, reports):
+        assert r.delta_rem == pytest.approx(0.321, abs=1e-12)
+        assert e - r.e_rem == pytest.approx(r.delta_rem, abs=1e-12)
 
 
 def test_error_metrics_fixtures():
-    err_vqe, err_rem = error_metrics(-1.1085, -1.1373, 0.0270)
-    assert err_vqe == pytest.approx(0.0288, abs=1.5e-4)
-    assert err_rem == pytest.approx(0.0018, abs=1.5e-4)
-    err_vqe, err_rem = error_metrics(-2.8247, -2.8542, rem_delta(-2.8150, -2.8447))
-    assert err_vqe == pytest.approx(0.0294, abs=1.5e-4)
-    assert err_rem == pytest.approx(-0.0002, abs=1.5e-4)
+    report = rem_report(-1.0897, -1.1167, -1.1085, e_exact_min=-1.1373)
+    assert report.err_vqe == pytest.approx(0.0288, abs=1.5e-4)
+    assert report.err_rem == pytest.approx(0.0018, abs=1.5e-4)
+    report = rem_report(-2.8150, -2.8447, -2.8247, e_exact_min=-2.8542)
+    assert report.err_vqe == pytest.approx(0.0294, abs=1.5e-4)
+    assert report.err_rem == pytest.approx(-0.0002, abs=1.5e-4)
     # a correction hitting the error exactly leaves zero residual
-    assert error_metrics(-1.0, -1.2, 0.2) == (pytest.approx(0.2), pytest.approx(0.0))
+    report = rem_report(-0.9, -1.1, -1.0, e_exact_min=-1.2)
+    assert (report.err_vqe, report.err_rem) == (pytest.approx(0.2), pytest.approx(0.0))
 
 
 def test_rem_report_identities():

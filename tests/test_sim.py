@@ -293,10 +293,8 @@ def test_state_density_view():
     s = QuantumState(np.array([1.0, 0.0, 0.0, 0.0]))
     assert s.n_qubits == 2
     assert not s.is_density
-    assert np.allclose(s.density(), np.outer(s.data, s.data))
     d = QuantumState(np.eye(4) / 4)
     assert d.is_density
-    assert d.density() is d.data
 
 
 def test_hf_state():

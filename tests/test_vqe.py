@@ -1,4 +1,4 @@
-"""Energy evaluation, minimization, sweep-and-fit, and the mitigation hooks."""
+"""Energy evaluation, readout unfolding, minimization, and sweep-and-fit."""
 import math
 
 import numpy as np
@@ -18,7 +18,6 @@ from remvqe import (
     reference_exact_energy,
     sweep_and_fit,
     uccsd_spec,
-    with_reference,
 )
 from remvqe.vqe import REFERENCE_INDEX
 
@@ -41,8 +40,6 @@ def bowl_hamiltonian() -> PauliHamiltonian:
 def test_evaluator_validation():
     with pytest.raises(ValueError, match="shots must be positive"):
         h2_evaluator(shots=0)
-    with pytest.raises(ValueError, match="rem flag requires a reference"):
-        evaluate(h2_evaluator(rem=True), [0.0])
 
 
 def test_evaluate_rejects_wrong_parameter_count():
@@ -83,21 +80,12 @@ def test_identity_unfolding_preserves_sampled_energy():
     # identity confusion matrix makes the QP a passthrough
     raw = h2_evaluator(shots=500, seed=9)
     unfolded = h2_evaluator(
-        shots=500,
-        seed=9,
-        readout_mitigation=True,
-        unfold_matrix=ConfusionMatrix.identity(2),
+        shots=500, seed=9, unfold_matrix=ConfusionMatrix.identity(2)
     )
     for theta in (0.0, 0.3, -1.2):
         assert evaluate(raw, [theta], index=2) == pytest.approx(
             evaluate(unfolded, [theta], index=2), abs=1e-9
         )
-
-
-def test_readout_mitigation_requires_matrix():
-    ev = h2_evaluator(shots=100, readout_mitigation=True)
-    with pytest.raises(ValueError, match="needs a confusion matrix"):
-        evaluate(ev, [0.0])
 
 
 def test_noisy_energy_stays_above_noiseless_minimum():
@@ -106,6 +94,8 @@ def test_noisy_energy_stays_above_noiseless_minimum():
     fit = sweep_and_fit(clean)
     for theta in (-1.0, 0.0, 0.5):
         assert evaluate(noisy, [theta]) > fit.e_min
+    # the noisy reference state lies above its exact energy, so delta > 0
+    assert evaluate(noisy, [0.0]) > reference_exact_energy(noisy)
 
 
 # --- minimize ----------------------------------------------------------------
@@ -237,46 +227,6 @@ def test_minimize_agrees_with_sweep_every_geometry(r):
     assert out.energy == pytest.approx(fit.e_min, abs=1e-6)
 
 
-# --- reference-state correction hooks ----------------------------------------
-
-
-def test_with_reference_noiseless_delta_is_zero():
-    armed, e_vqe_ref, e_exact_ref = with_reference(h2_evaluator())
-    assert e_vqe_ref == pytest.approx(e_exact_ref, abs=1e-12)
-    assert armed.rem and armed.delta == pytest.approx(0.0, abs=1e-12)
-
-
-def test_with_reference_noisy_delta_positive():
-    ev = h2_evaluator(noise=NoiseModel(p2=0.018))
-    armed, e_vqe_ref, e_exact_ref = with_reference(ev)
-    assert e_exact_ref == pytest.approx(-1.1167, abs=5e-4)
-    assert e_vqe_ref > e_exact_ref
-    assert armed.delta == pytest.approx(e_vqe_ref - e_exact_ref, abs=1e-15)
-    # armed evaluator subtracts delta from every energy
-    base = evaluate(ev, [0.2])
-    assert evaluate(armed, [0.2]) == pytest.approx(base - armed.delta, abs=1e-12)
-
-
-def test_with_reference_accepts_external_exact_value():
-    armed, _, e_exact_ref = with_reference(h2_evaluator(), e_exact_ref=-1.25)
-    assert e_exact_ref == -1.25
-    assert armed.delta == pytest.approx(evaluate(h2_evaluator(), [0.0]) + 1.25)
-
-
 def test_reference_index_outside_optimizer_range():
     assert REFERENCE_INDEX >= 10**9
 
-
-def test_rem_shift_never_moves_the_argmin():
-    ev = h2_evaluator(noise=NoiseModel(p2=0.018, p1=0.0018), shots=2000, seed=6)
-    fit_raw = sweep_and_fit(ev)
-    armed, *_ = with_reference(ev)
-    fit_rem = sweep_and_fit(armed)
-    raw = np.array(fit_raw.energies)
-    rem = np.array(fit_rem.energies)
-    assert np.argmin(raw) == np.argmin(rem)
-    assert np.allclose(raw - rem, armed.delta, atol=1e-12)
-    assert fit_rem.theta_min == pytest.approx(fit_raw.theta_min, abs=1e-9)
-    assert fit_rem.a == pytest.approx(fit_raw.a, abs=1e-9)
-    assert fit_rem.alpha == pytest.approx(fit_raw.alpha, abs=1e-9)
-    assert fit_rem.c == pytest.approx(fit_raw.c - armed.delta, abs=1e-9)
