@@ -8,8 +8,8 @@ Three families are provided:
   step. Each excitation k contributes blocks exp(-i * s * theta_k / 2 * P)
   for its Pauli strings (P, s), realized as basis rotations, a CNOT parity
   ladder over the string's support, RZ(s * theta_k), and the unwind.
-- ``hardware-efficient``: alternating single-qubit rotation layers and fixed
-  CZ entangler layers over a connectivity map.
+- ``hardware-efficient``: alternating RY layers and fixed CZ entangler
+  layers over a connectivity map.
 
 Binding every parameter to 0 reproduces the Hartree-Fock reference state up
 to global phase for all families; this coincidence is what lets the
@@ -21,7 +21,7 @@ every Pauli label) is the highest-numbered qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .circuits import Angle, Circuit, Gate, Param, circuit_stats
@@ -136,12 +136,10 @@ class AnsatzSpec:
 
     family: str
     n_qubits: int
-    n_params: int
     hf_bitstring: str
     excitations: tuple[Excitation, ...] | None = None
     entangler_map: tuple[tuple[int, int], ...] | None = None
     n_layers: int = 0
-    rotation_gates: tuple[str, ...] = field(default=("RY",))
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -150,9 +148,7 @@ class AnsatzSpec:
             raise ValueError(
                 f"hf_bitstring {self.hf_bitstring!r} is not a {self.n_qubits}-bit string"
             )
-        if self.family == "compact-uccd":
-            expect = 1
-        elif self.family == "uccsd":
+        if self.family == "uccsd":
             if not self.excitations:
                 raise ValueError("uccsd spec needs excitations")
             for exc in self.excitations:
@@ -161,19 +157,20 @@ class AnsatzSpec:
                         f"excitation on {exc.n_qubits} qubits in a "
                         f"{self.n_qubits}-qubit spec"
                     )
-            expect = 1 + max(exc.index for exc in self.excitations)
-        else:
+        elif self.family == "hardware-efficient":
             if self.entangler_map is None:
                 raise ValueError("hardware-efficient spec needs an entangler_map")
             for a, b in self.entangler_map:
                 if not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits and a != b):
                     raise ValueError(f"entangler pair ({a}, {b}) out of range")
-            expect = self.n_qubits * len(self.rotation_gates) * (self.n_layers + 1)
-        if self.n_params != expect:
-            raise ValueError(
-                f"{self.family} on {self.n_qubits} qubits takes {expect} parameters, "
-                f"spec declares {self.n_params}"
-            )
+
+    @property
+    def n_params(self) -> int:
+        if self.family == "compact-uccd":
+            return 1
+        if self.family == "uccsd":
+            return 1 + max(exc.index for exc in self.excitations)
+        return self.n_qubits * (self.n_layers + 1)
 
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(f"t{k}" for k in range(self.n_params))
@@ -230,13 +227,12 @@ def _pauli_block(label: str, angle: Angle) -> tuple[Gate, ...]:
     return tuple(enter + ladder + core + list(reversed(ladder)) + unwind)
 
 
-def ucc_circuit(spec: AnsatzSpec, excitations: tuple[Excitation, ...] | None = None) -> Circuit:
+def ucc_circuit(spec: AnsatzSpec) -> Circuit:
     """HF prep followed by one Trotter step of the excitation exponentials."""
-    excitations = excitations if excitations is not None else spec.excitations
-    if not excitations:
-        raise ValueError("no excitations given")
+    if not spec.excitations:
+        raise ValueError(f"{spec.family} spec has no excitations")
     gates = list(hartree_fock_circuit(spec).gates)
-    for exc in excitations:
+    for exc in spec.excitations:
         theta = Param(f"t{exc.index}")
         for label, sign in exc.strings:
             gates.extend(_pauli_block(label, theta.scaled(float(sign))))
@@ -248,16 +244,14 @@ def hardware_efficient_circuit(
     n_layers: int,
     entangler_map: tuple[tuple[int, int], ...],
     params,
-    rotation_gates: tuple[str, ...] = ("RY",),
 ) -> Circuit:
-    """(n_layers + 1) rotation layers interleaved with fixed CZ layers.
+    """(n_layers + 1) RY layers interleaved with fixed CZ layers.
 
-    `params` is consumed layer by layer, qubit-major within a layer. No HF
+    `params` holds one angle per qubit per layer, layer by layer. No HF
     prep is included here; compose with hartree_fock_circuit for a reference
     state other than |0...0>.
     """
-    per_layer = n_qubits * len(rotation_gates)
-    expect = per_layer * (n_layers + 1)
+    expect = n_qubits * (n_layers + 1)
     params = tuple(params)
     if len(params) != expect:
         raise ValueError(
@@ -265,14 +259,12 @@ def hardware_efficient_circuit(
             f"parameters, got {len(params)}"
         )
     gates: list[Gate] = []
-    k = 0
     for layer in range(n_layers + 1):
         if layer:
             gates.extend(Gate("CZ", pair) for pair in entangler_map)
-        for q in range(n_qubits):
-            for kind in rotation_gates:
-                gates.append(Gate(kind, (q,), (params[k],)))
-                k += 1
+        gates.extend(
+            Gate("RY", (q,), (params[layer * n_qubits + q],)) for q in range(n_qubits)
+        )
     return Circuit(n_qubits, tuple(gates))
 
 
@@ -288,20 +280,19 @@ def ansatz_circuit(spec: AnsatzSpec) -> Circuit:
         spec.n_layers,
         spec.entangler_map,
         tuple(Param(name) for name in spec.parameter_names()),
-        spec.rotation_gates,
     )
     return Circuit(spec.n_qubits, hartree_fock_circuit(spec).gates + body.gates)
 
 
 def h2_compact_spec() -> AnsatzSpec:
-    return AnsatzSpec("compact-uccd", 2, 1, "01")
+    return AnsatzSpec("compact-uccd", 2, "01")
 
 
 def uccsd_spec(n_qubits: int, hf_bitstring: str | None = None) -> AnsatzSpec:
     excitations = uccsd_excitations(n_qubits)
     if hf_bitstring is None:
         hf_bitstring = "01" if n_qubits == 2 else "0011"
-    return AnsatzSpec("uccsd", n_qubits, len(excitations), hf_bitstring, excitations)
+    return AnsatzSpec("uccsd", n_qubits, hf_bitstring, excitations)
 
 
 # CZ connectivity used by the 4-qubit hardware-efficient runs: a T-shaped
@@ -314,17 +305,13 @@ def hardware_efficient_spec(
     n_layers: int = 2,
     entangler_map: tuple[tuple[int, int], ...] = T_MAP,
     hf_bitstring: str | None = None,
-    rotation_gates: tuple[str, ...] = ("RY",),
 ) -> AnsatzSpec:
     if hf_bitstring is None:
         hf_bitstring = "0" * n_qubits
-    n_params = n_qubits * len(rotation_gates) * (n_layers + 1)
     return AnsatzSpec(
         "hardware-efficient",
         n_qubits,
-        n_params,
         hf_bitstring,
         entangler_map=tuple(entangler_map),
         n_layers=n_layers,
-        rotation_gates=tuple(rotation_gates),
     )

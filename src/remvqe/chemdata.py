@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import _moldata
 from .pauli import (
     PauliHamiltonian,
-    expectation,
+    basis_energy,
     format_hamiltonian,
     ground_state_energy,
     parse_hamiltonian,
@@ -148,31 +146,6 @@ def reference_energy(ds: MoleculeDataset, r: float) -> tuple[float, float]:
     return g.e_exact_ref, g.e_exact_min
 
 
-def hartree_fock_energy(g: Geometry, hf_bitstring: str) -> float:
-    """Exact energy of the computational basis determinant."""
-    h = g.hamiltonian
-    state = np.zeros(1 << h.n_qubits)
-    state[int(hf_bitstring, 2)] = 1.0
-    return expectation(h, state)
-
-
-def device_angles(name: str) -> dict[float, tuple[float, ...]]:
-    """Hardware-run optimized angles per geometry, for documentation only.
-
-    h2 entries pair (uncorrected, readout-mitigated) single angles; heh+
-    entries are 3-vectors; lih the 12-vector of its hardware-efficient runs.
-    Device noise shaped these values, so they are not reproduction targets.
-    """
-    key = name.strip().lower()
-    if key == "h2":
-        return dict(_moldata.H2_DEVICE_THETA)
-    if key == "heh+":
-        return dict(_moldata.HEH_DEVICE_THETA)
-    if key == "lih":
-        return dict(_moldata.LIH_DEVICE_THETA)
-    raise ValueError(f"no recorded device angles for {name!r}")
-
-
 def audit(ds: MoleculeDataset, tol: float = 5e-4) -> list[str]:
     """Check every geometry's recorded energies against direct computation.
 
@@ -183,7 +156,7 @@ def audit(ds: MoleculeDataset, tol: float = 5e-4) -> list[str]:
     problems = []
     for g in ds.geometries:
         if g.e_exact_ref is not None:
-            hf = hartree_fock_energy(g, ds.hf_bitstring)
+            hf = basis_energy(g.hamiltonian, ds.hf_bitstring)
             if abs(hf - g.e_exact_ref) > tol:
                 problems.append(
                     f"{ds.name} r={g.r:g}: HF energy {hf:.6f} vs recorded "

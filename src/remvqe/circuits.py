@@ -16,9 +16,6 @@ GATE_KINDS: dict[str, tuple[int, int]] = {
     "RX": (1, 1),
     "RY": (1, 1),
     "RZ": (1, 1),
-    "U1": (1, 1),
-    "U2": (1, 2),
-    "U3": (1, 3),
     "X": (1, 0),
     "H": (1, 0),
     "CZ": (2, 0),
@@ -135,20 +132,6 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     if kind == "RZ":
         (t,) = params
         return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
-    if kind == "U1":
-        (lam,) = params
-        return np.array([[1, 0], [0, np.exp(1j * lam)]])
-    if kind == "U2":
-        phi, lam = params
-        return _INV_SQRT2 * np.array(
-            [[1, -np.exp(1j * lam)], [np.exp(1j * phi), np.exp(1j * (phi + lam))]]
-        )
-    if kind == "U3":
-        t, phi, lam = params
-        c, s = np.cos(t / 2), np.sin(t / 2)
-        return np.array(
-            [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
-        )
     if kind == "X":
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if kind == "H":

@@ -134,6 +134,9 @@ def _confusion_sources(cfg: RunConfig, n_qubits: int, calibrate: bool = False):
     other value is a confusion CSV path. With calibrate=True (the calibrate
     command) every source is estimated, and `ideal` means the identity.
     """
+    # every command reaches this before its first seeded draw
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     src = cfg.confusion
     calibrate = calibrate or src == "calibrate"
     if src == "ideal":
@@ -171,10 +174,12 @@ def _confusion_sources(cfg: RunConfig, n_qubits: int, calibrate: bool = False):
     return truth, estimate
 
 
-def _resolve_ansatz(cfg: RunConfig, n_qubits: int, hf_bitstring: str) -> AnsatzSpec:
+def _resolve_ansatz(
+    cfg: RunConfig, dataset: MoleculeDataset | None, n_qubits: int, hf_bitstring: str
+) -> AnsatzSpec:
     name = cfg.ansatz
     if name is None:
-        if cfg.molecule == "h2":
+        if dataset is not None and dataset.name == "h2":
             name = "compact"
         elif n_qubits in (2, 4):
             name = "uccsd"
@@ -249,7 +254,7 @@ def resolve(cfg: RunConfig) -> _Problem:
     else:
         raise ConfigError("a molecule or a Hamiltonian file is required")
 
-    spec = _resolve_ansatz(cfg, n_qubits, hf)
+    spec = _resolve_ansatz(cfg, dataset, n_qubits, hf)
     optimizer = cfg.optimizer
     if optimizer is None:
         if spec.n_params == 1:

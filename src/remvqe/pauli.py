@@ -197,6 +197,21 @@ def expectation(h: PauliHamiltonian, state) -> float:
     return value.real + h.offset
 
 
+def basis_energy(h: PauliHamiltonian, bitstring: str) -> float:
+    """<b| H |b> for the basis state |bitstring> (leftmost char = qubit n-1).
+
+    Only Z-only terms have a diagonal; each contributes its coefficient times
+    the term's sign at that basis index, summed in term order with the offset
+    added last, the same float sum expectation() forms on that state.
+    """
+    index = int(bitstring, 2)
+    total = 0.0
+    for pauli, coeff in h.terms:
+        if set(pauli.label) <= {"I", "Z"}:
+            total += coeff * sign_table(h.n_qubits, pauli.support_mask)[index]
+    return float(total) + h.offset
+
+
 _DENSE_LIMIT = 12
 
 

@@ -27,6 +27,7 @@ from .mitigation import ConfusionMatrix, counts_to_distribution, unfold
 from .pauli import (
     MeasurementGroup,
     PauliHamiltonian,
+    basis_energy,
     expectation,
     group_terms,
     sign_table,
@@ -36,7 +37,6 @@ from .sim import (
     QuantumState,
     _basis_probabilities,
     apply_readout_noise,
-    hf_state,
     run_density,
     run_statevector,
     sample_counts,
@@ -136,9 +136,7 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
 
 def reference_exact_energy(ev: EnergyEvaluator) -> float:
     """Exact <H> in the ansatz's Hartree-Fock basis state (classical value)."""
-    return expectation(
-        ev.hamiltonian, hf_state(ev.ansatz.n_qubits, ev.ansatz.hf_bitstring)
-    )
+    return basis_energy(ev.hamiltonian, ev.ansatz.hf_bitstring)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ from remvqe import (
     ansatz_circuit,
     builtin,
     circuit_stats,
-    device_angles,
     expectation,
-    ground_state_energy,
     h2_compact_circuit,
     h2_compact_spec,
     hardware_efficient_circuit,
@@ -23,6 +21,8 @@ from remvqe import (
     uccsd_spec,
 )
 from remvqe.ansatz import T_MAP, hartree_fock_circuit
+from remvqe.circuits import GATE_KINDS, Param
+from remvqe.experiments import ANSATZE, ConfigError, RunConfig, _resolve_ansatz
 
 
 def state_at(spec: AnsatzSpec, theta) -> np.ndarray:
@@ -118,6 +118,8 @@ def test_ucc_excitation_tables():
     assert len(uccsd_excitations(4)) == 8
     with pytest.raises(ValueError, match="supported: 2, 4"):
         uccsd_excitations(3)
+    with pytest.raises(ValueError, match="compact-uccd spec has no excitations"):
+        ucc_circuit(h2_compact_spec())
 
 
 def test_excitation_validation():
@@ -183,42 +185,43 @@ def test_hardware_efficient_spec_prepends_reference_prep():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown ansatz family"):
-        AnsatzSpec("adapt", 2, 1, "01")
+        AnsatzSpec("adapt", 2, "01")
     with pytest.raises(ValueError, match="not a 2-bit"):
-        AnsatzSpec("compact-uccd", 2, 1, "012")
-    with pytest.raises(ValueError, match="takes 1 parameters"):
-        AnsatzSpec("compact-uccd", 2, 2, "01")
+        AnsatzSpec("compact-uccd", 2, "012")
     with pytest.raises(ValueError, match="needs excitations"):
-        AnsatzSpec("uccsd", 2, 3, "01")
+        AnsatzSpec("uccsd", 2, "01")
     with pytest.raises(ValueError, match="needs an entangler_map"):
-        AnsatzSpec("hardware-efficient", 2, 4, "01")
+        AnsatzSpec("hardware-efficient", 2, "01")
     with pytest.raises(ValueError, match="out of range"):
-        AnsatzSpec("hardware-efficient", 2, 4, "01", entangler_map=((0, 2),), n_layers=1)
+        AnsatzSpec("hardware-efficient", 2, "01", entangler_map=((0, 2),), n_layers=1)
     with pytest.raises(ValueError, match="2-qubit spec"):
-        AnsatzSpec("uccsd", 2, 3, "01", excitations=uccsd_excitations(4))
+        AnsatzSpec("uccsd", 2, "01", excitations=uccsd_excitations(4))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}-{s.n_qubits}q")
+def test_n_params_counts_circuit_parameters(spec):
+    assert spec.n_params == len(ansatz_circuit(spec).free_parameters)
+    assert spec.parameter_names() == ansatz_circuit(spec).free_parameters
+
+
+def test_resolvable_ansatze_cover_the_gate_set():
+    # every circuit a run can build uses only GATE_KINDS, all of them between
+    # the families, and binds free angles only through Pauli Z/Y rotations
+    datasets = [builtin(name) for name in ("h2", "heh+", "lih")]
+    problems = [(ds, ds.n_qubits, ds.hf_bitstring) for ds in datasets]
+    problems += [(None, n, "0" * n) for n in (2, 3, 4)]
+    specs = set()
+    for dataset, n_qubits, hf in problems:
+        for name in (None, *ANSATZE):
+            try:
+                specs.add(_resolve_ansatz(RunConfig(ansatz=name), dataset, n_qubits, hf))
+            except ConfigError:
+                pass
+    gates = [g for spec in specs for g in ansatz_circuit(spec).gates]
+    assert {g.kind for g in gates} == set(GATE_KINDS)
+    bound = {g.kind for g in gates if any(isinstance(p, Param) for p in g.params)}
+    assert bound == {"RY", "RZ"}
 
 
 def test_parameter_names():
     assert uccsd_spec(2).parameter_names() == ("t0", "t1", "t2")
-
-
-def test_recorded_angle_shapes():
-    h2 = device_angles("h2")
-    assert all(len(v) == 2 for v in h2.values())
-    heh = device_angles("heh+")
-    assert all(len(v) == 3 for v in heh.values())
-    lih = device_angles("lih")
-    assert list(lih) == [1.5949]
-    assert len(lih[1.5949]) == 12
-    with pytest.raises(ValueError, match="no recorded device angles"):
-        device_angles("beh2")
-
-
-def test_recorded_lih_angles_noiseless_snapshot():
-    # hardware-tuned angles evaluated without noise; pinned as a regression
-    # value, not a physical target (the device tuning tracked its own noise)
-    spec = hardware_efficient_spec(hf_bitstring="0011")
-    h = builtin("lih").geometry(1.5949).hamiltonian
-    energy = expectation(h, state_at(spec, device_angles("lih")[1.5949]))
-    assert energy == pytest.approx(-6.141851278158697, abs=1e-9)
-    assert energy > ground_state_energy(h)[0]

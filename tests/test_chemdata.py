@@ -8,13 +8,12 @@ from remvqe import (
     PauliHamiltonian,
     audit,
     builtin,
-    device_angles,
     dump,
     ground_state_energy,
-    hartree_fock_energy,
     load,
     reference_energy,
 )
+from remvqe.pauli import basis_energy
 
 ALL_NAMES = ("h2", "heh+", "lih")
 
@@ -88,12 +87,12 @@ def test_unknown_molecule_message_points_to_file_loading():
 
 def test_hartree_fock_energy_lih():
     g = builtin("lih").geometries[0]
-    assert hartree_fock_energy(g, "0011") == pytest.approx(-7.8620, abs=5e-4)
+    assert basis_energy(g.hamiltonian, "0011") == pytest.approx(-7.8620, abs=5e-4)
     # no other determinant reproduces the recorded reference energy
     matches = [
         b
         for b in (format(i, "04b") for i in range(16))
-        if abs(hartree_fock_energy(g, b) + 7.8620) < 5e-4
+        if abs(basis_energy(g.hamiltonian, b) + 7.8620) < 5e-4
     ]
     assert matches == ["0011"]
 
@@ -112,16 +111,6 @@ def test_lih_recorded_ground_below_compact_minimum():
     assert g.e_exact_ground < g.e_exact_min
     ground, _ = ground_state_energy(g.hamiltonian)
     assert ground == pytest.approx(g.e_exact_ground, abs=5e-4)
-
-
-def test_device_angles_cover_datasets():
-    for name in ("h2", "heh+"):
-        ds = builtin(name)
-        angles = device_angles(name)
-        assert set(angles) == {g.r for g in ds.geometries}
-    assert set(device_angles("lih")) == {1.5949}
-    with pytest.raises(ValueError, match="no recorded device angles"):
-        device_angles("beh2")
 
 
 def test_dump_load_roundtrip(tmp_path):

@@ -32,8 +32,16 @@ def test_param_scaling_and_resolution():
 
 
 def test_gate_resolved_mixes_floats_and_params():
-    g = Gate("U3", (0,), (Param("a"), 0.5, Param("b", scale=2.0)))
-    assert g.resolved({"a": 1.0, "b": 0.25}) == (1.0, 0.5, 0.5)
+    c = Circuit(
+        2,
+        (
+            Gate("RX", (0,), (Param("a"),)),
+            Gate("RY", (1,), (0.5,)),
+            Gate("RZ", (0,), (Param("b", scale=2.0),)),
+        ),
+    )
+    resolved = [g.resolved({"a": 1.0, "b": 0.25}) for g in c.gates]
+    assert resolved == [(1.0,), (0.5,), (0.5,)]
 
 
 def test_circuit_bounds_check():
@@ -113,13 +121,8 @@ def test_cz_phase():
     assert np.allclose(gate_matrix("CZ", ()), np.diag([1, 1, 1, -1]))
 
 
-def test_u3_covers_ry_and_rz():
-    t = 1.234
-    assert np.allclose(gate_matrix("U3", (t, 0.0, 0.0)), gate_matrix("RY", (t,)), atol=1e-12)
-    rz = gate_matrix("U3", (0.0, 0.0, t))
-    # U1/U3 phase conventions differ from RZ by a global phase only
-    ratio = rz @ np.linalg.inv(gate_matrix("RZ", (t,)))
-    assert np.allclose(ratio, ratio[0, 0] * np.eye(2), atol=1e-12)
+def test_gate_set():
+    assert set(GATE_KINDS) == {"X", "H", "RX", "RY", "RZ", "CNOT", "CZ"}
 
 
 def test_unknown_matrix_kind():

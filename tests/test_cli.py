@@ -104,13 +104,50 @@ def test_noise_sweep_rejects_malformed_grid(capsys):
     assert "could not parse p2 grid" in captured.err
 
 
-@pytest.mark.parametrize("grid", ["0.5,2", "nan"])
-def test_noise_sweep_rejects_out_of_range_grid(grid, capsys):
-    rc = main(["noise-sweep", "--molecule", "h2", "--p2", grid])
+@pytest.mark.parametrize(
+    "p2_args,message",
+    [
+        (["--p2", "0.5,2"], "error: p2 must lie in [0, 1]"),
+        (["--p2", "nan"], "error: p2 must lie in [0, 1]"),
+        (["--p2=-0.1,0.1"], "error: p2 must lie in [0, 1]"),
+        # argparse takes a value that starts with '-' and holds a comma for an
+        # option, so this spelling stops in the parser, also with exit 2
+        (["--p2", "-0.1,0.1"], "remvqe noise-sweep: error: argument --p2: expected one argument"),
+    ],
+    ids=["0.5,2", "nan", "=-0.1,0.1", "-0.1,0.1"],
+)
+def test_noise_sweep_rejects_out_of_range_grid(p2_args, message, capsys):
+    try:
+        rc = main(["noise-sweep", "--molecule", "h2", *p2_args])
+    except SystemExit as exc:
+        rc = exc.code
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error: p2 must lie in [0, 1]")
+    assert captured.err.splitlines()[-1].startswith(message)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["single-point", "--molecule", "h2"], ["dissociation", "--molecule", "h2"],
+     ["noise-sweep", "--molecule", "h2", "--p2", "0.01"], ["calibrate"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_config_error(argv, capsys):
+    rc = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: seed must be non-negative, got -1\n"
+    assert captured.out == ""
+
+
+def test_default_ansatz_ignores_molecule_case(capsys):
+    assert main(["single-point", "--molecule", "h2"]) == 0
+    lower = capsys.readouterr().out
+    assert main(["single-point", "--molecule", "H2"]) == 0
+    assert capsys.readouterr().out == lower
+    assert main(["noise-sweep", "--molecule", "H2", "--p2", "0.01"]) == 0
+    assert capsys.readouterr().out.startswith("p2,err_vqe")
 
 
 def test_calibrate_csv(tmp_path, capsys):

@@ -72,6 +72,7 @@ BAD_CONFIGS = [
         dict(molecule="h2", confusion="calibrate", shots_per_state=0),
         "shots_per_state must be positive",
     ),
+    (dict(molecule="h2", seed=-1), "seed must be non-negative"),
 ]
 
 

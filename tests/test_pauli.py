@@ -13,9 +13,10 @@ from remvqe import (
     group_terms,
     parse_hamiltonian,
     parse_pauli,
+    hf_state,
     to_dense_matrix,
 )
-from remvqe.pauli import is_compatible
+from remvqe.pauli import basis_energy, is_compatible
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -205,6 +206,25 @@ def test_expectation_hf_fixtures():
     assert expectation(builtin("heh+").geometry(0.7899).hamiltonian, psi) == pytest.approx(
         -2.8447, abs=5e-4
     )
+
+
+@pytest.mark.parametrize("name", ("h2", "heh+", "lih"))
+def test_basis_energy_equals_expectation_on_builtin_data(name):
+    # bit for bit, every geometry and every basis state
+    ds = builtin(name)
+    for g in ds.geometries:
+        h = g.hamiltonian
+        for i in range(1 << h.n_qubits):
+            bits = format(i, f"0{h.n_qubits}b")
+            assert basis_energy(h, bits) == expectation(h, hf_state(h.n_qubits, bits))
+
+
+@settings(deadline=None, max_examples=60)
+@given(hamiltonians(), st.data())
+def test_basis_energy_equals_expectation_random(h, data):
+    # X/Y terms have no diagonal and must drop out exactly
+    bits = data.draw(st.text(alphabet="01", min_size=h.n_qubits, max_size=h.n_qubits))
+    assert basis_energy(h, bits) == expectation(h, hf_state(h.n_qubits, bits))
 
 
 def test_expectation_vs_dense_oracle():

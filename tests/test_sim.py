@@ -212,8 +212,8 @@ def kraus_reference(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
 @given(noisy_circuits())
 @example(
     (
-        Circuit(4, (Gate("H", (2,)), Gate("CNOT", (2, 0)), Gate("U3", (3,), (0.3, -1.1, 2.0)),
-                    Gate("CZ", (3, 1)))),
+        Circuit(4, (Gate("H", (2,)), Gate("CNOT", (2, 0)), Gate("RX", (3,), (0.3,)),
+                    Gate("RY", (3,), (-1.1,)), Gate("RZ", (3,), (2.0,)), Gate("CZ", (3, 1)))),
         NoiseModel(p2=0.2, p1=0.07),
     )
 )
