@@ -82,6 +82,16 @@ class Circuit:
                     f"gate {gate.kind} on {gate.qubits} out of range for "
                     f"{self.n_qubits} qubits"
                 )
+        # The simulator looks its compiled programs up by circuit on every run;
+        # hash the gate list once instead of on each lookup.
+        object.__setattr__(self, "_hash", hash((self.n_qubits, self.gates)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy, _hash
+        return (Circuit, (self.n_qubits, self.gates))
 
     @property
     def free_parameters(self) -> tuple[str, ...]:

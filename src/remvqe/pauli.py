@@ -138,6 +138,16 @@ class PauliHamiltonian:
             tuple((PauliString(lbl), merged[lbl]) for lbl in order),
         )
         object.__setattr__(self, "offset", float(self.offset))
+        # Per-Hamiltonian caches (grouping, dense terms) look h up on every
+        # evaluation; hash the terms once instead of on each lookup.
+        object.__setattr__(self, "_hash", hash((self.n_qubits, self.terms, self.offset)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy, _hash
+        return (PauliHamiltonian, (self.n_qubits, self.terms, self.offset))
 
     @property
     def n_terms(self) -> int:
@@ -172,7 +182,9 @@ def expectation(h: PauliHamiltonian, state) -> float:
     """<state| H |state> (or trace(H rho)) including the classical offset.
 
     `state` may be a norm-1 amplitude vector, a trace-1 density matrix, or a
-    QuantumState wrapping either.
+    QuantumState wrapping either. The terms act through their dense matrix
+    (cached per Hamiltonian, so n is bounded as in to_dense_matrix), and the
+    offset is added last.
     """
     arr = _state_array(state)
     dim = 1 << h.n_qubits
@@ -180,18 +192,12 @@ def expectation(h: PauliHamiltonian, state) -> float:
         raise ValueError(
             f"state dimension {arr.shape} does not match {h.n_qubits} qubits"
         )
-    idx = np.arange(dim)
-    total = 0.0 + 0.0j
+    terms = _terms_matrix(h)
     if arr.ndim == 1:
-        conj = np.conj(arr)
-        for pauli, coeff in h.terms:
-            flip, phases = _action(pauli.label)
-            total += coeff * np.sum(phases * conj[idx ^ flip] * arr)
+        value = complex(np.vdot(arr, terms @ arr))
     else:
-        for pauli, coeff in h.terms:
-            flip, phases = _action(pauli.label)
-            total += coeff * np.sum(phases * arr[idx, idx ^ flip])
-    value = complex(total)
+        # trace(H rho) = sum_ij conj(H_ji) rho_ji for Hermitian H
+        value = complex(np.vdot(terms, arr))
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return value.real + h.offset
@@ -228,6 +234,14 @@ def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
         flip, phases = _action(pauli.label)
         mat[idx ^ flip, idx] += coeff * phases
     mat[idx, idx] += h.offset
+    return mat
+
+
+@lru_cache(maxsize=64)
+def _terms_matrix(h: PauliHamiltonian) -> np.ndarray:
+    """Read-only dense matrix of h's terms without the offset."""
+    mat = to_dense_matrix(PauliHamiltonian(h.n_qubits, h.terms))
+    mat.setflags(write=False)
     return mat
 
 

@@ -9,27 +9,58 @@ pairs is applied with probability p2/15. Channels are deterministic mixtures
 (no stochastic Pauli insertion), attached to gates only; idle qubits stay
 clean. Readout noise acts on counts, not on the state.
 
-One kernel serves kets, density matrices and basis changes. A density matrix
-evolves as vec(rho) = rho.reshape(-1), a vector on 2n register qubits: column
-qubit q is register qubit q and row qubit q is register qubit q + n. A k-qubit
-gate U followed by its depolarizing channel with probability p is then the
+One kernel serves kets and density matrices. A density matrix evolves as
+vec(rho) = rho.reshape(-1), a vector on 2n register qubits: column qubit q is
+register qubit q and row qubit q is register qubit q + n. A k-qubit gate U
+followed by its depolarizing channel with probability p is then the
 d^2 x d^2 matrix (d = 2^k, f = d^2 p / (d^2 - 1))
 
     (1-f) U (x) conj(U) + (f/d) |vec I><vec I|
 
-on the register qubits (q + n for q in qubits) + qubits.
+on the register qubits (q + n for q in qubits) + qubits; a ket gate is U on
+the qubits themselves.
+
+Each (circuit, noise) pair is compiled once into a _Program, cached, and run
+for every parameter binding:
+
+- The vector is kept in an axis layout, an order of the register qubits from
+  most to least significant bit. A matrix op on registers r uses the layout
+  r + (the other registers, highest first), so it is one product
+  m @ v.reshape(len(m), -1). Moving from the previous op's layout to this
+  one is the gather v[T] with an index array T built at compile time and
+  shared by every op with the same (previous, next) layout pair.
+- A gate whose angles are floats is one stored matrix: U for a ket,
+  its superoperator with the channel above for vec(rho).
+- A Param-bound RZ(t) = diag(e^{-it/2}, e^{it/2}) is an elementwise phase
+  v *= exp(1j t w), with w = bit(q) - 1/2 on a ket and
+  w = bit(q + n) - bit(q) on vec(rho), precomputed in the current layout as
+  an index into the three values exp(1j t (-s, 0, s)), s = 1/2 or 1.
+  RX(t) = H RZ(t) H and RY(t) = V RZ(t) V^dagger with V = S H (V Z V^dagger
+  = Y), so the conjugating gates become fixed ops around the phase.
+- Single-qubit depolarizing commutes with every single-qubit unitary on its
+  qubit, so the channel of a Param-bound gate rides on the last fixed op of
+  that gate (an identity channel for RZ).
+
+_evolve, the per-gate loop, is the reference the compiled program is tested
+against.
+
+A measurement basis is one cached matrix per basis label, U, the tensor
+product of the per-qubit rotations: p = |U psi|^2 for a ket and
+p = diag(U rho U-dagger) for a density matrix.
 
 Basis index convention: bit q of an outcome index is qubit q. Counts are
 np.int64 vectors of length 2**n indexed by outcome.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .circuits import Circuit, gate_matrix
+from .circuits import Circuit, Param, gate_matrix
 from .mitigation import ConfusionMatrix
 from .pauli import PauliString
 
@@ -130,34 +161,133 @@ def _apply_gate(
     return _apply_left(v, _channel(unitary, p), rows + qubits, 2 * n)
 
 
-def _resolve(circuit: Circuit, bindings: Mapping[str, float] | None):
+def _evolve(
+    circuit: Circuit, bindings: Mapping[str, float] | None, noise: NoiseModel | None
+) -> np.ndarray:
+    """Per-gate reference from |0...0>: a ket when noise is None, else vec(rho)."""
     bindings = bindings or {}
     resolved = []
     for gate in circuit.gates:
         try:
-            params = gate.resolved(bindings)
+            resolved.append((gate.kind, gate.qubits, gate.resolved(bindings)))
         except KeyError as exc:
-            raise ValueError(f"{exc.args[0]}") from None
-        resolved.append((gate.kind, gate.qubits, params))
-    return resolved
-
-
-def _evolve(
-    circuit: Circuit, bindings: Mapping[str, float] | None, noise: NoiseModel | None
-) -> np.ndarray:
-    """The one gate loop from |0...0>: a ket when noise is None, else vec(rho)."""
+            raise ValueError(exc.args[0]) from None
     n = circuit.n_qubits
     v = np.zeros(1 << (n if noise is None else 2 * n), dtype=complex)
     v[0] = 1.0
-    for kind, qubits, params in _resolve(circuit, bindings):
+    for kind, qubits, params in resolved:
         p = None if noise is None else (noise.p1 if len(qubits) == 1 else noise.p2)
         v = _apply_gate(v, gate_matrix(kind, params), qubits, n, p)
     return v
 
 
+# Basis-change unitaries: U P U-dagger = Z for P in {X, Y}. Applied as exact
+# matrix math at measurement time, so they carry no gate noise.
+_HADAMARD = (1.0 / np.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
+_Y_TO_Z = _HADAMARD @ np.diag([1.0, -1.0j])
+
+# V with R(t) = V RZ(t) V-dagger for each Param-bound rotation kind (module doc).
+_TO_RZ = {"RZ": None, "RX": _HADAMARD, "RY": np.diag([1.0, 1.0j]) @ _HADAMARD}
+
+
+@dataclass(frozen=True, eq=False)
+class _Program:
+    """A (circuit, noise) pair compiled into layout gathers, matrices and phases.
+
+    Each op is (T, m, w, param): gather v = v[T] when T is not None, then
+    either the product with m or, when m is None, the phase
+    (e^{-ist}, 1, e^{ist})[w] with t = param bound and s = step. `final`
+    gathers the last layout back to the natural one.
+    """
+
+    size: int
+    step: float
+    ops: tuple
+    final: np.ndarray | None
+
+    def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
+        """The compiled circuit from |0...0>, as a ket or vec(rho)."""
+        bindings = bindings or {}
+        v = np.zeros(self.size, dtype=complex)
+        v[0] = 1.0
+        for gather, matrix, weight, param in self.ops:
+            if gather is not None:
+                v = v[gather]
+            if matrix is not None:
+                v = (matrix @ v.reshape(matrix.shape[0], -1)).reshape(-1)
+                continue
+            try:
+                t = param.resolve(bindings)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
+            e = cmath.exp(1j * self.step * t)
+            v *= np.array((e.conjugate(), 1.0, e))[weight]
+        return v if self.final is None else v[self.final]
+
+
+@lru_cache(maxsize=32)
+def _program(circuit: Circuit, noise: NoiseModel | None) -> _Program:
+    """Compile `circuit` once per noise model (a ket program when noise is None)."""
+    n = circuit.n_qubits
+    density = noise is not None
+    width = 2 * n if density else n
+    size = 1 << width
+    natural = tuple(range(width - 1, -1, -1))
+    layout = natural
+    gathers: dict = {}
+    weights: dict = {}
+    ops = []
+
+    def move(to: tuple[int, ...]) -> np.ndarray | None:
+        """Index array from the current layout to `to` (None if they agree)."""
+        nonlocal layout
+        key, layout = (layout, to), to
+        if key[0] == to:
+            return None
+        if key not in gathers:
+            perm = [key[0].index(r) for r in to]
+            gathers[key] = np.arange(size).reshape((2,) * width).transpose(perm).reshape(-1)
+        return gathers[key]
+
+    def fixed(unitary: np.ndarray, qubits: tuple[int, ...], p: float | None) -> None:
+        registers = qubits if p is None else tuple(q + n for q in qubits) + qubits
+        lead = registers + tuple(r for r in natural if r not in registers)
+        matrix = unitary if p is None else _channel(unitary, p)
+        ops.append((move(lead), matrix, None, None))
+
+    def phase(q: int, angle: Param) -> None:
+        key = (layout, q)
+        if key not in weights:
+            index = np.arange(size)
+
+            def bit(r: int) -> np.ndarray:
+                return (index >> (width - 1 - layout.index(r))) & 1
+
+            weights[key] = 1 + bit(q + n) - bit(q) if density else 2 * bit(q)
+        ops.append((None, None, weights[key], angle))
+
+    for gate in circuit.gates:
+        p = None
+        if density:
+            p = noise.p1 if len(gate.qubits) == 1 else noise.p2
+        angle = gate.params[0] if gate.params else None
+        if not isinstance(angle, Param):
+            fixed(gate_matrix(gate.kind, gate.resolved({})), gate.qubits, p)
+            continue
+        v = _TO_RZ[gate.kind]
+        if v is not None:
+            fixed(v.conj().T, gate.qubits, 0.0 if density else None)
+        phase(gate.qubits[0], angle)
+        if v is not None:
+            fixed(v, gate.qubits, p)
+        elif p:
+            fixed(np.eye(2, dtype=complex), gate.qubits, p)
+    return _Program(size, 1.0 if density else 0.5, tuple(ops), move(natural))
+
+
 def run_statevector(circuit: Circuit, bindings: Mapping[str, float] | None = None) -> QuantumState:
     """Noise-free execution from |0...0>."""
-    return QuantumState(_evolve(circuit, bindings, None))
+    return QuantumState(_program(circuit, None).run(bindings))
 
 
 def run_density(
@@ -167,39 +297,36 @@ def run_density(
 ) -> QuantumState:
     """Density-matrix execution with per-gate depolarizing channels."""
     dim = 1 << circuit.n_qubits
-    vec = _evolve(circuit, bindings, noise or NoiseModel())
+    vec = _program(circuit, noise or NoiseModel()).run(bindings)
     return QuantumState(vec.reshape(dim, dim))
 
 
-# Basis-change unitaries: U P U-dagger = Z for P in {X, Y}. Applied as exact
-# matrix math at measurement time, so they carry no gate noise.
-_HADAMARD = (1.0 / np.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
-_Y_TO_Z = _HADAMARD @ np.diag([1.0, -1.0j])
+_ROTATION = {"Z": np.eye(2, dtype=complex), "I": np.eye(2, dtype=complex),
+             "X": _HADAMARD, "Y": _Y_TO_Z}
+
+
+@lru_cache(maxsize=256)
+def _basis_rotation(label: str) -> np.ndarray:
+    """U, the tensor product of the per-qubit rotations of a basis label
+    (qubit n-1 leftmost), read-only. It takes 16 * 4^n bytes, as much as one
+    n-qubit density matrix."""
+    u = np.ones((1, 1), dtype=complex)
+    for ch in label:
+        u = np.kron(u, _ROTATION[ch])
+    u.setflags(write=False)
+    return u
 
 
 def _basis_probabilities(state: QuantumState, basis: PauliString) -> np.ndarray:
     n = state.n_qubits
     if basis.n_qubits != n:
         raise ValueError(f"basis {basis.label!r} does not match {n} qubits")
-    rotations = []
-    for q in range(n):
-        ch = basis.char_on(q)
-        if ch in ("Z", "I"):
-            continue
-        if ch == "X":
-            rotations.append((q, _HADAMARD))
-        elif ch == "Y":
-            rotations.append((q, _Y_TO_Z))
-        else:
-            raise ValueError(f"invalid basis letter {ch!r}")
-    p = 0.0 if state.is_density else None
-    v = state.data.reshape(-1)
-    for q, u in rotations:
-        v = _apply_gate(v, u, (q,), n, p)
+    u = _basis_rotation(basis.label)
     if state.is_density:
-        probs = np.real(v[:: (1 << n) + 1]).copy()
+        # diag(U rho U-dagger)_i = sum_c (U rho)_ic conj(U_ic)
+        probs = np.real(((u @ state.data) * u.conj()).sum(axis=1))
     else:
-        probs = np.abs(v) ** 2
+        probs = np.abs(u @ state.data) ** 2
     probs[probs < 0] = 0.0
     return probs / probs.sum()
 

@@ -247,6 +247,25 @@ def test_expectation_density_equals_statevector():
         assert expectation(h, rho) == pytest.approx(expectation(h, psi), abs=1e-10)
 
 
+@settings(deadline=None, max_examples=40)
+@given(hamiltonians(), st.integers(0, 2**32 - 1))
+def test_expectation_density_vs_dense_oracle(h, seed):
+    # a mixed state, against trace(H rho) from the kron-built terms
+    rng = np.random.default_rng(seed)
+    dim = 1 << h.n_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    oracle = float(np.real(np.trace(dense_oracle(h) @ rho)))
+    assert expectation(h, rho) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_expectation_rejects_imaginary_part():
+    h = PauliHamiltonian(1, (("X", 1.0),))
+    with pytest.raises(ValueError, match="imaginary part"):
+        expectation(h, np.array([[0.5, 0.3j], [0.3j, 0.5]]))
+
+
 def test_expectation_dimension_mismatch():
     h = PauliHamiltonian(2, (("ZZ", 1.0),))
     with pytest.raises(ValueError, match="does not match"):

@@ -30,8 +30,9 @@ from remvqe import (
     run_statevector,
     sample_counts,
 )
+from remvqe import sim
 from remvqe.circuits import GATE_KINDS
-from remvqe.sim import _basis_probabilities
+from remvqe.sim import _apply_gate, _basis_probabilities, _evolve, _program
 from remvqe.vqe import _group_energy
 
 PAULI_1Q = {
@@ -108,6 +109,8 @@ def test_parameter_binding():
     assert np.allclose(state.data, [np.cos(0.4), np.sin(0.4)])
     with pytest.raises(ValueError, match="unbound parameter"):
         run_statevector(c)
+    with pytest.raises(ValueError, match="unbound parameter 't0'"):
+        run_density(c, {"t1": 0.2}, NoiseModel(p2=0.01))
 
 
 def test_compact_circuit_reaches_ground_state():
@@ -174,29 +177,31 @@ def test_two_qubit_channel_matches_pauli_mixture():
     assert np.allclose(noisy.data, mixture, atol=1e-12)
 
 
+def draw_gate(draw, n: int, kinds, angle) -> Gate:
+    kind = draw(st.sampled_from(kinds))
+    arity, n_params = GATE_KINDS[kind]
+    qubits = tuple(draw(st.permutations(range(n)))[:arity])
+    return Gate(kind, qubits, tuple(draw(angle) for _ in range(n_params)))
+
+
 @st.composite
 def noisy_circuits(draw):
     """Circuits over every gate kind on 3-4 qubits, any qubit order, any noise."""
     n = draw(st.integers(3, 4))
-    gates = []
-    for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
-        arity, n_params = GATE_KINDS[kind]
-        qubits = tuple(draw(st.permutations(range(n)))[:arity])
-        angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n_params, max_size=n_params))
-        gates.append(Gate(kind, qubits, tuple(angles)))
+    angle = st.floats(-np.pi, np.pi)
+    gates = [draw_gate(draw, n, sorted(GATE_KINDS), angle) for _ in range(draw(st.integers(1, 8)))]
     noise = NoiseModel(p2=draw(st.floats(0.0, 1.0)), p1=draw(st.floats(0.0, 1.0)))
-    return Circuit(n, tuple(gates)), noise
+    return Circuit(n, tuple(gates)), noise, {}
 
 
-def kraus_reference(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+def kraus_reference(circuit: Circuit, noise: NoiseModel, bindings) -> np.ndarray:
     """Dense oracle: U rho U+ then sum_K K rho K+ over the gate's Pauli Kraus operators."""
     n = circuit.n_qubits
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     rho[0, 0] = 1.0
     for gate in circuit.gates:
         k = len(gate.qubits)
-        u = embed(gate_matrix(gate.kind, gate.resolved({})), gate.qubits, n)
+        u = embed(gate_matrix(gate.kind, gate.resolved(bindings)), gate.qubits, n)
         rho = u @ rho @ u.conj().T
         p = noise.p1 if k == 1 else noise.p2
         kraus = []
@@ -213,14 +218,70 @@ def kraus_reference(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
 @example(
     (
         Circuit(4, (Gate("H", (2,)), Gate("CNOT", (2, 0)), Gate("RX", (3,), (0.3,)),
-                    Gate("RY", (3,), (-1.1,)), Gate("RZ", (3,), (2.0,)), Gate("CZ", (3, 1)))),
+                    Gate("RY", (3,), (-1.1,)), Gate("RZ", (3,), (2.0,)), Gate("CZ", (3, 1)),
+                    Gate("RY", (1,), (Param("t", -0.5),)))),
         NoiseModel(p2=0.2, p1=0.07),
+        {"t": 0.9},
     )
 )
 def test_density_matches_kraus_reference(case):
-    circuit, noise = case
-    rho = run_density(circuit, noise=noise).data
-    assert np.max(np.abs(rho - kraus_reference(circuit, noise))) < 1e-12
+    circuit, noise, bindings = case
+    rho = run_density(circuit, bindings, noise).data
+    assert np.max(np.abs(rho - kraus_reference(circuit, noise, bindings))) < 1e-12
+
+
+PARAM_NAMES = ("a", "b", "c")
+
+
+@st.composite
+def parametric_circuits(draw):
+    """1-4 qubit circuits over every gate kind that fits, angles fixed or
+    Param-bound (scaled, names repeated), a ket or any depolarizing noise."""
+    n = draw(st.integers(1, 4))
+    kinds = sorted(k for k, (arity, _) in GATE_KINDS.items() if arity <= n)
+    param = st.builds(Param, st.sampled_from(PARAM_NAMES), st.sampled_from((1.0, -1.0, 0.5, -2.5)))
+    angle = st.floats(-np.pi, np.pi) | param
+    gates = [draw_gate(draw, n, kinds, angle) for _ in range(draw(st.integers(0, 12)))]
+    rate = st.just(0.0) | st.floats(0.0, 1.0)
+    noise = draw(st.none() | st.builds(NoiseModel, p2=rate, p1=rate))
+    bindings = {name: draw(st.floats(-2 * np.pi, 2 * np.pi)) for name in PARAM_NAMES}
+    return Circuit(n, tuple(gates)), bindings, noise
+
+
+@settings(deadline=None, max_examples=200)
+@given(parametric_circuits())
+@example(
+    (
+        Circuit(2, (Gate("RX", (1,), (Param("a"),)), Gate("CNOT", (1, 0)),
+                    Gate("RY", (0,), (Param("a", -0.5),)), Gate("RZ", (1,), (Param("b", 2.0),)))),
+        {"a": 0.7, "b": -1.3, "c": 0.0},
+        NoiseModel(p2=0.1, p1=0.03),
+    )
+)
+def test_compiled_program_matches_per_gate_reference(case):
+    circuit, bindings, noise = case
+    compiled = _program(circuit, noise).run(bindings)
+    assert np.max(np.abs(compiled - _evolve(circuit, bindings, noise))) < 1e-12
+
+
+def test_compiled_program_is_reused(monkeypatch):
+    # a fresh circuit compiles once per noise model; later runs build no gate matrix
+    calls = []
+
+    def counted(kind, params):
+        calls.append(kind)
+        return gate_matrix(kind, params)
+
+    monkeypatch.setattr(sim, "gate_matrix", counted)
+    circuit = Circuit(3, (Gate("H", (0,)), Gate("CNOT", (0, 2)), Gate("RY", (2,), (Param("x"),)),
+                          Gate("RX", (1,), (0.4,)), Gate("CZ", (1, 2))))
+    for run in (lambda b: run_density(circuit, b, NoiseModel(p2=0.01)),
+                lambda b: run_statevector(circuit, b)):
+        first = run({"x": 0.3}).data
+        assert calls == ["H", "CNOT", "RX", "CZ"]
+        assert not np.allclose(run({"x": -0.8}).data, first)
+        assert len(calls) == 4
+        calls.clear()
 
 
 @settings(deadline=None, max_examples=40)
@@ -237,6 +298,32 @@ def test_basis_probabilities_density_matches_ket(label, seed):
     ket = _basis_probabilities(QuantumState(psi), basis)
     density = _basis_probabilities(QuantumState(np.outer(psi, psi.conj())), basis)
     assert np.max(np.abs(ket - density)) < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)),
+    st.integers(0, 2**32 - 1),
+)
+def test_basis_probabilities_match_per_qubit_rotations(label, seed):
+    # reference: rotate qubit by qubit through the gate kernel, then read
+    # |psi|^2 or the diagonal of rho
+    rng = np.random.default_rng(seed)
+    n = len(label)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    rho = 0.7 * rho + 0.3 * np.eye(1 << n) / (1 << n)
+    rotation = {"X": sim._HADAMARD, "Y": sim._Y_TO_Z}
+    basis = PauliString(label)
+    for state, p in ((psi, None), (rho, 0.0)):
+        v = state.reshape(-1)
+        for q in range(n):
+            if basis.char_on(q) in rotation:
+                v = _apply_gate(v, rotation[basis.char_on(q)], (q,), n, p)
+        ref = np.abs(v) ** 2 if p is None else np.real(v[:: (1 << n) + 1])
+        fast = _basis_probabilities(QuantumState(state), basis)
+        assert np.max(np.abs(fast - ref / ref.sum())) < 1e-12
 
 
 def test_total_probability_three_quarters_fully_mixes():
