@@ -6,8 +6,8 @@ per-gate depolarizing probability wrecks the raw energy. The reference
 state runs through the identical circuit structure, which is exactly why
 subtracting its energy discrepancy removes most of the bias.
 
-Takes roughly half a minute (density-matrix simulation of a 275-deep circuit
-inside a Nelder-Mead loop).
+Takes a few seconds (density-matrix simulation of a 275-deep circuit inside
+a Nelder-Mead loop).
 """
 from remvqe import ansatz_circuit, circuit_stats, uccsd_spec
 from remvqe.experiments import RunConfig, cmd_single_point

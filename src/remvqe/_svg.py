@@ -11,6 +11,8 @@ from typing import Sequence
 from xml.sax.saxutils import escape
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 16.0, 30.0, 42.0
+_WIDTH, _HEIGHT = 640.0, 400.0  # of every panel
+_N_TICKS = 5  # tick marks aimed for on a linear axis
 
 
 @dataclass(frozen=True)
@@ -19,7 +21,6 @@ class Series:
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     color: str
-    dashed: bool = False
     markers: bool = False
 
 
@@ -31,10 +32,10 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / (_N_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -52,11 +53,9 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 def line_chart(
     series: Sequence[Series],
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: float = 640.0,
-    height: float = 400.0,
+    title: str,
+    xlabel: str,
+    ylabel: str,
     logx: bool = False,
     band: tuple[float, float] | None = None,
     vline: float | None = None,
@@ -73,8 +72,8 @@ def line_chart(
     y_pad = 0.08 * (y_hi - y_lo) or 0.5
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-    px0, px1 = _MARGIN_L, width - _MARGIN_R
-    py0, py1 = height - _MARGIN_B, _MARGIN_T
+    px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
+    py0, py1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
     def sx(v: float) -> float:
         return px0 + (tx(v) - x_lo) / (x_hi - x_lo) * (px1 - px0)
@@ -82,7 +81,7 @@ def line_chart(
     def sy(v: float) -> float:
         return py0 + (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
-    parts = [f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>']
+    parts = [f'<rect x="0" y="0" width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="white"/>']
     if band is not None:
         b_lo, b_hi = sorted(band)
         parts.append(
@@ -99,7 +98,7 @@ def line_chart(
     parts.append(f'<line x1="{_fmt(px0)}" y1="{_fmt(py0)}" x2="{_fmt(px1)}" y2="{_fmt(py0)}" {axis}/>')
     parts.append(f'<line x1="{_fmt(px0)}" y1="{_fmt(py0)}" x2="{_fmt(px0)}" y2="{_fmt(py1)}" {axis}/>')
     for t in x_ticks:
-        x = sx(t) if logx else px0 + (t - x_lo) / (x_hi - x_lo) * (px1 - px0)
+        x = sx(t)
         if not px0 - 1 <= x <= px1 + 1:
             continue
         label = _tick_label(t)
@@ -125,10 +124,9 @@ def line_chart(
         )
     for s in series:
         points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{s.color}" '
-            f'stroke-width="1.6"{dash}/>'
+            'stroke-width="1.6"/>'
         )
         if s.markers:
             for x, y in zip(s.xs, s.ys):
@@ -146,38 +144,31 @@ def line_chart(
             f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-family="sans-serif" '
             f'font-size="11">{escape(s.label)}</text>'
         )
-    if title:
-        parts.append(
-            f'<text x="{_fmt((px0 + px1) / 2)}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" font-weight="bold">'
-            f"{escape(title)}</text>"
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{_fmt((px0 + px1) / 2)}" y="{_fmt(height - 10)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(xlabel)}</text>"
-        )
-    if ylabel:
-        cy = (py0 + py1) / 2
-        parts.append(
-            f'<text x="16" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_fmt(cy)})">{escape(ylabel)}</text>'
-        )
+    cy = (py0 + py1) / 2
+    parts += [
+        f'<text x="{_fmt((px0 + px1) / 2)}" y="18" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" font-weight="bold">'
+        f"{escape(title)}</text>",
+        f'<text x="{_fmt((px0 + px1) / 2)}" y="{_fmt(_HEIGHT - 10)}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+        f"{escape(xlabel)}</text>",
+        f'<text x="16" y="{_fmt(cy)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {_fmt(cy)})">{escape(ylabel)}</text>',
+    ]
     return "".join(parts)
 
 
-def document(panels: Sequence[str], width: float = 640.0, panel_height: float = 400.0) -> str:
+def document(panels: Sequence[str]) -> str:
     """Stack chart panels vertically into one standalone SVG document."""
-    total = panel_height * len(panels)
+    total = _HEIGHT * len(panels)
     body = "".join(
-        f'<g transform="translate(0 {_fmt(i * panel_height)})">{panel}</g>'
+        f'<g transform="translate(0 {_fmt(i * _HEIGHT)})">{panel}</g>'
         for i, panel in enumerate(panels)
     )
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(total)}" viewBox="0 0 {_fmt(width)} {_fmt(total)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
+        f'height="{_fmt(total)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(total)}">'
         f"{body}</svg>\n"
     )

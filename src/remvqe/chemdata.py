@@ -138,26 +138,21 @@ def dump(ds: MoleculeDataset, directory) -> tuple[Path, ...]:
     return tuple(written)
 
 
-def reference_energy(ds: MoleculeDataset, r: float) -> tuple[float, float]:
-    """(e_exact_ref, e_exact_min) recorded for the geometry at r."""
-    g = ds.geometry(r)
-    if g.e_exact_ref is None or g.e_exact_min is None:
-        raise ValueError(f"{ds.name} r={r:g} has no recorded reference energies")
-    return g.e_exact_ref, g.e_exact_min
+_AUDIT_TOL = 5e-4  # the recorded energies carry four decimals
 
 
-def audit(ds: MoleculeDataset, tol: float = 5e-4) -> list[str]:
+def audit(ds: MoleculeDataset) -> list[str]:
     """Check every geometry's recorded energies against direct computation.
 
     Returns human-readable discrepancy descriptions; empty means the embedded
-    coefficients reproduce their reference energies within `tol`. A failure
-    indicates a transcription error in the data module, not a code error.
+    coefficients reproduce their reference energies within _AUDIT_TOL. A
+    failure indicates a transcription error in the data module, not a code error.
     """
     problems = []
     for g in ds.geometries:
         if g.e_exact_ref is not None:
             hf = basis_energy(g.hamiltonian, ds.hf_bitstring)
-            if abs(hf - g.e_exact_ref) > tol:
+            if abs(hf - g.e_exact_ref) > _AUDIT_TOL:
                 problems.append(
                     f"{ds.name} r={g.r:g}: HF energy {hf:.6f} vs recorded "
                     f"{g.e_exact_ref:.6f}"
@@ -165,7 +160,7 @@ def audit(ds: MoleculeDataset, tol: float = 5e-4) -> list[str]:
         target = g.ground_reference
         if target is not None:
             ground, _ = ground_state_energy(g.hamiltonian)
-            if abs(ground - target) > tol:
+            if abs(ground - target) > _AUDIT_TOL:
                 problems.append(
                     f"{ds.name} r={g.r:g}: ground energy {ground:.6f} vs recorded "
                     f"{target:.6f}"

@@ -9,6 +9,7 @@ convergence warning.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -29,7 +30,7 @@ from .mitigation import format_confusion_csv
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    p.add_argument("--seed", type=int, help="master random seed")
     p.add_argument("--out", metavar="PATH", help="also write the output to PATH")
 
 
@@ -47,33 +48,28 @@ def _add_problem(p: argparse.ArgumentParser, molecule_only: bool = False) -> Non
 
 
 def _add_backend(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=BACKENDS, default="ideal")
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument(
-        "--p2", type=float, default=DEVICE_P2,
-        help="two-qubit depolarizing probability (noisy backend)",
+        "--p2", type=float, help="two-qubit depolarizing probability (noisy backend)"
     )
     p.add_argument(
-        "--p1", type=float, default=None,
-        help="one-qubit depolarizing probability (default 0.1*p2)",
+        "--p1", type=float, help="one-qubit depolarizing probability (default 0.1*p2)"
     )
     p.add_argument(
-        "--shots", type=int, default=None,
+        "--shots", type=int,
         help="shots per energy evaluation (default: exact distributions)",
     )
     p.add_argument(
-        "--confusion", default="ideal",
+        "--confusion",
         help="readout model: ideal, figure-s2 (alias device), calibrate, or a CSV path",
     )
 
 
 def _add_protocol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mitigation", choices=MITIGATIONS, default="none")
-    p.add_argument("--ansatz", choices=ANSATZE, default=None)
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
-    p.add_argument(
-        "--grid-points", dest="grid_points", type=int, default=25,
-        help="points per parameter sweep",
-    )
+    p.add_argument("--mitigation", choices=MITIGATIONS)
+    p.add_argument("--ansatz", choices=ANSATZE)
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
+    p.add_argument("--grid-points", type=int, help="points per parameter sweep")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,8 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Noisy VQE simulation with reference-state error mitigation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # an option left out stays out of the namespace, so RunConfig's default applies
+    add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    d = sub.add_parser(
+    d = add(
         "dissociation",
         help="four-pipeline energies across a molecule's geometry series (CSV)",
     )
@@ -93,35 +91,35 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--svg", metavar="PATH", help="write a two-panel plot to PATH")
     _add_common(d)
 
-    s = sub.add_parser(
+    s = add(
         "noise-sweep",
         help="pipeline errors vs two-qubit depolarizing rate (CSV)",
     )
     _add_problem(s, molecule_only=True)
-    s.add_argument("--r", type=float, default=None, help="geometry (default equilibrium)")
+    s.add_argument("--r", type=float, help="geometry (default equilibrium)")
     s.add_argument(
-        "--p2", default=None, metavar="GRID",
+        "--p2", metavar="GRID",
         help="comma-separated p2 values (default: log grid 1e-4..5e-2)",
     )
-    s.add_argument("--p1", type=float, default=None, help="pin p1 (default 0.1*p2)")
-    s.add_argument("--shots", type=int, default=None)
-    s.add_argument("--confusion", default="ideal")
-    s.add_argument("--ansatz", choices=ANSATZE, default=None)
-    s.add_argument("--grid-points", dest="grid_points", type=int, default=25)
+    s.add_argument("--p1", type=float, help="pin p1 (default 0.1*p2)")
+    s.add_argument("--shots", type=int)
+    s.add_argument("--confusion")
+    s.add_argument("--ansatz", choices=ANSATZE)
+    s.add_argument("--grid-points", type=int)
     s.add_argument("--svg", metavar="PATH")
     _add_common(s)
 
-    o = sub.add_parser(
+    o = add(
         "single-point",
         help="reference evaluation, minimization, and correction at one geometry",
     )
     _add_problem(o)
-    o.add_argument("--r", type=float, default=None, help="geometry (default equilibrium)")
+    o.add_argument("--r", type=float, help="geometry (default equilibrium)")
     _add_backend(o)
     _add_protocol(o)
     _add_common(o)
 
-    c = sub.add_parser("calibrate", help="estimate a readout confusion matrix (CSV)")
+    c = add("calibrate", help="estimate a readout confusion matrix (CSV)")
     c.add_argument("--molecule", help="sets the qubit count (default 2)")
     c.add_argument(
         "--confusion", default="figure-s2",
@@ -129,10 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "(alias device or calibrate), or a CSV path",
     )
     c.add_argument(
-        "--shots-per-state", dest="shots_per_state", type=int, default=1000,
-        help="shots per prepared basis state per repeat",
+        "--shots-per-state", type=int, help="shots per prepared basis state per repeat"
     )
-    c.add_argument("--repeats", type=int, default=100, help="calibration repeats")
+    c.add_argument("--repeats", type=int, help="calibration repeats")
     _add_common(c)
 
     return parser
@@ -164,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"warning: {warning}", file=sys.stderr)
             return 3 if result.warnings else 0
         if args.command == "noise-sweep":
-            grid = _parse_grid(args.p2) if args.p2 is not None else None
+            grid = _parse_grid(args.p2) if "p2" in args else None
             result = cmd_noise_sweep(_config(args, p2=DEVICE_P2), p2_grid=grid)
             sys.stdout.write(result.csv)
             return 0

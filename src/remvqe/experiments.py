@@ -42,13 +42,14 @@ from .mitigation import (
     read_confusion_csv,
     rem_report,
 )
-from .pauli import PauliHamiltonian, ground_state_energy
+from .pauli import _DENSE_LIMIT, PauliHamiltonian, ground_state_energy
 from .sim import NoiseModel
 from .vqe import (
     REFERENCE_INDEX,
     EnergyEvaluator,
     SweepFit,
     VqeOutcome,
+    _grouping,
     default_grid,
     evaluate,
     minimize,
@@ -112,6 +113,7 @@ class _Problem:
     hamiltonian: PauliHamiltonian
     spec: AnsatzSpec
     optimizer: str
+    noise: NoiseModel | None  # None on the ideal backend
     applied_confusion: ConfusionMatrix | None
     unfold_confusion: ConfusionMatrix | None
 
@@ -205,16 +207,20 @@ def _resolve_ansatz(
     raise ConfigError(f"unknown ansatz {name!r} (choose from {', '.join(ANSATZE)})")
 
 
+def _noise_model(p2: float, p1: float | None) -> NoiseModel:
+    try:
+        return NoiseModel(p2, p1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def resolve(cfg: RunConfig) -> _Problem:
     """Validate the configuration before any simulation starts."""
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.mitigation not in MITIGATIONS:
         raise ConfigError(f"unknown mitigation {cfg.mitigation!r}")
-    if not 0.0 <= cfg.p2 <= 1.0:
-        raise ConfigError(f"p2 must lie in [0, 1], got {cfg.p2}")
-    if cfg.p1 is not None and not 0.0 <= cfg.p1 <= 1.0:
-        raise ConfigError(f"p1 must lie in [0, 1], got {cfg.p1}")
+    noise = _noise_model(cfg.p2, cfg.p1)
     if cfg.shots is not None and cfg.shots <= 0:
         raise ConfigError("shots must be positive")
     if cfg.grid_points < 4:
@@ -224,6 +230,8 @@ def resolve(cfg: RunConfig) -> _Problem:
 
     dataset = None
     if cfg.molecule is not None:
+        if cfg.reference is not None:
+            raise ConfigError("--reference applies to Hamiltonian files, not molecules")
         try:
             dataset = builtin(cfg.molecule)
             r = dataset.equilibrium_r if cfg.r is None else cfg.r
@@ -232,12 +240,21 @@ def resolve(cfg: RunConfig) -> _Problem:
             raise ConfigError(str(exc)) from None
         n_qubits = dataset.n_qubits
         hf = dataset.hf_bitstring
+        hamiltonians = tuple(g.hamiltonian for g in dataset.geometries)
     elif cfg.hamiltonian_path is not None:
+        if cfg.r is not None:
+            raise ConfigError("--r picks a molecule's geometry; a file has only one")
         try:
             hamiltonian = load(cfg.hamiltonian_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         n_qubits = hamiltonian.n_qubits
+        if n_qubits > _DENSE_LIMIT:
+            raise ConfigError(
+                f"{cfg.hamiltonian_path} has {n_qubits} qubits; exact "
+                f"diagonalization is limited to {_DENSE_LIMIT}"
+            )
+        hamiltonians = (hamiltonian,)
         if cfg.reference is not None:
             if len(cfg.reference) != n_qubits or set(cfg.reference) - {"0", "1"}:
                 raise ConfigError(
@@ -253,6 +270,14 @@ def resolve(cfg: RunConfig) -> _Problem:
             hf = "0" * n_qubits
     else:
         raise ConfigError("a molecule or a Hamiltonian file is required")
+    if cfg.shots is not None:
+        # each measurement group needs a shot, at every geometry a command may run
+        n_groups = max(len(_grouping(h)) for h in hamiltonians)
+        if cfg.shots < n_groups:
+            raise ConfigError(
+                f"{cfg.shots} shots cannot cover the {n_groups} measurement "
+                f"groups of one energy evaluation; give at least {n_groups}"
+            )
 
     spec = _resolve_ansatz(cfg, dataset, n_qubits, hf)
     optimizer = cfg.optimizer
@@ -275,7 +300,10 @@ def resolve(cfg: RunConfig) -> _Problem:
         raise ConfigError(
             "readout mitigation needs a confusion source other than 'ideal'"
         )
-    return _Problem(cfg, dataset, hamiltonian, spec, optimizer, applied, unfolding)
+    return _Problem(
+        cfg, dataset, hamiltonian, spec, optimizer,
+        noise if cfg.backend == "noisy" else None, applied, unfolding,
+    )
 
 
 def _point_seed(master: int, index: int) -> int:
@@ -284,10 +312,8 @@ def _point_seed(master: int, index: int) -> int:
 
 def _evaluator_pair(problem: _Problem, h: PauliHamiltonian, seed: int):
     """(raw, readout-unfolded) evaluators sharing every random draw."""
-    cfg = problem.cfg
-    noise = NoiseModel(cfg.p2, cfg.p1) if cfg.backend == "noisy" else None
     raw = EnergyEvaluator(
-        h, problem.spec, noise=noise, shots=cfg.shots, seed=seed,
+        h, problem.spec, noise=problem.noise, shots=problem.cfg.shots, seed=seed,
         confusion=problem.applied_confusion,
     )
     if problem.unfold_confusion is None:
@@ -477,9 +503,7 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
     grid = tuple(float(v) for v in (default_p2_grid() if p2_grid is None else p2_grid))
     if not grid:
         raise ConfigError("p2 grid is empty")
-    for v in grid:
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"p2 must lie in [0, 1], got {v}")
+    noises = [_noise_model(p2, cfg.p1) for p2 in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("p2 grid must be strictly increasing")
     if cfg.hamiltonian_path is not None:
@@ -491,27 +515,23 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
             "noise sweeps use the 1-parameter sweep protocol on a builtin molecule"
         )
 
-    points = []
-    for i, p2 in enumerate(grid):
-        problem_i = replace(problem, cfg=replace(base, p2=p2), optimizer="sweep")
-        points.append(
-            _run_point(problem_i, problem.hamiltonian, _point_seed(base.seed, i))
+    points = [
+        _run_point(
+            replace(problem, noise=noise, optimizer="sweep"),
+            problem.hamiltonian,
+            _point_seed(base.seed, i),
         )
-    err = {
-        "vqe": tuple(abs(p.e_vqe - p.e_exact) for p in points),
-        "readout": tuple(abs(p.e_vqe_readout - p.e_exact) for p in points),
-        "rem": tuple(abs(p.e_rem - p.e_exact) for p in points),
-        "readout_rem": tuple(abs(p.e_readout_rem - p.e_exact) for p in points),
-    }
+        for i, noise in enumerate(noises)
+    ]
+    errors = [
+        tuple(abs(getattr(p, name) - p.e_exact) for p in points)
+        for name in ("e_vqe", "e_vqe_readout", "e_rem", "e_readout_rem")
+    ]
     lines = [_SWEEP_HEADER, f"# device p2={DEVICE_P2:.6f}"]
-    for p2, a, b, c, d in zip(
-        grid, err["vqe"], err["readout"], err["rem"], err["readout_rem"]
-    ):
-        lines.append(f"{p2:g},{a:.6f},{b:.6f},{c:.6f},{d:.6f}")
+    for p2, *row in zip(grid, *errors):
+        lines.append(f"{p2:g}," + ",".join(f"{e:.6f}" for e in row))
     csv = "\n".join(lines) + "\n"
-    result = NoiseSweepResult(
-        grid, err["vqe"], err["readout"], err["rem"], err["readout_rem"], csv
-    )
+    result = NoiseSweepResult(grid, *errors, csv)
     if cfg.out:
         Path(cfg.out).write_text(csv)
     if cfg.svg:
@@ -538,6 +558,12 @@ def _sweep_svg(res: NoiseSweepResult) -> str:
         vline=DEVICE_P2,
     )
     return _svg.document([panel])
+
+
+_REPORT_ENERGIES = (  # of a single-point report, in printed order
+    "e_exact_ref", "e_vqe_ref", "delta_rem", "e_vqe_min", "e_rem", "e_exact_min",
+    "err_vqe", "err_rem",
+)
 
 
 @dataclass(frozen=True)
@@ -567,49 +593,34 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
         ev, theta, fit, reference_exact_energy(ev), ground_state_energy(h)[0]
     )
     converged = outcome is None or outcome.converged
-    n_evaluations = len(fit.grid) if fit is not None else outcome.n_evaluations
+    noise = problem.noise or NoiseModel()
     record = {
         "problem": label,
         "r": cfg.r if problem.dataset is None or cfg.r is not None
         else problem.dataset.equilibrium_r,
         "backend": cfg.backend,
-        "p2": cfg.p2 if cfg.backend == "noisy" else 0.0,
-        "p1": NoiseModel(cfg.p2, cfg.p1).p1 if cfg.backend == "noisy" else 0.0,
+        "p2": noise.p2,
+        "p1": noise.p1,
         "shots": cfg.shots,
         "seed": cfg.seed,
         "ansatz": problem.spec.family,
         "optimizer": problem.optimizer,
         "mitigation": cfg.mitigation,
         "theta_min": list(theta),
-        "e_exact_ref": report.e_exact_ref,
-        "e_vqe_ref": report.e_vqe_ref,
-        "delta_rem": report.delta_rem,
-        "e_vqe_min": report.e_vqe_min,
-        "e_rem": report.e_rem,
-        "e_exact_min": report.e_exact_min,
-        "err_vqe": report.err_vqe,
-        "err_rem": report.err_rem,
+        **{name: getattr(report, name) for name in _REPORT_ENERGIES},
         "converged": converged,
-        "n_evaluations": n_evaluations,
+        "n_evaluations": len(fit.grid) if fit is not None else outcome.n_evaluations,
     }
-    lines = [
-        f"problem:      {label}",
-        f"ansatz:       {problem.spec.family} ({problem.spec.n_params} parameters)",
-        f"optimizer:    {problem.optimizer}" + ("" if converged else "  [not converged]"),
-        f"e_exact_ref:  {report.e_exact_ref:+.6f}",
-        f"e_vqe_ref:    {report.e_vqe_ref:+.6f}",
-        f"delta_rem:    {report.delta_rem:+.6f}",
-        f"e_vqe_min:    {report.e_vqe_min:+.6f}",
-        f"e_rem:        {report.e_rem:+.6f}",
-        f"e_exact_min:  {report.e_exact_min:+.6f}",
-        f"err_vqe:      {report.err_vqe:+.6f}",
-        f"err_rem:      {report.err_rem:+.6f}",
-        "",
-        json.dumps(record, indent=2),
+    rows = [
+        ("problem", label),
+        ("ansatz", f"{problem.spec.family} ({problem.spec.n_params} parameters)"),
+        ("optimizer", problem.optimizer + ("" if converged else "  [not converged]")),
+        *((name, f"{record[name]:+.6f}") for name in _REPORT_ENERGIES),
     ]
-    text = "\n".join(lines) + "\n"
+    payload = json.dumps(record, indent=2) + "\n"
+    text = "".join(f"{name + ':':<14}{value}\n" for name, value in rows) + "\n" + payload
     if cfg.out:
-        Path(cfg.out).write_text(json.dumps(record, indent=2) + "\n")
+        Path(cfg.out).write_text(payload)
     return SinglePointResult(report, outcome, fit, record, text, converged)
 
 

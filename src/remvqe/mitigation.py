@@ -205,59 +205,48 @@ def counts_to_distribution(counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RemReport:
-    """All quantities of one reference-state mitigation run.
-
-    The arithmetic identities delta_rem = e_vqe_ref - e_exact_ref and
-    e_rem = e_vqe_min - delta_rem are enforced exactly at construction.
-    """
-
-    e_vqe_ref: float
-    e_exact_ref: float
-    delta_rem: float
-    e_vqe_min: float
-    e_rem: float
-    e_exact_min: float | None = None
-    err_vqe: float | None = None
-    err_rem: float | None = None
-
-    def __post_init__(self) -> None:
-        if abs(self.delta_rem - (self.e_vqe_ref - self.e_exact_ref)) > 1e-12:
-            raise ValueError("delta_rem must equal e_vqe_ref - e_exact_ref")
-        if abs(self.e_rem - (self.e_vqe_min - self.delta_rem)) > 1e-12:
-            raise ValueError("e_rem must equal e_vqe_min - delta_rem")
-
-
-def rem_report(
-    e_vqe_ref: float,
-    e_exact_ref: float,
-    e_vqe_min: float,
-    e_exact_min: float | None = None,
-) -> RemReport:
-    """Correct a measured minimum by the reference discrepancy.
+    """One reference-state mitigation run: the measured and exact energies
+    it starts from, and the correction derived from them.
 
     delta_rem = e_vqe_ref - e_exact_ref and e_rem = e_vqe_min - delta_rem.
     Given the noise-free minimum, err_vqe = e_vqe_min - e_exact_min and
     err_rem = e_rem - e_exact_min: positive err_vqe means noise raised the
     energy; err_rem may be negative (over-correction).
     """
-    if not (np.isfinite(e_vqe_ref) and np.isfinite(e_exact_ref)):
-        raise ValueError("reference energies must be finite")
-    delta = float(e_vqe_ref) - float(e_exact_ref)
-    e_rem = float(e_vqe_min) - delta
-    err_vqe = err_rem = None
-    if e_exact_min is not None:
-        err_vqe = float(e_vqe_min) - float(e_exact_min)
-        err_rem = e_rem - float(e_exact_min)
-    return RemReport(
-        e_vqe_ref=e_vqe_ref,
-        e_exact_ref=e_exact_ref,
-        delta_rem=delta,
-        e_vqe_min=e_vqe_min,
-        e_rem=e_rem,
-        e_exact_min=e_exact_min,
-        err_vqe=err_vqe,
-        err_rem=err_rem,
-    )
+
+    e_vqe_ref: float
+    e_exact_ref: float
+    e_vqe_min: float
+    e_exact_min: float | None = None
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.e_vqe_ref) and np.isfinite(self.e_exact_ref)):
+            raise ValueError("reference energies must be finite")
+
+    @property
+    def delta_rem(self) -> float:
+        return float(self.e_vqe_ref) - float(self.e_exact_ref)
+
+    @property
+    def e_rem(self) -> float:
+        return float(self.e_vqe_min) - self.delta_rem
+
+    @property
+    def err_vqe(self) -> float | None:
+        if self.e_exact_min is None:
+            return None
+        return float(self.e_vqe_min) - float(self.e_exact_min)
+
+    @property
+    def err_rem(self) -> float | None:
+        if self.e_exact_min is None:
+            return None
+        return self.e_rem - float(self.e_exact_min)
+
+
+# rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min=None): the
+# function-style name the README and the demos use.
+rem_report = RemReport
 
 
 # --- confusion matrix CSV serialization -------------------------------------

@@ -162,26 +162,23 @@ def _outcome_from_trace(trace, converged, message) -> VqeOutcome:
     )
 
 
+# Stop rule of both optimizers: Nelder-Mead's simplex spread (fatol and xatol),
+# SPSA's change between successive 10-evaluation window averages.
+_TOL = 1e-6
+# SPSA gains a and c of the standard schedules a/(k+1+A)^0.602, c/(k+1)^0.101.
+_SPSA_A, _SPSA_C = 0.15, 0.1
+
+
 def minimize(
-    ev: EnergyEvaluator,
-    theta0: Sequence[float] | None = None,
-    optimizer: str = "nelder-mead",
-    max_evals: int = 2000,
-    tol: float = 1e-6,
-    spsa_a: float = 0.15,
-    spsa_c: float = 0.1,
+    ev: EnergyEvaluator, optimizer: str = "nelder-mead", max_evals: int = 2000
 ) -> VqeOutcome:
-    """Derivative-free minimization from the HF start (theta0 = 0 default).
+    """Derivative-free minimization from the Hartree-Fock start theta = 0.
 
     Runs until the energy tolerance or the evaluation budget is exhausted;
     running out of budget sets converged=False in the outcome instead of
     raising. The reported optimum is the best trace entry.
     """
-    theta0 = np.zeros(ev.ansatz.n_params) if theta0 is None else np.asarray(theta0, float)
-    if theta0.shape != (ev.ansatz.n_params,):
-        raise ValueError(
-            f"theta0 has shape {theta0.shape}, expected ({ev.ansatz.n_params},)"
-        )
+    theta0 = np.zeros(ev.ansatz.n_params)
     trace: list[tuple[tuple[float, ...], float]] = []
 
     def f(theta: np.ndarray) -> float:
@@ -198,8 +195,8 @@ def minimize(
             theta0,
             method="Nelder-Mead",
             options={
-                "fatol": tol,
-                "xatol": tol,
+                "fatol": _TOL,
+                "xatol": _TOL,
                 "maxfev": max_evals,
                 "maxiter": max_evals,
                 "initial_simplex": simplex,
@@ -207,22 +204,22 @@ def minimize(
         )
         return _outcome_from_trace(trace, bool(res.success), str(res.message))
     if optimizer == "spsa":
-        return _spsa(ev, f, theta0, max_evals, tol, spsa_a, spsa_c, trace)
+        return _spsa(ev, f, max_evals, trace)
     raise ValueError(f"unknown optimizer {optimizer!r} (choose nelder-mead or spsa)")
 
 
-def _spsa(ev, f, theta0, max_evals, tol, a, c, trace) -> VqeOutcome:
+def _spsa(ev, f, max_evals, trace) -> VqeOutcome:
     """Simultaneous-perturbation descent with the standard gain schedules."""
     alpha, gamma, stability = 0.602, 0.101, 10.0
     rng = np.random.default_rng(np.random.SeedSequence((ev.seed, 2**32)))
-    theta = theta0.astype(float).copy()
+    theta = np.zeros(ev.ansatz.n_params)
     window: list[float] = []
     prev_avg: float | None = None
     converged = False
     message = "evaluation budget exhausted"
     for k in range(max_evals // 2):
-        ak = a / (k + 1 + stability) ** alpha
-        ck = c / (k + 1) ** gamma
+        ak = _SPSA_A / (k + 1 + stability) ** alpha
+        ck = _SPSA_C / (k + 1) ** gamma
         direction = rng.choice((-1.0, 1.0), size=theta.shape)
         e_plus = f(theta + ck * direction)
         e_minus = f(theta - ck * direction)
@@ -232,7 +229,7 @@ def _spsa(ev, f, theta0, max_evals, tol, a, c, trace) -> VqeOutcome:
         if len(window) == 10:
             avg = sum(window) / len(window)
             window.clear()
-            if prev_avg is not None and abs(avg - prev_avg) < tol:
+            if prev_avg is not None and abs(avg - prev_avg) < _TOL:
                 converged = True
                 message = "averaged energy change below tolerance"
                 break
@@ -246,16 +243,20 @@ def _spsa(ev, f, theta0, max_evals, tol, a, c, trace) -> VqeOutcome:
 class SweepFit:
     """Least-squares fit of a 1-parameter energy curve to C + A cos(theta - alpha)."""
 
-    theta_min: float
-    e_min: float
     c: float
     a: float
     alpha: float
     grid: tuple[float, ...]
     energies: tuple[float, ...]
 
-    def __iter__(self):
-        return iter((self.theta_min, self.e_min, self.c, self.a, self.alpha))
+    @property
+    def theta_min(self) -> float:
+        """The model's minimum, alpha + pi wrapped to [-pi, pi]."""
+        return math.atan2(math.sin(self.alpha + math.pi), math.cos(self.alpha + math.pi))
+
+    @property
+    def e_min(self) -> float:
+        return self.c - self.a
 
     def value_at(self, theta: float) -> float:
         return self.c + self.a * math.cos(theta - self.alpha)
@@ -285,15 +286,10 @@ def sweep_and_fit(ev: EnergyEvaluator, grid: Sequence[float] | None = None) -> S
     energies = np.array([evaluate(ev, (t,), index=i) for i, t in enumerate(grid)])
     design = np.column_stack([np.ones_like(grid), np.cos(grid), np.sin(grid)])
     (c0, pc, ps), *_ = np.linalg.lstsq(design, energies, rcond=None)
-    a = math.hypot(pc, ps)
-    alpha = math.atan2(ps, pc)
-    theta_min = math.atan2(math.sin(alpha + math.pi), math.cos(alpha + math.pi))
     return SweepFit(
-        theta_min,
-        float(c0 - a),
         float(c0),
-        float(a),
-        float(alpha),
+        math.hypot(pc, ps),
+        math.atan2(ps, pc),
         tuple(float(t) for t in grid),
         tuple(float(e) for e in energies),
     )

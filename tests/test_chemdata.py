@@ -11,7 +11,6 @@ from remvqe import (
     dump,
     ground_state_energy,
     load,
-    reference_energy,
 )
 from remvqe.pauli import basis_energy
 
@@ -67,17 +66,21 @@ def test_dataset_validation():
 
 
 def test_reference_energy_fixtures():
-    assert reference_energy(builtin("h2"), 1.65) == (-0.8678, -0.9771)
-    assert reference_energy(builtin("heh+"), 1.35) == (-2.8314, -2.8339)
-    assert reference_energy(builtin("lih"), 1.5949) == (-7.8620, -7.8787)
+    for name, r, recorded in (
+        ("h2", 1.65, (-0.8678, -0.9771)),
+        ("heh+", 1.35, (-2.8314, -2.8339)),
+        ("lih", 1.5949, (-7.8620, -7.8787)),
+    ):
+        g = builtin(name).geometry(r)
+        assert (g.e_exact_ref, g.e_exact_min) == recorded
 
 
 def test_reference_energy_missing_row():
     # the stretched tail geometry carries coefficients but no recorded energies
     heh = builtin("heh+")
     assert heh.geometries[-1].r == 1.65
-    with pytest.raises(ValueError, match="no recorded reference energies"):
-        reference_energy(heh, 1.65)
+    assert heh.geometry(1.65).e_exact_ref is None
+    assert heh.geometry(1.65).e_exact_min is None
 
 
 def test_unknown_molecule_message_points_to_file_loading():

@@ -75,6 +75,54 @@ def test_unknown_geometry_is_config_error(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["single-point", "--molecule", "h2", "--shots", "1"],
+         "1 shots cannot cover the 2 measurement groups"),
+        (["single-point", "--molecule", "heh+", "--shots", "3"],
+         "3 shots cannot cover the 4 measurement groups"),
+        (["dissociation", "--molecule", "heh+", "--shots", "3"],
+         "3 shots cannot cover the 4 measurement groups"),
+        (
+            ["single-point", "--molecule", "lih", "--ansatz", "hwe", "--backend", "noisy",
+             "--shots", "24", "--optimizer", "spsa"],
+            "24 shots cannot cover the 25 measurement groups",
+        ),
+        (["single-point", "--molecule", "h2", "--reference", "10"],
+         "--reference applies to Hamiltonian files"),
+    ],
+    ids=["h2-1-shot", "heh+-3-shots", "dissociation-heh+-3-shots", "lih-24-shots",
+         "molecule-reference"],
+)
+def test_unusable_options_are_config_errors(argv, message, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text,extra,message",
+    [
+        ("qubits=2\nZI 1.0\nIZ 0.5\n", ["--r", "0.7"], "--r picks a molecule's geometry"),
+        ("qubits=13\n" + "Z" * 13 + " 1.0\n", [], "has 13 qubits; exact "
+         "diagonalization is limited to 12"),
+    ],
+    ids=["file-with-r", "13-qubit-file"],
+)
+def test_hamiltonian_file_config_errors(text, extra, message, tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    rc = main(["single-point", "--hamiltonian", str(path), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_bad_choice_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["single-point", "--molecule", "h2", "--backend", "magic"])

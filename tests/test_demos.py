@@ -1,8 +1,7 @@
 """Smoke test of the demo scripts: each runs to completion and prints.
 
 Every demo is copied into a temporary directory first, because some write
-their outputs next to the script. lih_deep_circuit.py is left out: it takes
-about 25 s and runs the configuration of acceptance criterion 7.
+their outputs next to the script.
 """
 import os
 import shutil
@@ -16,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["correction_basics.py", "h2_dissociation.py", "noise_threshold.py"]
+    "demo",
+    ["correction_basics.py", "h2_dissociation.py", "lih_deep_circuit.py", "noise_threshold.py"],
 )
 def test_demo_runs(demo, tmp_path):
     script = tmp_path / demo

@@ -73,6 +73,8 @@ BAD_CONFIGS = [
         "shots_per_state must be positive",
     ),
     (dict(molecule="h2", seed=-1), "seed must be non-negative"),
+    (dict(molecule="heh+", shots=3), "3 shots cannot cover the 4 measurement groups"),
+    (dict(molecule="h2", reference="10"), "--reference applies to Hamiltonian files"),
 ]
 
 

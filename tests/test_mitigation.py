@@ -1,4 +1,7 @@
 """Readout unfolding, confusion calibration, reference-state correction arithmetic."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,15 +310,30 @@ def test_rem_report_identities():
     assert report.err_rem < 0
 
 
-def test_rem_report_rejects_inconsistent_fields():
-    with pytest.raises(ValueError, match="delta_rem"):
-        RemReport(
-            e_vqe_ref=-1.0, e_exact_ref=-1.1, delta_rem=0.2, e_vqe_min=-1.0, e_rem=-1.2
-        )
-    with pytest.raises(ValueError, match="e_rem"):
-        RemReport(
-            e_vqe_ref=-1.0, e_exact_ref=-1.1, delta_rem=0.1, e_vqe_min=-1.0, e_rem=-1.05
-        )
+energy = st.floats(-1e6, 1e6)
+reference = energy | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference, reference, energy, st.none() | energy)
+def test_rem_report_derives_its_outputs(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min):
+    # only the four inputs are stored; every output is computed from them
+    assert [f.name for f in dataclasses.fields(RemReport)] == [
+        "e_vqe_ref", "e_exact_ref", "e_vqe_min", "e_exact_min"
+    ]
+    if not (math.isfinite(e_vqe_ref) and math.isfinite(e_exact_ref)):
+        with pytest.raises(ValueError, match="reference energies must be finite"):
+            rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
+        return
+    report = rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
+    delta = e_vqe_ref - e_exact_ref
+    assert report.delta_rem == delta
+    assert report.e_rem == e_vqe_min - delta
+    if e_exact_min is None:
+        assert report.err_vqe is None and report.err_rem is None
+    else:
+        assert report.err_vqe == e_vqe_min - e_exact_min
+        assert report.err_rem == (e_vqe_min - delta) - e_exact_min
 
 
 def test_rem_report_without_oracle():

@@ -142,8 +142,6 @@ def test_minimize_validation():
     ev = h2_evaluator()
     with pytest.raises(ValueError, match="unknown optimizer"):
         minimize(ev, optimizer="cobyla")
-    with pytest.raises(ValueError, match="theta0 has shape"):
-        minimize(ev, theta0=[0.1, 0.2])
 
 
 def test_spsa_reduces_noisy_energy():
