@@ -8,8 +8,8 @@ Three families are provided:
   step. Each excitation k contributes blocks exp(-i * s * theta_k / 2 * P)
   for its Pauli strings (P, s), realized as basis rotations, a CNOT parity
   ladder over the string's support, RZ(s * theta_k), and the unwind.
-- ``hardware-efficient``: alternating RY layers and fixed CZ entangler
-  layers over a connectivity map.
+- ``hardware-efficient``: three RY layers with fixed CZ entangler layers
+  between them, over the T map on 4 qubits and a chain otherwise.
 
 Binding every parameter to 0 reproduces the Hartree-Fock reference state up
 to global phase for all families; this coincidence is what lets the
@@ -24,15 +24,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuits import Angle, Circuit, Gate, Param, circuit_stats
+from .circuits import Circuit, Gate, Param, circuit_stats
 
 __all__ = [
     "Excitation",
     "AnsatzSpec",
     "hartree_fock_circuit",
-    "h2_compact_circuit",
-    "ucc_circuit",
-    "hardware_efficient_circuit",
     "ansatz_circuit",
     "uccsd_excitations",
     "h2_compact_spec",
@@ -42,6 +39,11 @@ __all__ = [
 ]
 
 _FAMILIES = ("compact-uccd", "uccsd", "hardware-efficient")
+
+# Entangler layers of the hardware-efficient family; it has one more RY layer.
+_HWE_LAYERS = 2
+# Its CZ connectivity on 4 qubits: a T-shaped map with qubit 1 as the hub.
+T_MAP = ((0, 1), (1, 2), (1, 3))
 
 
 @dataclass(frozen=True)
@@ -127,50 +129,42 @@ def uccsd_excitations(n_qubits: int) -> tuple[Excitation, ...]:
         return _UCCSD_2Q
     if n_qubits == 4:
         return _UCCSD_4Q
-    raise ValueError(f"no UCCSD excitation table for {n_qubits} qubits (supported: 2, 4)")
+    raise ValueError(f"uccsd excitation tables cover 2 or 4 qubits, not {n_qubits}")
 
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Declarative description of a variational circuit family instance."""
+    """A circuit family on `n_qubits` qubits, starting from |hf_bitstring>.
+
+    The family and the qubit count fix the rest: UCCSD's excitation table,
+    and the hardware-efficient layer count and CZ map.
+    """
 
     family: str
     n_qubits: int
     hf_bitstring: str
-    excitations: tuple[Excitation, ...] | None = None
-    entangler_map: tuple[tuple[int, int], ...] | None = None
-    n_layers: int = 0
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown ansatz family {self.family!r}")
+        if self.family == "compact-uccd" and self.n_qubits != 2:
+            raise ValueError("the compact ansatz is 2-qubit only")
         if len(self.hf_bitstring) != self.n_qubits or set(self.hf_bitstring) - {"0", "1"}:
             raise ValueError(
                 f"hf_bitstring {self.hf_bitstring!r} is not a {self.n_qubits}-bit string"
             )
+        if self.family == "compact-uccd" and self.hf_bitstring != "01":
+            raise ValueError("the compact ansatz starts from the reference state 01")
         if self.family == "uccsd":
-            if not self.excitations:
-                raise ValueError("uccsd spec needs excitations")
-            for exc in self.excitations:
-                if exc.n_qubits != self.n_qubits:
-                    raise ValueError(
-                        f"excitation on {exc.n_qubits} qubits in a "
-                        f"{self.n_qubits}-qubit spec"
-                    )
-        elif self.family == "hardware-efficient":
-            if self.entangler_map is None:
-                raise ValueError("hardware-efficient spec needs an entangler_map")
-            for a, b in self.entangler_map:
-                if not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits and a != b):
-                    raise ValueError(f"entangler pair ({a}, {b}) out of range")
+            uccsd_excitations(self.n_qubits)
 
     @property
     def n_params(self) -> int:
         if self.family == "compact-uccd":
             return 1
         if self.family == "uccsd":
-            return 1 + max(exc.index for exc in self.excitations)
-        return self.n_qubits * (self.n_layers + 1)
+            return len(uccsd_excitations(self.n_qubits))
+        return self.n_qubits * (_HWE_LAYERS + 1)
 
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(f"t{k}" for k in range(self.n_params))
@@ -186,25 +180,7 @@ def hartree_fock_circuit(spec: AnsatzSpec) -> Circuit:
     return Circuit(spec.n_qubits, tuple(gates))
 
 
-def h2_compact_circuit(theta: Angle) -> Circuit:
-    """1-parameter two-qubit circuit spanning the {|01>, |10>} block.
-
-    Prepares cos(theta/2)|01> - sin(theta/2)|10>: HF prep on qubit 0, RY on
-    qubit 1, one CNOT. E(theta) on any two-qubit Hamiltonian restricted to
-    this block is exactly C + A cos(theta - alpha).
-    """
-    minus = theta.scaled(-1.0) if isinstance(theta, Param) else -theta
-    return Circuit(
-        2,
-        (
-            Gate("X", (0,)),
-            Gate("RY", (1,), (minus,)),
-            Gate("CNOT", (1, 0)),
-        ),
-    )
-
-
-def _pauli_block(label: str, angle: Angle) -> tuple[Gate, ...]:
+def _pauli_block(label: str, angle: Param) -> tuple[Gate, ...]:
     """exp(-i * angle / 2 * P): basis change, parity ladder, RZ, unwind."""
     n = len(label)
     support = [q for q in range(n) if label[n - 1 - q] != "I"]
@@ -227,61 +203,27 @@ def _pauli_block(label: str, angle: Angle) -> tuple[Gate, ...]:
     return tuple(enter + ladder + core + list(reversed(ladder)) + unwind)
 
 
-def ucc_circuit(spec: AnsatzSpec) -> Circuit:
-    """HF prep followed by one Trotter step of the excitation exponentials."""
-    if not spec.excitations:
-        raise ValueError(f"{spec.family} spec has no excitations")
-    gates = list(hartree_fock_circuit(spec).gates)
-    for exc in spec.excitations:
-        theta = Param(f"t{exc.index}")
-        for label, sign in exc.strings:
-            gates.extend(_pauli_block(label, theta.scaled(float(sign))))
-    return Circuit(spec.n_qubits, tuple(gates))
-
-
-def hardware_efficient_circuit(
-    n_qubits: int,
-    n_layers: int,
-    entangler_map: tuple[tuple[int, int], ...],
-    params,
-) -> Circuit:
-    """(n_layers + 1) RY layers interleaved with fixed CZ layers.
-
-    `params` holds one angle per qubit per layer, layer by layer. No HF
-    prep is included here; compose with hartree_fock_circuit for a reference
-    state other than |0...0>.
-    """
-    expect = n_qubits * (n_layers + 1)
-    params = tuple(params)
-    if len(params) != expect:
-        raise ValueError(
-            f"{n_layers}-layer circuit on {n_qubits} qubits takes {expect} "
-            f"parameters, got {len(params)}"
-        )
-    gates: list[Gate] = []
-    for layer in range(n_layers + 1):
-        if layer:
-            gates.extend(Gate("CZ", pair) for pair in entangler_map)
-        gates.extend(
-            Gate("RY", (q,), (params[layer * n_qubits + q],)) for q in range(n_qubits)
-        )
-    return Circuit(n_qubits, tuple(gates))
-
-
 @lru_cache(maxsize=64)
 def ansatz_circuit(spec: AnsatzSpec) -> Circuit:
-    """Fully parameterized circuit for `spec` with parameters t0..t{k-1}."""
+    """Reference-state prep, then the family's gates with free angles t0..t{k-1}."""
+    n = spec.n_qubits
+    gates = list(hartree_fock_circuit(spec).gates)
     if spec.family == "compact-uccd":
-        return h2_compact_circuit(Param("t0"))
-    if spec.family == "uccsd":
-        return ucc_circuit(spec)
-    body = hardware_efficient_circuit(
-        spec.n_qubits,
-        spec.n_layers,
-        spec.entangler_map,
-        tuple(Param(name) for name in spec.parameter_names()),
-    )
-    return Circuit(spec.n_qubits, hartree_fock_circuit(spec).gates + body.gates)
+        # cos(t/2)|01> - sin(t/2)|10>: on any two-qubit Hamiltonian restricted
+        # to this block, E(t) is exactly C + A cos(t - alpha)
+        gates += [Gate("RY", (1,), (Param("t0", -1.0),)), Gate("CNOT", (1, 0))]
+    elif spec.family == "uccsd":
+        for exc in uccsd_excitations(n):
+            theta = Param(f"t{exc.index}")
+            for label, sign in exc.strings:
+                gates.extend(_pauli_block(label, theta.scaled(float(sign))))
+    else:
+        pairs = T_MAP if n == 4 else tuple((q, q + 1) for q in range(n - 1))
+        for layer in range(_HWE_LAYERS + 1):
+            if layer:
+                gates.extend(Gate("CZ", pair) for pair in pairs)
+            gates.extend(Gate("RY", (q,), (Param(f"t{layer * n + q}"),)) for q in range(n))
+    return Circuit(n, tuple(gates))
 
 
 def h2_compact_spec() -> AnsatzSpec:
@@ -289,29 +231,12 @@ def h2_compact_spec() -> AnsatzSpec:
 
 
 def uccsd_spec(n_qubits: int, hf_bitstring: str | None = None) -> AnsatzSpec:
-    excitations = uccsd_excitations(n_qubits)
     if hf_bitstring is None:
         hf_bitstring = "01" if n_qubits == 2 else "0011"
-    return AnsatzSpec("uccsd", n_qubits, hf_bitstring, excitations)
+    return AnsatzSpec("uccsd", n_qubits, hf_bitstring)
 
 
-# CZ connectivity used by the 4-qubit hardware-efficient runs: a T-shaped
-# map with qubit 1 as the hub.
-T_MAP = ((0, 1), (1, 2), (1, 3))
-
-
-def hardware_efficient_spec(
-    n_qubits: int = 4,
-    n_layers: int = 2,
-    entangler_map: tuple[tuple[int, int], ...] = T_MAP,
-    hf_bitstring: str | None = None,
-) -> AnsatzSpec:
+def hardware_efficient_spec(n_qubits: int = 4, hf_bitstring: str | None = None) -> AnsatzSpec:
     if hf_bitstring is None:
         hf_bitstring = "0" * n_qubits
-    return AnsatzSpec(
-        "hardware-efficient",
-        n_qubits,
-        hf_bitstring,
-        entangler_map=tuple(entangler_map),
-        n_layers=n_layers,
-    )
+    return AnsatzSpec("hardware-efficient", n_qubits, hf_bitstring)

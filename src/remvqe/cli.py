@@ -16,7 +16,6 @@ from dataclasses import fields
 from .experiments import (
     ANSATZE,
     BACKENDS,
-    DEVICE_P2,
     MITIGATIONS,
     OPTIMIZERS,
     ConfigError,
@@ -162,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             return 3 if result.warnings else 0
         if args.command == "noise-sweep":
             grid = _parse_grid(args.p2) if "p2" in args else None
-            result = cmd_noise_sweep(_config(args, p2=DEVICE_P2), p2_grid=grid)
+            result = cmd_noise_sweep(_config(args, p2=None), p2_grid=grid)
             sys.stdout.write(result.csv)
             return 0
         if args.command == "single-point":

@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _svg
-from .ansatz import (
-    AnsatzSpec,
-    h2_compact_spec,
-    hardware_efficient_spec,
-    uccsd_spec,
-)
+from .ansatz import AnsatzSpec
 from .chemdata import MoleculeDataset, builtin, load
 from .mitigation import (
     ConfusionMatrix,
@@ -65,7 +60,7 @@ DEVICE_P2 = 1.8e-2
 
 BACKENDS = ("ideal", "noisy")
 MITIGATIONS = ("none", "readout", "rem", "readout+rem")
-ANSATZE = ("compact", "uccsd", "hwe")
+ANSATZE = {"compact": "compact-uccd", "uccsd": "uccsd", "hwe": "hardware-efficient"}
 OPTIMIZERS = ("nelder-mead", "spsa", "sweep")
 
 
@@ -78,7 +73,7 @@ class RunConfig:
     molecule: str | None = None
     hamiltonian_path: str | None = None
     backend: str = "ideal"
-    p2: float = DEVICE_P2
+    p2: float | None = None  # DEVICE_P2 on the noisy backend
     p1: float | None = None
     shots: int | None = None
     seed: int = 0
@@ -187,24 +182,14 @@ def _resolve_ansatz(
             name = "uccsd"
         else:
             name = "hwe"
-    if name == "compact":
-        if n_qubits != 2:
-            raise ConfigError("the compact ansatz is 2-qubit only")
-        return h2_compact_spec()
-    if name == "uccsd":
-        if n_qubits not in (2, 4):
-            raise ConfigError(
-                f"uccsd excitation tables cover 2 or 4 qubits, problem has {n_qubits}"
-            )
-        return uccsd_spec(n_qubits, hf_bitstring)
-    if name == "hwe":
-        if n_qubits == 4:
-            return hardware_efficient_spec(hf_bitstring=hf_bitstring)
-        chain = tuple((q, q + 1) for q in range(n_qubits - 1))
-        return hardware_efficient_spec(
-            n_qubits, entangler_map=chain, hf_bitstring=hf_bitstring
-        )
-    raise ConfigError(f"unknown ansatz {name!r} (choose from {', '.join(ANSATZE)})")
+    if name not in ANSATZE:
+        raise ConfigError(f"unknown ansatz {name!r} (choose from {', '.join(ANSATZE)})")
+    # the compact circuit starts from its own reference state, |01>
+    hf = "01" if name == "compact" else hf_bitstring
+    try:
+        return AnsatzSpec(ANSATZE[name], n_qubits, hf)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _noise_model(p2: float, p1: float | None) -> NoiseModel:
@@ -220,7 +205,9 @@ def resolve(cfg: RunConfig) -> _Problem:
         raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.mitigation not in MITIGATIONS:
         raise ConfigError(f"unknown mitigation {cfg.mitigation!r}")
-    noise = _noise_model(cfg.p2, cfg.p1)
+    noise = _noise_model(DEVICE_P2 if cfg.p2 is None else cfg.p2, cfg.p1)
+    if cfg.backend == "ideal" and (cfg.p2, cfg.p1) != (None, None):
+        raise ConfigError("p2 and p1 set gate noise, which only the noisy backend has")
     if cfg.shots is not None and cfg.shots <= 0:
         raise ConfigError("shots must be positive")
     if cfg.grid_points < 4:

@@ -66,8 +66,16 @@ class EnergyEvaluator:
     unfold_matrix: ConfusionMatrix | None = None
 
     def __post_init__(self) -> None:
-        if self.shots is not None and self.shots <= 0:
+        if self.shots is None:
+            return
+        if self.shots <= 0:
             raise ValueError("shots must be positive when sampling")
+        n_groups = len(_grouping(self.hamiltonian))
+        if self.shots < n_groups:
+            raise ValueError(
+                f"{self.shots} shots cannot cover the {n_groups} measurement groups "
+                f"of one energy evaluation"
+            )
 
 
 @lru_cache(maxsize=64)
@@ -141,25 +149,28 @@ def reference_exact_energy(ev: EnergyEvaluator) -> float:
 
 @dataclass(frozen=True)
 class VqeOutcome:
-    theta: np.ndarray
-    energy: float
-    n_evaluations: int
+    """An optimizer run: every (theta, energy) it evaluated, and why it stopped.
+
+    The reported optimum is the first lowest-energy trace entry.
+    """
+
     trace: tuple[tuple[tuple[float, ...], float], ...]
     converged: bool
     message: str
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.theta, dtype=float)
+    @property
+    def theta(self) -> np.ndarray:
+        arr = np.array(min(self.trace, key=lambda entry: entry[1])[0])
         arr.setflags(write=False)
-        object.__setattr__(self, "theta", arr)
+        return arr
 
+    @property
+    def energy(self) -> float:
+        return min(energy for _, energy in self.trace)
 
-def _outcome_from_trace(trace, converged, message) -> VqeOutcome:
-    best = min(range(len(trace)), key=lambda i: trace[i][1])
-    theta, energy = trace[best]
-    return VqeOutcome(
-        np.array(theta), energy, len(trace), tuple(trace), converged, message
-    )
+    @property
+    def n_evaluations(self) -> int:
+        return len(self.trace)
 
 
 # Stop rule of both optimizers: Nelder-Mead's simplex spread (fatol and xatol),
@@ -202,7 +213,7 @@ def minimize(
                 "initial_simplex": simplex,
             },
         )
-        return _outcome_from_trace(trace, bool(res.success), str(res.message))
+        return VqeOutcome(tuple(trace), bool(res.success), str(res.message))
     if optimizer == "spsa":
         return _spsa(ev, f, max_evals, trace)
     raise ValueError(f"unknown optimizer {optimizer!r} (choose nelder-mead or spsa)")
@@ -236,7 +247,7 @@ def _spsa(ev, f, max_evals, trace) -> VqeOutcome:
             prev_avg = avg
     if len(trace) < max_evals:
         f(theta)
-    return _outcome_from_trace(trace, converged, message)
+    return VqeOutcome(tuple(trace), converged, message)
 
 
 @dataclass(frozen=True)

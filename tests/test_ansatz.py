@@ -1,22 +1,23 @@
 """Variational circuit families: reference-state coincidence, shapes, sizes."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from remvqe import (
     AnsatzSpec,
+    EnergyEvaluator,
     Excitation,
     ansatz_circuit,
     builtin,
     circuit_stats,
+    evaluate,
     expectation,
-    h2_compact_circuit,
     h2_compact_spec,
-    hardware_efficient_circuit,
     hardware_efficient_spec,
     hf_state,
     run_statevector,
-    ucc_circuit,
     uccsd_excitations,
     uccsd_spec,
 )
@@ -30,12 +31,16 @@ def state_at(spec: AnsatzSpec, theta) -> np.ndarray:
     return run_statevector(ansatz_circuit(spec), bindings).data
 
 
+def compact_state(theta: float):
+    return run_statevector(ansatz_circuit(h2_compact_spec()), {"t0": theta})
+
+
 ALL_SPECS = (
     h2_compact_spec(),
     uccsd_spec(2),
     uccsd_spec(4),
     hardware_efficient_spec(hf_bitstring="0011"),
-    hardware_efficient_spec(2, entangler_map=((0, 1),), hf_bitstring="01"),
+    hardware_efficient_spec(2, hf_bitstring="01"),
 )
 
 
@@ -54,7 +59,7 @@ def test_hartree_fock_circuit_bits():
 
 def test_compact_amplitudes():
     for theta in (-2.5, -0.3, 0.0, 0.014, 1.9):
-        psi = run_statevector(h2_compact_circuit(theta)).data
+        psi = compact_state(theta).data
         expected = np.zeros(4)
         expected[0b01] = np.cos(theta / 2)
         expected[0b10] = -np.sin(theta / 2)
@@ -62,7 +67,6 @@ def test_compact_amplitudes():
 
 
 def test_compact_single_entangler():
-    assert circuit_stats(h2_compact_circuit(0.5)) == (2, 1, 0)
     assert circuit_stats(ansatz_circuit(h2_compact_spec())) == (2, 1, 1)
 
 
@@ -71,7 +75,7 @@ def test_compact_energy_is_shifted_cosine():
     h = builtin("h2").geometry(1.0).hamiltonian
     grid = np.linspace(-np.pi, np.pi, 9)
     energies = np.array(
-        [expectation(h, run_statevector(h2_compact_circuit(t))) for t in grid]
+        [expectation(h, compact_state(t)) for t in grid]
     )
     design = np.column_stack([np.ones_like(grid), np.cos(grid), np.sin(grid)])
     coeffs, *_ = np.linalg.lstsq(design, energies, rcond=None)
@@ -89,7 +93,7 @@ def test_compact_minimum_matches_block_diagonalization():
     block_min = np.linalg.eigvalsh(block)[0].real
 
     def energy(theta):
-        return expectation(h, run_statevector(h2_compact_circuit(theta)))
+        return expectation(h, compact_state(theta))
 
     res = scipy.optimize.minimize_scalar(energy, bounds=(-np.pi, np.pi), method="bounded")
     assert res.fun == pytest.approx(block_min, abs=1e-6)
@@ -116,10 +120,12 @@ def test_ucc_output_stays_normalized(params):
 def test_ucc_excitation_tables():
     assert len(uccsd_excitations(2)) == 3
     assert len(uccsd_excitations(4)) == 8
-    with pytest.raises(ValueError, match="supported: 2, 4"):
+    with pytest.raises(ValueError, match="cover 2 or 4 qubits, not 3"):
         uccsd_excitations(3)
-    with pytest.raises(ValueError, match="compact-uccd spec has no excitations"):
-        ucc_circuit(h2_compact_spec())
+    # excitation k drives parameter t{k}, in table order
+    for n in (2, 4):
+        names = tuple(f"t{exc.index}" for exc in uccsd_excitations(n))
+        assert ansatz_circuit(uccsd_spec(n)).free_parameters == names
 
 
 def test_excitation_validation():
@@ -152,25 +158,29 @@ def test_circuit_size_fixtures():
 
 
 def test_hardware_efficient_layout():
-    params = np.full(12, 0.1)
-    c = hardware_efficient_circuit(4, 2, T_MAP, params)
-    kinds = [g.kind for g in c.gates]
+    gates = ansatz_circuit(hardware_efficient_spec()).gates
+    kinds = [g.kind for g in gates]
     assert kinds.count("CZ") == 6
     assert kinds.count("RY") == 12
-    # rotations come in layers of four, entanglers between them
+    # rotations come in layers of four, T-map entanglers between them
     assert kinds[:4] == ["RY"] * 4
-    assert kinds[4:7] == ["CZ"] * 3
+    assert [g.qubits for g in gates[4:7]] == list(T_MAP)
+    assert [g.params[0].name for g in gates if g.kind == "RY"] == [f"t{k}" for k in range(12)]
 
 
 def test_hardware_efficient_zero_params_identity():
-    c = hardware_efficient_circuit(3, 1, ((0, 1), (1, 2)), np.zeros(6))
-    psi = run_statevector(c).data
+    # away from 4 qubits the entanglers form a chain
+    spec = hardware_efficient_spec(3)
+    cz = [g.qubits for g in ansatz_circuit(spec).gates if g.kind == "CZ"]
+    assert cz == [(0, 1), (1, 2)] * 2
+    psi = state_at(spec, np.zeros(9))
     assert abs(psi[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hardware_efficient_param_count_check():
-    with pytest.raises(ValueError, match="takes 12 parameters"):
-        hardware_efficient_circuit(4, 2, T_MAP, np.zeros(8))
+    h = builtin("lih").geometries[0].hamiltonian
+    with pytest.raises(ValueError, match="takes 12 parameters, got 8"):
+        evaluate(EnergyEvaluator(h, hardware_efficient_spec()), np.zeros(8))
 
 
 def test_hardware_efficient_spec_prepends_reference_prep():
@@ -178,8 +188,8 @@ def test_hardware_efficient_spec_prepends_reference_prep():
     gates = ansatz_circuit(spec).gates
     assert [g.kind for g in gates[:2]] == ["X", "X"]
     assert {g.qubits[0] for g in gates[:2]} == {0, 1}
-    # the raw layer builder itself contains no basis-state prep
-    raw = hardware_efficient_circuit(4, 2, T_MAP, np.zeros(12))
+    # the all-zero reference needs no basis-state prep
+    raw = ansatz_circuit(hardware_efficient_spec())
     assert all(g.kind != "X" for g in raw.gates)
 
 
@@ -188,14 +198,15 @@ def test_spec_validation():
         AnsatzSpec("adapt", 2, "01")
     with pytest.raises(ValueError, match="not a 2-bit"):
         AnsatzSpec("compact-uccd", 2, "012")
-    with pytest.raises(ValueError, match="needs excitations"):
-        AnsatzSpec("uccsd", 2, "01")
-    with pytest.raises(ValueError, match="needs an entangler_map"):
-        AnsatzSpec("hardware-efficient", 2, "01")
-    with pytest.raises(ValueError, match="out of range"):
-        AnsatzSpec("hardware-efficient", 2, "01", entangler_map=((0, 2),), n_layers=1)
-    with pytest.raises(ValueError, match="2-qubit spec"):
-        AnsatzSpec("uccsd", 2, "01", excitations=uccsd_excitations(4))
+    # the family fixes the size: compact is 2 qubits from |01>, uccsd 2 or 4
+    with pytest.raises(ValueError, match="2-qubit only"):
+        AnsatzSpec("compact-uccd", 3, "001")
+    with pytest.raises(ValueError, match="starts from the reference state 01"):
+        AnsatzSpec("compact-uccd", 2, "10")
+    with pytest.raises(ValueError, match="cover 2 or 4 qubits, not 3"):
+        AnsatzSpec("uccsd", 3, "001")
+    AnsatzSpec("hardware-efficient", 3, "001")
+    assert [f.name for f in fields(AnsatzSpec)] == ["family", "n_qubits", "hf_bitstring"]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}-{s.n_qubits}q")

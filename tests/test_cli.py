@@ -91,9 +91,15 @@ def test_unknown_geometry_is_config_error(argv, capsys):
         ),
         (["single-point", "--molecule", "h2", "--reference", "10"],
          "--reference applies to Hamiltonian files"),
+        (["single-point", "--molecule", "h2", "--p2", "0.5", "--p1", "0.2"],
+         "p2 and p1 set gate noise, which only the noisy backend has"),
+        (["single-point", "--molecule", "h2", "--backend", "ideal", "--p1", "0.2"],
+         "p2 and p1 set gate noise, which only the noisy backend has"),
+        (["dissociation", "--molecule", "h2", "--p2", "0.01"],
+         "p2 and p1 set gate noise, which only the noisy backend has"),
     ],
     ids=["h2-1-shot", "heh+-3-shots", "dissociation-heh+-3-shots", "lih-24-shots",
-         "molecule-reference"],
+         "molecule-reference", "ideal-p2-p1", "ideal-p1", "dissociation-ideal-p2"],
 )
 def test_unusable_options_are_config_errors(argv, message, capsys):
     rc = main(argv)

@@ -75,6 +75,10 @@ BAD_CONFIGS = [
     (dict(molecule="h2", seed=-1), "seed must be non-negative"),
     (dict(molecule="heh+", shots=3), "3 shots cannot cover the 4 measurement groups"),
     (dict(molecule="h2", reference="10"), "--reference applies to Hamiltonian files"),
+    # gate error rates are meaningless on the ideal backend, even the default one
+    (dict(molecule="h2", p2=0.5), "only the noisy backend has"),
+    (dict(molecule="h2", p1=0.2), "only the noisy backend has"),
+    (dict(molecule="h2", backend="ideal", p2=DEVICE_P2), "only the noisy backend has"),
 ]
 
 
@@ -107,6 +111,8 @@ def test_resolve_defaults():
     assert p.spec.family.startswith("uccsd") and p.optimizer == "spsa"
     p = resolve(RunConfig(molecule="lih", ansatz="hwe"))
     assert p.spec.n_params == 12
+    assert resolve(RunConfig(molecule="h2")).noise is None
+    assert resolve(RunConfig(molecule="h2", backend="noisy")).noise.p2 == DEVICE_P2
 
 
 def test_resolve_hwe_chain_for_odd_widths(tmp_path):

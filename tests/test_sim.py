@@ -16,6 +16,7 @@ from remvqe import (
     PauliHamiltonian,
     PauliString,
     QuantumState,
+    ansatz_circuit,
     apply_readout_noise,
     builtin,
     counts_to_distribution,
@@ -24,7 +25,7 @@ from remvqe import (
     gate_matrix,
     ground_state_energy,
     group_terms,
-    h2_compact_circuit,
+    h2_compact_spec,
     hf_state,
     run_density,
     run_statevector,
@@ -79,6 +80,10 @@ def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
     return Circuit(n_qubits, tuple(gates))
 
 
+def compact_state(theta: float) -> QuantumState:
+    return run_statevector(ansatz_circuit(h2_compact_spec()), {"t0": theta})
+
+
 # --- statevector execution ---------------------------------------------------
 
 
@@ -118,7 +123,7 @@ def test_compact_circuit_reaches_ground_state():
     ground, _ = ground_state_energy(h)
 
     def energy(theta: float) -> float:
-        return expectation(h, run_statevector(h2_compact_circuit(theta)))
+        return expectation(h, compact_state(theta))
 
     res = scipy.optimize.minimize_scalar(energy, bounds=(-np.pi, np.pi), method="bounded")
     assert res.fun == pytest.approx(ground, abs=1e-8)
@@ -418,7 +423,7 @@ def test_sample_counts_hf_xx_unbiased():
 
 
 def test_sample_counts_seed_determinism():
-    state = run_statevector(h2_compact_circuit(0.7))
+    state = compact_state(0.7)
     a = sample_counts(state, PauliString("ZZ"), 1000, seed=9)
     b = sample_counts(state, PauliString("ZZ"), 1000, seed=9)
     c = sample_counts(state, PauliString("ZZ"), 1000, seed=10)
@@ -508,7 +513,7 @@ def test_counts_expectation_z_group_hand_value():
 
 def test_counts_expectation_large_shot_consistency():
     # 10^6 shots must sit within 5 sigma of the exact expectation
-    state = run_statevector(h2_compact_circuit(0.4))
+    state = compact_state(0.4)
     h = builtin("h2").geometry(0.7414).hamiltonian
     xx_group = group_terms(h)[1]
     shots = 10**6

@@ -1,4 +1,5 @@
 """Energy evaluation, readout unfolding, minimization, and sweep-and-fit."""
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,10 @@ def bowl_hamiltonian() -> PauliHamiltonian:
 def test_evaluator_validation():
     with pytest.raises(ValueError, match="shots must be positive"):
         h2_evaluator(shots=0)
+    # every measurement group needs a shot; the h2 Hamiltonian has two groups
+    with pytest.raises(ValueError, match="1 shots cannot cover the 2 measurement groups"):
+        h2_evaluator(shots=1)
+    assert math.isfinite(evaluate(h2_evaluator(shots=2), [0.3]))
 
 
 def test_evaluate_rejects_wrong_parameter_count():
@@ -123,6 +128,8 @@ def test_minimize_heh_noiseless():
 def test_minimize_outcome_bookkeeping():
     ev = EnergyEvaluator(bowl_hamiltonian(), h2_compact_spec())
     out = minimize(ev)
+    # the optimum is derived from the trace, not stored beside it
+    assert [f.name for f in dataclasses.fields(out)] == ["trace", "converged", "message"]
     assert out.n_evaluations == len(out.trace)
     assert out.energy == min(e for _, e in out.trace)
     assert evaluate(ev, out.theta) == pytest.approx(out.energy, abs=1e-12)
