@@ -184,8 +184,9 @@ def _resolve_ansatz(
             name = "hwe"
     if name not in ANSATZE:
         raise ConfigError(f"unknown ansatz {name!r} (choose from {', '.join(ANSATZE)})")
-    # the compact circuit starts from its own reference state, |01>
-    hf = "01" if name == "compact" else hf_bitstring
+    # the compact circuit starts from its own reference state, |01>; a
+    # --reference other than 01 is left to AnsatzSpec to reject
+    hf = "01" if name == "compact" and cfg.reference is None else hf_bitstring
     try:
         return AnsatzSpec(ANSATZE[name], n_qubits, hf)
     except ValueError as exc:

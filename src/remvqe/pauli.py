@@ -12,7 +12,7 @@ bitstring format(i, "0nb").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class PauliString:
         n = len(self.label)
         return tuple(q for q in range(n) if self.label[n - 1 - q] != "I")
 
-    @property
+    @cached_property
     def support_mask(self) -> int:
         """The support as a bit mask (bit q set when qubit q is acted on)."""
         return sum(1 << q for q in self.support)

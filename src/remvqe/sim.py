@@ -29,8 +29,8 @@ for every parameter binding:
   m @ v.reshape(len(m), -1). Moving from the previous op's layout to this
   one is the gather v[T] with an index array T built at compile time and
   shared by every op with the same (previous, next) layout pair.
-- A gate whose angles are floats is one stored matrix: U for a ket,
-  its superoperator with the channel above for vec(rho).
+- A gate whose angles are floats is a fixed op, one stored matrix: U for a
+  ket, its superoperator with the channel above for vec(rho).
 - A Param-bound RZ(t) = diag(e^{-it/2}, e^{it/2}) is an elementwise phase
   v *= exp(1j t w), with w = bit(q) - 1/2 on a ket and
   w = bit(q + n) - bit(q) on vec(rho), precomputed in the current layout as
@@ -40,6 +40,16 @@ for every parameter binding:
 - Single-qubit depolarizing commutes with every single-qubit unitary on its
   qubit, so the channel of a Param-bound gate rides on the last fixed op of
   that gate (an identity channel for RZ).
+- No fixed single-qubit op is an op of its own. It waits as the pending
+  matrix of its qubit (U for a ket, the 4 x 4 superoperator on registers
+  (q + n, q) for vec(rho)); later single-qubit ops on that qubit multiply
+  into it. The next two-qubit op on the qubit absorbs it as S lift(pending),
+  where lift is the Kronecker product of both qubits' pending matrices
+  transposed into the op's register order. Only a Param-bound phase on the
+  qubit and the end of the circuit flush it as a standalone op. The fold is
+  exact: a pending op commutes with every op on other qubits, and it sits
+  right of S in the product, so it acts before the gate and its channel (a
+  single-qubit channel does not commute with a two-qubit unitary).
 
 _evolve, the per-gate loop, is the reference the compiled program is tested
 against.
@@ -236,6 +246,7 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _Program:
     layout = natural
     gathers: dict = {}
     weights: dict = {}
+    pending: dict[int, np.ndarray] = {}
     ops = []
 
     def move(to: tuple[int, ...]) -> np.ndarray | None:
@@ -249,13 +260,33 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _Program:
             gathers[key] = np.arange(size).reshape((2,) * width).transpose(perm).reshape(-1)
         return gathers[key]
 
-    def fixed(unitary: np.ndarray, qubits: tuple[int, ...], p: float | None) -> None:
-        registers = qubits if p is None else tuple(q + n for q in qubits) + qubits
+    def emit(matrix: np.ndarray, qubits: tuple[int, ...]) -> None:
+        registers = tuple(q + n for q in qubits) + qubits if density else qubits
         lead = registers + tuple(r for r in natural if r not in registers)
-        matrix = unitary if p is None else _channel(unitary, p)
         ops.append((move(lead), matrix, None, None))
 
+    def fixed(unitary: np.ndarray, qubits: tuple[int, ...], p: float | None) -> None:
+        """Keep a one-qubit op pending; fold pending ops into a two-qubit op."""
+        matrix = unitary if p is None else _channel(unitary, p)
+        if len(qubits) == 1:
+            q = qubits[0]
+            pending[q] = matrix @ pending[q] if q in pending else matrix
+            return
+        if pending.keys() & set(qubits):
+            eye = np.eye(4 if density else 2, dtype=complex)
+            lift = np.kron(*(pending.pop(q, eye) for q in qubits))
+            if density:
+                # kron orders the registers (a+n, a, b+n, b); the op's are (a+n, b+n, a, b)
+                lift = lift.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+            matrix = matrix @ lift
+        emit(matrix, qubits)
+
+    def flush(q: int) -> None:
+        if q in pending:
+            emit(pending.pop(q), (q,))
+
     def phase(q: int, angle: Param) -> None:
+        flush(q)
         key = (layout, q)
         if key not in weights:
             index = np.arange(size)
@@ -282,6 +313,8 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _Program:
             fixed(v, gate.qubits, p)
         elif p:
             fixed(np.eye(2, dtype=complex), gate.qubits, p)
+    for q in sorted(pending):
+        flush(q)
     return _Program(size, 1.0 if density else 0.5, tuple(ops), move(natural))
 
 

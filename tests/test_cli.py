@@ -115,8 +115,11 @@ def test_unusable_options_are_config_errors(argv, message, capsys):
         ("qubits=2\nZI 1.0\nIZ 0.5\n", ["--r", "0.7"], "--r picks a molecule's geometry"),
         ("qubits=13\n" + "Z" * 13 + " 1.0\n", [], "has 13 qubits; exact "
          "diagonalization is limited to 12"),
+        ("qubits=2\nZI 1.0\nIZ 0.5\n", ["--reference", "10", "--ansatz", "compact",
+                                         "--mitigation", "rem"],
+         "the compact ansatz starts from the reference state 01"),
     ],
-    ids=["file-with-r", "13-qubit-file"],
+    ids=["file-with-r", "13-qubit-file", "compact-other-reference"],
 )
 def test_hamiltonian_file_config_errors(text, extra, message, tmp_path, capsys):
     path = tmp_path / "h.txt"

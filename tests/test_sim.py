@@ -30,6 +30,7 @@ from remvqe import (
     run_density,
     run_statevector,
     sample_counts,
+    uccsd_spec,
 )
 from remvqe import sim
 from remvqe.circuits import GATE_KINDS
@@ -246,11 +247,40 @@ def parametric_circuits(draw):
     kinds = sorted(k for k, (arity, _) in GATE_KINDS.items() if arity <= n)
     param = st.builds(Param, st.sampled_from(PARAM_NAMES), st.sampled_from((1.0, -1.0, 0.5, -2.5)))
     angle = st.floats(-np.pi, np.pi) | param
-    gates = [draw_gate(draw, n, kinds, angle) for _ in range(draw(st.integers(0, 12)))]
+    gates = [draw_gate(draw, n, kinds, angle) for _ in range(draw(st.integers(0, 24)))]
     rate = st.just(0.0) | st.floats(0.0, 1.0)
     noise = draw(st.none() | st.builds(NoiseModel, p2=rate, p1=rate))
     bindings = {name: draw(st.floats(-2 * np.pi, 2 * np.pi)) for name in PARAM_NAMES}
     return Circuit(n, tuple(gates)), bindings, noise
+
+
+# Circuits at the edges of single-qubit fusion: the compiler keeps each
+# qubit's fixed one-qubit ops pending and folds them into its next two-qubit op.
+FUSION_EDGES = (
+    # a run of single-qubit gates on one qubit, then a two-qubit gate on it
+    Circuit(2, (Gate("H", (0,)), Gate("RX", (0,), (0.4,)), Gate("X", (0,)),
+                Gate("RZ", (0,), (-1.1,)), Gate("CNOT", (0, 1)))),
+    # a fixed gate right before each Param-bound rotation on its qubit
+    Circuit(2, (Gate("H", (1,)), Gate("RX", (1,), (Param("a"),)), Gate("X", (0,)),
+                Gate("RY", (0,), (Param("b", -0.5),)), Gate("RY", (1,), (0.9,)),
+                Gate("RZ", (1,), (Param("c", 2.0),)), Gate("CZ", (1, 0)))),
+    # single-qubit gates after the last two-qubit gate
+    Circuit(3, (Gate("H", (2,)), Gate("CNOT", (2, 0)), Gate("RX", (0,), (0.3,)),
+                Gate("H", (2,)), Gate("RY", (2,), (Param("a"),)), Gate("X", (1,)),
+                Gate("RZ", (2,), (1.2,)))),
+    # two-qubit gates with pending ops on both qubits, in either order
+    Circuit(3, (Gate("H", (0,)), Gate("RX", (2,), (0.4,)), Gate("CNOT", (2, 0)),
+                Gate("RY", (0,), (-0.8,)), Gate("X", (2,)), Gate("CNOT", (0, 2)),
+                Gate("RZ", (1,), (Param("a"),)), Gate("H", (1,)), Gate("RY", (2,), (1.3,)),
+                Gate("CZ", (2, 1)))),
+)
+
+
+def fusion_edge_examples(test):
+    for circuit in FUSION_EDGES:
+        for noise in (None, NoiseModel(p2=0.1, p1=0.03)):
+            test = example((circuit, {"a": 0.7, "b": -1.3, "c": 0.4}, noise))(test)
+    return test
 
 
 @settings(deadline=None, max_examples=200)
@@ -263,10 +293,21 @@ def parametric_circuits(draw):
         NoiseModel(p2=0.1, p1=0.03),
     )
 )
+@fusion_edge_examples
 def test_compiled_program_matches_per_gate_reference(case):
     circuit, bindings, noise = case
     compiled = _program(circuit, noise).run(bindings)
     assert np.max(np.abs(compiled - _evolve(circuit, bindings, noise))) < 1e-12
+
+
+def test_single_qubit_ops_fold_into_two_qubit_ops():
+    # LiH UCCSD on vec(rho): each of the 172 two-qubit ops absorbs the one-qubit
+    # ops before it; only the 40 phases and a few flushes stand alone
+    circuit = ansatz_circuit(uccsd_spec(4))
+    sizes = [0 if m is None else len(m) for _, m, _, _ in _program(circuit, NoiseModel(p2=4e-3)).ops]
+    assert len(sizes) <= 220
+    assert sizes.count(16) == 172
+    assert sizes.count(0) == 40
 
 
 def test_compiled_program_is_reused(monkeypatch):
