@@ -11,7 +11,6 @@ behind the `remvqe` command).
 """
 from .ansatz import (
     AnsatzSpec,
-    Excitation,
     ansatz_circuit,
     h2_compact_spec,
     hardware_efficient_spec,
@@ -94,7 +93,6 @@ __all__ = [
     "ConfusionMatrix",
     "DissociationResult",
     "EnergyEvaluator",
-    "Excitation",
     "Gate",
     "Geometry",
     "MeasurementGroup",

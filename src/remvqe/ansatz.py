@@ -24,19 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuits import Circuit, Gate, Param, circuit_stats
-
-__all__ = [
-    "Excitation",
-    "AnsatzSpec",
-    "hartree_fock_circuit",
-    "ansatz_circuit",
-    "uccsd_excitations",
-    "h2_compact_spec",
-    "uccsd_spec",
-    "hardware_efficient_spec",
-    "circuit_stats",
-]
+from .circuits import Circuit, Gate, Param
 
 _FAMILIES = ("compact-uccd", "uccsd", "hardware-efficient")
 
@@ -46,85 +34,39 @@ _HWE_LAYERS = 2
 T_MAP = ((0, 1), (1, 2), (1, 3))
 
 
-@dataclass(frozen=True)
-class Excitation:
-    """One cluster operator: exp(theta * (T - T+)) expanded in Pauli strings.
-
-    `strings` holds (label, sign) pairs; the circuit realizes
-    exp(-i * sign * theta / 2 * P) for each, in order. `index` selects which
-    entry of the parameter vector drives this excitation.
-    """
-
-    kind: str
-    index: int
-    strings: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("single", "double"):
-            raise ValueError(f"excitation kind must be single or double, got {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("parameter index must be non-negative")
-        if not self.strings:
-            raise ValueError("excitation needs at least one Pauli string")
-        labels = [label for label, _ in self.strings]
-        if len(set(labels)) != len(labels):
-            raise ValueError("excitation Pauli strings must be pairwise distinct")
-        width = len(labels[0])
-        for label, sign in self.strings:
-            if len(label) != width:
-                raise ValueError(f"Pauli labels of mixed length in excitation: {label!r}")
-            if set(label) - set("IXYZ"):
-                raise ValueError(f"invalid Pauli label {label!r}")
-            if set(label) == {"I"}:
-                raise ValueError("identity string cannot appear in an excitation")
-            if sign not in (1, -1):
-                raise ValueError(f"string sign must be +1 or -1, got {sign}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.strings[0][0])
-
-
 # Spin-orbital excitations for the two occupied-virtual layouts used by the
 # builtin molecules, parity-mapped and reduced to the stated qubit counts.
+# Entry k expands exp(t_k (T - T+)) into (label, sign) Pauli strings; the
+# singles come first, then the doubles.
 # Signs and prefactors were fixed by matching the energy minima of the
 # embedded Hamiltonians; amplitude normalization is absorbed into theta.
 _UCCSD_2Q = (
-    Excitation("single", 0, (("IY", 1),)),
-    Excitation("single", 1, (("YI", -1),)),
-    Excitation("double", 2, (("XY", 1), ("YX", -1))),
+    (("IY", 1),),
+    (("YI", -1),),
+    (("XY", 1), ("YX", -1)),
 )
 
 _UCCSD_4Q = (
-    Excitation("single", 0, (("IIIY", 1), ("IIZY", -1))),
-    Excitation("single", 1, (("IIXY", 1), ("IIYX", 1))),
-    Excitation("single", 2, (("IYII", -1), ("ZYII", -1))),
-    Excitation("single", 3, (("XYII", -1), ("YXII", -1))),
-    Excitation(
-        "double", 4,
-        (("IXIY", 1), ("IXZY", -1), ("IYIX", -1), ("IYZX", 1),
-         ("ZXIY", 1), ("ZXZY", -1), ("ZYIX", -1), ("ZYZX", 1)),
-    ),
-    Excitation(
-        "double", 5,
-        (("XXIY", 1), ("XXZY", -1), ("XYIX", -1), ("XYZX", 1),
-         ("YXIX", -1), ("YXZX", 1), ("YYIY", -1), ("YYZY", 1)),
-    ),
-    Excitation(
-        "double", 6,
-        (("IXXY", 1), ("IXYX", 1), ("IYXX", -1), ("IYYY", 1),
-         ("ZXXY", 1), ("ZXYX", 1), ("ZYXX", -1), ("ZYYY", 1)),
-    ),
-    Excitation(
-        "double", 7,
-        (("XXXY", 1), ("XXYX", 1), ("XYXX", -1), ("XYYY", 1),
-         ("YXXX", -1), ("YXYY", 1), ("YYXY", -1), ("YYYX", -1)),
-    ),
+    (("IIIY", 1), ("IIZY", -1)),
+    (("IIXY", 1), ("IIYX", 1)),
+    (("IYII", -1), ("ZYII", -1)),
+    (("XYII", -1), ("YXII", -1)),
+    (("IXIY", 1), ("IXZY", -1), ("IYIX", -1), ("IYZX", 1),
+     ("ZXIY", 1), ("ZXZY", -1), ("ZYIX", -1), ("ZYZX", 1)),
+    (("XXIY", 1), ("XXZY", -1), ("XYIX", -1), ("XYZX", 1),
+     ("YXIX", -1), ("YXZX", 1), ("YYIY", -1), ("YYZY", 1)),
+    (("IXXY", 1), ("IXYX", 1), ("IYXX", -1), ("IYYY", 1),
+     ("ZXXY", 1), ("ZXYX", 1), ("ZYXX", -1), ("ZYYY", 1)),
+    (("XXXY", 1), ("XXYX", 1), ("XYXX", -1), ("XYYY", 1),
+     ("YXXX", -1), ("YXYY", 1), ("YYXY", -1), ("YYYX", -1)),
 )
 
 
-def uccsd_excitations(n_qubits: int) -> tuple[Excitation, ...]:
-    """Singles-and-doubles tables for the supported reduced systems."""
+def uccsd_excitations(n_qubits: int) -> tuple:
+    """Singles-and-doubles tables for the supported reduced systems.
+
+    Entry k holds excitation k's (label, sign) strings; it drives t{k}.
+    """
     if n_qubits == 2:
         return _UCCSD_2Q
     if n_qubits == 4:
@@ -213,9 +155,9 @@ def ansatz_circuit(spec: AnsatzSpec) -> Circuit:
         # to this block, E(t) is exactly C + A cos(t - alpha)
         gates += [Gate("RY", (1,), (Param("t0", -1.0),)), Gate("CNOT", (1, 0))]
     elif spec.family == "uccsd":
-        for exc in uccsd_excitations(n):
-            theta = Param(f"t{exc.index}")
-            for label, sign in exc.strings:
+        for k, strings in enumerate(uccsd_excitations(n)):
+            theta = Param(f"t{k}")
+            for label, sign in strings:
                 gates.extend(_pauli_block(label, theta.scaled(float(sign))))
     else:
         pairs = T_MAP if n == 4 else tuple((q, q + 1) for q in range(n - 1))

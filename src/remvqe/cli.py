@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(o)
 
     c = add("calibrate", help="estimate a readout confusion matrix (CSV)")
-    c.add_argument("--molecule", help="sets the qubit count (default 2)")
+    c.add_argument("--molecule", help="sets the qubit count (default: a CSV's own, else 2)")
     c.add_argument(
         "--confusion", default="figure-s2",
         help="readout model to calibrate against: ideal (identity), figure-s2 "

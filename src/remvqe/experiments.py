@@ -30,12 +30,11 @@ from .chemdata import MoleculeDataset, builtin, load
 from .mitigation import (
     ConfusionMatrix,
     RemReport,
-    Sampler,
     calibrate_confusion,
     device_confusion,
-    format_confusion_csv,
     read_confusion_csv,
     rem_report,
+    write_confusion_csv,
 )
 from .pauli import _DENSE_LIMIT, PauliHamiltonian, ground_state_energy
 from .sim import NoiseModel
@@ -113,34 +112,19 @@ class _Problem:
     unfold_confusion: ConfusionMatrix | None
 
 
-def _matrix_sampler(c: ConfusionMatrix) -> Sampler:
-    """Readout sampler drawing outcomes from a confusion matrix's columns."""
+def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | None:
+    """The readout matrix cfg.confusion names, on n_qubits if given; None for `ideal`.
 
-    def sampler(prepared: int, shots: int, ss: np.random.SeedSequence):
-        rng = np.random.default_rng(ss)
-        return rng.multinomial(shots, c.matrix[:, prepared])
-
-    return sampler
-
-
-def _confusion_sources(cfg: RunConfig, n_qubits: int, calibrate: bool = False):
-    """(matrix applied to outcomes, matrix used for unfolding) of cfg.confusion.
-
-    `figure-s2` (alias `device`) is the stock device matrix; `calibrate`
-    applies it but unfolds with a prepare-and-measure estimate of it; any
-    other value is a confusion CSV path. With calibrate=True (the calibrate
-    command) every source is estimated, and `ideal` means the identity.
+    `figure-s2`, `device` and `calibrate` name the stock device matrix, any
+    other value a confusion CSV path.
     """
     # every command reaches this before its first seeded draw
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     src = cfg.confusion
-    calibrate = calibrate or src == "calibrate"
     if src == "ideal":
-        if not calibrate:
-            return None, None
-        truth = ConfusionMatrix.identity(n_qubits)
-    elif src in ("device", "figure-s2", "calibrate"):
+        return None
+    if src in ("device", "figure-s2", "calibrate"):
         truth = device_confusion()
     else:
         path = Path(src)
@@ -150,25 +134,20 @@ def _confusion_sources(cfg: RunConfig, n_qubits: int, calibrate: bool = False):
             truth = read_confusion_csv(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{src}: {exc}") from None
-    if truth.n_qubits != n_qubits:
+    if n_qubits is not None and truth.n_qubits != n_qubits:
         raise ConfigError(
             f"confusion matrix covers {truth.n_qubits} qubits but the problem "
             f"has {n_qubits}"
         )
-    if not calibrate:
-        return truth, truth
-    if cfg.shots_per_state <= 0:
-        raise ConfigError("shots_per_state must be positive")
-    if cfg.repeats <= 0:
-        raise ConfigError("repeats must be positive")
-    estimate = calibrate_confusion(
-        _matrix_sampler(truth),
-        n_qubits,
-        shots_per_state=cfg.shots_per_state,
-        repeats=cfg.repeats,
-        seed=cfg.seed,
-    )
-    return truth, estimate
+    return truth
+
+
+def _calibrated(cfg: RunConfig, truth: ConfusionMatrix) -> ConfusionMatrix:
+    """Prepare-and-measure estimate of truth with cfg's budget and seed."""
+    try:
+        return calibrate_confusion(truth, cfg.shots_per_state, cfg.repeats, cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _resolve_ansatz(
@@ -283,7 +262,9 @@ def resolve(cfg: RunConfig) -> _Problem:
             f"the sweep optimizer needs a 1-parameter ansatz, "
             f"{spec.family} has {spec.n_params}"
         )
-    applied, unfolding = _confusion_sources(cfg, n_qubits)
+    applied = _readout_truth(cfg, n_qubits)
+    # `calibrate` applies the stock matrix but unfolds with an estimate of it
+    unfolding = _calibrated(cfg, applied) if cfg.confusion == "calibrate" else applied
     if cfg.readout_flag and unfolding is None:
         raise ConfigError(
             "readout mitigation needs a confusion source other than 'ideal'"
@@ -613,15 +594,16 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
 
 
 def cmd_calibrate(cfg: RunConfig) -> ConfusionMatrix:
-    """Prepare-and-measure calibration against the configured readout model."""
+    """Prepare-and-measure calibration against the configured readout model,
+    on the molecule's qubits or else the source's own (2 for `ideal`)."""
+    n_qubits = None
     if cfg.molecule is not None:
         try:
             n_qubits = builtin(cfg.molecule).n_qubits
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    else:
-        n_qubits = 2
-    _, estimate = _confusion_sources(cfg, n_qubits, calibrate=True)
+    truth = _readout_truth(cfg, n_qubits) or ConfusionMatrix.identity(n_qubits or 2)
+    estimate = _calibrated(cfg, truth)
     if cfg.out:
-        Path(cfg.out).write_text(format_confusion_csv(estimate))
+        write_confusion_csv(estimate, cfg.out)
     return estimate

@@ -14,7 +14,6 @@ the exact minimum; they are deliberately not clamped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -84,48 +83,32 @@ def device_confusion() -> ConfusionMatrix:
     return ConfusionMatrix(2, mat, np.array(_DEVICE_PERCENT_SIGMA) / 100.0)
 
 
-# (prepared index, shots, seed sequence) -> count vector indexed by outcome
-Sampler = Callable[[int, int, np.random.SeedSequence], np.ndarray]
-
-
 def calibrate_confusion(
-    sampler: Sampler,
-    n_qubits: int,
-    shots_per_state: int = 1000,
-    repeats: int = 100,
-    seed: int = 0,
+    truth: ConfusionMatrix, shots_per_state: int = 1000, repeats: int = 100, seed: int = 0
 ) -> ConfusionMatrix:
-    """Estimate the confusion matrix of a backend by prepare-and-measure runs.
+    """Estimate `truth` by prepare-and-measure runs on a backend it describes.
 
-    `sampler(prepared_index, shots, seed_sequence)` must return the count
-    vector (length 2**n_qubits, indexed by outcome) for the requested
-    computational basis state under the backend's readout noise. Column i
-    is the empirical distribution averaged over `repeats` independent runs;
-    the per-entry uncertainty is the sample std over repeats (zero when
+    Run k for prepared state i draws its counts from column i of `truth`
+    with its own generator, keyed by (seed, i, k). Column i of the estimate
+    is the empirical distribution averaged over `repeats` runs; the
+    per-entry uncertainty is the sample std over repeats (zero when
     repeats == 1).
     """
     if shots_per_state <= 0:
         raise ValueError("shots_per_state must be positive")
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    dim = 1 << n_qubits
-    mean = np.zeros((dim, dim))
-    sigma = np.zeros((dim, dim))
-    for i in range(dim):
-        runs = np.zeros((repeats, dim))
-        for k in range(repeats):
-            counts = np.asarray(
-                sampler(i, shots_per_state, np.random.SeedSequence((seed, i, k)))
-            )
-            if counts.shape != (dim,):
-                raise ValueError(
-                    f"sampler returned counts of shape {counts.shape}, expected ({dim},)"
-                )
-            runs[k] = counts / shots_per_state
-        mean[:, i] = runs.mean(axis=0)
-        if repeats > 1:
-            sigma[:, i] = runs.std(axis=0, ddof=1)
-    return ConfusionMatrix(n_qubits, mean, sigma)
+    # runs[k, j, i]: the share of outcome j in repeat k of prepared state i
+    runs = np.stack([
+        [
+            np.random.default_rng(np.random.SeedSequence((seed, i, k)))
+            .multinomial(shots_per_state, truth.matrix[:, i])
+            for k in range(repeats)
+        ]
+        for i in range(truth.dim)
+    ], axis=-1) / shots_per_state
+    sigma = runs.std(axis=0, ddof=1) if repeats > 1 else np.zeros_like(runs[0])
+    return ConfusionMatrix(truth.n_qubits, runs.mean(axis=0), sigma)
 
 
 _KKT_TOL = 1e-10

@@ -51,8 +51,8 @@ for every parameter binding:
   right of S in the product, so it acts before the gate and its channel (a
   single-qubit channel does not commute with a two-qubit unitary).
 
-_evolve, the per-gate loop, is the reference the compiled program is tested
-against.
+The tests check the compiled program against a per-gate reference that
+moves the gate's axes to the front and applies one matrix per gate.
 
 A measurement basis is one cached matrix per basis label, U, the tensor
 product of the per-qubit rotations: p = |U psi|^2 for a ket and
@@ -130,20 +130,6 @@ class NoiseModel:
         object.__setattr__(self, "p2", float(self.p2))
 
 
-def _apply_left(v: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply `matrix` on `qubits` to the vector `v` of an n-qubit register.
-
-    The matrix's basis orders the first listed qubit as the most significant
-    bit.
-    """
-    k = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    t = np.moveaxis(v.reshape((2,) * n), axes, range(k))
-    shape = t.shape
-    t = (matrix @ t.reshape(1 << k, -1)).reshape(shape)
-    return np.moveaxis(t, range(k), axes).reshape(1 << n)
-
-
 def _channel(unitary: np.ndarray, p: float) -> np.ndarray:
     """Superoperator of `unitary` followed by depolarizing with p (module doc).
 
@@ -159,36 +145,6 @@ def _channel(unitary: np.ndarray, p: float) -> np.ndarray:
         s *= 1.0 - f
         s[:: d + 1, :: d + 1] += f / d
     return s
-
-
-def _apply_gate(
-    v: np.ndarray, unitary: np.ndarray, qubits: tuple[int, ...], n: int, p: float | None
-) -> np.ndarray:
-    """Gate on a ket (p None), or on vec(rho) followed by depolarizing with p."""
-    if p is None:
-        return _apply_left(v, unitary, qubits, n)
-    rows = tuple(q + n for q in qubits)
-    return _apply_left(v, _channel(unitary, p), rows + qubits, 2 * n)
-
-
-def _evolve(
-    circuit: Circuit, bindings: Mapping[str, float] | None, noise: NoiseModel | None
-) -> np.ndarray:
-    """Per-gate reference from |0...0>: a ket when noise is None, else vec(rho)."""
-    bindings = bindings or {}
-    resolved = []
-    for gate in circuit.gates:
-        try:
-            resolved.append((gate.kind, gate.qubits, gate.resolved(bindings)))
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-    n = circuit.n_qubits
-    v = np.zeros(1 << (n if noise is None else 2 * n), dtype=complex)
-    v[0] = 1.0
-    for kind, qubits, params in resolved:
-        p = None if noise is None else (noise.p1 if len(qubits) == 1 else noise.p2)
-        v = _apply_gate(v, gate_matrix(kind, params), qubits, n, p)
-    return v
 
 
 # Basis-change unitaries: U P U-dagger = Z for P in {X, Y}. Applied as exact

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from remvqe import ConfusionMatrix, write_confusion_csv
 from remvqe.cli import main
 
 
@@ -244,6 +245,21 @@ def test_calibrate_rejects_empty_budget(flag, message, capsys):
     assert rc == 2
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_calibrate_takes_width_from_confusion_csv(tmp_path, capsys):
+    # without --molecule the CSV's own width applies; with one it must match
+    path = tmp_path / "one.csv"
+    write_confusion_csv(ConfusionMatrix(1, [[0.9, 0.2], [0.1, 0.8]]), path)
+    rc = main(["calibrate", "--confusion", str(path), "--shots-per-state", "50", "--repeats", "2"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("# confusion n=1\n")
+    assert len(captured.out.splitlines()) == 1 + 2 + 1 + 2
+    rc = main(["calibrate", "--molecule", "h2", "--confusion", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: confusion matrix covers 1 qubits but the problem has 2\n"
 
 
 def test_calibrate_ideal_identity(capsys):

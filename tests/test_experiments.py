@@ -125,7 +125,7 @@ def test_resolve_hwe_chain_for_odd_widths(tmp_path):
         resolve(RunConfig(hamiltonian_path=str(path), ansatz="uccsd"))
 
 
-def test_resolve_confusion_sources():
+def test_resolve_readout_sources():
     p = resolve(RunConfig(molecule="h2"))
     assert p.applied_confusion is None and p.unfold_confusion is None
     p = resolve(RunConfig(molecule="h2", confusion="figure-s2"))

@@ -197,22 +197,15 @@ def test_counts_to_distribution():
 # --- calibration -------------------------------------------------------------
 
 
-def matrix_sampler(c: ConfusionMatrix):
-    def sampler(prepared, shots, ss):
-        return np.random.default_rng(ss).multinomial(shots, c.matrix[:, prepared])
-
-    return sampler
-
-
 def test_calibrate_noiseless_backend_gives_identity():
-    est = calibrate_confusion(matrix_sampler(ConfusionMatrix.identity(2)), 2, 100, 5)
+    est = calibrate_confusion(ConfusionMatrix.identity(2), 100, 5)
     assert np.array_equal(est.matrix, np.eye(4))
     assert np.array_equal(est.uncertainty, np.zeros((4, 4)))
 
 
 def test_calibrate_recovers_device_matrix():
     truth = device_confusion()
-    est = calibrate_confusion(matrix_sampler(truth), 2, shots_per_state=1000, repeats=100)
+    est = calibrate_confusion(truth, shots_per_state=1000, repeats=100)
     # quoted per-entry spreads of the original calibration, as 3-sigma bands
     # with a small floor for the near-zero entries
     bound = 3.0 * np.maximum(truth.uncertainty, 2e-4)
@@ -222,33 +215,30 @@ def test_calibrate_recovers_device_matrix():
 
 def test_calibrate_large_shots_law_of_large_numbers():
     truth = device_confusion()
-    est = calibrate_confusion(matrix_sampler(truth), 2, shots_per_state=10**6, repeats=1)
+    est = calibrate_confusion(truth, shots_per_state=10**6, repeats=1)
     assert np.max(np.abs(est.matrix - truth.matrix)) < 1e-3
     assert np.array_equal(est.uncertainty, np.zeros((4, 4)))
 
 
 def test_calibrate_tiny_shots_reports_wide_uncertainty():
     truth = device_confusion()
-    est = calibrate_confusion(matrix_sampler(truth), 2, shots_per_state=10, repeats=20)
+    est = calibrate_confusion(truth, shots_per_state=10, repeats=20)
     assert np.allclose(est.matrix.sum(axis=0), 1.0, atol=1e-9)
     assert est.uncertainty.max() > 0.01
 
 
 def test_calibrate_validation():
     with pytest.raises(ValueError, match="shots_per_state"):
-        calibrate_confusion(matrix_sampler(ConfusionMatrix.identity(1)), 1, 0, 1)
+        calibrate_confusion(ConfusionMatrix.identity(1), 0, 1)
     with pytest.raises(ValueError, match="repeats"):
-        calibrate_confusion(matrix_sampler(ConfusionMatrix.identity(1)), 1, 10, 0)
-    # the sampler is outside input: a count vector of the wrong length is refused
-    with pytest.raises(ValueError, match=r"shape \(4,\), expected \(2,\)"):
-        calibrate_confusion(matrix_sampler(ConfusionMatrix.identity(2)), 1, 10, 1)
+        calibrate_confusion(ConfusionMatrix.identity(1), 10, 0)
 
 
 def test_calibrate_seed_determinism():
     truth = device_confusion()
-    a = calibrate_confusion(matrix_sampler(truth), 2, 50, 3, seed=7)
-    b = calibrate_confusion(matrix_sampler(truth), 2, 50, 3, seed=7)
-    c = calibrate_confusion(matrix_sampler(truth), 2, 50, 3, seed=8)
+    a = calibrate_confusion(truth, 50, 3, seed=7)
+    b = calibrate_confusion(truth, 50, 3, seed=7)
+    c = calibrate_confusion(truth, 50, 3, seed=8)
     assert np.array_equal(a.matrix, b.matrix)
     assert not np.array_equal(a.matrix, c.matrix)
 

@@ -34,7 +34,7 @@ from remvqe import (
 )
 from remvqe import sim
 from remvqe.circuits import GATE_KINDS
-from remvqe.sim import _apply_gate, _basis_probabilities, _evolve, _program
+from remvqe.sim import _basis_probabilities, _channel, _program
 from remvqe.vqe import _group_energy
 
 PAULI_1Q = {
@@ -61,6 +61,46 @@ def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
                 row = (row & ~(1 << q)) | (bit << q)
             full[row, col] += u[sub_row, sub_col]
     return full
+
+
+# --- per-gate reference -------------------------------------------------------
+# The compiled program's oracle: every gate moves its axes to the front and
+# applies one matrix, on a ket or (with its channel) on vec(rho) (sim module doc).
+
+
+def apply_left(v: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Apply `matrix` on `qubits` to the vector `v` of an n-qubit register.
+
+    The matrix's basis orders the first listed qubit as the most significant
+    bit.
+    """
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits]
+    t = np.moveaxis(v.reshape((2,) * n), axes, range(k))
+    shape = t.shape
+    t = (matrix @ t.reshape(1 << k, -1)).reshape(shape)
+    return np.moveaxis(t, range(k), axes).reshape(1 << n)
+
+
+def apply_gate(
+    v: np.ndarray, unitary: np.ndarray, qubits: tuple[int, ...], n: int, p: float | None
+) -> np.ndarray:
+    """Gate on a ket (p None), or on vec(rho) followed by depolarizing with p."""
+    if p is None:
+        return apply_left(v, unitary, qubits, n)
+    rows = tuple(q + n for q in qubits)
+    return apply_left(v, _channel(unitary, p), rows + qubits, 2 * n)
+
+
+def evolve(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
+    """Per-gate reference from |0...0>: a ket when noise is None, else vec(rho)."""
+    n = circuit.n_qubits
+    v = np.zeros(1 << (n if noise is None else 2 * n), dtype=complex)
+    v[0] = 1.0
+    for gate in circuit.gates:
+        p = None if noise is None else (noise.p1 if len(gate.qubits) == 1 else noise.p2)
+        v = apply_gate(v, gate_matrix(gate.kind, gate.resolved(bindings)), gate.qubits, n, p)
+    return v
 
 
 def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
@@ -297,7 +337,7 @@ def fusion_edge_examples(test):
 def test_compiled_program_matches_per_gate_reference(case):
     circuit, bindings, noise = case
     compiled = _program(circuit, noise).run(bindings)
-    assert np.max(np.abs(compiled - _evolve(circuit, bindings, noise))) < 1e-12
+    assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
 def test_single_qubit_ops_fold_into_two_qubit_ops():
@@ -366,7 +406,7 @@ def test_basis_probabilities_match_per_qubit_rotations(label, seed):
         v = state.reshape(-1)
         for q in range(n):
             if basis.char_on(q) in rotation:
-                v = _apply_gate(v, rotation[basis.char_on(q)], (q,), n, p)
+                v = apply_gate(v, rotation[basis.char_on(q)], (q,), n, p)
         ref = np.abs(v) ** 2 if p is None else np.real(v[:: (1 << n) + 1])
         fast = _basis_probabilities(QuantumState(state), basis)
         assert np.max(np.abs(fast - ref / ref.sum())) < 1e-12
