@@ -30,7 +30,9 @@ class ConfusionMatrix:
 
     def __post_init__(self) -> None:
         dim = 1 << self.n_qubits
-        mat = np.array(self.matrix, dtype=float)
+        # C order whatever the caller's layout, so unfold's products (and its
+        # last bits) depend on the values only
+        mat = np.array(self.matrix, dtype=float, order="C")
         if mat.shape != (dim, dim):
             raise ValueError(f"confusion matrix must be {dim}x{dim}, got {mat.shape}")
         if np.any(mat < -1e-12) or np.any(mat > 1 + 1e-12):
@@ -88,9 +90,9 @@ def calibrate_confusion(
 ) -> ConfusionMatrix:
     """Estimate `truth` by prepare-and-measure runs on a backend it describes.
 
-    Run k for prepared state i draws its counts from column i of `truth`
-    with its own generator, keyed by (seed, i, k). Column i of the estimate
-    is the empirical distribution averaged over `repeats` runs; the
+    All `repeats` runs of prepared state i draw their counts from column i
+    of `truth` with one generator, keyed by (seed, i). Column i of the
+    estimate is the empirical distribution averaged over the runs; the
     per-entry uncertainty is the sample std over repeats (zero when
     repeats == 1).
     """
@@ -100,11 +102,8 @@ def calibrate_confusion(
         raise ValueError("repeats must be positive")
     # runs[k, j, i]: the share of outcome j in repeat k of prepared state i
     runs = np.stack([
-        [
-            np.random.default_rng(np.random.SeedSequence((seed, i, k)))
-            .multinomial(shots_per_state, truth.matrix[:, i])
-            for k in range(repeats)
-        ]
+        np.random.default_rng(np.random.SeedSequence((seed, i)))
+        .multinomial(shots_per_state, truth.matrix[:, i], size=repeats)
         for i in range(truth.dim)
     ], axis=-1) / shots_per_state
     sigma = runs.std(axis=0, ddof=1) if repeats > 1 else np.zeros_like(runs[0])
@@ -114,13 +113,32 @@ def calibrate_confusion(
 _KKT_TOL = 1e-10
 
 
+def _kkt_target(H: np.ndarray, b: np.ndarray, free: list[int]) -> tuple[np.ndarray, float]:
+    """Minimizer of x.Hx/2 - b.x with sum(x) = 1 and x = 0 off `free`, and
+    the multiplier of the sum constraint."""
+    k = len(free)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = H[free][:, free]
+    # stationarity is Hx - b - mu = 0 on the free set, so the multiplier
+    # column carries -1 while the constraint row carries +1
+    kkt[:k, k] = -1.0
+    kkt[k, :k] = 1.0
+    rhs = np.ones(k + 1)
+    rhs[:k] = b[free]
+    sol = np.linalg.solve(kkt, rhs)
+    target = np.zeros(len(b))
+    target[free] = sol[:k]
+    return target, sol[k]
+
+
 def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     """argmin ||m - Cx||^2 over the probability simplex.
 
-    Exact primal active-set quadratic program: the equality-constrained KKT
-    system is solved on the free index set, bounds are added at the first
-    blocking constraint and released at the most negative multiplier. The
-    returned vector sums to 1 with entries >= 0 (tiny negatives clamped).
+    Exact primal active-set quadratic program (`_active_set`). When the
+    full-support solution of its first step is already feasible, that step
+    is the whole run, and it is replayed here without the loop: the result
+    is bit for bit the active set's. The returned vector sums to 1 with
+    entries >= 0 (tiny negatives clamped).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (c.dim,):
@@ -130,24 +148,29 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     C = c.matrix
     H = C.T @ C
     b = C.T @ m
-    n = c.dim
+    x = np.full(c.dim, 1.0 / c.dim)
+    target, _ = _kkt_target(H, b, list(range(c.dim)))
+    if (target >= 0.0).all():
+        # no bound blocks the full step (alpha = 1), and the next iteration
+        # finds it stationary with no bound to release
+        step = target - x
+        if np.abs(step).max() > _KKT_TOL:
+            x = x + 1.0 * step
+        return np.where(x < 0.0, 0.0, x)
+    return _active_set(H, b)
 
+
+def _active_set(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The active-set loop of `unfold` from the uniform start: the
+    equality-constrained KKT system is solved on the free index set, bounds
+    are added at the first blocking constraint and released at the most
+    negative multiplier."""
+    n = len(b)
     x = np.full(n, 1.0 / n)
     active: set[int] = set()
     for _ in range(100 * n):
         free = [i for i in range(n) if i not in active]
-        k = len(free)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = H[np.ix_(free, free)]
-        # stationarity is Hx - b - mu = 0 on the free set, so the multiplier
-        # column carries -1 while the constraint row carries +1
-        kkt[:k, k] = -1.0
-        kkt[k, :k] = 1.0
-        rhs = np.append(b[free], 1.0)
-        sol = np.linalg.solve(kkt, rhs)
-        target = np.zeros(n)
-        target[free] = sol[:k]
-        mu = sol[k]
+        target, mu = _kkt_target(H, b, free)
 
         step = target - x
         if np.max(np.abs(step)) <= _KKT_TOL:
@@ -179,9 +202,10 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
 
 
 def counts_to_distribution(counts: np.ndarray) -> np.ndarray:
-    """Normalized outcome distribution from a count vector."""
-    total = counts.sum()
-    if total <= 0:
+    """Normalized outcome distribution from a count vector, or one per row
+    of a 2-D array of count vectors."""
+    total = counts.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("counts are empty")
     return counts / total
 

@@ -54,9 +54,10 @@ for every parameter binding:
 The tests check the compiled program against a per-gate reference that
 moves the gate's axes to the front and applies one matrix per gate.
 
-A measurement basis is one cached matrix per basis label, U, the tensor
-product of the per-qubit rotations: p = |U psi|^2 for a ket and
-p = diag(U rho U-dagger) for a density matrix.
+A measurement basis is a matrix U, the tensor product of the per-qubit
+rotations: p = |U psi|^2 for a ket and p = diag(U rho U-dagger) for a
+density matrix. The U of all the bases an evaluation measures are cached as
+one stack, so one batched product gives every distribution.
 
 Basis index convention: bit q of an outcome index is qubit q. Counts are
 np.int64 vectors of length 2**n indexed by outcome.
@@ -294,49 +295,72 @@ _ROTATION = {"Z": np.eye(2, dtype=complex), "I": np.eye(2, dtype=complex),
              "X": _HADAMARD, "Y": _Y_TO_Z}
 
 
-@lru_cache(maxsize=256)
-def _basis_rotation(label: str) -> np.ndarray:
-    """U, the tensor product of the per-qubit rotations of a basis label
-    (qubit n-1 leftmost), read-only. It takes 16 * 4^n bytes, as much as one
-    n-qubit density matrix."""
-    u = np.ones((1, 1), dtype=complex)
-    for ch in label:
-        u = np.kron(u, _ROTATION[ch])
-    u.setflags(write=False)
-    return u
+@lru_cache(maxsize=64)
+def _basis_rotations(labels: tuple[str, ...]) -> np.ndarray:
+    """The (G, 2^n, 2^n) stack of U per basis label, each the tensor product
+    of the per-qubit rotations (qubit n-1 leftmost), read-only. It takes
+    16 * G * 4^n bytes, as much as G n-qubit density matrices."""
+    rotations = []
+    for label in labels:
+        u = np.ones((1, 1), dtype=complex)
+        for ch in label:
+            u = np.kron(u, _ROTATION[ch])
+        rotations.append(u)
+    stack = np.stack(rotations)
+    stack.setflags(write=False)
+    return stack
 
 
-def _basis_probabilities(state: QuantumState, basis: PauliString) -> np.ndarray:
-    n = state.n_qubits
-    if basis.n_qubits != n:
-        raise ValueError(f"basis {basis.label!r} does not match {n} qubits")
-    u = _basis_rotation(basis.label)
+def _basis_probabilities(state: QuantumState, bases: tuple[PauliString, ...]) -> np.ndarray:
+    """Row g is the outcome distribution of `state` measured in bases[g]
+    (basis letters I are measured as Z), from one batched product with the
+    cached rotation stack; each row equals the single-basis product bit for
+    bit."""
+    dim = state.data.shape[0]
+    if not bases:
+        return np.zeros((0, dim))
+    u = _basis_rotations(tuple(b.label for b in bases))
+    if u.shape[-1] != dim:
+        raise ValueError(f"basis {bases[0].label!r} does not match {state.n_qubits} qubits")
     if state.is_density:
         # diag(U rho U-dagger)_i = sum_c (U rho)_ic conj(U_ic)
-        probs = np.real(((u @ state.data) * u.conj()).sum(axis=1))
+        probs = np.real(((u @ state.data) * u.conj()).sum(axis=2))
     else:
         probs = np.abs(u @ state.data) ** 2
     probs[probs < 0] = 0.0
-    return probs / probs.sum()
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
-def sample_counts(state: QuantumState, basis: PauliString, shots: int, seed) -> np.ndarray:
-    """Draw `shots` outcomes in the given measurement basis.
+# Sampling rounds probabilities to multiples of 2^-40 (see sample_counts).
+_GRID = 2.0**40
 
-    The exact outcome distribution is computed first (basis letters I are
-    measured as Z); sampling uses a generator seeded deterministically from
-    `seed`, so identical seeds give identical counts.
+
+def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Draw `shots` outcomes from the distribution `probs`.
+
+    `seed` is anything np.random.default_rng accepts; a Generator is used
+    as is, so successive calls continue its stream. The distribution is
+    first rounded onto a 2^-40 grid and renormalized. Generator.multinomial
+    draws Binomial(n, p) for p > 1/2 as n - Binomial(n, 1 - p), so without
+    the grid a 1-ulp change of an exactly tied distribution (a Hartree-Fock
+    state in an X/Y basis) can swap counts; on the grid it gives the same
+    counts. The rounding moves each probability by about 2^-41 at most and
+    never draws an outcome less likely than that.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    probs = _basis_probabilities(state, basis)
-    return np.random.default_rng(seed).multinomial(shots, probs)
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise ValueError(f"sample_counts draws from one distribution, got shape {probs.shape}")
+    grid = np.rint(probs * _GRID)
+    return np.random.default_rng(seed).multinomial(shots, grid / grid.sum())
 
 
 def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) -> np.ndarray:
     """Resample each shot's outcome i to j with probability C[j][i].
 
-    Outcomes are resampled in ascending index order, skipping empty ones.
+    One multinomial call draws counts[i] shots from column i of C for every
+    outcome i at once; `seed` is anything np.random.default_rng accepts.
     """
     if np.shape(counts) != (confusion.dim,):
         raise ValueError(
@@ -344,10 +368,7 @@ def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) ->
             f"counts have shape {np.shape(counts)}"
         )
     rng = np.random.default_rng(seed)
-    out = np.zeros(confusion.dim, dtype=np.int64)
-    for i in np.flatnonzero(counts):
-        out += rng.multinomial(counts[i], confusion.matrix[:, i])
-    return out
+    return rng.multinomial(counts, confusion.matrix.T).sum(axis=0)
 
 
 def hf_state(n_qubits: int, bitstring: str) -> QuantumState:

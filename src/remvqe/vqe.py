@@ -1,16 +1,18 @@
 """Energy evaluation, derivative-free minimization, and the 1-parameter
 sweep-and-fit procedure.
 
-The sampling pipeline per evaluation: group commuting terms, draw counts per
+The sampling pipeline per evaluation: group commuting terms, compute every
+group's outcome distribution in one batched basis rotation, draw counts per
 group (splitting the shot budget equally), optionally push them through
-readout noise, optionally unfold, take per-term expectations, sum with the
-Hamiltonian offset. Exact backends replace counts with the exact outcome
-distribution of the prepared state, which keeps noisy-but-shotless runs
-deterministic.
+readout noise, optionally unfold, and add each group's partial energy f_g . p
+to the Hamiltonian offset, where f_g = sum_t c_t sign_t over the group's
+terms. Exact backends replace counts with the exact outcome distribution of
+the prepared state, which keeps noisy-but-shotless runs deterministic.
 
-Randomness is derived per evaluation from (master seed, evaluation index,
-group index, stage), so a fixed seed reproduces every draw bit for bit no
-matter the call order.
+Each evaluation draws from one generator per stage (shot sampling, readout
+resampling), keyed by (master seed, evaluation index, stage); the groups
+take their draws from it in group order. A fixed seed reproduces every draw
+bit for bit no matter the order of evaluations.
 """
 from __future__ import annotations
 
@@ -83,14 +85,41 @@ def _grouping(h: PauliHamiltonian) -> tuple[MeasurementGroup, ...]:
     return tuple(group_terms(h))
 
 
-def _group_energy(dist: np.ndarray, group: MeasurementGroup, h: PauliHamiltonian) -> float:
-    """Partial energy of the group's terms from an outcome distribution drawn
-    in group.basis (offset excluded)."""
-    total = 0.0
-    for t in group.members:
-        pauli, coeff = h.terms[t]
-        total += coeff * float(sign_table(h.n_qubits, pauli.support_mask) @ dist)
-    return total
+@lru_cache(maxsize=64)
+def _group_weights(h: PauliHamiltonian) -> np.ndarray:
+    """Row g is f_g = sum_t c_t sign_t over the terms t of group g of
+    _grouping(h), read-only."""
+    rows = []
+    for group in _grouping(h):
+        f = np.zeros(1 << h.n_qubits)
+        for t in group.members:
+            pauli, coeff = h.terms[t]
+            f += coeff * sign_table(h.n_qubits, pauli.support_mask)
+        rows.append(f)
+    weights = np.array(rows).reshape(len(rows), 1 << h.n_qubits)
+    weights.setflags(write=False)
+    return weights
+
+
+def _group_energy(dist: np.ndarray, weights: np.ndarray) -> float:
+    """Partial energy f_g . dist of a group from an outcome distribution drawn
+    in its basis, or the sum of those of all groups from (G, 2^n) rows of
+    distributions and weights (offset excluded)."""
+    return float(np.vdot(weights, dist))
+
+
+# Stages of an evaluation's random draws.
+_SAMPLE, _READOUT = 0, 1
+
+
+def _stream(seed: int, index: int, stage: int) -> np.random.Generator:
+    """The generator of one stage of evaluation `index`.
+
+    (index, stage) is a spawn key, not entropy. SeedSequence pads short
+    entropy with zeros, so the entropy (seed, 0, 1) would give the same
+    stream as SPSA's (seed, 2**32), and (seed, i, 0) the same as (seed, i).
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stage)))
 
 
 def _shot_split(total: int, n_groups: int) -> list[int]:
@@ -122,24 +151,20 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     if ev.shots is None and confusion is None and ev.unfold_matrix is None:
         return float(expectation(h, state))
     groups = _grouping(h)
-    shots = _shot_split(ev.shots, len(groups)) if ev.shots is not None else None
-    energy = h.offset
-    for g, group in enumerate(groups):
-        if shots is None:
-            dist = _basis_probabilities(state, group.basis)
-            if confusion is not None:
-                dist = confusion.matrix @ dist
-        else:
-            ss = np.random.SeedSequence((ev.seed, index, g, 0))
-            counts = sample_counts(state, group.basis, shots[g], ss)
-            if confusion is not None:
-                ss = np.random.SeedSequence((ev.seed, index, g, 1))
-                counts = apply_readout_noise(counts, confusion, ss)
-            dist = counts_to_distribution(counts)
-        if ev.unfold_matrix is not None:
-            dist = unfold(ev.unfold_matrix, dist)
-        energy += _group_energy(dist, group, h)
-    return float(energy)
+    probs = _basis_probabilities(state, tuple(group.basis for group in groups))
+    if ev.shots is None:
+        dists = probs if confusion is None else probs @ confusion.matrix.T
+    else:
+        sampler = _stream(ev.seed, index, _SAMPLE)
+        reader = _stream(ev.seed, index, _READOUT) if confusion is not None else None
+        counts = []
+        for p, shots in zip(probs, _shot_split(ev.shots, len(groups))):
+            c = sample_counts(p, shots, sampler)
+            counts.append(c if reader is None else apply_readout_noise(c, confusion, reader))
+        dists = counts_to_distribution(np.array(counts))
+    if ev.unfold_matrix is not None:
+        dists = np.array([unfold(ev.unfold_matrix, d) for d in dists])
+    return h.offset + _group_energy(dists, _group_weights(h))
 
 
 def reference_exact_energy(ev: EnergyEvaluator) -> float:

@@ -290,8 +290,8 @@ def test_noise_sweep_zero_rate_columns_coincide():
     res = cmd_noise_sweep(RunConfig(molecule="h2", shots=20000), p2_grid=(0.0,))
     assert res.err_vqe[0] == res.err_readout[0]
     assert res.err_rem[0] == res.err_readout_rem[0]
-    assert res.err_vqe[0] == pytest.approx(0.0026993809, abs=1e-9)
-    assert res.err_rem[0] == pytest.approx(0.0001888445, abs=1e-9)
+    assert res.err_vqe[0] == pytest.approx(0.0004869583, abs=1e-9)
+    assert res.err_rem[0] == pytest.approx(0.0002418990, abs=1e-9)
     assert res.err_rem[0] < res.err_vqe[0]
     assert all(v < 5e-3 for v in res.err_vqe + res.err_rem)
 

@@ -19,6 +19,7 @@ from remvqe import (
     unfold,
     write_confusion_csv,
 )
+from remvqe.mitigation import _active_set, _kkt_target
 
 
 def dirichlet(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -176,6 +177,50 @@ def test_unfold_against_enumerated_supports(which):
     assert boundary_hits >= 5
 
 
+def device_like_inputs(rng: np.random.Generator, c: ConfusionMatrix, shots: int) -> np.ndarray:
+    """A measured vector: `shots` draws from C x for a random x on the simplex."""
+    x = rng.dirichlet(np.full(c.dim, 0.5))
+    return rng.multinomial(shots, c.matrix @ x) / shots
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([50, 500, 5000, 10**6]))
+def test_unfold_fast_path_matches_active_set_bit_for_bit(seed, n_qubits, shots):
+    rng = np.random.default_rng(seed)
+    c = device_confusion() if n_qubits == 2 and seed % 2 else random_confusion(rng, n_qubits)
+    m = device_like_inputs(rng, c, shots)
+    C = c.matrix
+    assert np.array_equal(unfold(c, m), _active_set(C.T @ C, C.T @ m))
+
+
+def test_unfold_fast_path_is_taken_and_exact():
+    # the device matrix at 5000 shots, as on a calibrated curve, plus the
+    # measured vector of the uniform state, where the first step is below
+    # the stationarity tolerance
+    rng = np.random.default_rng(8)
+    c = device_confusion()
+    C = c.matrix
+    inputs = [device_like_inputs(rng, c, 5000) for _ in range(400)]
+    inputs.append(C @ np.full(4, 0.25))
+    fast = 0
+    for m in inputs:
+        H, b = C.T @ C, C.T @ m
+        fast += int(np.all(_kkt_target(H, b, [0, 1, 2, 3])[0] >= 0.0))
+        assert np.array_equal(unfold(c, m), _active_set(H, b))
+    assert 200 <= fast < len(inputs)
+
+
+def test_confusion_matrix_layout_does_not_change_unfold():
+    rng = np.random.default_rng(3)
+    values = random_confusion(rng, 2).matrix
+    c_order = ConfusionMatrix(2, np.ascontiguousarray(values))
+    f_order = ConfusionMatrix(2, np.asfortranarray(values))
+    assert f_order.matrix.flags.c_contiguous
+    for _ in range(300):
+        m = rng.dirichlet(np.ones(4))
+        assert np.array_equal(unfold(c_order, m), unfold(f_order, m))
+
+
 def test_unfold_validation():
     c = ConfusionMatrix.identity(2)
     with pytest.raises(ValueError, match="length 4"):
@@ -192,6 +237,11 @@ def test_counts_to_distribution():
     assert np.allclose(dist, [0.75, 0.0, 0.0, 0.25])
     with pytest.raises(ValueError, match="empty"):
         counts_to_distribution(np.zeros(4, dtype=np.int64))
+    rows = counts_to_distribution(np.array([[30, 0, 0, 10], [1, 1, 1, 1]]))
+    assert np.array_equal(rows[0], dist)
+    assert np.allclose(rows[1], 0.25)
+    with pytest.raises(ValueError, match="empty"):
+        counts_to_distribution(np.array([[1, 0], [0, 0]]))
 
 
 # --- calibration -------------------------------------------------------------
@@ -241,6 +291,20 @@ def test_calibrate_seed_determinism():
     c = calibrate_confusion(truth, 50, 3, seed=8)
     assert np.array_equal(a.matrix, b.matrix)
     assert not np.array_equal(a.matrix, c.matrix)
+
+
+def test_calibrate_column_draws_are_keyed_by_prepared_state():
+    # each prepared state has its own generator, so changing column 1 of the
+    # truth leaves the other columns of the estimate as they were
+    truth = device_confusion()
+    changed = truth.matrix.copy()
+    changed[:, 1] = [0.25, 0.25, 0.25, 0.25]
+    a = calibrate_confusion(truth, 50, 3, seed=7)
+    b = calibrate_confusion(ConfusionMatrix(2, changed), 50, 3, seed=7)
+    for i in (0, 2, 3):
+        assert np.array_equal(a.matrix[:, i], b.matrix[:, i])
+        assert np.array_equal(a.uncertainty[:, i], b.uncertainty[:, i])
+    assert not np.array_equal(a.matrix[:, 1], b.matrix[:, 1])
 
 
 # --- reference-state correction arithmetic -----------------------------------

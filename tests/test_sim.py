@@ -35,7 +35,7 @@ from remvqe import (
 from remvqe import sim
 from remvqe.circuits import GATE_KINDS
 from remvqe.sim import _basis_probabilities, _channel, _program
-from remvqe.vqe import _group_energy
+from remvqe.vqe import _group_energy, _group_weights
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -381,8 +381,8 @@ def test_basis_probabilities_density_matches_ket(label, seed):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     basis = PauliString(label)
-    ket = _basis_probabilities(QuantumState(psi), basis)
-    density = _basis_probabilities(QuantumState(np.outer(psi, psi.conj())), basis)
+    ket = _basis_probabilities(QuantumState(psi), (basis,))[0]
+    density = _basis_probabilities(QuantumState(np.outer(psi, psi.conj())), (basis,))[0]
     assert np.max(np.abs(ket - density)) < 1e-12
 
 
@@ -408,8 +408,42 @@ def test_basis_probabilities_match_per_qubit_rotations(label, seed):
             if basis.char_on(q) in rotation:
                 v = apply_gate(v, rotation[basis.char_on(q)], (q,), n, p)
         ref = np.abs(v) ** 2 if p is None else np.real(v[:: (1 << n) + 1])
-        fast = _basis_probabilities(QuantumState(state), basis)
+        fast = _basis_probabilities(QuantumState(state), (basis,))[0]
         assert np.max(np.abs(fast - ref / ref.sum())) < 1e-12
+
+
+def single_basis_probabilities(state: np.ndarray, label: str) -> np.ndarray:
+    """One basis at a time: U from its own Kronecker products, then one product."""
+    u = reduce(np.kron, (sim._ROTATION[ch] for ch in label), np.ones((1, 1), dtype=complex))
+    if state.ndim == 2:
+        probs = np.real(((u @ state) * u.conj()).sum(axis=1))
+    else:
+        probs = np.abs(u @ state) ** 2
+    probs[probs < 0] = 0.0
+    return probs / probs.sum()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=8
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_basis_probabilities_match_single_basis_bit_for_bit(labels, seed):
+    rng = np.random.default_rng(seed)
+    n = len(labels[0])
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(1 << n) / (1 << n)
+    bases = tuple(PauliString(label) for label in labels)
+    for state in (psi, rho):
+        batched = _basis_probabilities(QuantumState(state), bases)
+        assert batched.shape == (len(labels), 1 << n)
+        for row, label in zip(batched, labels):
+            assert np.array_equal(row, single_basis_probabilities(state, label))
 
 
 def test_total_probability_three_quarters_fully_mixes():
@@ -480,43 +514,96 @@ def test_hf_state():
 # --- sampling ----------------------------------------------------------------
 
 
+def draw(state: QuantumState, label: str, shots: int, seed) -> np.ndarray:
+    """Counts of `shots` measurements of `state` in the basis `label`."""
+    return sample_counts(_basis_probabilities(state, (PauliString(label),))[0], shots, seed)
+
+
 def test_sample_counts_deterministic_state():
-    counts = sample_counts(hf_state(2, "00"), PauliString("ZZ"), 100, seed=0)
+    counts = draw(hf_state(2, "00"), "ZZ", 100, seed=0)
     assert counts.dtype == np.int64
     assert counts.tolist() == [100, 0, 0, 0]
 
 
 def test_sample_counts_plus_state_in_x_basis():
     plus = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert sample_counts(plus, PauliString("X"), 500, seed=1).tolist() == [500, 0]
+    assert draw(plus, "X", 500, seed=1).tolist() == [500, 0]
 
 
 def test_sample_counts_y_basis():
     # (|0> + i|1>)/sqrt(2) is the +1 eigenstate of Y
     state = QuantumState(np.array([1.0, 1.0j]) / np.sqrt(2))
-    assert sample_counts(state, PauliString("Y"), 200, seed=2).tolist() == [200, 0]
+    assert draw(state, "Y", 200, seed=2).tolist() == [200, 0]
 
 
 def test_sample_counts_hf_xx_unbiased():
-    counts = sample_counts(hf_state(2, "01"), PauliString("XX"), 5000, seed=42)
+    counts = draw(hf_state(2, "01"), "XX", 5000, seed=42)
     acc = sum(c if bin(i).count("1") % 2 == 0 else -c for i, c in enumerate(counts))
     assert abs(acc / 5000) < 3.0 / np.sqrt(5000)
 
 
 def test_sample_counts_seed_determinism():
     state = compact_state(0.7)
-    a = sample_counts(state, PauliString("ZZ"), 1000, seed=9)
-    b = sample_counts(state, PauliString("ZZ"), 1000, seed=9)
-    c = sample_counts(state, PauliString("ZZ"), 1000, seed=10)
+    a = draw(state, "ZZ", 1000, seed=9)
+    b = draw(state, "ZZ", 1000, seed=9)
+    c = draw(state, "ZZ", 1000, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
+def test_sample_counts_generator_continues_its_stream():
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    rng = np.random.default_rng(5)
+    first, second = sample_counts(p, 100, rng), sample_counts(p, 100, rng)
+    replay = np.random.default_rng(5)
+    assert np.array_equal(first, sample_counts(p, 100, replay))
+    assert np.array_equal(second, sample_counts(p, 100, replay))
+
+
 def test_sample_counts_validation():
     with pytest.raises(ValueError, match="shots"):
-        sample_counts(hf_state(1, "0"), PauliString("Z"), 0, seed=0)
+        draw(hf_state(1, "0"), "Z", 0, seed=0)
     with pytest.raises(ValueError, match="does not match"):
-        sample_counts(hf_state(1, "0"), PauliString("ZZ"), 10, seed=0)
+        draw(hf_state(1, "0"), "ZZ", 10, seed=0)
+    with pytest.raises(ValueError, match="one distribution"):
+        sample_counts(np.full((2, 2), 0.5), 10, seed=0)
+
+
+@pytest.mark.parametrize("name", ["h2", "heh+", "lih"])
+def test_sample_counts_ignore_one_ulp_changes_of_reference_distributions(name):
+    # The Hartree-Fock state in an X/Y basis gives exactly tied outcomes,
+    # where multinomial's p > 1/2 mirror turns a 1-ulp change into a count
+    # swap unless the distribution is first put on a coarser grid.
+    ds = builtin(name)
+    h = ds.geometry(ds.equilibrium_r).hamiltonian
+    bases = tuple(group.basis for group in group_terms(h))
+    probs = _basis_probabilities(hf_state(ds.n_qubits, ds.hf_bitstring), bases)
+    alternate = np.arange(probs.shape[1]) % 2 == 0
+    for p in probs:
+        up = np.where(p > 0, np.nextafter(p, 2.0), 0.0)
+        down = np.where(p > 0, np.nextafter(p, -1.0), 0.0)
+        shifted = (up, down, np.where(alternate, up, down), np.where(alternate, down, up))
+        for seed in range(40):
+            counts = sample_counts(p, 1000, seed)
+            for q in shifted:
+                assert np.array_equal(sample_counts(q, 1000, seed), counts)
+
+
+def test_sample_counts_match_multinomial_moments():
+    # mean and covariance of the counts over 2000 seeds against
+    # multinomial(shots, p), within 4 standard errors; p has a tie, an
+    # entry above 1/2 and an empty outcome
+    p = np.array([0.55, 0.15, 0.1, 0.1, 0.05, 0.03, 0.02, 0.0])
+    shots, n = 200, 2000
+    x = np.array([sample_counts(p, shots, seed) for seed in range(n)], dtype=float)
+    mean = x.mean(axis=0)
+    assert np.all(np.abs(mean - shots * p) <= 4 * np.sqrt(shots * p * (1 - p) / n))
+    dev = x - mean
+    products = dev[:, :, None] * dev[:, None, :]
+    cov = products.sum(axis=0) / (n - 1)
+    expected = shots * (np.diag(p) - np.outer(p, p))
+    se = products.std(axis=0) / np.sqrt(n)
+    assert np.all(np.abs(cov - expected) <= 4 * se + 1e-12)
 
 
 # --- readout noise -----------------------------------------------------------
@@ -559,8 +646,9 @@ def test_readout_validation():
 # --- energy from counts ------------------------------------------------------
 
 
-def counts_energy(counts, group, h) -> float:
-    return _group_energy(counts_to_distribution(np.asarray(counts)), group, h)
+def counts_energy(counts, g, h) -> float:
+    """Partial energy of group g of h from its counts."""
+    return _group_energy(counts_to_distribution(np.asarray(counts)), _group_weights(h)[g])
 
 
 def zz_hamiltonian(coeff: float = 1.0) -> PauliHamiltonian:
@@ -569,14 +657,12 @@ def zz_hamiltonian(coeff: float = 1.0) -> PauliHamiltonian:
 
 def test_counts_expectation_aligned():
     h = zz_hamiltonian()
-    group = group_terms(h)[0]
-    assert counts_energy([100, 0, 0, 0], group, h) == 1.0
+    assert counts_energy([100, 0, 0, 0], 0, h) == 1.0
 
 
 def test_counts_expectation_antialigned():
     h = zz_hamiltonian()
-    group = group_terms(h)[0]
-    assert counts_energy([0, 50, 50, 0], group, h) == -1.0
+    assert counts_energy([0, 50, 50, 0], 0, h) == -1.0
 
 
 def test_counts_expectation_z_group_hand_value():
@@ -588,8 +674,8 @@ def test_counts_expectation_z_group_hand_value():
         tuple((label, full.coefficient(label)) for label in ("IZ", "ZI", "ZZ")),
     )
     group = group_terms(h)[0]
-    counts = sample_counts(hf_state(2, "01"), group.basis, 4000, seed=0)
-    assert counts_energy(counts, group, h) == pytest.approx(-0.777, abs=5e-4)
+    counts = draw(hf_state(2, "01"), group.basis.label, 4000, seed=0)
+    assert counts_energy(counts, 0, h) == pytest.approx(-0.777, abs=5e-4)
 
 
 def test_counts_expectation_large_shot_consistency():
@@ -598,8 +684,8 @@ def test_counts_expectation_large_shot_consistency():
     h = builtin("h2").geometry(0.7414).hamiltonian
     xx_group = group_terms(h)[1]
     shots = 10**6
-    counts = sample_counts(state, xx_group.basis, shots, seed=12)
-    estimate = counts_energy(counts, xx_group, h)
+    counts = draw(state, xx_group.basis.label, shots, seed=12)
+    estimate = counts_energy(counts, 1, h)
     coeff = h.coefficient("XX")
     exact = expectation(PauliHamiltonian(2, (("XX", coeff),)), state)
     sigma = abs(coeff) * np.sqrt(max(1.0 - (exact / coeff) ** 2, 1e-12) / shots)
@@ -608,6 +694,5 @@ def test_counts_expectation_large_shot_consistency():
 
 def test_counts_expectation_validation():
     h = zz_hamiltonian()
-    group = group_terms(h)[0]
     with pytest.raises(ValueError, match="empty"):
-        counts_energy([0, 0, 0, 0], group, h)
+        counts_energy([0, 0, 0, 0], 0, h)

@@ -20,7 +20,8 @@ from remvqe import (
     sweep_and_fit,
     uccsd_spec,
 )
-from remvqe.vqe import REFERENCE_INDEX
+from remvqe.pauli import sign_table
+from remvqe.vqe import REFERENCE_INDEX, _group_energy, _group_weights, _grouping
 
 H2 = builtin("h2")
 HEH = builtin("heh+")
@@ -70,6 +71,24 @@ def test_sampled_energy_consistent_with_exact():
     # the shot split gives 5e5 per group; the dominant-term spread stays
     # below ~3e-4, so 2e-3 is a comfortable multiple of sigma
     assert abs(evaluate(ev, [0.4], index=0) - exact) < 2e-3
+
+
+@pytest.mark.parametrize("name", ["h2", "heh+", "lih"])
+def test_group_weights_match_per_term_sums(name):
+    rng = np.random.default_rng(4)
+    for geometry in builtin(name).geometries:
+        h = geometry.hamiltonian
+        weights = _group_weights(h)
+        dists = rng.dirichlet(np.ones(1 << h.n_qubits), size=len(_grouping(h)))
+        total = 0.0
+        for g, group in enumerate(_grouping(h)):
+            per_term = sum(
+                h.terms[t][1] * float(sign_table(h.n_qubits, h.terms[t][0].support_mask) @ dists[g])
+                for t in group.members
+            )
+            assert abs(_group_energy(dists[g], weights[g]) - per_term) < 1e-12
+            total += per_term
+        assert abs(_group_energy(dists, weights) - total) < 1e-12
 
 
 def test_evaluate_seed_and_index_determinism():
