@@ -45,6 +45,10 @@ class ConfusionMatrix:
         mat = np.clip(mat, 0.0, 1.0)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        # unfold's H = C^T C, computed once per matrix
+        gram = mat.T @ mat
+        gram.setflags(write=False)
+        object.__setattr__(self, "_gram", gram)
         if self.uncertainty is not None:
             unc = np.array(self.uncertainty, dtype=float)
             if unc.shape != (dim, dim):
@@ -146,7 +150,7 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     if abs(m.sum() - 1.0) > 1e-6:
         raise ValueError(f"measured vector must sum to 1, got {m.sum():.8f}")
     C = c.matrix
-    H = C.T @ C
+    H = c._gram
     b = C.T @ m
     x = np.full(c.dim, 1.0 / c.dim)
     target, _ = _kkt_target(H, b, list(range(c.dim)))

@@ -9,50 +9,68 @@ pairs is applied with probability p2/15. Channels are deterministic mixtures
 (no stochastic Pauli insertion), attached to gates only; idle qubits stay
 clean. Readout noise acts on counts, not on the state.
 
-One kernel serves kets and density matrices. A density matrix evolves as
-vec(rho) = rho.reshape(-1), a vector on 2n register qubits: column qubit q is
-register qubit q and row qubit q is register qubit q + n. A k-qubit gate U
-followed by its depolarizing channel with probability p is then the
-d^2 x d^2 matrix (d = 2^k, f = d^2 p / (d^2 - 1))
+Each (circuit, noise) pair is compiled once, cached, and run for every
+parameter binding. A ket (noise None) and a density matrix have kernels of
+their own.
 
-    (1-f) U (x) conj(U) + (f/d) |vec I><vec I|
+Ket programs:
 
-on the register qubits (q + n for q in qubits) + qubits; a ket gate is U on
-the qubits themselves.
-
-Each (circuit, noise) pair is compiled once into a _Program, cached, and run
-for every parameter binding:
-
-- The vector is kept in an axis layout, an order of the register qubits from
-  most to least significant bit. A matrix op on registers r uses the layout
-  r + (the other registers, highest first), so it is one product
+- The ket is kept in an axis layout, an order of the qubits from most to
+  least significant bit. A matrix op on qubits qs uses the layout qs + (the
+  other qubits, highest first), so it is one product
   m @ v.reshape(len(m), -1). Moving from the previous op's layout to this
   one is the gather v[T] with an index array T built at compile time and
   shared by every op with the same (previous, next) layout pair.
-- A gate whose angles are floats is a fixed op, one stored matrix: U for a
-  ket, its superoperator with the channel above for vec(rho).
-- A Param-bound RZ(t) = diag(e^{-it/2}, e^{it/2}) is an elementwise phase
-  v *= exp(1j t w), with w = bit(q) - 1/2 on a ket and
-  w = bit(q + n) - bit(q) on vec(rho), precomputed in the current layout as
-  an index into the three values exp(1j t (-s, 0, s)), s = 1/2 or 1.
-  RX(t) = H RZ(t) H and RY(t) = V RZ(t) V^dagger with V = S H (V Z V^dagger
-  = Y), so the conjugating gates become fixed ops around the phase.
-- Single-qubit depolarizing commutes with every single-qubit unitary on its
-  qubit, so the channel of a Param-bound gate rides on the last fixed op of
-  that gate (an identity channel for RZ).
+- A gate whose angles are floats is a fixed op, its matrix U. A Param-bound
+  RZ(t) = diag(e^{-it/2}, e^{it/2}) is the phase v *= e^{-it/2 (-1)^bit(q)}.
+  RX(t) = H RZ(t) H and RY(t) = V RZ(t) V^dagger with V = S H
+  (V Z V^dagger = Y), so the conjugating gates become fixed ops around the
+  phase.
 - No fixed single-qubit op is an op of its own. It waits as the pending
-  matrix of its qubit (U for a ket, the 4 x 4 superoperator on registers
-  (q + n, q) for vec(rho)); later single-qubit ops on that qubit multiply
-  into it. The next two-qubit op on the qubit absorbs it as S lift(pending),
-  where lift is the Kronecker product of both qubits' pending matrices
-  transposed into the op's register order. Only a Param-bound phase on the
-  qubit and the end of the circuit flush it as a standalone op. The fold is
-  exact: a pending op commutes with every op on other qubits, and it sits
-  right of S in the product, so it acts before the gate and its channel (a
-  single-qubit channel does not commute with a two-qubit unitary).
+  matrix of its qubit, and later single-qubit ops on that qubit multiply
+  into it. The next two-qubit op on the qubit absorbs it as
+  U (pending_a (x) pending_b); only a Param-bound phase on the qubit and the
+  end of the circuit flush it as a standalone op.
 
-The tests check the compiled program against a per-gate reference that
-moves the gate's axes to the front and applies one matrix per gate.
+Density programs run in the Pauli-transfer basis. The state is the real
+vector r of length 4^n with rho = sum_P r_P P / 2^n over the Pauli strings
+P; qubit q is base-4 digit q of the index, I, X, Y, Z = 0, 1, 2, 3. The
+start |0...0><0...0| = prod_q (I + Z_q)/2 has r_P = 1 on the strings of I
+and Z and 0 elsewhere.
+
+- A gate U on k qubits maps r by its transfer matrix
+  R[P, Q] = Tr(P U Q U^dagger) / 2^k on those qubits' digits. Its
+  depolarizing channel scales every row but the identity's by 1 - f,
+  f = 4^k p / (4^k - 1); p = 3/4 (one qubit) or 15/16 (two) gives f = 1,
+  and those rows are empty.
+- A Clifford gate permutes Paulis up to sign, so with its channel each row
+  of R has at most one entry: r <- s * r[pi]. Such a fixed gate (X, H, CNOT,
+  CZ, rotations by multiples of pi/2, anything whose rows the channel
+  empties; entries below 1e-12 count as 0) joins the pending frame (pi, s),
+  r = s * r_last[pi] with r_last the vector the frame started from.
+  Composing gate (sigma, g) after the frame gives (pi[sigma], g * s[sigma]).
+  gate_matrix gives each fixed gate's U once; gates with the same U on the
+  same qubits share one lifted (sigma, g).
+- A rotation about Pauli a on qubit q (RX, RY, RZ: a = X, Y, Z) leaves I
+  and a alone and turns the other two, b -> cos t b + sin t c and
+  c -> cos t c - sin t b. Each Param-bound rotation, and each fixed one at
+  a non-Clifford angle, is one op
+  r <- (A0 + cos t A1) * r[pi] + sin t B * r[pi'],
+  where pi' swaps b and c on q and A0, A1, B hold the 0/1/sign pattern
+  times its channel's scaling.
+- Before each op, and at the end of the circuit, the pending frame folds
+  into what produced r_last at compile time: into the previous op (its
+  index arrays are gathered by pi and its vectors too, then scaled by s),
+  or into the start vector. So the gates before the first op cost nothing
+  at run time, and a run is one op per rotation.
+- The output is vec(rho) in natural order: per qubit, one 4 x 4 product
+  maps the digit's (I, X, Y, Z) coefficients to its (row, column) bits of
+  rho, and one gather puts rows before columns. No 4^n x 4^n array is
+  built; each op stores O(4^n) numbers.
+
+The tests check both programs against a per-gate reference that moves the
+gate's axes to the front and applies one matrix per gate (a superoperator
+on vec(rho)), and the density program against explicit Kraus sums.
 
 A measurement basis is a matrix U, the tensor product of the per-qubit
 rotations: p = |U psi|^2 for a ket and p = diag(U rho U-dagger) for a
@@ -65,6 +83,7 @@ np.int64 vectors of length 2**n indexed by outcome.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -131,23 +150,6 @@ class NoiseModel:
         object.__setattr__(self, "p2", float(self.p2))
 
 
-def _channel(unitary: np.ndarray, p: float) -> np.ndarray:
-    """Superoperator of `unitary` followed by depolarizing with p (module doc).
-
-    The mixed part is the twirl identity sum_P P rho P = d^2 mixed(rho) - rho
-    (sum over non-identity P), where mixed(rho) replaces the gate's qubits by
-    I/d. It is exact without U because U leaves the partial trace over its
-    own qubits unchanged, so mixed(U rho U-dagger) = mixed(rho).
-    """
-    d = unitary.shape[0]
-    s = (unitary[:, None, :, None] * np.conj(unitary)[None, :, None, :]).reshape(d * d, d * d)
-    if p:
-        f = d * d * p / (d * d - 1.0)
-        s *= 1.0 - f
-        s[:: d + 1, :: d + 1] += f / d
-    return s
-
-
 # Basis-change unitaries: U P U-dagger = Z for P in {X, Y}. Applied as exact
 # matrix math at measurement time, so they carry no gate noise.
 _HADAMARD = (1.0 / np.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
@@ -158,24 +160,22 @@ _TO_RZ = {"RZ": None, "RX": _HADAMARD, "RY": np.diag([1.0, 1.0j]) @ _HADAMARD}
 
 
 @dataclass(frozen=True, eq=False)
-class _Program:
-    """A (circuit, noise) pair compiled into layout gathers, matrices and phases.
+class _KetProgram:
+    """A circuit compiled into layout gathers, matrices and phases for kets.
 
     Each op is (T, m, w, param): gather v = v[T] when T is not None, then
     either the product with m or, when m is None, the phase
-    (e^{-ist}, 1, e^{ist})[w] with t = param bound and s = step. `final`
-    gathers the last layout back to the natural one.
+    (e^{-it/2}, e^{it/2})[w] with t = param bound. `final` gathers the last
+    layout back to the natural one.
     """
 
-    size: int
-    step: float
+    n_qubits: int
     ops: tuple
     final: np.ndarray | None
 
     def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
-        """The compiled circuit from |0...0>, as a ket or vec(rho)."""
-        bindings = bindings or {}
-        v = np.zeros(self.size, dtype=complex)
+        """The compiled circuit's ket from |0...0>."""
+        v = np.zeros(1 << self.n_qubits, dtype=complex)
         v[0] = 1.0
         for gather, matrix, weight, param in self.ops:
             if gather is not None:
@@ -183,23 +183,21 @@ class _Program:
             if matrix is not None:
                 v = (matrix @ v.reshape(matrix.shape[0], -1)).reshape(-1)
                 continue
-            try:
-                t = param.resolve(bindings)
-            except KeyError as exc:
-                raise ValueError(exc.args[0]) from None
-            e = cmath.exp(1j * self.step * t)
-            v *= np.array((e.conjugate(), 1.0, e))[weight]
+            e = cmath.exp(0.5j * _bound(param, bindings))
+            v *= np.array((e.conjugate(), e))[weight]
         return v if self.final is None else v[self.final]
 
 
-@lru_cache(maxsize=32)
-def _program(circuit: Circuit, noise: NoiseModel | None) -> _Program:
-    """Compile `circuit` once per noise model (a ket program when noise is None)."""
+def _bound(param: Param, bindings: Mapping[str, float] | None) -> float:
+    try:
+        return param.resolve(bindings or {})
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
+def _ket_program(circuit: Circuit) -> _KetProgram:
     n = circuit.n_qubits
-    density = noise is not None
-    width = 2 * n if density else n
-    size = 1 << width
-    natural = tuple(range(width - 1, -1, -1))
+    natural = tuple(range(n - 1, -1, -1))
     layout = natural
     gathers: dict = {}
     weights: dict = {}
@@ -213,30 +211,24 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _Program:
         if key[0] == to:
             return None
         if key not in gathers:
-            perm = [key[0].index(r) for r in to]
-            gathers[key] = np.arange(size).reshape((2,) * width).transpose(perm).reshape(-1)
+            perm = [key[0].index(q) for q in to]
+            gathers[key] = np.arange(1 << n).reshape((2,) * n).transpose(perm).reshape(-1)
         return gathers[key]
 
     def emit(matrix: np.ndarray, qubits: tuple[int, ...]) -> None:
-        registers = tuple(q + n for q in qubits) + qubits if density else qubits
-        lead = registers + tuple(r for r in natural if r not in registers)
+        lead = qubits + tuple(q for q in natural if q not in qubits)
         ops.append((move(lead), matrix, None, None))
 
-    def fixed(unitary: np.ndarray, qubits: tuple[int, ...], p: float | None) -> None:
+    def fixed(unitary: np.ndarray, qubits: tuple[int, ...]) -> None:
         """Keep a one-qubit op pending; fold pending ops into a two-qubit op."""
-        matrix = unitary if p is None else _channel(unitary, p)
         if len(qubits) == 1:
             q = qubits[0]
-            pending[q] = matrix @ pending[q] if q in pending else matrix
+            pending[q] = unitary @ pending[q] if q in pending else unitary
             return
         if pending.keys() & set(qubits):
-            eye = np.eye(4 if density else 2, dtype=complex)
-            lift = np.kron(*(pending.pop(q, eye) for q in qubits))
-            if density:
-                # kron orders the registers (a+n, a, b+n, b); the op's are (a+n, b+n, a, b)
-                lift = lift.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-            matrix = matrix @ lift
-        emit(matrix, qubits)
+            eye = np.eye(2, dtype=complex)
+            unitary = unitary @ np.kron(*(pending.pop(q, eye) for q in qubits))
+        emit(unitary, qubits)
 
     def flush(q: int) -> None:
         if q in pending:
@@ -246,33 +238,155 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _Program:
         flush(q)
         key = (layout, q)
         if key not in weights:
-            index = np.arange(size)
-
-            def bit(r: int) -> np.ndarray:
-                return (index >> (width - 1 - layout.index(r))) & 1
-
-            weights[key] = 1 + bit(q + n) - bit(q) if density else 2 * bit(q)
+            weights[key] = (np.arange(1 << n) >> (n - 1 - layout.index(q))) & 1
         ops.append((None, None, weights[key], angle))
 
     for gate in circuit.gates:
-        p = None
-        if density:
-            p = noise.p1 if len(gate.qubits) == 1 else noise.p2
         angle = gate.params[0] if gate.params else None
         if not isinstance(angle, Param):
-            fixed(gate_matrix(gate.kind, gate.resolved({})), gate.qubits, p)
+            fixed(gate_matrix(gate.kind, gate.resolved({})), gate.qubits)
             continue
         v = _TO_RZ[gate.kind]
         if v is not None:
-            fixed(v.conj().T, gate.qubits, 0.0 if density else None)
+            fixed(v.conj().T, gate.qubits)
         phase(gate.qubits[0], angle)
         if v is not None:
-            fixed(v, gate.qubits, p)
-        elif p:
-            fixed(np.eye(2, dtype=complex), gate.qubits, p)
+            fixed(v, gate.qubits)
     for q in sorted(pending):
         flush(q)
-    return _Program(size, 1.0 if density else 0.5, tuple(ops), move(natural))
+    return _KetProgram(n, tuple(ops), move(natural))
+
+
+# Pauli digits of one qubit in the transfer basis: I, X, Y, Z = 0, 1, 2, 3.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# The Pauli strings of a d x d gate, first qubit's digit most significant.
+_STRINGS = {2: _PAULI, 4: np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])}
+
+# Param-bound rotations about Pauli a turn the pair (b, c) by
+# b -> cos t b + sin t c, c -> cos t c - sin t b: kind -> (a, b, c).
+_AXES = {"RX": (1, 2, 3), "RY": (2, 3, 1), "RZ": (3, 1, 2)}
+
+# One qubit's Pauli coefficients (I, X, Y, Z) to its 2 x 2 block of rho,
+# entries (row, column) = 00, 01, 10, 11, with the 1/2 of rho's 1/2^n.
+_TO_RHO = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+
+
+def _transfer(unitary: np.ndarray, p: float) -> np.ndarray:
+    """R[P, Q] = Tr(P U Q U-dagger) / d of `unitary` followed by depolarizing
+    with p, which scales each row but the identity's by 1 - d^2 p / (d^2 - 1)."""
+    d = unitary.shape[0]
+    strings = _STRINGS[d]
+    moved = (unitary @ strings @ unitary.conj().T).reshape(d * d, -1)
+    ptm = (strings.reshape(d * d, -1).conj() @ moved.T).real / d
+    ptm[1:] *= 1.0 - d * d * p / (d * d - 1.0)
+    return ptm
+
+
+@dataclass(frozen=True, eq=False)
+class _TransferProgram:
+    """A noisy circuit compiled into Pauli-transfer rotations (module doc).
+
+    `start` is r after the gates before the first op. Each op is
+    (gather, table, angle): x = r[gather] stacks r[pi], r[pi] and r[pi'],
+    the rows of the (3, 4^n) table are A0, A1 and B, and the new r is
+    (1, cos t, sin t) times their products. `order` gathers the per-qubit
+    output into vec(rho).
+    """
+
+    n_qubits: int
+    start: np.ndarray
+    ops: tuple
+    order: np.ndarray
+
+    def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
+        """vec(rho) of the compiled circuit from |0...0><0...0|."""
+        r = self.start
+        for gather, table, angle in self.ops:
+            if isinstance(angle, Param):
+                angle = _bound(angle, bindings)
+            x = r[gather]
+            x *= table
+            r = np.dot((1.0, math.cos(angle), math.sin(angle)), x)
+        for _ in range(self.n_qubits):
+            r = r.reshape(4, -1).T @ _TO_RHO.T
+        return r.reshape(-1)[self.order]
+
+
+def _transfer_program(circuit: Circuit, noise: NoiseModel) -> _TransferProgram:
+    n = circuit.n_qubits
+    size = 1 << 2 * n
+    index = np.arange(size)
+    digits = [(index >> 2 * q) & 3 for q in range(n)]
+    # |0><0| = prod_q (I + Z_q) / 2: coefficient 1 on every string of I and Z
+    start = np.prod([(d == 0) | (d == 3) for d in digits], axis=0, dtype=float)
+    perm, scale = index, np.ones(size)
+    lifted: dict = {}
+    ops = []
+
+    def lift(ptm: np.ndarray, qubits: tuple[int, ...]):
+        """(step, factor) with r <- factor r[step] the gate on all of r, or
+        None unless each row of ptm has at most one entry above 1e-12."""
+        ptm[np.abs(ptm) < 1e-12] = 0.0
+        if np.count_nonzero(ptm, axis=1).max() > 1:
+            return None
+        source = np.abs(ptm).argmax(axis=1)
+        shifts = [2 * (len(qubits) - 1 - j) for j in range(len(qubits))]
+        local = sum(digits[q] << s for q, s in zip(qubits, shifts))
+        step = index + sum(
+            (((source[local] >> s) & 3) - digits[q]) << 2 * q for q, s in zip(qubits, shifts)
+        )
+        return step, ptm[local, source[local]]
+
+    def rotation(kind: str, q: int, p: float, angle) -> tuple:
+        """The op of rotation `kind` on q followed by its channel."""
+        a, b, c = _AXES[kind]
+        pattern = np.zeros((3, 4))  # A0, A1 and B by the digit of q
+        pattern[0, [0, a]] = 1.0
+        pattern[1, [b, c]] = 1.0
+        pattern[2, [b, c]] = -1.0, 1.0
+        pattern[:, 1:] *= 1.0 - 4.0 * p / 3.0
+        swap = np.arange(4)
+        swap[[b, c]] = c, b
+        d = digits[q]
+        partner = index + ((swap[d] - d) << 2 * q)
+        return np.stack((index, index, partner)), pattern[:, d], angle
+
+    def settle() -> None:
+        """Fold the pending frame into what produced r: the last op or start."""
+        nonlocal start, perm, scale
+        if ops:
+            gather, table, angle = ops[-1]
+            ops[-1] = (gather[:, perm], scale * table[:, perm], angle)
+        else:
+            start = scale * start[perm]
+        perm, scale = index, np.ones(size)
+
+    for gate in circuit.gates:
+        p = noise.p1 if len(gate.qubits) == 1 else noise.p2
+        angle = gate.params[0] if gate.params else None
+        if not isinstance(angle, Param):
+            unitary = gate_matrix(gate.kind, gate.resolved({}))
+            key = (unitary.tobytes(), gate.qubits)
+            if key not in lifted:
+                lifted[key] = lift(_transfer(unitary, p), gate.qubits)
+            if lifted[key] is not None:
+                step, factor = lifted[key]
+                perm, scale = perm[step], factor * scale[step]
+                continue
+            angle = float(angle)
+        settle()
+        ops.append(rotation(gate.kind, gate.qubits[0], p, angle))
+    settle()
+    order = index.reshape((2,) * 2 * n).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return _TransferProgram(n, start, tuple(ops), order.reshape(-1))
+
+
+@lru_cache(maxsize=32)
+def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _TransferProgram:
+    """Compile `circuit` once per noise model (a ket program when noise is None)."""
+    if noise is None:
+        return _ket_program(circuit)
+    return _transfer_program(circuit, noise)
 
 
 def run_statevector(circuit: Circuit, bindings: Mapping[str, float] | None = None) -> QuantumState:

@@ -151,6 +151,8 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     if ev.shots is None and confusion is None and ev.unfold_matrix is None:
         return float(expectation(h, state))
     groups = _grouping(h)
+    if not groups:  # nothing to measure: the energy is the offset
+        return h.offset
     probs = _basis_probabilities(state, tuple(group.basis for group in groups))
     if ev.shots is None:
         dists = probs if confusion is None else probs @ confusion.matrix.T

@@ -210,6 +210,22 @@ def test_unfold_fast_path_is_taken_and_exact():
     assert 200 <= fast < len(inputs)
 
 
+def test_unfold_reuses_its_gram_matrix_bit_for_bit():
+    # H = C^T C is computed once per confusion matrix; unfold returns what
+    # the active set gives with a fresh C.T @ C, on either path
+    rng = np.random.default_rng(21)
+    c = device_confusion()
+    C = c.matrix
+    fast = 0
+    for shots in (20, 200, 5000):
+        for _ in range(100):
+            m = device_like_inputs(rng, c, shots)
+            H, b = C.T @ C, C.T @ m
+            fast += int(np.all(_kkt_target(H, b, [0, 1, 2, 3])[0] >= 0.0))
+            assert np.array_equal(unfold(c, m), _active_set(H, b))
+    assert 0 < fast < 300
+
+
 def test_confusion_matrix_layout_does_not_change_unfold():
     rng = np.random.default_rng(3)
     values = random_confusion(rng, 2).matrix

@@ -33,8 +33,9 @@ from remvqe import (
     uccsd_spec,
 )
 from remvqe import sim
+from remvqe.ansatz import hartree_fock_circuit
 from remvqe.circuits import GATE_KINDS
-from remvqe.sim import _basis_probabilities, _channel, _program
+from remvqe.sim import _basis_probabilities, _program
 from remvqe.vqe import _group_energy, _group_weights
 
 PAULI_1Q = {
@@ -64,8 +65,8 @@ def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
 
 
 # --- per-gate reference -------------------------------------------------------
-# The compiled program's oracle: every gate moves its axes to the front and
-# applies one matrix, on a ket or (with its channel) on vec(rho) (sim module doc).
+# The compiled programs' oracle: every gate moves its axes to the front and
+# applies one matrix, on a ket or (with its channel) on vec(rho).
 
 
 def apply_left(v: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -82,6 +83,27 @@ def apply_left(v: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: in
     return np.moveaxis(t, range(k), axes).reshape(1 << n)
 
 
+def channel(unitary: np.ndarray, p: float) -> np.ndarray:
+    """Superoperator of `unitary` followed by depolarizing with p on vec(rho).
+
+    vec(rho) = rho.reshape(-1) is a vector on 2n register qubits: column
+    qubit q is register q and row qubit q is register q + n. A k-qubit gate
+    U and its channel (d = 2^k, f = d^2 p / (d^2 - 1)) is then the d^2 x d^2
+    matrix (1-f) U (x) conj(U) + (f/d) |vec I><vec I| on the registers
+    (q + n for q in qubits) + qubits. The mixed part is the twirl identity
+    sum_P P rho P = d^2 mixed(rho) - rho (sum over non-identity P), where
+    mixed(rho) replaces the gate's qubits by I/d; it needs no U, because U
+    leaves the partial trace over its own qubits unchanged.
+    """
+    d = unitary.shape[0]
+    s = (unitary[:, None, :, None] * np.conj(unitary)[None, :, None, :]).reshape(d * d, d * d)
+    if p:
+        f = d * d * p / (d * d - 1.0)
+        s *= 1.0 - f
+        s[:: d + 1, :: d + 1] += f / d
+    return s
+
+
 def apply_gate(
     v: np.ndarray, unitary: np.ndarray, qubits: tuple[int, ...], n: int, p: float | None
 ) -> np.ndarray:
@@ -89,7 +111,7 @@ def apply_gate(
     if p is None:
         return apply_left(v, unitary, qubits, n)
     rows = tuple(q + n for q in qubits)
-    return apply_left(v, _channel(unitary, p), rows + qubits, 2 * n)
+    return apply_left(v, channel(unitary, p), rows + qubits, 2 * n)
 
 
 def evolve(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
@@ -294,7 +316,7 @@ def parametric_circuits(draw):
     return Circuit(n, tuple(gates)), bindings, noise
 
 
-# Circuits at the edges of single-qubit fusion: the compiler keeps each
+# Circuits at the edges of single-qubit fusion: the ket compiler keeps each
 # qubit's fixed one-qubit ops pending and folds them into its next two-qubit op.
 FUSION_EDGES = (
     # a run of single-qubit gates on one qubit, then a two-qubit gate on it
@@ -340,14 +362,62 @@ def test_compiled_program_matches_per_gate_reference(case):
     assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
-def test_single_qubit_ops_fold_into_two_qubit_ops():
-    # LiH UCCSD on vec(rho): each of the 172 two-qubit ops absorbs the one-qubit
-    # ops before it; only the 40 phases and a few flushes stand alone
+def test_noisy_program_keeps_one_op_per_rotation():
+    # Clifford gates and depolarizing channels fold into the Pauli-transfer
+    # frame: the LiH UCCSD density program runs one op per Param-bound RZ,
+    # and a fixed non-Clifford rotation is one op at its constant angle
     circuit = ansatz_circuit(uccsd_spec(4))
-    sizes = [0 if m is None else len(m) for _, m, _, _ in _program(circuit, NoiseModel(p2=4e-3)).ops]
-    assert len(sizes) <= 220
-    assert sizes.count(16) == 172
-    assert sizes.count(0) == 40
+    bound = [g for g in circuit.gates if g.params and isinstance(g.params[0], Param)]
+    assert len(bound) == 40 and {g.kind for g in bound} == {"RZ"}
+    angles = [angle for *_, angle in _program(circuit, NoiseModel(p2=4e-3)).ops]
+    assert angles == [g.params[0] for g in bound]
+    fixed = Circuit(2, (Gate("H", (0,)), Gate("RX", (1,), (0.4,)), Gate("CNOT", (1, 0))))
+    assert [angle for *_, angle in _program(fixed, NoiseModel(p2=0.01)).ops] == [0.4]
+
+
+# Circuits at the edges of the Pauli-transfer frame: fixed rotations at and
+# next to Clifford angles, and rates that empty the channel's rows.
+TRANSFER_EDGES = (
+    Circuit(2, (Gate("RX", (0,), (np.pi / 2,)), Gate("RY", (1,), (-np.pi / 2,)),
+                Gate("RZ", (0,), (np.pi,)), Gate("CZ", (0, 1)), Gate("RY", (0,), (np.pi,)),
+                Gate("RX", (1,), (np.pi / 2 + 1e-9,)), Gate("RZ", (1,), (Param("a"),)),
+                Gate("CNOT", (1, 0)), Gate("RX", (0,), (0.0,)))),
+    Circuit(3, (Gate("H", (2,)), Gate("RY", (2,), (Param("a"),)), Gate("CNOT", (2, 0)),
+                Gate("RX", (0,), (0.3,)), Gate("RX", (1,), (Param("b", -2.5),)),
+                Gate("CZ", (1, 2)), Gate("X", (1,)))),
+)
+
+
+@pytest.mark.parametrize("circuit", TRANSFER_EDGES)
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel(), NoiseModel(p2=0.1, p1=0.03), NoiseModel(p2=15 / 16, p1=0.75),
+     NoiseModel(p2=15 / 16, p1=0.01), NoiseModel(p2=1.0, p1=1.0)],
+)
+def test_transfer_program_edges_match_per_gate_reference(circuit, noise):
+    bindings = {"a": 0.7, "b": -1.3}
+    compiled = _program(circuit, noise).run(bindings)
+    assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
+
+
+def test_deep_noisy_program_matches_per_gate_reference():
+    # the paper's regime beyond 1000 two-qubit gates: the LiH UCCSD body
+    # repeated as 6 steps at theta/6, 1032 CNOTs under two-qubit noise
+    spec = uccsd_spec(4)
+    prep = len(hartree_fock_circuit(spec).gates)
+    gates = ansatz_circuit(spec).gates
+    step = tuple(
+        Gate(g.kind, g.qubits, (g.params[0].scaled(1 / 6),))
+        if g.params and isinstance(g.params[0], Param) else g
+        for g in gates[prep:]
+    )
+    circuit = Circuit(4, gates[:prep] + 6 * step)
+    assert sum(g.kind == "CNOT" for g in circuit.gates) == 1032
+    rng = np.random.default_rng(11)
+    bindings = dict(zip(spec.parameter_names(), rng.uniform(-np.pi, np.pi, spec.n_params)))
+    noise = NoiseModel(p2=4e-3)
+    compiled = _program(circuit, noise).run(bindings)
+    assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
 def test_compiled_program_is_reused(monkeypatch):

@@ -13,6 +13,7 @@ from remvqe import (
     PauliHamiltonian,
     builtin,
     default_grid,
+    device_confusion,
     evaluate,
     h2_compact_spec,
     minimize,
@@ -110,6 +111,17 @@ def test_identity_unfolding_preserves_sampled_energy():
         assert evaluate(raw, [theta], index=2) == pytest.approx(
             evaluate(unfolded, [theta], index=2), abs=1e-9
         )
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [{}, {"noise": NoiseModel(p2=0.01)}, {"shots": 100},
+     {"shots": 100, "confusion": device_confusion(), "unfold_matrix": device_confusion()}],
+    ids=["ket", "density", "shots", "shots-confusion"],
+)
+def test_term_less_hamiltonian_evaluates_to_its_offset(recipe):
+    ev = EnergyEvaluator(PauliHamiltonian(2, (), offset=1.0), h2_compact_spec(), **recipe)
+    assert evaluate(ev, [0.1]) == 1.0
 
 
 def test_noisy_energy_stays_above_noiseless_minimum():
