@@ -8,11 +8,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 16.0, 30.0, 42.0
 _WIDTH, _HEIGHT = 640.0, 400.0  # of every panel
 _N_TICKS = 5  # tick marks aimed for on a linear axis
+
+
+def escape(text: str) -> str:
+    """`xml.sax.saxutils.escape` without its import chain (urllib, http, ssl)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)

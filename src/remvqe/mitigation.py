@@ -45,10 +45,13 @@ class ConfusionMatrix:
         mat = np.clip(mat, 0.0, 1.0)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        # unfold's H = C^T C, computed once per matrix
+        # unfold's H = C^T C and its full-support KKT matrix, built once per matrix
         gram = mat.T @ mat
+        kkt = _kkt_matrix(gram)
         gram.setflags(write=False)
+        kkt.setflags(write=False)
         object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "_kkt", kkt)
         if self.uncertainty is not None:
             unc = np.array(self.uncertainty, dtype=float)
             if unc.shape != (dim, dim):
@@ -117,22 +120,26 @@ def calibrate_confusion(
 _KKT_TOL = 1e-10
 
 
-def _kkt_target(H: np.ndarray, b: np.ndarray, free: list[int]) -> tuple[np.ndarray, float]:
-    """Minimizer of x.Hx/2 - b.x with sum(x) = 1 and x = 0 off `free`, and
-    the multiplier of the sum constraint."""
-    k = len(free)
+def _kkt_matrix(H_free: np.ndarray) -> np.ndarray:
+    """[[H_free, -1], [1, 0]]: the KKT matrix of x.Hx/2 - b.x with sum(x) = 1
+    on a free index set, given H restricted to that set."""
+    k = len(H_free)
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = H[free][:, free]
+    kkt[:k, :k] = H_free
     # stationarity is Hx - b - mu = 0 on the free set, so the multiplier
     # column carries -1 while the constraint row carries +1
     kkt[:k, k] = -1.0
     kkt[k, :k] = 1.0
-    rhs = np.ones(k + 1)
-    rhs[:k] = b[free]
-    sol = np.linalg.solve(kkt, rhs)
+    return kkt
+
+
+def _kkt_target(H: np.ndarray, b: np.ndarray, free: list[int]) -> tuple[np.ndarray, float]:
+    """Minimizer of x.Hx/2 - b.x with sum(x) = 1 and x = 0 off `free`, and
+    the multiplier of the sum constraint."""
+    sol = np.linalg.solve(_kkt_matrix(H[free][:, free]), np.append(b[free], 1.0))
     target = np.zeros(len(b))
-    target[free] = sol[:k]
-    return target, sol[k]
+    target[free] = sol[:-1]
+    return target, sol[-1]
 
 
 def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
@@ -149,11 +156,10 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
         raise ValueError(f"measured vector must have length {c.dim}, got {m.shape}")
     if abs(m.sum() - 1.0) > 1e-6:
         raise ValueError(f"measured vector must sum to 1, got {m.sum():.8f}")
-    C = c.matrix
-    H = c._gram
-    b = C.T @ m
+    b = c.matrix.T @ m
     x = np.full(c.dim, 1.0 / c.dim)
-    target, _ = _kkt_target(H, b, list(range(c.dim)))
+    # _kkt_target on every index, against the matrix built once per C
+    target = np.linalg.solve(c._kkt, np.append(b, 1.0))[:-1]
     if (target >= 0.0).all():
         # no bound blocks the full step (alpha = 1), and the next iteration
         # finds it stationary with no bound to release
@@ -161,7 +167,7 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
         if np.abs(step).max() > _KKT_TOL:
             x = x + 1.0 * step
         return np.where(x < 0.0, 0.0, x)
-    return _active_set(H, b)
+    return _active_set(c._gram, b)
 
 
 def _active_set(H: np.ndarray, b: np.ndarray) -> np.ndarray:

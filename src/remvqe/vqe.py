@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .ansatz import AnsatzSpec, ansatz_circuit
 from .mitigation import ConfusionMatrix, counts_to_distribution, unfold
@@ -214,7 +213,9 @@ def minimize(
 
     Runs until the energy tolerance or the evaluation budget is exhausted;
     running out of budget sets converged=False in the outcome instead of
-    raising. The reported optimum is the best trace entry.
+    raising. The reported optimum is the best trace entry. scipy.optimize
+    is imported here, on the first Nelder-Mead run, and nowhere else in the
+    package: importing it takes longer than most runs.
     """
     theta0 = np.zeros(ev.ansatz.n_params)
     trace: list[tuple[tuple[float, ...], float]] = []
@@ -225,6 +226,8 @@ def minimize(
         return energy
 
     if optimizer == "nelder-mead":
+        import scipy.optimize
+
         # scipy's default simplex around an all-zero start spans only 2.5e-4,
         # far below the radian scale of rotation angles; seed it at 0.1 instead.
         simplex = np.vstack([theta0, theta0 + 0.1 * np.eye(theta0.size)])

@@ -1,9 +1,11 @@
 """Experiment drivers: config resolution, the four pipelines, file outputs."""
 import json
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from remvqe import (
     ConfusionMatrix,
@@ -26,6 +28,7 @@ from remvqe.experiments import (
     four_pipelines,
     resolve,
 )
+from remvqe._svg import escape
 from remvqe.vqe import REFERENCE_INDEX
 
 
@@ -263,6 +266,11 @@ def test_dissociation_output_files(tmp_path):
     assert root.tag.endswith("svg")
     plain = cmd_dissociation(RunConfig(molecule="h2"))
     assert plain.csv == res.csv
+
+
+@given(st.text(st.sampled_from("&<>\"'; a#1") | st.characters(), max_size=40))
+def test_svg_escape_matches_saxutils(text):
+    assert escape(text) == sax_escape(text)
 
 
 # --- noise sweep -------------------------------------------------------------

@@ -1,5 +1,38 @@
-"""The package's public surface: every exported name resolves, and once."""
+"""The package's public surface: every exported name resolves, once, and
+importing it loads numpy and the package but no heavy optional module."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import remvqe
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Run in a fresh interpreter: the test modules themselves import scipy and xml.
+_IMPORT_PROBE = """
+import json, sys
+
+HEAVY = ("scipy", "xml", "urllib.request", "http", "ssl", "email")
+
+
+def loaded():
+    return sorted(m for m in HEAVY if any(k == m or k.startswith(m + ".") for k in sys.modules))
+
+
+import remvqe, remvqe.cli
+from remvqe import EnergyEvaluator, builtin, h2_compact_spec, minimize, sweep_and_fit
+
+stages = {"import": loaded()}
+ev = EnergyEvaluator(builtin("h2").geometry(0.7414).hamiltonian, h2_compact_spec(), shots=1000)
+sweep_and_fit(ev)
+minimize(ev, "spsa", max_evals=10)
+stages["sweep+spsa"] = loaded()
+minimize(ev, "nelder-mead", max_evals=10)
+stages["nelder-mead loads scipy.optimize"] = "scipy.optimize" in sys.modules
+print(json.dumps(stages))
+"""
 
 
 def test_all_names_resolve_once():
@@ -9,3 +42,17 @@ def test_all_names_resolve_once():
     namespace: dict = {}
     exec("from remvqe import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_only_nelder_mead_loads_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    # pathlib imports urllib.parse, so plain urllib is allowed
+    assert stages["import"] == []
+    assert stages["sweep+spsa"] == []
+    assert stages["nelder-mead loads scipy.optimize"] is True
