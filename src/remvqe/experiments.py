@@ -61,6 +61,9 @@ BACKENDS = ("ideal", "noisy")
 MITIGATIONS = ("none", "readout", "rem", "readout+rem")
 ANSATZE = {"compact": "compact-uccd", "uccsd": "uccsd", "hwe": "hardware-efficient"}
 OPTIMIZERS = ("nelder-mead", "spsa", "sweep")
+# Each noisy op stores 48 * 4^n bytes: 1.4 GiB for the 30 rotations of a
+# 10-qubit hardware-efficient chain.
+_NOISY_LIMIT = 10
 
 
 class ConfigError(ValueError):
@@ -84,7 +87,7 @@ class RunConfig:
     svg: str | None = None
     r: float | None = None
     reference: str | None = None
-    grid_points: int = 25
+    grid_points: int = default_grid().size
     shots_per_state: int = 1000
     repeats: int = 100
 
@@ -237,6 +240,11 @@ def resolve(cfg: RunConfig) -> _Problem:
             hf = "0" * n_qubits
     else:
         raise ConfigError("a molecule or a Hamiltonian file is required")
+    if cfg.backend == "noisy" and n_qubits > _NOISY_LIMIT:
+        raise ConfigError(
+            f"the noisy backend is limited to {_NOISY_LIMIT} qubits (its Pauli-transfer "
+            f"ops hold 4^n numbers each); the problem has {n_qubits}"
+        )
     if cfg.shots is not None:
         # each measurement group needs a shot, at every geometry a command may run
         n_groups = max(len(_grouping(h)) for h in hamiltonians)
@@ -479,7 +487,7 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
         raise ConfigError("noise sweeps run on builtin molecules only")
     base = replace(cfg, backend="noisy", molecule=cfg.molecule or "h2")
     problem = resolve(base)
-    if problem.dataset is None or problem.spec.n_params != 1:
+    if problem.spec.n_params != 1:
         raise ConfigError(
             "noise sweeps use the 1-parameter sweep protocol on a builtin molecule"
         )

@@ -93,7 +93,7 @@ def device_confusion() -> ConfusionMatrix:
 
 
 def calibrate_confusion(
-    truth: ConfusionMatrix, shots_per_state: int = 1000, repeats: int = 100, seed: int = 0
+    truth: ConfusionMatrix, shots_per_state: int, repeats: int, seed: int = 0
 ) -> ConfusionMatrix:
     """Estimate `truth` by prepare-and-measure runs on a backend it describes.
 

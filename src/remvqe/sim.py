@@ -10,27 +10,26 @@ pairs is applied with probability p2/15. Channels are deterministic mixtures
 clean. Readout noise acts on counts, not on the state.
 
 Each (circuit, noise) pair is compiled once, cached, and run for every
-parameter binding. A ket (noise None) and a density matrix have kernels of
-their own.
+parameter binding. The circuits are Clifford gates and Pauli rotations, and
+both kernels use that: Clifford gates are applied at compile time, and a run
+is one op per rotation, each Param-bound RX, RY or RZ and each fixed one at
+a non-Clifford angle. A ket (noise None) and a density matrix have kernels
+of their own.
 
 Ket programs:
 
-- The ket is kept in an axis layout, an order of the qubits from most to
-  least significant bit. A matrix op on qubits qs uses the layout qs + (the
-  other qubits, highest first), so it is one product
-  m @ v.reshape(len(m), -1). Moving from the previous op's layout to this
-  one is the gather v[T] with an index array T built at compile time and
-  shared by every op with the same (previous, next) layout pair.
-- A gate whose angles are floats is a fixed op, its matrix U. A Param-bound
-  RZ(t) = diag(e^{-it/2}, e^{it/2}) is the phase v *= e^{-it/2 (-1)^bit(q)}.
-  RX(t) = H RZ(t) H and RY(t) = V RZ(t) V^dagger with V = S H
-  (V Z V^dagger = Y), so the conjugating gates become fixed ops around the
-  phase.
-- No fixed single-qubit op is an op of its own. It waits as the pending
-  matrix of its qubit, and later single-qubit ops on that qubit multiply
-  into it. The next two-qubit op on the qubit absorbs it as
-  U (pending_a (x) pending_b); only a Param-bound phase on the qubit and the
-  end of the circuit flush it as a standalone op.
+- A fixed gate U is Clifford when its transfer matrix R (below) is a signed
+  permutation; column Q of R then gives U Q U^dagger = s P with s = +-1.
+  Rotation axes are Pauli strings with qubit q's letter in base-4 digit q.
+- U e^{-itQ/2} = e^{-it UQU^dagger/2} U moves each Clifford gate in front
+  of the rotations before it: C_k R_k ... C_1 R_1 C_0 |0> =
+  R~_k ... R~_1 (C_k ... C_0) |0>, where R~_j rotates about R_j's axis
+  conjugated by every Clifford gate after it. So a Clifford gate is applied
+  to the start ket and conjugates the axis of every earlier rotation.
+- A rotation by t about s P is cos(t/2) - i s sin(t/2) P. With
+  P|i> = phase[i] |i ^ flip> (pauli._action) it is one op
+  v <- cos(t/2) v + sin(t/2) table * v[gather], gather = i ^ flip and
+  table = -i s phase[gather]; each op stores 24 * 2^n bytes.
 
 Density programs run in the Pauli-transfer basis. The state is the real
 vector r of length 4^n with rho = sum_P r_P P / 2^n over the Pauli strings
@@ -82,7 +81,6 @@ np.int64 vectors of length 2**n indexed by outcome.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -92,7 +90,7 @@ import numpy as np
 
 from .circuits import Circuit, Param, gate_matrix
 from .mitigation import ConfusionMatrix
-from .pauli import PauliString
+from .pauli import PauliString, _action
 
 
 @dataclass(frozen=True)
@@ -155,114 +153,12 @@ class NoiseModel:
 _HADAMARD = (1.0 / np.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
 _Y_TO_Z = _HADAMARD @ np.diag([1.0, -1.0j])
 
-# V with R(t) = V RZ(t) V-dagger for each Param-bound rotation kind (module doc).
-_TO_RZ = {"RZ": None, "RX": _HADAMARD, "RY": np.diag([1.0, 1.0j]) @ _HADAMARD}
-
-
-@dataclass(frozen=True, eq=False)
-class _KetProgram:
-    """A circuit compiled into layout gathers, matrices and phases for kets.
-
-    Each op is (T, m, w, param): gather v = v[T] when T is not None, then
-    either the product with m or, when m is None, the phase
-    (e^{-it/2}, e^{it/2})[w] with t = param bound. `final` gathers the last
-    layout back to the natural one.
-    """
-
-    n_qubits: int
-    ops: tuple
-    final: np.ndarray | None
-
-    def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
-        """The compiled circuit's ket from |0...0>."""
-        v = np.zeros(1 << self.n_qubits, dtype=complex)
-        v[0] = 1.0
-        for gather, matrix, weight, param in self.ops:
-            if gather is not None:
-                v = v[gather]
-            if matrix is not None:
-                v = (matrix @ v.reshape(matrix.shape[0], -1)).reshape(-1)
-                continue
-            e = cmath.exp(0.5j * _bound(param, bindings))
-            v *= np.array((e.conjugate(), e))[weight]
-        return v if self.final is None else v[self.final]
-
-
-def _bound(param: Param, bindings: Mapping[str, float] | None) -> float:
-    try:
-        return param.resolve(bindings or {})
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
-
-
-def _ket_program(circuit: Circuit) -> _KetProgram:
-    n = circuit.n_qubits
-    natural = tuple(range(n - 1, -1, -1))
-    layout = natural
-    gathers: dict = {}
-    weights: dict = {}
-    pending: dict[int, np.ndarray] = {}
-    ops = []
-
-    def move(to: tuple[int, ...]) -> np.ndarray | None:
-        """Index array from the current layout to `to` (None if they agree)."""
-        nonlocal layout
-        key, layout = (layout, to), to
-        if key[0] == to:
-            return None
-        if key not in gathers:
-            perm = [key[0].index(q) for q in to]
-            gathers[key] = np.arange(1 << n).reshape((2,) * n).transpose(perm).reshape(-1)
-        return gathers[key]
-
-    def emit(matrix: np.ndarray, qubits: tuple[int, ...]) -> None:
-        lead = qubits + tuple(q for q in natural if q not in qubits)
-        ops.append((move(lead), matrix, None, None))
-
-    def fixed(unitary: np.ndarray, qubits: tuple[int, ...]) -> None:
-        """Keep a one-qubit op pending; fold pending ops into a two-qubit op."""
-        if len(qubits) == 1:
-            q = qubits[0]
-            pending[q] = unitary @ pending[q] if q in pending else unitary
-            return
-        if pending.keys() & set(qubits):
-            eye = np.eye(2, dtype=complex)
-            unitary = unitary @ np.kron(*(pending.pop(q, eye) for q in qubits))
-        emit(unitary, qubits)
-
-    def flush(q: int) -> None:
-        if q in pending:
-            emit(pending.pop(q), (q,))
-
-    def phase(q: int, angle: Param) -> None:
-        flush(q)
-        key = (layout, q)
-        if key not in weights:
-            weights[key] = (np.arange(1 << n) >> (n - 1 - layout.index(q))) & 1
-        ops.append((None, None, weights[key], angle))
-
-    for gate in circuit.gates:
-        angle = gate.params[0] if gate.params else None
-        if not isinstance(angle, Param):
-            fixed(gate_matrix(gate.kind, gate.resolved({})), gate.qubits)
-            continue
-        v = _TO_RZ[gate.kind]
-        if v is not None:
-            fixed(v.conj().T, gate.qubits)
-        phase(gate.qubits[0], angle)
-        if v is not None:
-            fixed(v, gate.qubits)
-    for q in sorted(pending):
-        flush(q)
-    return _KetProgram(n, tuple(ops), move(natural))
-
-
 # Pauli digits of one qubit in the transfer basis: I, X, Y, Z = 0, 1, 2, 3.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # The Pauli strings of a d x d gate, first qubit's digit most significant.
 _STRINGS = {2: _PAULI, 4: np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])}
 
-# Param-bound rotations about Pauli a turn the pair (b, c) by
+# Rotations about Pauli a turn the pair (b, c) by
 # b -> cos t b + sin t c, c -> cos t c - sin t b: kind -> (a, b, c).
 _AXES = {"RX": (1, 2, 3), "RY": (2, 3, 1), "RZ": (3, 1, 2)}
 
@@ -280,6 +176,101 @@ def _transfer(unitary: np.ndarray, p: float) -> np.ndarray:
     ptm = (strings.reshape(d * d, -1).conj() @ moved.T).real / d
     ptm[1:] *= 1.0 - d * d * p / (d * d - 1.0)
     return ptm
+
+
+def _signed_permutation(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(source, factor) with factor[P] = ptm[P, source[P]] the only entry of
+    row P above 1e-12 (0 for an empty row), or None when a row has two."""
+    ptm = np.where(np.abs(ptm) < 1e-12, 0.0, ptm)
+    if np.count_nonzero(ptm, axis=1).max() > 1:
+        return None
+    source = np.abs(ptm).argmax(axis=1)
+    return source, ptm[np.arange(len(ptm)), source]
+
+
+def _relabel(strings: np.ndarray, qubits: tuple[int, ...], to: np.ndarray):
+    """(local, moved) for Pauli strings whose digit q is the letter on qubit
+    q: local holds each string's digits on `qubits` as one index, first
+    qubit's digit most significant, and moved has them replaced by to[local]."""
+    shifts = [2 * (len(qubits) - 1 - j) for j in range(len(qubits))]
+    digits = [(strings >> 2 * q) & 3 for q in qubits]
+    local = sum(d << s for d, s in zip(digits, shifts))
+    new = to[local]
+    moved = strings + sum((((new >> s) & 3) - d) << 2 * q for q, s, d in zip(qubits, shifts, digits))
+    return local, moved
+
+
+@dataclass(frozen=True, eq=False)
+class _KetProgram:
+    """A circuit compiled into Pauli rotations for kets (module doc).
+
+    `start` is the ket after every Clifford gate, read-only. Each op is
+    (gather, table, angle): the new v is cos(t/2) v + sin(t/2) table * v[gather].
+    """
+
+    start: np.ndarray
+    ops: tuple
+
+    def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
+        """The compiled circuit's ket from |0...0>."""
+        v = self.start
+        for gather, table, angle in self.ops:
+            if isinstance(angle, Param):
+                angle = _bound(angle, bindings)
+            x = v[gather]
+            x *= table
+            v = math.cos(0.5 * angle) * v + math.sin(0.5 * angle) * x
+        return v
+
+
+def _bound(param: Param, bindings: Mapping[str, float] | None) -> float:
+    try:
+        return param.resolve(bindings or {})
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
+def _ket_program(circuit: Circuit) -> _KetProgram:
+    n = circuit.n_qubits
+    ket = np.zeros((2,) * n, dtype=complex)  # axis n - 1 - q is qubit q
+    ket.flat[0] = 1.0
+    strings = np.zeros(0, dtype=np.int64)  # each rotation's axis, digit q on qubit q
+    signs = np.zeros(0)
+    angles = []
+    conjugations: dict = {}
+
+    for gate in circuit.gates:
+        angle = gate.params[0] if gate.params else None
+        if not isinstance(angle, Param):
+            unitary = gate_matrix(gate.kind, gate.resolved({}))
+            key = unitary.tobytes()
+            if key not in conjugations:
+                # column Q of the transfer matrix: U Q U-dagger = sign[Q] target[Q]
+                conjugations[key] = _signed_permutation(_transfer(unitary, 0.0).T)
+            if conjugations[key] is not None:
+                target, sign = conjugations[key]
+                local, strings = _relabel(strings, gate.qubits, target)
+                signs = signs * np.rint(sign[local])  # +-1 up to rounding
+                # einsum labels: ket axis a is a, the gate's inputs are n, n + 1
+                outputs = [n - 1 - q for q in gate.qubits]
+                inputs = list(range(n, n + len(outputs)))
+                labels = [inputs[outputs.index(a)] if a in outputs else a for a in range(n)]
+                ket = np.einsum(unitary.reshape((2,) * 2 * len(outputs)), outputs + inputs, ket, labels)
+                continue
+            angle = float(angle)
+        strings = np.append(strings, _AXES[gate.kind][0] << 2 * gate.qubits[0])
+        signs = np.append(signs, 1.0)
+        angles.append(angle)
+
+    index = np.arange(1 << n)
+    ops = []
+    for string, sign, angle in zip(strings, signs, angles):
+        flip, phases = _action("".join("IXYZ"[string >> 2 * q & 3] for q in range(n - 1, -1, -1)))
+        gather = index ^ flip
+        ops.append((gather, -1j * sign * phases[gather], angle))
+    start = ket.reshape(-1)
+    start.setflags(write=False)
+    return _KetProgram(start, tuple(ops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,16 +317,11 @@ def _transfer_program(circuit: Circuit, noise: NoiseModel) -> _TransferProgram:
     def lift(ptm: np.ndarray, qubits: tuple[int, ...]):
         """(step, factor) with r <- factor r[step] the gate on all of r, or
         None unless each row of ptm has at most one entry above 1e-12."""
-        ptm[np.abs(ptm) < 1e-12] = 0.0
-        if np.count_nonzero(ptm, axis=1).max() > 1:
+        signed = _signed_permutation(ptm)
+        if signed is None:
             return None
-        source = np.abs(ptm).argmax(axis=1)
-        shifts = [2 * (len(qubits) - 1 - j) for j in range(len(qubits))]
-        local = sum(digits[q] << s for q, s in zip(qubits, shifts))
-        step = index + sum(
-            (((source[local] >> s) & 3) - digits[q]) << 2 * q for q, s in zip(qubits, shifts)
-        )
-        return step, ptm[local, source[local]]
+        local, step = _relabel(index, qubits, signed[0])
+        return step, signed[1][local]
 
     def rotation(kind: str, q: int, p: float, angle) -> tuple:
         """The op of rotation `kind` on q followed by its channel."""

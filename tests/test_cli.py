@@ -119,8 +119,10 @@ def test_unusable_options_are_config_errors(argv, message, capsys):
         ("qubits=2\nZI 1.0\nIZ 0.5\n", ["--reference", "10", "--ansatz", "compact",
                                          "--mitigation", "rem"],
          "the compact ansatz starts from the reference state 01"),
+        ("qubits=11\n" + "Z" * 11 + " 1.0\n", ["--backend", "noisy"],
+         "the noisy backend is limited to 10 qubits (its Pauli-transfer ops hold 4^n"),
     ],
-    ids=["file-with-r", "13-qubit-file", "compact-other-reference"],
+    ids=["file-with-r", "13-qubit-file", "compact-other-reference", "11-qubit-noisy-file"],
 )
 def test_hamiltonian_file_config_errors(text, extra, message, tmp_path, capsys):
     path = tmp_path / "h.txt"

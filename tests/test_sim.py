@@ -26,6 +26,7 @@ from remvqe import (
     ground_state_energy,
     group_terms,
     h2_compact_spec,
+    hardware_efficient_spec,
     hf_state,
     run_density,
     run_statevector,
@@ -316,8 +317,9 @@ def parametric_circuits(draw):
     return Circuit(n, tuple(gates)), bindings, noise
 
 
-# Circuits at the edges of single-qubit fusion: the ket compiler keeps each
-# qubit's fixed one-qubit ops pending and folds them into its next two-qubit op.
+# Circuits that mix fixed one-qubit gates, Param-bound rotations and
+# two-qubit gates on shared qubits, in every order: each Clifford gate
+# conjugates the axes of the rotations before it (module doc of remvqe.sim).
 FUSION_EDGES = (
     # a run of single-qubit gates on one qubit, then a two-qubit gate on it
     Circuit(2, (Gate("H", (0,)), Gate("RX", (0,), (0.4,)), Gate("X", (0,)),
@@ -330,7 +332,7 @@ FUSION_EDGES = (
     Circuit(3, (Gate("H", (2,)), Gate("CNOT", (2, 0)), Gate("RX", (0,), (0.3,)),
                 Gate("H", (2,)), Gate("RY", (2,), (Param("a"),)), Gate("X", (1,)),
                 Gate("RZ", (2,), (1.2,)))),
-    # two-qubit gates with pending ops on both qubits, in either order
+    # one-qubit gates on both qubits of each two-qubit gate, in either order
     Circuit(3, (Gate("H", (0,)), Gate("RX", (2,), (0.4,)), Gate("CNOT", (2, 0)),
                 Gate("RY", (0,), (-0.8,)), Gate("X", (2,)), Gate("CNOT", (0, 2)),
                 Gate("RZ", (1,), (Param("a"),)), Gate("H", (1,)), Gate("RY", (2,), (1.3,)),
@@ -362,6 +364,44 @@ def test_compiled_program_matches_per_gate_reference(case):
     assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
+def test_ket_program_keeps_one_op_per_rotation():
+    # Clifford gates fold into the start ket: a ket program runs one op per
+    # Param-bound rotation, in circuit order, and one per fixed rotation at
+    # a non-Clifford angle
+    uccsd = ansatz_circuit(uccsd_spec(4))
+    bound = [g.params[0] for g in uccsd.gates if g.params and isinstance(g.params[0], Param)]
+    assert [angle for *_, angle in _program(uccsd, None).ops] == bound
+    assert len(bound) == 40
+    hwe = ansatz_circuit(hardware_efficient_spec(4))
+    compact = ansatz_circuit(h2_compact_spec())
+    fixed = Circuit(2, (Gate("H", (0,)), Gate("RX", (1,), (0.4,)), Gate("CNOT", (1, 0))))
+    clifford = Circuit(3, (Gate("H", (0,)), Gate("CNOT", (0, 2)), Gate("RZ", (2,), (np.pi / 2,)),
+                           Gate("RX", (1,), (np.pi,)), Gate("CZ", (2, 1)), Gate("X", (0,)),
+                           Gate("RY", (1,), (-np.pi / 2,)), Gate("H", (2,))))
+    assert len(_program(hwe, None).ops) == 12
+    assert len(_program(compact, None).ops) == 1
+    assert [angle for *_, angle in _program(fixed, None).ops] == [0.4]
+    assert _program(clifford, None).ops == ()
+    rng = np.random.default_rng(3)
+    for circuit in (uccsd, hwe, compact, fixed, clifford):
+        bindings = {g.params[0].name: rng.uniform(-np.pi, np.pi) for g in circuit.gates
+                    if g.params and isinstance(g.params[0], Param)}
+        compiled = _program(circuit, None).run(bindings)
+        assert np.max(np.abs(compiled - evolve(circuit, bindings, None))) < 1e-12
+
+
+def test_wide_ket_program_matches_per_gate_reference():
+    # a 12-qubit hardware-efficient chain: 36 ops on 4096 amplitudes
+    spec = hardware_efficient_spec(12)
+    circuit = ansatz_circuit(spec)
+    rng = np.random.default_rng(12)
+    bindings = dict(zip(spec.parameter_names(), rng.uniform(-np.pi, np.pi, spec.n_params)))
+    program = _program(circuit, None)
+    assert len(program.ops) == 36
+    compiled = program.run(bindings)
+    assert np.max(np.abs(compiled - evolve(circuit, bindings, None))) < 1e-12
+
+
 def test_noisy_program_keeps_one_op_per_rotation():
     # Clifford gates and depolarizing channels fold into the Pauli-transfer
     # frame: the LiH UCCSD density program runs one op per Param-bound RZ,
@@ -385,6 +425,11 @@ TRANSFER_EDGES = (
     Circuit(3, (Gate("H", (2,)), Gate("RY", (2,), (Param("a"),)), Gate("CNOT", (2, 0)),
                 Gate("RX", (0,), (0.3,)), Gate("RX", (1,), (Param("b", -2.5),)),
                 Gate("CZ", (1, 2)), Gate("X", (1,)))),
+    # quarter turns after rotations: Cliffords that are not their own inverse
+    Circuit(2, (Gate("RY", (0,), (Param("a"),)), Gate("RX", (0,), (np.pi / 2,)),
+                Gate("RX", (1,), (Param("b"),)), Gate("RZ", (1,), (-np.pi / 2,)),
+                Gate("CNOT", (0, 1)), Gate("RY", (1,), (3 * np.pi / 2,)), Gate("RY", (0,), (0.8,)),
+                Gate("RZ", (0,), (np.pi / 2,)))),
 )
 
 
@@ -392,7 +437,7 @@ TRANSFER_EDGES = (
 @pytest.mark.parametrize(
     "noise",
     [NoiseModel(), NoiseModel(p2=0.1, p1=0.03), NoiseModel(p2=15 / 16, p1=0.75),
-     NoiseModel(p2=15 / 16, p1=0.01), NoiseModel(p2=1.0, p1=1.0)],
+     NoiseModel(p2=15 / 16, p1=0.01), NoiseModel(p2=1.0, p1=1.0), None],
 )
 def test_transfer_program_edges_match_per_gate_reference(circuit, noise):
     bindings = {"a": 0.7, "b": -1.3}
