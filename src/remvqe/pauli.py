@@ -45,8 +45,7 @@ class PauliString:
     @property
     def support(self) -> tuple[int, ...]:
         """Qubits acted on non-trivially, ascending."""
-        n = len(self.label)
-        return tuple(q for q in range(n) if self.label[n - 1 - q] != "I")
+        return tuple(q for q, ch in enumerate(reversed(self.label)) if ch != "I")
 
     @cached_property
     def support_mask(self) -> int:
@@ -83,22 +82,41 @@ def sign_table(n_qubits: int, mask: int) -> np.ndarray:
     return signs
 
 
+def pauli_index(label: str) -> int:
+    """Position of `label` in a Pauli vector: base-4 digit q is qubit q's I, X, Y, Z = 0-3."""
+    return sum("IXYZ".index(ch) << 2 * q for q, ch in enumerate(reversed(label)))
+
+
+# One qubit's Pauli coefficients (I, X, Y, Z) to its 2 x 2 block of rho,
+# (row, column) = 00, 01, 10, 11, with the 1/2 of rho's 1/2^n; and back.
+_TO_RHO = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+_FROM_RHO = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+
+
+def _density_matrix(r: np.ndarray) -> np.ndarray:
+    """rho = sum_P r_P P / 2^n: a 4 x 4 product per qubit, then rows before columns."""
+    n = (len(r).bit_length() - 1) // 2
+    for _ in range(n):
+        r = r.reshape(4, -1).T @ _TO_RHO.T
+    bits = r.reshape((2,) * 2 * n)  # row and column bit of qubit n - 1 first
+    return bits.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(1 << n, 1 << n)
+
+
+def _pauli_vector(rho: np.ndarray) -> np.ndarray:
+    """r_P = Tr(P rho), complex unless rho is Hermitian: _density_matrix undone."""
+    n = len(rho).bit_length() - 1
+    v = rho.reshape((2,) * 2 * n).transpose([k for q in range(n) for k in (q, q + n)]).reshape(-1)
+    for _ in range(n):
+        v = (_FROM_RHO @ v.reshape(-1, 4).T).reshape(-1)
+    return v
+
+
 @lru_cache(maxsize=4096)
 def _action(label: str) -> tuple[int, np.ndarray]:
     """Return (flip_mask, phases) such that P|i> = phases[i] |i ^ flip_mask>."""
-    n = len(label)
-    flip = 0
-    sign_mask = 0  # qubits contributing (-1)^bit (Y and Z)
-    n_y = 0
-    for q in range(n):
-        ch = label[n - 1 - q]
-        if ch in "XY":
-            flip |= 1 << q
-        if ch in "YZ":
-            sign_mask |= 1 << q
-        if ch == "Y":
-            n_y += 1
-    phases = (1j) ** n_y * sign_table(n, sign_mask)
+    flip = sum(1 << q for q, ch in enumerate(reversed(label)) if ch in "XY")
+    sign_mask = sum(1 << q for q, ch in enumerate(reversed(label)) if ch in "YZ")
+    phases = (1j) ** label.count("Y") * sign_table(len(label), sign_mask)
     return flip, phases.astype(complex)
 
 
@@ -173,34 +191,40 @@ class MeasurementGroup:
     members: tuple[int, ...]
 
 
-def _state_array(state) -> np.ndarray:
-    arr = getattr(state, "data", state)
-    return np.asarray(arr)
-
-
 def expectation(h: PauliHamiltonian, state) -> float:
-    """<state| H |state> (or trace(H rho)) including the classical offset.
+    """<state| H |state> (or Tr(H rho)) including the classical offset.
 
     `state` may be a norm-1 amplitude vector, a trace-1 density matrix, or a
-    QuantumState wrapping either. The terms act through their dense matrix
-    (cached per Hamiltonian, so n is bounded as in to_dense_matrix), and the
-    offset is added last.
+    QuantumState. A density state gives sum_t c_t r[P_t] from its Pauli
+    vector r (Tr(P rho) = r_P; positions cached per Hamiltonian); a ket acts
+    through the terms' dense matrix (cached, n bounded as in
+    to_dense_matrix). The offset is added last.
     """
-    arr = _state_array(state)
     dim = 1 << h.n_qubits
-    if arr.shape not in ((dim,), (dim, dim)):
-        raise ValueError(
-            f"state dimension {arr.shape} does not match {h.n_qubits} qubits"
-        )
-    terms = _terms_matrix(h)
-    if arr.ndim == 1:
-        value = complex(np.vdot(arr, terms @ arr))
+    r = getattr(state, "pauli", None)
+    arr = np.asarray(getattr(state, "data", state)) if r is None else r
+    if arr.shape == (dim, dim):
+        arr = r = _pauli_vector(arr)
+    if r is not None and arr.shape == (dim * dim,):
+        index, coeffs = _term_vectors(h)
+        value = complex(np.dot(coeffs, r[index]))
+    elif r is None and arr.shape == (dim,):
+        value = complex(np.vdot(arr, _terms_matrix(h) @ arr))
     else:
-        # trace(H rho) = sum_ij conj(H_ji) rho_ji for Hermitian H
-        value = complex(np.vdot(terms, arr))
+        raise ValueError(f"state dimension {arr.shape} does not match {h.n_qubits} qubits")
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return value.real + h.offset
+
+
+@lru_cache(maxsize=64)
+def _term_vectors(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's position in a Pauli vector and its coefficient, read-only."""
+    index = np.array([pauli_index(pauli.label) for pauli, _ in h.terms], dtype=np.int64)
+    coeffs = np.array([coeff for _, coeff in h.terms], dtype=float)
+    index.setflags(write=False)
+    coeffs.setflags(write=False)
+    return index, coeffs
 
 
 def basis_energy(h: PauliHamiltonian, bitstring: str) -> float:
@@ -263,10 +287,7 @@ def group_terms(h: PauliHamiltonian) -> list[MeasurementGroup]:
     for t, (pauli, _) in enumerate(h.terms):
         letters = [pauli.char_on(q) for q in range(n)]
         for basis, mem in zip(bases, members):
-            if all(
-                ch == "I" or basis[q] is None or basis[q] == ch
-                for q, ch in enumerate(letters)
-            ):
+            if all(ch == "I" or basis[q] in (None, ch) for q, ch in enumerate(letters)):
                 for q, ch in enumerate(letters):
                     if ch != "I":
                         basis[q] = ch
@@ -284,10 +305,7 @@ def group_terms(h: PauliHamiltonian) -> list[MeasurementGroup]:
 
 def is_compatible(term: PauliString, basis: PauliString) -> bool:
     """True when every non-identity letter of `term` matches `basis`."""
-    return all(
-        term.char_on(q) == "I" or term.char_on(q) == basis.char_on(q)
-        for q in range(term.n_qubits)
-    )
+    return all(ch in ("I", b) for ch, b in zip(term.label, basis.label, strict=True))
 
 
 # --- plain-text Hamiltonian format ------------------------------------------

@@ -1,5 +1,5 @@
 """Statevector and density-matrix circuit execution with depolarizing and
-readout noise.
+readout noise; noisy states are held and measured as Pauli vectors.
 
 Noise conventions: NoiseModel.p1 and p2 are the TOTAL non-identity error
 probabilities. After every single-qubit gate the channel
@@ -62,19 +62,21 @@ and Z and 0 elsewhere.
   index arrays are gathered by pi and its vectors too, then scaled by s),
   or into the start vector. So the gates before the first op cost nothing
   at run time, and a run is one op per rotation.
-- The output is vec(rho) in natural order: per qubit, one 4 x 4 product
-  maps the digit's (I, X, Y, Z) coefficients to its (row, column) bits of
-  rho, and one gather puts rows before columns. No 4^n x 4^n array is
-  built; each op stores O(4^n) numbers.
+- The output is r itself, which a density QuantumState holds as its one
+  representation; rho is built from r only when read (pauli._density_matrix).
+  Each op stores O(4^n) numbers.
 
 The tests check both programs against a per-gate reference that moves the
 gate's axes to the front and applies one matrix per gate (a superoperator
-on vec(rho)), and the density program against explicit Kraus sums.
+on vec(rho), compared through rho), and against explicit Kraus sums.
 
-A measurement basis is a matrix U, the tensor product of the per-qubit
-rotations: p = |U psi|^2 for a ket and p = diag(U rho U-dagger) for a
-density matrix. The U of all the bases an evaluation measures are cached as
-one stack, so one batched product gives every distribution.
+A density state is measured from r. In basis B only the strings B_S, B's
+letters (I read as Z) on the qubits in S and I elsewhere, rotate to a
+diagonal Z string, so p(x) = 2^-n sum_S (-1)^|x & S| r[B_S]: one cached
+(G, 2^n) gather of r for the G bases and a product with the sign matrix of
+rows pauli.sign_table(n, S). A ket is measured as p = |U psi|^2, with U the
+tensor product of the per-qubit rotations, from a cached stack of the U of
+all the bases; that stack is for kets only.
 
 Basis index convention: bit q of an outcome index is qubit q. Counts are
 np.int64 vectors of length 2**n indexed by outcome.
@@ -90,41 +92,54 @@ import numpy as np
 
 from .circuits import Circuit, Param, gate_matrix
 from .mitigation import ConfusionMatrix
-from .pauli import PauliString, _action
+from .pauli import PauliString, _action, _density_matrix, _pauli_vector, pauli_index, sign_table
 
 
-@dataclass(frozen=True)
 class QuantumState:
-    """Either a norm-1 amplitude vector (pure) or a trace-1 density matrix."""
+    """A norm-1 amplitude vector (a ket), or a trace-1 density matrix held as
+    its Pauli vector r (module doc): QuantumState(rho) turns rho into r once,
+    QuantumState(pauli=r) keeps r, and `data` builds rho from r on first
+    read. The arrays are read-only."""
 
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.ndim == 1:
-            n = arr.shape[0]
-            if n & (n - 1) or n == 0:
-                raise ValueError(f"amplitude length {n} is not a power of two")
-            if abs(np.linalg.norm(arr) - 1.0) > 1e-6:
+    def __init__(self, data: np.ndarray | None = None, *, pauli: np.ndarray | None = None) -> None:
+        self.pauli = self._data = None
+        if pauli is None:
+            arr = self._data = np.asarray(data, dtype=complex)
+            if arr.ndim not in (1, 2) or arr.shape != arr.shape[:1] * arr.ndim:
+                raise ValueError("state must be a vector or a square matrix")
+            dim = len(arr)
+            if dim & (dim - 1) or dim == 0:
+                raise ValueError(f"state dimension {dim} is not a power of two")
+            if arr.ndim == 2:
+                pauli, self._data = _pauli_vector(arr), None
+                if np.abs(pauli.imag).max() > 1e-10:
+                    raise ValueError("density matrix is not Hermitian")
+            elif abs(np.linalg.norm(arr) - 1.0) > 1e-6:
                 raise ValueError("amplitude vector is not normalized")
-        elif arr.ndim == 2:
-            n = arr.shape[0]
-            if arr.shape != (n, n) or n & (n - 1) or n == 0:
-                raise ValueError(f"density matrix shape {arr.shape} invalid")
-            if abs(np.trace(arr).real - 1.0) > 1e-6:
+        if pauli is not None:
+            arr = self.pauli = np.asarray(np.real(pauli), dtype=float)
+            size = len(arr) if arr.ndim == 1 else 0
+            if size & (size - 1) or size.bit_length() % 2 == 0:
+                raise ValueError(f"Pauli vector shape {arr.shape} is not (4^n,)")
+            if abs(arr[0] - 1.0) > 1e-6:
                 raise ValueError("density matrix trace is not 1")
-        else:
-            raise ValueError("state must be a vector or a square matrix")
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:  # a density state's rho, built once
+            self._data = _density_matrix(self.pauli)
+            self._data.setflags(write=False)
+        return self._data
 
     @property
     def is_density(self) -> bool:
-        return self.data.ndim == 2
+        return self.pauli is not None
 
     @property
     def n_qubits(self) -> int:
-        return int(self.data.shape[0]).bit_length() - 1
+        dim = len(self._data) if self.pauli is None else math.isqrt(len(self.pauli))
+        return dim.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -161,10 +176,6 @@ _STRINGS = {2: _PAULI, 4: np.array([np.kron(a, b) for a in _PAULI for b in _PAUL
 # Rotations about Pauli a turn the pair (b, c) by
 # b -> cos t b + sin t c, c -> cos t c - sin t b: kind -> (a, b, c).
 _AXES = {"RX": (1, 2, 3), "RY": (2, 3, 1), "RZ": (3, 1, 2)}
-
-# One qubit's Pauli coefficients (I, X, Y, Z) to its 2 x 2 block of rho,
-# entries (row, column) = 00, 01, 10, 11, with the 1/2 of rho's 1/2^n.
-_TO_RHO = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
 
 
 def _transfer(unitary: np.ndarray, p: float) -> np.ndarray:
@@ -280,17 +291,14 @@ class _TransferProgram:
     `start` is r after the gates before the first op. Each op is
     (gather, table, angle): x = r[gather] stacks r[pi], r[pi] and r[pi'],
     the rows of the (3, 4^n) table are A0, A1 and B, and the new r is
-    (1, cos t, sin t) times their products. `order` gathers the per-qubit
-    output into vec(rho).
+    (1, cos t, sin t) times their products.
     """
 
-    n_qubits: int
     start: np.ndarray
     ops: tuple
-    order: np.ndarray
 
     def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
-        """vec(rho) of the compiled circuit from |0...0><0...0|."""
+        """The Pauli vector r of the compiled circuit from |0...0><0...0|."""
         r = self.start
         for gather, table, angle in self.ops:
             if isinstance(angle, Param):
@@ -298,9 +306,7 @@ class _TransferProgram:
             x = r[gather]
             x *= table
             r = np.dot((1.0, math.cos(angle), math.sin(angle)), x)
-        for _ in range(self.n_qubits):
-            r = r.reshape(4, -1).T @ _TO_RHO.T
-        return r.reshape(-1)[self.order]
+        return r
 
 
 def _transfer_program(circuit: Circuit, noise: NoiseModel) -> _TransferProgram:
@@ -363,8 +369,7 @@ def _transfer_program(circuit: Circuit, noise: NoiseModel) -> _TransferProgram:
         settle()
         ops.append(rotation(gate.kind, gate.qubits[0], p, angle))
     settle()
-    order = index.reshape((2,) * 2 * n).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    return _TransferProgram(n, start, tuple(ops), order.reshape(-1))
+    return _TransferProgram(start, tuple(ops))
 
 
 @lru_cache(maxsize=32)
@@ -385,10 +390,8 @@ def run_density(
     bindings: Mapping[str, float] | None = None,
     noise: NoiseModel | None = None,
 ) -> QuantumState:
-    """Density-matrix execution with per-gate depolarizing channels."""
-    dim = 1 << circuit.n_qubits
-    vec = _program(circuit, noise or NoiseModel()).run(bindings)
-    return QuantumState(vec.reshape(dim, dim))
+    """Density-matrix execution with per-gate depolarizing channels, held as r."""
+    return QuantumState(pauli=_program(circuit, noise or NoiseModel()).run(bindings))
 
 
 _ROTATION = {"Z": np.eye(2, dtype=complex), "I": np.eye(2, dtype=complex),
@@ -398,8 +401,8 @@ _ROTATION = {"Z": np.eye(2, dtype=complex), "I": np.eye(2, dtype=complex),
 @lru_cache(maxsize=64)
 def _basis_rotations(labels: tuple[str, ...]) -> np.ndarray:
     """The (G, 2^n, 2^n) stack of U per basis label, each the tensor product
-    of the per-qubit rotations (qubit n-1 leftmost), read-only. It takes
-    16 * G * 4^n bytes, as much as G n-qubit density matrices."""
+    of the per-qubit rotations (qubit n-1 leftmost), read-only, for kets. It
+    takes 16 * G * 4^n bytes, as much as G n-qubit density matrices."""
     rotations = []
     for label in labels:
         u = np.ones((1, 1), dtype=complex)
@@ -411,22 +414,35 @@ def _basis_rotations(labels: tuple[str, ...]) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=64)
+def _basis_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (index, signs) with index[g, S] the position of B_S for
+    B = labels[g] and signs[S] = sign_table(n, S) / 2^n (module doc)."""
+    n = len(labels[0])
+    subsets = np.arange(1 << n)
+    on_s = sum(((subsets >> q) & 1) * (3 << 2 * q) for q in range(n))  # digits 3 on S
+    index = np.array([pauli_index(label.replace("I", "Z")) & on_s for label in labels])
+    signs = np.array([sign_table(n, s) for s in subsets]) / (1 << n)
+    index.setflags(write=False)
+    signs.setflags(write=False)
+    return index, signs
+
+
 def _basis_probabilities(state: QuantumState, bases: tuple[PauliString, ...]) -> np.ndarray:
     """Row g is the outcome distribution of `state` measured in bases[g]
-    (basis letters I are measured as Z), from one batched product with the
-    cached rotation stack; each row equals the single-basis product bit for
-    bit."""
-    dim = state.data.shape[0]
+    (basis letters I are measured as Z), from one batched product for all
+    bases (module doc); each row equals the single-basis result bit for bit."""
+    n = state.n_qubits
     if not bases:
-        return np.zeros((0, dim))
-    u = _basis_rotations(tuple(b.label for b in bases))
-    if u.shape[-1] != dim:
-        raise ValueError(f"basis {bases[0].label!r} does not match {state.n_qubits} qubits")
+        return np.zeros((0, 1 << n))
+    labels = tuple(b.label for b in bases)
+    if any(len(label) != n for label in labels):
+        raise ValueError(f"basis {bases[0].label!r} does not match {n} qubits")
     if state.is_density:
-        # diag(U rho U-dagger)_i = sum_c (U rho)_ic conj(U_ic)
-        probs = np.real(((u @ state.data) * u.conj()).sum(axis=2))
+        index, signs = _basis_tables(labels)
+        probs = (state.pauli[index][:, None] @ signs)[:, 0]  # per row, as for one basis
     else:
-        probs = np.abs(u @ state.data) ** 2
+        probs = np.abs(_basis_rotations(labels) @ state.data) ** 2
     probs[probs < 0] = 0.0
     return probs / probs.sum(axis=1, keepdims=True)
 

@@ -67,6 +67,11 @@ class EnergyEvaluator:
     unfold_matrix: ConfusionMatrix | None = None
 
     def __post_init__(self) -> None:
+        n = self.hamiltonian.n_qubits
+        for name in ("ansatz", "confusion", "unfold_matrix"):
+            part = getattr(self, name)
+            if part is not None and part.n_qubits != n:
+                raise ValueError(f"{name} acts on {part.n_qubits} qubits, the Hamiltonian on {n}")
         if self.shots is None:
             return
         if self.shots <= 0:

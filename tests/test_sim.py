@@ -126,6 +126,13 @@ def evolve(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
     return v
 
 
+def run_program(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
+    """The compiled program's ket, or vec(rho) read through the density
+    state's view of the program's Pauli vector."""
+    out = _program(circuit, noise).run(bindings)
+    return out if noise is None else QuantumState(pauli=out).data.reshape(-1)
+
+
 def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
     rng = np.random.default_rng(seed)
     one_q = ("RX", "RY", "RZ", "H", "X")
@@ -360,7 +367,7 @@ def fusion_edge_examples(test):
 @fusion_edge_examples
 def test_compiled_program_matches_per_gate_reference(case):
     circuit, bindings, noise = case
-    compiled = _program(circuit, noise).run(bindings)
+    compiled = run_program(circuit, bindings, noise)
     assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
@@ -441,7 +448,7 @@ TRANSFER_EDGES = (
 )
 def test_transfer_program_edges_match_per_gate_reference(circuit, noise):
     bindings = {"a": 0.7, "b": -1.3}
-    compiled = _program(circuit, noise).run(bindings)
+    compiled = run_program(circuit, bindings, noise)
     assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
@@ -461,7 +468,7 @@ def test_deep_noisy_program_matches_per_gate_reference():
     rng = np.random.default_rng(11)
     bindings = dict(zip(spec.parameter_names(), rng.uniform(-np.pi, np.pi, spec.n_params)))
     noise = NoiseModel(p2=4e-3)
-    compiled = _program(circuit, noise).run(bindings)
+    compiled = run_program(circuit, bindings, noise)
     assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
@@ -558,7 +565,52 @@ def test_batched_basis_probabilities_match_single_basis_bit_for_bit(labels, seed
         batched = _basis_probabilities(QuantumState(state), bases)
         assert batched.shape == (len(labels), 1 << n)
         for row, label in zip(batched, labels):
-            assert np.array_equal(row, single_basis_probabilities(state, label))
+            single = _basis_probabilities(QuantumState(state), (PauliString(label),))[0]
+            assert np.array_equal(row, single)
+            if state.ndim == 1:
+                assert np.array_equal(row, single_basis_probabilities(state, label))
+
+
+@st.composite
+def noisy_measurements(draw):
+    """A 1-4 qubit noisy circuit with its bindings, bases with I letters, and
+    a Hamiltonian on its qubits."""
+    n = draw(st.integers(1, 4))
+    kinds = sorted(k for k, (arity, _) in GATE_KINDS.items() if arity <= n)
+    param = st.builds(Param, st.sampled_from(PARAM_NAMES), st.sampled_from((1.0, -0.5)))
+    angle = st.floats(-np.pi, np.pi) | param
+    gates = [draw_gate(draw, n, kinds, angle) for _ in range(draw(st.integers(0, 16)))]
+    noise = NoiseModel(p2=draw(st.floats(0.0, 1.0)), p1=draw(st.floats(0.0, 1.0)))
+    bindings = {name: draw(st.floats(-2 * np.pi, 2 * np.pi)) for name in PARAM_NAMES}
+    label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    bases = tuple(PauliString(b) for b in draw(st.lists(label, min_size=1, max_size=6)))
+    terms = draw(st.lists(st.tuples(label, st.floats(-1.0, 1.0)), min_size=1, max_size=8))
+    h = PauliHamiltonian(n, tuple(terms), draw(st.floats(-2.0, 2.0)))
+    return Circuit(n, tuple(gates)), bindings, noise, bases, h
+
+
+@settings(deadline=None, max_examples=60)
+@given(noisy_measurements())
+def test_pauli_vector_measurements_match_density_matrix(case):
+    # distributions and exact energies read from r against the same
+    # quantities of the per-gate reference's density matrix
+    circuit, bindings, noise, bases, h = case
+    n = circuit.n_qubits
+    rho = evolve(circuit, bindings, noise).reshape(1 << n, 1 << n)
+    state = run_density(circuit, bindings, noise)
+    probs = _basis_probabilities(state, bases)
+    for row, basis in zip(probs, bases):
+        assert np.max(np.abs(row - single_basis_probabilities(rho, basis.label))) < 1e-12
+    dense = sum(c * reduce(np.kron, [PAULI_1Q[ch] for ch in p.label]) for p, c in h.terms)
+    exact = float(np.real(np.trace(dense @ rho))) + h.offset
+    assert abs(expectation(h, state) - exact) < 1e-12
+
+
+def test_basis_must_match_state_qubits():
+    circuit = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
+    for state in (run_density(circuit, noise=NoiseModel(p2=0.01)), run_statevector(circuit)):
+        with pytest.raises(ValueError, match="basis 'ZZZZ' does not match 2 qubits"):
+            _basis_probabilities(state, (PauliString("ZZZZ"),))
 
 
 def test_total_probability_three_quarters_fully_mixes():
@@ -609,6 +661,14 @@ def test_state_validation():
         QuantumState(np.eye(2))
     with pytest.raises(ValueError, match="vector or a square"):
         QuantumState(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="vector or a square"):
+        QuantumState(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        QuantumState(np.array([[0.5, 0.3j], [0.3j, 0.5]]))
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState(pauli=np.array([2.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not \\(4\\^n,\\)"):
+        QuantumState(pauli=np.ones(8))
 
 
 def test_state_density_view():
@@ -617,6 +677,15 @@ def test_state_density_view():
     assert not s.is_density
     d = QuantumState(np.eye(4) / 4)
     assert d.is_density
+    assert d.n_qubits == 2
+    assert np.array_equal(d.pauli, np.eye(16)[0])
+    # rho -> r -> rho round trip; Z on qubit 0 is position 3 and on qubit 1
+    # position 12 (base-4 digit q is qubit q)
+    rho = np.zeros((4, 4))
+    rho[1, 1] = 1.0  # |01>: qubit 0 is 1
+    flipped = QuantumState(rho)
+    assert flipped.pauli[3] == -1.0 and flipped.pauli[12] == 1.0
+    assert np.array_equal(QuantumState(pauli=flipped.pauli).data, rho)
 
 
 def test_hf_state():

@@ -49,6 +49,46 @@ def test_evaluator_validation():
     assert math.isfinite(evaluate(h2_evaluator(shots=2), [0.3]))
 
 
+@pytest.mark.parametrize(
+    "part, value",
+    [
+        ("ansatz", h2_compact_spec()),
+        ("confusion", device_confusion()),
+        ("unfold_matrix", ConfusionMatrix.identity(3)),
+    ],
+)
+def test_evaluator_rejects_qubit_mismatch(part, value):
+    # found at construction, not mid-evaluation; noisy and sampled as in a
+    # LiH run, where the mismatch used to surface from numpy or the basis check
+    lih = builtin("lih").geometry(1.5949).hamiltonian
+    kwargs = {"ansatz": uccsd_spec(4), "noise": NoiseModel(p2=4e-3), "shots": 100, part: value}
+    counts = 3 if part == "unfold_matrix" else 2
+    with pytest.raises(ValueError, match=f"{part} acts on {counts} qubits, the Hamiltonian on 4"):
+        EnergyEvaluator(lih, **kwargs)
+
+
+def test_noisy_evaluations_stay_on_the_pauli_vector(monkeypatch):
+    # exact, sampled, readout and unfolded noisy evaluations read their
+    # distributions and energies from r: none builds rho, the basis-rotation
+    # stack or the dense Hamiltonian
+    from remvqe import pauli, sim
+
+    def refuse(*_args):
+        raise AssertionError("a noisy evaluation left the Pauli-vector path")
+
+    confusion = device_confusion()
+    recipes = ({}, {"confusion": confusion}, {"confusion": confusion, "unfold_matrix": confusion},
+               {"shots": 500}, {"shots": 500, "confusion": confusion},
+               {"shots": 500, "confusion": confusion, "unfold_matrix": confusion})
+    expected = [evaluate(h2_evaluator(noise=NoiseModel(p2=0.02), **kw), [0.3]) for kw in recipes]
+    for module, name in ((sim, "_density_matrix"), (sim, "_basis_rotations"), (pauli, "_terms_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    for kwargs, energy in zip(recipes, expected):
+        assert evaluate(h2_evaluator(noise=NoiseModel(p2=0.02), **kwargs), [0.3]) == energy
+    with pytest.raises(AssertionError, match="Pauli-vector path"):
+        sim.run_density(sim.Circuit(1, ()), noise=NoiseModel(p2=0.02)).data
+
+
 def test_evaluate_rejects_wrong_parameter_count():
     with pytest.raises(ValueError, match="ansatz takes 1 parameters, got 2"):
         evaluate(h2_evaluator(), [0.0, 0.0])
