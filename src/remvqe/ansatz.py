@@ -99,6 +99,7 @@ class AnsatzSpec:
             raise ValueError("the compact ansatz starts from the reference state 01")
         if self.family == "uccsd":
             uccsd_excitations(self.n_qubits)
+        object.__setattr__(self, "_names", tuple(f"t{k}" for k in range(self.n_params)))
 
     @property
     def n_params(self) -> int:
@@ -109,7 +110,7 @@ class AnsatzSpec:
         return self.n_qubits * (_HWE_LAYERS + 1)
 
     def parameter_names(self) -> tuple[str, ...]:
-        return tuple(f"t{k}" for k in range(self.n_params))
+        return self._names
 
 
 def hartree_fock_circuit(spec: AnsatzSpec) -> Circuit:

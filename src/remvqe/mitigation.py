@@ -143,31 +143,37 @@ def _kkt_target(H: np.ndarray, b: np.ndarray, free: list[int]) -> tuple[np.ndarr
 
 
 def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
-    """argmin ||m - Cx||^2 over the probability simplex.
+    """argmin ||m - Cx||^2 over the probability simplex, for one measured
+    vector or each row of a (G, 2^n) stack.
 
     Exact primal active-set quadratic program (`_active_set`). When the
     full-support solution of its first step is already feasible, that step
-    is the whole run, and it is replayed here without the loop: the result
-    is bit for bit the active set's. The returned vector sums to 1 with
-    entries >= 0 (tiny negatives clamped).
+    is the whole run, and it is replayed here without the loop, for all rows
+    in one stacked product and one batched solve: each row is bit for bit
+    the active set's. Other rows run the active set one at a time. Each
+    result sums to 1 with entries >= 0 (tiny negatives clamped).
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (c.dim,):
+    if m.ndim > 2 or m.shape[-1:] != (c.dim,):
         raise ValueError(f"measured vector must have length {c.dim}, got {m.shape}")
-    if abs(m.sum() - 1.0) > 1e-6:
-        raise ValueError(f"measured vector must sum to 1, got {m.sum():.8f}")
-    b = c.matrix.T @ m
-    x = np.full(c.dim, 1.0 / c.dim)
-    # _kkt_target on every index, against the matrix built once per C
-    target = np.linalg.solve(c._kkt, np.append(b, 1.0))[:-1]
-    if (target >= 0.0).all():
-        # no bound blocks the full step (alpha = 1), and the next iteration
-        # finds it stationary with no bound to release
-        step = target - x
-        if np.abs(step).max() > _KKT_TOL:
-            x = x + 1.0 * step
-        return np.where(x < 0.0, 0.0, x)
-    return _active_set(c._gram, b)
+    rows = m.reshape(-1, c.dim)
+    error = np.abs(rows.sum(axis=1) - 1.0)
+    if error.max() > 1e-6:
+        raise ValueError(f"measured vector must sum to 1, got {rows[error.argmax()].sum():.8f}")
+    # _kkt_target on every index, against the matrix built once per C; its
+    # right-hand side is (b, 1) with b = C^T m formed row by row
+    rhs = np.ones((len(rows), c.dim + 1, 1))
+    rhs[:, :-1] = c.matrix.T @ rows[:, :, None]
+    target = np.linalg.solve(c._kkt, rhs)[:, :-1, 0]
+    # a feasible target: no bound blocks the full step (alpha = 1) from the uniform
+    # start x, and the next iteration finds it stationary with no bound to release
+    x = 1.0 / c.dim
+    step = target - x
+    out = np.where(np.abs(step).max(axis=1, keepdims=True) > _KKT_TOL, x + 1.0 * step, x)
+    out = np.where(out < 0.0, 0.0, out)
+    for g in np.flatnonzero(~(target >= 0.0).all(axis=1)):
+        out[g] = _active_set(c._gram, rhs[g, :-1, 0])
+    return out.reshape(m.shape)
 
 
 def _active_set(H: np.ndarray, b: np.ndarray) -> np.ndarray:

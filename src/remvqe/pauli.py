@@ -150,18 +150,21 @@ class PauliHamiltonian:
                 merged[pauli.label] = 0.0
                 order.append(pauli.label)
             merged[pauli.label] += float(coeff)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((PauliString(lbl), merged[lbl]) for lbl in order),
-        )
+        labelled = tuple((lbl, merged[lbl]) for lbl in order)
+        object.__setattr__(self, "terms", tuple((PauliString(lbl), c) for lbl, c in labelled))
         object.__setattr__(self, "offset", float(self.offset))
-        # Per-Hamiltonian caches (grouping, dense terms) look h up on every
-        # evaluation; hash the terms once instead of on each lookup.
-        object.__setattr__(self, "_hash", hash((self.n_qubits, self.terms, self.offset)))
+        # Per-Hamiltonian caches look h up on every evaluation, often with an
+        # equal copy: hash and compare plain labels and floats, keyed once.
+        object.__setattr__(self, "_key", (self.n_qubits, labelled, self.offset))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key == other._key
 
     def __reduce__(self):
         # string hashes differ between processes: rebuild, never copy, _hash

@@ -95,16 +95,21 @@ from .mitigation import ConfusionMatrix
 from .pauli import PauliString, _action, _density_matrix, _pauli_vector, pauli_index, sign_table
 
 
+def _copy(data) -> bool | None:
+    """np.array's `copy` for an input that is shared only if it is a read-only array."""
+    return None if isinstance(data, np.ndarray) and not data.flags.writeable else True
+
+
 class QuantumState:
     """A norm-1 amplitude vector (a ket), or a trace-1 density matrix held as
     its Pauli vector r (module doc): QuantumState(rho) turns rho into r once,
     QuantumState(pauli=r) keeps r, and `data` builds rho from r on first
-    read. The arrays are read-only."""
+    read. The arrays are read-only; an input array is shared only if it is."""
 
     def __init__(self, data: np.ndarray | None = None, *, pauli: np.ndarray | None = None) -> None:
         self.pauli = self._data = None
         if pauli is None:
-            arr = self._data = np.asarray(data, dtype=complex)
+            arr = self._data = np.array(data, dtype=complex, copy=_copy(data))
             if arr.ndim not in (1, 2) or arr.shape != arr.shape[:1] * arr.ndim:
                 raise ValueError("state must be a vector or a square matrix")
             dim = len(arr)
@@ -117,7 +122,7 @@ class QuantumState:
             elif abs(np.linalg.norm(arr) - 1.0) > 1e-6:
                 raise ValueError("amplitude vector is not normalized")
         if pauli is not None:
-            arr = self.pauli = np.asarray(np.real(pauli), dtype=float)
+            arr = self.pauli = np.array(np.real(pauli), dtype=float, copy=_copy(pauli))
             size = len(arr) if arr.ndim == 1 else 0
             if size & (size - 1) or size.bit_length() % 2 == 0:
                 raise ValueError(f"Pauli vector shape {arr.shape} is not (4^n,)")
@@ -231,6 +236,7 @@ class _KetProgram:
             x = v[gather]
             x *= table
             v = math.cos(0.5 * angle) * v + math.sin(0.5 * angle) * x
+        v.setflags(write=False)  # new or start: a QuantumState shares it
         return v
 
 
@@ -300,12 +306,15 @@ class _TransferProgram:
     def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
         """The Pauli vector r of the compiled circuit from |0...0><0...0|."""
         r = self.start
+        weights = np.ones(3)  # (1, cos t, sin t), refilled per op
         for gather, table, angle in self.ops:
             if isinstance(angle, Param):
                 angle = _bound(angle, bindings)
             x = r[gather]
             x *= table
-            r = np.dot((1.0, math.cos(angle), math.sin(angle)), x)
+            weights[1], weights[2] = math.cos(angle), math.sin(angle)
+            r = np.dot(weights, x)
+        r.setflags(write=False)  # new or start: a QuantumState shares it
         return r
 
 
@@ -475,16 +484,17 @@ def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
 def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) -> np.ndarray:
     """Resample each shot's outcome i to j with probability C[j][i].
 
-    One multinomial call draws counts[i] shots from column i of C for every
-    outcome i at once; `seed` is anything np.random.default_rng accepts.
+    One multinomial call draws counts[..., i] shots from column i of C for
+    every outcome i and every row of a (G, 2^n) stack, rows in order, as G
+    calls would; `seed` is anything np.random.default_rng accepts.
     """
-    if np.shape(counts) != (confusion.dim,):
+    if np.ndim(counts) > 2 or np.shape(counts)[-1:] != (confusion.dim,):
         raise ValueError(
             f"confusion matrix is for {confusion.n_qubits} qubits, "
             f"counts have shape {np.shape(counts)}"
         )
     rng = np.random.default_rng(seed)
-    return rng.multinomial(counts, confusion.matrix.T).sum(axis=0)
+    return rng.multinomial(counts, confusion.matrix.T).sum(axis=-2)
 
 
 def hf_state(n_qubits: int, bitstring: str) -> QuantumState:

@@ -2,9 +2,10 @@
 sweep-and-fit procedure.
 
 The sampling pipeline per evaluation: group commuting terms, compute every
-group's outcome distribution in one batched basis rotation, draw counts per
-group (splitting the shot budget equally), optionally push them through
-readout noise, optionally unfold, and add each group's partial energy f_g . p
+group's outcome distribution in one batched basis rotation, draw counts with
+one draw per group (splitting the shot budget equally), optionally resample
+all groups' counts through readout noise at once, optionally unfold all
+groups' distributions at once, and add each group's partial energy f_g . p
 to the Hamiltonian offset, where f_g = sum_t c_t sign_t over the group's
 terms. Exact backends replace counts with the exact outcome distribution of
 the prepared state, which keeps noisy-but-shotless runs deterministic.
@@ -67,6 +68,13 @@ class EnergyEvaluator:
     unfold_matrix: ConfusionMatrix | None = None
 
     def __post_init__(self) -> None:
+        shots = 1 if self.shots is None else self.shots
+        for name, value in (("seed", self.seed), ("shots", shots)):
+            # an integer is what operator.index takes (numpy integers too), but no bool
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         n = self.hamiltonian.n_qubits
         for name in ("ansatz", "confusion", "unfold_matrix"):
             part = getattr(self, name)
@@ -126,9 +134,10 @@ def _stream(seed: int, index: int, stage: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stage)))
 
 
-def _shot_split(total: int, n_groups: int) -> list[int]:
+@lru_cache(maxsize=64)
+def _shot_split(total: int, n_groups: int) -> tuple[int, ...]:
     base, extra = divmod(total, n_groups)
-    return [base + (1 if g < extra else 0) for g in range(n_groups)]
+    return tuple(base + (1 if g < extra else 0) for g in range(n_groups))
 
 
 def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
@@ -162,14 +171,13 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
         dists = probs if confusion is None else probs @ confusion.matrix.T
     else:
         sampler = _stream(ev.seed, index, _SAMPLE)
-        reader = _stream(ev.seed, index, _READOUT) if confusion is not None else None
-        counts = []
-        for p, shots in zip(probs, _shot_split(ev.shots, len(groups))):
-            c = sample_counts(p, shots, sampler)
-            counts.append(c if reader is None else apply_readout_noise(c, confusion, reader))
-        dists = counts_to_distribution(np.array(counts))
+        split = _shot_split(ev.shots, len(groups))
+        counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(probs, split)])
+        if confusion is not None:
+            counts = apply_readout_noise(counts, confusion, _stream(ev.seed, index, _READOUT))
+        dists = counts_to_distribution(counts)
     if ev.unfold_matrix is not None:
-        dists = np.array([unfold(ev.unfold_matrix, d) for d in dists])
+        dists = unfold(ev.unfold_matrix, dists)
     return h.offset + _group_energy(dists, _group_weights(h))
 
 
@@ -222,6 +230,8 @@ def minimize(
     is imported here, on the first Nelder-Mead run, and nowhere else in the
     package: importing it takes longer than most runs.
     """
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be at least 1, got {max_evals}")
     theta0 = np.zeros(ev.ansatz.n_params)
     trace: list[tuple[tuple[float, ...], float]] = []
 

@@ -186,6 +186,36 @@ def test_unfold_fast_path_matches_active_set_bit_for_bit(seed, n_qubits, shots):
     assert np.array_equal(unfold(c, m), _active_set(C.T @ C, C.T @ m))
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6),
+       st.sampled_from([0.05, 0.5, 5.0]))
+def test_batched_unfold_matches_rows_bit_for_bit(seed, n_qubits, n_rows, concentration):
+    # a (G, 2^n) stack unfolds each row as a call on that row alone would;
+    # sparse Dirichlet draws (small concentration) send rows to the active set
+    rng = np.random.default_rng(seed)
+    c = device_confusion() if n_qubits == 2 and seed % 2 else random_confusion(rng, n_qubits)
+    m = rng.dirichlet(np.full(c.dim, concentration), size=n_rows)
+    if seed % 3 == 0:
+        m = m @ c.matrix.T  # as readout noise would leave it
+    batched = unfold(c, m)
+    assert batched.shape == m.shape
+    for row, x in zip(m, batched):
+        assert np.array_equal(x, unfold(c, row))
+        assert np.array_equal(x, _active_set(c._gram, c.matrix.T @ row))
+
+
+def test_batched_unfold_reaches_the_active_set():
+    # the rows of one stack take both paths: the sparse draws leave the
+    # simplex in their full-support solution, the dense ones do not
+    rng = np.random.default_rng(3)
+    c = device_confusion()
+    m = np.vstack([rng.dirichlet(np.full(4, 0.05), size=20), rng.dirichlet(np.full(4, 50.0), size=20)])
+    H, b = c._gram, m @ c.matrix
+    fast = [np.all(_kkt_target(H, row, [0, 1, 2, 3])[0] >= 0.0) for row in b]
+    assert 0 < sum(fast) < len(fast)
+    assert np.array_equal(unfold(c, m), [unfold(c, row) for row in m])
+
+
 def test_unfold_fast_path_is_taken_and_exact():
     # the device matrix at 5000 shots, as on a calibrated curve, plus the
     # measured vector of the uniform state, where the first step is below
@@ -236,6 +266,10 @@ def test_unfold_validation():
         unfold(c, np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="sum to 1"):
         unfold(c, np.array([0.5, 0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="length 4"):
+        unfold(c, np.full((1, 2, 4), 0.25))
+    with pytest.raises(ValueError, match="sum to 1, got 2.0"):
+        unfold(c, np.array([[0.25] * 4, [0.5] * 4]))
 
 
 # --- counts helpers ----------------------------------------------------------

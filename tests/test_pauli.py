@@ -103,6 +103,42 @@ def test_duplicate_terms_merge():
     assert h.coefficient("IZ") == 0.0
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_hamiltonian_equality_matches_term_by_term(data):
+    # == and hash compare a key of labels and floats; they must agree with a
+    # term-by-term comparison when one coefficient, the term order, the
+    # offset or the qubit count differs
+    n = data.draw(st.integers(1, 3))
+    labels = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=6, unique=True))
+    coeffs = data.draw(st.lists(st.floats(-2, 2), min_size=len(labels), max_size=len(labels)))
+    offset = data.draw(st.floats(-2, 2))
+    terms = list(zip(labels, coeffs))
+    n2, terms2, offset2 = n, list(terms), offset
+    change = data.draw(st.sampled_from(["none", "coefficient", "order", "offset", "qubits"]))
+    if change == "coefficient":
+        k = data.draw(st.integers(0, len(terms) - 1))
+        terms2[k] = (labels[k], data.draw(st.floats(-2, 2)))
+    elif change == "order":
+        terms2 = data.draw(st.permutations(terms))
+    elif change == "offset":
+        offset2 = data.draw(st.floats(-2, 2))
+    elif change == "qubits":
+        n2, terms2 = n + 1, [("I" + label, c) for label, c in terms]
+    a = PauliHamiltonian(n, tuple(terms), offset)
+    b = PauliHamiltonian(n2, tuple(terms2), offset2)
+    same = (
+        a.n_qubits == b.n_qubits and a.offset == b.offset and len(a.terms) == len(b.terms)
+        and all(p.label == q.label and c == d for (p, c), (q, d) in zip(a.terms, b.terms))
+    )
+    assert (a == b) is same and (b == a) is same and (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+    copy = PauliHamiltonian(n, tuple(terms), offset)
+    assert a == copy and hash(a) == hash(copy)
+    assert a != labels[0]
+
+
 def test_string_terms_promoted():
     h = PauliHamiltonian(1, (("Z", 1.0),))
     assert isinstance(h.terms[0][0], PauliString)

@@ -671,6 +671,23 @@ def test_state_validation():
         QuantumState(pauli=np.ones(8))
 
 
+@pytest.mark.parametrize("kind", ["ket", "rho", "pauli"])
+def test_state_leaves_the_callers_array_alone(kind):
+    # a writable input is copied: it stays writable, and writing to it later
+    # does not reach the state; a read-only input may be shared
+    arr = {"ket": np.array([1, 0], dtype=complex), "rho": np.array([[1, 0], [0, 0]], dtype=complex),
+           "pauli": np.array([1.0, 0.0, 0.0, 1.0])}[kind]
+    state = QuantumState(pauli=arr) if kind == "pauli" else QuantumState(arr)
+    before = (state.data.copy(), None if state.pauli is None else state.pauli.copy())
+    arr[0] = 0
+    assert np.array_equal(state.data, before[0])
+    if kind != "ket":
+        assert np.array_equal(state.pauli, before[1])
+    frozen = np.array([1.0, 0.0, 0.0, 1.0])
+    frozen.setflags(write=False)
+    assert QuantumState(pauli=frozen).pauli is frozen
+
+
 def test_state_density_view():
     s = QuantumState(np.array([1.0, 0.0, 0.0, 0.0]))
     assert s.n_qubits == 2
@@ -823,8 +840,30 @@ def test_readout_validation():
     )
     with pytest.raises(ValueError, match="confusion matrix is for 2"):
         apply_readout_noise(np.array([5] + [0] * 7), ConfusionMatrix.identity(2), seed=0)
+    # a (G, 2^n) stack is valid; a 3-D array or a stack of the wrong width is not
     with pytest.raises(ValueError, match="confusion matrix is for 2"):
-        apply_readout_noise(np.array([[5, 0, 0, 0]]), ConfusionMatrix.identity(2), seed=0)
+        apply_readout_noise(np.array([[[5, 0, 0, 0]]]), ConfusionMatrix.identity(2), seed=0)
+    with pytest.raises(ValueError, match="confusion matrix is for 2"):
+        apply_readout_noise(np.array([[5, 0], [0, 5]]), ConfusionMatrix.identity(2), seed=0)
+
+
+@pytest.mark.parametrize("n_qubits, n_groups", [(1, 3), (2, 25), (3, 2)])
+def test_batched_readout_matches_sequential_calls(n_qubits, n_groups):
+    # one call on a (G, 2^n) stack draws the counts of G calls, in row order,
+    # from one generator
+    rng = np.random.default_rng(n_groups)
+    dim = 1 << n_qubits
+    confusion = device_confusion() if n_qubits == 2 else ConfusionMatrix(
+        n_qubits, rng.dirichlet(np.ones(dim), size=dim).T
+    )
+    counts = rng.integers(0, 500, size=(n_groups, dim))
+    counts[0] = 0
+    batched = apply_readout_noise(counts, confusion, np.random.default_rng(77))
+    reader = np.random.default_rng(77)
+    sequential = [apply_readout_noise(row, confusion, reader) for row in counts]
+    assert batched.shape == counts.shape
+    assert np.array_equal(batched, sequential)
+    assert np.array_equal(batched.sum(axis=1), counts.sum(axis=1))
 
 
 # --- energy from counts ------------------------------------------------------

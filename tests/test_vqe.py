@@ -16,6 +16,7 @@ from remvqe import (
     device_confusion,
     evaluate,
     h2_compact_spec,
+    hardware_efficient_spec,
     minimize,
     reference_exact_energy,
     sweep_and_fit,
@@ -47,6 +48,13 @@ def test_evaluator_validation():
     with pytest.raises(ValueError, match="1 shots cannot cover the 2 measurement groups"):
         h2_evaluator(shots=1)
     assert math.isfinite(evaluate(h2_evaluator(shots=2), [0.3]))
+    # a seed is a non-negative integer and a shot count an integer, checked
+    # when the evaluator is built; numpy integers pass, bool does not
+    for field, value in [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "3"),
+                         ("shots", 100.5), ("shots", True)]:
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            h2_evaluator(**{"shots": 100, field: value})
+    assert math.isfinite(evaluate(h2_evaluator(shots=np.int64(100), seed=np.uint32(3)), [0.3]))
 
 
 @pytest.mark.parametrize(
@@ -87,6 +95,31 @@ def test_noisy_evaluations_stay_on_the_pauli_vector(monkeypatch):
         assert evaluate(h2_evaluator(noise=NoiseModel(p2=0.02), **kwargs), [0.3]) == energy
     with pytest.raises(AssertionError, match="Pauli-vector path"):
         sim.run_density(sim.Circuit(1, ()), noise=NoiseModel(p2=0.02)).data
+
+
+def test_equal_hamiltonian_copies_hit_the_caches_by_key(monkeypatch):
+    # builtin builds new Hamiltonian objects on every call; an equal copy
+    # finds the per-Hamiltonian caches (grouping, group weights, term
+    # vectors) without comparing Pauli terms one by one, and gives the same
+    # energy bit for bit
+    from remvqe.pauli import PauliString
+
+    first = builtin("lih").geometry(1.5949).hamiltonian
+    recipes = ((uccsd_spec(4), {"noise": NoiseModel(p2=4e-3)}),
+               (hardware_efficient_spec(4), {"noise": NoiseModel(p2=4e-3), "shots": 8192, "seed": 5}))
+    thetas = [np.linspace(-0.3, 0.3, spec.n_params) for spec, _ in recipes]
+    expected = [evaluate(EnergyEvaluator(first, spec, **kw), theta, index=3)
+                for (spec, kw), theta in zip(recipes, thetas)]
+    second = builtin("lih").geometry(1.5949).hamiltonian
+    assert second is not first
+
+    def refuse(*_args):
+        raise AssertionError("a cache lookup compared Pauli terms one by one")
+
+    monkeypatch.setattr(PauliString, "__eq__", refuse)
+    assert second == first
+    for (spec, kw), theta, energy in zip(recipes, thetas, expected):
+        assert evaluate(EnergyEvaluator(second, spec, **kw), theta, index=3) == energy
 
 
 def test_evaluate_rejects_wrong_parameter_count():
@@ -220,6 +253,11 @@ def test_minimize_validation():
     ev = h2_evaluator()
     with pytest.raises(ValueError, match="unknown optimizer"):
         minimize(ev, optimizer="cobyla")
+    # an empty trace has no optimum: refuse the budget before any evaluation
+    for optimizer in ("nelder-mead", "spsa"):
+        for max_evals in (0, -3):
+            with pytest.raises(ValueError, match="max_evals must be at least 1"):
+                minimize(ev, optimizer, max_evals=max_evals)
 
 
 def test_spsa_reduces_noisy_energy():
