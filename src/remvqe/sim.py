@@ -222,29 +222,40 @@ class _KetProgram:
 
     `start` is the ket after every Clifford gate, read-only. Each op is
     (gather, table, angle): the new v is cos(t/2) v + sin(t/2) table * v[gather].
+    `angles` lists the ops' distinct angles, bound once per run; op i's is angles[slots[i]].
     """
 
     start: np.ndarray
     ops: tuple
+    angles: tuple
+    slots: tuple[int, ...]
 
     def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
         """The compiled circuit's ket from |0...0>."""
         v = self.start
-        for gather, table, angle in self.ops:
-            if isinstance(angle, Param):
-                angle = _bound(angle, bindings)
+        cos_sin = [(math.cos(0.5 * t), math.sin(0.5 * t)) for t in _bind(self.angles, bindings)]
+        for (gather, table, _), k in zip(self.ops, self.slots):
             x = v[gather]
             x *= table
-            v = math.cos(0.5 * angle) * v + math.sin(0.5 * angle) * x
+            c, s = cos_sin[k]
+            v = c * v + s * x
         v.setflags(write=False)  # new or start: a QuantumState shares it
         return v
 
 
-def _bound(param: Param, bindings: Mapping[str, float] | None) -> float:
+def _bind(angles: tuple, bindings: Mapping[str, float] | None) -> list[float]:
+    """Each distinct angle of a run once: a Param resolved, a fixed angle as is."""
     try:
-        return param.resolve(bindings or {})
+        return [a.resolve(bindings or {}) if isinstance(a, Param) else a for a in angles]
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
+
+
+def _slotted(ops: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """(angles, slots): the distinct angles of `ops`, and each op's index in them."""
+    index: dict = {}
+    slots = tuple(index.setdefault(angle, len(index)) for *_, angle in ops)
+    return tuple(index), slots
 
 
 def _ket_program(circuit: Circuit) -> _KetProgram:
@@ -287,7 +298,7 @@ def _ket_program(circuit: Circuit) -> _KetProgram:
         ops.append((gather, -1j * sign * phases[gather], angle))
     start = ket.reshape(-1)
     start.setflags(write=False)
-    return _KetProgram(start, tuple(ops))
+    return _KetProgram(start, tuple(ops), *_slotted(ops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,22 +308,23 @@ class _TransferProgram:
     `start` is r after the gates before the first op. Each op is
     (gather, table, angle): x = r[gather] stacks r[pi], r[pi] and r[pi'],
     the rows of the (3, 4^n) table are A0, A1 and B, and the new r is
-    (1, cos t, sin t) times their products.
+    (1, cos t, sin t) times their products. `angles`, `slots`: _KetProgram.
     """
 
     start: np.ndarray
     ops: tuple
+    angles: tuple
+    slots: tuple[int, ...]
 
     def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
         """The Pauli vector r of the compiled circuit from |0...0><0...0|."""
         r = self.start
+        cos_sin = [(math.cos(t), math.sin(t)) for t in _bind(self.angles, bindings)]
         weights = np.ones(3)  # (1, cos t, sin t), refilled per op
-        for gather, table, angle in self.ops:
-            if isinstance(angle, Param):
-                angle = _bound(angle, bindings)
+        for (gather, table, _), k in zip(self.ops, self.slots):
             x = r[gather]
             x *= table
-            weights[1], weights[2] = math.cos(angle), math.sin(angle)
+            weights[1], weights[2] = cos_sin[k]
             r = np.dot(weights, x)
         r.setflags(write=False)  # new or start: a QuantumState shares it
         return r
@@ -378,7 +390,7 @@ def _transfer_program(circuit: Circuit, noise: NoiseModel) -> _TransferProgram:
         settle()
         ops.append(rotation(gate.kind, gate.qubits[0], p, angle))
     settle()
-    return _TransferProgram(start, tuple(ops))
+    return _TransferProgram(start, tuple(ops), *_slotted(ops))
 
 
 @lru_cache(maxsize=32)

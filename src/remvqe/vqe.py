@@ -226,13 +226,10 @@ def minimize(
 
     Runs until the energy tolerance or the evaluation budget is exhausted;
     running out of budget sets converged=False in the outcome instead of
-    raising. The reported optimum is the best trace entry. scipy.optimize
-    is imported here, on the first Nelder-Mead run, and nowhere else in the
-    package: importing it takes longer than most runs.
+    raising. The reported optimum is the best trace entry.
     """
     if max_evals < 1:
         raise ValueError(f"max_evals must be at least 1, got {max_evals}")
-    theta0 = np.zeros(ev.ansatz.n_params)
     trace: list[tuple[tuple[float, ...], float]] = []
 
     def f(theta: np.ndarray) -> float:
@@ -241,27 +238,78 @@ def minimize(
         return energy
 
     if optimizer == "nelder-mead":
-        import scipy.optimize
-
-        # scipy's default simplex around an all-zero start spans only 2.5e-4,
-        # far below the radian scale of rotation angles; seed it at 0.1 instead.
-        simplex = np.vstack([theta0, theta0 + 0.1 * np.eye(theta0.size)])
-        res = scipy.optimize.minimize(
-            f,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "fatol": _TOL,
-                "xatol": _TOL,
-                "maxfev": max_evals,
-                "maxiter": max_evals,
-                "initial_simplex": simplex,
-            },
-        )
-        return VqeOutcome(tuple(trace), bool(res.success), str(res.message))
+        return _nelder_mead(f, np.zeros(ev.ansatz.n_params), max_evals, trace)
     if optimizer == "spsa":
         return _spsa(ev, f, max_evals, trace)
     raise ValueError(f"unknown optimizer {optimizer!r} (choose nelder-mead or spsa)")
+
+
+class _BudgetSpent(Exception):
+    """The next evaluation would exceed the budget."""
+
+
+def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
+    """Nelder-Mead with reflection 1, expansion 2, contraction and shrink 1/2
+    from the simplex theta0 + 0.1 e_k (the radian scale of rotation angles),
+    until every vertex is within _TOL of the best in each coordinate and in
+    energy, or before an evaluation past max_evals. The float expressions,
+    the argsort re-sorts that place ties, and the messages are those of the
+    common reference implementation, which the tests replay point for point;
+    its iteration cap, also max_evals, never binds first: the simplex and
+    each iteration cost an evaluation.
+    """
+    n = theta0.size
+
+    def func(x: np.ndarray) -> float:
+        if len(trace) >= max_evals:
+            raise _BudgetSpent
+        return f(x)
+
+    def by_energy(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim = np.vstack([theta0, theta0 + 0.1 * np.eye(n)])
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = func(sim[k])
+        # sorted twice, as in the reference: argsort need not leave sorted ties alone
+        sim, fsim = by_energy(*by_energy(sim, fsim))
+        while len(trace) < max_evals:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _TOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _TOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - 1 * sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    x = 1.5 * xbar - 0.5 * sim[-1]
+                    fx = func(x)
+                    accept = fx <= fxr
+                else:  # inside contraction
+                    x = 0.5 * xbar + 0.5 * sim[-1]
+                    fx = func(x)
+                    accept = fx < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = x, fx
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+            sim, fsim = by_energy(sim, fsim)
+    except _BudgetSpent:
+        pass
+    if len(trace) >= max_evals:
+        return VqeOutcome(tuple(trace), False, "Maximum number of function evaluations has been exceeded.")
+    return VqeOutcome(tuple(trace), True, "Optimization terminated successfully.")
 
 
 def _spsa(ev, f, max_evals, trace) -> VqeOutcome:

@@ -187,6 +187,13 @@ def test_parameter_binding():
         run_statevector(c)
     with pytest.raises(ValueError, match="unbound parameter 't0'"):
         run_density(c, {"t1": 0.2}, NoiseModel(p2=0.01))
+    # a run binds each distinct parameter once, before its first op, and
+    # still names the one that is missing
+    two = Circuit(2, (Gate("RX", (0,), (Param("a"),)), Gate("RY", (1,), (Param("b", -0.5),)),
+                      Gate("RX", (1,), (Param("a"),)), Gate("RZ", (0,), (Param("b", 2.0),))))
+    for noise in (None, NoiseModel(p2=0.01)):
+        with pytest.raises(ValueError, match="unbound parameter 'b'"):
+            run_program(two, {"a": 0.3}, noise)
 
 
 def test_compact_circuit_reaches_ground_state():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remvqe import (
     ConfusionMatrix,
@@ -23,7 +25,7 @@ from remvqe import (
     uccsd_spec,
 )
 from remvqe.pauli import sign_table
-from remvqe.vqe import REFERENCE_INDEX, _group_energy, _group_weights, _grouping
+from remvqe.vqe import _TOL, REFERENCE_INDEX, _group_energy, _group_weights, _grouping, _nelder_mead
 
 H2 = builtin("h2")
 HEH = builtin("heh+")
@@ -258,6 +260,47 @@ def test_minimize_validation():
         for max_evals in (0, -3):
             with pytest.raises(ValueError, match="max_evals must be at least 1"):
                 minimize(ev, optimizer, max_evals=max_evals)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(("quadratic", "rosenbrock", "plateau")),
+    budget=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nelder_mead_replays_scipy(n, kind, budget, seed):
+    # the same points in the same order, the same flag and message as scipy's
+    # Nelder-Mead with minimize's options; rounding the bowl to 0.1 makes
+    # plateaus, where ties in the simplex sorts decide the next point
+    rng = np.random.default_rng(seed)
+    center, weights = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 3.0, n)
+    theta0 = rng.uniform(-0.5, 0.5, n)
+    max_evals = (1, n, n + 1, 37, 2000)[budget]
+
+    def objective(x):
+        if kind == "rosenbrock":
+            z = np.append(x, 1.0)
+            return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2))
+        bowl = float(np.sum(weights * (x - center) ** 2))
+        return round(bowl, 1) if kind == "plateau" else bowl
+
+    def recorder(trace):
+        def f(x):
+            trace.append((tuple(float(v) for v in x), objective(x)))
+            return trace[-1][1]
+        return f
+
+    ours: list = []
+    out = _nelder_mead(recorder(ours), theta0, max_evals, ours)
+    theirs: list = []
+    res = scipy.optimize.minimize(
+        recorder(theirs), theta0, method="Nelder-Mead",
+        options={"fatol": _TOL, "xatol": _TOL, "maxfev": max_evals, "maxiter": max_evals,
+                 "initial_simplex": np.vstack([theta0, theta0 + 0.1 * np.eye(n)])},
+    )
+    assert out.trace == tuple(theirs)
+    assert (out.converged, out.message) == (bool(res.success), res.message)
 
 
 def test_spsa_reduces_noisy_energy():
