@@ -61,7 +61,8 @@ BACKENDS = ("ideal", "noisy")
 MITIGATIONS = ("none", "readout", "rem", "readout+rem")
 ANSATZE = {"compact": "compact-uccd", "uccsd": "uccsd", "hwe": "hardware-efficient"}
 OPTIMIZERS = ("nelder-mead", "spsa", "sweep")
-# Each noisy op stores 48 * 4^n bytes: 1.4 GiB for the 30 rotations of a
+# Each noisy op stores a (3, 4^n) int64 gather and a (3, 4^n) float table,
+# 48 * 4^n bytes (measured at 4-8 qubits): 1.4 GiB for the 30 rotations of a
 # 10-qubit hardware-efficient chain.
 _NOISY_LIMIT = 10
 

@@ -11,60 +11,63 @@ clean. Readout noise acts on counts, not on the state.
 
 Each (circuit, noise) pair is compiled once, cached, and run for every
 parameter binding. The circuits are Clifford gates and Pauli rotations, and
-both kernels use that: Clifford gates are applied at compile time, and a run
-is one op per rotation, each Param-bound RX, RY or RZ and each fixed one at
-a non-Clifford angle. A ket (noise None) and a density matrix have kernels
-of their own.
+one compile walk uses that for kets (noise None) and density matrices alike:
+Clifford gates are applied at compile time, and a run is one op per
+rotation, each Param-bound RX, RY or RZ and each fixed one at a non-Clifford
+angle.
 
-Ket programs:
+Pauli strings have qubit q's letter in base-4 digit q, I, X, Y, Z = 0, 1, 2,
+3. The product of two strings is their XOR up to a phase: P Q = i^k (P ^ Q).
+
+The walk goes through the gates in order:
 
 - A fixed gate U is Clifford when its transfer matrix R (below) is a signed
-  permutation; column Q of R then gives U Q U^dagger = s P with s = +-1.
-  Rotation axes are Pauli strings with qubit q's letter in base-4 digit q.
+  permutation (entries below 1e-12 count as 0); column Q of R then gives
+  U Q U^dagger = s P with s = +-1. Each distinct U is tested once.
 - U e^{-itQ/2} = e^{-it UQU^dagger/2} U moves each Clifford gate in front
   of the rotations before it: C_k R_k ... C_1 R_1 C_0 |0> =
   R~_k ... R~_1 (C_k ... C_0) |0>, where R~_j rotates about R_j's axis
   conjugated by every Clifford gate after it. So a Clifford gate is applied
-  to the start ket and conjugates the axis of every earlier rotation.
-- A rotation by t about s P is cos(t/2) - i s sin(t/2) P. With
-  P|i> = phase[i] |i ^ flip> (pauli._action) it is one op
-  v <- cos(t/2) v + sin(t/2) table * v[gather], gather = i ^ flip and
-  table = -i s phase[gather]; each op stores 24 * 2^n bytes.
+  to the start ket and conjugates every string collected before it.
+- The depolarizing channel of a gate on the k qubits S scales each string
+  that anticommutes with some X_q or Z_q, q in S, by keep = 1 - f,
+  f = 4^k p / (4^k - 1), and keeps the others; p = 3/4 (one qubit) or
+  15/16 (two) gives keep = 0. A Clifford U moved in front of it turns its
+  generators X_q, Z_q into U X_q U^dagger, U Z_q U^dagger. So a channel
+  rides along as keep and its generators, conjugated like an axis.
+- The walk ends with the start ket C|0> and, in circuit order, each
+  rotation's conjugated axis s P and angle, and each channel's keep and
+  conjugated generators (a channel with keep 1 is left out).
+
+Ket programs use the axes: a rotation by t about s P is
+cos(t/2) - i s sin(t/2) P. With P|i> = phase[i] |i ^ flip> (pauli._action)
+it is one op v <- cos(t/2) v + sin(t/2) table * v[gather], gather = i ^ flip
+and table = -i s phase[gather]; each op stores 24 * 2^n bytes.
 
 Density programs run in the Pauli-transfer basis. The state is the real
 vector r of length 4^n with rho = sum_P r_P P / 2^n over the Pauli strings
-P; qubit q is base-4 digit q of the index, I, X, Y, Z = 0, 1, 2, 3. The
-start |0...0><0...0| = prod_q (I + Z_q)/2 has r_P = 1 on the strings of I
-and Z and 0 elsewhere.
+P. A gate U on k qubits maps r by its transfer matrix
+R[P, Q] = Tr(P U Q U^dagger) / 2^k on those qubits' digits.
 
-- A gate U on k qubits maps r by its transfer matrix
-  R[P, Q] = Tr(P U Q U^dagger) / 2^k on those qubits' digits. Its
-  depolarizing channel scales every row but the identity's by 1 - f,
-  f = 4^k p / (4^k - 1); p = 3/4 (one qubit) or 15/16 (two) gives f = 1,
-  and those rows are empty.
-- A Clifford gate permutes Paulis up to sign, so with its channel each row
-  of R has at most one entry: r <- s * r[pi]. Such a fixed gate (X, H, CNOT,
-  CZ, rotations by multiples of pi/2, anything whose rows the channel
-  empties; entries below 1e-12 count as 0) joins the pending frame (pi, s),
-  r = s * r_last[pi] with r_last the vector the frame started from.
-  Composing gate (sigma, g) after the frame gives (pi[sigma], g * s[sigma]).
-  gate_matrix gives each fixed gate's U once; gates with the same U on the
-  same qubits share one lifted (sigma, g).
-- A rotation about Pauli a on qubit q (RX, RY, RZ: a = X, Y, Z) leaves I
-  and a alone and turns the other two, b -> cos t b + sin t c and
-  c -> cos t c - sin t b. Each Param-bound rotation, and each fixed one at
-  a non-Clifford angle, is one op
-  r <- (A0 + cos t A1) * r[pi] + sin t B * r[pi'],
-  where pi' swaps b and c on q and A0, A1, B hold the 0/1/sign pattern
-  times its channel's scaling.
-- Before each op, and at the end of the circuit, the pending frame folds
-  into what produced r_last at compile time: into the previous op (its
-  index arrays are gathered by pi and its vectors too, then scaled by s),
-  or into the start vector. So the gates before the first op cost nothing
-  at run time, and a run is one op per rotation.
+- The start is r of C|0><0|C^dagger, a stabilizer state: each entry is
+  exactly 0 or +-1, so rounding _pauli_vector of the start ket gives it.
+- A channel multiplies r by its damping: keep at the strings E that
+  anticommute with one of its generators G, 1 elsewhere. With x and z the
+  low and high bit of each digit, E and G anticommute when
+  x_E z_G + z_E x_G is odd: when E & G', G' with each digit's x and z
+  swapped, has an odd number of bits set.
+- A rotation by t about s P keeps each string E that commutes with P and
+  turns one that anticommutes into cos t E - i s sin t P E; then
+  P E = i^k (P ^ E) with k = 1 or 3, and k is odd exactly when they
+  anticommute. So the op is r <- A0 r + cos t A1 r + sin t B r[i ^ P] with
+  A0 = [commutes], A1 = [anticommutes] and B = s (2 - k[i ^ P]) A1, k[Q]
+  the power of P Q.
+- Each channel's damping multiplies into the op before it (its three
+  tables), or into the start. A run is one op per rotation.
 - The output is r itself, which a density QuantumState holds as its one
   representation; rho is built from r only when read (pauli._density_matrix).
-  Each op stores O(4^n) numbers.
+  Each op stores its (3, 4^n) gather (i, i, i ^ P) and its three tables,
+  48 * 4^n bytes.
 
 The tests check both programs against a per-gate reference that moves the
 gate's axes to the front and applies one matrix per gate (a superoperator
@@ -177,31 +180,27 @@ _Y_TO_Z = _HADAMARD @ np.diag([1.0, -1.0j])
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # The Pauli strings of a d x d gate, first qubit's digit most significant.
 _STRINGS = {2: _PAULI, 4: np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])}
+# k with a b = i^k (a ^ b) for one qubit's letters a, b: X Y = i Z, Y Z = i X, Z X = i Y.
+_POWER = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
+# The low bit of every digit.
+_LOW = 0x5555555555555555
 
-# Rotations about Pauli a turn the pair (b, c) by
-# b -> cos t b + sin t c, c -> cos t c - sin t b: kind -> (a, b, c).
-_AXES = {"RX": (1, 2, 3), "RY": (2, 3, 1), "RZ": (3, 1, 2)}
+# The Pauli letter each rotation kind turns about.
+_AXES = {"RX": 1, "RY": 2, "RZ": 3}
 
 
-def _transfer(unitary: np.ndarray, p: float) -> np.ndarray:
-    """R[P, Q] = Tr(P U Q U-dagger) / d of `unitary` followed by depolarizing
-    with p, which scales each row but the identity's by 1 - d^2 p / (d^2 - 1)."""
+def _conjugation(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(target, sign) with U Q U-dagger = sign[Q] target[Q] for each string Q
+    on the gate's qubits, or None unless U is Clifford (module doc)."""
     d = unitary.shape[0]
     strings = _STRINGS[d]
     moved = (unitary @ strings @ unitary.conj().T).reshape(d * d, -1)
-    ptm = (strings.reshape(d * d, -1).conj() @ moved.T).real / d
-    ptm[1:] *= 1.0 - d * d * p / (d * d - 1.0)
-    return ptm
-
-
-def _signed_permutation(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(source, factor) with factor[P] = ptm[P, source[P]] the only entry of
-    row P above 1e-12 (0 for an empty row), or None when a row has two."""
-    ptm = np.where(np.abs(ptm) < 1e-12, 0.0, ptm)
-    if np.count_nonzero(ptm, axis=1).max() > 1:
+    columns = (moved @ strings.reshape(d * d, -1).conj().T).real / d  # row Q: column Q of R
+    columns[np.abs(columns) < 1e-12] = 0.0
+    if np.count_nonzero(columns, axis=1).max() > 1:
         return None
-    source = np.abs(ptm).argmax(axis=1)
-    return source, ptm[np.arange(len(ptm)), source]
+    target = np.abs(columns).argmax(axis=1)
+    return target, np.rint(columns[np.arange(len(columns)), target])  # +-1 up to rounding
 
 
 def _relabel(strings: np.ndarray, qubits: tuple[int, ...], to: np.ndarray):
@@ -214,6 +213,30 @@ def _relabel(strings: np.ndarray, qubits: tuple[int, ...], to: np.ndarray):
     new = to[local]
     moved = strings + sum((((new >> s) & 3) - d) << 2 * q for q, s, d in zip(qubits, shifts, digits))
     return local, moved
+
+
+def _power(p: int, strings: np.ndarray) -> np.ndarray:
+    """k with P Q = i^k (P ^ Q) for the string p and each string Q of `strings`."""
+    k = np.zeros_like(strings)
+    for q in range((p.bit_length() + 1) // 2):
+        k += _POWER[(p >> 2 * q) & 3][(strings >> 2 * q) & 3]
+    return k & 3
+
+
+def _dampings(strings: np.ndarray, segments: list):
+    """For each segment, a list of channels (keep, generators), the product of
+    their dampings on the 4^n Pauli strings `strings` (module doc)."""
+    odd = np.zeros(1, dtype=np.uint8)  # odd[i]: whether i has an odd number of bits set
+    while len(odd) < len(strings):
+        odd = np.concatenate((odd, odd ^ 1))
+    for channels in segments:
+        damping = np.ones(len(strings))
+        for keep, generators in channels:
+            hit = np.zeros(len(strings), dtype=np.uint8)
+            for g in ((generators >> 1) & _LOW) | ((generators & _LOW) << 1):  # x and z swapped
+                hit |= odd[strings & g]
+            damping[hit == 1] *= keep
+        yield damping
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,57 +281,15 @@ def _slotted(ops: tuple) -> tuple[tuple, tuple[int, ...]]:
     return tuple(index), slots
 
 
-def _ket_program(circuit: Circuit) -> _KetProgram:
-    n = circuit.n_qubits
-    ket = np.zeros((2,) * n, dtype=complex)  # axis n - 1 - q is qubit q
-    ket.flat[0] = 1.0
-    strings = np.zeros(0, dtype=np.int64)  # each rotation's axis, digit q on qubit q
-    signs = np.zeros(0)
-    angles = []
-    conjugations: dict = {}
-
-    for gate in circuit.gates:
-        angle = gate.params[0] if gate.params else None
-        if not isinstance(angle, Param):
-            unitary = gate_matrix(gate.kind, gate.resolved({}))
-            key = unitary.tobytes()
-            if key not in conjugations:
-                # column Q of the transfer matrix: U Q U-dagger = sign[Q] target[Q]
-                conjugations[key] = _signed_permutation(_transfer(unitary, 0.0).T)
-            if conjugations[key] is not None:
-                target, sign = conjugations[key]
-                local, strings = _relabel(strings, gate.qubits, target)
-                signs = signs * np.rint(sign[local])  # +-1 up to rounding
-                # einsum labels: ket axis a is a, the gate's inputs are n, n + 1
-                outputs = [n - 1 - q for q in gate.qubits]
-                inputs = list(range(n, n + len(outputs)))
-                labels = [inputs[outputs.index(a)] if a in outputs else a for a in range(n)]
-                ket = np.einsum(unitary.reshape((2,) * 2 * len(outputs)), outputs + inputs, ket, labels)
-                continue
-            angle = float(angle)
-        strings = np.append(strings, _AXES[gate.kind][0] << 2 * gate.qubits[0])
-        signs = np.append(signs, 1.0)
-        angles.append(angle)
-
-    index = np.arange(1 << n)
-    ops = []
-    for string, sign, angle in zip(strings, signs, angles):
-        flip, phases = _action("".join("IXYZ"[string >> 2 * q & 3] for q in range(n - 1, -1, -1)))
-        gather = index ^ flip
-        ops.append((gather, -1j * sign * phases[gather], angle))
-    start = ket.reshape(-1)
-    start.setflags(write=False)
-    return _KetProgram(start, tuple(ops), *_slotted(ops))
-
-
 @dataclass(frozen=True, eq=False)
 class _TransferProgram:
     """A noisy circuit compiled into Pauli-transfer rotations (module doc).
 
-    `start` is r after the gates before the first op. Each op is
-    (gather, table, angle): x = r[gather] stacks r[pi], r[pi] and r[pi'],
-    the rows of the (3, 4^n) table are A0, A1 and B, and the new r is
-    (1, cos t, sin t) times their products. `angles`, `slots`: _KetProgram.
+    `start` is r after the channels before the first op. Each op is
+    (gather, table, angle): x = r[gather] stacks r, r and r[i ^ P], the rows
+    of the (3, 4^n) table are A0, A1 and B times the dampings after the op,
+    and the new r is (1, cos t, sin t) times their products. `angles`,
+    `slots`: _KetProgram.
     """
 
     start: np.ndarray
@@ -330,75 +311,75 @@ class _TransferProgram:
         return r
 
 
-def _transfer_program(circuit: Circuit, noise: NoiseModel) -> _TransferProgram:
-    n = circuit.n_qubits
-    size = 1 << 2 * n
-    index = np.arange(size)
-    digits = [(index >> 2 * q) & 3 for q in range(n)]
-    # |0><0| = prod_q (I + Z_q) / 2: coefficient 1 on every string of I and Z
-    start = np.prod([(d == 0) | (d == 3) for d in digits], axis=0, dtype=float)
-    perm, scale = index, np.ones(size)
-    lifted: dict = {}
-    ops = []
-
-    def lift(ptm: np.ndarray, qubits: tuple[int, ...]):
-        """(step, factor) with r <- factor r[step] the gate on all of r, or
-        None unless each row of ptm has at most one entry above 1e-12."""
-        signed = _signed_permutation(ptm)
-        if signed is None:
-            return None
-        local, step = _relabel(index, qubits, signed[0])
-        return step, signed[1][local]
-
-    def rotation(kind: str, q: int, p: float, angle) -> tuple:
-        """The op of rotation `kind` on q followed by its channel."""
-        a, b, c = _AXES[kind]
-        pattern = np.zeros((3, 4))  # A0, A1 and B by the digit of q
-        pattern[0, [0, a]] = 1.0
-        pattern[1, [b, c]] = 1.0
-        pattern[2, [b, c]] = -1.0, 1.0
-        pattern[:, 1:] *= 1.0 - 4.0 * p / 3.0
-        swap = np.arange(4)
-        swap[[b, c]] = c, b
-        d = digits[q]
-        partner = index + ((swap[d] - d) << 2 * q)
-        return np.stack((index, index, partner)), pattern[:, d], angle
-
-    def settle() -> None:
-        """Fold the pending frame into what produced r: the last op or start."""
-        nonlocal start, perm, scale
-        if ops:
-            gather, table, angle = ops[-1]
-            ops[-1] = (gather[:, perm], scale * table[:, perm], angle)
-        else:
-            start = scale * start[perm]
-        perm, scale = index, np.ones(size)
-
-    for gate in circuit.gates:
-        p = noise.p1 if len(gate.qubits) == 1 else noise.p2
-        angle = gate.params[0] if gate.params else None
-        if not isinstance(angle, Param):
-            unitary = gate_matrix(gate.kind, gate.resolved({}))
-            key = (unitary.tobytes(), gate.qubits)
-            if key not in lifted:
-                lifted[key] = lift(_transfer(unitary, p), gate.qubits)
-            if lifted[key] is not None:
-                step, factor = lifted[key]
-                perm, scale = perm[step], factor * scale[step]
-                continue
-            angle = float(angle)
-        settle()
-        ops.append(rotation(gate.kind, gate.qubits[0], p, angle))
-    settle()
-    return _TransferProgram(start, tuple(ops), *_slotted(ops))
-
-
 @lru_cache(maxsize=32)
 def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _TransferProgram:
-    """Compile `circuit` once per noise model (a ket program when noise is None)."""
+    """Compile `circuit` once per noise model, a ket program when noise is
+    None, from one walk over its gates (module doc)."""
+    n = circuit.n_qubits
+    ket = np.zeros((2,) * n, dtype=complex)  # axis n - 1 - q is qubit q
+    ket.flat[0] = 1.0
+    strings = np.zeros(0, dtype=np.int64)  # axes and generators, digit q on qubit q
+    signs = np.zeros(0)
+    axes, angles = [], []  # each rotation's position in strings, and its angle
+    channels: list = [[]]  # (keep, generators' positions) after each op, first before any
+    conjugations: dict = {}
+
+    for gate in circuit.gates:
+        angle = gate.params[0] if gate.params else None
+        conjugation = None
+        if not isinstance(angle, Param):
+            unitary = gate_matrix(gate.kind, gate.resolved({}))
+            key = unitary.tobytes()
+            if key not in conjugations:
+                conjugations[key] = _conjugation(unitary)
+            conjugation = conjugations[key]
+        if conjugation is not None:
+            target, sign = conjugation
+            local, strings = _relabel(strings, gate.qubits, target)
+            signs = signs * sign[local]
+            # einsum labels: ket axis a is a, the gate's inputs are n, n + 1
+            outputs = [n - 1 - q for q in gate.qubits]
+            inputs = list(range(n, n + len(outputs)))
+            labels = [inputs[outputs.index(a)] if a in outputs else a for a in range(n)]
+            ket = np.einsum(unitary.reshape((2,) * 2 * len(outputs)), outputs + inputs, ket, labels)
+        else:
+            axes.append(len(strings))
+            angles.append(angle if isinstance(angle, Param) else float(angle))
+            channels.append([])
+            strings = np.append(strings, _AXES[gate.kind] << 2 * gate.qubits[0])
+            signs = np.append(signs, 1.0)
+        if noise is not None:
+            p, size = (noise.p1 if len(gate.qubits) == 1 else noise.p2), 4 ** len(gate.qubits)
+            keep = 1.0 - size * p / (size - 1.0)
+            if keep != 1.0:  # generators X_q and Z_q for q in the gate's qubits
+                generators = [letter << 2 * q for q in gate.qubits for letter in (1, 3)]
+                channels[-1].append((keep, slice(len(strings), len(strings) + len(generators))))
+                strings = np.append(strings, generators)
+                signs = np.append(signs, np.ones(len(generators)))
+
+    ket = ket.reshape(-1)
     if noise is None:
-        return _ket_program(circuit)
-    return _transfer_program(circuit, noise)
+        index = np.arange(1 << n)
+        ops = []
+        for string, sign, angle in zip(strings[axes], signs[axes], angles):
+            flip, phases = _action("".join("IXYZ"[string >> 2 * q & 3] for q in range(n - 1, -1, -1)))
+            gather = index ^ flip
+            ops.append((gather, -1j * sign * phases[gather], angle))
+        ket.setflags(write=False)
+        return _KetProgram(ket, tuple(ops), *_slotted(ops))
+
+    index = np.arange(1 << 2 * n)
+    dampings = _dampings(index, [[(keep, strings[at]) for keep, at in segment] for segment in channels])
+    start = np.rint(_pauli_vector(np.outer(ket, ket.conj())).real) * next(dampings)
+    ops = []
+    for string, sign, angle, damping in zip(strings[axes], signs[axes], angles, dampings):
+        gather = index ^ string
+        k = _power(int(string), gather)
+        odd = k & 1
+        table = np.stack((1 - odd, odd, sign * (2 - k) * odd)) * damping
+        ops.append((np.stack((index, index, gather)), table, angle))
+    start.setflags(write=False)
+    return _TransferProgram(start, tuple(ops), *_slotted(ops))
 
 
 def run_statevector(circuit: Circuit, bindings: Mapping[str, float] | None = None) -> QuantumState:

@@ -417,9 +417,10 @@ def test_wide_ket_program_matches_per_gate_reference():
 
 
 def test_noisy_program_keeps_one_op_per_rotation():
-    # Clifford gates and depolarizing channels fold into the Pauli-transfer
-    # frame: the LiH UCCSD density program runs one op per Param-bound RZ,
-    # and a fixed non-Clifford rotation is one op at its constant angle
+    # Clifford gates fold into the start and depolarizing channels into the
+    # ops' tables: the LiH UCCSD density program runs one op per Param-bound
+    # RZ, a fixed non-Clifford rotation is one op at its constant angle, and
+    # a noisy program lists its ket program's angles at every noise rate
     circuit = ansatz_circuit(uccsd_spec(4))
     bound = [g for g in circuit.gates if g.params and isinstance(g.params[0], Param)]
     assert len(bound) == 40 and {g.kind for g in bound} == {"RZ"}
@@ -427,10 +428,23 @@ def test_noisy_program_keeps_one_op_per_rotation():
     assert angles == [g.params[0] for g in bound]
     fixed = Circuit(2, (Gate("H", (0,)), Gate("RX", (1,), (0.4,)), Gate("CNOT", (1, 0))))
     assert [angle for *_, angle in _program(fixed, NoiseModel(p2=0.01)).ops] == [0.4]
+    noises = (NoiseModel(), NoiseModel(p2=0.01), NoiseModel(p2=0.1, p1=0.75),
+              NoiseModel(p2=15 / 16, p1=0.75))
+    for c in (circuit, fixed, *TRANSFER_EDGES):
+        ket_angles = [angle for *_, angle in _program(c, None).ops]
+        for noise in noises:
+            assert [angle for *_, angle in _program(c, noise).ops] == ket_angles
+        # the noiseless density start is the Pauli vector of the ket start,
+        # a stabilizer state: every entry exactly 0 or +-1
+        ket = _program(c, None).start
+        start = _program(c, NoiseModel()).start
+        pauli = QuantumState(np.outer(ket, ket.conj())).pauli
+        assert np.array_equal(start, np.rint(pauli)) and np.max(np.abs(start - pauli)) < 1e-12
+        assert set(np.unique(start)) <= {-1.0, 0.0, 1.0}
 
 
-# Circuits at the edges of the Pauli-transfer frame: fixed rotations at and
-# next to Clifford angles, and rates that empty the channel's rows.
+# Circuits at the edges of the Clifford test and the dampings: fixed
+# rotations at and next to Clifford angles, and rates that give keep = 0.
 TRANSFER_EDGES = (
     Circuit(2, (Gate("RX", (0,), (np.pi / 2,)), Gate("RY", (1,), (-np.pi / 2,)),
                 Gate("RZ", (0,), (np.pi,)), Gate("CZ", (0, 1)), Gate("RY", (0,), (np.pi,)),
