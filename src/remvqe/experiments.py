@@ -61,9 +61,10 @@ BACKENDS = ("ideal", "noisy")
 MITIGATIONS = ("none", "readout", "rem", "readout+rem")
 ANSATZE = {"compact": "compact-uccd", "uccsd": "uccsd", "hwe": "hardware-efficient"}
 OPTIMIZERS = ("nelder-mead", "spsa", "sweep")
-# Each noisy op stores a (3, 4^n) int64 gather and a (3, 4^n) float table,
-# 48 * 4^n bytes (measured at 4-8 qubits): 1.4 GiB for the 30 rotations of a
-# 10-qubit hardware-efficient chain.
+# A noisy op of k = 1 or 2 rotations stores a (3^k, 4^n / 2^k) int64 gather
+# and float table: 24 * 4^n bytes per rotation alone, 18 * 4^n in a pair
+# (nbytes at 4-8 qubits). The 30 rotations of a 10-qubit hardware-efficient
+# chain all pair: 0.53 GiB. A higher limit needs a measured 11-qubit run.
 _NOISY_LIMIT = 10
 
 

@@ -12,9 +12,9 @@ clean. Readout noise acts on counts, not on the state.
 Each (circuit, noise) pair is compiled once, cached, and run for every
 parameter binding. The circuits are Clifford gates and Pauli rotations, and
 one compile walk uses that for kets (noise None) and density matrices alike:
-Clifford gates are applied at compile time, and a run is one op per
+Clifford gates are applied at compile time, and a run has one op per
 rotation, each Param-bound RX, RY or RZ and each fixed one at a non-Clifford
-angle.
+angle, or, for density matrices, one op per commuting pair of them.
 
 Pauli strings have qubit q's letter in base-4 digit q, I, X, Y, Z = 0, 1, 2,
 3. The product of two strings is their XOR up to a phase: P Q = i^k (P ^ Q).
@@ -59,15 +59,33 @@ R[P, Q] = Tr(P U Q U^dagger) / 2^k on those qubits' digits.
 - A rotation by t about s P keeps each string E that commutes with P and
   turns one that anticommutes into cos t E - i s sin t P E; then
   P E = i^k (P ^ E) with k = 1 or 3, and k is odd exactly when they
-  anticommute. So the op is r <- A0 r + cos t A1 r + sin t B r[i ^ P] with
-  A0 = [commutes], A1 = [anticommutes] and B = s (2 - k[i ^ P]) A1, k[Q]
-  the power of P Q.
-- Each channel's damping multiplies into the op before it (its three
-  tables), or into the start. A run is one op per rotation.
+  anticommute. So it keeps r[E] on the half C of strings that commute with
+  P, and on the other half A sets r[E] <- cos t r[E] + sin t B[E] r[E ^ P],
+  B[E] = s (2 - k[E ^ P]), k[Q] the power of P Q; A is closed under
+  E -> E ^ P.
+- Each rotation pairs with the next one, left to right, when their axes
+  P1 != P2 commute; one whose next neighbour anticommutes with it or shares
+  its axis stays single. Two such axes split the strings into four classes
+  of 4^n / 4, (a1, a2) with a_i whether E anticommutes with P_i, each closed
+  under E -> E ^ P1 and E -> E ^ P2. Rotation 1, the dampings after it,
+  rotation 2 and the dampings after it set r[E] in class (0, 0) to r[E],
+  in (1, 0) to c1 r[E] + s1 r[E ^ P1], in (0, 1) to c2 r[E] + s2 r[E ^ P2]
+  and in (1, 1) to c1c2 r[E] + s1c2 r[E ^ P1] + c1s2 r[E ^ P2] +
+  s1s2 r[E ^ P2 ^ P1], c_i = cos t_i, s_i = sin t_i, each term times its
+  signs B and its dampings.
+- So an op of k = 1 or 2 rotations is x = v[gather], x *= table,
+  v = W x: 3^k gathered rows of 4^n / 2^k strings, their signs and
+  dampings, and the (2^k, 3^k) W = kron(W2, W1) of the rotations'
+  W_i = (1, 0, 0; 0, c_i, s_i). Row c of W x is class c, a_1 its low bit,
+  so the output lists the classes in turn. The state v is carried in the
+  previous op's output order: each gather reads string E at its position
+  there, composed at compile time, and one final gather puts r back in the
+  natural order. Each channel's damping multiplies into the table of the
+  op it follows, or into the start.
 - The output is r itself, which a density QuantumState holds as its one
   representation; rho is built from r only when read (pauli._density_matrix).
-  Each op stores its (3, 4^n) gather (i, i, i ^ P) and its three tables,
-  48 * 4^n bytes.
+  An op of k rotations stores a (3^k, 4^n / 2^k) int64 gather and float
+  table: 24 * 4^n bytes per rotation for a single op, 18 * 4^n for a pair.
 
 The tests check both programs against a per-gate reference that moves the
 gate's axes to the front and applies one matrix per gate (a superoperator
@@ -86,6 +104,7 @@ np.int64 vectors of length 2**n indexed by outcome.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -215,6 +234,12 @@ def _relabel(strings: np.ndarray, qubits: tuple[int, ...], to: np.ndarray):
     return local, moved
 
 
+def _swapped(strings):
+    """Each digit's x and z bits swapped: E and G anticommute when E & G' has
+    an odd number of bits set, G' = _swapped(G) (module doc)."""
+    return ((strings >> 1) & _LOW) | ((strings & _LOW) << 1)
+
+
 def _power(p: int, strings: np.ndarray) -> np.ndarray:
     """k with P Q = i^k (P ^ Q) for the string p and each string Q of `strings`."""
     k = np.zeros_like(strings)
@@ -233,7 +258,7 @@ def _dampings(strings: np.ndarray, segments: list):
         damping = np.ones(len(strings))
         for keep, generators in channels:
             hit = np.zeros(len(strings), dtype=np.uint8)
-            for g in ((generators >> 1) & _LOW) | ((generators & _LOW) << 1):  # x and z swapped
+            for g in _swapped(generators):
                 hit |= odd[strings & g]
             damping[hit == 1] *= keep
         yield damping
@@ -274,41 +299,105 @@ def _bind(angles: tuple, bindings: Mapping[str, float] | None) -> list[float]:
         raise ValueError(exc.args[0]) from None
 
 
-def _slotted(ops: tuple) -> tuple[tuple, tuple[int, ...]]:
-    """(angles, slots): the distinct angles of `ops`, and each op's index in them."""
+def _slotted(angles) -> tuple[tuple, tuple[int, ...]]:
+    """(distinct, slots): the distinct angles of `angles`, and each angle's index in them."""
     index: dict = {}
-    slots = tuple(index.setdefault(angle, len(index)) for *_, angle in ops)
+    slots = tuple(index.setdefault(angle, len(index)) for angle in angles)
     return tuple(index), slots
 
 
 @dataclass(frozen=True, eq=False)
 class _TransferProgram:
-    """A noisy circuit compiled into Pauli-transfer rotations (module doc).
+    """A noisy circuit compiled into half-width Pauli-transfer ops (module doc).
 
     `start` is r after the channels before the first op. Each op is
-    (gather, table, angle): x = r[gather] stacks r, r and r[i ^ P], the rows
-    of the (3, 4^n) table are A0, A1 and B times the dampings after the op,
-    and the new r is (1, cos t, sin t) times their products. `angles`,
-    `slots`: _KetProgram.
+    (gather, table, angles) for its k = len(angles) rotations: the new v is
+    W (v[gather] * table), v in the previous op's output order, and `final`
+    gathers r from the last op's order. `angles` lists the distinct angles,
+    bound once per run; with u = (0, 1, and cos t, sin t of each of them),
+    u[weights[0]] stacks the single ops' W and u[weights[1]] * u[weights[2]]
+    the pairs', each in op order.
     """
 
     start: np.ndarray
     ops: tuple
     angles: tuple
-    slots: tuple[int, ...]
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
+    final: np.ndarray
 
     def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
         """The Pauli vector r of the compiled circuit from |0...0><0...0|."""
         r = self.start
-        cos_sin = [(math.cos(t), math.sin(t)) for t in _bind(self.angles, bindings)]
-        weights = np.ones(3)  # (1, cos t, sin t), refilled per op
-        for (gather, table, _), k in zip(self.ops, self.slots):
-            x = r[gather]
-            x *= table
-            weights[1], weights[2] = cos_sin[k]
-            r = np.dot(weights, x)
+        if self.ops:
+            cos_sin = [x for t in _bind(self.angles, bindings) for x in (math.cos(t), math.sin(t))]
+            u = np.array([0.0, 1.0, *cos_sin])
+            one, first, second = self.weights
+            weights = iter(u[one]), iter(u[first] * u[second] if len(first) else ())
+            for gather, table, angles in self.ops:
+                x = r[gather]
+                x *= table
+                r = np.dot(next(weights[len(angles) - 1]), x).ravel()
+            r = r[self.final]
         r.setflags(write=False)  # new or start: a QuantumState shares it
         return r
+
+
+def _weights(angles: list, sizes: list[int]) -> tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(distinct angles, weights) of a _TransferProgram whose ops take `sizes`
+    rotations each, the rotations' `angles` in circuit order."""
+    distinct, slots = _slotted(angles)
+    factors = iter(np.array([[1, 0, 0], [0, 2 + 2 * k, 3 + 2 * k]]) for k in slots)  # W = u[factor]
+    one, first, second = [], [], []
+    for size in sizes:
+        if size == 1:
+            one.append(next(factors))
+        else:  # kron(A, B)[i, j] = A[i // 2, j // 3] B[i % 2, j % 3], A the second rotation's
+            b, a = next(factors), next(factors)
+            first.append(a.repeat(2, axis=0).repeat(3, axis=1))
+            second.append(np.tile(b, (2, 3)))
+    one = np.array(one, dtype=np.intp).reshape(-1, 2, 3)
+    first, second = (np.array(w, dtype=np.intp).reshape(-1, 4, 9) for w in (first, second))
+    return distinct, (one, first, second)
+
+
+def _pair_sizes(axes: list[int]) -> list[int]:
+    """The number of rotations in each op, left to right: a rotation and the
+    next one form a pair when their axes differ and commute (module doc)."""
+    sizes, i = [], 0
+    while i < len(axes):
+        p = axes[i]
+        q = axes[i + 1] if i + 1 < len(axes) else p
+        sizes.append(2 if p != q and bin(p & _swapped(q)).count("1") % 2 == 0 else 1)
+        i += sizes[-1]
+    return sizes
+
+
+def _transfer_op(index: np.ndarray, at: np.ndarray, rotations: list) -> tuple[tuple, np.ndarray]:
+    """(op, at of its output): the op of one rotation or a commuting pair,
+    each (string P, sign, angle, damping after it), reading string E of the
+    state at position at[E] (module doc)."""
+    signs, classes = [], 0  # each rotation's B on all strings; each string's class
+    for i, (string, sign, _, _) in enumerate(rotations):
+        k = _power(string, index ^ string)
+        signs.append(sign * (2 - k))
+        classes = classes + ((k & 1) << i)
+    order = np.argsort(classes, kind="stable").reshape(1 << len(rotations), -1)  # row c: class c
+    gathers, tables = [], []
+    # column (j_k, ..., j_1) of W reads, for rotation i, a class that commutes
+    # (j_i = 0) or anticommutes (1) with P_i, or the latter through E ^ P_i (2)
+    for column in itertools.product((0, 1, 2), repeat=len(rotations)):
+        strings = order[sum((j > 0) << i for i, j in enumerate(reversed(column)))]
+        table = np.ones(len(strings))
+        for j, (string, _, _, damping), b in zip(column, reversed(rotations), reversed(signs)):
+            table *= damping[strings]
+            if j == 2:
+                table *= b[strings]
+                strings = strings ^ string
+        gathers.append(at[strings])
+        tables.append(table)
+    out = np.empty_like(at)
+    out[order.ravel()] = index
+    return (np.array(gathers), np.array(tables), tuple(angle for _, _, angle, _ in rotations)), out
 
 
 @lru_cache(maxsize=32)
@@ -366,20 +455,20 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
             gather = index ^ flip
             ops.append((gather, -1j * sign * phases[gather], angle))
         ket.setflags(write=False)
-        return _KetProgram(ket, tuple(ops), *_slotted(ops))
+        return _KetProgram(ket, tuple(ops), *_slotted(angle for *_, angle in ops))
 
     index = np.arange(1 << 2 * n)
     dampings = _dampings(index, [[(keep, strings[at]) for keep, at in segment] for segment in channels])
     start = np.rint(_pauli_vector(np.outer(ket, ket.conj())).real) * next(dampings)
-    ops = []
-    for string, sign, angle, damping in zip(strings[axes], signs[axes], angles, dampings):
-        gather = index ^ string
-        k = _power(int(string), gather)
-        odd = k & 1
-        table = np.stack((1 - odd, odd, sign * (2 - k) * odd)) * damping
-        ops.append((np.stack((index, index, gather)), table, angle))
+    axis_strings = strings[axes].tolist()
+    rotations = zip(axis_strings, signs[axes], angles, dampings)
+    sizes = _pair_sizes(axis_strings)
+    ops, at = [], index  # at[E]: the position of string E in the state
+    for size in sizes:
+        op, at = _transfer_op(index, at, [next(rotations) for _ in range(size)])
+        ops.append(op)
     start.setflags(write=False)
-    return _TransferProgram(start, tuple(ops), *_slotted(ops))
+    return _TransferProgram(start, tuple(ops), *_weights(angles, sizes), at)
 
 
 def run_statevector(circuit: Circuit, bindings: Mapping[str, float] | None = None) -> QuantumState:

@@ -416,24 +416,34 @@ def test_wide_ket_program_matches_per_gate_reference():
     assert np.max(np.abs(compiled - evolve(circuit, bindings, None))) < 1e-12
 
 
-def test_noisy_program_keeps_one_op_per_rotation():
+def rotation_angles(program) -> list:
+    """A noisy program's rotation angles in circuit order, over its ops."""
+    return [angle for *_, angles in program.ops for angle in angles]
+
+
+def test_noisy_program_pairs_commuting_rotations():
     # Clifford gates fold into the start and depolarizing channels into the
-    # ops' tables: the LiH UCCSD density program runs one op per Param-bound
-    # RZ, a fixed non-Clifford rotation is one op at its constant angle, and
-    # a noisy program lists its ket program's angles at every noise rate
+    # ops' tables, and each rotation shares an op with the next one when
+    # their axes differ and commute: the LiH UCCSD density program runs its
+    # 40 Param-bound RZ in 20 ops, a fixed non-Clifford rotation is one op at
+    # its constant angle, and a noisy program lists its ket program's angles
+    # at every noise rate
     circuit = ansatz_circuit(uccsd_spec(4))
     bound = [g for g in circuit.gates if g.params and isinstance(g.params[0], Param)]
     assert len(bound) == 40 and {g.kind for g in bound} == {"RZ"}
-    angles = [angle for *_, angle in _program(circuit, NoiseModel(p2=4e-3)).ops]
-    assert angles == [g.params[0] for g in bound]
+    program = _program(circuit, NoiseModel(p2=4e-3))
+    assert rotation_angles(program) == [g.params[0] for g in bound]
+    assert [len(angles) for *_, angles in program.ops] == [2] * 20
+    hwe = _program(ansatz_circuit(hardware_efficient_spec(4)), NoiseModel(p2=4e-3))
+    assert [len(angles) for *_, angles in hwe.ops] == [2] * 6
     fixed = Circuit(2, (Gate("H", (0,)), Gate("RX", (1,), (0.4,)), Gate("CNOT", (1, 0))))
-    assert [angle for *_, angle in _program(fixed, NoiseModel(p2=0.01)).ops] == [0.4]
+    assert [angles for *_, angles in _program(fixed, NoiseModel(p2=0.01)).ops] == [(0.4,)]
     noises = (NoiseModel(), NoiseModel(p2=0.01), NoiseModel(p2=0.1, p1=0.75),
               NoiseModel(p2=15 / 16, p1=0.75))
-    for c in (circuit, fixed, *TRANSFER_EDGES):
+    for c in (circuit, fixed, *TRANSFER_EDGES, *PAIR_EDGES):
         ket_angles = [angle for *_, angle in _program(c, None).ops]
         for noise in noises:
-            assert [angle for *_, angle in _program(c, noise).ops] == ket_angles
+            assert rotation_angles(_program(c, noise)) == ket_angles
         # the noiseless density start is the Pauli vector of the ket start,
         # a stabilizer state: every entry exactly 0 or +-1
         ket = _program(c, None).start
@@ -441,6 +451,13 @@ def test_noisy_program_keeps_one_op_per_rotation():
         pauli = QuantumState(np.outer(ket, ket.conj())).pauli
         assert np.array_equal(start, np.rint(pauli)) and np.max(np.abs(start - pauli)) < 1e-12
         assert set(np.unique(start)) <= {-1.0, 0.0, 1.0}
+    sizes = [[len(angles) for *_, angles in _program(c, NoiseModel(p2=0.01)).ops] for c in PAIR_EDGES]
+    assert sizes == [[1, 2], [1, 1, 1], [2, 1], [2], []]
+    # an op of k rotations stores a (3^k, 4^n / 2^k) gather and table
+    for n in (4, 6, 8):
+        wide = _program(ansatz_circuit(hardware_efficient_spec(n)), NoiseModel(p2=4e-3))
+        stored = sum(gather.nbytes + table.nbytes for gather, table, _ in wide.ops)
+        assert stored <= 24 * 4**n * len(rotation_angles(wide))
 
 
 # Circuits at the edges of the Clifford test and the dampings: fixed
@@ -461,7 +478,29 @@ TRANSFER_EDGES = (
 )
 
 
-@pytest.mark.parametrize("circuit", TRANSFER_EDGES)
+# Where a rotation does not pair with the next one (module doc of
+# remvqe.sim), and a keep = 0 channel inside a pair.
+PAIR_EDGES = (
+    # two rotations about Z0, the second pairs with the RX about X1
+    Circuit(2, (Gate("H", (0,)), Gate("RZ", (0,), (Param("a"),)), Gate("RZ", (0,), (Param("b", -0.5),)),
+                Gate("CNOT", (0, 1)), Gate("RX", (1,), (0.3,)))),
+    # anticommuting neighbours X0 X1, Z0, Y0
+    Circuit(2, (Gate("RX", (0,), (Param("a"),)), Gate("CNOT", (0, 1)), Gate("RZ", (0,), (Param("b"),)),
+                Gate("RY", (0,), (0.9,)), Gate("H", (1,)))),
+    # three commuting rotations: the last is unpaired
+    Circuit(3, (Gate("RZ", (0,), (Param("a"),)), Gate("RZ", (1,), (Param("b"),)), Gate("H", (2,)),
+                Gate("RZ", (2,), (0.4,)), Gate("CNOT", (0, 2)))),
+    # the RY's and the CZ's channels, keep = 0 at p1 = 3/4 and p2 = 15/16,
+    # between the paired Y0 Z1 and Z1
+    Circuit(2, (Gate("H", (0,)), Gate("RY", (0,), (Param("a"),)), Gate("CZ", (0, 1)),
+                Gate("RZ", (1,), (Param("b"),)))),
+    # no rotation: the program is its start
+    Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("RZ", (1,), (np.pi / 2,)),
+                Gate("RX", (0,), (np.pi,)), Gate("CZ", (1, 0)), Gate("RY", (1,), (-np.pi / 2,)))),
+)
+
+
+@pytest.mark.parametrize("circuit", TRANSFER_EDGES + PAIR_EDGES)
 @pytest.mark.parametrize(
     "noise",
     [NoiseModel(), NoiseModel(p2=0.1, p1=0.03), NoiseModel(p2=15 / 16, p1=0.75),
