@@ -19,7 +19,7 @@ angle, or, for density matrices, one op per commuting pair of them.
 Pauli strings have qubit q's letter in base-4 digit q, I, X, Y, Z = 0, 1, 2,
 3. The product of two strings is their XOR up to a phase: P Q = i^k (P ^ Q).
 
-The walk goes through the gates in order:
+The walk goes through the gates from the last to the first:
 
 - A fixed gate U is Clifford when its transfer matrix R (below) is a signed
   permutation (entries below 1e-12 count as 0); column Q of R then gives
@@ -27,17 +27,23 @@ The walk goes through the gates in order:
 - U e^{-itQ/2} = e^{-it UQU^dagger/2} U moves each Clifford gate in front
   of the rotations before it: C_k R_k ... C_1 R_1 C_0 |0> =
   R~_k ... R~_1 (C_k ... C_0) |0>, where R~_j rotates about R_j's axis
-  conjugated by every Clifford gate after it. So a Clifford gate is applied
-  to the start ket and conjugates every string collected before it.
-- The depolarizing channel of a gate on the k qubits S scales each string
-  that anticommutes with some X_q or Z_q, q in S, by keep = 1 - f,
+  conjugated by V = C_k ... C_j, the Clifford gates after it.
+- The walk holds table[q][a] = (P, s) with V a_q V^dagger = s P for each
+  letter a on each qubit q, V the Clifford gates passed so far. A Clifford
+  C on the qubits S turns V into V C: with C a_q C^dagger = s' T, T one
+  letter on each qubit of S, the new entry is s' times the product of those
+  letters' entries, which commute (images of letters on distinct qubits),
+  so its phase is +-1. C rewrites only the 3 |S| entries of S.
+- So each string is one lookup: a rotation's axis s P is table[q][a]. The
+  depolarizing channel of a gate on the k qubits S scales each string that
+  anticommutes with some X_q or Z_q, q in S, by keep = 1 - f,
   f = 4^k p / (4^k - 1), and keeps the others; p = 3/4 (one qubit) or
-  15/16 (two) gives keep = 0. A Clifford U moved in front of it turns its
-  generators X_q, Z_q into U X_q U^dagger, U Z_q U^dagger. So a channel
-  rides along as keep and its generators, conjugated like an axis.
-- The walk ends with the start ket C|0> and, in circuit order, each
-  rotation's conjugated axis s P and angle, and each channel's keep and
-  conjugated generators (a channel with keep 1 is left out).
+  15/16 (two) gives keep = 0. Its generators, moved in front of V, are the
+  strings of table[q][X] and table[q][Z], read before the gate is passed.
+- The walk ends with, in circuit order, each rotation's axis s P and angle,
+  and each channel's keep and generators (a channel with keep 1 is left
+  out). The Clifford gates it passed, applied to |0> in circuit order, give
+  the start ket C|0>.
 
 Ket programs use the axes: a rotation by t about s P is
 cos(t/2) - i s sin(t/2) P. With P|i> = phase[i] |i ^ flip> (pauli._action)
@@ -222,29 +228,17 @@ def _conjugation(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return target, np.rint(columns[np.arange(len(columns)), target])  # +-1 up to rounding
 
 
-def _relabel(strings: np.ndarray, qubits: tuple[int, ...], to: np.ndarray):
-    """(local, moved) for Pauli strings whose digit q is the letter on qubit
-    q: local holds each string's digits on `qubits` as one index, first
-    qubit's digit most significant, and moved has them replaced by to[local]."""
-    shifts = [2 * (len(qubits) - 1 - j) for j in range(len(qubits))]
-    digits = [(strings >> 2 * q) & 3 for q in qubits]
-    local = sum(d << s for d, s in zip(digits, shifts))
-    new = to[local]
-    moved = strings + sum((((new >> s) & 3) - d) << 2 * q for q, s, d in zip(qubits, shifts, digits))
-    return local, moved
-
-
 def _swapped(strings):
     """Each digit's x and z bits swapped: E and G anticommute when E & G' has
     an odd number of bits set, G' = _swapped(G) (module doc)."""
     return ((strings >> 1) & _LOW) | ((strings & _LOW) << 1)
 
 
-def _power(p: int, strings: np.ndarray) -> np.ndarray:
+def _power(p: int, strings: int | np.ndarray) -> int | np.ndarray:
     """k with P Q = i^k (P ^ Q) for the string p and each string Q of `strings`."""
-    k = np.zeros_like(strings)
+    k = 0
     for q in range((p.bit_length() + 1) // 2):
-        k += _POWER[(p >> 2 * q) & 3][(strings >> 2 * q) & 3]
+        k = k + _POWER[(p >> 2 * q) & 3, (strings >> 2 * q) & 3]
     return k & 3
 
 
@@ -367,7 +361,7 @@ def _pair_sizes(axes: list[int]) -> list[int]:
     while i < len(axes):
         p = axes[i]
         q = axes[i + 1] if i + 1 < len(axes) else p
-        sizes.append(2 if p != q and bin(p & _swapped(q)).count("1") % 2 == 0 else 1)
+        sizes.append(2 if p != q and not _power(p, q) & 1 else 1)
         i += sizes[-1]
     return sizes
 
@@ -403,17 +397,19 @@ def _transfer_op(index: np.ndarray, at: np.ndarray, rotations: list) -> tuple[tu
 @lru_cache(maxsize=32)
 def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _TransferProgram:
     """Compile `circuit` once per noise model, a ket program when noise is
-    None, from one walk over its gates (module doc)."""
+    None, from one backward walk over its gates (module doc)."""
     n = circuit.n_qubits
-    ket = np.zeros((2,) * n, dtype=complex)  # axis n - 1 - q is qubit q
-    ket.flat[0] = 1.0
-    strings = np.zeros(0, dtype=np.int64)  # axes and generators, digit q on qubit q
-    signs = np.zeros(0)
-    axes, angles = [], []  # each rotation's position in strings, and its angle
-    channels: list = [[]]  # (keep, generators' positions) after each op, first before any
+    table = [[(a << 2 * q, 1.0) for a in range(4)] for q in range(n)]  # [q][a]: (image, sign)
+    cliffords, rotations, segments = [], [], [[]]  # last first, but channels in order within a segment
     conjugations: dict = {}
 
-    for gate in circuit.gates:
+    for gate in reversed(circuit.gates):
+        if noise is not None:
+            p, size = (noise.p1 if len(gate.qubits) == 1 else noise.p2), 4 ** len(gate.qubits)
+            keep = 1.0 - size * p / (size - 1.0)
+            if keep != 1.0:  # generators X_q and Z_q for q in the gate's qubits
+                generators = [table[q][a][0] for q in gate.qubits for a in (1, 3)]
+                segments[-1].insert(0, (keep, np.array(generators)))
         angle = gate.params[0] if gate.params else None
         conjugation = None
         if not isinstance(angle, Param):
@@ -422,35 +418,39 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
             if key not in conjugations:
                 conjugations[key] = _conjugation(unitary)
             conjugation = conjugations[key]
-        if conjugation is not None:
-            target, sign = conjugation
-            local, strings = _relabel(strings, gate.qubits, target)
-            signs = signs * sign[local]
-            # einsum labels: ket axis a is a, the gate's inputs are n, n + 1
-            outputs = [n - 1 - q for q in gate.qubits]
-            inputs = list(range(n, n + len(outputs)))
-            labels = [inputs[outputs.index(a)] if a in outputs else a for a in range(n)]
-            ket = np.einsum(unitary.reshape((2,) * 2 * len(outputs)), outputs + inputs, ket, labels)
-        else:
-            axes.append(len(strings))
-            angles.append(angle if isinstance(angle, Param) else float(angle))
-            channels.append([])
-            strings = np.append(strings, _AXES[gate.kind] << 2 * gate.qubits[0])
-            signs = np.append(signs, 1.0)
-        if noise is not None:
-            p, size = (noise.p1 if len(gate.qubits) == 1 else noise.p2), 4 ** len(gate.qubits)
-            keep = 1.0 - size * p / (size - 1.0)
-            if keep != 1.0:  # generators X_q and Z_q for q in the gate's qubits
-                generators = [letter << 2 * q for q in gate.qubits for letter in (1, 3)]
-                channels[-1].append((keep, slice(len(strings), len(strings) + len(generators))))
-                strings = np.append(strings, generators)
-                signs = np.append(signs, np.ones(len(generators)))
+        if conjugation is None:
+            q, a = gate.qubits[0], _AXES[gate.kind]
+            rotations.append((*table[q][a], angle if isinstance(angle, Param) else float(angle)))
+            segments.append([])
+            continue
+        cliffords.append((gate.qubits, unitary))
+        target, signs = conjugation
+        shifts = [2 * (len(gate.qubits) - 1 - j) for j in range(len(gate.qubits))]
+        old = [table[q] for q in gate.qubits]
+        for q, shift in zip(gate.qubits, shifts):
+            table[q] = [(0, 1.0)]
+            for a in (1, 2, 3):  # C a_q C^dagger = s T, T one letter on each of the gate's qubits
+                string, s = 0, signs[a << shift]
+                for row, letter_shift in zip(old, shifts):
+                    image, t = row[target[a << shift] >> letter_shift & 3]
+                    s *= t * (1 - _power(string, image))
+                    string ^= image
+                table[q].append((string, s))
+    rotations, segments = rotations[::-1], segments[::-1]
 
+    ket = np.zeros((2,) * n, dtype=complex)  # axis n - 1 - q is qubit q
+    ket.flat[0] = 1.0
+    for qubits, unitary in reversed(cliffords):
+        # einsum labels: ket axis a is a, the gate's inputs are n, n + 1
+        outputs = [n - 1 - q for q in qubits]
+        inputs = list(range(n, n + len(outputs)))
+        labels = [inputs[outputs.index(a)] if a in outputs else a for a in range(n)]
+        ket = np.einsum(unitary.reshape((2,) * 2 * len(outputs)), outputs + inputs, ket, labels)
     ket = ket.reshape(-1)
     if noise is None:
         index = np.arange(1 << n)
         ops = []
-        for string, sign, angle in zip(strings[axes], signs[axes], angles):
+        for string, sign, angle in rotations:
             flip, phases = _action("".join("IXYZ"[string >> 2 * q & 3] for q in range(n - 1, -1, -1)))
             gather = index ^ flip
             ops.append((gather, -1j * sign * phases[gather], angle))
@@ -458,17 +458,16 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
         return _KetProgram(ket, tuple(ops), *_slotted(angle for *_, angle in ops))
 
     index = np.arange(1 << 2 * n)
-    dampings = _dampings(index, [[(keep, strings[at]) for keep, at in segment] for segment in channels])
+    dampings = _dampings(index, segments)
     start = np.rint(_pauli_vector(np.outer(ket, ket.conj())).real) * next(dampings)
-    axis_strings = strings[axes].tolist()
-    rotations = zip(axis_strings, signs[axes], angles, dampings)
-    sizes = _pair_sizes(axis_strings)
+    sizes = _pair_sizes([string for string, *_ in rotations])
+    steps = (rotation + (damping,) for rotation, damping in zip(rotations, dampings))
     ops, at = [], index  # at[E]: the position of string E in the state
     for size in sizes:
-        op, at = _transfer_op(index, at, [next(rotations) for _ in range(size)])
+        op, at = _transfer_op(index, at, [next(steps) for _ in range(size)])
         ops.append(op)
     start.setflags(write=False)
-    return _TransferProgram(start, tuple(ops), *_weights(angles, sizes), at)
+    return _TransferProgram(start, tuple(ops), *_weights([angle for *_, angle in rotations], sizes), at)
 
 
 def run_statevector(circuit: Circuit, bindings: Mapping[str, float] | None = None) -> QuantumState:

@@ -1,5 +1,7 @@
 """Statevector/density execution, depolarizing channels, sampling, readout noise."""
+import hashlib
 import itertools
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -500,16 +502,63 @@ PAIR_EDGES = (
 )
 
 
+# The noise models of the edge circuits: rates that give keep = 0, and the ket.
+EDGE_NOISES = (NoiseModel(), NoiseModel(p2=0.1, p1=0.03), NoiseModel(p2=15 / 16, p1=0.75),
+               NoiseModel(p2=15 / 16, p1=0.01), NoiseModel(p2=1.0, p1=1.0), None)
+
+
 @pytest.mark.parametrize("circuit", TRANSFER_EDGES + PAIR_EDGES)
-@pytest.mark.parametrize(
-    "noise",
-    [NoiseModel(), NoiseModel(p2=0.1, p1=0.03), NoiseModel(p2=15 / 16, p1=0.75),
-     NoiseModel(p2=15 / 16, p1=0.01), NoiseModel(p2=1.0, p1=1.0), None],
-)
+@pytest.mark.parametrize("noise", EDGE_NOISES)
 def test_transfer_program_edges_match_per_gate_reference(circuit, noise):
     bindings = {"a": 0.7, "b": -1.3}
     compiled = run_program(circuit, bindings, noise)
     assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
+
+
+def program_digest(circuit: Circuit) -> str:
+    """sha256 of the circuit's noisy programs under EDGE_NOISES: every array
+    (dtype, shape and bytes, signed zeros made +0) and the angles' repr."""
+    digest = hashlib.sha256()
+    for noise in [noise for noise in EDGE_NOISES if noise is not None]:
+        program = _program(circuit, noise)
+        arrays = [program.start, program.final, *program.weights]
+        for gather, table, angles in program.ops:
+            arrays += [gather, table]
+            digest.update(repr(angles).encode())
+        for array in arrays:
+            array = np.ascontiguousarray(array + 0.0 if array.dtype.kind == "f" else array)
+            digest.update(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+        digest.update(repr(program.angles).encode())
+    return digest.hexdigest()
+
+
+# program_digest of each circuit. A rewrite of the compiler keeps these
+# bytes; a change that moves them on purpose records new digests and says why.
+PROGRAM_DIGESTS = {
+    "lih-uccsd": "a163baacc34485e6a156e06ab8a2a0d59d2692fe30e8994826ec2f9ed46faa66",
+    "hwe-4": "a6962401f7c9326ab4e22c28d277d3257df4dad8f0a69d883b13f2537ad23027",
+    "hwe-6": "0b2b0f1e7e8e61b72fa8b944efa065b7ff8eddf0c1caf1f9b292cb25df45ab17",
+    "transfer-0": "e86e1923ea55b677afbbb2f83d09f7dc910c3fb55a2b31503c61a4c40b3eac06",
+    "transfer-1": "785000945d6feb7355b66b525fe6b0c697dd249fa4da8cf8fa1109d18cd7ea78",
+    "transfer-2": "f8893fd99eb7da6937b4f20aaa81d4ef4763c88327a1c4b1b2945a637821abf8",
+    "pair-0": "8761c2ceaf78cb95b7f906e8dd29726697162b65c0651bacea673bd6e563134e",
+    "pair-1": "50df754317a547048044cdbc3740d1dbef6d20c0298893290fb681399832876c",
+    "pair-2": "f3d185b17158191fcddb6bc48671557e3b01eef6f4d119e7a2efab8d7caf5b57",
+    "pair-3": "0b1330b9be94e8c5900ef52b21cb1ea46e5bf61a2eca01fb1ddb410704d8003a",
+    "pair-4": "68f45dcc847cd3f5f00b2d4ea9d4ae96a83bb545c507a039f17845c3fd27d17f",
+}
+
+
+def test_noisy_programs_match_pinned_digests():
+    # the compiled noisy programs stay byte for byte the same: gathers,
+    # tables, start, final gather, weights and angles (ket programs are left
+    # out, their einsum start ket is not bit-stable across numpy builds)
+    circuits = {"lih-uccsd": ansatz_circuit(uccsd_spec(4)),
+                "hwe-4": ansatz_circuit(hardware_efficient_spec(4)),
+                "hwe-6": ansatz_circuit(hardware_efficient_spec(6)),
+                **{f"transfer-{i}": c for i, c in enumerate(TRANSFER_EDGES)},
+                **{f"pair-{i}": c for i, c in enumerate(PAIR_EDGES)}}
+    assert {name: program_digest(c) for name, c in circuits.items()} == PROGRAM_DIGESTS
 
 
 def test_deep_noisy_program_matches_per_gate_reference():
@@ -533,7 +582,8 @@ def test_deep_noisy_program_matches_per_gate_reference():
 
 
 def test_compiled_program_is_reused(monkeypatch):
-    # a fresh circuit compiles once per noise model; later runs build no gate matrix
+    # a fresh circuit compiles once per noise model, one matrix per fixed gate
+    # in any order (the compile walks the gates backward); later runs build none
     calls = []
 
     def counted(kind, params):
@@ -546,7 +596,7 @@ def test_compiled_program_is_reused(monkeypatch):
     for run in (lambda b: run_density(circuit, b, NoiseModel(p2=0.01)),
                 lambda b: run_statevector(circuit, b)):
         first = run({"x": 0.3}).data
-        assert calls == ["H", "CNOT", "RX", "CZ"]
+        assert Counter(calls) == Counter(["H", "CNOT", "RX", "CZ"])
         assert not np.allclose(run({"x": -0.8}).data, first)
         assert len(calls) == 4
         calls.clear()
