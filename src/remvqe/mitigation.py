@@ -35,7 +35,7 @@ class ConfusionMatrix:
         mat = np.array(self.matrix, dtype=float, order="C")
         if mat.shape != (dim, dim):
             raise ValueError(f"confusion matrix must be {dim}x{dim}, got {mat.shape}")
-        if np.any(mat < -1e-12) or np.any(mat > 1 + 1e-12):
+        if not np.all((mat >= -1e-12) & (mat <= 1 + 1e-12)):  # NaN compares false
             raise ValueError("confusion entries must lie in [0, 1]")
         sums = mat.sum(axis=0)
         if np.max(np.abs(sums - 1.0)) > _COLUMN_TOL:
@@ -308,7 +308,10 @@ def parse_confusion_csv(text: str) -> ConfusionMatrix:
         raise ValueError(f"expected {dim} matrix rows, got {len(rows)}")
     # re-normalize columns: 8-decimal rounding may leave ~1e-8 drift
     mat = np.array(rows)
-    mat = mat / mat.sum(axis=0, keepdims=True)
+    sums = mat.sum(axis=0, keepdims=True)
+    if not np.all(sums > 0):
+        raise ValueError(f"confusion column sums {sums[0].tolist()} are not all positive")
+    mat = mat / sums
     unc = np.array(sigma_rows) if sigma_rows else None
     return ConfusionMatrix(n_qubits, mat, unc)
 

@@ -1,7 +1,7 @@
 """Pauli-string algebra and Hamiltonian representation.
 
 Provides the weighted-Pauli-sum Hamiltonian type used throughout the package,
-exact expectation values against statevectors or density matrices, a dense
+exact expectation values of kets and of density states' Pauli vectors, a dense
 diagonalization oracle, qubit-wise commuting measurement grouping, and the
 plain-text Hamiltonian format.
 
@@ -88,9 +88,8 @@ def pauli_index(label: str) -> int:
 
 
 # One qubit's Pauli coefficients (I, X, Y, Z) to its 2 x 2 block of rho,
-# (row, column) = 00, 01, 10, 11, with the 1/2 of rho's 1/2^n; and back.
+# (row, column) = 00, 01, 10, 11, with the 1/2 of rho's 1/2^n.
 _TO_RHO = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
-_FROM_RHO = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
 def _density_matrix(r: np.ndarray) -> np.ndarray:
@@ -100,15 +99,6 @@ def _density_matrix(r: np.ndarray) -> np.ndarray:
         r = r.reshape(4, -1).T @ _TO_RHO.T
     bits = r.reshape((2,) * 2 * n)  # row and column bit of qubit n - 1 first
     return bits.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(1 << n, 1 << n)
-
-
-def _pauli_vector(rho: np.ndarray) -> np.ndarray:
-    """r_P = Tr(P rho), complex unless rho is Hermitian: _density_matrix undone."""
-    n = len(rho).bit_length() - 1
-    v = rho.reshape((2,) * 2 * n).transpose([k for q in range(n) for k in (q, q + n)]).reshape(-1)
-    for _ in range(n):
-        v = (_FROM_RHO @ v.reshape(-1, 4).T).reshape(-1)
-    return v
 
 
 @lru_cache(maxsize=4096)
@@ -195,29 +185,27 @@ class MeasurementGroup:
 
 
 def expectation(h: PauliHamiltonian, state) -> float:
-    """<state| H |state> (or Tr(H rho)) including the classical offset.
+    """<psi| H |psi> or Tr(H rho), including the classical offset.
 
-    `state` may be a norm-1 amplitude vector, a trace-1 density matrix, or a
-    QuantumState. A density state gives sum_t c_t r[P_t] from its Pauli
-    vector r (Tr(P rho) = r_P; positions cached per Hamiltonian); a ket acts
-    through the terms' dense matrix (cached, n bounded as in
-    to_dense_matrix). The offset is added last.
+    `state` is a norm-1 amplitude vector psi or a QuantumState; a density
+    matrix is passed as QuantumState(pauli=r), its Pauli vector. A density
+    state gives sum_t c_t r[P_t] (Tr(P rho) = r_P; positions cached per
+    Hamiltonian); a ket acts through the terms' dense matrix (cached, n
+    bounded as in to_dense_matrix). The offset is added last.
     """
     dim = 1 << h.n_qubits
     r = getattr(state, "pauli", None)
     arr = np.asarray(getattr(state, "data", state)) if r is None else r
-    if arr.shape == (dim, dim):
-        arr = r = _pauli_vector(arr)
+    if arr.ndim == 2:
+        raise ValueError("a density matrix is passed as QuantumState(pauli=r)")
     if r is not None and arr.shape == (dim * dim,):
         index, coeffs = _term_vectors(h)
-        value = complex(np.dot(coeffs, r[index]))
+        value = np.dot(coeffs, r[index])
     elif r is None and arr.shape == (dim,):
-        value = complex(np.vdot(arr, _terms_matrix(h) @ arr))
+        value = np.vdot(arr, _terms_matrix(h) @ arr).real
     else:
         raise ValueError(f"state dimension {arr.shape} does not match {h.n_qubits} qubits")
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
-    return value.real + h.offset
+    return float(value) + h.offset
 
 
 @lru_cache(maxsize=64)

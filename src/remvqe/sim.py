@@ -42,10 +42,9 @@ The walk goes through the gates from the last to the first:
   strings of table[q][X] and table[q][Z], read before the gate is passed.
 - The walk ends with, in circuit order, each rotation's axis s P and angle,
   and each channel's keep and generators (a channel with keep 1 is left
-  out). The Clifford gates it passed, applied to |0> in circuit order, give
-  the start ket C|0>.
+  out); the table then holds the images under C = C_k ... C_0.
 
-Ket programs use the axes: a rotation by t about s P is
+Ket programs start from C|0> and use the axes: a rotation by t about s P is
 cos(t/2) - i s sin(t/2) P. With P|i> = phase[i] |i ^ flip> (pauli._action)
 it is one op v <- cos(t/2) v + sin(t/2) table * v[gather], gather = i ^ flip
 and table = -i s phase[gather]; each op stores 24 * 2^n bytes.
@@ -55,8 +54,10 @@ vector r of length 4^n with rho = sum_P r_P P / 2^n over the Pauli strings
 P. A gate U on k qubits maps r by its transfer matrix
 R[P, Q] = Tr(P U Q U^dagger) / 2^k on those qubits' digits.
 
-- The start is r of C|0><0|C^dagger, a stabilizer state: each entry is
-  exactly 0 or +-1, so rounding _pauli_vector of the start ket gives it.
+- The start is r of C|0><0|C^dagger, whose stabilizers, the 2^n products
+  of the commuting generators table[q][Z] = C Z_q C^dagger (Aaronson and
+  Gottesman 2004), have r = their sign, all else r = 0. Doubling from I
+  builds them: (s G)(t E) = s t (1 - k) (G ^ E), k = 0 or 2 the power of G E.
 - A channel multiplies r by its damping: keep at the strings E that
   anticommute with one of its generators G, 1 elsewhere. With x and z the
   low and high bit of each digit, E and G anticommute when
@@ -88,10 +89,9 @@ R[P, Q] = Tr(P U Q U^dagger) / 2^k on those qubits' digits.
   there, composed at compile time, and one final gather puts r back in the
   natural order. Each channel's damping multiplies into the table of the
   op it follows, or into the start.
-- The output is r itself, which a density QuantumState holds as its one
-  representation; rho is built from r only when read (pauli._density_matrix).
-  An op of k rotations stores a (3^k, 4^n / 2^k) int64 gather and float
-  table: 24 * 4^n bytes per rotation for a single op, 18 * 4^n for a pair.
+- The output is r, which a density QuantumState holds. An op of k
+  rotations stores a (3^k, 4^n / 2^k) int64 gather and float table:
+  24 * 4^n bytes per rotation for a single op, 18 * 4^n for a pair.
 
 The tests check both programs against a per-gate reference that moves the
 gate's axes to the front and applies one matrix per gate (a superoperator
@@ -120,7 +120,7 @@ import numpy as np
 
 from .circuits import Circuit, Param, gate_matrix
 from .mitigation import ConfusionMatrix
-from .pauli import PauliString, _action, _density_matrix, _pauli_vector, pauli_index, sign_table
+from .pauli import PauliString, _action, _density_matrix, pauli_index, sign_table
 
 
 def _copy(data) -> bool | None:
@@ -129,27 +129,21 @@ def _copy(data) -> bool | None:
 
 
 class QuantumState:
-    """A norm-1 amplitude vector (a ket), or a trace-1 density matrix held as
-    its Pauli vector r (module doc): QuantumState(rho) turns rho into r once,
-    QuantumState(pauli=r) keeps r, and `data` builds rho from r on first
-    read. The arrays are read-only; an input array is shared only if it is."""
+    """A norm-1 ket, QuantumState(psi), or a trace-1 density matrix held as its
+    Pauli vector r (module doc), QuantumState(pauli=r); `data` is psi, or rho
+    built from r on first read. Arrays are read-only; an input is shared only if it is."""
 
     def __init__(self, data: np.ndarray | None = None, *, pauli: np.ndarray | None = None) -> None:
+        if (data is None) == (pauli is None):
+            raise ValueError("a state is a ket or pauli=r, not both or neither")
         self.pauli = self._data = None
         if pauli is None:
             arr = self._data = np.array(data, dtype=complex, copy=_copy(data))
-            if arr.ndim not in (1, 2) or arr.shape != arr.shape[:1] * arr.ndim:
-                raise ValueError("state must be a vector or a square matrix")
-            dim = len(arr)
-            if dim & (dim - 1) or dim == 0:
-                raise ValueError(f"state dimension {dim} is not a power of two")
-            if arr.ndim == 2:
-                pauli, self._data = _pauli_vector(arr), None
-                if np.abs(pauli.imag).max() > 1e-10:
-                    raise ValueError("density matrix is not Hermitian")
-            elif abs(np.linalg.norm(arr) - 1.0) > 1e-6:
+            if arr.ndim != 1 or len(arr) & (len(arr) - 1) or len(arr) == 0:
+                raise ValueError(f"ket shape {arr.shape} is not (2^n,); pass rho as pauli=r")
+            if abs(np.linalg.norm(arr) - 1.0) > 1e-6:
                 raise ValueError("amplitude vector is not normalized")
-        if pauli is not None:
+        else:
             arr = self.pauli = np.array(np.real(pauli), dtype=float, copy=_copy(pauli))
             size = len(arr) if arr.ndim == 1 else 0
             if size & (size - 1) or size.bit_length() % 2 == 0:
@@ -438,16 +432,16 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
                 table[q].append((string, s))
     rotations, segments = rotations[::-1], segments[::-1]
 
-    ket = np.zeros((2,) * n, dtype=complex)  # axis n - 1 - q is qubit q
-    ket.flat[0] = 1.0
-    for qubits, unitary in reversed(cliffords):
-        # einsum labels: ket axis a is a, the gate's inputs are n, n + 1
-        outputs = [n - 1 - q for q in qubits]
-        inputs = list(range(n, n + len(outputs)))
-        labels = [inputs[outputs.index(a)] if a in outputs else a for a in range(n)]
-        ket = np.einsum(unitary.reshape((2,) * 2 * len(outputs)), outputs + inputs, ket, labels)
-    ket = ket.reshape(-1)
     if noise is None:
+        ket = np.zeros((2,) * n, dtype=complex)  # axis n - 1 - q is qubit q
+        ket.flat[0] = 1.0
+        for qubits, unitary in reversed(cliffords):
+            # einsum labels: ket axis a is a, the gate's inputs are n, n + 1
+            outputs = [n - 1 - q for q in qubits]
+            inputs = list(range(n, n + len(outputs)))
+            labels = [inputs[outputs.index(a)] if a in outputs else a for a in range(n)]
+            ket = np.einsum(unitary.reshape((2,) * 2 * len(outputs)), outputs + inputs, ket, labels)
+        ket = ket.reshape(-1)
         index = np.arange(1 << n)
         ops = []
         for string, sign, angle in rotations:
@@ -457,9 +451,14 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
         ket.setflags(write=False)
         return _KetProgram(ket, tuple(ops), *_slotted(angle for *_, angle in ops))
 
+    stabilizers, signs = np.zeros(1, dtype=np.int64), np.ones(1)  # doubled per generator (module doc)
+    for g, s in (table[q][3] for q in range(n)):
+        signs = np.append(signs, s * signs * (1 - _power(g, stabilizers)))
+        stabilizers = np.append(stabilizers, stabilizers ^ g)
     index = np.arange(1 << 2 * n)
     dampings = _dampings(index, segments)
-    start = np.rint(_pauli_vector(np.outer(ket, ket.conj())).real) * next(dampings)
+    start = np.zeros(len(index))
+    start[stabilizers] = signs * next(dampings)[stabilizers]
     sizes = _pair_sizes([string for string, *_ in rotations])
     steps = (rotation + (damping,) for rotation, damping in zip(rotations, dampings))
     ops, at = [], index  # at[E]: the position of string E in the state

@@ -190,7 +190,9 @@ def reference_exact_energy(ev: EnergyEvaluator) -> float:
 class VqeOutcome:
     """An optimizer run: every (theta, energy) it evaluated, and why it stopped.
 
-    The reported optimum is the first lowest-energy trace entry.
+    `theta` is the first lowest-energy trace entry's. Under shot noise that
+    entry's energy is biased low; the reported energy is a new measurement
+    at theta (experiments.MEASURE_INDEX).
     """
 
     trace: tuple[tuple[tuple[float, ...], float], ...]
@@ -202,10 +204,6 @@ class VqeOutcome:
         arr = np.array(min(self.trace, key=lambda entry: entry[1])[0])
         arr.setflags(write=False)
         return arr
-
-    @property
-    def energy(self) -> float:
-        return min(energy for _, energy in self.trace)
 
     @property
     def n_evaluations(self) -> int:

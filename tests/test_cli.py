@@ -237,6 +237,25 @@ def test_calibrate_rejects_malformed_confusion_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows,message",
+    [("0.9,0,0.1,0\n0.1,0,0,0.1\n0,0,0.9,0\n0,0,0,0.9", "column sums [1.0, 0.0, 1.0, 1.0]"),
+     ("nan,0,0,0\nnan,1,0,0\n0,0,1,0\n0,0,0,1", "column sums [nan, 1.0, 1.0, 1.0]")],
+    ids=["zero", "nan"],
+)
+def test_confusion_csv_without_distributions_is_config_error(rows, message, tmp_path, capsys):
+    # a zero or NaN column has no outcome distribution to resample from
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# confusion n=2\n{rows}\n")
+    argv = ["single-point", "--molecule", "h2", "--shots", "1000", "--confusion", str(bad),
+            "--mitigation", "readout", "--seed", "8"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "flag,message",
     [("--repeats", "repeats must be positive"),
      ("--shots-per-state", "shots_per_state must be positive")],

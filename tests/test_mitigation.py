@@ -38,6 +38,11 @@ def test_confusion_validation():
         ConfusionMatrix(2, bad)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ConfusionMatrix(1, np.array([[2.0, 0.0], [-1.0, 1.0]]))
+    # every comparison with NaN is false, so a NaN column passes a test for
+    # entries outside [0, 1] and a column sum test
+    for bad in ([[np.nan, 0.0], [np.nan, 1.0]], [[np.inf, 0.0], [-np.inf, 1.0]]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ConfusionMatrix(1, bad)
     with pytest.raises(ValueError, match="uncertainty shape"):
         ConfusionMatrix(1, np.eye(2), uncertainty=np.zeros(2))
 
@@ -470,3 +475,6 @@ def test_confusion_csv_errors():
         parse_confusion_csv("1.0,0.0\n0.0,1.0\n")
     with pytest.raises(ValueError, match="expected 4 matrix rows"):
         parse_confusion_csv("# confusion n=2\n1.0,0.0,0.0,0.0\n")
+    # a column is renormalized by its sum, which must be positive
+    with pytest.raises(ValueError, match=r"column sums \[1.0, 0.0\] are not all positive"):
+        parse_confusion_csv("# confusion n=1\n0.9,0.0\n0.1,0.0\n")

@@ -1,4 +1,6 @@
 """Pauli-string algebra: dense oracles, expectation values, grouping, text format."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from remvqe import (
     PauliHamiltonian,
     PauliString,
+    QuantumState,
     builtin,
     expectation,
     format_hamiltonian,
@@ -32,6 +35,14 @@ def kron_pauli(label: str) -> np.ndarray:
     for ch in label:
         mat = np.kron(mat, SINGLE[ch])
     return mat
+
+
+def pauli_vector(rho: np.ndarray) -> np.ndarray:
+    """Dense oracle of r_P = Tr(P rho) in Pauli-vector order: the last label
+    letter, qubit 0, is the lowest base-4 digit."""
+    n = len(rho).bit_length() - 1
+    labels = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
+    return np.array([np.trace(kron_pauli(label) @ rho) for label in labels])
 
 
 def dense_oracle(h: PauliHamiltonian) -> np.ndarray:
@@ -279,7 +290,7 @@ def test_expectation_density_equals_statevector():
     h = builtin("heh+").geometry(0.65).hamiltonian
     for _ in range(10):
         psi = random_state(2, rng)
-        rho = np.outer(psi, np.conj(psi))
+        rho = QuantumState(pauli=pauli_vector(np.outer(psi, np.conj(psi))))
         assert expectation(h, rho) == pytest.approx(expectation(h, psi), abs=1e-10)
 
 
@@ -293,13 +304,17 @@ def test_expectation_density_vs_dense_oracle(h, seed):
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     oracle = float(np.real(np.trace(dense_oracle(h) @ rho)))
-    assert expectation(h, rho) == pytest.approx(oracle, abs=1e-12)
+    assert expectation(h, QuantumState(pauli=pauli_vector(rho))) == pytest.approx(oracle, abs=1e-12)
 
 
-def test_expectation_rejects_imaginary_part():
+def test_expectation_rejects_density_matrix():
+    # a density matrix is passed as the QuantumState of its Pauli vector
     h = PauliHamiltonian(1, (("X", 1.0),))
-    with pytest.raises(ValueError, match="imaginary part"):
-        expectation(h, np.array([[0.5, 0.3j], [0.3j, 0.5]]))
+    plus = np.full((2, 2), 0.5)
+    for rho in (plus, np.array([[0.5, 0.3j], [0.3j, 0.5]])):
+        with pytest.raises(ValueError, match=r"QuantumState\(pauli=r\)"):
+            expectation(h, rho)
+    assert expectation(h, QuantumState(pauli=pauli_vector(plus))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_dimension_mismatch():

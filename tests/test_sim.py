@@ -128,6 +128,27 @@ def evolve(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
     return v
 
 
+# rho -> r, the inverse of pauli._density_matrix: the package holds noisy
+# states as r and takes no rho, so a test that starts from rho converts here.
+# Row P of FROM_RHO takes one qubit's 2 x 2 block of rho, (row, column) = 00,
+# 01, 10, 11, to Tr(P block) for P = I, X, Y, Z.
+FROM_RHO = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+
+
+def pauli_vector(rho: np.ndarray) -> np.ndarray:
+    """r_P = Tr(P rho), complex unless rho is Hermitian: a 4 x 4 product per qubit."""
+    n = len(rho).bit_length() - 1
+    v = rho.reshape((2,) * 2 * n).transpose([k for q in range(n) for k in (q, q + n)]).reshape(-1)
+    for _ in range(n):
+        v = (FROM_RHO @ v.reshape(-1, 4).T).reshape(-1)
+    return v
+
+
+def as_state(state: np.ndarray) -> QuantumState:
+    """A ket, or a density matrix through its Pauli vector."""
+    return QuantumState(state) if state.ndim == 1 else QuantumState(pauli=pauli_vector(state))
+
+
 def run_program(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
     """The compiled program's ket, or vec(rho) read through the density
     state's view of the program's Pauli vector."""
@@ -446,13 +467,20 @@ def test_noisy_program_pairs_commuting_rotations():
         ket_angles = [angle for *_, angle in _program(c, None).ops]
         for noise in noises:
             assert rotation_angles(_program(c, noise)) == ket_angles
-        # the noiseless density start is the Pauli vector of the ket start,
-        # a stabilizer state: every entry exactly 0 or +-1
+    # the noiseless density start, doubled over the stabilizer generators, is
+    # the Pauli vector of the ket start: every entry exactly 0 or +-1
+    hwes = [ansatz_circuit(hardware_efficient_spec(n)) for n in (4, 6, 8)]
+    for c in (circuit, fixed, *hwes, *TRANSFER_EDGES, *PAIR_EDGES):
         ket = _program(c, None).start
         start = _program(c, NoiseModel()).start
-        pauli = QuantumState(np.outer(ket, ket.conj())).pauli
-        assert np.array_equal(start, np.rint(pauli)) and np.max(np.abs(start - pauli)) < 1e-12
+        pauli = pauli_vector(np.outer(ket, ket.conj()))
+        assert np.array_equal(start, np.rint(pauli.real)) and np.max(np.abs(start - pauli)) < 1e-12
         assert set(np.unique(start)) <= {-1.0, 0.0, 1.0}
+    # a Bell pair's generators X0 X1 and Z0 Z1 multiply into -Y0 Y1
+    bell = np.zeros(16)
+    bell[[0, 5, 15, 10]] = 1.0, 1.0, 1.0, -1.0  # II, XX, ZZ, YY
+    start = _program(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))), NoiseModel()).start
+    assert np.array_equal(start, bell)
     sizes = [[len(angles) for *_, angles in _program(c, NoiseModel(p2=0.01)).ops] for c in PAIR_EDGES]
     assert sizes == [[1, 2], [1, 1, 1], [2, 1], [2], []]
     # an op of k rotations stores a (3^k, 4^n / 2^k) gather and table
@@ -477,6 +505,11 @@ TRANSFER_EDGES = (
                 Gate("RX", (1,), (Param("b"),)), Gate("RZ", (1,), (-np.pi / 2,)),
                 Gate("CNOT", (0, 1)), Gate("RY", (1,), (3 * np.pi / 2,)), Gate("RY", (0,), (0.8,)),
                 Gate("RZ", (0,), (np.pi / 2,)))),
+    # a Clifford update whose two images multiply with phase -1: after the
+    # last CNOT and the H, the first CNOT's Z1 -> Z0 Z1 multiplies the
+    # images X0 X1 and Z0 Z1 into -Y0 Y1, the RZ's axis
+    Circuit(2, (Gate("H", (1,)), Gate("RZ", (1,), (Param("a"),)), Gate("CNOT", (0, 1)),
+                Gate("H", (0,)), Gate("CNOT", (0, 1)))),
 )
 
 
@@ -541,6 +574,7 @@ PROGRAM_DIGESTS = {
     "transfer-0": "e86e1923ea55b677afbbb2f83d09f7dc910c3fb55a2b31503c61a4c40b3eac06",
     "transfer-1": "785000945d6feb7355b66b525fe6b0c697dd249fa4da8cf8fa1109d18cd7ea78",
     "transfer-2": "f8893fd99eb7da6937b4f20aaa81d4ef4763c88327a1c4b1b2945a637821abf8",
+    "transfer-3": "7c29c9a0c99cebb48b41d4d16522a59fa66fc717f63d3c7a6440b21b35b107e4",
     "pair-0": "8761c2ceaf78cb95b7f906e8dd29726697162b65c0651bacea673bd6e563134e",
     "pair-1": "50df754317a547048044cdbc3740d1dbef6d20c0298893290fb681399832876c",
     "pair-2": "f3d185b17158191fcddb6bc48671557e3b01eef6f4d119e7a2efab8d7caf5b57",
@@ -614,7 +648,7 @@ def test_basis_probabilities_density_matches_ket(label, seed):
     psi /= np.linalg.norm(psi)
     basis = PauliString(label)
     ket = _basis_probabilities(QuantumState(psi), (basis,))[0]
-    density = _basis_probabilities(QuantumState(np.outer(psi, psi.conj())), (basis,))[0]
+    density = _basis_probabilities(as_state(np.outer(psi, psi.conj())), (basis,))[0]
     assert np.max(np.abs(ket - density)) < 1e-12
 
 
@@ -640,7 +674,7 @@ def test_basis_probabilities_match_per_qubit_rotations(label, seed):
             if basis.char_on(q) in rotation:
                 v = apply_gate(v, rotation[basis.char_on(q)], (q,), n, p)
         ref = np.abs(v) ** 2 if p is None else np.real(v[:: (1 << n) + 1])
-        fast = _basis_probabilities(QuantumState(state), (basis,))[0]
+        fast = _basis_probabilities(as_state(state), (basis,))[0]
         assert np.max(np.abs(fast - ref / ref.sum())) < 1e-12
 
 
@@ -672,10 +706,10 @@ def test_batched_basis_probabilities_match_single_basis_bit_for_bit(labels, seed
     rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(1 << n) / (1 << n)
     bases = tuple(PauliString(label) for label in labels)
     for state in (psi, rho):
-        batched = _basis_probabilities(QuantumState(state), bases)
+        batched = _basis_probabilities(as_state(state), bases)
         assert batched.shape == (len(labels), 1 << n)
         for row, label in zip(batched, labels):
-            single = _basis_probabilities(QuantumState(state), (PauliString(label),))[0]
+            single = _basis_probabilities(as_state(state), (PauliString(label),))[0]
             assert np.array_equal(row, single)
             if state.ndim == 1:
                 assert np.array_equal(row, single_basis_probabilities(state, label))
@@ -765,33 +799,35 @@ def test_noise_model_defaults_and_validation():
 def test_state_validation():
     with pytest.raises(ValueError, match="not normalized"):
         QuantumState(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(ValueError, match="not \\(2\\^n,\\)"):
         QuantumState(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="trace"):
-        QuantumState(np.eye(2))
-    with pytest.raises(ValueError, match="vector or a square"):
+    with pytest.raises(ValueError, match="not \\(2\\^n,\\)"):
         QuantumState(np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="vector or a square"):
-        QuantumState(np.zeros((2, 4)))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        QuantumState(np.array([[0.5, 0.3j], [0.3j, 0.5]]))
+    # a density matrix is given as its Pauli vector, never as rho
+    for rho in (np.eye(2) / 2, np.zeros((2, 4)), np.array([[0.5, 0.3j], [0.3j, 0.5]])):
+        with pytest.raises(ValueError, match="pass rho as pauli=r"):
+            QuantumState(rho)
+    # a ket or pauli=r, not both or neither
+    with pytest.raises(ValueError, match="not both or neither"):
+        QuantumState(np.array([1.0, 0.0]), pauli=np.array([1.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="not both or neither"):
+        QuantumState()
     with pytest.raises(ValueError, match="trace"):
         QuantumState(pauli=np.array([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="not \\(4\\^n,\\)"):
         QuantumState(pauli=np.ones(8))
 
 
-@pytest.mark.parametrize("kind", ["ket", "rho", "pauli"])
+@pytest.mark.parametrize("kind", ["ket", "pauli"])
 def test_state_leaves_the_callers_array_alone(kind):
     # a writable input is copied: it stays writable, and writing to it later
     # does not reach the state; a read-only input may be shared
-    arr = {"ket": np.array([1, 0], dtype=complex), "rho": np.array([[1, 0], [0, 0]], dtype=complex),
-           "pauli": np.array([1.0, 0.0, 0.0, 1.0])}[kind]
+    arr = {"ket": np.array([1, 0], dtype=complex), "pauli": np.array([1.0, 0.0, 0.0, 1.0])}[kind]
     state = QuantumState(pauli=arr) if kind == "pauli" else QuantumState(arr)
     before = (state.data.copy(), None if state.pauli is None else state.pauli.copy())
     arr[0] = 0
     assert np.array_equal(state.data, before[0])
-    if kind != "ket":
+    if kind == "pauli":
         assert np.array_equal(state.pauli, before[1])
     frozen = np.array([1.0, 0.0, 0.0, 1.0])
     frozen.setflags(write=False)
@@ -802,17 +838,18 @@ def test_state_density_view():
     s = QuantumState(np.array([1.0, 0.0, 0.0, 0.0]))
     assert s.n_qubits == 2
     assert not s.is_density
-    d = QuantumState(np.eye(4) / 4)
+    d = as_state(np.eye(4) / 4)
     assert d.is_density
     assert d.n_qubits == 2
     assert np.array_equal(d.pauli, np.eye(16)[0])
+    assert np.array_equal(d.data, np.eye(4) / 4)
     # rho -> r -> rho round trip; Z on qubit 0 is position 3 and on qubit 1
     # position 12 (base-4 digit q is qubit q)
     rho = np.zeros((4, 4))
     rho[1, 1] = 1.0  # |01>: qubit 0 is 1
-    flipped = QuantumState(rho)
+    flipped = as_state(rho)
     assert flipped.pauli[3] == -1.0 and flipped.pauli[12] == 1.0
-    assert np.array_equal(QuantumState(pauli=flipped.pauli).data, rho)
+    assert np.array_equal(flipped.data, rho)
 
 
 def test_hf_state():
