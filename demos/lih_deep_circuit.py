@@ -4,7 +4,10 @@ Reference-state correction on a deep circuit: LiH with the UCCSD ansatz.
 The 4-qubit UCCSD circuit carries 172 two-qubit gates, so even a modest
 per-gate depolarizing probability wrecks the raw energy. The reference
 state runs through the identical circuit structure, which is exactly why
-subtracting its energy discrepancy removes most of the bias.
+subtracting its energy discrepancy removes most of the bias. The last line
+says how much of the correlation energy the corrected minimum recovers: the
+share of the gap between the reference (Hartree-Fock) energy and the exact
+minimum, (E_ref - e_rem) / (E_ref - E_exact).
 
 Runs in about 0.5 s on a 2-vCPU VM, imports included: each density-matrix
 evaluation of the 275-deep circuit inside the Nelder-Mead loop is 20 ops in
@@ -28,6 +31,11 @@ def main():
     print(f"noisy minimum:      {r.e_vqe_min:+.6f}   (err {r.err_vqe:+.6f})")
     print(f"corrected minimum:  {r.e_rem:+.6f}   (err {r.err_rem:+.6f})")
     print(f"bias removed:       {100 * (1 - abs(r.err_rem) / abs(r.err_vqe)):.1f}%")
+    # REM returns the reference energy when the noise mixes the state fully,
+    # so the bias share alone can read high with no correlation energy found
+    gap = r.e_exact_ref - r.e_exact_min
+    print(f"gap recovered:      {100 * (r.e_exact_ref - r.e_rem) / gap:.1f}%   "
+          f"(of E_ref - E_exact = {1000 * gap:.1f} mHa)")
 
 
 if __name__ == "__main__":

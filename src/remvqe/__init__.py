@@ -56,7 +56,6 @@ from .pauli import (
     MeasurementGroup,
     PauliHamiltonian,
     PauliString,
-    expectation,
     format_hamiltonian,
     ground_state_energy,
     group_terms,
@@ -68,6 +67,7 @@ from .sim import (
     NoiseModel,
     QuantumState,
     apply_readout_noise,
+    expectation,
     hf_state,
     run_density,
     run_statevector,

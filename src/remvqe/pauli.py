@@ -1,9 +1,9 @@
 """Pauli-string algebra and Hamiltonian representation.
 
 Provides the weighted-Pauli-sum Hamiltonian type used throughout the package,
-exact expectation values of kets and of density states' Pauli vectors, a dense
-diagonalization oracle, qubit-wise commuting measurement grouping, and the
-plain-text Hamiltonian format.
+the parity and sign tables of Z strings, a dense diagonalization oracle,
+qubit-wise commuting measurement grouping, and the plain-text Hamiltonian
+format. It knows no state format: sim holds and reads states.
 
 Qubit-ordering convention: the leftmost character of a Pauli label acts on
 qubit n-1, the rightmost on qubit 0, so basis index i corresponds to the
@@ -11,6 +11,7 @@ bitstring format(i, "0nb").
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -65,6 +66,16 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
     return PauliString(text)
 
 
+@lru_cache(maxsize=32)
+def _parity(bits: int) -> np.ndarray:
+    """Read-only uint8 table of the parity of i's set bits for every i < 2^bits."""
+    odd = np.zeros(1, dtype=np.uint8)
+    while len(odd) < 1 << bits:  # i + 2^k has one bit more than i < 2^k
+        odd = np.concatenate((odd, odd ^ 1))
+    odd.setflags(write=False)
+    return odd
+
+
 @lru_cache(maxsize=4096)
 def sign_table(n_qubits: int, mask: int) -> np.ndarray:
     """(-1)^(parity of i & mask) for every basis index i (read-only).
@@ -73,32 +84,9 @@ def sign_table(n_qubits: int, mask: int) -> np.ndarray:
     eigenvalue a term contributes per outcome once it is rotated into the Z
     basis.
     """
-    masked = np.arange(1 << n_qubits) & mask
-    parity = np.zeros(1 << n_qubits, dtype=np.int64)
-    for q in range(n_qubits):
-        parity ^= (masked >> q) & 1
-    signs = np.where(parity, -1.0, 1.0)
+    signs = np.where(_parity(n_qubits)[np.arange(1 << n_qubits) & mask], -1.0, 1.0)
     signs.setflags(write=False)
     return signs
-
-
-def pauli_index(label: str) -> int:
-    """Position of `label` in a Pauli vector: base-4 digit q is qubit q's I, X, Y, Z = 0-3."""
-    return sum("IXYZ".index(ch) << 2 * q for q, ch in enumerate(reversed(label)))
-
-
-# One qubit's Pauli coefficients (I, X, Y, Z) to its 2 x 2 block of rho,
-# (row, column) = 00, 01, 10, 11, with the 1/2 of rho's 1/2^n.
-_TO_RHO = 0.5 * np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
-
-
-def _density_matrix(r: np.ndarray) -> np.ndarray:
-    """rho = sum_P r_P P / 2^n: a 4 x 4 product per qubit, then rows before columns."""
-    n = (len(r).bit_length() - 1) // 2
-    for _ in range(n):
-        r = r.reshape(4, -1).T @ _TO_RHO.T
-    bits = r.reshape((2,) * 2 * n)  # row and column bit of qubit n - 1 first
-    return bits.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(1 << n, 1 << n)
 
 
 @lru_cache(maxsize=4096)
@@ -115,7 +103,8 @@ class PauliHamiltonian:
     """Real-weighted sum of Pauli strings plus a classical energy offset.
 
     Duplicate labels are merged by summation at construction; the represented
-    operator is Hermitian since coefficients are real.
+    operator is Hermitian since coefficients are real. The merged coefficients
+    and the offset must be finite.
     """
 
     n_qubits: int
@@ -125,10 +114,8 @@ class PauliHamiltonian:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        merged: dict[str, float] = {}
-        order: list[str] = []
-        for entry in self.terms:
-            pauli, coeff = entry
+        merged: dict[str, float] = {}  # in first-seen order
+        for pauli, coeff in self.terms:
             if isinstance(pauli, str):
                 pauli = PauliString(pauli)
             if pauli.n_qubits != self.n_qubits:
@@ -136,13 +123,15 @@ class PauliHamiltonian:
                     f"term {pauli.label!r} has {pauli.n_qubits} qubits, "
                     f"Hamiltonian declares {self.n_qubits}"
                 )
-            if pauli.label not in merged:
-                merged[pauli.label] = 0.0
-                order.append(pauli.label)
-            merged[pauli.label] += float(coeff)
-        labelled = tuple((lbl, merged[lbl]) for lbl in order)
+            merged[pauli.label] = merged.get(pauli.label, 0.0) + float(coeff)
+        labelled = tuple(merged.items())
+        offset = float(self.offset)
+        for lbl, value in (*labelled, ("offset", offset)):  # no label reads "offset"
+            if not math.isfinite(value):
+                name = "offset" if lbl == "offset" else f"coefficient of term {lbl!r}"
+                raise ValueError(f"{name} must be finite, got {value}")
         object.__setattr__(self, "terms", tuple((PauliString(lbl), c) for lbl, c in labelled))
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
         # Per-Hamiltonian caches look h up on every evaluation, often with an
         # equal copy: hash and compare plain labels and floats, keyed once.
         object.__setattr__(self, "_key", (self.n_qubits, labelled, self.offset))
@@ -184,46 +173,12 @@ class MeasurementGroup:
     members: tuple[int, ...]
 
 
-def expectation(h: PauliHamiltonian, state) -> float:
-    """<psi| H |psi> or Tr(H rho), including the classical offset.
-
-    `state` is a norm-1 amplitude vector psi or a QuantumState; a density
-    matrix is passed as QuantumState(pauli=r), its Pauli vector. A density
-    state gives sum_t c_t r[P_t] (Tr(P rho) = r_P; positions cached per
-    Hamiltonian); a ket acts through the terms' dense matrix (cached, n
-    bounded as in to_dense_matrix). The offset is added last.
-    """
-    dim = 1 << h.n_qubits
-    r = getattr(state, "pauli", None)
-    arr = np.asarray(getattr(state, "data", state)) if r is None else r
-    if arr.ndim == 2:
-        raise ValueError("a density matrix is passed as QuantumState(pauli=r)")
-    if r is not None and arr.shape == (dim * dim,):
-        index, coeffs = _term_vectors(h)
-        value = np.dot(coeffs, r[index])
-    elif r is None and arr.shape == (dim,):
-        value = np.vdot(arr, _terms_matrix(h) @ arr).real
-    else:
-        raise ValueError(f"state dimension {arr.shape} does not match {h.n_qubits} qubits")
-    return float(value) + h.offset
-
-
-@lru_cache(maxsize=64)
-def _term_vectors(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Each term's position in a Pauli vector and its coefficient, read-only."""
-    index = np.array([pauli_index(pauli.label) for pauli, _ in h.terms], dtype=np.int64)
-    coeffs = np.array([coeff for _, coeff in h.terms], dtype=float)
-    index.setflags(write=False)
-    coeffs.setflags(write=False)
-    return index, coeffs
-
-
 def basis_energy(h: PauliHamiltonian, bitstring: str) -> float:
     """<b| H |b> for the basis state |bitstring> (leftmost char = qubit n-1).
 
     Only Z-only terms have a diagonal; each contributes its coefficient times
     the term's sign at that basis index, summed in term order with the offset
-    added last, the same float sum expectation() forms on that state.
+    added last, the same float sum sim.expectation forms on that state.
     """
     index = int(bitstring, 2)
     total = 0.0

@@ -1,5 +1,7 @@
 """Statevector and density-matrix circuit execution with depolarizing and
-readout noise; noisy states are held and measured as Pauli vectors.
+readout noise. This module alone knows the two state formats: a QuantumState
+holds a ket or a noisy state's Pauli vector r, never rho, and `expectation`
+and the measurements read either.
 
 Noise conventions: NoiseModel.p1 and p2 are the TOTAL non-identity error
 probabilities. After every single-qubit gate the channel
@@ -100,10 +102,10 @@ on vec(rho), compared through rho), and against explicit Kraus sums.
 A density state is measured from r. In basis B only the strings B_S, B's
 letters (I read as Z) on the qubits in S and I elsewhere, rotate to a
 diagonal Z string, so p(x) = 2^-n sum_S (-1)^|x & S| r[B_S]: one cached
-(G, 2^n) gather of r for the G bases and a product with the sign matrix of
-rows pauli.sign_table(n, S). A ket is measured as p = |U psi|^2, with U the
-tensor product of the per-qubit rotations, from a cached stack of the U of
-all the bases; that stack is for kets only.
+(G, 2^n) gather of r for the G bases and a product with the sign matrix, one
+gather of pauli._parity; an exact energy is sum_t c_t r[P_t]. A ket is
+measured as p = |U psi|^2, with U the tensor product of the per-qubit
+rotations, from a cached stack of the U of all the bases, for kets only.
 
 Basis index convention: bit q of an outcome index is qubit q. Counts are
 np.int64 vectors of length 2**n indexed by outcome.
@@ -113,14 +115,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping
 
 import numpy as np
 
 from .circuits import Circuit, Param, gate_matrix
 from .mitigation import ConfusionMatrix
-from .pauli import PauliString, _action, _density_matrix, pauli_index, sign_table
+from .pauli import PauliHamiltonian, PauliString, _action, _parity, _terms_matrix
 
 
 def _copy(data) -> bool | None:
@@ -129,9 +131,10 @@ def _copy(data) -> bool | None:
 
 
 class QuantumState:
-    """A norm-1 ket, QuantumState(psi), or a trace-1 density matrix held as its
-    Pauli vector r (module doc), QuantumState(pauli=r); `data` is psi, or rho
-    built from r on first read. Arrays are read-only; an input is shared only if it is."""
+    """A norm-1 ket, QuantumState(psi), read as `data`, or a trace-1 density
+    matrix held as its real Pauli vector r (module doc), QuantumState(pauli=r),
+    read as `pauli` (`data` raises); each |r_P| <= 1, a necessary condition
+    only. Arrays are read-only; an input is shared only if it is."""
 
     def __init__(self, data: np.ndarray | None = None, *, pauli: np.ndarray | None = None) -> None:
         if (data is None) == (pauli is None):
@@ -141,22 +144,26 @@ class QuantumState:
             arr = self._data = np.array(data, dtype=complex, copy=_copy(data))
             if arr.ndim != 1 or len(arr) & (len(arr) - 1) or len(arr) == 0:
                 raise ValueError(f"ket shape {arr.shape} is not (2^n,); pass rho as pauli=r")
-            if abs(np.linalg.norm(arr) - 1.0) > 1e-6:
+            if not abs(np.linalg.norm(arr) - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError("amplitude vector is not normalized")
         else:
-            arr = self.pauli = np.array(np.real(pauli), dtype=float, copy=_copy(pauli))
+            arr = np.asarray(pauli)
+            if np.iscomplexobj(arr) and np.any(arr.imag):
+                raise ValueError("Pauli vector is not real")
+            arr = self.pauli = np.array(arr.real, dtype=float, copy=_copy(pauli))
             size = len(arr) if arr.ndim == 1 else 0
             if size & (size - 1) or size.bit_length() % 2 == 0:
                 raise ValueError(f"Pauli vector shape {arr.shape} is not (4^n,)")
-            if abs(arr[0] - 1.0) > 1e-6:
+            if not abs(arr[0] - 1.0) <= 1e-6:
                 raise ValueError("density matrix trace is not 1")
+            if not np.abs(arr).max() <= 1 + 1e-9:
+                raise ValueError("Pauli vector entries must be finite and lie in [-1, 1]")
         arr.setflags(write=False)
 
     @property
     def data(self) -> np.ndarray:
-        if self._data is None:  # a density state's rho, built once
-            self._data = _density_matrix(self.pauli)
-            self._data.setflags(write=False)
+        if self._data is None:
+            raise ValueError("a density state holds no rho: read its Pauli vector, .pauli")
         return self._data
 
     @property
@@ -167,6 +174,37 @@ class QuantumState:
     def n_qubits(self) -> int:
         dim = len(self._data) if self.pauli is None else math.isqrt(len(self.pauli))
         return dim.bit_length() - 1
+
+
+def pauli_index(label: str) -> int:
+    """Position of `label` in a Pauli vector: base-4 digit q is qubit q's I, X, Y, Z = 0-3."""
+    return sum("IXYZ".index(ch) << 2 * q for q, ch in enumerate(reversed(label)))
+
+
+def expectation(h: PauliHamiltonian, state) -> float:
+    """<psi| H |psi> or Tr(H rho) plus the offset, added last. A `state` that
+    is no QuantumState is checked as the ket QuantumState(state). A density
+    state gives sum_t c_t r[P_t], Tr(P rho) = r_P; a ket acts through the
+    terms' dense matrix (n bounded as in pauli.to_dense_matrix); each is cached per h."""
+    state = state if isinstance(state, QuantumState) else QuantumState(state)
+    if state.n_qubits != h.n_qubits:
+        raise ValueError(f"a {state.n_qubits}-qubit state does not match {h.n_qubits} qubits")
+    if state.is_density:
+        index, coeffs = _term_vectors(h)
+        value = np.dot(coeffs, state.pauli[index])
+    else:
+        value = np.vdot(state.data, _terms_matrix(h) @ state.data).real
+    return float(value) + h.offset
+
+
+@lru_cache(maxsize=64)
+def _term_vectors(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's position in a Pauli vector and its coefficient, read-only."""
+    index = np.array([pauli_index(pauli.label) for pauli, _ in h.terms], dtype=np.int64)
+    coeffs = np.array([coeff for _, coeff in h.terms], dtype=float)
+    index.setflags(write=False)
+    coeffs.setflags(write=False)
+    return index, coeffs
 
 
 @dataclass(frozen=True)
@@ -239,9 +277,7 @@ def _power(p: int, strings: int | np.ndarray) -> int | np.ndarray:
 def _dampings(strings: np.ndarray, segments: list):
     """For each segment, a list of channels (keep, generators), the product of
     their dampings on the 4^n Pauli strings `strings` (module doc)."""
-    odd = np.zeros(1, dtype=np.uint8)  # odd[i]: whether i has an odd number of bits set
-    while len(odd) < len(strings):
-        odd = np.concatenate((odd, odd ^ 1))
+    odd = _parity(len(strings).bit_length() - 1)
     for channels in segments:
         damping = np.ones(len(strings))
         for keep, generators in channels:
@@ -492,13 +528,8 @@ def _basis_rotations(labels: tuple[str, ...]) -> np.ndarray:
     """The (G, 2^n, 2^n) stack of U per basis label, each the tensor product
     of the per-qubit rotations (qubit n-1 leftmost), read-only, for kets. It
     takes 16 * G * 4^n bytes, as much as G n-qubit density matrices."""
-    rotations = []
-    for label in labels:
-        u = np.ones((1, 1), dtype=complex)
-        for ch in label:
-            u = np.kron(u, _ROTATION[ch])
-        rotations.append(u)
-    stack = np.stack(rotations)
+    one = np.ones((1, 1), dtype=complex)
+    stack = np.stack([reduce(np.kron, (_ROTATION[ch] for ch in label), one) for label in labels])
     stack.setflags(write=False)
     return stack
 
@@ -506,12 +537,12 @@ def _basis_rotations(labels: tuple[str, ...]) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _basis_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (index, signs) with index[g, S] the position of B_S for
-    B = labels[g] and signs[S] = sign_table(n, S) / 2^n (module doc)."""
+    B = labels[g] and signs[S, x] = (-1)^|x & S| / 2^n (module doc)."""
     n = len(labels[0])
     subsets = np.arange(1 << n)
     on_s = sum(((subsets >> q) & 1) * (3 << 2 * q) for q in range(n))  # digits 3 on S
     index = np.array([pauli_index(label.replace("I", "Z")) & on_s for label in labels])
-    signs = np.array([sign_table(n, s) for s in subsets]) / (1 << n)
+    signs = np.where(_parity(n)[subsets[:, None] & subsets], -1.0, 1.0) / (1 << n)
     index.setflags(write=False)
     signs.setflags(write=False)
     return index, signs

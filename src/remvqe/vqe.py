@@ -30,7 +30,6 @@ from .pauli import (
     MeasurementGroup,
     PauliHamiltonian,
     basis_energy,
-    expectation,
     group_terms,
     sign_table,
 )
@@ -39,6 +38,7 @@ from .sim import (
     QuantumState,
     _basis_probabilities,
     apply_readout_noise,
+    expectation,
     run_density,
     run_statevector,
     sample_counts,

@@ -7,7 +7,9 @@ superconducting-hardware demonstration of reference-state mitigation
 (hartree, rounded to four decimals); starred quantities from those runs are
 the readout-corrected pipeline and appear here as the *_RO columns.
 """
+import itertools
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -214,6 +216,17 @@ def test_criterion_8_unfolding_inverts_known_distributions():
     assert time.perf_counter() - start < 10.0
 
 
+def density_matrix(r: np.ndarray) -> np.ndarray:
+    """Oracle of rho = sum_P r_P P / 2^n from explicit Kronecker products; the
+    lowest base-4 digit of P's position (I, X, Y, Z = 0-3) is qubit 0, the
+    last factor."""
+    letters = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+               np.diag([1, -1])]
+    n = (len(r).bit_length() - 1) // 2
+    strings = itertools.product(letters, repeat=n)
+    return sum(c * reduce(np.kron, factors, np.eye(1)) for c, factors in zip(r, strings)) / (1 << n)
+
+
 def test_criterion_9_structural_invariants():
     start = time.perf_counter()
     h = builtin("h2").geometry(0.7414).hamiltonian
@@ -236,7 +249,7 @@ def test_criterion_9_structural_invariants():
     circuit = ansatz_circuit(spec)
     bindings = {"t0": 0.37}
     psi = run_statevector(circuit, bindings).data
-    rho = run_density(circuit, bindings, NoiseModel(0.0, 0.0)).data
+    rho = density_matrix(run_density(circuit, bindings, NoiseModel(0.0, 0.0)).pauli)
     assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) < 1e-12
     silent = EnergyEvaluator(h, spec, noise=NoiseModel(0.0, 0.0))
     assert evaluate(silent, [0.37]) == pytest.approx(
@@ -244,7 +257,7 @@ def test_criterion_9_structural_invariants():
     )
 
     # noisy density matrices stay physical
-    rho = run_density(circuit, bindings, NoiseModel(0.05, 0.01)).data
+    rho = density_matrix(run_density(circuit, bindings, NoiseModel(0.05, 0.01)).pauli)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-9

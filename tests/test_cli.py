@@ -121,8 +121,11 @@ def test_unusable_options_are_config_errors(argv, message, capsys):
          "the compact ansatz starts from the reference state 01"),
         ("qubits=11\n" + "Z" * 11 + " 1.0\n", ["--backend", "noisy"],
          "the noisy backend is limited to 10 qubits (its Pauli-transfer ops hold 4^n"),
+        ("qubits=2\nZI nan\nIZ 0.5\n", [], "coefficient of term 'ZI' must be finite, got nan"),
+        ("qubits=2\noffset=inf\nZI 1.0\n", [], "offset must be finite, got inf"),
     ],
-    ids=["file-with-r", "13-qubit-file", "compact-other-reference", "11-qubit-noisy-file"],
+    ids=["file-with-r", "13-qubit-file", "compact-other-reference", "11-qubit-noisy-file",
+         "nan-coefficient", "inf-offset"],
 )
 def test_hamiltonian_file_config_errors(text, extra, message, tmp_path, capsys):
     path = tmp_path / "h.txt"

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, once, and
 importing it loads numpy and the package but no heavy optional module."""
+import ast
 import json
 import os
 import subprocess
@@ -55,6 +56,13 @@ def test_all_names_resolve_once():
     namespace: dict = {}
     exec("from remvqe import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_pauli_imports_no_package_module():
+    # states sit above observables: sim reads Hamiltonians, pauli knows no state
+    tree = ast.parse((ROOT / "src" / "remvqe" / "pauli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [node.module for node in imports if node.level or node.module.startswith("remvqe")] == []
 
 
 def test_no_run_loads_scipy():

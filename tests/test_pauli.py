@@ -19,7 +19,7 @@ from remvqe import (
     hf_state,
     to_dense_matrix,
 )
-from remvqe.pauli import basis_energy, is_compatible
+from remvqe.pauli import _parity, basis_energy, is_compatible, sign_table
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -39,10 +39,13 @@ def kron_pauli(label: str) -> np.ndarray:
 
 def pauli_vector(rho: np.ndarray) -> np.ndarray:
     """Dense oracle of r_P = Tr(P rho) in Pauli-vector order: the last label
-    letter, qubit 0, is the lowest base-4 digit."""
+    letter, qubit 0, is the lowest base-4 digit. rho is Hermitian, so r is
+    real up to rounding, which a state refuses: the real part is returned."""
     n = len(rho).bit_length() - 1
     labels = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
-    return np.array([np.trace(kron_pauli(label) @ rho) for label in labels])
+    r = np.array([np.trace(kron_pauli(label) @ rho) for label in labels])
+    assert np.abs(r.imag).max() < 1e-12
+    return r.real
 
 
 def dense_oracle(h: PauliHamiltonian) -> np.ndarray:
@@ -150,9 +153,37 @@ def test_hamiltonian_equality_matches_term_by_term(data):
     assert a != labels[0]
 
 
+def test_parity_and_sign_tables_match_bit_counts():
+    # the one parity table, and the sign tables gathered from it, against
+    # Python's own bit count
+    for bits in range(11):
+        assert _parity(bits).tolist() == [bin(i).count("1") & 1 for i in range(1 << bits)]
+    for n in range(1, 5):
+        for mask in range(1 << n):
+            expected = [(-1.0) ** bin(i & mask).count("1") for i in range(1 << n)]
+            assert sign_table(n, mask).tolist() == expected
+
+
 def test_string_terms_promoted():
     h = PauliHamiltonian(1, (("Z", 1.0),))
     assert isinstance(h.terms[0][0], PauliString)
+
+
+@pytest.mark.parametrize(
+    "terms,offset,fragment",
+    [
+        ((("ZI", float("nan")),), 0.0, "coefficient of term 'ZI' must be finite, got nan"),
+        ((("ZI", 1.0), ("IZ", float("inf"))), 0.0, "term 'IZ' must be finite, got inf"),
+        # merged first: inf - inf is nan
+        ((("ZZ", float("inf")), ("ZZ", float("-inf"))), 0.0, "term 'ZZ' must be finite"),
+        ((("ZI", 1.0),), float("inf"), "offset must be finite, got inf"),
+        ((("ZI", 1.0),), float("nan"), "offset must be finite, got nan"),
+    ],
+    ids=["nan-term", "inf-term", "merged-inf-minus-inf", "inf-offset", "nan-offset"],
+)
+def test_non_finite_hamiltonian_rejected(terms, offset, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        PauliHamiltonian(2, terms, offset)
 
 
 def test_width_mismatch_rejected():
@@ -308,12 +339,15 @@ def test_expectation_density_vs_dense_oracle(h, seed):
 
 
 def test_expectation_rejects_density_matrix():
-    # a density matrix is passed as the QuantumState of its Pauli vector
+    # a density matrix is passed as the QuantumState of its Pauli vector; a
+    # raw array is checked as a ket, and an unnormalized ket fails
     h = PauliHamiltonian(1, (("X", 1.0),))
     plus = np.full((2, 2), 0.5)
     for rho in (plus, np.array([[0.5, 0.3j], [0.3j, 0.5]])):
-        with pytest.raises(ValueError, match=r"QuantumState\(pauli=r\)"):
+        with pytest.raises(ValueError, match="pass rho as pauli=r"):
             expectation(h, rho)
+    with pytest.raises(ValueError, match="not normalized"):
+        expectation(h, np.array([1.0, 1.0]))
     assert expectation(h, QuantumState(pauli=pauli_vector(plus))) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -128,8 +128,8 @@ def evolve(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
     return v
 
 
-# rho -> r, the inverse of pauli._density_matrix: the package holds noisy
-# states as r and takes no rho, so a test that starts from rho converts here.
+# rho <-> r: the package holds noisy states as r and neither takes nor builds
+# rho, so a test that starts from rho or reads rho converts here.
 # Row P of FROM_RHO takes one qubit's 2 x 2 block of rho, (row, column) = 00,
 # 01, 10, 11, to Tr(P block) for P = I, X, Y, Z.
 FROM_RHO = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
@@ -144,16 +144,29 @@ def pauli_vector(rho: np.ndarray) -> np.ndarray:
     return v
 
 
+def density_matrix(r: np.ndarray) -> np.ndarray:
+    """Oracle of rho = sum_P r_P P / 2^n from explicit Kronecker products: the
+    string at position sum_q a_q 4^q is P_(a_(n-1)) x ... x P_(a_0), letters
+    I, X, Y, Z = 0-3, so the last factor is qubit 0."""
+    n = (len(r).bit_length() - 1) // 2
+    strings = itertools.product([PAULI_1Q[ch] for ch in "IXYZ"], repeat=n)
+    return sum(c * reduce(np.kron, factors, np.eye(1)) for c, factors in zip(r, strings)) / (1 << n)
+
+
 def as_state(state: np.ndarray) -> QuantumState:
-    """A ket, or a density matrix through its Pauli vector."""
-    return QuantumState(state) if state.ndim == 1 else QuantumState(pauli=pauli_vector(state))
+    """A ket, or a Hermitian density matrix through its Pauli vector, real up
+    to rounding, which the state refuses: its real part is passed."""
+    if state.ndim == 1:
+        return QuantumState(state)
+    r = pauli_vector(state)
+    assert np.abs(r.imag).max() < 1e-12
+    return QuantumState(pauli=r.real)
 
 
 def run_program(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
-    """The compiled program's ket, or vec(rho) read through the density
-    state's view of the program's Pauli vector."""
+    """The compiled program's ket, or vec(rho) of the program's Pauli vector."""
     out = _program(circuit, noise).run(bindings)
-    return out if noise is None else QuantumState(pauli=out).data.reshape(-1)
+    return out if noise is None else density_matrix(out).reshape(-1)
 
 
 def random_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
@@ -236,14 +249,14 @@ def test_compact_circuit_reaches_ground_state():
 def test_zero_noise_equals_pure_state():
     for seed in (0, 1):
         circuit = random_circuit(2, 30, seed)
-        rho = run_density(circuit, noise=NoiseModel()).data
+        rho = density_matrix(run_density(circuit, noise=NoiseModel()).pauli)
         psi = run_statevector(circuit).data
         assert np.allclose(rho, np.outer(psi, np.conj(psi)), atol=1e-12)
 
 
 def test_zero_noise_equivalence_long_circuit():
     circuit = random_circuit(3, 1000, seed=5)
-    rho = run_density(circuit).data
+    rho = density_matrix(run_density(circuit).pauli)
     psi = run_statevector(circuit).data
     assert np.max(np.abs(rho - np.outer(psi, np.conj(psi)))) < 1e-9
 
@@ -254,7 +267,7 @@ def test_one_qubit_channel_matches_pauli_mixture():
     p = 0.137
     noise = NoiseModel(p2=0.08, p1=p)
     prep = Circuit(2, (Gate("RY", (0,), (0.7,)), Gate("RY", (1,), (-0.4,)), Gate("CNOT", (0, 1))))
-    prep_rho = run_density(prep, noise=noise).data
+    prep_rho = density_matrix(run_density(prep, noise=noise).pauli)
     x1 = embed(PAULI_1Q["X"], (1,), 2)
     rho = x1 @ prep_rho @ x1.conj().T
     mixture = (1 - p) * rho
@@ -262,7 +275,7 @@ def test_one_qubit_channel_matches_pauli_mixture():
         u = embed(PAULI_1Q[label], (1,), 2)
         mixture += (p / 3) * (u @ rho @ u.conj().T)
     noisy = run_density(prep.extended(Gate("X", (1,))), noise=noise)
-    assert np.allclose(noisy.data, mixture, atol=1e-12)
+    assert np.allclose(density_matrix(noisy.pauli), mixture, atol=1e-12)
 
 
 def test_two_qubit_channel_matches_pauli_mixture():
@@ -280,7 +293,7 @@ def test_two_qubit_channel_matches_pauli_mixture():
             mixture += (p / 15) * (u @ rho @ u.conj().T)
 
     noisy = run_density(prep.extended(Gate("CNOT", (0, 1))), noise=NoiseModel(p2=p, p1=0.0))
-    assert np.allclose(noisy.data, mixture, atol=1e-12)
+    assert np.allclose(density_matrix(noisy.pauli), mixture, atol=1e-12)
 
 
 def draw_gate(draw, n: int, kinds, angle) -> Gate:
@@ -332,7 +345,7 @@ def kraus_reference(circuit: Circuit, noise: NoiseModel, bindings) -> np.ndarray
 )
 def test_density_matches_kraus_reference(case):
     circuit, noise, bindings = case
-    rho = run_density(circuit, bindings, noise).data
+    rho = density_matrix(run_density(circuit, bindings, noise).pauli)
     assert np.max(np.abs(rho - kraus_reference(circuit, noise, bindings))) < 1e-12
 
 
@@ -627,11 +640,11 @@ def test_compiled_program_is_reused(monkeypatch):
     monkeypatch.setattr(sim, "gate_matrix", counted)
     circuit = Circuit(3, (Gate("H", (0,)), Gate("CNOT", (0, 2)), Gate("RY", (2,), (Param("x"),)),
                           Gate("RX", (1,), (0.4,)), Gate("CZ", (1, 2))))
-    for run in (lambda b: run_density(circuit, b, NoiseModel(p2=0.01)),
-                lambda b: run_statevector(circuit, b)):
-        first = run({"x": 0.3}).data
+    for run in (lambda b: run_density(circuit, b, NoiseModel(p2=0.01)).pauli,
+                lambda b: run_statevector(circuit, b).data):
+        first = run({"x": 0.3})
         assert Counter(calls) == Counter(["H", "CNOT", "RX", "CZ"])
-        assert not np.allclose(run({"x": -0.8}).data, first)
+        assert not np.allclose(run({"x": -0.8}), first)
         assert len(calls) == 4
         calls.clear()
 
@@ -760,16 +773,20 @@ def test_basis_must_match_state_qubits():
 def test_total_probability_three_quarters_fully_mixes():
     # p1 = 3/4 spreads the state uniformly over all four Paulis, the channel
     # fixed point; p2 = 15/16 is the two-qubit analogue
-    rho = run_density(Circuit(1, (Gate("H", (0,)),)), noise=NoiseModel(p2=0.0, p1=0.75)).data
+    rho = density_matrix(
+        run_density(Circuit(1, (Gate("H", (0,)),)), noise=NoiseModel(p2=0.0, p1=0.75)).pauli
+    )
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
-    rho2 = run_density(
+    rho2 = density_matrix(run_density(
         Circuit(2, (Gate("CNOT", (0, 1)),)), noise=NoiseModel(p2=15.0 / 16.0, p1=0.0)
-    ).data
+    ).pauli)
     assert np.allclose(rho2, np.eye(4) / 4, atol=1e-12)
 
 
 def test_maximal_error_probability_still_cptp():
-    rho = run_density(Circuit(1, (Gate("H", (0,)),)), noise=NoiseModel(p2=0.0, p1=1.0)).data
+    rho = density_matrix(
+        run_density(Circuit(1, (Gate("H", (0,)),)), noise=NoiseModel(p2=0.0, p1=1.0)).pauli
+    )
     eigs = np.linalg.eigvalsh(rho)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert eigs.min() > -1e-12
@@ -777,7 +794,7 @@ def test_maximal_error_probability_still_cptp():
 
 def test_trace_and_hermiticity_preserved_long_noisy_circuit():
     circuit = random_circuit(4, 2000, seed=3)
-    rho = run_density(circuit, noise=NoiseModel(p2=0.05)).data
+    rho = density_matrix(run_density(circuit, noise=NoiseModel(p2=0.05)).pauli)
     assert abs(np.trace(rho).real - 1.0) < 1e-9
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
     assert np.linalg.eigvalsh(rho).min() > -1e-9
@@ -816,6 +833,15 @@ def test_state_validation():
         QuantumState(pauli=np.array([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="not \\(4\\^n,\\)"):
         QuantumState(pauli=np.ones(8))
+    # r is real, finite and within [-1, 1] (|Tr(P rho)| <= 1); a NaN trace,
+    # entry or norm fails its check
+    nan = float("nan")
+    for r, message in (([1, 0.5j, 0, 0], "not real"), ([1, 5, 0, 0], "lie in \\[-1, 1\\]"),
+                       ([1, nan, 0, 0], "finite"), ([nan, 0, 0, 0], "trace")):
+        with pytest.raises(ValueError, match=message):
+            QuantumState(pauli=r)
+    with pytest.raises(ValueError, match="not normalized"):
+        QuantumState(np.array([nan, 0.0]))
 
 
 @pytest.mark.parametrize("kind", ["ket", "pauli"])
@@ -824,11 +850,10 @@ def test_state_leaves_the_callers_array_alone(kind):
     # does not reach the state; a read-only input may be shared
     arr = {"ket": np.array([1, 0], dtype=complex), "pauli": np.array([1.0, 0.0, 0.0, 1.0])}[kind]
     state = QuantumState(pauli=arr) if kind == "pauli" else QuantumState(arr)
-    before = (state.data.copy(), None if state.pauli is None else state.pauli.copy())
+    held = state.pauli if kind == "pauli" else state.data
+    before = held.copy()
     arr[0] = 0
-    assert np.array_equal(state.data, before[0])
-    if kind == "pauli":
-        assert np.array_equal(state.pauli, before[1])
+    assert np.array_equal(held, before)
     frozen = np.array([1.0, 0.0, 0.0, 1.0])
     frozen.setflags(write=False)
     assert QuantumState(pauli=frozen).pauli is frozen
@@ -842,14 +867,16 @@ def test_state_density_view():
     assert d.is_density
     assert d.n_qubits == 2
     assert np.array_equal(d.pauli, np.eye(16)[0])
-    assert np.array_equal(d.data, np.eye(4) / 4)
+    assert np.array_equal(density_matrix(d.pauli), np.eye(4) / 4)
+    with pytest.raises(ValueError, match=r"\.pauli"):
+        d.data  # no rho is built
     # rho -> r -> rho round trip; Z on qubit 0 is position 3 and on qubit 1
     # position 12 (base-4 digit q is qubit q)
     rho = np.zeros((4, 4))
     rho[1, 1] = 1.0  # |01>: qubit 0 is 1
     flipped = as_state(rho)
     assert flipped.pauli[3] == -1.0 and flipped.pauli[12] == 1.0
-    assert np.array_equal(flipped.data, rho)
+    assert np.array_equal(density_matrix(flipped.pauli), rho)
 
 
 def test_hf_state():

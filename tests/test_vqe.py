@@ -79,9 +79,10 @@ def test_evaluator_rejects_qubit_mismatch(part, value):
 
 def test_noisy_evaluations_stay_on_the_pauli_vector(monkeypatch):
     # exact, sampled, readout and unfolded noisy evaluations read their
-    # distributions and energies from r: none builds rho, the basis-rotation
-    # stack or the dense Hamiltonian
-    from remvqe import pauli, sim
+    # distributions and energies from r: none builds the basis-rotation stack
+    # or the dense Hamiltonian, each refused where sim looks it up, and no
+    # density state builds rho
+    from remvqe import sim
 
     def refuse(*_args):
         raise AssertionError("a noisy evaluation left the Pauli-vector path")
@@ -91,11 +92,16 @@ def test_noisy_evaluations_stay_on_the_pauli_vector(monkeypatch):
                {"shots": 500}, {"shots": 500, "confusion": confusion},
                {"shots": 500, "confusion": confusion, "unfold_matrix": confusion})
     expected = [evaluate(h2_evaluator(noise=NoiseModel(p2=0.02), **kw), [0.3]) for kw in recipes]
-    for module, name in ((sim, "_density_matrix"), (sim, "_basis_rotations"), (pauli, "_terms_matrix")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("_basis_rotations", "_terms_matrix"):
+        monkeypatch.setattr(sim, name, refuse)
     for kwargs, energy in zip(recipes, expected):
         assert evaluate(h2_evaluator(noise=NoiseModel(p2=0.02), **kwargs), [0.3]) == energy
+    ket = sim.run_statevector(sim.Circuit(2, ()))  # each refusal bites on a ket
     with pytest.raises(AssertionError, match="Pauli-vector path"):
+        sim.expectation(H2.geometry(0.7414).hamiltonian, ket)
+    with pytest.raises(AssertionError, match="Pauli-vector path"):
+        sim._basis_probabilities(ket, (sim.PauliString("ZZ"),))
+    with pytest.raises(ValueError, match=r"\.pauli"):
         sim.run_density(sim.Circuit(1, ()), noise=NoiseModel(p2=0.02)).data
 
 
