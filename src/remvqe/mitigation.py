@@ -221,7 +221,7 @@ def counts_to_distribution(counts: np.ndarray) -> np.ndarray:
     """Normalized outcome distribution from a count vector, or one per row
     of a 2-D array of count vectors."""
     total = counts.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
+    if not (total > 0).all():
         raise ValueError("counts are empty")
     return counts / total
 

@@ -563,33 +563,41 @@ def _basis_probabilities(state: QuantumState, bases: tuple[PauliString, ...]) ->
         probs = (state.pauli[index][:, None] @ signs)[:, 0]  # per row, as for one basis
     else:
         probs = np.abs(_basis_rotations(labels) @ state.data) ** 2
-    probs[probs < 0] = 0.0
-    return probs / probs.sum(axis=1, keepdims=True)
+    np.maximum(probs, 0.0, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
-# Sampling rounds probabilities to multiples of 2^-40 (see sample_counts).
+# Sampled distributions are rounded to multiples of 2^-40 (see on_grid).
 _GRID = 2.0**40
 
 
+def on_grid(probs: np.ndarray) -> np.ndarray:
+    """`probs`, one distribution or one per row, rounded onto a 2^-40 grid and
+    renormalized. Generator.multinomial draws Binomial(n, p) for p > 1/2 as
+    n - Binomial(n, 1 - p), so a 1-ulp change of an exactly tied distribution
+    (a Hartree-Fock state in an X/Y basis) can swap fixed-seed counts; on the
+    grid it does not. Rounding moves each probability by about 2^-41 at most
+    and never draws an outcome less likely than that. Grid entries are
+    integers below 2^53, so row sums are exact and each row of a stack equals
+    that row rounded on its own."""
+    grid = np.rint(np.asarray(probs, dtype=float) * _GRID)
+    grid /= grid.sum(axis=-1, keepdims=True)
+    return grid
+
+
 def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Draw `shots` outcomes from the distribution `probs`.
+    """Draw `shots` outcomes from the distribution `probs`, as given; draw
+    from on_grid(probs) for counts that 1-ulp changes of `probs` keep.
 
     `seed` is anything np.random.default_rng accepts; a Generator is used
-    as is, so successive calls continue its stream. The distribution is
-    first rounded onto a 2^-40 grid and renormalized. Generator.multinomial
-    draws Binomial(n, p) for p > 1/2 as n - Binomial(n, 1 - p), so without
-    the grid a 1-ulp change of an exactly tied distribution (a Hartree-Fock
-    state in an X/Y basis) can swap counts; on the grid it gives the same
-    counts. The rounding moves each probability by about 2^-41 at most and
-    never draws an outcome less likely than that.
+    as is, so successive calls continue its stream.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise ValueError(f"sample_counts draws from one distribution, got shape {probs.shape}")
-    grid = np.rint(probs * _GRID)
-    return np.random.default_rng(seed).multinomial(shots, grid / grid.sum())
+    if np.ndim(probs) != 1:
+        raise ValueError(f"sample_counts draws from one distribution, got shape {np.shape(probs)}")
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) -> np.ndarray:

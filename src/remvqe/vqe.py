@@ -39,6 +39,7 @@ from .sim import (
     _basis_probabilities,
     apply_readout_noise,
     expectation,
+    on_grid,
     run_density,
     run_statevector,
     sample_counts,
@@ -172,7 +173,8 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     else:
         sampler = _stream(ev.seed, index, _SAMPLE)
         split = _shot_split(ev.shots, len(groups))
-        counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(probs, split)])
+        grid = on_grid(probs)
+        counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(grid, split)])
         if confusion is not None:
             counts = apply_readout_noise(counts, confusion, _stream(ev.seed, index, _READOUT))
         dists = counts_to_distribution(counts)
@@ -215,6 +217,8 @@ class VqeOutcome:
 _TOL = 1e-6
 # SPSA gains a and c of the standard schedules a/(k+1+A)^0.602, c/(k+1)^0.101.
 _SPSA_A, _SPSA_C = 0.15, 0.1
+# SPSA's perturbation signs, indexed as Generator.choice((-1.0, 1.0)) draws them.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def minimize(
@@ -322,7 +326,7 @@ def _spsa(ev, f, max_evals, trace) -> VqeOutcome:
     for k in range(max_evals // 2):
         ak = _SPSA_A / (k + 1 + stability) ** alpha
         ck = _SPSA_C / (k + 1) ** gamma
-        direction = rng.choice((-1.0, 1.0), size=theta.shape)
+        direction = _SIGNS[rng.integers(0, 2, size=theta.shape)]
         e_plus = f(theta + ck * direction)
         e_minus = f(theta - ck * direction)
         gradient = (e_plus - e_minus) / (2.0 * ck) * (1.0 / direction)

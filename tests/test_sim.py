@@ -30,6 +30,7 @@ from remvqe import (
     h2_compact_spec,
     hardware_efficient_spec,
     hf_state,
+    on_grid,
     run_density,
     run_statevector,
     sample_counts,
@@ -948,7 +949,7 @@ def test_sample_counts_validation():
 def test_sample_counts_ignore_one_ulp_changes_of_reference_distributions(name):
     # The Hartree-Fock state in an X/Y basis gives exactly tied outcomes,
     # where multinomial's p > 1/2 mirror turns a 1-ulp change into a count
-    # swap unless the distribution is first put on a coarser grid.
+    # swap unless the distribution is first put on a coarser grid (on_grid).
     ds = builtin(name)
     h = ds.geometry(ds.equilibrium_r).hamiltonian
     bases = tuple(group.basis for group in group_terms(h))
@@ -959,9 +960,43 @@ def test_sample_counts_ignore_one_ulp_changes_of_reference_distributions(name):
         down = np.where(p > 0, np.nextafter(p, -1.0), 0.0)
         shifted = (up, down, np.where(alternate, up, down), np.where(alternate, down, up))
         for seed in range(40):
-            counts = sample_counts(p, 1000, seed)
+            counts = sample_counts(on_grid(p), 1000, seed)
             for q in shifted:
-                assert np.array_equal(sample_counts(q, 1000, seed), counts)
+                assert np.array_equal(sample_counts(on_grid(q), 1000, seed), counts)
+
+
+def grid_row_reference(p: np.ndarray) -> np.ndarray:
+    """One distribution on the 2^-40 grid, as sample_counts rounded it before
+    on_grid took the rounding over."""
+    grid = np.rint(p * 2.0**40)
+    return grid / grid.sum()
+
+
+@pytest.mark.parametrize("name", ["h2", "heh+", "lih"])
+def test_on_grid_rounds_a_stack_row_by_row_bit_for_bit(name):
+    ds = builtin(name)
+    h = ds.geometry(ds.equilibrium_r).hamiltonian
+    bases = tuple(group.basis for group in group_terms(h))
+    n = ds.n_qubits
+    rng = np.random.default_rng(7)
+    spec = hardware_efficient_spec(n)
+    circuit = ansatz_circuit(spec)
+    bindings = dict(zip(spec.parameter_names(), rng.uniform(-np.pi, np.pi, spec.n_params)))
+    states = (
+        hf_state(n, ds.hf_bitstring),  # exact ties in X/Y bases
+        run_statevector(circuit, bindings),
+        run_density(circuit, bindings, NoiseModel(p2=0.02)),
+    )
+    raw = rng.dirichlet(np.full(1 << n, 0.2), size=6)
+    raw[0, 0] = 2.0**-42  # rounds to an empty outcome
+    raw[1, :2] = 1.5 * 2.0**-40  # rounds half to even
+    stacks = [_basis_probabilities(state, bases) for state in states] + [raw]
+    for stack in stacks:
+        grid = on_grid(stack)
+        assert grid.shape == stack.shape
+        for row, p in zip(grid, stack):
+            assert row.tobytes() == on_grid(p).tobytes()
+            assert row.tobytes() == grid_row_reference(p).tobytes()
 
 
 def test_sample_counts_match_multinomial_moments():

@@ -24,8 +24,23 @@ from remvqe import (
     sweep_and_fit,
     uccsd_spec,
 )
+from remvqe.mitigation import counts_to_distribution, unfold
 from remvqe.pauli import sign_table
-from remvqe.vqe import _TOL, REFERENCE_INDEX, _group_energy, _group_weights, _grouping, _nelder_mead
+from remvqe.sim import _basis_probabilities, apply_readout_noise
+from remvqe.vqe import (
+    _READOUT,
+    _SAMPLE,
+    _SIGNS,
+    _TOL,
+    REFERENCE_INDEX,
+    _group_energy,
+    _group_weights,
+    _grouping,
+    _nelder_mead,
+    _prepare,
+    _shot_split,
+    _stream,
+)
 
 H2 = builtin("h2")
 HEH = builtin("heh+")
@@ -194,6 +209,53 @@ def test_identity_unfolding_preserves_sampled_energy():
         )
 
 
+def group_by_group_energy(ev: EnergyEvaluator, theta, index: int) -> float:
+    """A shot energy whose groups are each rounded onto the 2^-40 grid and
+    drawn on their own, in group order from one generator, as evaluate drew
+    them before it rounded all groups at once."""
+    h = ev.hamiltonian
+    groups = _grouping(h)
+    probs = _basis_probabilities(_prepare(ev, theta), tuple(g.basis for g in groups))
+    sampler = _stream(ev.seed, index, _SAMPLE)
+    rows = []
+    for p, shots in zip(probs, _shot_split(ev.shots, len(groups))):
+        grid = np.rint(p * 2.0**40)
+        rows.append(sampler.multinomial(shots, grid / grid.sum()))
+    counts = np.array(rows)
+    if ev.confusion is not None:
+        counts = apply_readout_noise(counts, ev.confusion, _stream(ev.seed, index, _READOUT))
+    dists = counts_to_distribution(counts)
+    if ev.unfold_matrix is not None:
+        dists = unfold(ev.unfold_matrix, dists)
+    return h.offset + _group_energy(dists, _group_weights(h))
+
+
+FIGURE_S2_4Q = ConfusionMatrix(4, np.kron(device_confusion().matrix, device_confusion().matrix))
+
+
+@pytest.mark.parametrize("readout", ["ideal", "figure-s2-unfolded"])
+@pytest.mark.parametrize("noise", [None, NoiseModel(p2=4e-3)], ids=["ket", "density"])
+@pytest.mark.parametrize(
+    "name, spec",
+    [("h2", h2_compact_spec()), ("heh+", uccsd_spec(2)), ("lih", uccsd_spec(4)),
+     ("lih", hardware_efficient_spec(4))],
+    ids=["h2", "heh+", "lih-uccsd", "lih-hwe"],
+)
+def test_shot_energies_equal_group_by_group_rounding_bit_for_bit(name, spec, noise, readout):
+    ds = builtin(name)
+    h = ds.geometry(ds.equilibrium_r).hamiltonian
+    confusion = None
+    if readout != "ideal":
+        confusion = device_confusion() if h.n_qubits == 2 else FIGURE_S2_4Q
+    rng = np.random.default_rng(17)
+    for seed in range(20):
+        ev = EnergyEvaluator(h, spec, noise=noise, shots=8192, seed=seed,
+                             confusion=confusion, unfold_matrix=confusion)
+        theta = rng.uniform(-1.0, 1.0, spec.n_params) * (seed % 4 != 0)  # and the HF point
+        index = int(rng.integers(0, 1000))
+        assert evaluate(ev, theta, index) == group_by_group_energy(ev, theta, index)
+
+
 @pytest.mark.parametrize(
     "recipe",
     [{}, {"noise": NoiseModel(p2=0.01)}, {"shots": 100},
@@ -313,6 +375,17 @@ def test_spsa_reduces_noisy_energy():
     ev = h2_evaluator(noise=NoiseModel(p2=0.018), shots=2000, seed=4)
     out = minimize(ev, optimizer="spsa", max_evals=300)
     assert min(e for _, e in out.trace) < out.trace[0][1]
+
+
+def test_spsa_signs_match_generator_choice():
+    # indexing _SIGNS with integers(0, 2) draws what choice((-1.0, 1.0))
+    # drew, and leaves the generator in the same state
+    for seed in range(100):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 3, 8, 3):
+            assert np.array_equal(_SIGNS[ours.integers(0, 2, size=size)],
+                                  theirs.choice((-1.0, 1.0), size=size))
+        assert ours.random() == theirs.random()
 
 
 def test_spsa_trace_determinism():
