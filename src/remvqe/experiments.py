@@ -286,7 +286,34 @@ def resolve(cfg: RunConfig) -> _Problem:
 
 
 def _point_seed(master: int, index: int) -> int:
-    return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
+    """int(SeedSequence((master, index)).generate_state(1)[0]) in plain
+    Python, so that runs which draw nothing never import numpy.random; numpy
+    keeps this hash stable under its stream-compatibility policy."""
+    m32 = 0xFFFFFFFF
+    words = []
+    for n in (master, index):
+        if n < 0:
+            raise ValueError(f"seed entries must be non-negative integers, got {n}")
+        words += [(n >> s) & m32 for s in range(0, max(n.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & m32
+        v = v * h & m32
+        return v ^ v >> 16
+
+    # a pool of 4 words mixed with each other, then with the words past 4
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i in range(max(len(words), 4)):
+        for dst in range(4):
+            if dst != i:
+                v = hashmix(pool[i] if i < 4 else words[i])
+                v = (0xCA01F9DD * pool[dst] - 0x4973F715 * v) & m32
+                pool[dst] = v ^ v >> 16
+    v = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & m32) & m32
+    return v ^ v >> 16
 
 
 def _evaluator_pair(problem: _Problem, h: PauliHamiltonian, seed: int):

@@ -56,6 +56,8 @@ class ConfusionMatrix:
             unc = np.array(self.uncertainty, dtype=float)
             if unc.shape != (dim, dim):
                 raise ValueError("uncertainty shape must match matrix")
+            if not ((unc >= 0.0) & (unc < np.inf)).all():  # NaN compares false
+                raise ValueError("uncertainty entries must be finite and non-negative")
             unc.setflags(write=False)
             object.__setattr__(self, "uncertainty", unc)
 
@@ -158,8 +160,10 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
         raise ValueError(f"measured vector must have length {c.dim}, got {m.shape}")
     rows = m.reshape(-1, c.dim)
     error = np.abs(rows.sum(axis=1) - 1.0)
-    if error.max() > 1e-6:
-        raise ValueError(f"measured vector must sum to 1, got {rows[error.argmax()].sum():.8f}")
+    if not error.max() <= 1e-6:  # NaN compares false
+        raise ValueError(
+            f"measured vector must be finite and sum to 1, got {rows[error.argmax()].sum():.8f}"
+        )
     # _kkt_target on every index, against the matrix built once per C; its
     # right-hand side is (b, 1) with b = C^T m formed row by row
     rhs = np.ones((len(rows), c.dim + 1, 1))

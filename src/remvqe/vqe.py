@@ -387,7 +387,10 @@ def sweep_and_fit(ev: EnergyEvaluator, grid: Sequence[float] | None = None) -> S
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 4:
         raise ValueError("grid needs at least 4 points")
-    if np.unique(grid).size < 3:
+    if not np.isfinite(grid).all():
+        raise ValueError("grid angles must be finite")
+    # a set, not np.unique, which imports numpy.ma on numpy 2
+    if len(set(grid.tolist())) < 3:
         raise ValueError("grid is degenerate: fewer than 3 distinct angles")
     energies = np.array([evaluate(ev, (t,), index=i) for i, t in enumerate(grid)])
     design = np.column_stack([np.ones_like(grid), np.cos(grid), np.sin(grid)])

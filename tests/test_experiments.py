@@ -20,6 +20,7 @@ from remvqe.experiments import (
     MEASURE_INDEX,
     ConfigError,
     RunConfig,
+    _point_seed,
     cmd_calibrate,
     cmd_dissociation,
     cmd_noise_sweep,
@@ -51,6 +52,31 @@ def test_mitigation_flags():
 
 def test_measure_index_disjoint_from_reference():
     assert MEASURE_INDEX == REFERENCE_INDEX + 1
+
+
+def seed_sequence_word(master: int, index: int) -> int:
+    return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
+
+
+# one- to four-word masters, word boundaries, and an index past 32 bits (the
+# hash pools four words and mixes any further ones in separately)
+@pytest.mark.parametrize("master, index", [
+    (0, 0), (0, 1), (1, 0), (931, 7), (2**32 - 1, 0), (2**32, 0), (2**32, 2**32),
+    (2**64 + 3, 5), (2**64 - 1, 2**33), (2**96 - 1, 12), (2**127 + 1, 2**40),
+])
+def test_point_seed_matches_seed_sequence(master, index):
+    assert _point_seed(master, index) == seed_sequence_word(master, index)
+
+
+@given(st.integers(0, 2**96 - 1), st.integers(0, 2**40))
+def test_point_seed_matches_seed_sequence_on_wide_masters(master, index):
+    assert _point_seed(master, index) == seed_sequence_word(master, index)
+
+
+def test_point_seed_rejects_negative_entries():
+    for master, index in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            _point_seed(master, index)
 
 
 BAD_CONFIGS = [

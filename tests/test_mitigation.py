@@ -45,6 +45,9 @@ def test_confusion_validation():
             ConfusionMatrix(1, bad)
     with pytest.raises(ValueError, match="uncertainty shape"):
         ConfusionMatrix(1, np.eye(2), uncertainty=np.zeros(2))
+    for bad in (np.nan, np.inf, -np.inf, -1e-3):
+        with pytest.raises(ValueError, match="uncertainty entries"):
+            ConfusionMatrix(1, np.eye(2), uncertainty=[[0.0, bad], [0.0, 0.0]])
 
 
 def test_confusion_identity():
@@ -71,6 +74,15 @@ def test_device_matrix_properties():
 
 
 # --- unfold ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unfold_rejects_non_finite_input(bad):
+    # a NaN sum compares false to the tolerance; unchecked, the active set
+    # would loop to its iteration cap
+    for m in ([bad, 0.5, 0.25, 0.25], [[0.25] * 4, [0.5, 0.25, bad, 0.25]]):
+        with pytest.raises(ValueError, match="finite and sum to 1"):
+            unfold(device_confusion(), m)
 
 
 def test_unfold_identity_passthrough():
@@ -461,6 +473,16 @@ def test_confusion_csv_without_uncertainty():
     text = format_confusion_csv(c)
     assert text.startswith("# confusion n=1\n")
     assert parse_confusion_csv(text).uncertainty is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.001"])
+def test_confusion_csv_rejects_bad_uncertainty(bad):
+    text = format_confusion_csv(device_confusion())
+    lines = text.splitlines()
+    at = lines.index("# uncertainty") + 2
+    lines[at] = ",".join([bad] + lines[at].split(",")[1:])
+    with pytest.raises(ValueError, match="uncertainty entries must be finite and non-negative"):
+        parse_confusion_csv("\n".join(lines))
 
 
 def test_confusion_csv_files(tmp_path):

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, once, and
-importing it loads numpy and the package but no heavy optional module."""
+importing it loads numpy and the package but no heavy optional module, nor
+a numpy submodule that the run does not use."""
 import ast
 import json
 import os
@@ -34,14 +35,28 @@ def loaded():
     return sorted(m for m in HEAVY if any(k == m or k.startswith(m + ".") for k in sys.modules))
 
 
+import numpy
+
+with_numpy = set(sys.modules)
+
+
+def numpy_added():
+    # numpy >= 2 imports these two lazily, on first attribute access
+    return [m for m in ("numpy.random", "numpy.ma") if m in set(sys.modules) - with_numpy]
+
+
 import remvqe, remvqe.cli
 from remvqe import EnergyEvaluator, builtin, h2_compact_spec, minimize, sweep_and_fit, uccsd_spec
+from remvqe.experiments import RunConfig, cmd_single_point
 
 stages = {"import": loaded()}
+point = cmd_single_point(RunConfig(molecule="heh+", backend="noisy", mitigation="rem"))
+stages["exact point"] = [point.record["optimizer"], point.converged, numpy_added()]
 ev = EnergyEvaluator(builtin("h2").geometry(0.7414).hamiltonian, h2_compact_spec(), shots=1000)
 sweep_and_fit(ev)
 minimize(ev, "spsa", max_evals=10)
 stages["sweep+spsa"] = loaded()
+stages["sweep+spsa numpy"] = numpy_added()
 ev = EnergyEvaluator(builtin("heh+").geometry(0.7899).hamiltonian, uccsd_spec(2))
 stages["nelder-mead converged"] = minimize(ev, "nelder-mead").converged
 stages["nelder-mead"] = loaded()
@@ -74,4 +89,9 @@ def test_no_run_loads_scipy():
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout.splitlines()[-1])
     # pathlib imports urllib.parse, so plain urllib is allowed
-    assert stages == {"import": [], "sweep+spsa": [], "nelder-mead converged": True, "nelder-mead": []}
+    assert stages.pop("import") == stages.pop("sweep+spsa") == stages.pop("nelder-mead") == []
+    # a run that draws nothing never loads numpy.random, and no run loads
+    # numpy.ma, which np.unique imports
+    assert stages["exact point"] == ["nelder-mead", True, []]
+    assert "numpy.ma" not in stages["sweep+spsa numpy"]
+    assert stages["nelder-mead converged"]

@@ -417,6 +417,16 @@ def test_sweep_validation():
         sweep_and_fit(ev, grid=[0.0, 0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"noise": NoiseModel(p2=1e-2)}, {"shots": 100}], ids=["ket", "density", "shots"]
+)
+def test_sweep_rejects_non_finite_angles(kwargs, bad):
+    # checked before any evaluation, which would fail deep in the simulator
+    with pytest.raises(ValueError, match="grid angles must be finite"):
+        sweep_and_fit(h2_evaluator(**kwargs), grid=[0.0, 1.0, 2.0, bad])
+
+
 def test_sweep_recovers_synthetic_cosine():
     # coefficients chosen so E(theta) = 2 + 0.5 cos(theta - 0.3) exactly
     alpha, beta = -0.5 * math.cos(0.3), -0.5 * math.sin(0.3)
