@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_COLUMN_TOL = 1e-9
+# Generator.multinomial rejects a distribution whose leading entries sum to
+# more than 1 + 1e-12; half that leaves room for the two sums' rounding, so
+# every accepted column can be drawn from.
+_COLUMN_TOL = 5e-13
 
 
 @dataclass(frozen=True)
@@ -37,12 +40,11 @@ class ConfusionMatrix:
             raise ValueError(f"confusion matrix must be {dim}x{dim}, got {mat.shape}")
         if not np.all((mat >= -1e-12) & (mat <= 1 + 1e-12)):  # NaN compares false
             raise ValueError("confusion entries must lie in [0, 1]")
-        sums = mat.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > _COLUMN_TOL:
-            raise ValueError(
-                f"confusion columns must sum to 1 (max deviation {np.max(np.abs(sums - 1.0)):.2e})"
-            )
         mat = np.clip(mat, 0.0, 1.0)
+        # summed after the clip: those are the columns drawn from
+        deviation = np.max(np.abs(mat.sum(axis=0) - 1.0))
+        if deviation > _COLUMN_TOL:
+            raise ValueError(f"confusion columns must sum to 1 (max deviation {deviation:.2e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         # unfold's H = C^T C and its full-support KKT matrix, built once per matrix
@@ -159,8 +161,12 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     if m.ndim > 2 or m.shape[-1:] != (c.dim,):
         raise ValueError(f"measured vector must have length {c.dim}, got {m.shape}")
     rows = m.reshape(-1, c.dim)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():  # tested before any sum, where inf + -inf warns
+        bad = rows[~finite][0].tolist()
+        raise ValueError(f"measured vector must be finite and sum to 1, got {bad}")
     error = np.abs(rows.sum(axis=1) - 1.0)
-    if not error.max() <= 1e-6:  # NaN compares false
+    if not error.max() <= 1e-6:
         raise ValueError(
             f"measured vector must be finite and sum to 1, got {rows[error.argmax()].sum():.8f}"
         )

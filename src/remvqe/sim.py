@@ -9,7 +9,9 @@ rho -> (1-p1) rho + (p1/3) (X rho X + Y rho Y + Z rho Z) is applied on the
 gate's qubit; after every two-qubit gate each of the 15 non-identity Pauli
 pairs is applied with probability p2/15. Channels are deterministic mixtures
 (no stochastic Pauli insertion), attached to gates only; idle qubits stay
-clean. Readout noise acts on counts, not on the state.
+clean. Readout noise acts on outcome distributions, not on the state: the
+evaluator draws counts from C p, which is the law of resampling each shot
+through the confusion matrix C (apply_readout_noise).
 
 Each (circuit, noise) pair is compiled once, cached, and run for every
 parameter binding. The circuits are Clifford gates and Pauli rotations, and
@@ -212,7 +214,7 @@ class NoiseModel:
     """Gate depolarizing probabilities; p1 defaults to 0.1 * p2 when not given.
 
     Readout noise is not part of it: the evaluator applies a confusion matrix
-    to measurement outcomes.
+    C to each outcome distribution p and draws counts from C p.
     """
 
     p2: float = 0.0
@@ -605,7 +607,9 @@ def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) ->
 
     One multinomial call draws counts[..., i] shots from column i of C for
     every outcome i and every row of a (G, 2^n) stack, rows in order, as G
-    calls would; `seed` is anything np.random.default_rng accepts.
+    calls would; `seed` is anything np.random.default_rng accepts. Counts
+    drawn from p and resampled here are Multinomial(N, C p) in law, so the
+    evaluator draws once from C p instead.
     """
     if np.ndim(counts) > 2 or np.shape(counts)[-1:] != (confusion.dim,):
         raise ValueError(

@@ -2,18 +2,19 @@
 sweep-and-fit procedure.
 
 The sampling pipeline per evaluation: group commuting terms, compute every
-group's outcome distribution in one batched basis rotation, draw counts with
-one draw per group (splitting the shot budget equally), optionally resample
-all groups' counts through readout noise at once, optionally unfold all
-groups' distributions at once, and add each group's partial energy f_g . p
-to the Hamiltonian offset, where f_g = sum_t c_t sign_t over the group's
-terms. Exact backends replace counts with the exact outcome distribution of
-the prepared state, which keeps noisy-but-shotless runs deterministic.
+group's outcome distribution p in one batched basis rotation, turn each into
+C p through the readout confusion matrix C, draw counts with one draw per
+group (splitting the shot budget equally), optionally unfold all groups'
+distributions at once, and add each group's partial energy f_g . p to the
+Hamiltonian offset, where f_g = sum_t c_t sign_t over the group's terms.
+Readout error acts on each shot alone, so N shots drawn from p and resampled
+through C are Multinomial(N, C p), the law of the one draw. Exact backends
+replace counts with the exact distributions, which keeps noisy-but-shotless
+runs deterministic.
 
-Each evaluation draws from one generator per stage (shot sampling, readout
-resampling), keyed by (master seed, evaluation index, stage); the groups
-take their draws from it in group order. A fixed seed reproduces every draw
-bit for bit no matter the order of evaluations.
+Each evaluation draws from one generator, keyed by (master seed, evaluation
+index, stage); the groups take their draws from it in group order. A fixed
+seed reproduces every draw bit for bit no matter the order of evaluations.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .sim import (
     NoiseModel,
     QuantumState,
     _basis_probabilities,
-    apply_readout_noise,
+    apply_readout_noise,  # noqa: F401 (not called: perfbench/tracing.py patches this name)
     expectation,
     on_grid,
     run_density,
@@ -55,8 +56,9 @@ class EnergyEvaluator:
     """Immutable recipe for measuring <H> at a parameter vector.
 
     noise=None runs the pure statevector; shots=None skips sampling and uses
-    exact outcome distributions. `confusion` is applied to measurement
-    outcomes; with `unfold_matrix` set, every outcome distribution is
+    exact outcome distributions. `confusion` C turns each outcome
+    distribution p into C p before any draw, the law of resampling every
+    shot through C; with `unfold_matrix` set, every outcome distribution is
     unfolded through that matrix.
     """
 
@@ -121,8 +123,9 @@ def _group_energy(dist: np.ndarray, weights: np.ndarray) -> float:
     return float(np.vdot(weights, dist))
 
 
-# Stages of an evaluation's random draws.
-_SAMPLE, _READOUT = 0, 1
+# The stage of an evaluation's random draws; readout acts on the
+# distributions, so shot sampling is the only one.
+_SAMPLE = 0
 
 
 def _stream(seed: int, index: int, stage: int) -> np.random.Generator:
@@ -167,16 +170,14 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     groups = _grouping(h)
     if not groups:  # nothing to measure: the energy is the offset
         return h.offset
-    probs = _basis_probabilities(state, tuple(group.basis for group in groups))
-    if ev.shots is None:
-        dists = probs if confusion is None else probs @ confusion.matrix.T
-    else:
+    dists = _basis_probabilities(state, tuple(group.basis for group in groups))
+    if confusion is not None:
+        dists = dists @ confusion.matrix.T
+    if ev.shots is not None:
         sampler = _stream(ev.seed, index, _SAMPLE)
         split = _shot_split(ev.shots, len(groups))
-        grid = on_grid(probs)
+        grid = on_grid(dists)
         counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(grid, split)])
-        if confusion is not None:
-            counts = apply_readout_noise(counts, confusion, _stream(ev.seed, index, _READOUT))
         dists = counts_to_distribution(counts)
     if ev.unfold_matrix is not None:
         dists = unfold(ev.unfold_matrix, dists)

@@ -8,11 +8,13 @@ ansatz family (the hardware-efficient one on its 4-qubit T map and on a
 3-qubit chain from a Hamiltonian file) and exit codes 0, 2 and 3. `{golden}`
 in an argument, and in the output, stands for the golden directory.
 
-A change that alters output on purpose regenerates the files with
-`PYTHONPATH=src python tests/test_golden.py` and says why.
+A change that alters output on purpose regenerates the cases it changes with
+`PYTHONPATH=src python tests/test_golden.py NAME ...` (every case when no
+name is given), which prints each file it rewrote, and says why.
 """
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,5 +86,13 @@ def test_golden_transcript(name):
 
 
 if __name__ == "__main__":
-    for name, command in CASES.items():
-        (GOLDEN / f"{name}.txt").write_text(transcript(command))
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)} (known: {', '.join(sorted(CASES))})")
+    for name in names:
+        path = GOLDEN / f"{name}.txt"
+        text = transcript(CASES[name])
+        if not path.is_file() or path.read_text() != text:
+            path.write_text(text)
+            print(f"changed {path.name}")

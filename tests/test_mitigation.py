@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from remvqe import (
     ConfusionMatrix,
     RemReport,
+    apply_readout_noise,
     calibrate_confusion,
     counts_to_distribution,
     device_confusion,
@@ -50,6 +51,24 @@ def test_confusion_validation():
             ConfusionMatrix(1, np.eye(2), uncertainty=[[0.0, bad], [0.0, 0.0]])
 
 
+def test_every_accepted_confusion_matrix_can_be_drawn_from():
+    # Generator.multinomial rejects columns whose leading entries sum above
+    # 1 + 1e-12, so the column sum test is tighter than that, and it sums
+    # the clipped columns that are drawn from
+    off = np.eye(4)
+    off[:, 0] = [0.6, 0.4 + 5e-10, 0.0, 0.0]
+    clipped = np.eye(4)
+    clipped[:, 0] = [0.6, 0.4 + 2e-12, -1e-12, -1e-12]  # sums to 1 before the clip
+    for bad in (off, clipped):
+        with pytest.raises(ValueError, match="sum to 1"):
+            ConfusionMatrix(2, bad)
+    near = np.eye(4)
+    near[:, 0] = [0.6, 0.4 + 4e-13, 0.0, 0.0]
+    c = ConfusionMatrix(2, near)
+    assert apply_readout_noise([100, 0, 0, 0], c, 1).sum() == 100
+    assert np.allclose(calibrate_confusion(c, 100, 3).matrix.sum(axis=0), 1.0)
+
+
 def test_confusion_identity():
     c = ConfusionMatrix.identity(2)
     assert c.dim == 4
@@ -79,8 +98,10 @@ def test_device_matrix_properties():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_unfold_rejects_non_finite_input(bad):
     # a NaN sum compares false to the tolerance; unchecked, the active set
-    # would loop to its iteration cap
-    for m in ([bad, 0.5, 0.25, 0.25], [[0.25] * 4, [0.5, 0.25, bad, 0.25]]):
+    # would loop to its iteration cap. inf and -inf together would make the
+    # sum warn before any check ran (an error under filterwarnings = error)
+    for m in ([bad, 0.5, 0.25, 0.25], [[0.25] * 4, [0.5, 0.25, bad, 0.25]],
+              [np.inf, -np.inf, 0.0, 0.0], [[0.25] * 4, [-np.inf, 0.0, np.inf, bad]]):
         with pytest.raises(ValueError, match="finite and sum to 1"):
             unfold(device_confusion(), m)
 

@@ -999,21 +999,27 @@ def test_on_grid_rounds_a_stack_row_by_row_bit_for_bit(name):
             assert row.tobytes() == grid_row_reference(p).tobytes()
 
 
-def test_sample_counts_match_multinomial_moments():
-    # mean and covariance of the counts over 2000 seeds against
-    # multinomial(shots, p), within 4 standard errors; p has a tie, an
-    # entry above 1/2 and an empty outcome
-    p = np.array([0.55, 0.15, 0.1, 0.1, 0.05, 0.03, 0.02, 0.0])
-    shots, n = 200, 2000
-    x = np.array([sample_counts(p, shots, seed) for seed in range(n)], dtype=float)
+def assert_multinomial_moments(x, shots, p, k):
+    """The mean and covariance of the count rows x are those of
+    Multinomial(shots, p), within k standard errors."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
     mean = x.mean(axis=0)
-    assert np.all(np.abs(mean - shots * p) <= 4 * np.sqrt(shots * p * (1 - p) / n))
+    assert np.all(np.abs(mean - shots * p) <= k * np.sqrt(shots * p * (1 - p) / n))
     dev = x - mean
     products = dev[:, :, None] * dev[:, None, :]
     cov = products.sum(axis=0) / (n - 1)
     expected = shots * (np.diag(p) - np.outer(p, p))
     se = products.std(axis=0) / np.sqrt(n)
-    assert np.all(np.abs(cov - expected) <= 4 * se + 1e-12)
+    assert np.all(np.abs(cov - expected) <= k * se + 1e-12)
+
+
+def test_sample_counts_match_multinomial_moments():
+    # counts over 2000 seeds against multinomial(shots, p); p has a tie, an
+    # entry above 1/2 and an empty outcome
+    p = np.array([0.55, 0.15, 0.1, 0.1, 0.05, 0.03, 0.02, 0.0])
+    shots = 200
+    assert_multinomial_moments([sample_counts(p, shots, seed) for seed in range(2000)], shots, p, 4)
 
 
 # --- readout noise -----------------------------------------------------------
@@ -1054,6 +1060,23 @@ def test_readout_validation():
         apply_readout_noise(np.array([[[5, 0, 0, 0]]]), ConfusionMatrix.identity(2), seed=0)
     with pytest.raises(ValueError, match="confusion matrix is for 2"):
         apply_readout_noise(np.array([[5, 0], [0, 5]]), ConfusionMatrix.identity(2), seed=0)
+
+
+def test_counts_drawn_from_folded_distribution_match_per_shot_readout():
+    # N shots drawn from p and each resampled through C are Multinomial(N, C p):
+    # the evaluator's one draw from on_grid(C p) and the two-stage draw both
+    # match that law's mean and covariance
+    confusion = device_confusion()
+    p = np.array([0.55, 0.25, 0.2, 0.0])
+    q = confusion.matrix @ p
+    shots, n = 500, 4000
+    rng = np.random.default_rng(2026)
+    folded = [sample_counts(on_grid(q), shots, rng) for _ in range(n)]
+    two_stage = apply_readout_noise(
+        np.array([sample_counts(p, shots, rng) for _ in range(n)]), confusion, rng
+    )
+    for x in (folded, two_stage):
+        assert_multinomial_moments(x, shots, q, 5)
 
 
 @pytest.mark.parametrize("n_qubits, n_groups", [(1, 3), (2, 25), (3, 2)])

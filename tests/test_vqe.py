@@ -26,9 +26,8 @@ from remvqe import (
 )
 from remvqe.mitigation import counts_to_distribution, unfold
 from remvqe.pauli import sign_table
-from remvqe.sim import _basis_probabilities, apply_readout_noise
+from remvqe.sim import _basis_probabilities
 from remvqe.vqe import (
-    _READOUT,
     _SAMPLE,
     _SIGNS,
     _TOL,
@@ -210,21 +209,20 @@ def test_identity_unfolding_preserves_sampled_energy():
 
 
 def group_by_group_energy(ev: EnergyEvaluator, theta, index: int) -> float:
-    """A shot energy whose groups are each rounded onto the 2^-40 grid and
-    drawn on their own, in group order from one generator, as evaluate drew
-    them before it rounded all groups at once."""
+    """A shot energy whose groups are each read out as C p, rounded onto the
+    2^-40 grid and drawn on their own, in group order from one generator: the
+    reference for evaluate, which folds and rounds all groups at once."""
     h = ev.hamiltonian
     groups = _grouping(h)
     probs = _basis_probabilities(_prepare(ev, theta), tuple(g.basis for g in groups))
     sampler = _stream(ev.seed, index, _SAMPLE)
     rows = []
     for p, shots in zip(probs, _shot_split(ev.shots, len(groups))):
+        if ev.confusion is not None:
+            p = p @ ev.confusion.matrix.T
         grid = np.rint(p * 2.0**40)
         rows.append(sampler.multinomial(shots, grid / grid.sum()))
-    counts = np.array(rows)
-    if ev.confusion is not None:
-        counts = apply_readout_noise(counts, ev.confusion, _stream(ev.seed, index, _READOUT))
-    dists = counts_to_distribution(counts)
+    dists = counts_to_distribution(np.array(rows))
     if ev.unfold_matrix is not None:
         dists = unfold(ev.unfold_matrix, dists)
     return h.offset + _group_energy(dists, _group_weights(h))
@@ -254,6 +252,32 @@ def test_shot_energies_equal_group_by_group_rounding_bit_for_bit(name, spec, noi
         theta = rng.uniform(-1.0, 1.0, spec.n_params) * (seed % 4 != 0)  # and the HF point
         index = int(rng.integers(0, 1000))
         assert evaluate(ev, theta, index) == group_by_group_energy(ev, theta, index)
+
+
+def test_shot_readout_draws_once_from_one_stream(monkeypatch):
+    # readout acts on the distributions: a shot evaluation with a confusion
+    # matrix builds one generator and resamples no counts
+    from remvqe import sim, vqe
+
+    streams = []
+
+    def counted(*args):
+        streams.append(args)
+        return _stream(*args)
+
+    def refuse(*_args):
+        raise AssertionError("counts were resampled through the confusion matrix")
+
+    monkeypatch.setattr(vqe, "_stream", counted)
+    for module in (sim, vqe):
+        monkeypatch.setattr(module, "apply_readout_noise", refuse)
+    confusion = device_confusion()
+    for noise in (None, NoiseModel(p2=0.02)):
+        ev = h2_evaluator(noise=noise, shots=500, seed=3, confusion=confusion,
+                          unfold_matrix=confusion)
+        streams.clear()
+        evaluate(ev, [0.3], index=7)
+        assert streams == [(3, 7, _SAMPLE)]
 
 
 @pytest.mark.parametrize(
