@@ -14,7 +14,8 @@ Pipelines per point (all four always computed for curve commands):
 err_vqe compares the raw pipeline and err_rem the readout+rem pipeline
 against exact diagonalization. Identical configurations (seed included)
 produce byte-identical CSV text, because every random draw is keyed by the
-point's index, not by the order in which points run.
+point's index and the evaluation index under the master seed (vqe's seed
+rule), not by the order in which points run.
 """
 from __future__ import annotations
 
@@ -34,11 +35,13 @@ from .mitigation import (
     device_confusion,
     read_confusion_csv,
     rem_report,
+    unfold,
     write_confusion_csv,
 )
 from .pauli import _DENSE_LIMIT, PauliHamiltonian, ground_state_energy
 from .sim import NoiseModel
 from .vqe import (
+    MEASURE_INDEX,
     REFERENCE_INDEX,
     EnergyEvaluator,
     SweepFit,
@@ -50,10 +53,6 @@ from .vqe import (
     reference_exact_energy,
     sweep_and_fit,
 )
-
-# Index for re-measuring the optimized point, disjoint from both optimizer
-# iterates and the reference measurement.
-MEASURE_INDEX = REFERENCE_INDEX + 1
 
 DEVICE_P2 = 1.8e-2
 
@@ -184,8 +183,9 @@ def _noise_model(p2: float, p1: float | None) -> NoiseModel:
         raise ConfigError(str(exc)) from None
 
 
-def resolve(cfg: RunConfig) -> _Problem:
-    """Validate the configuration before any simulation starts."""
+def resolve(cfg: RunConfig, every_pipeline: bool = False) -> _Problem:
+    """Validate the configuration before any simulation starts; `every_pipeline`
+    marks a command that unfolds without readout mitigation too (the curves)."""
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.mitigation not in MITIGATIONS:
@@ -279,48 +279,24 @@ def resolve(cfg: RunConfig) -> _Problem:
         raise ConfigError(
             "readout mitigation needs a confusion source other than 'ideal'"
         )
+    if unfolding is not None and (cfg.readout_flag or every_pipeline):
+        try:  # the full KKT system is singular exactly when the matrix is
+            unfold(unfolding, np.full(unfolding.dim, 1.0 / unfolding.dim))
+        except np.linalg.LinAlgError:
+            raise ConfigError(
+                f"confusion source {cfg.confusion!r}: the unfolding matrix is singular"
+            ) from None
     return _Problem(
         cfg, dataset, hamiltonian, spec, optimizer,
         noise if cfg.backend == "noisy" else None, applied, unfolding,
     )
 
 
-def _point_seed(master: int, index: int) -> int:
-    """int(SeedSequence((master, index)).generate_state(1)[0]) in plain
-    Python, so that runs which draw nothing never import numpy.random; numpy
-    keeps this hash stable under its stream-compatibility policy."""
-    m32 = 0xFFFFFFFF
-    words = []
-    for n in (master, index):
-        if n < 0:
-            raise ValueError(f"seed entries must be non-negative integers, got {n}")
-        words += [(n >> s) & m32 for s in range(0, max(n.bit_length(), 1), 32)]
-    h = 0x43B0D7E5
-
-    def hashmix(v: int) -> int:
-        nonlocal h
-        v ^= h
-        h = h * 0x931E8875 & m32
-        v = v * h & m32
-        return v ^ v >> 16
-
-    # a pool of 4 words mixed with each other, then with the words past 4
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for i in range(max(len(words), 4)):
-        for dst in range(4):
-            if dst != i:
-                v = hashmix(pool[i] if i < 4 else words[i])
-                v = (0xCA01F9DD * pool[dst] - 0x4973F715 * v) & m32
-                pool[dst] = v ^ v >> 16
-    v = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & m32) & m32
-    return v ^ v >> 16
-
-
-def _evaluator_pair(problem: _Problem, h: PauliHamiltonian, seed: int):
-    """(raw, readout-unfolded) evaluators sharing every random draw."""
+def _evaluator_pair(problem: _Problem, h: PauliHamiltonian, point: int):
+    """(raw, readout-unfolded) evaluators at `point`, sharing every random draw."""
     raw = EnergyEvaluator(
-        h, problem.spec, noise=problem.noise, shots=problem.cfg.shots, seed=seed,
-        confusion=problem.applied_confusion,
+        h, problem.spec, noise=problem.noise, shots=problem.cfg.shots,
+        seed=problem.cfg.seed, confusion=problem.applied_confusion, point=point,
     )
     if problem.unfold_confusion is None:
         return raw, raw
@@ -370,8 +346,8 @@ def _rem_at(
     return rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
 
 
-def _run_point(problem: _Problem, h: PauliHamiltonian, seed: int) -> PointResult:
-    raw, unfolded = _evaluator_pair(problem, h, seed)
+def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResult:
+    raw, unfolded = _evaluator_pair(problem, h, point)
     e_exact = ground_state_energy(h)[0]
     e_ref_exact = reference_exact_energy(raw)
     theta, fit, outcome = _optimize(problem, raw)
@@ -393,8 +369,8 @@ def _run_point(problem: _Problem, h: PauliHamiltonian, seed: int) -> PointResult
 
 def four_pipelines(cfg: RunConfig) -> PointResult:
     """All four pipeline energies at one geometry (--r, default equilibrium)."""
-    problem = resolve(cfg)
-    return _run_point(problem, problem.hamiltonian, _point_seed(cfg.seed, 0))
+    problem = resolve(cfg, every_pipeline=True)
+    return _run_point(problem, problem.hamiltonian, 0)
 
 
 @dataclass(frozen=True)
@@ -410,7 +386,7 @@ _DISSOCIATION_HEADER = "r,e_exact,e_vqe,e_vqe_readout,e_rem,e_readout_rem,err_vq
 
 def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
     """Four-pipeline energies across a molecule's dissociation series."""
-    problem = resolve(cfg)
+    problem = resolve(cfg, every_pipeline=True)
     if problem.dataset is None:
         raise ConfigError("dissociation runs over a builtin molecule dataset")
     geometries = problem.dataset.geometries
@@ -418,10 +394,7 @@ def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
         raise ConfigError(
             f"{problem.dataset.name} has a single geometry; use single-point"
         )
-    points = [
-        _run_point(problem, g.hamiltonian, _point_seed(cfg.seed, i))
-        for i, g in enumerate(geometries)
-    ]
+    points = [_run_point(problem, g.hamiltonian, i) for i, g in enumerate(geometries)]
     lines = [_DISSOCIATION_HEADER]
     warnings = []
     for g, p in zip(geometries, points):
@@ -515,18 +488,14 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
     if cfg.hamiltonian_path is not None:
         raise ConfigError("noise sweeps run on builtin molecules only")
     base = replace(cfg, backend="noisy", molecule=cfg.molecule or "h2")
-    problem = resolve(base)
+    problem = resolve(base, every_pipeline=True)
     if problem.spec.n_params != 1:
         raise ConfigError(
             "noise sweeps use the 1-parameter sweep protocol on a builtin molecule"
         )
 
     points = [
-        _run_point(
-            replace(problem, noise=noise, optimizer="sweep"),
-            problem.hamiltonian,
-            _point_seed(base.seed, i),
-        )
+        _run_point(replace(problem, noise=noise, optimizer="sweep"), problem.hamiltonian, i)
         for i, noise in enumerate(noises)
     ]
     errors = [
@@ -592,7 +561,7 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
     problem = resolve(cfg)
     h = problem.hamiltonian
     label = str(cfg.hamiltonian_path) if problem.dataset is None else problem.dataset.name
-    raw, unfolded = _evaluator_pair(problem, h, _point_seed(cfg.seed, 0))
+    raw, unfolded = _evaluator_pair(problem, h, 0)
     ev = unfolded if cfg.readout_flag else raw
     theta, fit, outcome = _optimize(problem, ev)
     report = _rem_at(

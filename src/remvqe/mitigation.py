@@ -17,6 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Calibration's reserved point; a run's curves and sweeps count points up from 0.
+CALIBRATION_POINT = 2**32 - 1
+
+
+def _stream(seed: int, point: int, index: int) -> np.random.Generator:
+    """The generator of draw `index` at curve or sweep point `point` of a run
+    with master seed `seed`, the package's one seed rule.
+
+    (point, index) is a spawn key, not entropy: SeedSequence pads short
+    entropy with zeros, so entropies of unequal length can collide. It joins
+    the 32-bit words of the key entries, so an entry of 2^32 or more could
+    make two keys collide, and is rejected.
+    """
+    if not (0 <= point < 2**32 and 0 <= index < 2**32):
+        raise ValueError(f"spawn key entries must lie in [0, 2^32), got ({point}, {index})")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point, index)))
+
+
 # Generator.multinomial rejects a distribution whose leading entries sum to
 # more than 1 + 1e-12; half that leaves room for the two sums' rounding, so
 # every accepted column can be drawn from.
@@ -102,10 +120,10 @@ def calibrate_confusion(
     """Estimate `truth` by prepare-and-measure runs on a backend it describes.
 
     All `repeats` runs of prepared state i draw their counts from column i
-    of `truth` with one generator, keyed by (seed, i). Column i of the
-    estimate is the empirical distribution averaged over the runs; the
-    per-entry uncertainty is the sample std over repeats (zero when
-    repeats == 1).
+    of `truth` with one generator, `_stream(seed, CALIBRATION_POINT, i)`.
+    Column i of the estimate is the empirical distribution averaged over the
+    runs; the per-entry uncertainty is the sample std over repeats (zero
+    when repeats == 1).
     """
     if shots_per_state <= 0:
         raise ValueError("shots_per_state must be positive")
@@ -113,7 +131,7 @@ def calibrate_confusion(
         raise ValueError("repeats must be positive")
     # runs[k, j, i]: the share of outcome j in repeat k of prepared state i
     runs = np.stack([
-        np.random.default_rng(np.random.SeedSequence((seed, i)))
+        _stream(seed, CALIBRATION_POINT, i)
         .multinomial(shots_per_state, truth.matrix[:, i], size=repeats)
         for i in range(truth.dim)
     ], axis=-1) / shots_per_state
@@ -166,7 +184,7 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
         bad = rows[~finite][0].tolist()
         raise ValueError(f"measured vector must be finite and sum to 1, got {bad}")
     error = np.abs(rows.sum(axis=1) - 1.0)
-    if not error.max() <= 1e-6:
+    if not (error <= 1e-6).all():
         raise ValueError(
             f"measured vector must be finite and sum to 1, got {rows[error.argmax()].sum():.8f}"
         )

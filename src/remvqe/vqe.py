@@ -12,9 +12,16 @@ through C are Multinomial(N, C p), the law of the one draw. Exact backends
 replace counts with the exact distributions, which keeps noisy-but-shotless
 runs deterministic.
 
-Each evaluation draws from one generator, keyed by (master seed, evaluation
-index, stage); the groups take their draws from it in group order. A fixed
-seed reproduces every draw bit for bit no matter the order of evaluations.
+One seed rule keys every random draw of a run: draw `index` at curve or
+sweep point `point` (0 for a single point) comes from
+default_rng(SeedSequence(seed, spawn_key=(point, index))) under the master
+`seed` (mitigation._stream). An evaluation draws all its groups, in group
+order, from the generator of its evaluation index. Reserved keys: the
+indices REFERENCE_INDEX (the reference-state measurement), MEASURE_INDEX
+(the re-measured optimum) and SPSA_INDEX (SPSA's perturbation directions),
+and calibration's point mitigation.CALIBRATION_POINT, indexed by prepared
+state. A fixed seed reproduces every draw bit for bit whatever the order of
+evaluations.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import AnsatzSpec, ansatz_circuit
-from .mitigation import ConfusionMatrix, counts_to_distribution, unfold
+from .mitigation import ConfusionMatrix, _stream, counts_to_distribution, unfold
 from .pauli import (
     MeasurementGroup,
     PauliHamiltonian,
@@ -46,9 +53,10 @@ from .sim import (
     sample_counts,
 )
 
-# Evaluation index reserved for the reference-state measurement, far outside
-# any optimizer's reach, so its random draws never collide with iterates.
+# Evaluation indices reserved far past any optimizer's reach (see the module doc).
 REFERENCE_INDEX = 10**9
+MEASURE_INDEX = REFERENCE_INDEX + 1
+SPSA_INDEX = REFERENCE_INDEX + 2
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,11 @@ class EnergyEvaluator:
     """Immutable recipe for measuring <H> at a parameter vector.
 
     noise=None runs the pure statevector; shots=None skips sampling and uses
-    exact outcome distributions. `confusion` C turns each outcome
-    distribution p into C p before any draw, the law of resampling every
-    shot through C; with `unfold_matrix` set, every outcome distribution is
-    unfolded through that matrix.
+    exact outcome distributions. `seed` is the run's master seed and `point`
+    the curve or sweep point whose draws this evaluator makes. `confusion` C
+    turns each outcome distribution p into C p before any draw, the law of
+    resampling every shot through C; with `unfold_matrix` set, every outcome
+    distribution is unfolded through that matrix.
     """
 
     hamiltonian: PauliHamiltonian
@@ -69,15 +78,18 @@ class EnergyEvaluator:
     seed: int = 0
     confusion: ConfusionMatrix | None = None
     unfold_matrix: ConfusionMatrix | None = None
+    point: int = 0
 
     def __post_init__(self) -> None:
         shots = 1 if self.shots is None else self.shots
-        for name, value in (("seed", self.seed), ("shots", shots)):
+        for name, value in (("seed", self.seed), ("shots", shots), ("point", self.point)):
             # an integer is what operator.index takes (numpy integers too), but no bool
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.point < 2**32:
+            raise ValueError(f"point must lie in [0, 2^32), got {self.point}")
         n = self.hamiltonian.n_qubits
         for name in ("ansatz", "confusion", "unfold_matrix"):
             part = getattr(self, name)
@@ -123,21 +135,6 @@ def _group_energy(dist: np.ndarray, weights: np.ndarray) -> float:
     return float(np.vdot(weights, dist))
 
 
-# The stage of an evaluation's random draws; readout acts on the
-# distributions, so shot sampling is the only one.
-_SAMPLE = 0
-
-
-def _stream(seed: int, index: int, stage: int) -> np.random.Generator:
-    """The generator of one stage of evaluation `index`.
-
-    (index, stage) is a spawn key, not entropy. SeedSequence pads short
-    entropy with zeros, so the entropy (seed, 0, 1) would give the same
-    stream as SPSA's (seed, 2**32), and (seed, i, 0) the same as (seed, i).
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stage)))
-
-
 @lru_cache(maxsize=64)
 def _shot_split(total: int, n_groups: int) -> tuple[int, ...]:
     base, extra = divmod(total, n_groups)
@@ -174,7 +171,7 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     if confusion is not None:
         dists = dists @ confusion.matrix.T
     if ev.shots is not None:
-        sampler = _stream(ev.seed, index, _SAMPLE)
+        sampler = _stream(ev.seed, ev.point, index)
         split = _shot_split(ev.shots, len(groups))
         grid = on_grid(dists)
         counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(grid, split)])
@@ -318,7 +315,7 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
 def _spsa(ev, f, max_evals, trace) -> VqeOutcome:
     """Simultaneous-perturbation descent with the standard gain schedules."""
     alpha, gamma, stability = 0.602, 0.101, 10.0
-    rng = np.random.default_rng(np.random.SeedSequence((ev.seed, 2**32)))
+    rng = _stream(ev.seed, ev.point, SPSA_INDEX)
     theta = np.zeros(ev.ansatz.n_params)
     window: list[float] = []
     prev_avg: float | None = None

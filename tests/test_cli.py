@@ -259,6 +259,26 @@ def test_confusion_csv_without_distributions_is_config_error(rows, message, tmp_
 
 
 @pytest.mark.parametrize(
+    "command, mitigation, rc",
+    [("single-point", "readout", 2), ("single-point", "readout+rem", 2),
+     ("dissociation", "none", 2), ("single-point", "rem", 0)],
+)
+def test_singular_unfolding_matrix_is_config_error(command, mitigation, rc, tmp_path, capsys):
+    # equal columns 00 and 01: a readout model, but no unique unfolding; the
+    # curve commands unfold at every point, single-point only for readout
+    path = tmp_path / "singular.csv"
+    path.write_text("# confusion n=2\n0.5,0.5,0,0\n0.5,0.5,0,0\n0,0,1,0\n0,0,0,1\n")
+    assert main([command, "--molecule", "h2", "--shots", "1000", "--confusion", str(path),
+                 "--mitigation", mitigation, "--grid-points", "5", "--seed", "8"]) == rc
+    captured = capsys.readouterr()
+    if rc == 2:
+        assert captured.err == (
+            f"error: confusion source {str(path)!r}: the unfolding matrix is singular\n"
+        )
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "flag,message",
     [("--repeats", "repeats must be positive"),
      ("--shots-per-state", "shots_per_state must be positive")],

@@ -20,7 +20,7 @@ from remvqe import (
     unfold,
     write_confusion_csv,
 )
-from remvqe.mitigation import _active_set, _kkt_target
+from remvqe.mitigation import CALIBRATION_POINT, _active_set, _kkt_target, _stream
 
 
 def dirichlet(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -308,6 +308,8 @@ def test_unfold_validation():
         unfold(c, np.full((1, 2, 4), 0.25))
     with pytest.raises(ValueError, match="sum to 1, got 2.0"):
         unfold(c, np.array([[0.25] * 4, [0.5] * 4]))
+    empty = unfold(device_confusion(), np.empty((0, 4)))
+    assert empty.shape == (0, 4) and empty.dtype == float
 
 
 # --- counts helpers ----------------------------------------------------------
@@ -386,6 +388,14 @@ def test_calibrate_column_draws_are_keyed_by_prepared_state():
         assert np.array_equal(a.matrix[:, i], b.matrix[:, i])
         assert np.array_equal(a.uncertainty[:, i], b.uncertainty[:, i])
     assert not np.array_equal(a.matrix[:, 1], b.matrix[:, 1])
+
+
+def test_calibrate_draws_at_the_reserved_point():
+    truth = device_confusion()
+    est = calibrate_confusion(truth, 50, 3, seed=7)
+    for i in range(4):
+        runs = _stream(7, CALIBRATION_POINT, i).multinomial(50, truth.matrix[:, i], size=3)
+        assert np.array_equal(est.matrix[:, i], (runs / 50).mean(axis=0))
 
 
 # --- reference-state correction arithmetic -----------------------------------

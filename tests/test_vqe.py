@@ -24,14 +24,15 @@ from remvqe import (
     sweep_and_fit,
     uccsd_spec,
 )
-from remvqe.mitigation import counts_to_distribution, unfold
+from remvqe.mitigation import CALIBRATION_POINT, counts_to_distribution, unfold
 from remvqe.pauli import sign_table
 from remvqe.sim import _basis_probabilities
 from remvqe.vqe import (
-    _SAMPLE,
     _SIGNS,
     _TOL,
+    MEASURE_INDEX,
     REFERENCE_INDEX,
+    SPSA_INDEX,
     _group_energy,
     _group_weights,
     _grouping,
@@ -67,8 +68,9 @@ def test_evaluator_validation():
     # a seed is a non-negative integer and a shot count an integer, checked
     # when the evaluator is built; numpy integers pass, bool does not
     for field, value in [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "3"),
-                         ("shots", 100.5), ("shots", True)]:
-        with pytest.raises(ValueError, match=f"{field} must be"):
+                         ("shots", 100.5), ("shots", True), ("point", 0.5), ("point", True),
+                         ("point", -1), ("point", 2**32)]:
+        with pytest.raises(ValueError, match=f"{field} must"):
             h2_evaluator(**{"shots": 100, field: value})
     assert math.isfinite(evaluate(h2_evaluator(shots=np.int64(100), seed=np.uint32(3)), [0.3]))
 
@@ -193,6 +195,28 @@ def test_evaluate_seed_and_index_determinism():
     assert evaluate(ev, [0.7], index=5) != evaluate(ev, [0.7], index=6)
     other = h2_evaluator(shots=400, seed=12)
     assert evaluate(ev, [0.7], index=5) != evaluate(other, [0.7], index=5)
+    elsewhere = h2_evaluator(shots=400, seed=11, point=1)
+    assert evaluate(ev, [0.7], index=5) != evaluate(elsewhere, [0.7], index=5)
+
+
+def test_seed_rule_gives_every_key_its_own_stream():
+    # evaluations, the reserved indices at two points and the calibration
+    # point, with swapped entries and both ends of the key range
+    keys = [(point, index) for point in (0, 1, 2**32 - 2)
+            for index in (0, 1, 2, REFERENCE_INDEX, MEASURE_INDEX, SPSA_INDEX, 2**32 - 1)]
+    keys += [(CALIBRATION_POINT, state) for state in range(16)]
+    draws = {tuple(_stream(5, *key).integers(0, 2**63, size=4)) for key in keys}
+    assert len(draws) == len(keys)
+    assert _stream(5, 0, 0).random() != _stream(6, 0, 0).random()
+    assert _stream(2**64 + 5, 0, 0).random() != _stream(5, 0, 0).random()
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (2**32, 0), (0, 2**32), (2**40, 2**40)])
+def test_seed_rule_rejects_key_entries_past_32_bits(key):
+    # SeedSequence joins each entry's 32-bit words: the key (2^32, 0) would
+    # read as the words of (0, 1, 0)
+    with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+        _stream(0, *key)
 
 
 def test_identity_unfolding_preserves_sampled_energy():
@@ -215,7 +239,7 @@ def group_by_group_energy(ev: EnergyEvaluator, theta, index: int) -> float:
     h = ev.hamiltonian
     groups = _grouping(h)
     probs = _basis_probabilities(_prepare(ev, theta), tuple(g.basis for g in groups))
-    sampler = _stream(ev.seed, index, _SAMPLE)
+    sampler = _stream(ev.seed, ev.point, index)
     rows = []
     for p, shots in zip(probs, _shot_split(ev.shots, len(groups))):
         if ev.confusion is not None:
@@ -277,7 +301,7 @@ def test_shot_readout_draws_once_from_one_stream(monkeypatch):
                           unfold_matrix=confusion)
         streams.clear()
         evaluate(ev, [0.3], index=7)
-        assert streams == [(3, 7, _SAMPLE)]
+        assert streams == [(3, 0, 7)]
 
 
 @pytest.mark.parametrize(
@@ -412,6 +436,14 @@ def test_spsa_signs_match_generator_choice():
         assert ours.random() == theirs.random()
 
 
+def test_spsa_directions_come_from_the_reserved_index():
+    # the first SPSA step evaluates theta = 0 + c_0 * direction, c_0 = 0.1
+    ev = EnergyEvaluator(HEH.geometry(0.7899).hamiltonian, uccsd_spec(2), seed=13, point=4)
+    first = np.array(minimize(ev, optimizer="spsa", max_evals=2).trace[0][0])
+    direction = _SIGNS[_stream(13, 4, SPSA_INDEX).integers(0, 2, size=3)]
+    assert np.array_equal(first, 0.1 * direction)
+
+
 def test_spsa_trace_determinism():
     def run(seed):
         ev = h2_evaluator(shots=300, seed=seed)
@@ -499,4 +531,5 @@ def test_minimize_agrees_with_sweep_every_geometry(r):
 
 def test_reference_index_outside_optimizer_range():
     assert REFERENCE_INDEX >= 10**9
+    assert (MEASURE_INDEX, SPSA_INDEX) == (REFERENCE_INDEX + 1, REFERENCE_INDEX + 2)
 
