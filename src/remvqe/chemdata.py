@@ -16,6 +16,7 @@ All energies are total energies in hartree; distances in angstrom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import _moldata
@@ -95,8 +96,20 @@ def _lih_dataset() -> MoleculeDataset:
 
 
 def builtin(name: str) -> MoleculeDataset:
-    """Embedded dissociation dataset for one of h2, heh+, lih."""
+    """Embedded dissociation dataset for one of h2, heh+, lih, built once per
+    name and shared: caches keyed by its frozen Hamiltonians hit by identity."""
     key = name.strip().lower()
+    if key not in BUILTIN_NAMES:
+        raise ValueError(
+            f"unknown molecule {name!r}; builtin datasets are {', '.join(BUILTIN_NAMES)}. "
+            "Larger systems (beh2 and up) have no embedded coefficients; supply a "
+            "Hamiltonian text file via load()."
+        )
+    return _builtin(key)
+
+
+@lru_cache(maxsize=None)
+def _builtin(key: str) -> MoleculeDataset:
     if key == "h2":
         return _series(
             "h2", _moldata.H2_LABELS, _moldata.H2_ROWS, 2, "01", _moldata.H2_EQUILIBRIUM
@@ -106,13 +119,7 @@ def builtin(name: str) -> MoleculeDataset:
             "heh+", _moldata.HEH_LABELS, _moldata.HEH_ROWS, 2, "01",
             _moldata.HEH_EQUILIBRIUM,
         )
-    if key == "lih":
-        return _lih_dataset()
-    raise ValueError(
-        f"unknown molecule {name!r}; builtin datasets are {', '.join(BUILTIN_NAMES)}. "
-        "Larger systems (beh2 and up) have no embedded coefficients; supply a "
-        "Hamiltonian text file via load()."
-    )
+    return _lih_dataset()
 
 
 def load(path) -> PauliHamiltonian:

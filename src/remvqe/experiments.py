@@ -125,6 +125,9 @@ def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | No
     # every command reaches this before its first seeded draw
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    for budget in ("shots_per_state", "repeats"):  # calibration's, checked where unused too
+        if getattr(cfg, budget) <= 0:
+            raise ConfigError(f"{budget} must be positive")
     src = cfg.confusion
     if src == "ideal":
         return None
@@ -148,10 +151,7 @@ def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | No
 
 def _calibrated(cfg: RunConfig, truth: ConfusionMatrix) -> ConfusionMatrix:
     """Prepare-and-measure estimate of truth with cfg's budget and seed."""
-    try:
-        return calibrate_confusion(truth, cfg.shots_per_state, cfg.repeats, cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return calibrate_confusion(truth, cfg.shots_per_state, cfg.repeats, cfg.seed)
 
 
 def _resolve_ansatz(
@@ -272,14 +272,15 @@ def resolve(cfg: RunConfig, every_pipeline: bool = False) -> _Problem:
             f"the sweep optimizer needs a 1-parameter ansatz, "
             f"{spec.family} has {spec.n_params}"
         )
-    applied = _readout_truth(cfg, n_qubits)
-    # `calibrate` applies the stock matrix but unfolds with an estimate of it
-    unfolding = _calibrated(cfg, applied) if cfg.confusion == "calibrate" else applied
+    applied = unfolding = _readout_truth(cfg, n_qubits)
+    unfolds = cfg.readout_flag or every_pipeline
+    if cfg.confusion == "calibrate":  # applies the stock matrix, unfolds with an estimate
+        unfolding = _calibrated(cfg, applied) if unfolds else None
     if cfg.readout_flag and unfolding is None:
         raise ConfigError(
             "readout mitigation needs a confusion source other than 'ideal'"
         )
-    if unfolding is not None and (cfg.readout_flag or every_pipeline):
+    if unfolding is not None and unfolds:
         try:  # the full KKT system is singular exactly when the matrix is
             unfold(unfolding, np.full(unfolding.dim, 1.0 / unfolding.dim))
         except np.linalg.LinAlgError:

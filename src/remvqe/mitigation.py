@@ -3,7 +3,8 @@
 Readout mitigation: a column-stochastic confusion matrix C with
 C[j][i] = P(measure j | prepared i) is calibrated from prepare-and-measure
 experiments and inverted through a simplex-constrained least-squares unfolding
-(an exact active-set quadratic program; no matrix inversion).
+(an exact active-set quadratic program; no matrix inversion) whose first
+iterate is one batched solve for a whole stack of distributions.
 
 Reference-state mitigation: the energy discrepancy of a classically tractable
 reference state, delta = e_vqe_ref - e_exact_ref, is subtracted pointwise from
@@ -72,6 +73,7 @@ class ConfusionMatrix:
         kkt.setflags(write=False)
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_kkt", kkt)
+        object.__setattr__(self, "_kkts", {})  # _active_set's, per free index set
         if self.uncertainty is not None:
             unc = np.array(self.uncertainty, dtype=float)
             if unc.shape != (dim, dim):
@@ -155,71 +157,72 @@ def _kkt_matrix(H_free: np.ndarray) -> np.ndarray:
     return kkt
 
 
-def _kkt_target(H: np.ndarray, b: np.ndarray, free: list[int]) -> tuple[np.ndarray, float]:
-    """Minimizer of x.Hx/2 - b.x with sum(x) = 1 and x = 0 off `free`, and
-    the multiplier of the sum constraint."""
-    sol = np.linalg.solve(_kkt_matrix(H[free][:, free]), np.append(b[free], 1.0))
-    target = np.zeros(len(b))
-    target[free] = sol[:-1]
-    return target, sol[-1]
-
-
 def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     """argmin ||m - Cx||^2 over the probability simplex, for one measured
     vector or each row of a (G, 2^n) stack.
 
-    Exact primal active-set quadratic program (`_active_set`). When the
-    full-support solution of its first step is already feasible, that step
-    is the whole run, and it is replayed here without the loop, for all rows
-    in one stacked product and one batched solve: each row is bit for bit
-    the active set's. Other rows run the active set one at a time. Each
-    result sums to 1 with entries >= 0 (tiny negatives clamped).
+    Exact primal active-set quadratic program (`_active_set`). Its first
+    iterate, the full-support KKT solution, is solved for all rows in one
+    stacked product and one batched solve. Where that solution is feasible,
+    its full step is the whole run and is taken here for all rows at once;
+    other rows continue the active set from it one at a time. Each result
+    sums to 1 with entries >= 0 (tiny negatives clamped).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim > 2 or m.shape[-1:] != (c.dim,):
         raise ValueError(f"measured vector must have length {c.dim}, got {m.shape}")
     rows = m.reshape(-1, c.dim)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():  # tested before any sum, where inf + -inf warns
-        bad = rows[~finite][0].tolist()
+    if not np.isfinite(rows).all():  # tested before any sum, where inf + -inf warns
+        bad = rows[~np.isfinite(rows).all(axis=1)][0].tolist()
         raise ValueError(f"measured vector must be finite and sum to 1, got {bad}")
-    error = np.abs(rows.sum(axis=1) - 1.0)
-    if not (error <= 1e-6).all():
-        raise ValueError(
-            f"measured vector must be finite and sum to 1, got {rows[error.argmax()].sum():.8f}"
-        )
-    # _kkt_target on every index, against the matrix built once per C; its
+    sums = rows.sum(axis=1).tolist()
+    worst = max(sums, key=lambda s: abs(s - 1.0), default=1.0)
+    if not abs(worst - 1.0) <= 1e-6:
+        raise ValueError(f"measured vector must be finite and sum to 1, got {worst:.8f}")
+    # the KKT system on every index, against the matrix built once per C; its
     # right-hand side is (b, 1) with b = C^T m formed row by row
     rhs = np.ones((len(rows), c.dim + 1, 1))
     rhs[:, :-1] = c.matrix.T @ rows[:, :, None]
-    target = np.linalg.solve(c._kkt, rhs)[:, :-1, 0]
+    sol = np.linalg.solve(c._kkt, rhs)[:, :, 0]
+    target = sol[:, :-1]
     # a feasible target: no bound blocks the full step (alpha = 1) from the uniform
     # start x, and the next iteration finds it stationary with no bound to release
     x = 1.0 / c.dim
     step = target - x
-    out = np.where(np.abs(step).max(axis=1, keepdims=True) > _KKT_TOL, x + 1.0 * step, x)
-    out = np.where(out < 0.0, 0.0, out)
-    for g in np.flatnonzero(~(target >= 0.0).all(axis=1)):
-        out[g] = _active_set(c._gram, rhs[g, :-1, 0])
+    out = x + step
+    out[np.abs(step).max(axis=1) <= _KKT_TOL] = x
+    out[out < 0.0] = 0.0
+    if not (target >= 0.0).all():
+        for g in np.flatnonzero(~(target >= 0.0).all(axis=1)):
+            out[g] = _active_set(c, rhs[g, :-1, 0], sol[g])
     return out.reshape(m.shape)
 
 
-def _active_set(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The active-set loop of `unfold` from the uniform start: the
-    equality-constrained KKT system is solved on the free index set, bounds
-    are added at the first blocking constraint and released at the most
-    negative multiplier."""
+def _active_set(c: ConfusionMatrix, b: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """`unfold`'s active set for one row, from the uniform start and `first`,
+    the full-support KKT solution. The KKT system is solved once per free index
+    set visited (its matrix is built once per C); bounds are added at the first
+    blocking constraint and released at the most negative multiplier."""
     n = len(b)
     x = np.full(n, 1.0 / n)
     active: set[int] = set()
+    solved = {tuple(range(n)): (first[:-1], first[-1])}
     for _ in range(100 * n):
         free = [i for i in range(n) if i not in active]
-        target, mu = _kkt_target(H, b, free)
+        key = tuple(free)
+        if key not in solved:
+            if key not in c._kkts:
+                c._kkts[key] = _kkt_matrix(c._gram[free][:, free])
+            sol = np.linalg.solve(c._kkts[key], np.append(b[free], 1.0))
+            target = np.zeros(n)
+            target[free] = sol[:-1]
+            solved[key] = target, sol[-1]
+        target, mu = solved[key]
 
         step = target - x
-        if np.max(np.abs(step)) <= _KKT_TOL:
+        if np.abs(step).max() <= _KKT_TOL:
             # stationary on the working set; check bound multipliers
-            grad = H @ x - b
+            grad = c._gram @ x - b
             lagrange = {i: grad[i] - mu for i in active}
             worst = min(lagrange, key=lagrange.get, default=None)
             if worst is None or lagrange[worst] >= -_KKT_TOL:
@@ -329,7 +332,6 @@ def parse_confusion_csv(text: str) -> ConfusionMatrix:
         if ln.startswith("#"):
             if ln == "# uncertainty":
                 current = sigma_rows
-                continue
             continue
         current.append([float(v) for v in ln.split(",")])
     if len(rows) != dim:

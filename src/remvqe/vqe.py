@@ -234,7 +234,7 @@ def minimize(
 
     def f(theta: np.ndarray) -> float:
         energy = evaluate(ev, theta, index=len(trace))
-        trace.append((tuple(float(v) for v in theta), energy))
+        trace.append((tuple(theta.tolist()), energy))
         return energy
 
     if optimizer == "nelder-mead":

@@ -24,6 +24,35 @@ def test_embedded_data_is_self_consistent(name):
     assert audit(builtin(name)) == []
 
 
+def test_builtin_shares_one_dataset_per_name(monkeypatch):
+    # one frozen dataset per normalized name: a second operation's lookups in
+    # the caches keyed by its Hamiltonian find the first's entries by
+    # identity and compare no Hamiltonians by value
+    from remvqe import EnergyEvaluator, NoiseModel, evaluate, hardware_efficient_spec, sim, vqe
+
+    assert builtin("lih") is builtin(" LiH")
+    assert builtin("h2") is builtin("H2") and builtin("heh+") is builtin("HeH+ ")
+    caches = (sim._term_vectors, vqe._grouping, vqe._group_weights)
+    for cache in caches:
+        cache.cache_clear()
+
+    def operation():  # an exact and a shot evaluation
+        h = builtin("lih").geometry(1.5949).hamiltonian
+        spec, noise = hardware_efficient_spec(4), NoiseModel(p2=4e-3)
+        return [evaluate(EnergyEvaluator(h, spec, noise=noise, shots=shots, seed=5),
+                         np.full(spec.n_params, 0.1), index=3) for shots in (None, 8192)]
+
+    energy = operation()
+    hits = [cache.cache_info().hits for cache in caches]
+
+    def refuse(*_args):
+        raise AssertionError("a cache lookup compared Hamiltonians by value")
+
+    monkeypatch.setattr(PauliHamiltonian, "__eq__", refuse)
+    assert operation() == energy
+    assert all(cache.cache_info().hits > n for cache, n in zip(caches, hits))
+
+
 def test_dataset_shapes():
     assert len(builtin("h2").geometries) == 12
     assert len(builtin("heh+").geometries) == 10

@@ -83,6 +83,8 @@ BAD_CONFIGS = [
     (dict(molecule="h2", p2=0.5), "only the noisy backend has"),
     (dict(molecule="h2", p1=0.2), "only the noisy backend has"),
     (dict(molecule="h2", backend="ideal", p2=DEVICE_P2), "only the noisy backend has"),
+    # the calibration budget is checked even where nothing is calibrated
+    (dict(molecule="h2", confusion="figure-s2", repeats=-2), "repeats must be positive"),
 ]
 
 
@@ -137,7 +139,8 @@ def test_resolve_readout_sources():
     assert p.unfold_confusion is p.applied_confusion
     # calibrate mode unfolds with an estimate, not the true matrix
     p = resolve(
-        RunConfig(molecule="h2", confusion="calibrate", shots_per_state=200, repeats=4)
+        RunConfig(molecule="h2", confusion="calibrate", shots_per_state=200, repeats=4),
+        every_pipeline=True,
     )
     assert np.array_equal(p.applied_confusion.matrix, device_confusion().matrix)
     assert not np.array_equal(p.unfold_confusion.matrix, p.applied_confusion.matrix)
@@ -158,7 +161,7 @@ def test_resolve_confusion_from_file(tmp_path):
 def test_resolve_rejects_a_singular_calibrated_estimate():
     # one shot per state: seed 0 reads two prepared states as the same outcome
     cfg = RunConfig(molecule="h2", confusion="calibrate", shots_per_state=1, repeats=1)
-    assert resolve(cfg).unfold_confusion is not None  # nothing unfolds with it
+    assert resolve(cfg).unfold_confusion is None  # nothing unfolds, so nothing is calibrated
     for kwargs in ({"mitigation": "readout"}, {"mitigation": "readout+rem"}, {}):
         with pytest.raises(ConfigError, match="'calibrate': the unfolding matrix is singular"):
             resolve(replace(cfg, **kwargs), every_pipeline=not kwargs)

@@ -20,11 +20,72 @@ from remvqe import (
     unfold,
     write_confusion_csv,
 )
-from remvqe.mitigation import CALIBRATION_POINT, _active_set, _kkt_target, _stream
+from remvqe.mitigation import CALIBRATION_POINT, _stream
 
 
 def dirichlet(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     return rng.dirichlet(np.ones(dim))
+
+
+# --- frozen reference of unfold's active set --------------------------------
+
+
+def kkt_target(H: np.ndarray, b: np.ndarray, free: list[int]) -> tuple[np.ndarray, float]:
+    """Minimizer of x.Hx/2 - b.x with sum(x) = 1 and x = 0 off `free`, and
+    the multiplier of the sum constraint."""
+    k = len(free)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = H[free][:, free]
+    kkt[:k, k] = -1.0
+    kkt[k, :k] = 1.0
+    sol = np.linalg.solve(kkt, np.append(b[free], 1.0))
+    target = np.zeros(len(b))
+    target[free] = sol[:-1]
+    return target, sol[-1]
+
+
+def reference_active_set(H: np.ndarray, b: np.ndarray, visited: list | None = None) -> np.ndarray:
+    """The primal active set from the uniform start, solving every
+    iteration's free set afresh: the row-by-row path unfold must reproduce
+    bit for bit. `visited`, if given, receives each iteration's free set as
+    a tuple and "release" after each released bound."""
+    n = len(b)
+    x = np.full(n, 1.0 / n)
+    active: set[int] = set()
+    for _ in range(100 * n):
+        free = [i for i in range(n) if i not in active]
+        if visited is not None:
+            visited.append(tuple(free))
+        target, mu = kkt_target(H, b, free)
+
+        step = target - x
+        if np.max(np.abs(step)) <= 1e-10:
+            grad = H @ x - b
+            lagrange = {i: grad[i] - mu for i in active}
+            worst = min(lagrange, key=lagrange.get, default=None)
+            if worst is None or lagrange[worst] >= -1e-10:
+                break
+            active.remove(worst)
+            if visited is not None:
+                visited.append("release")
+            continue
+
+        alpha = 1.0
+        blocking = None
+        for i in free:
+            if step[i] < -1e-15:
+                limit = max(x[i], 0.0) / -step[i]
+                if limit < alpha:
+                    alpha = limit
+                    blocking = i
+        x = x + alpha * step
+        if blocking is not None:
+            x[blocking] = 0.0
+            active.add(blocking)
+    else:
+        raise RuntimeError("active-set unfolding failed to converge")
+
+    return np.where(x < 0.0, 0.0, x)
 
 
 # --- ConfusionMatrix ---------------------------------------------------------
@@ -185,10 +246,10 @@ def test_unfold_device_matrix_on_dense_draws():
         assert np.max(np.abs(unfold(c, m) - enumerated_simplex_qp(c, m))) < 1e-10
 
 
-def random_confusion(rng: np.random.Generator, n_qubits: int) -> ConfusionMatrix:
+def random_confusion(rng: np.random.Generator, n_qubits: int, diagonal: float = 0.6) -> ConfusionMatrix:
     dim = 1 << n_qubits
     noise = rng.dirichlet(np.ones(dim), size=dim).T
-    c = ConfusionMatrix(n_qubits, 0.6 * np.eye(dim) + 0.4 * noise)
+    c = ConfusionMatrix(n_qubits, diagonal * np.eye(dim) + (1.0 - diagonal) * noise)
     assert np.linalg.matrix_rank(c.matrix) == dim
     return c
 
@@ -221,7 +282,7 @@ def test_unfold_fast_path_matches_active_set_bit_for_bit(seed, n_qubits, shots):
     c = device_confusion() if n_qubits == 2 and seed % 2 else random_confusion(rng, n_qubits)
     m = device_like_inputs(rng, c, shots)
     C = c.matrix
-    assert np.array_equal(unfold(c, m), _active_set(C.T @ C, C.T @ m))
+    assert np.array_equal(unfold(c, m), reference_active_set(C.T @ C, C.T @ m))
 
 
 @settings(deadline=None, max_examples=100)
@@ -239,7 +300,77 @@ def test_batched_unfold_matches_rows_bit_for_bit(seed, n_qubits, n_rows, concent
     assert batched.shape == m.shape
     for row, x in zip(m, batched):
         assert np.array_equal(x, unfold(c, row))
-        assert np.array_equal(x, _active_set(c._gram, c.matrix.T @ row))
+        assert np.array_equal(x, reference_active_set(c._gram, c.matrix.T @ row))
+
+
+def signed_rows(rng: np.random.Generator, dim: int, n_rows: int) -> np.ndarray:
+    """Rows that sum to 1 with entries of either sign: sparse Dirichlet draws
+    plus noise, shifted back onto sum(x) = 1. On a weakly diagonal C they
+    send the active set through added and released bounds."""
+    m = rng.dirichlet(np.full(dim, 0.3), size=n_rows) + rng.normal(scale=0.3, size=(n_rows, dim))
+    return m - (m.sum(axis=1, keepdims=True) - 1.0) / dim
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 6),
+       st.sampled_from(["sparse", "dense", "signed"]), st.booleans())
+def test_unfold_matches_the_reference_active_set_bit_for_bit(seed, n_qubits, n_rows, kind, single):
+    # every row, sign bits included, is the reference's on that row alone:
+    # stacks of 0-6 rows, single vectors, and rows that add and release bounds
+    rng = np.random.default_rng(seed)
+    if n_qubits == 2 and seed % 2:
+        c = device_confusion()
+    else:
+        c = random_confusion(rng, n_qubits, diagonal=0.1 if kind == "signed" else 0.6)
+    if kind == "signed":
+        m = signed_rows(rng, c.dim, n_rows)
+    else:
+        m = rng.dirichlet(np.full(c.dim, 0.05 if kind == "sparse" else 5.0), size=n_rows)
+    if single:
+        m = m[0] if n_rows else rng.dirichlet(np.full(c.dim, 0.05))
+    H = c.matrix.T @ c.matrix
+    expected = [reference_active_set(H, c.matrix.T @ row) for row in m.reshape(-1, c.dim)]
+    out = unfold(c, m)
+    assert out.shape == m.shape and out.dtype == float
+    assert out.tobytes() == np.reshape(expected, m.shape).tobytes()
+
+
+def test_unfold_solves_each_visited_free_set_once(monkeypatch):
+    # a row that leaves the simplex starts from its row of the batched solve,
+    # never solves the full set again, and solves each other free set it
+    # visits once, however often the reference's loop returns to it
+    rng = np.random.default_rng(57)
+    c = random_confusion(rng, 2, diagonal=0.1)
+    rows = signed_rows(rng, c.dim, 8)
+    full = tuple(range(c.dim))
+    solved = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solved.append((a, b.ndim))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    releases = revisits = 0
+    for row in rows:
+        visited = []
+        expected = reference_active_set(c._gram, c.matrix.T @ row, visited)
+        sets = [v for v in visited if v not in ("release", full)]
+        releases += "release" in visited
+        revisits += len(sets) - len(set(sets))
+        solved.clear()
+        assert unfold(c, row).tobytes() == expected.tobytes()
+        kkt_sets = {id(kkt): key for key, kkt in c._kkts.items()}
+        assert solved[0][0] is c._kkt and solved[0][1] == 3  # the batched solve
+        per_row = [kkt_sets[id(a)] for a, ndim in solved[1:]]
+        assert all(ndim == 1 for _, ndim in solved[1:])
+        assert per_row == list(dict.fromkeys(sets))
+    assert releases >= 2 and revisits > 0
+    # the KKT matrices stay on the confusion matrix: a second pass builds none
+    kkts = dict(c._kkts)
+    unfold(c, rows)
+    assert c._kkts.keys() == kkts.keys()
+    assert all(c._kkts[key] is kkt for key, kkt in kkts.items())
 
 
 def test_batched_unfold_reaches_the_active_set():
@@ -249,7 +380,7 @@ def test_batched_unfold_reaches_the_active_set():
     c = device_confusion()
     m = np.vstack([rng.dirichlet(np.full(4, 0.05), size=20), rng.dirichlet(np.full(4, 50.0), size=20)])
     H, b = c._gram, m @ c.matrix
-    fast = [np.all(_kkt_target(H, row, [0, 1, 2, 3])[0] >= 0.0) for row in b]
+    fast = [np.all(kkt_target(H, row, [0, 1, 2, 3])[0] >= 0.0) for row in b]
     assert 0 < sum(fast) < len(fast)
     assert np.array_equal(unfold(c, m), [unfold(c, row) for row in m])
 
@@ -266,8 +397,8 @@ def test_unfold_fast_path_is_taken_and_exact():
     fast = 0
     for m in inputs:
         H, b = C.T @ C, C.T @ m
-        fast += int(np.all(_kkt_target(H, b, [0, 1, 2, 3])[0] >= 0.0))
-        assert np.array_equal(unfold(c, m), _active_set(H, b))
+        fast += int(np.all(kkt_target(H, b, [0, 1, 2, 3])[0] >= 0.0))
+        assert np.array_equal(unfold(c, m), reference_active_set(H, b))
     assert 200 <= fast < len(inputs)
 
 
@@ -282,8 +413,8 @@ def test_unfold_reuses_its_gram_matrix_bit_for_bit():
         for _ in range(100):
             m = device_like_inputs(rng, c, shots)
             H, b = C.T @ C, C.T @ m
-            fast += int(np.all(_kkt_target(H, b, [0, 1, 2, 3])[0] >= 0.0))
-            assert np.array_equal(unfold(c, m), _active_set(H, b))
+            fast += int(np.all(kkt_target(H, b, [0, 1, 2, 3])[0] >= 0.0))
+            assert np.array_equal(unfold(c, m), reference_active_set(H, b))
     assert 0 < fast < 300
 
 

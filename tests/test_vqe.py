@@ -122,10 +122,10 @@ def test_noisy_evaluations_stay_on_the_pauli_vector(monkeypatch):
 
 
 def test_equal_hamiltonian_copies_hit_the_caches_by_key(monkeypatch):
-    # builtin builds new Hamiltonian objects on every call; an equal copy
-    # finds the per-Hamiltonian caches (grouping, group weights, term
-    # vectors) without comparing Pauli terms one by one, and gives the same
-    # energy bit for bit
+    # an equal copy of a Hamiltonian (builtin shares one object per
+    # molecule, so the copy is made here) finds the per-Hamiltonian caches
+    # (grouping, group weights, term vectors) without comparing Pauli terms
+    # one by one, and gives the same energy bit for bit
     from remvqe.pauli import PauliString
 
     first = builtin("lih").geometry(1.5949).hamiltonian
@@ -134,7 +134,7 @@ def test_equal_hamiltonian_copies_hit_the_caches_by_key(monkeypatch):
     thetas = [np.linspace(-0.3, 0.3, spec.n_params) for spec, _ in recipes]
     expected = [evaluate(EnergyEvaluator(first, spec, **kw), theta, index=3)
                 for (spec, kw), theta in zip(recipes, thetas)]
-    second = builtin("lih").geometry(1.5949).hamiltonian
+    second = dataclasses.replace(first)
     assert second is not first
 
     def refuse(*_args):
