@@ -16,6 +16,10 @@ against exact diagonalization. Identical configurations (seed included)
 produce byte-identical CSV text, because every random draw is keyed by the
 point's index and the evaluation index under the master seed (vqe's seed
 rule), not by the order in which points run.
+
+One table, `_PIPELINES`, lists the four pipelines for both curve CSVs and
+every plot. One writer, `_write`, writes a command's --out and --svg once both
+are built, to paths that `_readout_truth` checked before the run.
 """
 from __future__ import annotations
 
@@ -33,10 +37,10 @@ from .mitigation import (
     RemReport,
     calibrate_confusion,
     device_confusion,
+    format_confusion_csv,
     read_confusion_csv,
     rem_report,
     unfold,
-    write_confusion_csv,
 )
 from .pauli import _DENSE_LIMIT, PauliHamiltonian, ground_state_energy
 from .sim import NoiseModel
@@ -122,7 +126,10 @@ def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | No
     `figure-s2`, `device` and `calibrate` name the stock device matrix, any
     other value a confusion CSV path.
     """
-    # every command reaches this before its first seeded draw
+    # every command reaches this before its first seeded draw or written file
+    for path in (cfg.out, cfg.svg):
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ConfigError(f"cannot write {path}: not a file in an existing directory")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     for budget in ("shots_per_state", "repeats"):  # calibration's, checked where unused too
@@ -375,14 +382,46 @@ def four_pipelines(cfg: RunConfig) -> PointResult:
 
 
 @dataclass(frozen=True)
+class _Pipeline:
+    field: str  # of PointResult
+    label: str  # in the dissociation legend
+    short: str  # in the noise-sweep legend, and its CSV column err_<short>
+    color: str
+
+
+_PIPELINES = (  # in CSV column order
+    _Pipeline("e_vqe", "vqe", "vqe", "#c62828"),
+    _Pipeline("e_vqe_readout", "vqe+readout", "readout", "#ef6c00"),
+    _Pipeline("e_rem", "rem", "rem", "#1565c0"),
+    _Pipeline("e_readout_rem", "readout+rem", "readout+rem", "#2e7d32"),
+)
+_ERROR_COLUMNS = {"err_vqe": _PIPELINES[0], "err_rem": _PIPELINES[-1]}  # of a dissociation
+_BAND = (0.0, 1.6e-3)  # chemical accuracy, shaded on the error plots
+
+
+def _curve_csv(head: list[str], xs, columns) -> str:
+    """The head lines, then one row per x: x and each column's value there."""
+    rows = (f"{x:g}," + ",".join(f"{v:.6f}" for v in row) for x, row in zip(xs, zip(*columns)))
+    return "\n".join([*head, *rows]) + "\n"
+
+
+def _write(cfg: RunConfig, text: str, panels=()) -> None:
+    """Write text to cfg.out and the chart panels, (series, line_chart options)
+    pairs, as one SVG to cfg.svg, once both are built."""
+    outputs = [(cfg.out, text)]
+    if cfg.svg and panels:  # single-point and calibrate chart nothing
+        outputs.append((cfg.svg, _svg.document([_svg.line_chart(s, **kw) for s, kw in panels])))
+    for path, content in outputs:
+        if path:
+            Path(path).write_text(content)
+
+
+@dataclass(frozen=True)
 class DissociationResult:
     rs: tuple[float, ...]
     points: tuple[PointResult, ...]
     csv: str
     warnings: tuple[str, ...]
-
-
-_DISSOCIATION_HEADER = "r,e_exact,e_vqe,e_vqe_readout,e_rem,e_readout_rem,err_vqe,err_rem"
 
 
 def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
@@ -396,65 +435,28 @@ def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
             f"{problem.dataset.name} has a single geometry; use single-point"
         )
     points = [_run_point(problem, g.hamiltonian, i) for i, g in enumerate(geometries)]
-    lines = [_DISSOCIATION_HEADER]
-    warnings = []
-    for g, p in zip(geometries, points):
-        err_vqe = p.e_vqe - p.e_exact
-        err_rem = p.e_readout_rem - p.e_exact
-        lines.append(
-            f"{g.r:g},{p.e_exact:.6f},{p.e_vqe:.6f},{p.e_vqe_readout:.6f},"
-            f"{p.e_rem:.6f},{p.e_readout_rem:.6f},{err_vqe:.6f},{err_rem:.6f}"
-        )
-        if not p.converged:
-            warnings.append(f"r={g.r:g}: optimizer did not converge")
-    csv = "\n".join(lines) + "\n"
-    result = DissociationResult(
-        tuple(g.r for g in geometries), tuple(points), csv, tuple(warnings)
-    )
-    if cfg.out:
-        Path(cfg.out).write_text(csv)
-    if cfg.svg:
-        Path(cfg.svg).write_text(_dissociation_svg(result))
-    return result
-
-
-def _dissociation_svg(res: DissociationResult) -> str:
-    rs = res.rs
-    energies = [
-        _svg.Series("exact", rs, tuple(p.e_exact for p in res.points), "#222222"),
-        _svg.Series("vqe", rs, tuple(p.e_vqe for p in res.points), "#c62828", markers=True),
-        _svg.Series(
-            "vqe+readout", rs, tuple(p.e_vqe_readout for p in res.points),
-            "#ef6c00", markers=True,
+    rs = tuple(g.r for g in geometries)
+    exact = tuple(p.e_exact for p in points)
+    curves = {pl: tuple(getattr(p, pl.field) for p in points) for pl in _PIPELINES}
+    errors = [tuple(e - x for e, x in zip(curves[pl], exact)) for pl in _ERROR_COLUMNS.values()]
+    head = ",".join(["r,e_exact", *(pl.field for pl in _PIPELINES), *_ERROR_COLUMNS])
+    csv = _curve_csv([head], rs, [exact, *curves.values(), *errors])
+    _write(cfg, csv, [
+        (
+            [_svg.Series("exact", rs, exact, "#222222")]
+            + [_svg.Series(pl.label, rs, ys, pl.color, markers=True) for pl, ys in curves.items()],
+            dict(title="Dissociation curve", xlabel="r (angstrom)", ylabel="energy (hartree)"),
         ),
-        _svg.Series("rem", rs, tuple(p.e_rem for p in res.points), "#1565c0", markers=True),
-        _svg.Series(
-            "readout+rem", rs, tuple(p.e_readout_rem for p in res.points),
-            "#2e7d32", markers=True,
+        (
+            [_svg.Series(f"err {pl.short}", rs, tuple(map(abs, err)), pl.color, markers=True)
+             for pl, err in zip(_ERROR_COLUMNS.values(), errors)],
+            dict(title="Absolute error", xlabel="r (angstrom)", ylabel="|error| (hartree)",
+                 band=_BAND),
         ),
-    ]
-    errors = [
-        _svg.Series(
-            "err vqe", rs, tuple(abs(p.e_vqe - p.e_exact) for p in res.points),
-            "#c62828", markers=True,
-        ),
-        _svg.Series(
-            "err readout+rem", rs,
-            tuple(abs(p.e_readout_rem - p.e_exact) for p in res.points),
-            "#2e7d32", markers=True,
-        ),
-    ]
-    panels = [
-        _svg.line_chart(
-            energies, title="Dissociation curve", xlabel="r (angstrom)",
-            ylabel="energy (hartree)",
-        ),
-        _svg.line_chart(
-            errors, title="Absolute error", xlabel="r (angstrom)",
-            ylabel="|error| (hartree)", band=(0.0, 1.6e-3),
-        ),
-    ]
-    return _svg.document(panels)
+    ])
+    warnings = tuple(f"r={r:g}: optimizer did not converge" for r, p in zip(rs, points)
+                     if not p.converged)
+    return DissociationResult(rs, tuple(points), csv, warnings)
 
 
 @dataclass(frozen=True)
@@ -465,9 +467,6 @@ class NoiseSweepResult:
     err_rem: tuple[float, ...]
     err_readout_rem: tuple[float, ...]
     csv: str
-
-
-_SWEEP_HEADER = "p2,err_vqe,err_readout,err_rem,err_readout_rem"
 
 
 def default_p2_grid() -> tuple[float, ...]:
@@ -486,6 +485,8 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
     noises = [_noise_model(p2, cfg.p1) for p2 in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("p2 grid must be strictly increasing")
+    if cfg.svg and grid[0] <= 0:
+        raise ConfigError(f"the SVG's p2 axis is logarithmic; p2={grid[0]:g} cannot be plotted")
     if cfg.hamiltonian_path is not None:
         raise ConfigError("noise sweeps run on builtin molecules only")
     base = replace(cfg, backend="noisy", molecule=cfg.molecule or "h2")
@@ -499,41 +500,16 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
         _run_point(replace(problem, noise=noise, optimizer="sweep"), problem.hamiltonian, i)
         for i, noise in enumerate(noises)
     ]
-    errors = [
-        tuple(abs(getattr(p, name) - p.e_exact) for p in points)
-        for name in ("e_vqe", "e_vqe_readout", "e_rem", "e_readout_rem")
-    ]
-    lines = [_SWEEP_HEADER, f"# device p2={DEVICE_P2:.6f}"]
-    for p2, *row in zip(grid, *errors):
-        lines.append(f"{p2:g}," + ",".join(f"{e:.6f}" for e in row))
-    csv = "\n".join(lines) + "\n"
-    result = NoiseSweepResult(grid, *errors, csv)
-    if cfg.out:
-        Path(cfg.out).write_text(csv)
-    if cfg.svg:
-        Path(cfg.svg).write_text(_sweep_svg(result))
-    return result
-
-
-def _sweep_svg(res: NoiseSweepResult) -> str:
-    series = [
-        _svg.Series("vqe", res.p2_values, res.err_vqe, "#c62828", markers=True),
-        _svg.Series("readout", res.p2_values, res.err_readout, "#ef6c00", markers=True),
-        _svg.Series("rem", res.p2_values, res.err_rem, "#1565c0", markers=True),
-        _svg.Series(
-            "readout+rem", res.p2_values, res.err_readout_rem, "#2e7d32", markers=True
-        ),
-    ]
-    panel = _svg.line_chart(
-        series,
-        title="Error vs depolarizing rate",
-        xlabel="two-qubit error probability p2",
-        ylabel="|error| (hartree)",
-        logx=True,
-        band=(0.0, 1.6e-3),
-        vline=DEVICE_P2,
-    )
-    return _svg.document([panel])
+    errors = [tuple(abs(getattr(p, pl.field) - p.e_exact) for p in points) for pl in _PIPELINES]
+    head = ",".join(["p2", *("err_" + pl.short.replace("+", "_") for pl in _PIPELINES)])
+    csv = _curve_csv([head, f"# device p2={DEVICE_P2:.6f}"], grid, errors)
+    _write(cfg, csv, [(
+        [_svg.Series(pl.short, grid, err, pl.color, markers=True)
+         for pl, err in zip(_PIPELINES, errors)],
+        dict(title="Error vs depolarizing rate", xlabel="two-qubit error probability p2",
+             ylabel="|error| (hartree)", logx=True, band=_BAND, vline=DEVICE_P2),
+    )])
+    return NoiseSweepResult(grid, *errors, csv)
 
 
 _REPORT_ENERGIES = (  # of a single-point report, in printed order
@@ -595,8 +571,7 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
     ]
     payload = json.dumps(record, indent=2) + "\n"
     text = "".join(f"{name + ':':<14}{value}\n" for name, value in rows) + "\n" + payload
-    if cfg.out:
-        Path(cfg.out).write_text(payload)
+    _write(cfg, payload)
     return SinglePointResult(report, outcome, fit, record, text, converged)
 
 
@@ -611,6 +586,5 @@ def cmd_calibrate(cfg: RunConfig) -> ConfusionMatrix:
             raise ConfigError(str(exc)) from None
     truth = _readout_truth(cfg, n_qubits) or ConfusionMatrix.identity(n_qubits or 2)
     estimate = _calibrated(cfg, truth)
-    if cfg.out:
-        write_confusion_csv(estimate, cfg.out)
+    _write(cfg, format_confusion_csv(estimate))
     return estimate

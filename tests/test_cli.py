@@ -1,9 +1,10 @@
 """Command-line behavior: exit codes, stdout payloads, file side effects."""
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from remvqe import ConfusionMatrix, write_confusion_csv
+from remvqe import ConfusionMatrix, experiments, write_confusion_csv
 from remvqe.cli import main
 
 
@@ -31,6 +32,79 @@ def test_dissociation_svg_output(tmp_path, capsys):
     assert root.tag.endswith("svg")
     # plotting must not perturb the numbers
     assert out.read_text() == capsys.readouterr().out
+
+
+def test_noise_sweep_svg_output(tmp_path, capsys):
+    out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    rc = main(["noise-sweep", "--molecule", "h2", "--p2", "0.001,0.03",
+               "--out", str(out), "--svg", str(svg)])
+    assert rc == 0
+    assert out.read_text() == capsys.readouterr().out
+    ns = "{http://www.w3.org/2000/svg}"
+    root = ET.fromstring(svg.read_text())
+    texts = [t for t in root.iter(f"{ns}text") if t.get("font-size") == "11"]
+    # x ticks sit one per decade on the log axis, centred under the axis
+    ticks = {t.text: float(t.get("x")) for t in texts if t.get("text-anchor") == "middle"}
+    assert list(ticks) == ["0.001", "0.01"]
+    assert [t.text for t in texts if t.get("text-anchor") is None] == [
+        "vqe", "readout", "rem", "readout+rem"
+    ]
+    dashed = [line for line in root.iter(f"{ns}line") if line.get("stroke-dasharray")]
+    assert len(dashed) == 1
+    decade = ticks["0.01"] - ticks["0.001"]
+    device_x = ticks["0.001"] + (math.log10(0.018) + 3) * decade
+    assert float(dashed[0].get("x1")) == pytest.approx(device_x, abs=0.02)
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if a point or a calibration starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the configuration was checked")
+    monkeypatch.setattr(experiments, "_run_point", refuse)
+    monkeypatch.setattr(experiments, "calibrate_confusion", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["dissociation", "--molecule", "h2", "--confusion", "calibrate",
+          "--out", "{tmp}/ok.csv", "--svg", "{tmp}/missing/x.svg"], "{tmp}/missing/x.svg"),
+        (["dissociation", "--molecule", "h2", "--out", "{tmp}/missing/x.csv"],
+         "{tmp}/missing/x.csv"),
+        (["single-point", "--molecule", "h2", "--out", "{tmp}/missing/x.json"],
+         "{tmp}/missing/x.json"),
+        (["single-point", "--molecule", "h2", "--out", "{tmp}"], "{tmp}"),
+        (["noise-sweep", "--molecule", "h2", "--p2", "0.01", "--confusion", "calibrate",
+          "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv"),
+        (["noise-sweep", "--molecule", "h2", "--p2", "0.01",
+          "--out", "{tmp}/ok.csv", "--svg", "{tmp}/missing/x.svg"], "{tmp}/missing/x.svg"),
+        (["calibrate", "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv"),
+    ],
+    ids=["dissociation-svg", "dissociation-out", "single-point", "single-point-dir",
+         "noise-sweep-out", "noise-sweep-svg", "calibrate"],
+)
+def test_unwritable_output_is_config_error_before_any_run(argv, bad, tmp_path, capsys, no_run):
+    rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        f"error: cannot write {bad.replace('{tmp}', str(tmp_path))}: "
+        "not a file in an existing directory\n"
+    )
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_noise_sweep_svg_rejects_zero_p2_before_any_run(tmp_path, capsys, no_run):
+    out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    rc = main(["noise-sweep", "--molecule", "h2", "--p2", "0,0.01",
+               "--out", str(out), "--svg", str(svg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: the SVG's p2 axis is logarithmic; p2=0 cannot be plotted\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_single_point_report(capsys):

@@ -5,7 +5,8 @@ stderr and exit code with `tests/golden/<name>.txt`. The configs are small
 but cover shot sampling, the figure-s2 readout model, `--confusion
 calibrate`, a confusion CSV file, unfolding, both optimizer paths, every
 ansatz family (the hardware-efficient one on its 4-qubit T map and on a
-3-qubit chain from a Hamiltonian file) and exit codes 0, 2 and 3. `{golden}`
+3-qubit chain from a Hamiltonian file) and exit codes 0, 2 and 3; exit 2
+includes an `--out` in a missing directory and a zero p2 under `--svg`. `{golden}`
 in an argument, and in the output, stands for the golden directory.
 
 A change that alters output on purpose regenerates the cases it changes with
@@ -52,6 +53,12 @@ CASES = {
         "single-point --molecule h2 --backend noisy --shots 500 --optimizer spsa --seed 1"
     ),
     "single-point-lih-qubit-mismatch": "single-point --molecule lih --confusion figure-s2",
+    "single-point-h2-out-missing-directory": (
+        "single-point --molecule h2 --out {golden}/missing/x.json"
+    ),
+    "noise-sweep-h2-svg-zero-p2": (
+        "noise-sweep --molecule h2 --p2 0,0.01 --svg {golden}/never-written.svg"
+    ),
     "single-point-lih-hwe-density-rem": (
         "single-point --molecule lih --ansatz hwe --backend noisy --p2 4e-3 --mitigation rem"
     ),
