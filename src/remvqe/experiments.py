@@ -130,6 +130,8 @@ def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | No
     for path in (cfg.out, cfg.svg):
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise ConfigError(f"cannot write {path}: not a file in an existing directory")
+    if cfg.out and cfg.svg and Path(cfg.out).resolve() == Path(cfg.svg).resolve():
+        raise ConfigError(f"cannot write {cfg.svg}: --out names the same file")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     for budget in ("shots_per_state", "repeats"):  # calibration's, checked where unused too

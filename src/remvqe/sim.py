@@ -20,6 +20,18 @@ Clifford gates are applied at compile time, and a run has one op per
 rotation, each Param-bound RX, RY or RZ and each fixed one at a non-Clifford
 angle, or, for density matrices, one op per commuting pair of them.
 
+A prepared state depends on the circuit, the noise and the bound angles
+alone, not on the Hamiltonian measured, so each program memoizes its states:
+run_statevector and run_density key a run by the bytes of its bound angles
+(not their tuple: -0.0 == 0.0, but sin(-0.0) is -0.0) and return the kept
+QuantumState when the key repeats, as when one angle grid is swept at every
+bond length. A program keeps at most 2^13 floats of states, at least one,
+and drops the oldest first: 512 two-qubit and 32 four-qubit Pauli vectors,
+one at ten qubits. The budget counts each state's size, so that the 32
+cached programs bound the memos' memory too. A state keeps the (G, 2^n)
+distributions _basis_probabilities computed from it, read-only, one stack
+per tuple of basis labels.
+
 Pauli strings have qubit q's letter in base-4 digit q, I, X, Y, Z = 0, 1, 2,
 3. The product of two strings is their XOR up to a phase: P Q = i^k (P ^ Q).
 
@@ -116,7 +128,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import struct
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Mapping
 
@@ -142,6 +156,7 @@ class QuantumState:
         if (data is None) == (pauli is None):
             raise ValueError("a state is a ket or pauli=r, not both or neither")
         self.pauli = self._data = None
+        self._distributions: dict = {}  # _basis_probabilities' stacks, by basis labels
         if pauli is None:
             arr = self._data = np.array(data, dtype=complex, copy=_copy(data))
             if arr.ndim != 1 or len(arr) & (len(arr) - 1) or len(arr) == 0:
@@ -303,11 +318,12 @@ class _KetProgram:
     ops: tuple
     angles: tuple
     slots: tuple[int, ...]
+    memo: OrderedDict = field(default_factory=OrderedDict)
 
-    def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
-        """The compiled circuit's ket from |0...0>."""
+    def run(self, bound: list[float]) -> np.ndarray:
+        """The compiled circuit's ket from |0...0>, `bound` = _bind(angles, bindings)."""
         v = self.start
-        cos_sin = [(math.cos(0.5 * t), math.sin(0.5 * t)) for t in _bind(self.angles, bindings)]
+        cos_sin = [(math.cos(0.5 * t), math.sin(0.5 * t)) for t in bound]
         for (gather, table, _), k in zip(self.ops, self.slots):
             x = v[gather]
             x *= table
@@ -350,12 +366,14 @@ class _TransferProgram:
     angles: tuple
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     final: np.ndarray
+    memo: OrderedDict = field(default_factory=OrderedDict)
 
-    def run(self, bindings: Mapping[str, float] | None) -> np.ndarray:
-        """The Pauli vector r of the compiled circuit from |0...0><0...0|."""
+    def run(self, bound: list[float]) -> np.ndarray:
+        """The Pauli vector r of the compiled circuit from |0...0><0...0|,
+        `bound` = _bind(angles, bindings)."""
         r = self.start
         if self.ops:
-            cos_sin = [x for t in _bind(self.angles, bindings) for x in (math.cos(t), math.sin(t))]
+            cos_sin = [x for t in bound for x in (math.cos(t), math.sin(t))]
             u = np.array([0.0, 1.0, *cos_sin])
             one, first, second = self.weights
             weights = iter(u[one]), iter(u[first] * u[second] if len(first) else ())
@@ -507,9 +525,30 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
     return _TransferProgram(start, tuple(ops), *_weights([angle for *_, angle in rotations], sizes), at)
 
 
+# A program's memo keeps at most 2^13 floats of states, and at least one state.
+_MEMO_BYTES = 8 * 2**13
+
+
+def _memoized(
+    program: _KetProgram | _TransferProgram, bindings: Mapping[str, float] | None
+) -> QuantumState:
+    """The program's state at `bindings`: its memo's, or run and kept (module doc)."""
+    bound = _bind(program.angles, bindings)
+    key = struct.pack(f"{len(bound)}d", *bound)  # a tuple would take -0.0 for 0.0
+    memo = program.memo
+    state = memo.get(key)
+    if state is None:
+        out = program.run(bound)  # a NaN angle raises below, before the memo grows
+        state = QuantumState(pauli=out) if isinstance(program, _TransferProgram) else QuantumState(out)
+        if memo and (len(memo) + 1) * out.nbytes > _MEMO_BYTES:
+            memo.popitem(last=False)  # the oldest
+        memo[key] = state
+    return state
+
+
 def run_statevector(circuit: Circuit, bindings: Mapping[str, float] | None = None) -> QuantumState:
     """Noise-free execution from |0...0>."""
-    return QuantumState(_program(circuit, None).run(bindings))
+    return _memoized(_program(circuit, None), bindings)
 
 
 def run_density(
@@ -518,7 +557,7 @@ def run_density(
     noise: NoiseModel | None = None,
 ) -> QuantumState:
     """Density-matrix execution with per-gate depolarizing channels, held as r."""
-    return QuantumState(pauli=_program(circuit, noise or NoiseModel()).run(bindings))
+    return _memoized(_program(circuit, noise or NoiseModel()), bindings)
 
 
 _ROTATION = {"Z": np.eye(2, dtype=complex), "I": np.eye(2, dtype=complex),
@@ -553,20 +592,26 @@ def _basis_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _basis_probabilities(state: QuantumState, bases: tuple[PauliString, ...]) -> np.ndarray:
     """Row g is the outcome distribution of `state` measured in bases[g]
     (basis letters I are measured as Z), from one batched product for all
-    bases (module doc); each row equals the single-basis result bit for bit."""
-    n = state.n_qubits
-    if not bases:
-        return np.zeros((0, 1 << n))
+    bases (module doc); each row equals the single-basis result bit for bit.
+    The stack is read-only and kept on the state, one per tuple of labels."""
     labels = tuple(b.label for b in bases)
+    probs = state._distributions.get(labels)
+    if probs is not None:
+        return probs
+    n = state.n_qubits
     if any(len(label) != n for label in labels):
         raise ValueError(f"basis {bases[0].label!r} does not match {n} qubits")
-    if state.is_density:
+    if not labels:
+        probs = np.zeros((0, 1 << n))
+    elif state.is_density:
         index, signs = _basis_tables(labels)
         probs = (state.pauli[index][:, None] @ signs)[:, 0]  # per row, as for one basis
     else:
         probs = np.abs(_basis_rotations(labels) @ state.data) ** 2
     np.maximum(probs, 0.0, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
+    probs.setflags(write=False)
+    state._distributions[labels] = probs
     return probs
 
 

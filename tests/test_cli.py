@@ -65,33 +65,42 @@ def no_run(monkeypatch):
     monkeypatch.setattr(experiments, "calibrate_confusion", refuse)
 
 
+UNWRITABLE = "not a file in an existing directory"
+SAME = "--out names the same file"
+
+
 @pytest.mark.parametrize(
-    "argv,bad",
+    "argv,bad,why",
     [
         (["dissociation", "--molecule", "h2", "--confusion", "calibrate",
-          "--out", "{tmp}/ok.csv", "--svg", "{tmp}/missing/x.svg"], "{tmp}/missing/x.svg"),
+          "--out", "{tmp}/ok.csv", "--svg", "{tmp}/missing/x.svg"], "{tmp}/missing/x.svg",
+         UNWRITABLE),
         (["dissociation", "--molecule", "h2", "--out", "{tmp}/missing/x.csv"],
-         "{tmp}/missing/x.csv"),
+         "{tmp}/missing/x.csv", UNWRITABLE),
         (["single-point", "--molecule", "h2", "--out", "{tmp}/missing/x.json"],
-         "{tmp}/missing/x.json"),
-        (["single-point", "--molecule", "h2", "--out", "{tmp}"], "{tmp}"),
+         "{tmp}/missing/x.json", UNWRITABLE),
+        (["single-point", "--molecule", "h2", "--out", "{tmp}"], "{tmp}", UNWRITABLE),
         (["noise-sweep", "--molecule", "h2", "--p2", "0.01", "--confusion", "calibrate",
-          "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv"),
+          "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv", UNWRITABLE),
         (["noise-sweep", "--molecule", "h2", "--p2", "0.01",
-          "--out", "{tmp}/ok.csv", "--svg", "{tmp}/missing/x.svg"], "{tmp}/missing/x.svg"),
-        (["calibrate", "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv"),
+          "--out", "{tmp}/ok.csv", "--svg", "{tmp}/missing/x.svg"], "{tmp}/missing/x.svg",
+         UNWRITABLE),
+        (["calibrate", "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv", UNWRITABLE),
+        # the CSV would be overwritten by the SVG
+        (["dissociation", "--molecule", "h2", "--confusion", "calibrate",
+          "--out", "{tmp}/same.txt", "--svg", "{tmp}/same.txt"], "{tmp}/same.txt", SAME),
+        (["noise-sweep", "--molecule", "h2", "--p2", "0.001,0.01",
+          "--out", "{tmp}/same.txt", "--svg", "{tmp}/./same.txt"], "{tmp}/./same.txt", SAME),
     ],
     ids=["dissociation-svg", "dissociation-out", "single-point", "single-point-dir",
-         "noise-sweep-out", "noise-sweep-svg", "calibrate"],
+         "noise-sweep-out", "noise-sweep-svg", "calibrate", "dissociation-same",
+         "noise-sweep-same"],
 )
-def test_unwritable_output_is_config_error_before_any_run(argv, bad, tmp_path, capsys, no_run):
+def test_unwritable_output_is_config_error_before_any_run(argv, bad, why, tmp_path, capsys, no_run):
     rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == (
-        f"error: cannot write {bad.replace('{tmp}', str(tmp_path))}: "
-        "not a file in an existing directory\n"
-    )
+    assert captured.err == f"error: cannot write {bad.replace('{tmp}', str(tmp_path))}: {why}\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 

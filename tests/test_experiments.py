@@ -1,6 +1,7 @@
 """Experiment drivers: config resolution, the four pipelines, file outputs."""
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import replace
 from xml.sax.saxutils import escape as sax_escape
 
@@ -16,6 +17,7 @@ from remvqe import (
     read_confusion_csv,
     write_confusion_csv,
 )
+from remvqe import sim, vqe
 from remvqe.experiments import (
     DEVICE_P2,
     MEASURE_INDEX,
@@ -268,6 +270,37 @@ def test_dissociation_runs_are_reproducible():
     a = cmd_dissociation(noisy_h2_cfg())
     b = cmd_dissociation(noisy_h2_cfg())
     assert a.csv == b.csv
+
+
+def test_dissociation_prepares_each_grid_state_once(monkeypatch):
+    # the state depends on the angle and the noise model, not on the bond
+    # length or the pipeline: the kernel runs once per grid angle, while each
+    # evaluation still reads its state and its distributions once
+    sim._program.cache_clear()
+    kernel, calls = [], Counter()
+    run = sim._TransferProgram.run
+
+    def spy_run(program, bound):
+        kernel.append(tuple(bound))
+        return run(program, bound)
+
+    def counted(name):
+        original = getattr(vqe, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(sim._TransferProgram, "run", spy_run)
+    for name in ("run_density", "_basis_probabilities"):
+        monkeypatch.setattr(vqe, name, counted(name))
+    cfg = noisy_h2_cfg()
+    res = cmd_dissociation(cfg)
+    evaluations = len(res.points) * cfg.grid_points * 2  # raw and unfolded
+    assert evaluations == 600
+    assert len(kernel) == len(set(kernel)) == cfg.grid_points == 25
+    assert calls == {"run_density": evaluations, "_basis_probabilities": evaluations}
 
 
 def test_dissociation_output_files(tmp_path):

@@ -1,6 +1,7 @@
 """Statevector/density execution, depolarizing channels, sampling, readout noise."""
 import hashlib
 import itertools
+import math
 from collections import Counter
 from functools import reduce
 
@@ -166,7 +167,8 @@ def as_state(state: np.ndarray) -> QuantumState:
 
 def run_program(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
     """The compiled program's ket, or vec(rho) of the program's Pauli vector."""
-    out = _program(circuit, noise).run(bindings)
+    program = _program(circuit, noise)
+    out = program.run(sim._bind(program.angles, bindings))
     return out if noise is None else density_matrix(out).reshape(-1)
 
 
@@ -437,7 +439,8 @@ def test_ket_program_keeps_one_op_per_rotation():
     for circuit in (uccsd, hwe, compact, fixed, clifford):
         bindings = {g.params[0].name: rng.uniform(-np.pi, np.pi) for g in circuit.gates
                     if g.params and isinstance(g.params[0], Param)}
-        compiled = _program(circuit, None).run(bindings)
+        program = _program(circuit, None)
+        compiled = program.run(sim._bind(program.angles, bindings))
         assert np.max(np.abs(compiled - evolve(circuit, bindings, None))) < 1e-12
 
 
@@ -449,7 +452,7 @@ def test_wide_ket_program_matches_per_gate_reference():
     bindings = dict(zip(spec.parameter_names(), rng.uniform(-np.pi, np.pi, spec.n_params)))
     program = _program(circuit, None)
     assert len(program.ops) == 36
-    compiled = program.run(bindings)
+    compiled = program.run(sim._bind(program.angles, bindings))
     assert np.max(np.abs(compiled - evolve(circuit, bindings, None))) < 1e-12
 
 
@@ -648,6 +651,93 @@ def test_compiled_program_is_reused(monkeypatch):
         assert not np.allclose(run({"x": -0.8}), first)
         assert len(calls) == 4
         calls.clear()
+
+
+MEMO_SPECS = {"lih-uccsd": uccsd_spec(4), "hwe4": hardware_efficient_spec(4),
+              "h2-compact": h2_compact_spec()}
+MEMO_NOISES = {"ket": None, "density": NoiseModel(p2=4e-3)}
+
+
+def memo_run(spec, noise, bindings) -> QuantumState:
+    circuit = ansatz_circuit(spec)
+    return run_statevector(circuit, bindings) if noise is None else run_density(circuit, bindings, noise)
+
+
+def state_bytes(state: QuantumState) -> bytes:
+    return (state.pauli if state.is_density else state.data).tobytes()
+
+
+@pytest.mark.parametrize("noise", list(MEMO_NOISES), ids=list(MEMO_NOISES))
+@pytest.mark.parametrize("name", list(MEMO_SPECS))
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-7.0, 7.0)),
+                min_size=12, max_size=12))
+def test_memoized_state_equals_a_fresh_run_byte_for_byte(name, noise, angles):
+    # a memo hit returns the state it kept, which is the state the program
+    # runs afresh at the same bindings, bit for bit
+    spec, noise = MEMO_SPECS[name], MEMO_NOISES[noise]
+    program = _program(ansatz_circuit(spec), noise)
+    bindings = dict(zip(spec.parameter_names(), angles))
+    first = memo_run(spec, noise, bindings)
+    assert memo_run(spec, noise, dict(bindings)) is first
+    fresh = program.run(sim._bind(program.angles, bindings))
+    assert state_bytes(first) == fresh.tobytes()
+
+
+@pytest.mark.parametrize("noise", list(MEMO_NOISES), ids=list(MEMO_NOISES))
+@pytest.mark.parametrize("name", list(MEMO_SPECS))
+def test_memo_keeps_signed_zeros_apart_and_nan_out(name, noise):
+    # 0.0 == -0.0, but sin(-0.0) is -0.0: each sign keys its own state, in
+    # either order; a NaN angle raises and keeps nothing
+    spec, noise = MEMO_SPECS[name], MEMO_NOISES[noise]
+    program = _program(ansatz_circuit(spec), noise)
+    names = spec.parameter_names()
+    for order in ((-0.0, 0.0), (0.0, -0.0)):
+        program.memo.clear()
+        for zero in order:
+            bindings = dict.fromkeys(names, zero)
+            state = memo_run(spec, noise, bindings)
+            assert state_bytes(state) == program.run(sim._bind(program.angles, bindings)).tobytes()
+        assert len(program.memo) == 2
+    with pytest.raises(ValueError):
+        memo_run(spec, noise, {p: math.nan if i == 0 else 0.1 for i, p in enumerate(names)})
+    assert len(program.memo) == 2
+
+
+def test_memo_holds_its_budget_of_states():
+    # FIFO past 2^13 floats of states: 512 two-qubit and 32 four-qubit
+    # Pauli vectors, 1024 two-qubit kets; the oldest state goes first
+    for spec, noise, budget in ((h2_compact_spec(), NoiseModel(p2=0.01), 512),
+                                (uccsd_spec(4), NoiseModel(p2=4e-3), 32),
+                                (h2_compact_spec(), None, 1024)):
+        program = _program(ansatz_circuit(spec), noise)
+        program.memo.clear()
+        names = spec.parameter_names()
+        thetas = np.linspace(-3.0, 3.0, budget + 5)
+        states = [memo_run(spec, noise, dict.fromkeys(names, t)) for t in thetas]
+        assert len(program.memo) == budget
+        assert memo_run(spec, noise, dict.fromkeys(names, thetas[-1])) is states[-1]
+        assert memo_run(spec, noise, dict.fromkeys(names, thetas[0])) is not states[0]
+        assert len(program.memo) == budget
+    # a 10-qubit Pauli vector is 4^10 floats, over the budget: one state is
+    # kept (the program, tens of MB, is compiled outside _program's cache)
+    wide = Circuit(10, (Gate("RY", (3,), (Param("a"),)), Gate("CNOT", (3, 7))))
+    program = _program.__wrapped__(wide, NoiseModel(p2=0.01))
+    states = [sim._memoized(program, {"a": a}) for a in (0.1, 0.2, 0.3)]
+    assert list(program.memo.values()) == states[-1:]
+
+
+def test_basis_distributions_are_kept_on_the_state_read_only():
+    bases = (PauliString("XZ"), PauliString("ZZ"))
+    circuit = ansatz_circuit(h2_compact_spec())
+    for state in (run_density(circuit, {"t0": 0.4}, NoiseModel(p2=0.01)),
+                  run_statevector(circuit, {"t0": 0.4})):
+        probs = _basis_probabilities(state, bases)
+        assert _basis_probabilities(state, bases) is probs
+        with pytest.raises(ValueError):
+            probs[0, 0] = 1.0
+        assert not _basis_probabilities(state, bases[1:]).flags.writeable
+        assert not _basis_probabilities(state, ()).flags.writeable
 
 
 @settings(deadline=None, max_examples=40)
