@@ -9,11 +9,12 @@ depolarizing and readout noise), `ansatz` (parameterized state families),
 molecular Hamiltonians), and `experiments` (curve / sweep / report drivers
 behind the `remvqe` command).
 """
+from types import ModuleType as _ModuleType
+
 from .ansatz import (
     AnsatzSpec,
     ansatz_circuit,
     h2_compact_spec,
-    hardware_efficient_spec,
     uccsd_excitations,
     uccsd_spec,
 )
@@ -22,7 +23,6 @@ from .chemdata import (
     MoleculeDataset,
     audit,
     builtin,
-    dump,
     load,
 )
 from .circuits import Circuit, Gate, Param, circuit_stats, gate_matrix
@@ -37,7 +37,6 @@ from .experiments import (
     cmd_dissociation,
     cmd_noise_sweep,
     cmd_single_point,
-    four_pipelines,
 )
 from .mitigation import (
     ConfusionMatrix,
@@ -68,7 +67,6 @@ from .sim import (
     QuantumState,
     apply_readout_noise,
     expectation,
-    hf_state,
     on_grid,
     run_density,
     run_statevector,
@@ -87,70 +85,8 @@ from .vqe import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnsatzSpec",
-    "Circuit",
-    "ConfigError",
-    "ConfusionMatrix",
-    "DissociationResult",
-    "EnergyEvaluator",
-    "Gate",
-    "Geometry",
-    "MeasurementGroup",
-    "MoleculeDataset",
-    "NoiseModel",
-    "NoiseSweepResult",
-    "Param",
-    "PauliHamiltonian",
-    "PauliString",
-    "PointResult",
-    "QuantumState",
-    "RemReport",
-    "RunConfig",
-    "SinglePointResult",
-    "SweepFit",
-    "VqeOutcome",
-    "ansatz_circuit",
-    "apply_readout_noise",
-    "audit",
-    "builtin",
-    "calibrate_confusion",
-    "circuit_stats",
-    "cmd_calibrate",
-    "cmd_dissociation",
-    "cmd_noise_sweep",
-    "cmd_single_point",
-    "counts_to_distribution",
-    "default_grid",
-    "device_confusion",
-    "dump",
-    "evaluate",
-    "expectation",
-    "format_confusion_csv",
-    "format_hamiltonian",
-    "four_pipelines",
-    "gate_matrix",
-    "ground_state_energy",
-    "group_terms",
-    "h2_compact_spec",
-    "hardware_efficient_spec",
-    "hf_state",
-    "load",
-    "minimize",
-    "on_grid",
-    "parse_confusion_csv",
-    "parse_hamiltonian",
-    "parse_pauli",
-    "read_confusion_csv",
-    "reference_exact_energy",
-    "rem_report",
-    "run_density",
-    "run_statevector",
-    "sample_counts",
-    "sweep_and_fit",
-    "to_dense_matrix",
-    "uccsd_excitations",
-    "uccsd_spec",
-    "unfold",
-    "write_confusion_csv",
-]
+# the public names are the ones imported above, not the submodules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -177,9 +177,3 @@ def uccsd_spec(n_qubits: int, hf_bitstring: str | None = None) -> AnsatzSpec:
     if hf_bitstring is None:
         hf_bitstring = "01" if n_qubits == 2 else "0011"
     return AnsatzSpec("uccsd", n_qubits, hf_bitstring)
-
-
-def hardware_efficient_spec(n_qubits: int = 4, hf_bitstring: str | None = None) -> AnsatzSpec:
-    if hf_bitstring is None:
-        hf_bitstring = "0" * n_qubits
-    return AnsatzSpec("hardware-efficient", n_qubits, hf_bitstring)

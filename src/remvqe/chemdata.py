@@ -23,7 +23,6 @@ from . import _moldata
 from .pauli import (
     PauliHamiltonian,
     basis_energy,
-    format_hamiltonian,
     ground_state_energy,
     parse_hamiltonian,
 )
@@ -129,20 +128,6 @@ def load(path) -> PauliHamiltonian:
         return parse_hamiltonian(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def dump(ds: MoleculeDataset, directory) -> tuple[Path, ...]:
-    """Write each geometry to `<name>_r<r>.txt`; load() round-trips them."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    safe_name = ds.name.replace("+", "p")
-    for g in ds.geometries:
-        path = directory / f"{safe_name}_r{g.r:g}.txt"
-        header = f"# {ds.name} r={g.r:g} angstrom\n"
-        path.write_text(header + format_hamiltonian(g.hamiltonian) + "\n")
-        written.append(path)
-    return tuple(written)
 
 
 _AUDIT_TOL = 5e-4  # the recorded energies carry four decimals

@@ -377,12 +377,6 @@ def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResul
     )
 
 
-def four_pipelines(cfg: RunConfig) -> PointResult:
-    """All four pipeline energies at one geometry (--r, default equilibrium)."""
-    problem = resolve(cfg, every_pipeline=True)
-    return _run_point(problem, problem.hamiltonian, 0)
-
-
 @dataclass(frozen=True)
 class _Pipeline:
     field: str  # of PointResult

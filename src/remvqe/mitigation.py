@@ -14,7 +14,10 @@ the exact minimum; they are deliberately not clamped.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -24,7 +27,11 @@ CALIBRATION_POINT = 2**32 - 1
 
 def _stream(seed: int, point: int, index: int) -> np.random.Generator:
     """The generator of draw `index` at curve or sweep point `point` of a run
-    with master seed `seed`, the package's one seed rule.
+    with master seed `seed`, the package's one seed rule:
+    default_rng(SeedSequence(seed, spawn_key=(point, index))), computed: the
+    pool after the seed and the point is kept, a call hashes in the index and
+    out the 8 words of generate_state(4, uint64), and numpy's PCG64 seeds
+    itself from them. Tests pin it to the law.
 
     (point, index) is a spawn key, not entropy: SeedSequence pads short
     entropy with zeros, so entropies of unequal length can collide. It joins
@@ -33,7 +40,80 @@ def _stream(seed: int, point: int, index: int) -> np.random.Generator:
     """
     if not (0 <= point < 2**32 and 0 <= index < 2**32):
         raise ValueError(f"spawn key entries must lie in [0, 2^32), got ({point}, {index})")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point, index)))
+    pool, steps = _point_pool(operator.index(seed), operator.index(point))
+    index, words = operator.index(index), [0] * 8
+    for k, x in enumerate(pool):  # _hash(index, steps[k], x), then words k and k + 4, inline
+        (a, b), (c, d), (e, f) = steps[k], _OUTPUT[k], _OUTPUT[k + 4]
+        h = (index ^ a) * b & _MASK
+        x = (0xCA01F9DD * x - 0x4973F715 * (h ^ h >> 16)) & _MASK
+        x ^= x >> 16
+        lo, hi = (x ^ c) * d & _MASK, (x ^ e) * f & _MASK
+        words[k], words[k + 4] = lo ^ lo >> 16, hi ^ hi >> 16
+    state = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(_pinned()(state)))
+
+
+# SeedSequence's arithmetic, fixed by NEP 19: 32-bit words, a pool of four,
+# and a hash constant that advances the same way whatever the words.
+_MASK = 0xFFFFFFFF
+
+
+def _steps(const: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) pairs of n successive hashes from `const`."""
+    consts = list(accumulate(range(n), lambda c, _: c * mult & _MASK, initial=const))
+    return tuple(zip(consts, consts[1:]))
+
+
+def _hash(word: int, step: tuple[int, int], into: int | None = None) -> int:
+    """`word` hashed at `step`, and mixed into the pool word `into` if given."""
+    word = (word ^ step[0]) * step[1] & _MASK
+    if into is None:
+        return word ^ word >> 16
+    into = (0xCA01F9DD * into - 0x4973F715 * (word ^ word >> 16)) & _MASK
+    return into ^ into >> 16
+
+
+_OUTPUT = _steps(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's: word k hashes pool word k % 4
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], tuple]:
+    """The pool after the seed's words, zero-padded to four, and the spawn key's hash steps."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed >> 32 * k & _MASK for k in range(max(4, -(-seed.bit_length() // 32)))]
+    steps = iter(_steps(0x43B0D7E5, 0x931E8875, 4 * len(words) + 8))
+    pool = [_hash(word, next(steps)) for word in words[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = _hash(pool[src], next(steps), pool[dst])
+    for word in words[4:]:
+        pool = [_hash(word, next(steps), x) for x in pool]
+    return tuple(pool), tuple(steps)
+
+
+@lru_cache(maxsize=16)  # a run draws point after point
+def _point_pool(seed: int, point: int) -> tuple[tuple[int, ...], tuple]:
+    """The pool after the point, and the hash steps of the index into each word."""
+    pool, steps = _seed_pool(seed)
+    return tuple(_hash(point, step, x) for x, step in zip(pool, steps)), steps[4:]
+
+
+@lru_cache(maxsize=1)
+def _pinned() -> type:
+    """The seed sequence that hands PCG64 its state words; made on first use, as
+    only runs that draw import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Pinned(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:  # PCG64's request, and no other
+                raise ValueError("only 4 uint64 state words are pinned")
+            return self.state
+
+    return Pinned
 
 
 # Generator.multinomial rejects a distribution whose leading entries sum to

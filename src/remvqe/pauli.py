@@ -249,11 +249,6 @@ def group_terms(h: PauliHamiltonian) -> list[MeasurementGroup]:
     return groups
 
 
-def is_compatible(term: PauliString, basis: PauliString) -> bool:
-    """True when every non-identity letter of `term` matches `basis`."""
-    return all(ch in ("I", b) for ch, b in zip(term.label, basis.label, strict=True))
-
-
 # --- plain-text Hamiltonian format ------------------------------------------
 #
 # UTF-8 lines; '#' starts a comment; header lines `qubits=<n>` and

@@ -28,9 +28,10 @@ QuantumState when the key repeats, as when one angle grid is swept at every
 bond length. A program keeps at most 2^13 floats of states, at least one,
 and drops the oldest first: 512 two-qubit and 32 four-qubit Pauli vectors,
 one at ten qubits. The budget counts each state's size, so that the 32
-cached programs bound the memos' memory too. A state keeps the (G, 2^n)
-distributions _basis_probabilities computed from it, read-only, one stack
-per tuple of basis labels.
+cached programs bound the memos' memory too. A state keeps, read-only, the
+(G, 2^n) distributions p that _basis_probabilities computed from it, one
+stack per tuple of basis labels, and the grid stacks on_grid(C p) that shot
+evaluations drew from, one per labels and value of C (or no C).
 
 Pauli strings have qubit q's letter in base-4 digit q, I, X, Y, Z = 0, 1, 2,
 3. The product of two strings is their XOR up to a phase: P Q = i^k (P ^ Q).
@@ -156,7 +157,7 @@ class QuantumState:
         if (data is None) == (pauli is None):
             raise ValueError("a state is a ket or pauli=r, not both or neither")
         self.pauli = self._data = None
-        self._distributions: dict = {}  # _basis_probabilities' stacks, by basis labels
+        self._distributions: dict = {}  # by labels, and grids by (labels, C bytes or None)
         if pauli is None:
             arr = self._data = np.array(data, dtype=complex, copy=_copy(data))
             if arr.ndim != 1 or len(arr) & (len(arr) - 1) or len(arr) == 0:
@@ -663,12 +664,3 @@ def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) ->
         )
     rng = np.random.default_rng(seed)
     return rng.multinomial(counts, confusion.matrix.T).sum(axis=-2)
-
-
-def hf_state(n_qubits: int, bitstring: str) -> QuantumState:
-    """Computational basis state |bitstring> (leftmost char = qubit n-1)."""
-    if len(bitstring) != n_qubits or set(bitstring) - {"0", "1"}:
-        raise ValueError(f"bad basis bitstring {bitstring!r} for {n_qubits} qubits")
-    psi = np.zeros(1 << n_qubits, dtype=complex)
-    psi[int(bitstring, 2)] = 1.0
-    return QuantumState(psi)

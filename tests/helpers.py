@@ -1,0 +1,43 @@
+"""Reference helpers the tests share, which no pipeline of the package calls."""
+from pathlib import Path
+
+import numpy as np
+
+from remvqe import AnsatzSpec, MoleculeDataset, PauliString, QuantumState, format_hamiltonian
+from remvqe.experiments import PointResult, RunConfig, _run_point, resolve
+
+
+def hardware_efficient_spec(n_qubits: int = 4, hf_bitstring: str | None = None) -> AnsatzSpec:
+    return AnsatzSpec("hardware-efficient", n_qubits, hf_bitstring or "0" * n_qubits)
+
+
+def hf_state(n_qubits: int, bitstring: str) -> QuantumState:
+    """Computational basis state |bitstring> (leftmost char = qubit n-1)."""
+    if len(bitstring) != n_qubits or set(bitstring) - {"0", "1"}:
+        raise ValueError(f"bad basis bitstring {bitstring!r} for {n_qubits} qubits")
+    psi = np.zeros(1 << n_qubits, dtype=complex)
+    psi[int(bitstring, 2)] = 1.0
+    return QuantumState(psi)
+
+
+def dump(ds: MoleculeDataset, directory) -> tuple[Path, ...]:
+    """Write each geometry to `<name>_r<r>.txt`, '+' spelled 'p'; chemdata.load reads them."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    written = []
+    for g in ds.geometries:
+        path = directory / f"{ds.name.replace('+', 'p')}_r{g.r:g}.txt"
+        path.write_text(f"# {ds.name} r={g.r:g} angstrom\n" + format_hamiltonian(g.hamiltonian) + "\n")
+        written.append(path)
+    return tuple(written)
+
+
+def is_compatible(term: PauliString, basis: PauliString) -> bool:
+    """True when every non-identity letter of `term` matches `basis`."""
+    return all(ch in ("I", b) for ch, b in zip(term.label, basis.label, strict=True))
+
+
+def four_pipelines(cfg: RunConfig) -> PointResult:
+    """All four pipeline energies at one geometry (--r, default equilibrium)."""
+    problem = resolve(cfg, every_pipeline=True)
+    return _run_point(problem, problem.hamiltonian, 0)

@@ -33,9 +33,10 @@ from remvqe import (
     uccsd_spec,
     unfold,
 )
-from remvqe.experiments import DEVICE_P2, RunConfig, cmd_noise_sweep, cmd_single_point, four_pipelines
+from remvqe.experiments import DEVICE_P2, RunConfig, cmd_noise_sweep, cmd_single_point
 from remvqe.pauli import basis_energy
 from remvqe.vqe import REFERENCE_INDEX
+from helpers import four_pipelines
 
 # Column layout of the benchmark rows: geometry, then exact / uncorrected /
 # readout-corrected reference energies, the three minimum energies, the two

@@ -14,8 +14,6 @@ from remvqe import (
     evaluate,
     expectation,
     h2_compact_spec,
-    hardware_efficient_spec,
-    hf_state,
     run_statevector,
     uccsd_excitations,
     uccsd_spec,
@@ -23,6 +21,7 @@ from remvqe import (
 from remvqe.ansatz import T_MAP, hartree_fock_circuit
 from remvqe.circuits import GATE_KINDS, Param
 from remvqe.experiments import ANSATZE, ConfigError, RunConfig, _resolve_ansatz
+from helpers import hardware_efficient_spec, hf_state
 
 
 def state_at(spec: AnsatzSpec, theta) -> np.ndarray:

@@ -8,11 +8,11 @@ from remvqe import (
     PauliHamiltonian,
     audit,
     builtin,
-    dump,
     ground_state_energy,
     load,
 )
 from remvqe.pauli import basis_energy
+from helpers import dump, hardware_efficient_spec
 
 ALL_NAMES = ("h2", "heh+", "lih")
 
@@ -28,7 +28,7 @@ def test_builtin_shares_one_dataset_per_name(monkeypatch):
     # one frozen dataset per normalized name: a second operation's lookups in
     # the caches keyed by its Hamiltonian find the first's entries by
     # identity and compare no Hamiltonians by value
-    from remvqe import EnergyEvaluator, NoiseModel, evaluate, hardware_efficient_spec, sim, vqe
+    from remvqe import EnergyEvaluator, NoiseModel, evaluate, sim, vqe
 
     assert builtin("lih") is builtin(" LiH")
     assert builtin("h2") is builtin("H2") and builtin("heh+") is builtin("HeH+ ")

@@ -126,10 +126,11 @@ def test_single_point_report(capsys):
 
 
 def test_single_point_convergence_warning(capsys):
+    # SPSA under shot noise spends its 2000 evaluations without meeting its stop rule
     rc = main(
         [
-            "single-point", "--molecule", "lih", "--ansatz", "hwe",
-            "--backend", "noisy", "--mitigation", "rem",
+            "single-point", "--molecule", "h2", "--backend", "noisy", "--shots", "500",
+            "--optimizer", "spsa", "--seed", "1",
         ]
     )
     captured = capsys.readouterr()

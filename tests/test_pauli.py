@@ -16,10 +16,10 @@ from remvqe import (
     group_terms,
     parse_hamiltonian,
     parse_pauli,
-    hf_state,
     to_dense_matrix,
 )
-from remvqe.pauli import _parity, basis_energy, is_compatible, sign_table
+from remvqe.pauli import _parity, basis_energy, sign_table
+from helpers import hf_state, is_compatible
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),

@@ -29,8 +29,6 @@ from remvqe import (
     ground_state_energy,
     group_terms,
     h2_compact_spec,
-    hardware_efficient_spec,
-    hf_state,
     on_grid,
     run_density,
     run_statevector,
@@ -42,6 +40,7 @@ from remvqe.ansatz import hartree_fock_circuit
 from remvqe.circuits import GATE_KINDS
 from remvqe.sim import _basis_probabilities, _program
 from remvqe.vqe import _group_energy, _group_weights
+from helpers import hardware_efficient_spec, hf_state
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),

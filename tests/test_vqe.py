@@ -18,7 +18,6 @@ from remvqe import (
     device_confusion,
     evaluate,
     h2_compact_spec,
-    hardware_efficient_spec,
     minimize,
     reference_exact_energy,
     sweep_and_fit,
@@ -41,6 +40,7 @@ from remvqe.vqe import (
     _shot_split,
     _stream,
 )
+from helpers import hardware_efficient_spec
 
 H2 = builtin("h2")
 HEH = builtin("heh+")
@@ -219,6 +219,56 @@ def test_seed_rule_rejects_key_entries_past_32_bits(key):
         _stream(0, *key)
 
 
+# key entries: anywhere in [0, 2^32), and the reserved ones
+KEY_ENTRIES = st.integers(0, 2**32 - 1) | st.sampled_from(
+    [0, REFERENCE_INDEX, MEASURE_INDEX, SPSA_INDEX, CALIBRATION_POINT])
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(0, 2**200 - 1) | st.integers(0, 2**33), KEY_ENTRIES, KEY_ENTRIES)
+def test_stream_is_the_seed_rule_law(seed, point, index):
+    # _stream computes SeedSequence's arithmetic itself; the generator is the law's
+    law = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point, index)))
+    stream = _stream(seed, point, index)
+    assert stream.bit_generator.state == law.bit_generator.state
+    assert np.array_equal(stream.random(100), law.random(100))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**64), st.integers(2**32, 2**64) | st.integers(-2**64, -1), st.booleans())
+def test_stream_rejects_key_entries_out_of_range(seed, bad, at_index):
+    key = (0, bad) if at_index else (bad, 0)
+    with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+        _stream(seed, *key)
+
+
+def test_stream_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        _stream(-1, 0, 0)
+
+
+def test_stream_seed_sequence_answers_only_pcg64s_request():
+    seq = _stream(3, 1, 2).bit_generator.seed_seq
+    assert seq.generate_state(4, np.uint64).tolist() == (
+        np.random.SeedSequence(3, spawn_key=(1, 2)).generate_state(4, np.uint64).tolist())
+    for args in ((2, np.uint64), (8, np.uint32), (4,)):
+        with pytest.raises(ValueError, match="only 4 uint64 state words"):
+            seq.generate_state(*args)
+
+
+def test_stream_calls_on_one_key_are_independent():
+    # SPSA holds its generator across evaluations: a second call on the key
+    # starts the stream afresh and leaves the first where it was
+    first = _stream(3, 1, SPSA_INDEX)
+    head = first.random(5)
+    second = _stream(3, 1, SPSA_INDEX)
+    assert second is not first and second.bit_generator is not first.bit_generator
+    assert np.array_equal(second.random(5), head)
+    law = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1, SPSA_INDEX)))
+    law.random(5)
+    assert first.random() == law.random()
+
+
 def test_identity_unfolding_preserves_sampled_energy():
     # same seed/index means both pipelines see identical counts, and an
     # identity confusion matrix makes the QP a passthrough
@@ -302,6 +352,76 @@ def test_shot_readout_draws_once_from_one_stream(monkeypatch):
         streams.clear()
         evaluate(ev, [0.3], index=7)
         assert streams == [(3, 0, 7)]
+
+
+def grid_keys(state) -> list:
+    """The (labels, C bytes or None) keys of the grids a state keeps beside
+    its basis distributions, which are keyed by labels alone."""
+    return [key for key in state._distributions if isinstance(key[0], tuple)]
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(p2=4e-3)], ids=["ket", "density"])
+@pytest.mark.parametrize("shots", [None, 700])
+@pytest.mark.parametrize("readout", ["ideal", "applied", "unfolded"])
+def test_kept_grids_give_the_energies_of_fresh_ones_bit_for_bit(readout, shots, noise):
+    # each theta is evaluated three times, so the state's kept grid is read
+    # twice; the reference clears what the state keeps before every evaluation
+    confusion = None if readout == "ideal" else device_confusion()
+    for name, spec in (("h2", h2_compact_spec()), ("heh+", uccsd_spec(2))):
+        ds = builtin(name)
+        ev = EnergyEvaluator(ds.geometry(ds.equilibrium_r).hamiltonian, spec, noise=noise,
+                             shots=shots, seed=4, confusion=confusion,
+                             unfold_matrix=confusion if readout == "unfolded" else None)
+        thetas = [np.full(spec.n_params, t) for t in (0.0, 0.4, -1.1)] * 3
+        kept = [evaluate(ev, theta, index) for index, theta in enumerate(thetas)]
+        fresh = []
+        for index, theta in enumerate(thetas):
+            _prepare(ev, theta)._distributions.clear()
+            fresh.append(evaluate(ev, theta, index))
+        assert kept == fresh
+        assert kept[0] != kept[3] or shots is None  # new draws at a kept grid
+
+
+def test_grids_are_kept_by_matrix_value_and_labels():
+    ev = h2_evaluator(noise=NoiseModel(p2=0.02), shots=500, confusion=device_confusion())
+    theta = [0.25]
+    state = _prepare(ev, theta)
+    state._distributions.clear()
+    evaluate(ev, theta)
+    # an equal matrix in a new object reads the kept grid
+    evaluate(dataclasses.replace(ev, confusion=device_confusion()), theta, 1)
+    labels = tuple(g.basis.label for g in _grouping(ev.hamiltonian))
+    assert grid_keys(state) == [(labels, device_confusion().matrix.tobytes())]
+    # another matrix and no matrix get grids of their own
+    evaluate(dataclasses.replace(ev, confusion=ConfusionMatrix.identity(2)), theta, 2)
+    evaluate(dataclasses.replace(ev, confusion=None), theta, 3)
+    assert len(grid_keys(state)) == 3
+    # so do other bases: one Hamiltonian grouped in all-X bases
+    xx = PauliHamiltonian(2, (("XX", 0.5), ("IX", 0.25)))
+    evaluate(dataclasses.replace(ev, hamiltonian=xx), theta)
+    assert grid_keys(state)[-1] == (("XX",), device_confusion().matrix.tobytes())
+    assert len(grid_keys(state)) == 4
+    # the grids are read-only, as the distributions they come from
+    assert all(not state._distributions[key].flags.writeable for key in grid_keys(state))
+
+
+def test_calibrated_curves_keep_one_grid_per_state():
+    # every curve calibrates a new unfolding matrix and builds a new applied
+    # ConfusionMatrix object; a kept state still holds one grid, for the
+    # stock matrix in h2's bases
+    from remvqe.ansatz import ansatz_circuit
+    from remvqe.experiments import DEVICE_P2, RunConfig, cmd_dissociation
+    from remvqe.sim import _program
+
+    for seed in range(20):
+        cmd_dissociation(RunConfig(
+            molecule="h2", backend="noisy", shots=200, seed=seed, confusion="calibrate",
+            mitigation="readout+rem", grid_points=5, shots_per_state=50, repeats=2))
+    states = list(_program(ansatz_circuit(h2_compact_spec()), NoiseModel(p2=DEVICE_P2)).memo.values())
+    labels = tuple(g.basis.label for g in _grouping(H2.geometry(0.7414).hamiltonian))
+    assert len(states) >= 5
+    assert all(grid_keys(state) == [(labels, device_confusion().matrix.tobytes())]
+               for state in states)
 
 
 @pytest.mark.parametrize(
