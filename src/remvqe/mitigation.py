@@ -33,6 +33,11 @@ def _stream(seed: int, point: int, index: int) -> np.random.Generator:
     out the 8 words of generate_state(4, uint64), and numpy's PCG64 seeds
     itself from them. Tests pin it to the law.
 
+    The 4 uint64 state words of the 64 most recent (seed, point, index) keys
+    are kept (`_state_words`), so a key drawn again, as an unfolded sweep
+    draws its raw sweep's keys, skips the hashing. Every call still returns a
+    fresh Generator, seeded from those words.
+
     (point, index) is a spawn key, not entropy: SeedSequence pads short
     entropy with zeros, so entropies of unequal length can collide. It joins
     the 32-bit words of the key entries, so an entry of 2^32 or more could
@@ -40,8 +45,15 @@ def _stream(seed: int, point: int, index: int) -> np.random.Generator:
     """
     if not (0 <= point < 2**32 and 0 <= index < 2**32):
         raise ValueError(f"spawn key entries must lie in [0, 2^32), got ({point}, {index})")
-    pool, steps = _point_pool(operator.index(seed), operator.index(point))
-    index, words = operator.index(index), [0] * 8
+    state = _state_words(operator.index(seed), operator.index(point), operator.index(index))
+    return np.random.Generator(np.random.PCG64(_pinned()(state)))
+
+
+@lru_cache(maxsize=64)
+def _state_words(seed: int, point: int, index: int) -> np.ndarray:
+    """generate_state(4, uint64) of the seed rule's SeedSequence at the key, read-only."""
+    pool, steps = _point_pool(seed, point)
+    words = [0] * 8
     for k, x in enumerate(pool):  # _hash(index, steps[k], x), then words k and k + 4, inline
         (a, b), (c, d), (e, f) = steps[k], _OUTPUT[k], _OUTPUT[k + 4]
         h = (index ^ a) * b & _MASK
@@ -50,7 +62,8 @@ def _stream(seed: int, point: int, index: int) -> np.random.Generator:
         lo, hi = (x ^ c) * d & _MASK, (x ^ e) * f & _MASK
         words[k], words[k + 4] = lo ^ lo >> 16, hi ^ hi >> 16
     state = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], dtype=np.uint64)
-    return np.random.Generator(np.random.PCG64(_pinned()(state)))
+    state.setflags(write=False)
+    return state
 
 
 # SeedSequence's arithmetic, fixed by NEP 19: 32-bit words, a pool of four,
@@ -246,7 +259,9 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     stacked product and one batched solve. Where that solution is feasible,
     its full step is the whole run and is taken here for all rows at once;
     other rows continue the active set from it one at a time. Each result
-    sums to 1 with entries >= 0 (tiny negatives clamped).
+    sums to 1 with entries >= 0. A full step needs no clamp: from the uniform
+    start x = 2^-n to a target t >= 0, t - x rounds to no less than -x, so
+    x + (t - x) rounds to no less than 0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim > 2 or m.shape[-1:] != (c.dim,):
@@ -255,9 +270,10 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     if not np.isfinite(rows).all():  # tested before any sum, where inf + -inf warns
         bad = rows[~np.isfinite(rows).all(axis=1)][0].tolist()
         raise ValueError(f"measured vector must be finite and sum to 1, got {bad}")
+    # a test over the list: on a few rows, numpy's per-call cost would exceed it
     sums = rows.sum(axis=1).tolist()
-    worst = max(sums, key=lambda s: abs(s - 1.0), default=1.0)
-    if not abs(worst - 1.0) <= 1e-6:
+    if not all(abs(s - 1.0) <= 1e-6 for s in sums):
+        worst = max(sums, key=lambda s: abs(s - 1.0))
         raise ValueError(f"measured vector must be finite and sum to 1, got {worst:.8f}")
     # the KKT system on every index, against the matrix built once per C; its
     # right-hand side is (b, 1) with b = C^T m formed row by row
@@ -270,40 +286,47 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     x = 1.0 / c.dim
     step = target - x
     out = x + step
-    out[np.abs(step).max(axis=1) <= _KKT_TOL] = x
-    out[out < 0.0] = 0.0
-    if not (target >= 0.0).all():
-        for g in np.flatnonzero(~(target >= 0.0).all(axis=1)):
+    near = np.abs(step) <= _KKT_TOL
+    if near.any():  # a row all of whose entries are near is stationary
+        out[near.all(axis=1)] = x
+    feasible = target >= 0.0  # False on NaN: such rows take the active set too
+    if not feasible.all():
+        for g in np.flatnonzero(~feasible.all(axis=1)):
             out[g] = _active_set(c, rhs[g, :-1, 0], sol[g])
     return out.reshape(m.shape)
 
 
-def _active_set(c: ConfusionMatrix, b: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _active_set(c: ConfusionMatrix, b: np.ndarray, first: np.ndarray) -> list[float]:
     """`unfold`'s active set for one row, from the uniform start and `first`,
     the full-support KKT solution. The KKT system is solved once per free index
     set visited (its matrix is built once per C); bounds are added at the first
-    blocking constraint and released at the most negative multiplier."""
+    blocking constraint and released at the most negative multiplier.
+
+    The solves and the gradient's product stay numpy calls; the rest is
+    Python floats, whose single operations round as numpy's elementwise ones."""
     n = len(b)
-    x = np.full(n, 1.0 / n)
+    b = b.tolist()
+    x = [1.0 / n] * n
     active: set[int] = set()
-    solved = {tuple(range(n)): (first[:-1], first[-1])}
+    solved = {tuple(range(n)): (first[:-1].tolist(), float(first[-1]))}
     for _ in range(100 * n):
         free = [i for i in range(n) if i not in active]
         key = tuple(free)
         if key not in solved:
             if key not in c._kkts:
                 c._kkts[key] = _kkt_matrix(c._gram[free][:, free])
-            sol = np.linalg.solve(c._kkts[key], np.append(b[free], 1.0))
-            target = np.zeros(n)
-            target[free] = sol[:-1]
+            sol = np.linalg.solve(c._kkts[key], np.array([b[i] for i in free] + [1.0])).tolist()
+            target = [0.0] * n
+            for i, v in zip(free, sol):
+                target[i] = v
             solved[key] = target, sol[-1]
         target, mu = solved[key]
 
-        step = target - x
-        if np.abs(step).max() <= _KKT_TOL:
+        step = [t - v for t, v in zip(target, x)]
+        if all(abs(s) <= _KKT_TOL for s in step):  # False on NaN, as numpy's max is
             # stationary on the working set; check bound multipliers
-            grad = c._gram @ x - b
-            lagrange = {i: grad[i] - mu for i in active}
+            hx = (c._gram @ np.array(x)).tolist()
+            lagrange = {i: hx[i] - b[i] - mu for i in active}
             worst = min(lagrange, key=lagrange.get, default=None)
             if worst is None or lagrange[worst] >= -_KKT_TOL:
                 break
@@ -318,14 +341,14 @@ def _active_set(c: ConfusionMatrix, b: np.ndarray, first: np.ndarray) -> np.ndar
                 if limit < alpha:
                     alpha = limit
                     blocking = i
-        x = x + alpha * step
+        x = [v + alpha * s for v, s in zip(x, step)]
         if blocking is not None:
             x[blocking] = 0.0
             active.add(blocking)
     else:
         raise RuntimeError("active-set unfolding failed to converge")
 
-    return np.where(x < 0.0, 0.0, x)
+    return [0.0 if v < 0.0 else v for v in x]
 
 
 def counts_to_distribution(counts: np.ndarray) -> np.ndarray:

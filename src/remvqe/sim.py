@@ -590,12 +590,16 @@ def _basis_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return index, signs
 
 
-def _basis_probabilities(state: QuantumState, bases: tuple[PauliString, ...]) -> np.ndarray:
+def _basis_probabilities(
+    state: QuantumState, bases: tuple[PauliString, ...], labels: tuple[str, ...] | None = None
+) -> np.ndarray:
     """Row g is the outcome distribution of `state` measured in bases[g]
     (basis letters I are measured as Z), from one batched product for all
     bases (module doc); each row equals the single-basis result bit for bit.
-    The stack is read-only and kept on the state, one per tuple of labels."""
-    labels = tuple(b.label for b in bases)
+    The stack is read-only and kept on the state, one per tuple of labels;
+    `labels`, the bases' labels, may be given by a caller that keeps them."""
+    if labels is None:
+        labels = tuple(b.label for b in bases)
     probs = state._distributions.get(labels)
     if probs is not None:
         return probs

@@ -17,7 +17,10 @@ One seed rule keys every random draw of a run: draw `index` at curve or
 sweep point `point` (0 for a single point) comes from
 default_rng(SeedSequence(seed, spawn_key=(point, index))) under the master
 `seed`; mitigation._stream computes that generator from SeedSequence's
-arithmetic, and tests pin it to the law. An evaluation draws all its groups,
+arithmetic, and tests pin it to the law. It keeps the 4 uint64 PCG64 state
+words of its 64 most recent keys, so the readout-unfolded evaluator, which
+draws the raw evaluator's keys again, skips the hashing; each call still
+returns a fresh generator. An evaluation draws all its groups,
 in group order, from the generator of its evaluation index. Reserved keys:
 the indices REFERENCE_INDEX (the reference-state measurement), MEASURE_INDEX
 (the re-measured optimum) and SPSA_INDEX (SPSA's perturbation directions),
@@ -177,7 +180,7 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     if not groups:  # nothing to measure: the energy is the offset
         return h.offset
     bases, labels = _bases(h)
-    dists = _basis_probabilities(state, bases)
+    dists = _basis_probabilities(state, bases, labels)
     if ev.shots is not None:
         # the state keeps on_grid(C p) beside its p, keyed by C's values
         key = (labels, None if confusion is None else confusion.matrix.tobytes())

@@ -16,7 +16,7 @@ from remvqe import (
     read_confusion_csv,
     write_confusion_csv,
 )
-from remvqe import sim, vqe
+from remvqe import mitigation, sim, vqe
 from remvqe.experiments import (
     ANSATZE,
     BACKENDS,
@@ -24,6 +24,7 @@ from remvqe.experiments import (
     MEASURE_INDEX,
     ConfigError,
     RunConfig,
+    _run_point,
     cmd_calibrate,
     cmd_dissociation,
     cmd_noise_sweep,
@@ -302,6 +303,27 @@ def test_dissociation_prepares_each_grid_state_once(monkeypatch):
     assert evaluations == 600
     assert len(kernel) == len(set(kernel)) == cfg.grid_points == 25
     assert calls == {"run_density": evaluations, "_basis_probabilities": evaluations}
+
+
+def test_readout_rem_sweep_point_hashes_each_key_once(monkeypatch):
+    # the unfolded sweep draws every key of the raw sweep again, and finds
+    # its state words kept
+    problem = resolve(noisy_h2_cfg(), every_pipeline=True)
+    keys = []
+
+    def spy(*key):
+        keys.append(key)
+        return mitigation._stream(*key)
+
+    monkeypatch.setattr(vqe, "_stream", spy)
+    mitigation._state_words.cache_clear()
+    h = problem.dataset.geometry(problem.dataset.equilibrium_r).hamiltonian
+    _run_point(problem, h, 3)
+    info = mitigation._state_words.cache_info()
+    distinct = set(keys)
+    assert distinct == {(42, 3, index) for index in range(problem.cfg.grid_points)}
+    assert Counter(keys) == {key: 2 for key in distinct}
+    assert (info.misses, info.hits) == (len(distinct), len(distinct))
 
 
 def test_dissociation_output_files(tmp_path):

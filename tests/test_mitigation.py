@@ -439,8 +439,66 @@ def test_unfold_validation():
         unfold(c, np.full((1, 2, 4), 0.25))
     with pytest.raises(ValueError, match="sum to 1, got 2.0"):
         unfold(c, np.array([[0.25] * 4, [0.5] * 4]))
-    empty = unfold(device_confusion(), np.empty((0, 4)))
-    assert empty.shape == (0, 4) and empty.dtype == float
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_unfold_empty_stack(n_qubits):
+    c = random_confusion(np.random.default_rng(n_qubits), n_qubits)
+    empty = unfold(c, np.empty((0, c.dim)))
+    assert empty.shape == (0, c.dim) and empty.dtype == float
+
+
+def test_unfold_error_messages():
+    # the first non-finite row is named as it is; of finite rows, the sum
+    # farthest from 1, to 8 decimals. inf and -inf in one row are rejected
+    # before any sum, so nothing warns (an error under filterwarnings = error)
+    c = device_confusion()
+    cases = [
+        ([[0.25] * 4, [0.5, 0.25, np.nan, 0.25], [np.inf] * 4], "[0.5, 0.25, nan, 0.25]"),
+        ([np.inf, -np.inf, 0.5, 0.5], "[inf, -inf, 0.5, 0.5]"),
+        ([[0.25, 0.25, 0.25, 0.75], [0.05] * 4, [0.25] * 4], "0.20000000"),
+        ([0.25, 0.25, 0.25, 0.25 + 2e-6], "1.00000200"),
+    ]
+    for m, got in cases:
+        with pytest.raises(ValueError) as err:
+            unfold(c, m)
+        assert str(err.value) == f"measured vector must be finite and sum to 1, got {got}"
+    assert unfold(c, [0.25, 0.25, 0.25, 0.25 + 5e-7]).shape == (4,)  # within 1e-6
+
+
+def test_unfold_stationary_rows_are_exactly_uniform():
+    # C times the uniform vector solves to within rounding of it, and its
+    # first step is below the stationarity tolerance: the result is 1/d exactly,
+    # alone and beside a row that takes the full step
+    rng = np.random.default_rng(4)
+    for c in (device_confusion(), random_confusion(rng, 1), random_confusion(rng, 3)):
+        uniform = c.matrix @ np.full(c.dim, 1.0 / c.dim)
+        other = c.matrix @ rng.dirichlet(np.full(c.dim, 5.0))
+        for m in (uniform, np.vstack([other, uniform])):
+            out = unfold(c, m)
+            assert out.reshape(-1, c.dim)[-1].tolist() == [1.0 / c.dim] * c.dim
+            H = c.matrix.T @ c.matrix
+            expected = [reference_active_set(H, c.matrix.T @ row) for row in m.reshape(-1, c.dim)]
+            assert out.tobytes() == np.reshape(expected, m.shape).tobytes()
+
+
+def test_unfold_row_with_a_nan_target_takes_the_active_set(monkeypatch):
+    # a NaN in a row's full-support solution is no feasible target: the row
+    # continues the active set, which cannot converge, and the call raises
+    c = device_confusion()
+    m = np.vstack([c.matrix @ np.array([0.4, 0.3, 0.2, 0.1])] * 2)
+    assert unfold(c, m).shape == (2, 4)
+    solve = np.linalg.solve
+
+    def nan_in_row(a, b):
+        sol = solve(a, b)
+        if sol.ndim == 3:  # the batched solve
+            sol[1, 2] = np.nan
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", nan_in_row)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        unfold(c, m)
 
 
 # --- counts helpers ----------------------------------------------------------

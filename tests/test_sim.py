@@ -739,6 +739,22 @@ def test_basis_distributions_are_kept_on_the_state_read_only():
         assert not _basis_probabilities(state, ()).flags.writeable
 
 
+def test_basis_distributions_with_the_callers_labels():
+    # vqe passes the labels it keeps per Hamiltonian: the same stack bit for
+    # bit as from the bases alone, and a basis of another width still fails
+    bases = (PauliString("XZ"), PauliString("YY"), PauliString("ZI"))
+    labels = ("XZ", "YY", "ZI")
+    circuit = ansatz_circuit(h2_compact_spec())
+    r = run_density(circuit, {"t0": 0.4}, NoiseModel(p2=0.01)).pauli
+    psi = run_statevector(circuit, {"t0": 0.4}).data
+    for fresh in (lambda: QuantumState(pauli=r), lambda: QuantumState(psi)):
+        given_labels = _basis_probabilities(fresh(), bases, labels)
+        assert given_labels.tobytes() == _basis_probabilities(fresh(), bases).tobytes()
+        wide = (PauliString("XZZ"),)
+        with pytest.raises(ValueError, match="does not match 2 qubits"):
+            _basis_probabilities(fresh(), wide, ("XZZ",))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.integers(1, 4).flatmap(lambda n: st.text(alphabet="XYZ", min_size=n, max_size=n)),

@@ -23,7 +23,7 @@ from remvqe import (
     sweep_and_fit,
     uccsd_spec,
 )
-from remvqe.mitigation import CALIBRATION_POINT, counts_to_distribution, unfold
+from remvqe.mitigation import CALIBRATION_POINT, _state_words, counts_to_distribution, unfold
 from remvqe.pauli import sign_table
 from remvqe.sim import _basis_probabilities
 from remvqe.vqe import (
@@ -219,6 +219,14 @@ def test_seed_rule_rejects_key_entries_past_32_bits(key):
         _stream(0, *key)
 
 
+def assert_law(seed: int, point: int, index: int) -> None:
+    """_stream at the key has the state of the seed rule's law and draws as it does."""
+    law = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point, index)))
+    stream = _stream(seed, point, index)
+    assert stream.bit_generator.state == law.bit_generator.state
+    assert np.array_equal(stream.random(100), law.random(100))
+
+
 # key entries: anywhere in [0, 2^32), and the reserved ones
 KEY_ENTRIES = st.integers(0, 2**32 - 1) | st.sampled_from(
     [0, REFERENCE_INDEX, MEASURE_INDEX, SPSA_INDEX, CALIBRATION_POINT])
@@ -228,10 +236,7 @@ KEY_ENTRIES = st.integers(0, 2**32 - 1) | st.sampled_from(
 @given(st.integers(0, 2**200 - 1) | st.integers(0, 2**33), KEY_ENTRIES, KEY_ENTRIES)
 def test_stream_is_the_seed_rule_law(seed, point, index):
     # _stream computes SeedSequence's arithmetic itself; the generator is the law's
-    law = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point, index)))
-    stream = _stream(seed, point, index)
-    assert stream.bit_generator.state == law.bit_generator.state
-    assert np.array_equal(stream.random(100), law.random(100))
+    assert_law(seed, point, index)
 
 
 @settings(deadline=None, max_examples=50)
@@ -267,6 +272,30 @@ def test_stream_calls_on_one_key_are_independent():
     law = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1, SPSA_INDEX)))
     law.random(5)
     assert first.random() == law.random()
+
+
+def test_stream_key_drawn_again_after_its_words_are_dropped():
+    # the kept state words are those of the most recent keys: a key drawn
+    # again after more than that many others is hashed afresh, to the law
+    size = _state_words.cache_info().maxsize
+    assert_law(11, 3, 7)
+    for index in range(size + 1):
+        assert_law(11, 4, index)
+    misses = _state_words.cache_info().misses
+    assert_law(11, 3, 7)
+    assert _state_words.cache_info().misses == misses + 1
+    hits = _state_words.cache_info().hits
+    assert_law(11, 3, 7)
+    assert _state_words.cache_info().hits == hits + 1
+
+
+def test_stream_keys_of_interleaved_seeds_and_points():
+    # keys that share a seed, a point or an index, drawn in interleaved
+    # order and each drawn again, all give the law's generator
+    keys = [(seed, point, index) for index in (0, 1, SPSA_INDEX)
+            for point in (0, 5, CALIBRATION_POINT) for seed in (0, 9, 2**70 + 9)]
+    for key in keys + keys[::-1] + keys[::2]:
+        assert_law(*key)
 
 
 def test_identity_unfolding_preserves_sampled_energy():
