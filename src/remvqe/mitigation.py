@@ -159,6 +159,8 @@ class ConfusionMatrix:
             raise ValueError(f"confusion columns must sum to 1 (max deviation {deviation:.2e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        # the values as bytes, read once: the key of the C p grids a state keeps
+        object.__setattr__(self, "_key", mat.tobytes())
         # unfold's H = C^T C and its full-support KKT matrix, built once per matrix
         gram = mat.T @ mat
         kkt = _kkt_matrix(gram)
@@ -255,13 +257,14 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     vector or each row of a (G, 2^n) stack.
 
     Exact primal active-set quadratic program (`_active_set`). Its first
-    iterate, the full-support KKT solution, is solved for all rows in one
-    stacked product and one batched solve. Where that solution is feasible,
-    its full step is the whole run and is taken here for all rows at once;
-    other rows continue the active set from it one at a time. Each result
-    sums to 1 with entries >= 0. A full step needs no clamp: from the uniform
-    start x = 2^-n to a target t >= 0, t - x rounds to no less than -x, so
-    x + (t - x) rounds to no less than 0.
+    iterate, the full-support KKT solution t, is solved for all rows in one
+    stacked product and one batched solve, and each row is routed by its
+    least entry of t: a stationary row (every |t - x| within tolerance of the
+    uniform start x = 2^-n) is exactly x; a feasible row (t >= 0) takes the
+    full step, x + (t - x), which is the whole run; a row that leaves the
+    simplex, or holds a NaN, continues the active set from t. Each result
+    sums to 1 with entries >= 0. A full step needs no clamp: for t >= 0,
+    t - x rounds to no less than -x, so x + (t - x) rounds to no less than 0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim > 2 or m.shape[-1:] != (c.dim,):
@@ -278,21 +281,26 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     # the KKT system on every index, against the matrix built once per C; its
     # right-hand side is (b, 1) with b = C^T m formed row by row
     rhs = np.ones((len(rows), c.dim + 1, 1))
-    rhs[:, :-1] = c.matrix.T @ rows[:, :, None]
+    np.matmul(c.matrix.T, rows[:, :, None], out=rhs[:, :-1])
     sol = np.linalg.solve(c._kkt, rhs)[:, :, 0]
     target = sol[:, :-1]
-    # a feasible target: no bound blocks the full step (alpha = 1) from the uniform
-    # start x, and the next iteration finds it stationary with no bound to release
+    # each row goes by its least target entry. Below 0 (or NaN) a bound blocks
+    # the full step (alpha = 1) from the uniform start x, and the row takes the
+    # active set; otherwise the next iteration finds the target stationary with
+    # no bound to release. A stationary row's least step is within tolerance
+    # too, so the mask is built only if some unblocked row's is: the max skips
+    # the blocked rows, as a NaN in it could hide a stationary row. A zeroed
+    # step leaves x exactly
     x = 1.0 / c.dim
     step = target - x
-    out = x + step
-    near = np.abs(step) <= _KKT_TOL
-    if near.any():  # a row all of whose entries are near is stationary
-        out[near.all(axis=1)] = x
-    feasible = target >= 0.0  # False on NaN: such rows take the active set too
-    if not feasible.all():
-        for g in np.flatnonzero(~feasible.all(axis=1)):
-            out[g] = _active_set(c, rhs[g, :-1, 0], sol[g])
+    lows = target.min(axis=1).tolist()
+    blocked = [g for g, low in enumerate(lows) if not low >= 0.0]
+    feasible = [low for low in lows if low >= 0.0] if blocked else lows
+    if max(feasible, default=-1.0) - x >= -_KKT_TOL:
+        step[(np.abs(step) <= _KKT_TOL).all(axis=1)] = 0.0
+    out = np.add(step, x, out=step)
+    for g in blocked:
+        out[g] = _active_set(c, rhs[g, :-1, 0], sol[g])
     return out.reshape(m.shape)
 
 
@@ -353,7 +361,8 @@ def _active_set(c: ConfusionMatrix, b: np.ndarray, first: np.ndarray) -> list[fl
 
 def counts_to_distribution(counts: np.ndarray) -> np.ndarray:
     """Normalized outcome distribution from a count vector, or one per row
-    of a 2-D array of count vectors."""
+    of a 2-D array of count vectors: the helper for counts from elsewhere.
+    vqe.evaluate divides its own draws by the shot split they sum to."""
     total = counts.sum(axis=-1, keepdims=True)
     if not (total > 0).all():
         raise ValueError("counts are empty")

@@ -604,8 +604,9 @@ def _basis_probabilities(
     if probs is not None:
         return probs
     n = state.n_qubits
-    if any(len(label) != n for label in labels):
-        raise ValueError(f"basis {bases[0].label!r} does not match {n} qubits")
+    wrong = [label for label in labels if len(label) != n]
+    if wrong:
+        raise ValueError(f"basis {wrong[0]!r} does not match {n} qubits")
     if not labels:
         probs = np.zeros((0, 1 << n))
     elif state.is_density:

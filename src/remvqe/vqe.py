@@ -5,13 +5,14 @@ The sampling pipeline per evaluation: group commuting terms, compute every
 group's outcome distribution p in one batched basis rotation, turn each into
 C p through the readout confusion matrix C (rounded onto on_grid's grid once
 per state, which keeps it), draw counts with one draw per group (splitting
-the shot budget equally), optionally unfold all groups' distributions at
-once, and add each group's partial energy f_g . p to the Hamiltonian offset,
-where f_g = sum_t c_t sign_t over the group's terms. Readout error acts on
-each shot alone, so N shots drawn from p and resampled through C are
-Multinomial(N, C p), the law of the one draw. Exact backends replace counts
-with the exact distributions, which keeps noisy-but-shotless runs
-deterministic.
+the shot budget equally), divide each group's counts by its share of the
+split (a draw sums to its share exactly, so no sum is taken), optionally
+unfold all groups' distributions at once, and add each group's partial
+energy f_g . p to the Hamiltonian offset, where f_g = sum_t c_t sign_t over
+the group's terms. Readout error acts on each shot alone, so N shots drawn
+from p and resampled through C are Multinomial(N, C p), the law of the one
+draw. Exact backends replace counts with the exact distributions, which
+keeps noisy-but-shotless runs deterministic.
 
 One seed rule keys every random draw of a run: draw `index` at curve or
 sweep point `point` (0 for a single point) comes from
@@ -38,7 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import AnsatzSpec, ansatz_circuit
-from .mitigation import ConfusionMatrix, _stream, counts_to_distribution, unfold
+from .mitigation import ConfusionMatrix, _stream, unfold
+from .mitigation import counts_to_distribution  # noqa: F401 (not called: perfbench/tracing.py patches this name)
 from .pauli import (
     MeasurementGroup,
     PauliHamiltonian,
@@ -153,6 +155,14 @@ def _shot_split(total: int, n_groups: int) -> tuple[int, ...]:
     return tuple(base + (1 if g < extra else 0) for g in range(n_groups))
 
 
+@lru_cache(maxsize=64)
+def _shot_column(total: int, n_groups: int) -> np.ndarray:
+    """_shot_split(total, n_groups) as a read-only (G, 1) float column."""
+    column = np.array(_shot_split(total, n_groups), dtype=float)[:, None]
+    column.setflags(write=False)
+    return column
+
+
 def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
     spec = ev.ansatz
     if len(theta) != spec.n_params:
@@ -183,7 +193,7 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     dists = _basis_probabilities(state, bases, labels)
     if ev.shots is not None:
         # the state keeps on_grid(C p) beside its p, keyed by C's values
-        key = (labels, None if confusion is None else confusion.matrix.tobytes())
+        key = (labels, None if confusion is None else confusion._key)
         grid = state._distributions.get(key)
         if grid is None:
             grid = on_grid(dists if confusion is None else dists @ confusion.matrix.T)
@@ -192,7 +202,8 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
         sampler = _stream(ev.seed, ev.point, index)
         split = _shot_split(ev.shots, len(groups))
         counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(grid, split)])
-        dists = counts_to_distribution(counts)
+        # each row sums to its share exactly, so this is counts / counts.sum(1)
+        dists = counts / _shot_column(ev.shots, len(groups))
     elif confusion is not None:
         dists = dists @ confusion.matrix.T
     if ev.unfold_matrix is not None:

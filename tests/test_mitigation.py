@@ -469,36 +469,59 @@ def test_unfold_error_messages():
 def test_unfold_stationary_rows_are_exactly_uniform():
     # C times the uniform vector solves to within rounding of it, and its
     # first step is below the stationarity tolerance: the result is 1/d exactly,
-    # alone and beside a row that takes the full step
+    # alone, beside a row that takes the full step and beside one whose target
+    # leaves the simplex (a pure outcome, which C's inverse sends negative)
     rng = np.random.default_rng(4)
     for c in (device_confusion(), random_confusion(rng, 1), random_confusion(rng, 3)):
         uniform = c.matrix @ np.full(c.dim, 1.0 / c.dim)
         other = c.matrix @ rng.dirichlet(np.full(c.dim, 5.0))
-        for m in (uniform, np.vstack([other, uniform])):
+        pure = np.eye(c.dim)[0]
+        for m in (uniform, np.vstack([other, uniform]), np.vstack([pure, uniform]),
+                  np.vstack([uniform, pure, uniform])):
             out = unfold(c, m)
             assert out.reshape(-1, c.dim)[-1].tolist() == [1.0 / c.dim] * c.dim
             H = c.matrix.T @ c.matrix
             expected = [reference_active_set(H, c.matrix.T @ row) for row in m.reshape(-1, c.dim)]
             assert out.tobytes() == np.reshape(expected, m.shape).tobytes()
+        assert 0.0 in unfold(c, pure).tolist()  # it ends on a bound: the active set ran
 
 
 def test_unfold_row_with_a_nan_target_takes_the_active_set(monkeypatch):
     # a NaN in a row's full-support solution is no feasible target: the row
-    # continues the active set, which cannot converge, and the call raises
+    # continues the active set, which cannot converge, and the call raises.
+    # The row beside it, feasible or stationary, before or after it, is routed
+    # as without the NaN; a stationary one stays exactly 1/d (a test over the
+    # whole stack, NaN included, must not skip it)
+    from remvqe import mitigation
+
     c = device_confusion()
-    m = np.vstack([c.matrix @ np.array([0.4, 0.3, 0.2, 0.1])] * 2)
-    assert unfold(c, m).shape == (2, 4)
     solve = np.linalg.solve
+    for beside in ("feasible", "stationary"):
+        for nan_row in (1, 0):
+            other = 1 - nan_row
+            m = np.vstack([c.matrix @ np.array([0.4, 0.3, 0.2, 0.1])] * 2)
+            if beside == "stationary":
+                m[other] = c.matrix @ np.full(4, 0.25)
+            clean = unfold(c, m)
 
-    def nan_in_row(a, b):
-        sol = solve(a, b)
-        if sol.ndim == 3:  # the batched solve
-            sol[1, 2] = np.nan
-        return sol
+            def nan_in_row(a, b):
+                sol = solve(a, b)
+                if sol.ndim == 3:  # the batched solve
+                    sol[nan_row, 2] = np.nan
+                return sol
 
-    monkeypatch.setattr(np.linalg, "solve", nan_in_row)
-    with pytest.raises(RuntimeError, match="failed to converge"):
-        unfold(c, m)
+            continued = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", nan_in_row)
+                with pytest.raises(RuntimeError, match="failed to converge"):
+                    unfold(c, m)
+                patch.setattr(mitigation, "_active_set",
+                              lambda c, b, first: continued.append(first) or [0.25] * 4)
+                out = unfold(c, m)
+            assert len(continued) == 1 and math.isnan(continued[0][2])
+            assert out[other].tobytes() == clean[other].tobytes()
+            if beside == "stationary":
+                assert out[other].tolist() == [0.25] * 4
 
 
 # --- counts helpers ----------------------------------------------------------

@@ -750,9 +750,12 @@ def test_basis_distributions_with_the_callers_labels():
     for fresh in (lambda: QuantumState(pauli=r), lambda: QuantumState(psi)):
         given_labels = _basis_probabilities(fresh(), bases, labels)
         assert given_labels.tobytes() == _basis_probabilities(fresh(), bases).tobytes()
-        wide = (PauliString("XZZ"),)
-        with pytest.raises(ValueError, match="does not match 2 qubits"):
-            _basis_probabilities(fresh(), wide, ("XZZ",))
+        # the error names the basis of the wrong width, not the first one
+        for wide in (("XZZ",), ("XZ", "XZZ")):
+            with pytest.raises(ValueError, match="basis 'XZZ' does not match 2 qubits"):
+                _basis_probabilities(fresh(), tuple(map(PauliString, wide)), wide)
+            with pytest.raises(ValueError, match="basis 'XZZ' does not match 2 qubits"):
+                _basis_probabilities(fresh(), tuple(map(PauliString, wide)))
 
 
 @settings(deadline=None, max_examples=40)

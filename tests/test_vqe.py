@@ -25,7 +25,7 @@ from remvqe import (
 )
 from remvqe.mitigation import CALIBRATION_POINT, _state_words, counts_to_distribution, unfold
 from remvqe.pauli import sign_table
-from remvqe.sim import _basis_probabilities
+from remvqe.sim import _basis_probabilities, on_grid
 from remvqe.vqe import (
     _SIGNS,
     _TOL,
@@ -411,14 +411,23 @@ def test_kept_grids_give_the_energies_of_fresh_ones_bit_for_bit(readout, shots, 
         assert kept[0] != kept[3] or shots is None  # new draws at a kept grid
 
 
-def test_grids_are_kept_by_matrix_value_and_labels():
+def test_grids_are_kept_by_matrix_value_and_labels(monkeypatch):
+    from remvqe import vqe
+
+    folds = []
+    monkeypatch.setattr(vqe, "on_grid", lambda p: folds.append(p) or on_grid(p))
     ev = h2_evaluator(noise=NoiseModel(p2=0.02), shots=500, confusion=device_confusion())
     theta = [0.25]
     state = _prepare(ev, theta)
     state._distributions.clear()
     evaluate(ev, theta)
-    # an equal matrix in a new object reads the kept grid
+    # an equal matrix in a new object reads the kept grid, in either memory
+    # layout: C- and F-ordered copies of the values fold C p once between them
     evaluate(dataclasses.replace(ev, confusion=device_confusion()), theta, 1)
+    values = device_confusion().matrix
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        evaluate(dataclasses.replace(ev, confusion=ConfusionMatrix(2, layout(values))), theta, 2)
+    assert len(folds) == 1
     labels = tuple(g.basis.label for g in _grouping(ev.hamiltonian))
     assert grid_keys(state) == [(labels, device_confusion().matrix.tobytes())]
     # another matrix and no matrix get grids of their own
