@@ -29,14 +29,15 @@ def _stream(seed: int, point: int, index: int) -> np.random.Generator:
     """The generator of draw `index` at curve or sweep point `point` of a run
     with master seed `seed`, the package's one seed rule:
     default_rng(SeedSequence(seed, spawn_key=(point, index))), computed: the
-    pool after the seed and the point is kept, a call hashes in the index and
-    out the 8 words of generate_state(4, uint64), and numpy's PCG64 seeds
-    itself from them. Tests pin it to the law.
+    pool after the seed and the point is kept, the index is hashed in and the
+    4 uint64 words of generate_state(4, uint64) are hashed out, and numpy's
+    PCG64 seeds itself from them. Tests pin it to the law.
 
-    The 4 uint64 state words of the 64 most recent (seed, point, index) keys
-    are kept (`_state_words`), so a key drawn again, as an unfolded sweep
-    draws its raw sweep's keys, skips the hashing. Every call still returns a
-    fresh Generator, seeded from those words.
+    The words are computed for a block of 64 consecutive indices at once
+    (`_block_words`), and the most recent blocks are kept, so the next
+    evaluation's index, and a key drawn again, as an unfolded sweep draws
+    its raw sweep's keys, costs a lookup. Every call still returns a fresh
+    Generator, seeded from those words.
 
     (point, index) is a spawn key, not entropy: SeedSequence pads short
     entropy with zeros, so entropies of unequal length can collide. It joins
@@ -45,25 +46,27 @@ def _stream(seed: int, point: int, index: int) -> np.random.Generator:
     """
     if not (0 <= point < 2**32 and 0 <= index < 2**32):
         raise ValueError(f"spawn key entries must lie in [0, 2^32), got ({point}, {index})")
-    state = _state_words(operator.index(seed), operator.index(point), operator.index(index))
-    return np.random.Generator(np.random.PCG64(_pinned()(state)))
+    index = operator.index(index)
+    words = _block_words(operator.index(seed), operator.index(point), index >> 6)[index & 63]
+    return np.random.Generator(np.random.PCG64(_pinned()(words)))
 
 
-@lru_cache(maxsize=64)
-def _state_words(seed: int, point: int, index: int) -> np.ndarray:
-    """generate_state(4, uint64) of the seed rule's SeedSequence at the key, read-only."""
-    pool, steps = _point_pool(seed, point)
-    words = [0] * 8
-    for k, x in enumerate(pool):  # _hash(index, steps[k], x), then words k and k + 4, inline
-        (a, b), (c, d), (e, f) = steps[k], _OUTPUT[k], _OUTPUT[k + 4]
-        h = (index ^ a) * b & _MASK
-        x = (0xCA01F9DD * x - 0x4973F715 * (h ^ h >> 16)) & _MASK
-        x ^= x >> 16
-        lo, hi = (x ^ c) * d & _MASK, (x ^ e) * f & _MASK
-        words[k], words[k + 4] = lo ^ lo >> 16, hi ^ hi >> 16
-    state = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], dtype=np.uint64)
-    state.setflags(write=False)
-    return state
+@lru_cache(maxsize=4)
+def _block_words(seed: int, point: int, block: int) -> np.ndarray:
+    """Read-only (64, 4) uint64: row i is generate_state(4, uint64) of the seed
+    rule's SeedSequence at index 64 * block + i, hashed on uint32 arrays, whose
+    products wrap mod 2^32 as SeedSequence's masked ones do (array arithmetic
+    wraps without warning)."""
+    base, xor, mult = _point_pool(seed, point)
+    h = (np.arange(block << 6, block + 1 << 6, dtype=np.uint32)[:, None] ^ xor) * mult
+    x = base - 0x4973F715 * (h ^ h >> 16)  # (64, 4): row i is the pool after index i
+    x ^= x >> 16
+    out = (x[:, None] ^ _OUTPUT_WORDS[0]) * _OUTPUT_WORDS[1]  # (64, 2, 4): [i, j // 4, j % 4] is word j
+    out ^= out >> 16
+    # as generate_state: uint64 word k is the 32-bit words 2k, 2k + 1 read little-endian
+    words = out.reshape(64, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    words.setflags(write=False)
+    return words
 
 
 # SeedSequence's arithmetic, fixed by NEP 19: 32-bit words, a pool of four,
@@ -86,7 +89,8 @@ def _hash(word: int, step: tuple[int, int], into: int | None = None) -> int:
     return into ^ into >> 16
 
 
-_OUTPUT = _steps(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's: word k hashes pool word k % 4
+# generate_state's (xor, multiplier) of output word j at [:, j // 4, j % 4]; it hashes pool word j % 4
+_OUTPUT_WORDS = np.array(_steps(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint32).T.reshape(2, 2, 4)
 
 
 @lru_cache(maxsize=16)
@@ -105,10 +109,15 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], tuple]:
 
 
 @lru_cache(maxsize=16)  # a run draws point after point
-def _point_pool(seed: int, point: int) -> tuple[tuple[int, ...], tuple]:
-    """The pool after the point, and the hash steps of the index into each word."""
+def _point_pool(seed: int, point: int) -> np.ndarray:
+    """Read-only (3, 4) uint32: 0xCA01F9DD times each pool word after the point
+    (the part of the index's mix that does not depend on the index), and the
+    (xor, multiplier) of the index's hash into each word."""
     pool, steps = _seed_pool(seed)
-    return tuple(_hash(point, step, x) for x, step in zip(pool, steps)), steps[4:]
+    pool = [_hash(point, step, x) for x, step in zip(pool, steps)]
+    table = np.array([[0xCA01F9DD * x & _MASK for x in pool], *zip(*steps[4:])], dtype=np.uint32)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=1)

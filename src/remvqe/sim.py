@@ -151,7 +151,9 @@ class QuantumState:
     """A norm-1 ket, QuantumState(psi), read as `data`, or a trace-1 density
     matrix held as its real Pauli vector r (module doc), QuantumState(pauli=r),
     read as `pauli` (`data` raises); each |r_P| <= 1, a necessary condition
-    only. Arrays are read-only; an input is shared only if it is."""
+    only. Arrays are read-only. An input array is held as it is, not copied,
+    only if it is read-only and of the held dtype, complex128 for a ket and
+    float64 for r, as the programs' outputs are; the checks run either way."""
 
     def __init__(self, data: np.ndarray | None = None, *, pauli: np.ndarray | None = None) -> None:
         if (data is None) == (pauli is None):
@@ -165,10 +167,13 @@ class QuantumState:
             if not abs(np.linalg.norm(arr) - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError("amplitude vector is not normalized")
         else:
-            arr = np.asarray(pauli)
-            if np.iscomplexobj(arr) and np.any(arr.imag):
-                raise ValueError("Pauli vector is not real")
-            arr = self.pauli = np.array(arr.real, dtype=float, copy=_copy(pauli))
+            arr = pauli
+            if not (type(arr) is np.ndarray and arr.dtype == float and not arr.flags.writeable):
+                arr = np.asarray(pauli)
+                if np.iscomplexobj(arr) and np.any(arr.imag):
+                    raise ValueError("Pauli vector is not real")
+                arr = np.array(arr.real, dtype=float, copy=_copy(pauli))
+            self.pauli = arr
             size = len(arr) if arr.ndim == 1 else 0
             if size & (size - 1) or size.bit_length() % 2 == 0:
                 raise ValueError(f"Pauli vector shape {arr.shape} is not (4^n,)")
@@ -335,11 +340,13 @@ class _KetProgram:
 
 
 def _bind(angles: tuple, bindings: Mapping[str, float] | None) -> list[float]:
-    """Each distinct angle of a run once: a Param resolved, a fixed angle as is."""
+    """Each distinct angle of a run once: a Param resolved inline, as
+    Param.resolve does, to scale * float(value), a fixed angle as is."""
+    values = bindings or {}
     try:
-        return [a.resolve(bindings or {}) if isinstance(a, Param) else a for a in angles]
+        return [a.scale * float(values[a.name]) if isinstance(a, Param) else a for a in angles]
     except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
+        raise ValueError(f"unbound parameter {exc.args[0]!r}") from None
 
 
 def _slotted(angles) -> tuple[tuple, tuple[int, ...]]:
@@ -590,6 +597,12 @@ def _basis_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return index, signs
 
 
+@lru_cache(maxsize=64)
+def _widths(labels: tuple[str, ...]) -> frozenset[int]:
+    """The widths of the basis labels, taken once per tuple of them."""
+    return frozenset(map(len, labels))
+
+
 def _basis_probabilities(
     state: QuantumState, bases: tuple[PauliString, ...], labels: tuple[str, ...] | None = None
 ) -> np.ndarray:
@@ -604,9 +617,9 @@ def _basis_probabilities(
     if probs is not None:
         return probs
     n = state.n_qubits
-    wrong = [label for label in labels if len(label) != n]
-    if wrong:
-        raise ValueError(f"basis {wrong[0]!r} does not match {n} qubits")
+    if not _widths(labels) <= {n}:
+        wrong = next(label for label in labels if len(label) != n)
+        raise ValueError(f"basis {wrong!r} does not match {n} qubits")
     if not labels:
         probs = np.zeros((0, 1 << n))
     elif state.is_density:
@@ -634,7 +647,8 @@ def on_grid(probs: np.ndarray) -> np.ndarray:
     and never draws an outcome less likely than that. Grid entries are
     integers below 2^53, so row sums are exact and each row of a stack equals
     that row rounded on its own."""
-    grid = np.rint(np.asarray(probs, dtype=float) * _GRID)
+    grid = np.asarray(probs, dtype=float) * _GRID
+    np.rint(grid, out=grid)
     grid /= grid.sum(axis=-1, keepdims=True)
     return grid
 
@@ -644,13 +658,15 @@ def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     from on_grid(probs) for counts that 1-ulp changes of `probs` keep.
 
     `seed` is anything np.random.default_rng accepts; a Generator is used
-    as is, so successive calls continue its stream.
+    as is, so successive calls continue its stream. An evaluation passes a
+    grid row and its Generator, which skip the general dispatch.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if np.ndim(probs) != 1:
+    if (probs.ndim if isinstance(probs, np.ndarray) else np.ndim(probs)) != 1:
         raise ValueError(f"sample_counts draws from one distribution, got shape {np.shape(probs)}")
-    return np.random.default_rng(seed).multinomial(shots, probs)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return rng.multinomial(shots, probs)
 
 
 def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) -> np.ndarray:

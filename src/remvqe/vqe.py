@@ -18,10 +18,11 @@ One seed rule keys every random draw of a run: draw `index` at curve or
 sweep point `point` (0 for a single point) comes from
 default_rng(SeedSequence(seed, spawn_key=(point, index))) under the master
 `seed`; mitigation._stream computes that generator from SeedSequence's
-arithmetic, and tests pin it to the law. It keeps the 4 uint64 PCG64 state
-words of its 64 most recent keys, so the readout-unfolded evaluator, which
-draws the raw evaluator's keys again, skips the hashing; each call still
-returns a fresh generator. An evaluation draws all its groups,
+arithmetic, and tests pin it to the law. It hashes the 4 uint64 PCG64 state
+words of 64 consecutive indices in one array pass and keeps its most recent
+such blocks, so the next evaluation's key, and the readout-unfolded
+evaluator's, which draws the raw evaluator's keys again, is a lookup; each
+call still returns a fresh generator. An evaluation draws all its groups,
 in group order, from the generator of its evaluation index. Reserved keys:
 the indices REFERENCE_INDEX (the reference-state measurement), MEASURE_INDEX
 (the re-measured optimum) and SPSA_INDEX (SPSA's perturbation directions),
@@ -169,7 +170,7 @@ def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
         raise ValueError(
             f"{spec.family} ansatz takes {spec.n_params} parameters, got {len(theta)}"
         )
-    bindings = {name: float(v) for name, v in zip(spec.parameter_names(), theta)}
+    bindings = dict(zip(spec.parameter_names(), theta))  # floats when bound (sim._bind)
     circuit = ansatz_circuit(spec)
     noise = ev.noise
     # A noise model with zero gate-error rates (a noise-sweep point at p2 = 0)
@@ -304,8 +305,8 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
         return f(x)
 
     def by_energy(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        return sim.take(ind, 0), fsim.take(ind, 0)
 
     sim = np.vstack([theta0, theta0 + 0.1 * np.eye(n)])
     fsim = np.full(n + 1, np.inf)
@@ -315,11 +316,13 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
         # sorted twice, as in the reference: argsort need not leave sorted ties alone
         sim, fsim = by_energy(*by_energy(sim, fsim))
         while len(trace) < max_evals:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _TOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _TOL):
+            # both spreads are pure, so testing the cheaper energy spread
+            # first leaves the result of the `and` as the reference's
+            if (np.abs(fsim[0] - fsim[1:]).max() <= _TOL
+                    and np.abs(sim[1:] - sim[0]).max() <= _TOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - 1 * sim[-1]
+            xr = 2 * xbar - sim[-1]  # the reference's 1 * sim[-1] is exact
             fxr = func(xr)
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]

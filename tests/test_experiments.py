@@ -306,8 +306,9 @@ def test_dissociation_prepares_each_grid_state_once(monkeypatch):
 
 
 def test_readout_rem_sweep_point_hashes_each_key_once(monkeypatch):
+    # the sweep's 25 keys share a block of 64 indices, hashed in one pass;
     # the unfolded sweep draws every key of the raw sweep again, and finds
-    # its state words kept
+    # their state words kept
     problem = resolve(noisy_h2_cfg(), every_pipeline=True)
     keys = []
 
@@ -316,14 +317,14 @@ def test_readout_rem_sweep_point_hashes_each_key_once(monkeypatch):
         return mitigation._stream(*key)
 
     monkeypatch.setattr(vqe, "_stream", spy)
-    mitigation._state_words.cache_clear()
+    mitigation._block_words.cache_clear()
     h = problem.dataset.geometry(problem.dataset.equilibrium_r).hamiltonian
     _run_point(problem, h, 3)
-    info = mitigation._state_words.cache_info()
+    info = mitigation._block_words.cache_info()
     distinct = set(keys)
     assert distinct == {(42, 3, index) for index in range(problem.cfg.grid_points)}
     assert Counter(keys) == {key: 2 for key in distinct}
-    assert (info.misses, info.hits) == (len(distinct), len(distinct))
+    assert (info.misses, info.hits) == (1, len(keys) - 1)
 
 
 def test_dissociation_output_files(tmp_path):

@@ -943,12 +943,18 @@ def test_state_validation():
     with pytest.raises(ValueError, match="not \\(4\\^n,\\)"):
         QuantumState(pauli=np.ones(8))
     # r is real, finite and within [-1, 1] (|Tr(P rho)| <= 1); a NaN trace,
-    # entry or norm fails its check
+    # entry or norm fails its check, also in a read-only float64 r, which is
+    # held as it is
     nan = float("nan")
     for r, message in (([1, 0.5j, 0, 0], "not real"), ([1, 5, 0, 0], "lie in \\[-1, 1\\]"),
                        ([1, nan, 0, 0], "finite"), ([nan, 0, 0, 0], "trace")):
         with pytest.raises(ValueError, match=message):
             QuantumState(pauli=r)
+        if message != "not real":
+            frozen = np.array(r, dtype=float)
+            frozen.setflags(write=False)
+            with pytest.raises(ValueError, match=message):
+                QuantumState(pauli=frozen)
     with pytest.raises(ValueError, match="not normalized"):
         QuantumState(np.array([nan, 0.0]))
 
@@ -966,6 +972,10 @@ def test_state_leaves_the_callers_array_alone(kind):
     frozen = np.array([1.0, 0.0, 0.0, 1.0])
     frozen.setflags(write=False)
     assert QuantumState(pauli=frozen).pauli is frozen
+    single = frozen.astype(np.float32)  # another dtype is converted, so copied
+    single.setflags(write=False)
+    held = QuantumState(pauli=single).pauli
+    assert held is not single and held.dtype == np.float64 and not held.flags.writeable
 
 
 def test_state_density_view():
@@ -1051,6 +1061,23 @@ def test_sample_counts_validation():
         draw(hf_state(1, "0"), "ZZ", 10, seed=0)
     with pytest.raises(ValueError, match="one distribution"):
         sample_counts(np.full((2, 2), 0.5), 10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [7, "sequence", "generator"])
+@pytest.mark.parametrize("as_list", [True, False])
+def test_sample_counts_any_distribution_and_seed(seed, as_list):
+    # an evaluation passes an array and a Generator; every other input still
+    # draws as default_rng(seed).multinomial and is checked as before
+    p = [0.1, 0.2, 0.3, 0.4] if as_list else np.array([0.1, 0.2, 0.3, 0.4])
+    make = {7: lambda: 7, "sequence": lambda: np.random.SeedSequence(7, spawn_key=(1, 2)),
+            "generator": lambda: np.random.default_rng(7)}[seed]
+    expected = np.random.default_rng(make()).multinomial(100, p)
+    assert np.array_equal(sample_counts(p, 100, make()), expected)
+    with pytest.raises(ValueError, match=r"^sample_counts draws from one distribution, got shape \(2, 2\)$"):
+        sample_counts([list(p)[:2], list(p)[2:]], 10, make())
+    for shots in (0, -3):
+        with pytest.raises(ValueError, match="^shots must be positive$"):
+            sample_counts(p, shots, make())
 
 
 @pytest.mark.parametrize("name", ["h2", "heh+", "lih"])

@@ -23,7 +23,7 @@ from remvqe import (
     sweep_and_fit,
     uccsd_spec,
 )
-from remvqe.mitigation import CALIBRATION_POINT, _state_words, counts_to_distribution, unfold
+from remvqe.mitigation import CALIBRATION_POINT, _block_words, counts_to_distribution, unfold
 from remvqe.pauli import sign_table
 from remvqe.sim import _basis_probabilities, on_grid
 from remvqe.vqe import (
@@ -275,18 +275,36 @@ def test_stream_calls_on_one_key_are_independent():
 
 
 def test_stream_key_drawn_again_after_its_words_are_dropped():
-    # the kept state words are those of the most recent keys: a key drawn
-    # again after more than that many others is hashed afresh, to the law
-    size = _state_words.cache_info().maxsize
+    # the kept state words are those of the most recent blocks of 64
+    # indices: a key whose block was dropped, after more than that many
+    # other blocks, is hashed afresh, to the law, and its block kept again
+    size = _block_words.cache_info().maxsize
     assert_law(11, 3, 7)
-    for index in range(size + 1):
-        assert_law(11, 4, index)
-    misses = _state_words.cache_info().misses
+    for block in range(size + 1):
+        assert_law(11, 4, 64 * block + 7)
+    misses = _block_words.cache_info().misses
     assert_law(11, 3, 7)
-    assert _state_words.cache_info().misses == misses + 1
-    hits = _state_words.cache_info().hits
-    assert_law(11, 3, 7)
-    assert _state_words.cache_info().hits == hits + 1
+    assert _block_words.cache_info().misses == misses + 1
+    hits = _block_words.cache_info().hits
+    for index in (7, 0, 63):  # the block's first and last indices too
+        assert_law(11, 3, index)
+    assert _block_words.cache_info()[:2] == (hits + 3, misses + 1)
+
+
+def test_stream_block_words_are_the_seed_rule_law():
+    # words computed 64 indices at a time: the block edges, the reserved
+    # indices (which share one block), the last index, wide seeds and the
+    # calibration point; keys of one block are drawn apart, in interleaved
+    # order and again in other orders, across more blocks than are kept
+    indices = (63, 64, 65, 127, 128, REFERENCE_INDEX, MEASURE_INDEX, SPSA_INDEX, 2**32 - 1)
+    keys = [(seed, point, index) for index in indices
+            for point in (0, 5, CALIBRATION_POINT) for seed in (0, 2**32, 2**64 + 5, 2**200)]
+    _block_words.cache_clear()
+    for key in keys + keys[::-1] + keys[::7]:
+        assert_law(*key)
+    blocks = {(seed, point, index >> 6) for seed, point, index in keys}
+    assert len(blocks) == 60 > _block_words.cache_info().maxsize
+    assert _block_words.cache_info().misses > len(blocks)  # dropped blocks came back
 
 
 def test_stream_keys_of_interleaved_seeds_and_points():
