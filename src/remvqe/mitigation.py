@@ -11,13 +11,17 @@ reference state, delta = e_vqe_ref - e_exact_ref, is subtracted pointwise from
 measured energies. The shift is affine, so it moves every point of an energy
 curve equally and never changes the argmin. Corrected energies may fall below
 the exact minimum; they are deliberately not clamped.
+
+The seed rule: draw `index` at point `point` of a run with master seed `seed`
+comes from default_rng(SeedSequence(seed, spawn_key=(point, index))), which
+`_stream` computes; calibration draws at the reserved CALIBRATION_POINT.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,17 +31,15 @@ CALIBRATION_POINT = 2**32 - 1
 
 def _stream(seed: int, point: int, index: int) -> np.random.Generator:
     """The generator of draw `index` at curve or sweep point `point` of a run
-    with master seed `seed`, the package's one seed rule:
-    default_rng(SeedSequence(seed, spawn_key=(point, index))), computed: the
-    pool after the seed and the point is kept, the index is hashed in and the
-    4 uint64 words of generate_state(4, uint64) are hashed out, and numpy's
-    PCG64 seeds itself from them. Tests pin it to the law.
-
-    The words are computed for a block of 64 consecutive indices at once
-    (`_block_words`), and the most recent blocks are kept, so the next
-    evaluation's index, and a key drawn again, as an unfolded sweep draws
-    its raw sweep's keys, costs a lookup. Every call still returns a fresh
-    Generator, seeded from those words.
+    with master seed `seed`, the seed rule's default_rng(SeedSequence(seed,
+    spawn_key=(point, index))), computed: numpy's SeedSequence(seed,
+    spawn_key=(point,)) gives the pool after the seed and the point, and
+    `_block_words` hashes the indices of a block of 64 into it and the 4
+    uint64 words of generate_state(4, uint64) out, from which numpy's PCG64
+    seeds itself. The most recent blocks are kept, so the next evaluation's
+    index, and a key drawn again, as an unfolded sweep draws its raw sweep's
+    keys, costs a lookup; every call returns a fresh Generator. Tests pin it
+    to the law.
 
     (point, index) is a spawn key, not entropy: SeedSequence pads short
     entropy with zeros, so entropies of unequal length can collide. It joins
@@ -57,9 +59,14 @@ def _block_words(seed: int, point: int, block: int) -> np.ndarray:
     rule's SeedSequence at index 64 * block + i, hashed on uint32 arrays, whose
     products wrap mod 2^32 as SeedSequence's masked ones do (array arithmetic
     wraps without warning)."""
-    base, xor, mult = _point_pool(seed, point)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    pool = np.random.SeedSequence(seed, spawn_key=(point,)).pool
+    # SeedSequence hashes 4 steps per word of the seed, zero-padded to four
+    # words, and 4 per spawn key entry; the index is the key's last entry
+    xor, mult = _index_steps(max(4, -(-seed.bit_length() // 32)))
     h = (np.arange(block << 6, block + 1 << 6, dtype=np.uint32)[:, None] ^ xor) * mult
-    x = base - 0x4973F715 * (h ^ h >> 16)  # (64, 4): row i is the pool after index i
+    x = 0xCA01F9DD * pool - 0x4973F715 * (h ^ h >> 16)  # (64, 4): row i is the pool after index i
     x ^= x >> 16
     out = (x[:, None] ^ _OUTPUT_WORDS[0]) * _OUTPUT_WORDS[1]  # (64, 2, 4): [i, j // 4, j % 4] is word j
     out ^= out >> 16
@@ -69,55 +76,25 @@ def _block_words(seed: int, point: int, block: int) -> np.ndarray:
     return words
 
 
-# SeedSequence's arithmetic, fixed by NEP 19: 32-bit words, a pool of four,
-# and a hash constant that advances the same way whatever the words.
-_MASK = 0xFFFFFFFF
+def _steps(const: int, mult: int, n: int) -> np.ndarray:
+    """Read-only (2, n) uint32: the (xor, multiplier) pairs of n successive
+    SeedSequence hashes from the hash constant `const`, which advances by
+    `mult` mod 2^32 (NEP 19 fixes both, whatever the words hashed)."""
+    consts = list(accumulate(range(n), lambda c, _: c * mult % 2**32, initial=const))
+    steps = np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+    steps.setflags(write=False)
+    return steps
 
 
-def _steps(const: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The (xor, multiplier) pairs of n successive hashes from `const`."""
-    consts = list(accumulate(range(n), lambda c, _: c * mult & _MASK, initial=const))
-    return tuple(zip(consts, consts[1:]))
-
-
-def _hash(word: int, step: tuple[int, int], into: int | None = None) -> int:
-    """`word` hashed at `step`, and mixed into the pool word `into` if given."""
-    word = (word ^ step[0]) * step[1] & _MASK
-    if into is None:
-        return word ^ word >> 16
-    into = (0xCA01F9DD * into - 0x4973F715 * (word ^ word >> 16)) & _MASK
-    return into ^ into >> 16
+@lru_cache(maxsize=8)
+def _index_steps(n_words: int) -> np.ndarray:
+    """The (xor, multiplier) rows of the index's hash into pool words 0-3 after
+    a seed of `n_words` 32-bit words and a point: the last four hash steps."""
+    return _steps(0x43B0D7E5, 0x931E8875, 4 * n_words + 8)[:, -4:]
 
 
 # generate_state's (xor, multiplier) of output word j at [:, j // 4, j % 4]; it hashes pool word j % 4
-_OUTPUT_WORDS = np.array(_steps(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint32).T.reshape(2, 2, 4)
-
-
-@lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], tuple]:
-    """The pool after the seed's words, zero-padded to four, and the spawn key's hash steps."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed >> 32 * k & _MASK for k in range(max(4, -(-seed.bit_length() // 32)))]
-    steps = iter(_steps(0x43B0D7E5, 0x931E8875, 4 * len(words) + 8))
-    pool = [_hash(word, next(steps)) for word in words[:4]]
-    for src, dst in permutations(range(4), 2):
-        pool[dst] = _hash(pool[src], next(steps), pool[dst])
-    for word in words[4:]:
-        pool = [_hash(word, next(steps), x) for x in pool]
-    return tuple(pool), tuple(steps)
-
-
-@lru_cache(maxsize=16)  # a run draws point after point
-def _point_pool(seed: int, point: int) -> np.ndarray:
-    """Read-only (3, 4) uint32: 0xCA01F9DD times each pool word after the point
-    (the part of the index's mix that does not depend on the index), and the
-    (xor, multiplier) of the index's hash into each word."""
-    pool, steps = _seed_pool(seed)
-    pool = [_hash(point, step, x) for x, step in zip(pool, steps)]
-    table = np.array([[0xCA01F9DD * x & _MASK for x in pool], *zip(*steps[4:])], dtype=np.uint32)
-    table.setflags(write=False)
-    return table
+_OUTPUT_WORDS = _steps(0x8B51F9DD, 0x58F38DED, 8).reshape(2, 2, 4)
 
 
 @lru_cache(maxsize=1)

@@ -139,7 +139,7 @@ import numpy as np
 
 from .circuits import Circuit, Param, gate_matrix
 from .mitigation import ConfusionMatrix
-from .pauli import PauliHamiltonian, PauliString, _action, _parity, _terms_matrix
+from .pauli import PauliHamiltonian, _action, _parity, _terms_matrix
 
 
 def _copy(data) -> bool | None:
@@ -603,16 +603,12 @@ def _widths(labels: tuple[str, ...]) -> frozenset[int]:
     return frozenset(map(len, labels))
 
 
-def _basis_probabilities(
-    state: QuantumState, bases: tuple[PauliString, ...], labels: tuple[str, ...] | None = None
-) -> np.ndarray:
-    """Row g is the outcome distribution of `state` measured in bases[g]
-    (basis letters I are measured as Z), from one batched product for all
-    bases (module doc); each row equals the single-basis result bit for bit.
-    The stack is read-only and kept on the state, one per tuple of labels;
-    `labels`, the bases' labels, may be given by a caller that keeps them."""
-    if labels is None:
-        labels = tuple(b.label for b in bases)
+def _basis_probabilities(state: QuantumState, labels: tuple[str, ...]) -> np.ndarray:
+    """Row g is the outcome distribution of `state` measured in the basis
+    labels[g] (basis letters I are measured as Z), from one batched product
+    for all bases (module doc); each row equals the single-basis result bit
+    for bit. The stack is read-only and kept on the state, one per tuple of
+    labels."""
     probs = state._distributions.get(labels)
     if probs is not None:
         return probs
@@ -658,15 +654,13 @@ def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     from on_grid(probs) for counts that 1-ulp changes of `probs` keep.
 
     `seed` is anything np.random.default_rng accepts; a Generator is used
-    as is, so successive calls continue its stream. An evaluation passes a
-    grid row and its Generator, which skip the general dispatch.
+    as is, so successive calls continue its stream.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     if (probs.ndim if isinstance(probs, np.ndarray) else np.ndim(probs)) != 1:
         raise ValueError(f"sample_counts draws from one distribution, got shape {np.shape(probs)}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def apply_readout_noise(counts: np.ndarray, confusion: ConfusionMatrix, seed) -> np.ndarray:

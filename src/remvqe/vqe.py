@@ -17,17 +17,14 @@ keeps noisy-but-shotless runs deterministic.
 One seed rule keys every random draw of a run: draw `index` at curve or
 sweep point `point` (0 for a single point) comes from
 default_rng(SeedSequence(seed, spawn_key=(point, index))) under the master
-`seed`; mitigation._stream computes that generator from SeedSequence's
-arithmetic, and tests pin it to the law. It hashes the 4 uint64 PCG64 state
-words of 64 consecutive indices in one array pass and keeps its most recent
-such blocks, so the next evaluation's key, and the readout-unfolded
-evaluator's, which draws the raw evaluator's keys again, is a lookup; each
-call still returns a fresh generator. An evaluation draws all its groups,
-in group order, from the generator of its evaluation index. Reserved keys:
-the indices REFERENCE_INDEX (the reference-state measurement), MEASURE_INDEX
-(the re-measured optimum) and SPSA_INDEX (SPSA's perturbation directions),
-and calibration's point mitigation.CALIBRATION_POINT, indexed by prepared
-state. A fixed seed reproduces every draw bit for bit whatever the order of
+`seed`. mitigation._stream computes that generator (its docstring says how)
+and keeps recent state words, which the readout-unfolded evaluator, drawing
+the raw evaluator's keys again, finds. An evaluation draws all its groups, in
+group order, from the generator of its evaluation index. Reserved keys: the
+indices REFERENCE_INDEX (the reference-state measurement), MEASURE_INDEX (the
+re-measured optimum) and SPSA_INDEX (SPSA's perturbation directions), and
+calibration's point mitigation.CALIBRATION_POINT, indexed by prepared state.
+A fixed seed reproduces every draw bit for bit whatever the order of
 evaluations.
 """
 from __future__ import annotations
@@ -121,10 +118,9 @@ def _grouping(h: PauliHamiltonian) -> tuple[MeasurementGroup, ...]:
 
 
 @lru_cache(maxsize=64)
-def _bases(h: PauliHamiltonian) -> tuple[tuple, tuple[str, ...]]:
-    """The measurement bases of _grouping(h), and their labels."""
-    bases = tuple(group.basis for group in _grouping(h))
-    return bases, tuple(b.label for b in bases)
+def _labels(h: PauliHamiltonian) -> tuple[str, ...]:
+    """The labels of the measurement bases of _grouping(h)."""
+    return tuple(group.basis.label for group in _grouping(h))
 
 
 @lru_cache(maxsize=64)
@@ -151,17 +147,14 @@ def _group_energy(dist: np.ndarray, weights: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=64)
-def _shot_split(total: int, n_groups: int) -> tuple[int, ...]:
+def _shot_split(total: int, n_groups: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Each group's share of `total` shots, split equally, and the shares as a
+    read-only (G, 1) float column."""
     base, extra = divmod(total, n_groups)
-    return tuple(base + (1 if g < extra else 0) for g in range(n_groups))
-
-
-@lru_cache(maxsize=64)
-def _shot_column(total: int, n_groups: int) -> np.ndarray:
-    """_shot_split(total, n_groups) as a read-only (G, 1) float column."""
-    column = np.array(_shot_split(total, n_groups), dtype=float)[:, None]
+    split = tuple(base + (1 if g < extra else 0) for g in range(n_groups))
+    column = np.array(split, dtype=float)[:, None]
     column.setflags(write=False)
-    return column
+    return split, column
 
 
 def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
@@ -190,8 +183,8 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     groups = _grouping(h)
     if not groups:  # nothing to measure: the energy is the offset
         return h.offset
-    bases, labels = _bases(h)
-    dists = _basis_probabilities(state, bases, labels)
+    labels = _labels(h)
+    dists = _basis_probabilities(state, labels)
     if ev.shots is not None:
         # the state keeps on_grid(C p) beside its p, keyed by C's values
         key = (labels, None if confusion is None else confusion._key)
@@ -201,10 +194,10 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
             grid.setflags(write=False)
             state._distributions[key] = grid
         sampler = _stream(ev.seed, ev.point, index)
-        split = _shot_split(ev.shots, len(groups))
+        split, column = _shot_split(ev.shots, len(groups))
         counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(grid, split)])
         # each row sums to its share exactly, so this is counts / counts.sum(1)
-        dists = counts / _shot_column(ev.shots, len(groups))
+        dists = counts / column
     elif confusion is not None:
         dists = dists @ confusion.matrix.T
     if ev.unfold_matrix is not None:

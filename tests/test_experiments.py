@@ -306,17 +306,25 @@ def test_dissociation_prepares_each_grid_state_once(monkeypatch):
 
 
 def test_readout_rem_sweep_point_hashes_each_key_once(monkeypatch):
-    # the sweep's 25 keys share a block of 64 indices, hashed in one pass;
-    # the unfolded sweep draws every key of the raw sweep again, and finds
-    # their state words kept
+    # the sweep's 25 keys share a block of 64 indices, hashed in one pass
+    # from one SeedSequence pool of the seed and the point; the unfolded
+    # sweep draws every key of the raw sweep again, and finds their state
+    # words kept
     problem = resolve(noisy_h2_cfg(), every_pipeline=True)
     keys = []
+    pools = []
 
     def spy(*key):
         keys.append(key)
         return mitigation._stream(*key)
 
+    def seed_sequence(*args, **kwargs):
+        pools.append((args, kwargs))
+        return built(*args, **kwargs)
+
+    built = np.random.SeedSequence
     monkeypatch.setattr(vqe, "_stream", spy)
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
     mitigation._block_words.cache_clear()
     h = problem.dataset.geometry(problem.dataset.equilibrium_r).hamiltonian
     _run_point(problem, h, 3)
@@ -325,6 +333,7 @@ def test_readout_rem_sweep_point_hashes_each_key_once(monkeypatch):
     assert distinct == {(42, 3, index) for index in range(problem.cfg.grid_points)}
     assert Counter(keys) == {key: 2 for key in distinct}
     assert (info.misses, info.hits) == (1, len(keys) - 1)
+    assert pools == [((42,), {"spawn_key": (3,)})]
 
 
 def test_dissociation_output_files(tmp_path):

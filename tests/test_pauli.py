@@ -412,7 +412,7 @@ def test_group_partial_sums_match_expectation():
             state = QuantumState(psi)
             total = h.offset
             for group in group_terms(h):
-                dist = _basis_probabilities(state, (group.basis,))[0]
+                dist = _basis_probabilities(state, (group.basis.label,))[0]
                 for t in group.members:
                     pauli, coeff = h.terms[t]
                     acc = 0.0

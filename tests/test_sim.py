@@ -727,35 +727,34 @@ def test_memo_holds_its_budget_of_states():
 
 
 def test_basis_distributions_are_kept_on_the_state_read_only():
-    bases = (PauliString("XZ"), PauliString("ZZ"))
+    labels = ("XZ", "ZZ")
     circuit = ansatz_circuit(h2_compact_spec())
     for state in (run_density(circuit, {"t0": 0.4}, NoiseModel(p2=0.01)),
                   run_statevector(circuit, {"t0": 0.4})):
-        probs = _basis_probabilities(state, bases)
-        assert _basis_probabilities(state, bases) is probs
+        probs = _basis_probabilities(state, labels)
+        assert _basis_probabilities(state, labels) is probs
         with pytest.raises(ValueError):
             probs[0, 0] = 1.0
-        assert not _basis_probabilities(state, bases[1:]).flags.writeable
+        assert not _basis_probabilities(state, labels[1:]).flags.writeable
         assert not _basis_probabilities(state, ()).flags.writeable
 
 
 def test_basis_distributions_with_the_callers_labels():
-    # vqe passes the labels it keeps per Hamiltonian: the same stack bit for
-    # bit as from the bases alone, and a basis of another width still fails
-    bases = (PauliString("XZ"), PauliString("YY"), PauliString("ZI"))
+    # vqe passes the labels it keeps per Hamiltonian: each row of the stack
+    # is that of its basis alone bit for bit, and a basis of another width
+    # still fails
     labels = ("XZ", "YY", "ZI")
     circuit = ansatz_circuit(h2_compact_spec())
     r = run_density(circuit, {"t0": 0.4}, NoiseModel(p2=0.01)).pauli
     psi = run_statevector(circuit, {"t0": 0.4}).data
     for fresh in (lambda: QuantumState(pauli=r), lambda: QuantumState(psi)):
-        given_labels = _basis_probabilities(fresh(), bases, labels)
-        assert given_labels.tobytes() == _basis_probabilities(fresh(), bases).tobytes()
+        given_labels = _basis_probabilities(fresh(), labels)
+        for row, label in zip(given_labels, labels):
+            assert row.tobytes() == _basis_probabilities(fresh(), (label,))[0].tobytes()
         # the error names the basis of the wrong width, not the first one
         for wide in (("XZZ",), ("XZ", "XZZ")):
             with pytest.raises(ValueError, match="basis 'XZZ' does not match 2 qubits"):
-                _basis_probabilities(fresh(), tuple(map(PauliString, wide)), wide)
-            with pytest.raises(ValueError, match="basis 'XZZ' does not match 2 qubits"):
-                _basis_probabilities(fresh(), tuple(map(PauliString, wide)))
+                _basis_probabilities(fresh(), wide)
 
 
 @settings(deadline=None, max_examples=40)
@@ -768,9 +767,8 @@ def test_basis_probabilities_density_matches_ket(label, seed):
     dim = 1 << len(label)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    basis = PauliString(label)
-    ket = _basis_probabilities(QuantumState(psi), (basis,))[0]
-    density = _basis_probabilities(as_state(np.outer(psi, psi.conj())), (basis,))[0]
+    ket = _basis_probabilities(QuantumState(psi), (label,))[0]
+    density = _basis_probabilities(as_state(np.outer(psi, psi.conj())), (label,))[0]
     assert np.max(np.abs(ket - density)) < 1e-12
 
 
@@ -796,7 +794,7 @@ def test_basis_probabilities_match_per_qubit_rotations(label, seed):
             if basis.char_on(q) in rotation:
                 v = apply_gate(v, rotation[basis.char_on(q)], (q,), n, p)
         ref = np.abs(v) ** 2 if p is None else np.real(v[:: (1 << n) + 1])
-        fast = _basis_probabilities(as_state(state), (basis,))[0]
+        fast = _basis_probabilities(as_state(state), (label,))[0]
         assert np.max(np.abs(fast - ref / ref.sum())) < 1e-12
 
 
@@ -826,12 +824,12 @@ def test_batched_basis_probabilities_match_single_basis_bit_for_bit(labels, seed
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi /= np.linalg.norm(psi)
     rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(1 << n) / (1 << n)
-    bases = tuple(PauliString(label) for label in labels)
+    labels = tuple(labels)
     for state in (psi, rho):
-        batched = _basis_probabilities(as_state(state), bases)
+        batched = _basis_probabilities(as_state(state), labels)
         assert batched.shape == (len(labels), 1 << n)
         for row, label in zip(batched, labels):
-            single = _basis_probabilities(as_state(state), (PauliString(label),))[0]
+            single = _basis_probabilities(as_state(state), (label,))[0]
             assert np.array_equal(row, single)
             if state.ndim == 1:
                 assert np.array_equal(row, single_basis_probabilities(state, label))
@@ -864,7 +862,7 @@ def test_pauli_vector_measurements_match_density_matrix(case):
     n = circuit.n_qubits
     rho = evolve(circuit, bindings, noise).reshape(1 << n, 1 << n)
     state = run_density(circuit, bindings, noise)
-    probs = _basis_probabilities(state, bases)
+    probs = _basis_probabilities(state, tuple(basis.label for basis in bases))
     for row, basis in zip(probs, bases):
         assert np.max(np.abs(row - single_basis_probabilities(rho, basis.label))) < 1e-12
     dense = sum(c * reduce(np.kron, [PAULI_1Q[ch] for ch in p.label]) for p, c in h.terms)
@@ -876,7 +874,7 @@ def test_basis_must_match_state_qubits():
     circuit = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
     for state in (run_density(circuit, noise=NoiseModel(p2=0.01)), run_statevector(circuit)):
         with pytest.raises(ValueError, match="basis 'ZZZZ' does not match 2 qubits"):
-            _basis_probabilities(state, (PauliString("ZZZZ"),))
+            _basis_probabilities(state, ("ZZZZ",))
 
 
 def test_total_probability_three_quarters_fully_mixes():
@@ -1010,7 +1008,7 @@ def test_hf_state():
 
 def draw(state: QuantumState, label: str, shots: int, seed) -> np.ndarray:
     """Counts of `shots` measurements of `state` in the basis `label`."""
-    return sample_counts(_basis_probabilities(state, (PauliString(label),))[0], shots, seed)
+    return sample_counts(_basis_probabilities(state, (label,))[0], shots, seed)
 
 
 def test_sample_counts_deterministic_state():
@@ -1087,8 +1085,8 @@ def test_sample_counts_ignore_one_ulp_changes_of_reference_distributions(name):
     # swap unless the distribution is first put on a coarser grid (on_grid).
     ds = builtin(name)
     h = ds.geometry(ds.equilibrium_r).hamiltonian
-    bases = tuple(group.basis for group in group_terms(h))
-    probs = _basis_probabilities(hf_state(ds.n_qubits, ds.hf_bitstring), bases)
+    labels = tuple(group.basis.label for group in group_terms(h))
+    probs = _basis_probabilities(hf_state(ds.n_qubits, ds.hf_bitstring), labels)
     alternate = np.arange(probs.shape[1]) % 2 == 0
     for p in probs:
         up = np.where(p > 0, np.nextafter(p, 2.0), 0.0)
@@ -1111,7 +1109,7 @@ def grid_row_reference(p: np.ndarray) -> np.ndarray:
 def test_on_grid_rounds_a_stack_row_by_row_bit_for_bit(name):
     ds = builtin(name)
     h = ds.geometry(ds.equilibrium_r).hamiltonian
-    bases = tuple(group.basis for group in group_terms(h))
+    labels = tuple(group.basis.label for group in group_terms(h))
     n = ds.n_qubits
     rng = np.random.default_rng(7)
     spec = hardware_efficient_spec(n)
@@ -1125,7 +1123,7 @@ def test_on_grid_rounds_a_stack_row_by_row_bit_for_bit(name):
     raw = rng.dirichlet(np.full(1 << n, 0.2), size=6)
     raw[0, 0] = 2.0**-42  # rounds to an empty outcome
     raw[1, :2] = 1.5 * 2.0**-40  # rounds half to even
-    stacks = [_basis_probabilities(state, bases) for state in states] + [raw]
+    stacks = [_basis_probabilities(state, labels) for state in states] + [raw]
     for stack in stacks:
         grid = on_grid(stack)
         assert grid.shape == stack.shape

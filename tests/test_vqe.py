@@ -116,7 +116,7 @@ def test_noisy_evaluations_stay_on_the_pauli_vector(monkeypatch):
     with pytest.raises(AssertionError, match="Pauli-vector path"):
         sim.expectation(H2.geometry(0.7414).hamiltonian, ket)
     with pytest.raises(AssertionError, match="Pauli-vector path"):
-        sim._basis_probabilities(ket, (sim.PauliString("ZZ"),))
+        sim._basis_probabilities(ket, ("ZZ",))
     with pytest.raises(ValueError, match=r"\.pauli"):
         sim.run_density(sim.Circuit(1, ()), noise=NoiseModel(p2=0.02)).data
 
@@ -307,6 +307,15 @@ def test_stream_block_words_are_the_seed_rule_law():
     assert _block_words.cache_info().misses > len(blocks)  # dropped blocks came back
 
 
+@pytest.mark.parametrize("seed", [2**96, 2**128 - 1, 2**128, 2**160 - 1, 2**160])
+def test_stream_at_the_seed_word_count_boundaries(seed):
+    # the index's hash steps follow those of the seed's 32-bit words, four
+    # at least: the seeds on each side of 4, 5 and 6 words
+    for point in (0, CALIBRATION_POINT):
+        for index in (0, 63, 64, SPSA_INDEX):
+            assert_law(seed, point, index)
+
+
 def test_stream_keys_of_interleaved_seeds_and_points():
     # keys that share a seed, a point or an index, drawn in interleaved
     # order and each drawn again, all give the law's generator
@@ -335,10 +344,10 @@ def group_by_group_energy(ev: EnergyEvaluator, theta, index: int) -> float:
     reference for evaluate, which folds and rounds all groups at once."""
     h = ev.hamiltonian
     groups = _grouping(h)
-    probs = _basis_probabilities(_prepare(ev, theta), tuple(g.basis for g in groups))
+    probs = _basis_probabilities(_prepare(ev, theta), tuple(g.basis.label for g in groups))
     sampler = _stream(ev.seed, ev.point, index)
     rows = []
-    for p, shots in zip(probs, _shot_split(ev.shots, len(groups))):
+    for p, shots in zip(probs, _shot_split(ev.shots, len(groups))[0]):
         if ev.confusion is not None:
             p = p @ ev.confusion.matrix.T
         grid = np.rint(p * 2.0**40)
