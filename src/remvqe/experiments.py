@@ -50,7 +50,7 @@ from .vqe import (
     EnergyEvaluator,
     SweepFit,
     VqeOutcome,
-    _grouping,
+    _plan,
     default_grid,
     evaluate,
     minimize,
@@ -69,6 +69,12 @@ OPTIMIZERS = ("nelder-mead", "spsa", "sweep")
 # (nbytes at 4-8 qubits). The 30 rotations of a 10-qubit hardware-efficient
 # chain all pair: 0.53 GiB. A higher limit needs a measured 11-qubit run.
 _NOISY_LIMIT = 10
+# Caps on the size options (README "Readout models" and "Datasets"): numpy
+# draws int64 counts; a sweep keeps its angles and energies in arrays and
+# tuples, about 150 B per grid point at peak; a calibration stacks its shares
+# in (repeats, 2^n, 2^n) arrays, 20 MB each at the cap on 4 qubits.
+_CAPS = (("shots", 2**63 - 1), ("shots_per_state", 2**63 - 1),
+         ("grid_points", 10**5), ("repeats", 10**4))
 
 
 class ConfigError(ValueError):
@@ -137,6 +143,9 @@ def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | No
     for budget in ("shots_per_state", "repeats"):  # calibration's, checked where unused too
         if getattr(cfg, budget) <= 0:
             raise ConfigError(f"{budget} must be positive")
+    for name, cap in _CAPS:
+        if (getattr(cfg, name) or 0) > cap:
+            raise ConfigError(f"{name} must be at most {cap}, got {getattr(cfg, name)}")
     src = cfg.confusion
     if src == "ideal":
         return None
@@ -258,7 +267,7 @@ def resolve(cfg: RunConfig, every_pipeline: bool = False) -> _Problem:
         )
     if cfg.shots is not None:
         # each measurement group needs a shot, at every geometry a command may run
-        n_groups = max(len(_grouping(h)) for h in hamiltonians)
+        n_groups = max(len(_plan(h)[0]) for h in hamiltonians)
         if cfg.shots < n_groups:
             raise ConfigError(
                 f"{cfg.shots} shots cannot cover the {n_groups} measurement "

@@ -30,8 +30,9 @@ and drops the oldest first: 512 two-qubit and 32 four-qubit Pauli vectors,
 one at ten qubits. The budget counts each state's size, so that the 32
 cached programs bound the memos' memory too. A state keeps, read-only, the
 (G, 2^n) distributions p that _basis_probabilities computed from it, one
-stack per tuple of basis labels, and the grid stacks on_grid(C p) that shot
-evaluations drew from, one per labels and value of C (or no C).
+stack per tuple of basis labels, and the grid stacks on_grid(C p) that
+_sampling_grid gave shot evaluations to draw from, one per labels and value
+of C (or no C).
 
 Pauli strings have qubit q's letter in base-4 digit q, I, X, Y, Z = 0, 1, 2,
 3. The product of two strings is their XOR up to a phase: P Q = i^k (P ^ Q).
@@ -646,6 +647,23 @@ def on_grid(probs: np.ndarray) -> np.ndarray:
     grid = np.asarray(probs, dtype=float) * _GRID
     np.rint(grid, out=grid)
     grid /= grid.sum(axis=-1, keepdims=True)
+    return grid
+
+
+def _sampling_grid(
+    state: QuantumState, labels: tuple[str, ...], confusion: ConfusionMatrix | None
+) -> np.ndarray:
+    """on_grid(p), or on_grid(C p) row by row for the readout matrix C =
+    `confusion`, where p = _basis_probabilities(state, labels): the stack a
+    shot evaluation draws from. It is read-only and kept on the state, one
+    per labels and value of C (its bytes), or no C."""
+    key = (labels, None if confusion is None else confusion._key)
+    grid = state._distributions.get(key)
+    if grid is None:
+        probs = _basis_probabilities(state, labels)
+        grid = on_grid(probs if confusion is None else probs @ confusion.matrix.T)
+        grid.setflags(write=False)
+        state._distributions[key] = grid
     return grid
 
 

@@ -3,8 +3,8 @@ sweep-and-fit procedure.
 
 The sampling pipeline per evaluation: group commuting terms, compute every
 group's outcome distribution p in one batched basis rotation, turn each into
-C p through the readout confusion matrix C (rounded onto on_grid's grid once
-per state, which keeps it), draw counts with one draw per group (splitting
+C p through the readout confusion matrix C (rounded onto sim's sampling grid
+once per state, which keeps it), draw counts with one draw per group (splitting
 the shot budget equally), divide each group's counts by its share of the
 split (a draw sums to its share exactly, so no sum is taken), optionally
 unfold all groups' distributions at once, and add each group's partial
@@ -39,20 +39,14 @@ import numpy as np
 from .ansatz import AnsatzSpec, ansatz_circuit
 from .mitigation import ConfusionMatrix, _stream, unfold
 from .mitigation import counts_to_distribution  # noqa: F401 (not called: perfbench/tracing.py patches this name)
-from .pauli import (
-    MeasurementGroup,
-    PauliHamiltonian,
-    basis_energy,
-    group_terms,
-    sign_table,
-)
+from .pauli import PauliHamiltonian, basis_energy, group_terms, sign_table
 from .sim import (
     NoiseModel,
     QuantumState,
     _basis_probabilities,
+    _sampling_grid,
     apply_readout_noise,  # noqa: F401 (not called: perfbench/tracing.py patches this name)
     expectation,
-    on_grid,
     run_density,
     run_statevector,
     sample_counts,
@@ -104,31 +98,30 @@ class EnergyEvaluator:
             return
         if self.shots <= 0:
             raise ValueError("shots must be positive when sampling")
-        n_groups = len(_grouping(self.hamiltonian))
+        n_groups = len(_plan(self.hamiltonian)[0])
         if self.shots < n_groups:
             raise ValueError(
                 f"{self.shots} shots cannot cover the {n_groups} measurement groups "
                 f"of one energy evaluation"
             )
+        # each group's share of the shots, split equally, and the shares as a
+        # read-only (G, 1) float column (no groups, no shares)
+        base, extra = divmod(self.shots, max(n_groups, 1))
+        split = tuple(base + (g < extra) for g in range(n_groups))
+        column = np.array(split, dtype=float)[:, None]
+        column.setflags(write=False)
+        object.__setattr__(self, "_split", split)
+        object.__setattr__(self, "_column", column)
 
 
 @lru_cache(maxsize=64)
-def _grouping(h: PauliHamiltonian) -> tuple[MeasurementGroup, ...]:
-    return tuple(group_terms(h))
-
-
-@lru_cache(maxsize=64)
-def _labels(h: PauliHamiltonian) -> tuple[str, ...]:
-    """The labels of the measurement bases of _grouping(h)."""
-    return tuple(group.basis.label for group in _grouping(h))
-
-
-@lru_cache(maxsize=64)
-def _group_weights(h: PauliHamiltonian) -> np.ndarray:
-    """Row g is f_g = sum_t c_t sign_t over the terms t of group g of
-    _grouping(h), read-only."""
+def _plan(h: PauliHamiltonian) -> tuple[tuple[str, ...], np.ndarray]:
+    """How h is measured: the basis labels of its qubit-wise commuting groups
+    (group_terms), and the read-only (G, 2^n) weights whose row g is
+    f_g = sum_t c_t sign_t over the terms t of group g."""
+    groups = group_terms(h)
     rows = []
-    for group in _grouping(h):
+    for group in groups:
         f = np.zeros(1 << h.n_qubits)
         for t in group.members:
             pauli, coeff = h.terms[t]
@@ -136,7 +129,7 @@ def _group_weights(h: PauliHamiltonian) -> np.ndarray:
         rows.append(f)
     weights = np.array(rows).reshape(len(rows), 1 << h.n_qubits)
     weights.setflags(write=False)
-    return weights
+    return tuple(group.basis.label for group in groups), weights
 
 
 def _group_energy(dist: np.ndarray, weights: np.ndarray) -> float:
@@ -144,17 +137,6 @@ def _group_energy(dist: np.ndarray, weights: np.ndarray) -> float:
     in its basis, or the sum of those of all groups from (G, 2^n) rows of
     distributions and weights (offset excluded)."""
     return float(np.vdot(weights, dist))
-
-
-@lru_cache(maxsize=64)
-def _shot_split(total: int, n_groups: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Each group's share of `total` shots, split equally, and the shares as a
-    read-only (G, 1) float column."""
-    base, extra = divmod(total, n_groups)
-    split = tuple(base + (1 if g < extra else 0) for g in range(n_groups))
-    column = np.array(split, dtype=float)[:, None]
-    column.setflags(write=False)
-    return split, column
 
 
 def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
@@ -180,29 +162,22 @@ def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> flo
     confusion = ev.confusion
     if ev.shots is None and confusion is None and ev.unfold_matrix is None:
         return float(expectation(h, state))
-    groups = _grouping(h)
-    if not groups:  # nothing to measure: the energy is the offset
+    labels, weights = _plan(h)
+    if not labels:  # nothing to measure: the energy is the offset
         return h.offset
-    labels = _labels(h)
-    dists = _basis_probabilities(state, labels)
     if ev.shots is not None:
-        # the state keeps on_grid(C p) beside its p, keyed by C's values
-        key = (labels, None if confusion is None else confusion._key)
-        grid = state._distributions.get(key)
-        if grid is None:
-            grid = on_grid(dists if confusion is None else dists @ confusion.matrix.T)
-            grid.setflags(write=False)
-            state._distributions[key] = grid
         sampler = _stream(ev.seed, ev.point, index)
-        split, column = _shot_split(ev.shots, len(groups))
-        counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(grid, split)])
+        grid = _sampling_grid(state, labels, confusion)
+        counts = np.array([sample_counts(p, shots, sampler) for p, shots in zip(grid, ev._split)])
         # each row sums to its share exactly, so this is counts / counts.sum(1)
-        dists = counts / column
-    elif confusion is not None:
-        dists = dists @ confusion.matrix.T
+        dists = counts / ev._column
+    else:
+        dists = _basis_probabilities(state, labels)
+        if confusion is not None:
+            dists = dists @ confusion.matrix.T
     if ev.unfold_matrix is not None:
         dists = unfold(ev.unfold_matrix, dists)
-    return h.offset + _group_energy(dists, _group_weights(h))
+    return h.offset + _group_energy(dists, weights)
 
 
 def reference_exact_energy(ev: EnergyEvaluator) -> float:

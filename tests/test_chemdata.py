@@ -32,7 +32,7 @@ def test_builtin_shares_one_dataset_per_name(monkeypatch):
 
     assert builtin("lih") is builtin(" LiH")
     assert builtin("h2") is builtin("H2") and builtin("heh+") is builtin("HeH+ ")
-    caches = (sim._term_vectors, vqe._grouping, vqe._group_weights)
+    caches = (sim._term_vectors, vqe._plan)
     for cache in caches:
         cache.cache_clear()
 

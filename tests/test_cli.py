@@ -375,6 +375,37 @@ def test_calibrate_rejects_empty_budget(flag, message, capsys):
     assert captured.out == ""
 
 
+INT64_MAX = 2**63 - 1  # numpy draws int64 counts
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["single-point", "--molecule", "h2", "--backend", "noisy", "--shots", str(10**20)],
+         f"shots must be at most {INT64_MAX}, got {10**20}"),
+        (["calibrate", "--shots-per-state", str(10**20), "--repeats", "2"],
+         f"shots_per_state must be at most {INT64_MAX}, got {10**20}"),
+        (["single-point", "--molecule", "h2", "--grid-points", str(10**12)],
+         f"grid_points must be at most 100000, got {10**12}"),
+        (["calibrate", "--repeats", str(10**10)], f"repeats must be at most 10000, got {10**10}"),
+    ],
+    ids=["shots", "shots-per-state", "grid-points", "repeats"],
+)
+def test_oversized_sizes_are_config_errors_before_any_draw(argv, message, capsys, no_run):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_largest_shot_counts_are_drawn(capsys):
+    assert main(["single-point", "--molecule", "h2", "--backend", "noisy",
+                 "--shots", str(INT64_MAX)]) == 0
+    assert main(["calibrate", "--shots-per-state", str(INT64_MAX), "--repeats", "2"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_calibrate_takes_width_from_confusion_csv(tmp_path, capsys):
     # without --molecule the CSV's own width applies; with one it must match
     path = tmp_path / "one.csv"

@@ -11,8 +11,10 @@ from hypothesis import given, strategies as st
 
 from remvqe import (
     ConfusionMatrix,
+    NoiseModel,
     builtin,
     device_confusion,
+    h2_compact_spec,
     read_confusion_csv,
     write_confusion_csv,
 )
@@ -276,8 +278,10 @@ def test_dissociation_runs_are_reproducible():
 
 def test_dissociation_prepares_each_grid_state_once(monkeypatch):
     # the state depends on the angle and the noise model, not on the bond
-    # length or the pipeline: the kernel runs once per grid angle, while each
-    # evaluation still reads its state and its distributions once
+    # length or the pipeline: the kernel runs once per grid angle, and each
+    # evaluation reads its state once; the state's basis distributions are
+    # computed once, when its sampling grid is built, since h2's geometries
+    # share their bases and both pipelines apply the one stock matrix
     sim._program.cache_clear()
     kernel, calls = [], Counter()
     run = sim._TransferProgram.run
@@ -286,8 +290,8 @@ def test_dissociation_prepares_each_grid_state_once(monkeypatch):
         kernel.append(tuple(bound))
         return run(program, bound)
 
-    def counted(name):
-        original = getattr(vqe, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def spy(*args, **kwargs):
             calls[name] += 1
@@ -295,14 +299,39 @@ def test_dissociation_prepares_each_grid_state_once(monkeypatch):
         return spy
 
     monkeypatch.setattr(sim._TransferProgram, "run", spy_run)
-    for name in ("run_density", "_basis_probabilities"):
-        monkeypatch.setattr(vqe, name, counted(name))
+    monkeypatch.setattr(vqe, "run_density", counted(vqe, "run_density"))
+    basis = counted(sim, "_basis_probabilities")
+    for module in (sim, vqe):
+        monkeypatch.setattr(module, "_basis_probabilities", basis)
     cfg = noisy_h2_cfg()
     res = cmd_dissociation(cfg)
     evaluations = len(res.points) * cfg.grid_points * 2  # raw and unfolded
     assert evaluations == 600
     assert len(kernel) == len(set(kernel)) == cfg.grid_points == 25
-    assert calls == {"run_density": evaluations, "_basis_probabilities": evaluations}
+    assert len({vqe._plan(g.hamiltonian)[0] for g in builtin("h2").geometries}) == 1
+    assert calls == {"run_density": evaluations, "_basis_probabilities": cfg.grid_points}
+
+
+def test_dissociation_plans_each_geometry_once_and_builds_each_grid_once(monkeypatch):
+    # one curve groups each geometry's Hamiltonian once (vqe._plan), and
+    # rounds each state's distributions onto its sampling grid once per
+    # (labels, C) (sim._sampling_grid): every later evaluation of the state,
+    # at any bond length and in either pipeline, draws from the kept grid
+    from remvqe.ansatz import ansatz_circuit
+
+    vqe._plan.cache_clear()
+    sim._program.cache_clear()
+    grouped, folds = [], []
+    group_terms, on_grid = vqe.group_terms, sim.on_grid
+    monkeypatch.setattr(vqe, "group_terms", lambda h: grouped.append(h) or group_terms(h))
+    monkeypatch.setattr(sim, "on_grid", lambda p: folds.append(p) or on_grid(p))
+    cfg = noisy_h2_cfg()
+    res = cmd_dissociation(cfg)
+    assert len(grouped) == len(set(grouped)) == len(res.points) == 12
+    program = sim._program(ansatz_circuit(h2_compact_spec()), NoiseModel(p2=DEVICE_P2))
+    keys = [key for state in program.memo.values()
+            for key in state._distributions if isinstance(key[0], tuple)]
+    assert len(folds) == len(keys) == len(program.memo) == cfg.grid_points
 
 
 def test_readout_rem_sweep_point_hashes_each_key_once(monkeypatch):

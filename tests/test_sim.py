@@ -39,7 +39,7 @@ from remvqe import sim
 from remvqe.ansatz import hartree_fock_circuit
 from remvqe.circuits import GATE_KINDS
 from remvqe.sim import _basis_probabilities, _program
-from remvqe.vqe import _group_energy, _group_weights
+from remvqe.vqe import _group_energy, _plan
 from helpers import hardware_efficient_spec, hf_state
 
 PAULI_1Q = {
@@ -1236,7 +1236,7 @@ def test_batched_readout_matches_sequential_calls(n_qubits, n_groups):
 
 def counts_energy(counts, g, h) -> float:
     """Partial energy of group g of h from its counts."""
-    return _group_energy(counts_to_distribution(np.asarray(counts)), _group_weights(h)[g])
+    return _group_energy(counts_to_distribution(np.asarray(counts)), _plan(h)[1][g])
 
 
 def zz_hamiltonian(coeff: float = 1.0) -> PauliHamiltonian:

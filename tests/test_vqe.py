@@ -24,7 +24,7 @@ from remvqe import (
     uccsd_spec,
 )
 from remvqe.mitigation import CALIBRATION_POINT, _block_words, counts_to_distribution, unfold
-from remvqe.pauli import sign_table
+from remvqe.pauli import group_terms, sign_table
 from remvqe.sim import _basis_probabilities, on_grid
 from remvqe.vqe import (
     _SIGNS,
@@ -33,11 +33,9 @@ from remvqe.vqe import (
     REFERENCE_INDEX,
     SPSA_INDEX,
     _group_energy,
-    _group_weights,
-    _grouping,
     _nelder_mead,
+    _plan,
     _prepare,
-    _shot_split,
     _stream,
 )
 from helpers import hardware_efficient_spec
@@ -176,10 +174,12 @@ def test_group_weights_match_per_term_sums(name):
     rng = np.random.default_rng(4)
     for geometry in builtin(name).geometries:
         h = geometry.hamiltonian
-        weights = _group_weights(h)
-        dists = rng.dirichlet(np.ones(1 << h.n_qubits), size=len(_grouping(h)))
+        labels, weights = _plan(h)
+        groups = group_terms(h)
+        assert labels == tuple(group.basis.label for group in groups)
+        dists = rng.dirichlet(np.ones(1 << h.n_qubits), size=len(groups))
         total = 0.0
-        for g, group in enumerate(_grouping(h)):
+        for g, group in enumerate(groups):
             per_term = sum(
                 h.terms[t][1] * float(sign_table(h.n_qubits, h.terms[t][0].support_mask) @ dists[g])
                 for t in group.members
@@ -343,11 +343,13 @@ def group_by_group_energy(ev: EnergyEvaluator, theta, index: int) -> float:
     2^-40 grid and drawn on their own, in group order from one generator: the
     reference for evaluate, which folds and rounds all groups at once."""
     h = ev.hamiltonian
-    groups = _grouping(h)
-    probs = _basis_probabilities(_prepare(ev, theta), tuple(g.basis.label for g in groups))
+    labels = tuple(g.basis.label for g in group_terms(h))
+    probs = _basis_probabilities(_prepare(ev, theta), labels)
     sampler = _stream(ev.seed, ev.point, index)
+    base, extra = divmod(ev.shots, len(labels))  # the first `extra` groups take one more
     rows = []
-    for p, shots in zip(probs, _shot_split(ev.shots, len(groups))[0]):
+    for g, p in enumerate(probs):
+        shots = base + (1 if g < extra else 0)
         if ev.confusion is not None:
             p = p @ ev.confusion.matrix.T
         grid = np.rint(p * 2.0**40)
@@ -355,7 +357,7 @@ def group_by_group_energy(ev: EnergyEvaluator, theta, index: int) -> float:
     dists = counts_to_distribution(np.array(rows))
     if ev.unfold_matrix is not None:
         dists = unfold(ev.unfold_matrix, dists)
-    return h.offset + _group_energy(dists, _group_weights(h))
+    return h.offset + _group_energy(dists, _plan(h)[1])
 
 
 FIGURE_S2_4Q = ConfusionMatrix(4, np.kron(device_confusion().matrix, device_confusion().matrix))
@@ -439,10 +441,10 @@ def test_kept_grids_give_the_energies_of_fresh_ones_bit_for_bit(readout, shots, 
 
 
 def test_grids_are_kept_by_matrix_value_and_labels(monkeypatch):
-    from remvqe import vqe
+    from remvqe import sim
 
     folds = []
-    monkeypatch.setattr(vqe, "on_grid", lambda p: folds.append(p) or on_grid(p))
+    monkeypatch.setattr(sim, "on_grid", lambda p: folds.append(p) or on_grid(p))
     ev = h2_evaluator(noise=NoiseModel(p2=0.02), shots=500, confusion=device_confusion())
     theta = [0.25]
     state = _prepare(ev, theta)
@@ -455,7 +457,7 @@ def test_grids_are_kept_by_matrix_value_and_labels(monkeypatch):
     for layout in (np.ascontiguousarray, np.asfortranarray):
         evaluate(dataclasses.replace(ev, confusion=ConfusionMatrix(2, layout(values))), theta, 2)
     assert len(folds) == 1
-    labels = tuple(g.basis.label for g in _grouping(ev.hamiltonian))
+    labels = _plan(ev.hamiltonian)[0]
     assert grid_keys(state) == [(labels, device_confusion().matrix.tobytes())]
     # another matrix and no matrix get grids of their own
     evaluate(dataclasses.replace(ev, confusion=ConfusionMatrix.identity(2)), theta, 2)
@@ -478,12 +480,13 @@ def test_calibrated_curves_keep_one_grid_per_state():
     from remvqe.experiments import DEVICE_P2, RunConfig, cmd_dissociation
     from remvqe.sim import _program
 
+    _program.cache_clear()  # no state kept by an earlier run with other matrices
     for seed in range(20):
         cmd_dissociation(RunConfig(
             molecule="h2", backend="noisy", shots=200, seed=seed, confusion="calibrate",
             mitigation="readout+rem", grid_points=5, shots_per_state=50, repeats=2))
     states = list(_program(ansatz_circuit(h2_compact_spec()), NoiseModel(p2=DEVICE_P2)).memo.values())
-    labels = tuple(g.basis.label for g in _grouping(H2.geometry(0.7414).hamiltonian))
+    labels = _plan(H2.geometry(0.7414).hamiltonian)[0]
     assert len(states) >= 5
     assert all(grid_keys(state) == [(labels, device_confusion().matrix.tobytes())]
                for state in states)
