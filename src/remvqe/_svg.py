@@ -6,8 +6,9 @@ formatting, no timestamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._frozen import frozen
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 16.0, 30.0, 42.0
 _WIDTH, _HEIGHT = 640.0, 400.0  # of every panel
@@ -19,7 +20,7 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
+@frozen
 class Series:
     label: str
     xs: tuple[float, ...]

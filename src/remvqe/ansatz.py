@@ -21,9 +21,9 @@ every Pauli label) is the highest-numbered qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._frozen import frozen
 from .circuits import Circuit, Gate, Param
 
 _FAMILIES = ("compact-uccd", "uccsd", "hardware-efficient")
@@ -74,7 +74,7 @@ def uccsd_excitations(n_qubits: int) -> tuple:
     raise ValueError(f"uccsd excitation tables cover 2 or 4 qubits, not {n_qubits}")
 
 
-@dataclass(frozen=True)
+@frozen
 class AnsatzSpec:
     """A circuit family on `n_qubits` qubits, starting from |hf_bitstring>.
 

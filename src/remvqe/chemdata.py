@@ -15,11 +15,11 @@ All energies are total energies in hartree; distances in angstrom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from . import _moldata
+from ._frozen import frozen
 from .pauli import (
     PauliHamiltonian,
     basis_energy,
@@ -30,7 +30,7 @@ from .pauli import (
 BUILTIN_NAMES = ("h2", "heh+", "lih")
 
 
-@dataclass(frozen=True)
+@frozen
 class Geometry:
     r: float
     hamiltonian: PauliHamiltonian
@@ -44,7 +44,7 @@ class Geometry:
         return self.e_exact_ground if self.e_exact_ground is not None else self.e_exact_min
 
 
-@dataclass(frozen=True)
+@frozen
 class MoleculeDataset:
     name: str
     n_qubits: int

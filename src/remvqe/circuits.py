@@ -6,10 +6,11 @@ execution time by the simulator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
+
+from ._frozen import frozen
 
 # kind -> (arity, number of angle parameters)
 GATE_KINDS: dict[str, tuple[int, int]] = {
@@ -23,7 +24,7 @@ GATE_KINDS: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class Param:
     """Named free angle; resolves to scale * bindings[name]."""
 
@@ -42,7 +43,7 @@ class Param:
 Angle = Union[float, Param]
 
 
-@dataclass(frozen=True)
+@frozen
 class Gate:
     kind: str
     qubits: tuple[int, ...]
@@ -68,7 +69,7 @@ class Gate:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...] = ()

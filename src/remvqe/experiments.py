@@ -24,12 +24,13 @@ are built, to paths that `_readout_truth` checked before the run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import _svg
+from ._frozen import frozen
 from .ansatz import AnsatzSpec
 from .chemdata import MoleculeDataset, builtin, load
 from .mitigation import (
@@ -72,16 +73,18 @@ _NOISY_LIMIT = 10
 # Caps on the size options (README "Readout models" and "Datasets"): numpy
 # draws int64 counts; a sweep keeps its angles and energies in arrays and
 # tuples, about 150 B per grid point at peak; a calibration stacks its shares
-# in (repeats, 2^n, 2^n) arrays, 20 MB each at the cap on 4 qubits.
+# in (repeats, 2^n, 2^n) arrays, 20 MB each at the cap on 4 qubits, which
+# _CALIBRATION_ENTRIES keeps on every width.
 _CAPS = (("shots", 2**63 - 1), ("shots_per_state", 2**63 - 1),
          ("grid_points", 10**5), ("repeats", 10**4))
+_CALIBRATION_ENTRIES = 10**4 * 4**4
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; maps to CLI exit code 2."""
 
 
-@dataclass(frozen=True)
+@frozen
 class RunConfig:
     molecule: str | None = None
     hamiltonian_path: str | None = None
@@ -111,7 +114,7 @@ class RunConfig:
         return self.mitigation in ("rem", "readout+rem")
 
 
-@dataclass(frozen=True)
+@frozen
 class _Problem:
     """Validated, fully resolved run inputs."""
 
@@ -169,6 +172,11 @@ def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | No
 
 def _calibrated(cfg: RunConfig, truth: ConfusionMatrix) -> ConfusionMatrix:
     """Prepare-and-measure estimate of truth with cfg's budget and seed."""
+    cap = _CALIBRATION_ENTRIES // 4**truth.n_qubits
+    if cfg.repeats > cap:
+        raise ConfigError(
+            f"repeats must be at most {cap} on {truth.n_qubits} qubits, got {cfg.repeats}"
+        )
     return calibrate_confusion(truth, cfg.shots_per_state, cfg.repeats, cfg.seed)
 
 
@@ -322,7 +330,7 @@ def _evaluator_pair(problem: _Problem, h: PauliHamiltonian, point: int):
     return raw, replace(raw, unfold_matrix=problem.unfold_confusion)
 
 
-@dataclass(frozen=True)
+@frozen
 class PointResult:
     """Four-pipeline energies at one dissociation/sweep point."""
 
@@ -386,7 +394,7 @@ def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResul
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class _Pipeline:
     field: str  # of PointResult
     label: str  # in the dissociation legend
@@ -421,7 +429,7 @@ def _write(cfg: RunConfig, text: str, panels=()) -> None:
             Path(path).write_text(content)
 
 
-@dataclass(frozen=True)
+@frozen
 class DissociationResult:
     rs: tuple[float, ...]
     points: tuple[PointResult, ...]
@@ -464,7 +472,7 @@ def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
     return DissociationResult(rs, tuple(points), csv, warnings)
 
 
-@dataclass(frozen=True)
+@frozen
 class NoiseSweepResult:
     p2_values: tuple[float, ...]
     err_vqe: tuple[float, ...]
@@ -523,7 +531,7 @@ _REPORT_ENERGIES = (  # of a single-point report, in printed order
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class SinglePointResult:
     report: RemReport
     outcome: VqeOutcome | None

@@ -19,11 +19,12 @@ comes from default_rng(SeedSequence(seed, spawn_key=(point, index))), which
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+
+from ._frozen import frozen
 
 # Calibration's reserved point; a run's curves and sweeps count points up from 0.
 CALIBRATION_POINT = 2**32 - 1
@@ -121,7 +122,7 @@ def _pinned() -> type:
 _COLUMN_TOL = 5e-13
 
 
-@dataclass(frozen=True)
+@frozen
 class ConfusionMatrix:
     """Column-stochastic readout matrix; entry [j][i] = P(measure j | prepared i)."""
 
@@ -355,7 +356,7 @@ def counts_to_distribution(counts: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-@dataclass(frozen=True)
+@frozen
 class RemReport:
     """One reference-state mitigation run: the measured and exact energies
     it starts from, and the correction derived from them.

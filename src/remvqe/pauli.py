@@ -12,15 +12,16 @@ bitstring format(i, "0nb").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._frozen import frozen
+
 PAULI_CHARS = frozenset("IXYZ")
 
 
-@dataclass(frozen=True)
+@frozen
 class PauliString:
     """Tensor product of single-qubit I/X/Y/Z operators, stored as a label."""
 
@@ -98,7 +99,7 @@ def _action(label: str) -> tuple[int, np.ndarray]:
     return flip, phases.astype(complex)
 
 
-@dataclass(frozen=True)
+@frozen
 class PauliHamiltonian:
     """Real-weighted sum of Pauli strings plus a classical energy offset.
 
@@ -161,7 +162,7 @@ class PauliHamiltonian:
         return 0.0
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasurementGroup:
     """Qubit-wise compatible terms measurable with one basis rotation.
 

@@ -132,12 +132,13 @@ import itertools
 import math
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache, reduce
 from typing import Mapping
 
 import numpy as np
 
+from ._frozen import frozen
 from .circuits import Circuit, Param, gate_matrix
 from .mitigation import ConfusionMatrix
 from .pauli import PauliHamiltonian, _action, _parity, _terms_matrix
@@ -231,7 +232,7 @@ def _term_vectors(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return index, coeffs
 
 
-@dataclass(frozen=True)
+@frozen
 class NoiseModel:
     """Gate depolarizing probabilities; p1 defaults to 0.1 * p2 when not given.
 
@@ -312,7 +313,7 @@ def _dampings(strings: np.ndarray, segments: list):
         yield damping
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class _KetProgram:
     """A circuit compiled into Pauli rotations for kets (module doc).
 
@@ -357,7 +358,7 @@ def _slotted(angles) -> tuple[tuple, tuple[int, ...]]:
     return tuple(index), slots
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class _TransferProgram:
     """A noisy circuit compiled into half-width Pauli-transfer ops (module doc).
 

@@ -30,12 +30,12 @@ evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from ._frozen import frozen
 from .ansatz import AnsatzSpec, ansatz_circuit
 from .mitigation import ConfusionMatrix, _stream, unfold
 from .mitigation import counts_to_distribution  # noqa: F401 (not called: perfbench/tracing.py patches this name)
@@ -58,7 +58,7 @@ MEASURE_INDEX = REFERENCE_INDEX + 1
 SPSA_INDEX = REFERENCE_INDEX + 2
 
 
-@dataclass(frozen=True)
+@frozen
 class EnergyEvaluator:
     """Immutable recipe for measuring <H> at a parameter vector.
 
@@ -185,7 +185,7 @@ def reference_exact_energy(ev: EnergyEvaluator) -> float:
     return basis_energy(ev.hamiltonian, ev.ansatz.hf_bitstring)
 
 
-@dataclass(frozen=True)
+@frozen
 class VqeOutcome:
     """An optimizer run: every (theta, energy) it evaluated, and why it stopped.
 
@@ -352,7 +352,7 @@ def _spsa(ev, f, max_evals, trace) -> VqeOutcome:
     return VqeOutcome(tuple(trace), converged, message)
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepFit:
     """Least-squares fit of a 1-parameter energy curve to C + A cos(theta - alpha)."""
 

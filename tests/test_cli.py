@@ -406,6 +406,27 @@ def test_largest_shot_counts_are_drawn(capsys):
     assert "error" not in capsys.readouterr().err
 
 
+def test_calibration_repeats_are_capped_by_width(tmp_path, capsys, no_run):
+    # calibration's (repeats, 2^n, 2^n) arrays may hold 10^4 x 4^4 entries:
+    # the repeats cap on 4 qubits, 625 repeats on 6
+    path = tmp_path / "six.csv"
+    write_confusion_csv(ConfusionMatrix.identity(6), path)
+    rc = main(["calibrate", "--confusion", str(path), "--repeats", "1000"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: repeats must be at most 625 on 6 qubits, got 1000\n"
+    assert captured.out == ""
+
+
+def test_calibration_at_the_width_cap_runs(tmp_path, capsys):
+    path = tmp_path / "six.csv"
+    write_confusion_csv(ConfusionMatrix.identity(6), path)
+    rc = main(["calibrate", "--confusion", str(path), "--repeats", "625", "--shots-per-state", "5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("# confusion n=6\n") and captured.err == ""
+
+
 def test_calibrate_takes_width_from_confusion_csv(tmp_path, capsys):
     # without --molecule the CSV's own width applies; with one it must match
     path = tmp_path / "one.csv"

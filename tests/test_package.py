@@ -2,8 +2,11 @@
 importing it loads numpy and the package but no heavy optional module, nor
 a numpy submodule that the run does not use."""
 import ast
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,11 +80,40 @@ def test_all_names_resolve_once():
     assert [(m.__name__, name) for m in modules for name in moved if hasattr(m, name)] == []
 
 
+def _imports(module: str) -> list[tuple[int, str]]:
+    """(level, module) of each import statement in src/remvqe/<module>.py."""
+    tree = ast.parse((ROOT / "src" / "remvqe" / f"{module}.py").read_text())
+    nodes = list(ast.walk(tree))
+    found = [(node.level, node.module or "") for node in nodes if isinstance(node, ast.ImportFrom)]
+    found += [(0, alias.name) for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    return found
+
+
 def test_pauli_imports_no_package_module():
-    # states sit above observables: sim reads Hamiltonians, pauli knows no state
-    tree = ast.parse((ROOT / "src" / "remvqe" / "pauli.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert [node.module for node in imports if node.level or node.module.startswith("remvqe")] == []
+    # states sit above observables: sim reads Hamiltonians, pauli knows no state;
+    # its records are built by _frozen, which imports the standard library only
+    assert [m for level, m in _imports("pauli") if level or m.startswith("remvqe")] == ["_frozen"]
+    stdlib = sys.stdlib_module_names
+    assert [m for level, m in _imports("_frozen") if level or m.split(".")[0] not in stdlib] == []
+
+
+def test_no_record_runs_generated_source():
+    # dataclass compiles its methods from source text, filed as "<string>",
+    # about a millisecond per class at import; the package's records use _frozen
+    names = [m.name for m in pkgutil.iter_modules(remvqe.__path__)]
+    modules = [importlib.import_module(f"remvqe.{name}") for name in names]
+    methods = [
+        (cls.__qualname__, name, inspect.unwrap(value))
+        for module in [remvqe, *modules]
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        for name, value in vars(cls).items()
+    ]
+    generated = [
+        (cls, name) for cls, name, fn in methods
+        if inspect.isfunction(fn) and fn.__code__.co_filename == "<string>"
+    ]
+    assert len(methods) > 100 and generated == []
 
 
 def test_no_run_loads_scipy():
