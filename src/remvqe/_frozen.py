@@ -5,12 +5,14 @@ the same `fields()`, `replace()`, `__match_args__`, signature, automatic
 docstring, repr, equality, hash and `FrozenInstanceError`. dataclass compiles
 each class's methods from source text, about a millisecond per class at
 import; here they are closures over the field names. Only what the package's
-records use is implemented: positional or keyword fields with a default or a
-default_factory, `__post_init__`, and `eq=False`. Any other field option
-raises TypeError when the class is made. `__dataclass_params__` keeps the
-options of the `dataclass` call that records the fields (frozen=False among
-them), so a record cannot be the base of a `dataclass(frozen=True)`; no
-record is subclassed. Standard library only.
+records use is implemented: positional or keyword fields, with or without a
+default, and `__post_init__`. Any other field option, default_factory among
+them, raises TypeError when the class is made: records are values, and an
+object that keeps mutable state, as sim's compiled programs keep their state
+memo, is a plain class. `__dataclass_params__` keeps the options of the
+`dataclass` call that records the fields (frozen=False among them), so a
+record cannot be the base of a `dataclass(frozen=True)`; no record is
+subclassed. Standard library only.
 """
 from __future__ import annotations
 
@@ -21,23 +23,6 @@ from dataclasses import MISSING, FrozenInstanceError
 from operator import attrgetter
 
 
-class _Factory:
-    """The default a signature shows for a default_factory field."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
-def frozen(cls=None, /, *, eq: bool = True):
-    """`@frozen` or `@frozen(eq=False)`: `@dataclass(frozen=True[, eq=False])`."""
-    if cls is None:
-        return lambda c: _make(c, eq)
-    return _make(cls, eq)
-
-
 def _values(names: tuple[str, ...]):
     """self -> the tuple of its field values, which dataclass hashes and compares."""
     if len(names) == 1:
@@ -46,7 +31,8 @@ def _values(names: tuple[str, ...]):
     return attrgetter(*names) if names else lambda self: ()
 
 
-def _make(cls, eq: bool):
+def frozen(cls):
+    """`@frozen`: `@dataclass(frozen=True)` (module doc)."""
     own = cls.__dict__
     for name in ("__setattr__", "__delattr__"):
         if name in own:
@@ -62,15 +48,15 @@ def _make(cls, eq: bool):
     unsupported = [f.name for f in cls.__dataclass_fields__.values()
                    if f._field_type is dataclasses._FIELD_INITVAR]
     unsupported += [f.name for f in fields
-                    if not (f.init and f.repr and f.compare) or f.kw_only or f.hash is not None]
+                    if not (f.init and f.repr and f.compare) or f.kw_only or f.hash is not None
+                    or f.default_factory is not MISSING]
     if unsupported:
         raise TypeError(f"frozen does not implement the options of {cls.__name__}.{unsupported[0]}")
     names = tuple(f.name for f in fields)
     defaults = {f.name: f.default for f in fields if f.default is not MISSING}
-    factories = {f.name: f.default_factory for f in fields if f.default_factory is not MISSING}
     empty, params = inspect.Parameter.empty, []
     for f in fields:
-        default = _FACTORY if f.name in factories else defaults.get(f.name, empty)
+        default = defaults.get(f.name, empty)
         if default is empty and params and params[-1].default is not empty:
             raise TypeError(f"non-default argument {f.name!r} follows default argument")
         params.append(inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
@@ -88,8 +74,6 @@ def _make(cls, eq: bool):
                 bound.append(kwargs.pop(name))
             elif name in defaults:
                 bound.append(defaults[name])
-            elif name in factories:
-                bound.append(factories[name]())
             else:
                 raise TypeError(f"{qualname}() missing required argument {name!r}")
         for name in kwargs:
@@ -128,15 +112,13 @@ def _make(cls, eq: bool):
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    methods = {"__init__": __init__, "__repr__": __repr__,
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
                "__setattr__": __setattr__, "__delattr__": __delattr__}
-    if eq:
-        methods["__eq__"] = __eq__
     for name, fn in methods.items():
         fn.__qualname__ = f"{qualname}.{name}"
         if name not in own:
             setattr(cls, name, fn)
-    if eq and not own_hash:
+    if not own_hash:
         __hash__.__qualname__ = f"{qualname}.__hash__"
         cls.__hash__ = __hash__
     cls.__signature__ = signature

@@ -9,9 +9,7 @@ convergence warning.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
-from dataclasses import fields
 
 from .experiments import (
     ANSATZE,
@@ -28,47 +26,55 @@ from .experiments import (
 from .mitigation import format_confusion_csv
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, help="master random seed")
-    p.add_argument("--out", metavar="PATH", help="also write the output to PATH")
+# Every flag once, with its add_argument keywords.
+_OPTIONS = {
+    "--molecule": dict(help="builtin dataset: h2, heh+, or lih"),
+    "--hamiltonian": dict(metavar="PATH", dest="hamiltonian_path",
+                          help="Hamiltonian text file instead of a builtin molecule"),
+    "--reference": dict(metavar="BITS",
+                        help="reference basis state for file Hamiltonians (default all zeros)"),
+    "--r": dict(type=float, help="geometry (default equilibrium)"),
+    "--backend": dict(choices=BACKENDS),
+    "--p2": dict(type=float, help="two-qubit depolarizing probability (noisy backend)"),
+    "--p1": dict(type=float, help="one-qubit depolarizing probability (default 0.1*p2)"),
+    "--shots": dict(type=int, help="shots per energy evaluation (default: exact distributions)"),
+    "--confusion": dict(help="readout model: ideal, figure-s2 (alias device), calibrate, or a CSV path"),
+    "--mitigation": dict(choices=MITIGATIONS),
+    "--ansatz": dict(choices=ANSATZE),
+    "--optimizer": dict(choices=OPTIMIZERS),
+    "--grid-points": dict(type=int, help="points per parameter sweep"),
+    "--svg": dict(metavar="PATH", help="also plot the curves as SVG to PATH"),
+    "--shots-per-state": dict(type=int, help="shots per prepared basis state per repeat"),
+    "--repeats": dict(type=int, help="calibration repeats"),
+    "--seed": dict(type=int, help="master random seed"),
+    "--out": dict(metavar="PATH", help="also write the output to PATH"),
+}
 
-
-def _add_problem(p: argparse.ArgumentParser, molecule_only: bool = False) -> None:
-    p.add_argument("--molecule", help="builtin dataset: h2, heh+, or lih")
-    if not molecule_only:
-        p.add_argument(
-            "--hamiltonian", metavar="PATH", dest="hamiltonian_path",
-            help="Hamiltonian text file instead of a builtin molecule",
-        )
-        p.add_argument(
-            "--reference", metavar="BITS",
-            help="reference basis state for file Hamiltonians (default all zeros)",
-        )
-
-
-def _add_backend(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=BACKENDS)
-    p.add_argument(
-        "--p2", type=float, help="two-qubit depolarizing probability (noisy backend)"
-    )
-    p.add_argument(
-        "--p1", type=float, help="one-qubit depolarizing probability (default 0.1*p2)"
-    )
-    p.add_argument(
-        "--shots", type=int,
-        help="shots per energy evaluation (default: exact distributions)",
-    )
-    p.add_argument(
-        "--confusion",
-        help="readout model: ideal, figure-s2 (alias device), calibrate, or a CSV path",
-    )
-
-
-def _add_protocol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mitigation", choices=MITIGATIONS)
-    p.add_argument("--ansatz", choices=ANSATZE)
-    p.add_argument("--optimizer", choices=OPTIMIZERS)
-    p.add_argument("--grid-points", type=int, help="points per parameter sweep")
+# Each subcommand: its help, its flags in help order, and its own keywords for some of them.
+_COMMANDS = {
+    "dissociation": (
+        "four-pipeline energies across a molecule's geometry series (CSV)",
+        "--molecule --backend --p2 --p1 --shots --confusion --mitigation --ansatz --optimizer "
+        "--grid-points --svg --seed --out", {},
+    ),
+    "noise-sweep": (
+        "pipeline errors vs two-qubit depolarizing rate (CSV)",
+        "--molecule --r --p2 --p1 --shots --confusion --ansatz --grid-points --svg --seed --out",
+        {"--p2": dict(metavar="GRID", help="comma-separated p2 values (default: log grid 1e-4..5e-2)")},
+    ),
+    "single-point": (
+        "reference evaluation, minimization, and correction at one geometry",
+        "--molecule --hamiltonian --reference --r --backend --p2 --p1 --shots --confusion "
+        "--mitigation --ansatz --optimizer --grid-points --seed --out", {},
+    ),
+    "calibrate": (
+        "estimate a readout confusion matrix (CSV)",
+        "--molecule --confusion --shots-per-state --repeats --seed --out",
+        {"--molecule": dict(help="sets the qubit count (default: a CSV's own, else 2)"),
+         "--confusion": dict(default="figure-s2", help="readout model to calibrate against: "
+                             "ideal (identity), figure-s2 (alias device or calibrate), or a CSV path")},
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,69 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Noisy VQE simulation with reference-state error mitigation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # an option left out stays out of the namespace, so RunConfig's default applies
-    add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
-
-    d = add(
-        "dissociation",
-        help="four-pipeline energies across a molecule's geometry series (CSV)",
-    )
-    _add_problem(d, molecule_only=True)
-    _add_backend(d)
-    _add_protocol(d)
-    d.add_argument("--svg", metavar="PATH", help="write a two-panel plot to PATH")
-    _add_common(d)
-
-    s = add(
-        "noise-sweep",
-        help="pipeline errors vs two-qubit depolarizing rate (CSV)",
-    )
-    _add_problem(s, molecule_only=True)
-    s.add_argument("--r", type=float, help="geometry (default equilibrium)")
-    s.add_argument(
-        "--p2", metavar="GRID",
-        help="comma-separated p2 values (default: log grid 1e-4..5e-2)",
-    )
-    s.add_argument("--p1", type=float, help="pin p1 (default 0.1*p2)")
-    s.add_argument("--shots", type=int)
-    s.add_argument("--confusion")
-    s.add_argument("--ansatz", choices=ANSATZE)
-    s.add_argument("--grid-points", type=int)
-    s.add_argument("--svg", metavar="PATH")
-    _add_common(s)
-
-    o = add(
-        "single-point",
-        help="reference evaluation, minimization, and correction at one geometry",
-    )
-    _add_problem(o)
-    o.add_argument("--r", type=float, help="geometry (default equilibrium)")
-    _add_backend(o)
-    _add_protocol(o)
-    _add_common(o)
-
-    c = add("calibrate", help="estimate a readout confusion matrix (CSV)")
-    c.add_argument("--molecule", help="sets the qubit count (default: a CSV's own, else 2)")
-    c.add_argument(
-        "--confusion", default="figure-s2",
-        help="readout model to calibrate against: ideal (identity), figure-s2 "
-        "(alias device or calibrate), or a CSV path",
-    )
-    c.add_argument(
-        "--shots-per-state", type=int, help="shots per prepared basis state per repeat"
-    )
-    c.add_argument("--repeats", type=int, help="calibration repeats")
-    _add_common(c)
-
+    for name, (help_, flags, own) in _COMMANDS.items():
+        # an option left out stays out of the namespace, so RunConfig's default applies
+        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            p.add_argument(flag, **own.get(flag, _OPTIONS[flag]))
     return parser
 
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-
-
 def _config(args: argparse.Namespace, **overrides) -> RunConfig:
-    kwargs = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
-    kwargs.update(overrides)
+    """The flags given, each a RunConfig field, over RunConfig's defaults."""
+    kwargs = dict(vars(args), **overrides)
+    del kwargs["command"]
     return RunConfig(**kwargs)
 
 

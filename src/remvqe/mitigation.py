@@ -165,6 +165,19 @@ class ConfusionMatrix:
             unc.setflags(write=False)
             object.__setattr__(self, "uncertainty", unc)
 
+    def _values(self) -> tuple:
+        """What equality compares and hash hashes: arrays as their bytes."""
+        unc = self.uncertainty
+        return self.n_qubits, self._key, None if unc is None else unc.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     @classmethod
     def identity(cls, n_qubits: int) -> "ConfusionMatrix":
         return cls(n_qubits, np.eye(1 << n_qubits))

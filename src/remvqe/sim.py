@@ -132,7 +132,6 @@ import itertools
 import math
 import struct
 from collections import OrderedDict
-from dataclasses import field
 from functools import lru_cache, reduce
 from typing import Mapping
 
@@ -313,20 +312,18 @@ def _dampings(strings: np.ndarray, segments: list):
         yield damping
 
 
-@frozen(eq=False)
 class _KetProgram:
     """A circuit compiled into Pauli rotations for kets (module doc).
 
     `start` is the ket after every Clifford gate, read-only. Each op is
     (gather, table, angle): the new v is cos(t/2) v + sin(t/2) table * v[gather].
     `angles` lists the ops' distinct angles, bound once per run; op i's is angles[slots[i]].
+    `memo` keeps the program's states (module doc).
     """
 
-    start: np.ndarray
-    ops: tuple
-    angles: tuple
-    slots: tuple[int, ...]
-    memo: OrderedDict = field(default_factory=OrderedDict)
+    def __init__(self, start: np.ndarray, ops: tuple, angles: tuple, slots: tuple[int, ...]):
+        self.start, self.ops, self.angles, self.slots = start, ops, angles, slots
+        self.memo = OrderedDict()
 
     def run(self, bound: list[float]) -> np.ndarray:
         """The compiled circuit's ket from |0...0>, `bound` = _bind(angles, bindings)."""
@@ -358,7 +355,6 @@ def _slotted(angles) -> tuple[tuple, tuple[int, ...]]:
     return tuple(index), slots
 
 
-@frozen(eq=False)
 class _TransferProgram:
     """A noisy circuit compiled into half-width Pauli-transfer ops (module doc).
 
@@ -368,15 +364,13 @@ class _TransferProgram:
     gathers r from the last op's order. `angles` lists the distinct angles,
     bound once per run; with u = (0, 1, and cos t, sin t of each of them),
     u[weights[0]] stacks the single ops' W and u[weights[1]] * u[weights[2]]
-    the pairs', each in op order.
+    the pairs', each in op order. `memo` keeps the program's states (module doc).
     """
 
-    start: np.ndarray
-    ops: tuple
-    angles: tuple
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
-    final: np.ndarray
-    memo: OrderedDict = field(default_factory=OrderedDict)
+    def __init__(self, start: np.ndarray, ops: tuple, angles: tuple,
+                 weights: tuple[np.ndarray, np.ndarray, np.ndarray], final: np.ndarray):
+        self.start, self.ops, self.angles, self.weights, self.final = start, ops, angles, weights, final
+        self.memo = OrderedDict()
 
     def run(self, bound: list[float]) -> np.ndarray:
         """The Pauli vector r of the compiled circuit from |0...0><0...0|,

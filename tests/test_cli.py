@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, stdout payloads, file side effects."""
+import argparse
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import pytest
 
 from remvqe import ConfusionMatrix, experiments, write_confusion_csv
-from remvqe.cli import main
+from remvqe.cli import _build_parser, main
+from remvqe.experiments import ANSATZE, BACKENDS, MITIGATIONS, OPTIMIZERS
 
 
 def test_dissociation_stdout_matches_out_file(tmp_path, capsys):
@@ -232,6 +235,76 @@ def test_missing_subcommand_exits(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _subcommands() -> dict:
+    """Each subcommand's parser, by name."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _options(parser) -> list:
+    return [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def _flag(option, type=None, choices=None, metavar=None, default=argparse.SUPPRESS, dest=None):
+    """(flag, dest, type, choices, metavar, default) as argparse records them."""
+    return option, dest or option[2:].replace("-", "_"), type, choices, metavar, default
+
+
+_OUTPUT = [_flag("--seed", int), _flag("--out", metavar="PATH")]
+_DEVICE = [_flag("--p1", float), _flag("--shots", int), _flag("--confusion")]
+_PROTOCOL = [_flag("--mitigation", choices=MITIGATIONS), _flag("--ansatz", choices=tuple(ANSATZE)),
+             _flag("--optimizer", choices=OPTIMIZERS), _flag("--grid-points", int)]
+_BACKEND = [_flag("--backend", choices=BACKENDS), _flag("--p2", float)]
+FLAGS = {  # in help order
+    "dissociation": [
+        _flag("--molecule"), *_BACKEND, *_DEVICE, *_PROTOCOL, _flag("--svg", metavar="PATH"), *_OUTPUT,
+    ],
+    "noise-sweep": [
+        _flag("--molecule"), _flag("--r", float), _flag("--p2", metavar="GRID"), *_DEVICE,
+        _flag("--ansatz", choices=tuple(ANSATZE)), _flag("--grid-points", int),
+        _flag("--svg", metavar="PATH"), *_OUTPUT,
+    ],
+    "single-point": [
+        _flag("--molecule"), _flag("--hamiltonian", metavar="PATH", dest="hamiltonian_path"),
+        _flag("--reference", metavar="BITS"), _flag("--r", float), *_BACKEND, *_DEVICE, *_PROTOCOL,
+        *_OUTPUT,
+    ],
+    "calibrate": [
+        _flag("--molecule"), _flag("--confusion", default="figure-s2"),
+        _flag("--shots-per-state", int), _flag("--repeats", int), *_OUTPUT,
+    ],
+}
+# the flags whose help differs from the other subcommands' on purpose
+OWN_HELP = {("noise-sweep", "--p2"), ("calibrate", "--molecule"), ("calibrate", "--confusion")}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    subcommands = _subcommands()
+    assert list(subcommands) == list(FLAGS)
+    for name, parser in subcommands.items():
+        assert parser.argument_default == argparse.SUPPRESS, name
+        found = [
+            (*a.option_strings, a.dest, a.type, None if a.choices is None else tuple(a.choices),
+             a.metavar, a.default)
+            for a in _options(parser)
+        ]
+        assert found == FLAGS[name], name
+        # main passes every flag given to RunConfig
+        assert {a.dest for a in _options(parser)} <= {f.name for f in fields(experiments.RunConfig)}
+
+
+def test_every_option_has_help_and_a_shared_flag_one_text():
+    # a choice flag's help line lists its choices, which is all it shows
+    texts: dict = {}
+    for name, parser in _subcommands().items():
+        for action in _options(parser):
+            (flag,) = action.option_strings
+            assert action.help or action.choices, (name, flag)
+            if (name, flag) not in OWN_HELP:
+                texts.setdefault(flag, set()).add(action.help)
+    assert {flag: len(shared) for flag, shared in texts.items() if len(shared) > 1} == {}
 
 
 def test_noise_sweep_grid_argument(capsys):

@@ -127,6 +127,20 @@ def test_resolve_defaults():
     assert resolve(RunConfig(molecule="h2", backend="noisy")).noise.p2 == DEVICE_P2
 
 
+def test_resolved_readout_problems_compare_equal():
+    # each holds confusion matrices; the calibrated one draws at the config's seed
+    for confusion in ("figure-s2", "calibrate"):
+        cfg = RunConfig(molecule="h2", backend="noisy", shots=1000, confusion=confusion,
+                        mitigation="readout+rem", repeats=2)
+        one, other = resolve(cfg), resolve(cfg)
+        assert one.unfold_confusion is not None
+        assert one == other and hash(one) == hash(other)
+    assert resolve(cfg).unfold_confusion != resolve(replace(cfg, seed=1)).unfold_confusion
+    evaluators = [vqe.EnergyEvaluator(p.hamiltonian, p.spec, p.noise, 1000, confusion=p.applied_confusion,
+                                      unfold_matrix=p.unfold_confusion) for p in (one, other)]
+    assert evaluators[0] == evaluators[1]
+
+
 def test_resolve_hwe_chain_for_odd_widths(tmp_path):
     path = tmp_path / "three.txt"
     path.write_text("qubits=3\nZII 1.0\nIZI 0.5\n")

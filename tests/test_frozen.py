@@ -6,7 +6,6 @@ creation."""
 import dataclasses
 import inspect
 import pickle
-from collections import OrderedDict
 from dataclasses import FrozenInstanceError, InitVar, KW_ONLY, dataclass, field, replace
 from types import SimpleNamespace
 
@@ -15,7 +14,7 @@ import pytest
 from remvqe._frozen import frozen
 
 
-def _records(decorate, decorate_no_eq, home: str) -> SimpleNamespace:
+def _records(decorate, home: str) -> SimpleNamespace:
     """The synthetic records, decorated; `home` is the module attribute they
     live under, so that pickle finds them."""
 
@@ -84,20 +83,15 @@ def _records(decorate, decorate_no_eq, home: str) -> SimpleNamespace:
         def __reduce__(self):
             return (type(self), (self.n, self.gates))
 
-    class Program:  # eq=False, a default_factory, no docstring
-        start: int
-        ops: tuple
-        memo: OrderedDict = field(default_factory=OrderedDict)
-
     out = SimpleNamespace()
-    for cls in (Plain, Defaults, Single, Checked, Keyed, Hashed, Program):
+    for cls in (Plain, Defaults, Single, Checked, Keyed, Hashed):
         cls.__qualname__ = f"{home}.{cls.__name__}"
-        setattr(out, cls.__name__, (decorate_no_eq if cls is Program else decorate)(cls))
+        setattr(out, cls.__name__, decorate(cls))
     return out
 
 
-BY_DATACLASS = _records(dataclass(frozen=True), dataclass(frozen=True, eq=False), "BY_DATACLASS")
-BY_FROZEN = _records(frozen, frozen(eq=False), "BY_FROZEN")
+BY_DATACLASS = _records(dataclass(frozen=True), "BY_DATACLASS")
+BY_FROZEN = _records(frozen, "BY_FROZEN")
 
 # per record: argument sets (args, kwargs) to build from, one change for replace()
 CASES = {
@@ -110,7 +104,6 @@ CASES = {
     "Checked": ([((), {}), ((0.01,), {}), ((), {"p2": 0.01, "p1": 0.5})], {"p2": 0.2}),
     "Keyed": ([((2,), {}), ((2, (("ZZ", 0.5),), 1), {}), ((2,), {"offset": 1.0})], {"offset": 2.0}),
     "Hashed": ([((1,), {}), ((1, ("h",)), {}), ((), {"gates": ("h",), "n": 1})], {"n": 3}),
-    "Program": ([((0, ()), {}), ((1,), {"ops": ("a",), "memo": OrderedDict(k=1)})], {"start": 5}),
 }
 BAD_ARGUMENTS = {  # each raises TypeError from both
     "Plain": [(("a", 1, 2), {}), (("a",), {}), (("a", 1), {"name": "b"}), (("a", 1), {"colour": 1})],
@@ -119,7 +112,6 @@ BAD_ARGUMENTS = {  # each raises TypeError from both
     "Checked": [((0.1, 0.2, 0.3), {}), ((), {"p3": 0.1})],
     "Keyed": [((), {}), ((1,), {"n": 1})],
     "Hashed": [((), {"gates": ()})],
-    "Program": [((0,), {}), ((0, (), OrderedDict(), 1), {})],
 }
 
 
@@ -162,9 +154,6 @@ def test_class_surface_matches_dataclass():
         "Defaults(kind: str, scale: float = 1.0, tags: tuple[str, ...] = (), "
         "note: str | None = None)"
     )
-    assert BY_FROZEN.Program.__doc__ == (
-        "Program(start: int, ops: tuple, memo: collections.OrderedDict = <factory>)"
-    )
 
 
 def test_instances_match_dataclass():
@@ -176,9 +165,8 @@ def test_instances_match_dataclass():
         equal = [a == b for a in ones for b in ones]
         assert equal == [a == b for a in others for b in others], name
         assert [a == (a,) for a in ones] == [b == (b,) for b in others] == [False] * len(ones)
-        if by_dc.__hash__ is not object.__hash__:  # eq=False hashes by identity
-            assert [hash(a) for a in ones] == [hash(b) for b in others], name
-        # eq=False compares by identity: a rebuilt record differs
+        assert [hash(a) for a in ones] == [hash(b) for b in others], name
+        # a rebuilt record is equal
         assert [a == by_dc(*args, **kw) for a, (args, kw) in zip(ones, CASES[name][0])] == [
             b == by_frozen(*args, **kw) for b, (args, kw) in zip(others, CASES[name][0])
         ], name
@@ -190,9 +178,6 @@ def test_post_init_runs_as_in_dataclass():
         assert vars(one) == vars(other), name
     assert _outcome(lambda: BY_DATACLASS.Checked(2.0)) == _outcome(lambda: BY_FROZEN.Checked(2.0))
     assert _outcome(lambda: BY_FROZEN.Checked(2.0))[1] is ValueError
-    # a default_factory gives each record its own value
-    first, second = BY_FROZEN.Program(0, ()), BY_FROZEN.Program(0, ())
-    assert first.memo == OrderedDict() and first.memo is not second.memo
 
 
 def test_records_are_frozen_as_in_dataclass():
@@ -239,6 +224,8 @@ def test_unsupported_options_fail_at_class_creation():
         "repr=False": {"a": int, "defaults": {"a": field(repr=False)}},
         "compare=False": {"a": int, "defaults": {"a": field(compare=False)}},
         "hash=True": {"a": int, "defaults": {"a": field(hash=True)}},
+        # a record is a value: no field gets a fresh mutable default per record
+        "default_factory": {"a": int, "b": list, "defaults": {"b": field(default_factory=list)}},
         "default order": {"a": int, "b": int, "defaults": {"a": 0}},
     }
     for option, body in bodies.items():

@@ -2,12 +2,13 @@
 
 Each case runs `remvqe.cli.main` in-process and compares its exact stdout,
 stderr and exit code with `tests/golden/<name>.txt`. The configs are small
-but cover shot sampling, the figure-s2 readout model, `--confusion
-calibrate`, a confusion CSV file, unfolding, both optimizer paths, every
-ansatz family (the hardware-efficient one on its 4-qubit T map and on a
-3-qubit chain from a Hamiltonian file) and exit codes 0, 2 and 3; exit 2
-includes an `--out` in a missing directory and a zero p2 under `--svg`. `{golden}`
-in an argument, and in the output, stands for the golden directory.
+but cover exact ket energies, shot sampling, the figure-s2 readout model,
+`--confusion calibrate`, a confusion CSV file, unfolding, both optimizer
+paths, every ansatz family (the hardware-efficient one on its 4-qubit T map
+and on a 3-qubit chain from a Hamiltonian file) and exit codes 0, 2 and 3;
+exit 2 includes an `--out` in a missing directory and a zero p2 under
+`--svg`. `{golden}` in an argument, and in the output, stands for the golden
+directory.
 
 A change that alters output on purpose regenerates the cases it changes with
 `PYTHONPATH=src python tests/test_golden.py NAME ...` (every case when no
@@ -59,6 +60,7 @@ CASES = {
     "noise-sweep-h2-svg-zero-p2": (
         "noise-sweep --molecule h2 --p2 0,0.01 --svg {golden}/never-written.svg"
     ),
+    "single-point-heh+-ideal-exact": "single-point --molecule heh+ --mitigation rem",
     "single-point-lih-hwe-density-rem": (
         "single-point --molecule lih --ansatz hwe --backend noisy --p2 4e-3 --mitigation rem"
     ),

@@ -142,6 +142,17 @@ def test_confusion_matrix_read_only():
         c.matrix[0, 0] = 0.5
 
 
+def test_confusion_matrices_compare_and_hash_by_value():
+    one, other = device_confusion(), device_confusion()
+    assert one == other and hash(one) == hash(other)
+    assert one != ConfusionMatrix(2, one.matrix) != ConfusionMatrix.identity(2)
+    wider = ConfusionMatrix(2, one.matrix, 2 * one.uncertainty)
+    assert one != wider and len({one, other, wider}) == 2
+    # the values, not the layout the caller gave them in
+    assert ConfusionMatrix(2, np.asfortranarray(one.matrix)) == ConfusionMatrix(2, one.matrix)
+    assert one != (2, one.matrix)
+
+
 def test_device_matrix_properties():
     c = device_confusion()
     assert c.n_qubits == 2
