@@ -52,14 +52,11 @@ from .mitigation import (
     write_confusion_csv,
 )
 from .pauli import (
-    MeasurementGroup,
     PauliHamiltonian,
-    PauliString,
     format_hamiltonian,
     ground_state_energy,
     group_terms,
     parse_hamiltonian,
-    parse_pauli,
     to_dense_matrix,
 )
 from .sim import (

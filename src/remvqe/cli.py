@@ -34,14 +34,18 @@ _OPTIONS = {
     "--reference": dict(metavar="BITS",
                         help="reference basis state for file Hamiltonians (default all zeros)"),
     "--r": dict(type=float, help="geometry (default equilibrium)"),
-    "--backend": dict(choices=BACKENDS),
+    "--backend": dict(choices=BACKENDS, help="ideal: noiseless gates; noisy: depolarizing gates "
+                      "(default ideal)"),
     "--p2": dict(type=float, help="two-qubit depolarizing probability (noisy backend)"),
     "--p1": dict(type=float, help="one-qubit depolarizing probability (default 0.1*p2)"),
     "--shots": dict(type=int, help="shots per energy evaluation (default: exact distributions)"),
     "--confusion": dict(help="readout model: ideal, figure-s2 (alias device), calibrate, or a CSV path"),
-    "--mitigation": dict(choices=MITIGATIONS),
-    "--ansatz": dict(choices=ANSATZE),
-    "--optimizer": dict(choices=OPTIMIZERS),
+    "--mitigation": dict(choices=MITIGATIONS, help="readout: unfold the confusion matrix; rem: "
+                         "reference-state correction; readout+rem: both (default none)"),
+    "--ansatz": dict(choices=ANSATZE, help="state family (default: compact for h2, uccsd on "
+                     "2 or 4 qubits, else hwe)"),
+    "--optimizer": dict(choices=OPTIMIZERS, help="minimizer (default: sweep for a 1-parameter "
+                        "ansatz, spsa with shots, else nelder-mead)"),
     "--grid-points": dict(type=int, help="points per parameter sweep"),
     "--svg": dict(metavar="PATH", help="also plot the curves as SVG to PATH"),
     "--shots-per-state": dict(type=int, help="shots per prepared basis state per repeat"),

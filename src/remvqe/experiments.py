@@ -504,13 +504,14 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
         raise ConfigError("noise sweeps run on builtin molecules only")
     base = replace(cfg, backend="noisy", molecule=cfg.molecule or "h2")
     problem = resolve(base, every_pipeline=True)
-    if problem.spec.n_params != 1:
+    if problem.optimizer != "sweep":  # resolve picks sweep for every 1-parameter ansatz
         raise ConfigError(
-            "noise sweeps use the 1-parameter sweep protocol on a builtin molecule"
+            "noise sweeps use the 1-parameter sweep protocol on a builtin molecule, "
+            f"not the {problem.optimizer} optimizer on the {problem.spec.family} ansatz"
         )
 
     points = [
-        _run_point(replace(problem, noise=noise, optimizer="sweep"), problem.hamiltonian, i)
+        _run_point(replace(problem, noise=noise), problem.hamiltonian, i)
         for i, noise in enumerate(noises)
     ]
     errors = [tuple(abs(getattr(p, pl.field) - p.e_exact) for p in points) for pl in _PIPELINES]

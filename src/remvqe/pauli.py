@@ -12,7 +12,7 @@ bitstring format(i, "0nb").
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,50 +21,24 @@ from ._frozen import frozen
 PAULI_CHARS = frozenset("IXYZ")
 
 
-@frozen
-class PauliString:
-    """Tensor product of single-qubit I/X/Y/Z operators, stored as a label."""
-
-    label: str
-
-    def __post_init__(self) -> None:
-        bad = set(self.label) - PAULI_CHARS
-        if bad:
-            raise ValueError(
-                f"invalid Pauli character(s) {sorted(bad)} in label {self.label!r}"
-            )
-        if not self.label:
-            raise ValueError("empty Pauli label")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.label)
-
-    def char_on(self, qubit: int) -> str:
-        """Single-qubit letter acting on `qubit` (0 = rightmost label char)."""
-        return self.label[len(self.label) - 1 - qubit]
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Qubits acted on non-trivially, ascending."""
-        return tuple(q for q, ch in enumerate(reversed(self.label)) if ch != "I")
-
-    @cached_property
-    def support_mask(self) -> int:
-        """The support as a bit mask (bit q set when qubit q is acted on)."""
-        return sum(1 << q for q in self.support)
-
-    def __str__(self) -> str:
-        return self.label
-
-
-def parse_pauli(text: str, n_qubits: int) -> PauliString:
-    """Validate `text` as a Pauli label of exactly `n_qubits` characters."""
-    if len(text) != n_qubits:
+def _check_label(label, n_qubits: int) -> None:
+    """Raise unless `label` is a str of `n_qubits` letters from IXYZ."""
+    if not isinstance(label, str):
+        raise TypeError(f"Pauli label must be a str, got {label!r}")
+    bad = set(label) - PAULI_CHARS
+    if bad:
+        raise ValueError(f"invalid Pauli character(s) {sorted(bad)} in label {label!r}")
+    if not label:
+        raise ValueError("empty Pauli label")
+    if len(label) != n_qubits:
         raise ValueError(
-            f"Pauli label {text!r} has length {len(text)}, expected {n_qubits}"
+            f"term {label!r} has {len(label)} qubits, Hamiltonian declares {n_qubits}"
         )
-    return PauliString(text)
+
+
+def _support_mask(label: str) -> int:
+    """Bit q set when the label acts on qubit q (0 = rightmost letter)."""
+    return sum(1 << q for q, ch in enumerate(reversed(label)) if ch != "I")
 
 
 @lru_cache(maxsize=32)
@@ -103,39 +77,34 @@ def _action(label: str) -> tuple[int, np.ndarray]:
 class PauliHamiltonian:
     """Real-weighted sum of Pauli strings plus a classical energy offset.
 
-    Duplicate labels are merged by summation at construction; the represented
-    operator is Hermitian since coefficients are real. The merged coefficients
-    and the offset must be finite.
+    Each term is a (label, coefficient) pair: n_qubits letters from IXYZ and
+    a float. Duplicate labels are merged by summation at construction; the
+    represented operator is Hermitian since coefficients are real. The merged
+    coefficients and the offset must be finite.
     """
 
     n_qubits: int
-    terms: tuple[tuple[PauliString, float], ...]
+    terms: tuple[tuple[str, float], ...]
     offset: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         merged: dict[str, float] = {}  # in first-seen order
-        for pauli, coeff in self.terms:
-            if isinstance(pauli, str):
-                pauli = PauliString(pauli)
-            if pauli.n_qubits != self.n_qubits:
-                raise ValueError(
-                    f"term {pauli.label!r} has {pauli.n_qubits} qubits, "
-                    f"Hamiltonian declares {self.n_qubits}"
-                )
-            merged[pauli.label] = merged.get(pauli.label, 0.0) + float(coeff)
-        labelled = tuple(merged.items())
+        for label, coeff in self.terms:
+            _check_label(label, self.n_qubits)
+            merged[label] = merged.get(label, 0.0) + float(coeff)
+        terms = tuple(merged.items())
         offset = float(self.offset)
-        for lbl, value in (*labelled, ("offset", offset)):  # no label reads "offset"
+        for label, value in (*terms, ("offset", offset)):  # no label reads "offset"
             if not math.isfinite(value):
-                name = "offset" if lbl == "offset" else f"coefficient of term {lbl!r}"
+                name = "offset" if label == "offset" else f"coefficient of term {label!r}"
                 raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(self, "terms", tuple((PauliString(lbl), c) for lbl, c in labelled))
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "offset", offset)
         # Per-Hamiltonian caches look h up on every evaluation, often with an
         # equal copy: hash and compare plain labels and floats, keyed once.
-        object.__setattr__(self, "_key", (self.n_qubits, labelled, self.offset))
+        object.__setattr__(self, "_key", (self.n_qubits, terms, offset))
         object.__setattr__(self, "_hash", hash(self._key))
 
     def __hash__(self) -> int:
@@ -156,22 +125,7 @@ class PauliHamiltonian:
 
     def coefficient(self, label: str) -> float:
         """Coefficient of `label`, 0.0 if absent."""
-        for pauli, coeff in self.terms:
-            if pauli.label == label:
-                return coeff
-        return 0.0
-
-
-@frozen
-class MeasurementGroup:
-    """Qubit-wise compatible terms measurable with one basis rotation.
-
-    `basis` has one letter per qubit from {Z, X, Y} (identity slots absorbed
-    into Z); every member term's non-identity letters match the basis.
-    """
-
-    basis: PauliString
-    members: tuple[int, ...]
+        return dict(self.terms).get(label, 0.0)
 
 
 def basis_energy(h: PauliHamiltonian, bitstring: str) -> float:
@@ -183,9 +137,9 @@ def basis_energy(h: PauliHamiltonian, bitstring: str) -> float:
     """
     index = int(bitstring, 2)
     total = 0.0
-    for pauli, coeff in h.terms:
-        if set(pauli.label) <= {"I", "Z"}:
-            total += coeff * sign_table(h.n_qubits, pauli.support_mask)[index]
+    for label, coeff in h.terms:
+        if set(label) <= {"I", "Z"}:
+            total += coeff * sign_table(h.n_qubits, _support_mask(label))[index]
     return float(total) + h.offset
 
 
@@ -201,8 +155,8 @@ def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     dim = 1 << h.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
-    for pauli, coeff in h.terms:
-        flip, phases = _action(pauli.label)
+    for label, coeff in h.terms:
+        flip, phases = _action(label)
         mat[idx ^ flip, idx] += coeff * phases
     mat[idx, idx] += h.offset
     return mat
@@ -222,43 +176,38 @@ def ground_state_energy(h: PauliHamiltonian) -> tuple[float, np.ndarray]:
     return float(eigvals[0]), eigvecs[:, 0]
 
 
-def group_terms(h: PauliHamiltonian) -> list[MeasurementGroup]:
+def group_terms(h: PauliHamiltonian) -> list[tuple[str, tuple[int, ...]]]:
     """Greedy first-fit grouping of terms into qubit-wise compatible bases.
 
-    Every term lands in exactly one group, groups keep first-seen order, and
-    unconstrained basis slots default to Z.
+    Returns (basis label, member term indices) pairs. Every term lands in
+    exactly one group, groups keep first-seen order, each basis letter is one
+    of Z, X, Y, and unconstrained slots default to Z.
     """
-    n = h.n_qubits
-    bases: list[list[str | None]] = []
+    bases: list[list[str | None]] = []  # letter per label position, None while free
     members: list[list[int]] = []
-    for t, (pauli, _) in enumerate(h.terms):
-        letters = [pauli.char_on(q) for q in range(n)]
+    for t, (label, _) in enumerate(h.terms):
         for basis, mem in zip(bases, members):
-            if all(ch == "I" or basis[q] in (None, ch) for q, ch in enumerate(letters)):
-                for q, ch in enumerate(letters):
+            if all(ch == "I" or basis[i] in (None, ch) for i, ch in enumerate(label)):
+                for i, ch in enumerate(label):
                     if ch != "I":
-                        basis[q] = ch
+                        basis[i] = ch
                 mem.append(t)
                 break
         else:
-            bases.append([ch if ch != "I" else None for ch in letters])
+            bases.append([None if ch == "I" else ch for ch in label])
             members.append([t])
-    groups = []
-    for basis, mem in zip(bases, members):
-        label = "".join((basis[q] or "Z") for q in reversed(range(n)))
-        groups.append(MeasurementGroup(PauliString(label), tuple(mem)))
-    return groups
+    return [("".join(ch or "Z" for ch in basis), tuple(mem)) for basis, mem in zip(bases, members)]
 
 
 # --- plain-text Hamiltonian format ------------------------------------------
 #
 # UTF-8 lines; '#' starts a comment; header lines `qubits=<n>` and
-# `offset=<real>`; term lines `<label> <coefficient>`.
+# `offset=<real>`, each at most once; term lines `<label> <coefficient>`.
 
 
 def format_hamiltonian(h: PauliHamiltonian) -> str:
     lines = [f"qubits={h.n_qubits}", f"offset={h.offset!r}"]
-    lines += [f"{pauli.label} {coeff!r}" for pauli, coeff in h.terms]
+    lines += [f"{label} {coeff!r}" for label, coeff in h.terms]
     return "\n".join(lines) + "\n"
 
 
@@ -267,6 +216,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
     n_qubits: int | None = None
     offset = 0.0
     terms: list[tuple[str, float]] = []
+    headers: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -275,6 +225,9 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in headers:
+                raise ValueError(f"line {lineno}: duplicate header {key!r}")
+            headers.add(key)
             if key == "qubits":
                 try:
                     n_qubits = int(value)
@@ -299,14 +252,14 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
             raise ValueError(f"line {lineno}: term before qubits= header")
         label, coeff_text = parts
         try:
-            pauli = parse_pauli(label, n_qubits)
+            _check_label(label, n_qubits)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}")
         try:
             coeff = float(coeff_text)
         except ValueError:
             raise ValueError(f"line {lineno}: bad coefficient {coeff_text!r}")
-        terms.append((pauli.label, coeff))
+        terms.append((label, coeff))
     if n_qubits is None:
         raise ValueError("missing qubits= header")
     if not terms:

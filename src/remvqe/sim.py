@@ -224,7 +224,7 @@ def expectation(h: PauliHamiltonian, state) -> float:
 @lru_cache(maxsize=64)
 def _term_vectors(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Each term's position in a Pauli vector and its coefficient, read-only."""
-    index = np.array([pauli_index(pauli.label) for pauli, _ in h.terms], dtype=np.int64)
+    index = np.array([pauli_index(label) for label, _ in h.terms], dtype=np.int64)
     coeffs = np.array([coeff for _, coeff in h.terms], dtype=float)
     index.setflags(write=False)
     coeffs.setflags(write=False)

@@ -39,7 +39,7 @@ from ._frozen import frozen
 from .ansatz import AnsatzSpec, ansatz_circuit
 from .mitigation import ConfusionMatrix, _stream, unfold
 from .mitigation import counts_to_distribution  # noqa: F401 (not called: perfbench/tracing.py patches this name)
-from .pauli import PauliHamiltonian, basis_energy, group_terms, sign_table
+from .pauli import PauliHamiltonian, _support_mask, basis_energy, group_terms, sign_table
 from .sim import (
     NoiseModel,
     QuantumState,
@@ -120,16 +120,13 @@ def _plan(h: PauliHamiltonian) -> tuple[tuple[str, ...], np.ndarray]:
     (group_terms), and the read-only (G, 2^n) weights whose row g is
     f_g = sum_t c_t sign_t over the terms t of group g."""
     groups = group_terms(h)
-    rows = []
-    for group in groups:
-        f = np.zeros(1 << h.n_qubits)
-        for t in group.members:
-            pauli, coeff = h.terms[t]
-            f += coeff * sign_table(h.n_qubits, pauli.support_mask)
-        rows.append(f)
-    weights = np.array(rows).reshape(len(rows), 1 << h.n_qubits)
+    weights = np.zeros((len(groups), 1 << h.n_qubits))
+    for f, (_, members) in zip(weights, groups):
+        for t in members:
+            label, coeff = h.terms[t]
+            f += coeff * sign_table(h.n_qubits, _support_mask(label))
     weights.setflags(write=False)
-    return tuple(group.basis.label for group in groups), weights
+    return tuple(basis for basis, _ in groups), weights
 
 
 def _group_energy(dist: np.ndarray, weights: np.ndarray) -> float:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from remvqe import AnsatzSpec, MoleculeDataset, PauliString, QuantumState, format_hamiltonian
+from remvqe import AnsatzSpec, MoleculeDataset, QuantumState, format_hamiltonian
 from remvqe.experiments import PointResult, RunConfig, _run_point, resolve
 
 
@@ -32,9 +32,9 @@ def dump(ds: MoleculeDataset, directory) -> tuple[Path, ...]:
     return tuple(written)
 
 
-def is_compatible(term: PauliString, basis: PauliString) -> bool:
-    """True when every non-identity letter of `term` matches `basis`."""
-    return all(ch in ("I", b) for ch, b in zip(term.label, basis.label, strict=True))
+def is_compatible(term: str, basis: str) -> bool:
+    """True when every non-identity letter of label `term` matches `basis`."""
+    return all(ch in ("I", b) for ch, b in zip(term, basis, strict=True))
 
 
 def four_pipelines(cfg: RunConfig) -> PointResult:

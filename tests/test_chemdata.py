@@ -1,4 +1,7 @@
 """Embedded molecular datasets: self-consistency, fixtures, file round trips."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,10 @@ from remvqe import (
     PauliHamiltonian,
     audit,
     builtin,
+    format_hamiltonian,
     ground_state_energy,
     load,
+    parse_hamiltonian,
 )
 from remvqe.pauli import basis_energy
 from helpers import dump, hardware_efficient_spec
@@ -146,19 +151,35 @@ def test_lih_recorded_ground_below_compact_minimum():
 
 
 def test_dump_load_roundtrip(tmp_path):
-    ds = builtin("h2")
-    paths = dump(ds, tmp_path / "out")
-    assert len(paths) == 12
-    by_name = {p.name: p for p in paths}
-    assert "h2_r0.7414.txt" in by_name
-    loaded = load(by_name["h2_r0.7414.txt"])
-    original = ds.geometry(0.7414).hamiltonian
-    assert loaded.n_qubits == 2
-    assert loaded.offset == pytest.approx(original.offset, abs=1e-9)
-    for pauli, coeff in original.terms:
-        assert loaded.coefficient(pauli.label) == pytest.approx(coeff, abs=1e-9)
-    ground, _ = ground_state_energy(loaded)
-    assert ground == pytest.approx(-1.1373, abs=5e-4)
+    # the file format writes each float's repr, so every geometry reads back
+    # exactly: same labels in the same order, same coefficients and offset
+    for name in ALL_NAMES:
+        ds = builtin(name)
+        paths = dump(ds, tmp_path / "out")
+        assert len(paths) == len(ds.geometries)
+        for path, g in zip(paths, ds.geometries):
+            assert load(path) == g.hamiltonian, path.name
+
+
+def test_file_hamiltonian_format_parse_roundtrip():
+    h = load(Path(__file__).parent / "golden" / "heisenberg3.ham")
+    assert h.n_qubits == 3 and h.n_terms == 9
+    assert parse_hamiltonian(format_hamiltonian(h)) == h
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("qubits=2\nXX 1\nqubits=3\nXXX 1\n", "line 3: duplicate header 'qubits'"),
+        ("qubits=2\noffset=0.5\nZZ 1\noffset=-1\n", "line 4: duplicate header 'offset'"),
+    ],
+    ids=["qubits", "offset"],
+)
+def test_load_rejects_a_second_header(tmp_path, text, message):
+    path = tmp_path / "twice.ham"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load(path)
 
 
 def test_dump_sanitizes_plus_sign(tmp_path):

@@ -210,9 +210,11 @@ def test_unusable_options_are_config_errors(argv, message, capsys):
          "the noisy backend is limited to 10 qubits (its Pauli-transfer ops hold 4^n"),
         ("qubits=2\nZI nan\nIZ 0.5\n", [], "coefficient of term 'ZI' must be finite, got nan"),
         ("qubits=2\noffset=inf\nZI 1.0\n", [], "offset must be finite, got inf"),
+        ("qubits=2\nXX 1\nqubits=3\nXXX 1\n", [], "h.txt: line 3: duplicate header 'qubits'"),
+        ("qubits=2\noffset=1\nXX 1\noffset=2\n", [], "h.txt: line 4: duplicate header 'offset'"),
     ],
     ids=["file-with-r", "13-qubit-file", "compact-other-reference", "11-qubit-noisy-file",
-         "nan-coefficient", "inf-offset"],
+         "nan-coefficient", "inf-offset", "second-qubits-header", "second-offset-header"],
 )
 def test_hamiltonian_file_config_errors(text, extra, message, tmp_path, capsys):
     path = tmp_path / "h.txt"
@@ -296,12 +298,11 @@ def test_each_subcommand_takes_exactly_its_flags():
 
 
 def test_every_option_has_help_and_a_shared_flag_one_text():
-    # a choice flag's help line lists its choices, which is all it shows
     texts: dict = {}
     for name, parser in _subcommands().items():
         for action in _options(parser):
             (flag,) = action.option_strings
-            assert action.help or action.choices, (name, flag)
+            assert action.help, (name, flag)
             if (name, flag) not in OWN_HELP:
                 texts.setdefault(flag, set()).add(action.help)
     assert {flag: len(shared) for flag, shared in texts.items() if len(shared) > 1} == {}

@@ -446,6 +446,11 @@ def test_noise_sweep_guards(tmp_path):
         cmd_noise_sweep(RunConfig(molecule="h2"), p2_grid=(0.01, 0.01))
     with pytest.raises(ConfigError, match="1-parameter sweep protocol"):
         cmd_noise_sweep(RunConfig(molecule="lih"))
+    # the CLI has no --optimizer on noise-sweep; a library caller's other
+    # optimizer is refused, not replaced by a sweep
+    for optimizer in ("nelder-mead", "spsa"):
+        with pytest.raises(ConfigError, match=f"not the {optimizer} optimizer on the compact-uccd"):
+            cmd_noise_sweep(RunConfig(molecule="h2", optimizer=optimizer, grid_points=5), p2_grid=(0.001, 0.01))
 
 
 def test_noise_sweep_defaults_to_h2(tmp_path):

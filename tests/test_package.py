@@ -80,6 +80,14 @@ def test_all_names_resolve_once():
     assert [(m.__name__, name) for m in modules for name in moved if hasattr(m, name)] == []
 
 
+def test_a_pauli_term_is_its_label():
+    # a term is a (label, coefficient) pair and a measurement group a
+    # (basis label, member indices) pair: no record stands for either
+    gone = {"PauliString", "MeasurementGroup", "parse_pauli"}
+    assert [(m.__name__, name) for m in (remvqe, remvqe.pauli) for name in gone if hasattr(m, name)] == []
+    assert gone.isdisjoint(remvqe.__all__)
+
+
 def _imports(module: str) -> list[tuple[int, str]]:
     """(level, module) of each import statement in src/remvqe/<module>.py."""
     tree = ast.parse((ROOT / "src" / "remvqe" / f"{module}.py").read_text())

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from remvqe import (
     PauliHamiltonian,
-    PauliString,
     QuantumState,
     builtin,
     expectation,
@@ -15,10 +14,9 @@ from remvqe import (
     ground_state_energy,
     group_terms,
     parse_hamiltonian,
-    parse_pauli,
     to_dense_matrix,
 )
-from remvqe.pauli import _parity, basis_energy, sign_table
+from remvqe.pauli import _parity, _support_mask, basis_energy, sign_table
 from helpers import hf_state, is_compatible
 
 SINGLE = {
@@ -51,8 +49,8 @@ def pauli_vector(rho: np.ndarray) -> np.ndarray:
 def dense_oracle(h: PauliHamiltonian) -> np.ndarray:
     dim = 1 << h.n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
-    for pauli, coeff in h.terms:
-        mat += coeff * kron_pauli(pauli.label)
+    for label, coeff in h.terms:
+        mat += coeff * kron_pauli(label)
     return mat + h.offset * np.eye(dim)
 
 
@@ -77,33 +75,38 @@ def hamiltonians(draw):
     return PauliHamiltonian(n, tuple(zip(labels, coeffs)), offset)
 
 
-# --- PauliString ------------------------------------------------------------
+# --- Pauli labels -----------------------------------------------------------
 
 
 def test_label_convention():
-    p = PauliString("IZ")
-    assert p.n_qubits == 2
-    assert p.char_on(0) == "Z"
-    assert p.char_on(1) == "I"
-    assert p.support == (0,)
-    assert str(p) == "IZ"
+    # the rightmost letter acts on qubit 0; the support mask sets its bits
+    assert _support_mask("IZ") == 0b01
+    assert _support_mask("ZI") == 0b10
+    assert _support_mask("XIZY") == 0b1011
+    assert _support_mask("III") == 0
 
 
-def test_support_ascending():
-    assert PauliString("XIZY").support == (0, 1, 3)
+def assert_label_rejected(label, error, message):
+    """PauliHamiltonian refuses the label with `message`; the text format, where
+    it can hold the label, refuses it with the same message after its line."""
+    with pytest.raises(error, match=f"^{message}$"):
+        PauliHamiltonian(2, (("ZZ", 1.0), (label, 1.0)))
+    if isinstance(label, str) and label:
+        with pytest.raises(error, match=f"^line 3: {message}$"):
+            parse_hamiltonian(f"qubits=2\nZZ 1.0\n{label} 1.0")
 
 
 def test_invalid_characters_rejected():
-    with pytest.raises(ValueError, match="invalid Pauli character"):
-        PauliString("AB")
-    with pytest.raises(ValueError, match="empty"):
-        PauliString("")
+    assert_label_rejected("AB", ValueError, r"invalid Pauli character\(s\) \['A', 'B'\] in label 'AB'")
+    assert_label_rejected("zZ", ValueError, r"invalid Pauli character\(s\) \['z'\] in label 'zZ'")
+    assert_label_rejected("", ValueError, "empty Pauli label")
+    assert_label_rejected(7, TypeError, "Pauli label must be a str, got 7")
+    assert_label_rejected(("X", "X"), TypeError, r"Pauli label must be a str, got \('X', 'X'\)")
 
 
-def test_parse_pauli_length_check():
-    assert parse_pauli("XX", 2).label == "XX"
-    with pytest.raises(ValueError, match="length 2"):
-        parse_pauli("XX", 3)
+def test_label_width_check():
+    assert_label_rejected("XXX", ValueError, "term 'XXX' has 3 qubits, Hamiltonian declares 2")
+    assert_label_rejected("X", ValueError, "term 'X' has 1 qubits, Hamiltonian declares 2")
 
 
 # --- PauliHamiltonian construction ------------------------------------------
@@ -143,7 +146,7 @@ def test_hamiltonian_equality_matches_term_by_term(data):
     b = PauliHamiltonian(n2, tuple(terms2), offset2)
     same = (
         a.n_qubits == b.n_qubits and a.offset == b.offset and len(a.terms) == len(b.terms)
-        and all(p.label == q.label and c == d for (p, c), (q, d) in zip(a.terms, b.terms))
+        and all(p == q and c == d for (p, c), (q, d) in zip(a.terms, b.terms))
     )
     assert (a == b) is same and (b == a) is same and (a != b) is not same
     if same:
@@ -164,9 +167,10 @@ def test_parity_and_sign_tables_match_bit_counts():
             assert sign_table(n, mask).tolist() == expected
 
 
-def test_string_terms_promoted():
-    h = PauliHamiltonian(1, (("Z", 1.0),))
-    assert isinstance(h.terms[0][0], PauliString)
+def test_terms_are_label_float_pairs():
+    h = PauliHamiltonian(1, (("Z", 1), ("X", np.float64(0.5))))
+    assert h.terms == (("Z", 1.0), ("X", 0.5))
+    assert all(type(label) is str and type(c) is float for label, c in h.terms)
 
 
 @pytest.mark.parametrize(
@@ -224,9 +228,9 @@ def test_dense_decomposition_roundtrip(h):
     # coefficient; the offset folds into the identity-string slot
     mat = to_dense_matrix(h)
     dim = 1 << h.n_qubits
-    for pauli, coeff in h.terms:
-        recovered = np.trace(kron_pauli(pauli.label).conj().T @ mat).real / dim
-        expect = coeff + (h.offset if pauli.label == "I" * h.n_qubits else 0.0)
+    for label, coeff in h.terms:
+        recovered = np.trace(kron_pauli(label).conj().T @ mat).real / dim
+        expect = coeff + (h.offset if label == "I" * h.n_qubits else 0.0)
         assert abs(recovered - expect) < 1e-12
 
 
@@ -362,40 +366,33 @@ def test_expectation_dimension_mismatch():
 
 def test_group_terms_h2():
     h = builtin("h2").geometry(0.7414).hamiltonian
-    groups = group_terms(h)
-    assert len(groups) == 2
-    assert groups[0].basis.label == "ZZ"
-    assert groups[0].members == (0, 1, 2, 3)
-    assert groups[1].basis.label == "XX"
-    assert groups[1].members == (4,)
+    assert group_terms(h) == [("ZZ", (0, 1, 2, 3)), ("XX", (4,))]
 
 
 def test_group_terms_heh():
     h = builtin("heh+").geometry(0.7899).hamiltonian
     groups = group_terms(h)
     assert len(groups) == 4
-    assert {g.basis.label for g in groups} == {"ZZ", "ZX", "XZ", "XX"}
+    assert {basis for basis, _ in groups} == {"ZZ", "ZX", "XZ", "XX"}
 
 
 def test_single_term_single_group():
-    groups = group_terms(PauliHamiltonian(2, (("XY", 1.0),)))
-    assert len(groups) == 1
-    assert groups[0].basis.label == "XY"
+    assert group_terms(PauliHamiltonian(2, (("XY", 1.0),))) == [("XY", (0,))]
 
 
 @settings(deadline=None, max_examples=50)
 @given(hamiltonians())
 def test_grouping_partition_property(h):
     groups = group_terms(h)
-    seen = [t for g in groups for t in g.members]
+    seen = [t for _, members in groups for t in members]
     assert sorted(seen) == list(range(h.n_terms))
     assert len(set(seen)) == len(seen)
-    labels = [g.basis.label for g in groups]
+    labels = [basis for basis, _ in groups]
     assert len(set(labels)) == len(labels)
-    for g in groups:
-        assert set(g.basis.label) <= set("XYZ")
-        for t in g.members:
-            assert is_compatible(h.terms[t][0], g.basis)
+    for basis, members in groups:
+        assert set(basis) <= set("XYZ")
+        for t in members:
+            assert is_compatible(h.terms[t][0], basis)
 
 
 def test_group_partial_sums_match_expectation():
@@ -411,15 +408,15 @@ def test_group_partial_sums_match_expectation():
             psi = random_state(h.n_qubits, rng)
             state = QuantumState(psi)
             total = h.offset
-            for group in group_terms(h):
-                dist = _basis_probabilities(state, (group.basis.label,))[0]
-                for t in group.members:
-                    pauli, coeff = h.terms[t]
+            for basis, members in group_terms(h):
+                dist = _basis_probabilities(state, (basis,))[0]
+                for t in members:
+                    label, coeff = h.terms[t]
                     acc = 0.0
                     for idx, p in enumerate(dist):
                         sign = 1.0
-                        for q in pauli.support:
-                            if (idx >> q) & 1:
+                        for q, ch in enumerate(reversed(label)):
+                            if ch != "I" and (idx >> q) & 1:
                                 sign = -sign
                         acc += sign * p
                     total += coeff * acc
@@ -427,9 +424,9 @@ def test_group_partial_sums_match_expectation():
 
 
 def test_is_compatible():
-    assert is_compatible(PauliString("IZ"), PauliString("ZZ"))
-    assert is_compatible(PauliString("II"), PauliString("XY"))
-    assert not is_compatible(PauliString("XZ"), PauliString("ZZ"))
+    assert is_compatible("IZ", "ZZ")
+    assert is_compatible("II", "XY")
+    assert not is_compatible("XZ", "ZZ")
 
 
 # --- text format -------------------------------------------------------------

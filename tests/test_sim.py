@@ -17,7 +17,6 @@ from remvqe import (
     NoiseModel,
     Param,
     PauliHamiltonian,
-    PauliString,
     QuantumState,
     ansatz_circuit,
     apply_readout_noise,
@@ -787,12 +786,11 @@ def test_basis_probabilities_match_per_qubit_rotations(label, seed):
     rho = np.outer(psi, psi.conj())
     rho = 0.7 * rho + 0.3 * np.eye(1 << n) / (1 << n)
     rotation = {"X": sim._HADAMARD, "Y": sim._Y_TO_Z}
-    basis = PauliString(label)
     for state, p in ((psi, None), (rho, 0.0)):
         v = state.reshape(-1)
-        for q in range(n):
-            if basis.char_on(q) in rotation:
-                v = apply_gate(v, rotation[basis.char_on(q)], (q,), n, p)
+        for q, ch in enumerate(reversed(label)):  # the rightmost letter acts on qubit 0
+            if ch in rotation:
+                v = apply_gate(v, rotation[ch], (q,), n, p)
         ref = np.abs(v) ** 2 if p is None else np.real(v[:: (1 << n) + 1])
         fast = _basis_probabilities(as_state(state), (label,))[0]
         assert np.max(np.abs(fast - ref / ref.sum())) < 1e-12
@@ -847,7 +845,7 @@ def noisy_measurements(draw):
     noise = NoiseModel(p2=draw(st.floats(0.0, 1.0)), p1=draw(st.floats(0.0, 1.0)))
     bindings = {name: draw(st.floats(-2 * np.pi, 2 * np.pi)) for name in PARAM_NAMES}
     label = st.text(alphabet="IXYZ", min_size=n, max_size=n)
-    bases = tuple(PauliString(b) for b in draw(st.lists(label, min_size=1, max_size=6)))
+    bases = tuple(draw(st.lists(label, min_size=1, max_size=6)))
     terms = draw(st.lists(st.tuples(label, st.floats(-1.0, 1.0)), min_size=1, max_size=8))
     h = PauliHamiltonian(n, tuple(terms), draw(st.floats(-2.0, 2.0)))
     return Circuit(n, tuple(gates)), bindings, noise, bases, h
@@ -862,10 +860,10 @@ def test_pauli_vector_measurements_match_density_matrix(case):
     n = circuit.n_qubits
     rho = evolve(circuit, bindings, noise).reshape(1 << n, 1 << n)
     state = run_density(circuit, bindings, noise)
-    probs = _basis_probabilities(state, tuple(basis.label for basis in bases))
+    probs = _basis_probabilities(state, bases)
     for row, basis in zip(probs, bases):
-        assert np.max(np.abs(row - single_basis_probabilities(rho, basis.label))) < 1e-12
-    dense = sum(c * reduce(np.kron, [PAULI_1Q[ch] for ch in p.label]) for p, c in h.terms)
+        assert np.max(np.abs(row - single_basis_probabilities(rho, basis))) < 1e-12
+    dense = sum(c * reduce(np.kron, [PAULI_1Q[ch] for ch in label]) for label, c in h.terms)
     exact = float(np.real(np.trace(dense @ rho))) + h.offset
     assert abs(expectation(h, state) - exact) < 1e-12
 
@@ -1085,7 +1083,7 @@ def test_sample_counts_ignore_one_ulp_changes_of_reference_distributions(name):
     # swap unless the distribution is first put on a coarser grid (on_grid).
     ds = builtin(name)
     h = ds.geometry(ds.equilibrium_r).hamiltonian
-    labels = tuple(group.basis.label for group in group_terms(h))
+    labels = tuple(basis for basis, _ in group_terms(h))
     probs = _basis_probabilities(hf_state(ds.n_qubits, ds.hf_bitstring), labels)
     alternate = np.arange(probs.shape[1]) % 2 == 0
     for p in probs:
@@ -1109,7 +1107,7 @@ def grid_row_reference(p: np.ndarray) -> np.ndarray:
 def test_on_grid_rounds_a_stack_row_by_row_bit_for_bit(name):
     ds = builtin(name)
     h = ds.geometry(ds.equilibrium_r).hamiltonian
-    labels = tuple(group.basis.label for group in group_terms(h))
+    labels = tuple(basis for basis, _ in group_terms(h))
     n = ds.n_qubits
     rng = np.random.default_rng(7)
     spec = hardware_efficient_spec(n)
@@ -1261,8 +1259,8 @@ def test_counts_expectation_z_group_hand_value():
         2,
         tuple((label, full.coefficient(label)) for label in ("IZ", "ZI", "ZZ")),
     )
-    group = group_terms(h)[0]
-    counts = draw(hf_state(2, "01"), group.basis.label, 4000, seed=0)
+    basis, _ = group_terms(h)[0]
+    counts = draw(hf_state(2, "01"), basis, 4000, seed=0)
     assert counts_energy(counts, 0, h) == pytest.approx(-0.777, abs=5e-4)
 
 
@@ -1270,9 +1268,9 @@ def test_counts_expectation_large_shot_consistency():
     # 10^6 shots must sit within 5 sigma of the exact expectation
     state = compact_state(0.4)
     h = builtin("h2").geometry(0.7414).hamiltonian
-    xx_group = group_terms(h)[1]
+    xx_basis, _ = group_terms(h)[1]
     shots = 10**6
-    counts = draw(state, xx_group.basis.label, shots, seed=12)
+    counts = draw(state, xx_basis, shots, seed=12)
     estimate = counts_energy(counts, 1, h)
     coeff = h.coefficient("XX")
     exact = expectation(PauliHamiltonian(2, (("XX", coeff),)), state)
