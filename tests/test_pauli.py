@@ -82,8 +82,14 @@ def test_label_convention():
     # the rightmost letter acts on qubit 0; the support mask sets its bits
     assert _support_mask("IZ") == 0b01
     assert _support_mask("ZI") == 0b10
-    assert _support_mask("XIZY") == 0b1011
     assert _support_mask("III") == 0
+
+
+def test_support_ascending():
+    # the support of XIZY is qubits 0, 1 and 3, read from the mask's bits in ascending order
+    mask = _support_mask("XIZY")
+    assert mask == 0b1011
+    assert tuple(q for q in range(4) if mask >> q & 1) == (0, 1, 3)
 
 
 def assert_label_rejected(label, error, message):
