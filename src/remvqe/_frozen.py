@@ -63,6 +63,8 @@ def frozen(cls):
                                         default=default, annotation=f.type))
     signature = inspect.Signature(params, return_annotation=None)
     qualname, n, post_init = cls.__qualname__, len(names), hasattr(cls, "__post_init__")
+    # the defaults are the trailing fields': a positional call that stops among them takes the rest
+    trailing, required = tuple(defaults.values()), n - len(defaults)
     values, setattr_ = _values(names), object.__setattr__
 
     def bind(args: tuple, kwargs: dict) -> list:
@@ -83,7 +85,10 @@ def frozen(cls):
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
-            args = bind(args, kwargs)
+            if kwargs or not required <= len(args) < n:
+                args = bind(args, kwargs)
+            else:
+                args += trailing[len(args) - required:]
         for name, value in zip(names, args):
             setattr_(self, name, value)
         if post_init:

@@ -107,6 +107,11 @@ R[P, Q] = Tr(P U Q U^dagger) / 2^k on those qubits' digits.
   there, composed at compile time, and one final gather puts r back in the
   natural order. Each channel's damping multiplies into the table of the
   op it follows, or into the start.
+- A run binds every W at once: with u = (0, 1, and cos t, sin t of each
+  distinct angle), one product u[a] * u[b] fills a buffer whose per-op
+  views the program fixes when it is made; a single op's b reads u[1] = 1,
+  a factor that is exact. The views are the program's, so it runs one
+  binding at a time, as its memo already assumes.
 - The output is r, which a density QuantumState holds. An op of k
   rotations stores a (3^k, 4^n / 2^k) int64 gather and float table:
   24 * 4^n bytes per rotation for a single op, 18 * 4^n for a pair.
@@ -323,7 +328,7 @@ class _KetProgram:
 
     def __init__(self, start: np.ndarray, ops: tuple, angles: tuple, slots: tuple[int, ...]):
         self.start, self.ops, self.angles, self.slots = start, ops, angles, slots
-        self.memo = OrderedDict()
+        self.memo, self.pack = OrderedDict(), struct.Struct(f"{len(angles)}d").pack
 
     def run(self, bound: list[float]) -> np.ndarray:
         """The compiled circuit's ket from |0...0>, `bound` = _bind(angles, bindings)."""
@@ -364,13 +369,21 @@ class _TransferProgram:
     gathers r from the last op's order. `angles` lists the distinct angles,
     bound once per run; with u = (0, 1, and cos t, sin t of each of them),
     u[weights[0]] stacks the single ops' W and u[weights[1]] * u[weights[2]]
-    the pairs', each in op order. `memo` keeps the program's states (module doc).
+    the pairs', each in op order; a run fills them at once into the W views
+    of `_plan` (module doc). `memo` keeps the program's states (module doc).
     """
 
     def __init__(self, start: np.ndarray, ops: tuple, angles: tuple,
                  weights: tuple[np.ndarray, np.ndarray, np.ndarray], final: np.ndarray):
         self.start, self.ops, self.angles, self.weights, self.final = start, ops, angles, weights, final
-        self.memo = OrderedDict()
+        self.memo, self.pack = OrderedDict(), struct.Struct(f"{len(angles)}d").pack
+        # op i's W is u[a] * u[b] on its slice of the flat (a, b) pair (module doc)
+        singles, pairs = iter(weights[0]), zip(weights[1], weights[2])
+        factors = [(next(singles), np.ones((2, 3), np.intp)) if len(op[2]) == 1 else next(pairs) for op in ops]
+        self._a, self._b = (np.fromiter(itertools.chain(*(f[i].flat for f in factors)), np.intp) for i in (0, 1))
+        self._w = np.empty(len(self._a))
+        views = np.split(self._w, np.cumsum([a.size for a, _ in factors])[:-1])
+        self._plan = [(gather, table, w.reshape(a.shape)) for (gather, table, _), (a, _), w in zip(ops, factors, views)]
 
     def run(self, bound: list[float]) -> np.ndarray:
         """The Pauli vector r of the compiled circuit from |0...0><0...0|,
@@ -379,12 +392,11 @@ class _TransferProgram:
         if self.ops:
             cos_sin = [x for t in bound for x in (math.cos(t), math.sin(t))]
             u = np.array([0.0, 1.0, *cos_sin])
-            one, first, second = self.weights
-            weights = iter(u[one]), iter(u[first] * u[second] if len(first) else ())
-            for gather, table, angles in self.ops:
+            np.multiply(u[self._a], u[self._b], out=self._w)
+            for gather, table, w in self._plan:
                 x = r[gather]
                 x *= table
-                r = np.dot(next(weights[len(angles) - 1]), x).ravel()
+                r = w.dot(x).ravel()  # np.dot's product, without its dispatch
             r = r[self.final]
         r.setflags(write=False)  # new or start: a QuantumState shares it
         return r
@@ -538,7 +550,7 @@ def _memoized(
 ) -> QuantumState:
     """The program's state at `bindings`: its memo's, or run and kept (module doc)."""
     bound = _bind(program.angles, bindings)
-    key = struct.pack(f"{len(bound)}d", *bound)  # a tuple would take -0.0 for 0.0
+    key = program.pack(*bound)  # a tuple would take -0.0 for 0.0
     memo = program.memo
     state = memo.get(key)
     if state is None:

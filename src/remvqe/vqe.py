@@ -67,7 +67,8 @@ class EnergyEvaluator:
     the curve or sweep point whose draws this evaluator makes. `confusion` C
     turns each outcome distribution p into C p before any draw, the law of
     resampling every shot through C; with `unfold_matrix` set, every outcome
-    distribution is unfolded through that matrix.
+    distribution is unfolded through that matrix. The ansatz circuit is
+    resolved once, when the evaluator is made.
     """
 
     hamiltonian: PauliHamiltonian
@@ -94,6 +95,7 @@ class EnergyEvaluator:
             part = getattr(self, name)
             if part is not None and part.n_qubits != n:
                 raise ValueError(f"{name} acts on {part.n_qubits} qubits, the Hamiltonian on {n}")
+        object.__setattr__(self, "_circuit", ansatz_circuit(self.ansatz))
         if self.shots is None:
             return
         if self.shots <= 0:
@@ -143,13 +145,12 @@ def _prepare(ev: EnergyEvaluator, theta: Sequence[float]) -> QuantumState:
             f"{spec.family} ansatz takes {spec.n_params} parameters, got {len(theta)}"
         )
     bindings = dict(zip(spec.parameter_names(), theta))  # floats when bound (sim._bind)
-    circuit = ansatz_circuit(spec)
     noise = ev.noise
     # A noise model with zero gate-error rates (a noise-sweep point at p2 = 0)
     # leaves the state pure, so it runs the statevector.
     if noise is None or (noise.p1 == 0.0 and noise.p2 == 0.0):
-        return run_statevector(circuit, bindings)
-    return run_density(circuit, bindings, noise)
+        return run_statevector(ev._circuit, bindings)
+    return run_density(ev._circuit, bindings, noise)
 
 
 def evaluate(ev: EnergyEvaluator, theta: Sequence[float], index: int = 0) -> float:
@@ -281,29 +282,32 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
         # sorted twice, as in the reference: argsort need not leave sorted ties alone
         sim, fsim = by_energy(*by_energy(sim, fsim))
         while len(trace) < max_evals:
-            # both spreads are pure, so testing the cheaper energy spread
-            # first leaves the result of the `and` as the reference's
-            if (np.abs(fsim[0] - fsim[1:]).max() <= _TOL
+            # the energies as Python floats, read before this iteration
+            # changes fsim; both spreads are pure, so testing the cheaper
+            # energy spread first leaves the result of the `and` as the
+            # reference's; `all` fails at a NaN, as a NaN max does
+            fs = fsim.tolist()
+            if (all(abs(fs[0] - e) <= _TOL for e in fs[1:])
                     and np.abs(sim[1:] - sim[0]).max() <= _TOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]  # the reference's 1 * sim[-1] is exact
             fxr = func(xr)
-            if fxr < fsim[0]:
+            if fxr < fs[0]:
                 xe = 3 * xbar - 2 * sim[-1]
                 fxe = func(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
+            elif fxr < fs[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                if fxr < fsim[-1]:  # outside contraction
+                if fxr < fs[-1]:  # outside contraction
                     x = 1.5 * xbar - 0.5 * sim[-1]
                     fx = func(x)
                     accept = fx <= fxr
                 else:  # inside contraction
                     x = 0.5 * xbar + 0.5 * sim[-1]
                     fx = func(x)
-                    accept = fx < fsim[-1]
+                    accept = fx < fs[-1]
                 if accept:
                     sim[-1], fsim[-1] = x, fx
                 else:

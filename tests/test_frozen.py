@@ -215,6 +215,30 @@ def test_bad_arguments_are_type_errors_as_in_dataclass():
             assert outcomes == [(None, TypeError)] * 2, (name, args, kwargs)
 
 
+def test_positional_prefixes_fill_the_omitted_defaults():
+    # a positional call that stops among the defaulted fields takes the
+    # rest of the defaults, the default objects themselves, as dataclass does
+    by_dc, by_frozen = _pair("Defaults")
+    for args in (("RX",), ("RX", 2.0), ("RX", 2.0, ("a",)), ("RX", 2.0, ("a",), "n")):
+        one, other = by_dc(*args), by_frozen(*args)
+        assert _shown(one) == _shown(other), args
+        assert [getattr(one, f) is getattr(other, f) for f in ("tags", "note")] == [True, True]
+    assert _shown(BY_FROZEN.Checked(0.02)) == _shown(BY_DATACLASS.Checked(0.02))
+    # bad calls keep their messages: the positional path takes none of them
+    messages = {
+        (("a", 1, 2), ()): "BY_FROZEN.Plain() takes 2 positional arguments, got 3",
+        (("a",), ()): "BY_FROZEN.Plain() missing required argument 'size'",
+        (("a", 1), ("name",)): "BY_FROZEN.Plain() got multiple values for argument 'name'",
+        (("a", 1), ("colour",)): "BY_FROZEN.Plain() got an unexpected keyword argument 'colour'",
+    }
+    for (args, keys), message in messages.items():
+        with pytest.raises(TypeError) as caught:
+            BY_FROZEN.Plain(*args, **dict.fromkeys(keys, 0))
+        assert str(caught.value) == message
+    with pytest.raises(TypeError, match=r"^BY_FROZEN.Defaults\(\) missing required argument 'kind'$"):
+        BY_FROZEN.Defaults()
+
+
 def test_unsupported_options_fail_at_class_creation():
     bodies = {
         "init=False": {"a": int, "b": int, "defaults": {"b": field(default=0, init=False)}},

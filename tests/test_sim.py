@@ -598,16 +598,47 @@ PROGRAM_DIGESTS = {
 }
 
 
+# The circuits of PROGRAM_DIGESTS: programs of pairs, of singles, of both, and of no op.
+DIGEST_CIRCUITS = {"lih-uccsd": ansatz_circuit(uccsd_spec(4)),
+                   "hwe-4": ansatz_circuit(hardware_efficient_spec(4)),
+                   "hwe-6": ansatz_circuit(hardware_efficient_spec(6)),
+                   **{f"transfer-{i}": c for i, c in enumerate(TRANSFER_EDGES)},
+                   **{f"pair-{i}": c for i, c in enumerate(PAIR_EDGES)}}
+
+
 def test_noisy_programs_match_pinned_digests():
     # the compiled noisy programs stay byte for byte the same: gathers,
     # tables, start, final gather, weights and angles (ket programs are left
     # out, their einsum start ket is not bit-stable across numpy builds)
-    circuits = {"lih-uccsd": ansatz_circuit(uccsd_spec(4)),
-                "hwe-4": ansatz_circuit(hardware_efficient_spec(4)),
-                "hwe-6": ansatz_circuit(hardware_efficient_spec(6)),
-                **{f"transfer-{i}": c for i, c in enumerate(TRANSFER_EDGES)},
-                **{f"pair-{i}": c for i, c in enumerate(PAIR_EDGES)}}
-    assert {name: program_digest(c) for name, c in circuits.items()} == PROGRAM_DIGESTS
+    assert {name: program_digest(c) for name, c in DIGEST_CIRCUITS.items()} == PROGRAM_DIGESTS
+
+
+def stacked_run(program, bound: list[float]) -> np.ndarray:
+    """A transfer program's r with each op's W taken from the stacks of its
+    weights, u[one] for a single and u[first] * u[second] for a pair."""
+    r = program.start
+    if program.ops:
+        u = np.array([0.0, 1.0, *[x for t in bound for x in (math.cos(t), math.sin(t))]])
+        one, first, second = program.weights
+        singles, pairs = iter(u[one]), iter(u[first] * u[second])
+        for gather, table, angles in program.ops:
+            r = np.dot(next(singles if len(angles) == 1 else pairs), r[gather] * table).ravel()
+        r = r[program.final]
+    return r
+
+
+@pytest.mark.parametrize("noise", [noise for noise in EDGE_NOISES if noise is not None])
+@pytest.mark.parametrize("name", list(DIGEST_CIRCUITS))
+def test_transfer_run_fills_each_op_weights_as_its_stack(name, noise):
+    # a run's one product into fixed per-op views gives every op the W its
+    # weights stack, bit for bit; bindings a, b, a show a stale shared buffer
+    program = _program(DIGEST_CIRCUITS[name], noise)
+    names = sorted({angle.name for angle in program.angles if isinstance(angle, Param)})
+    rng = np.random.default_rng(len(names))
+    a, b = (dict(zip(names, rng.uniform(-7.0, 7.0, len(names)))) for _ in range(2))
+    for bindings in (a, b, a):
+        bound = sim._bind(program.angles, bindings)
+        assert program.run(bound).tobytes() == stacked_run(program, bound).tobytes()
 
 
 def test_deep_noisy_program_matches_per_gate_reference():

@@ -91,6 +91,31 @@ def test_evaluator_rejects_qubit_mismatch(part, value):
         EnergyEvaluator(lih, **kwargs)
 
 
+def test_evaluator_resolves_its_circuit_once(monkeypatch):
+    # one ansatz_circuit call per evaluator, however many evaluations it
+    # runs, on the ket and the density path; replace() makes a new evaluator
+    from remvqe import vqe
+
+    calls, original = [], vqe.ansatz_circuit
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(vqe, "ansatz_circuit", counted)
+    for noise in (None, NoiseModel(p2=0.02)):
+        calls.clear()
+        ev = h2_evaluator(noise=noise, shots=500)
+        energies = [evaluate(ev, [t], index=i) for i, t in enumerate((0.3, -0.2, 0.3, 1.1))]
+        assert minimize(ev, max_evals=30).n_evaluations == 30
+        assert calls == [h2_compact_spec()]
+        other = dataclasses.replace(ev, seed=1)
+        assert calls == [h2_compact_spec()] * 2
+        assert evaluate(other, [0.3]) != energies[0]
+        assert [evaluate(ev, [t], index=i) for i, t in enumerate((0.3, -0.2, 0.3, 1.1))] == energies
+        assert len(calls) == 2
+
+
 def test_noisy_evaluations_stay_on_the_pauli_vector(monkeypatch):
     # exact, sampled, readout and unfolded noisy evaluations read their
     # distributions and energies from r: none builds the basis-rotation stack
@@ -566,17 +591,19 @@ def test_minimize_validation():
 @settings(deadline=None, max_examples=60)
 @given(
     n=st.integers(1, 8),
-    kind=st.sampled_from(("quadratic", "rosenbrock", "plateau")),
+    kind=st.sampled_from(("quadratic", "rosenbrock", "plateau", "nan")),
     budget=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_nelder_mead_replays_scipy(n, kind, budget, seed):
     # the same points in the same order, the same flag and message as scipy's
     # Nelder-Mead with minimize's options; rounding the bowl to 0.1 makes
-    # plateaus, where ties in the simplex sorts decide the next point
+    # plateaus, where ties in the simplex sorts decide the next point, and
+    # NaN past a cut in x[0] holds the comparisons to NaN's semantics there
     rng = np.random.default_rng(seed)
     center, weights = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 3.0, n)
     theta0 = rng.uniform(-0.5, 0.5, n)
+    cut = rng.uniform(-0.5, 0.6)
     max_evals = (1, n, n + 1, 37, 2000)[budget]
 
     def objective(x):
@@ -584,6 +611,8 @@ def test_nelder_mead_replays_scipy(n, kind, budget, seed):
             z = np.append(x, 1.0)
             return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2))
         bowl = float(np.sum(weights * (x - center) ** 2))
+        if kind == "nan":
+            return math.nan if x[0] > cut else bowl
         return round(bowl, 1) if kind == "plateau" else bowl
 
     def recorder(trace):
@@ -600,7 +629,7 @@ def test_nelder_mead_replays_scipy(n, kind, budget, seed):
         options={"fatol": _TOL, "xatol": _TOL, "maxfev": max_evals, "maxiter": max_evals,
                  "initial_simplex": np.vstack([theta0, theta0 + 0.1 * np.eye(n)])},
     )
-    assert out.trace == tuple(theirs)
+    assert repr(out.trace) == repr(tuple(theirs))  # nan != nan, but their reprs agree
     assert (out.converged, out.message) == (bool(res.success), res.message)
 
 
