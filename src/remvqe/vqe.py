@@ -217,7 +217,7 @@ _SIGNS = np.array([-1.0, 1.0])
 
 
 # Default budgets: every Nelder-Mead run measured on exact distributions converged
-# within 11 595 evaluations (README); shot runs keep 2000: shot noise defeats their stop rules.
+# within 16 939 evaluations (README); shot runs keep 2000: shot noise defeats their stop rules.
 _EXACT_BUDGET, _BUDGET = 20_000, 2000
 
 
@@ -257,11 +257,12 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
     """Nelder-Mead with reflection 1, expansion 2, contraction and shrink 1/2
     from the simplex theta0 + 0.1 e_k (the radian scale of rotation angles),
     until every vertex is within _TOL of the best in each coordinate and in
-    energy, or before an evaluation past max_evals. The float expressions,
-    the argsort re-sorts that place ties, and the messages are those of the
-    common reference implementation, which the tests replay point for point;
-    its iteration cap, also max_evals, never binds first: the simplex and
-    each iteration cost an evaluation.
+    energy, or before an evaluation past max_evals. Each re-sort is stable:
+    vertices of equal energy keep their order, whatever sort numpy's build
+    and CPU select. The float expressions and the messages are those of the
+    common reference implementation, which the tests replay point for point
+    under a stable argsort; its iteration cap, also max_evals, never binds
+    first: the simplex and each iteration cost an evaluation.
     """
     n = theta0.size
 
@@ -270,18 +271,14 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
             raise _BudgetSpent
         return f(x)
 
-    def by_energy(sim, fsim):
-        ind = fsim.argsort()
-        return sim.take(ind, 0), fsim.take(ind, 0)
-
     sim = np.vstack([theta0, theta0 + 0.1 * np.eye(n)])
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
             fsim[k] = func(sim[k])
-        # sorted twice, as in the reference: argsort need not leave sorted ties alone
-        sim, fsim = by_energy(*by_energy(sim, fsim))
         while len(trace) < max_evals:
+            ind = fsim.argsort(kind="stable")
+            sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
             # the energies as Python floats, read before this iteration
             # changes fsim; both spreads are pure, so testing the cheaper
             # energy spread first leaves the result of the `and` as the
@@ -314,7 +311,6 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                         fsim[j] = func(sim[j])
-            sim, fsim = by_energy(sim, fsim)
     except _BudgetSpent:
         pass
     if len(trace) >= max_evals:

@@ -5,6 +5,7 @@ import numpy as np
 
 from remvqe import AnsatzSpec, MoleculeDataset, QuantumState, format_hamiltonian
 from remvqe.experiments import PointResult, RunConfig, _run_point, resolve
+from remvqe.vqe import _nelder_mead
 
 
 def hardware_efficient_spec(n_qubits: int = 4, hf_bitstring: str | None = None) -> AnsatzSpec:
@@ -41,3 +42,16 @@ def four_pipelines(cfg: RunConfig) -> PointResult:
     """All four pipeline energies at one geometry (--r, default equilibrium)."""
     problem = resolve(cfg, every_pipeline=True)
     return _run_point(problem, problem.hamiltonian, 0)
+
+
+def plateau_nelder_mead(n: int) -> str:
+    """The repr of a Nelder-Mead run on a bowl rounded to 0.1, where vertex
+    energies tie from the first simplex on, so the sort's tie order sets the
+    trace."""
+    trace: list = []
+
+    def f(x: np.ndarray) -> float:
+        trace.append((tuple(x.tolist()), round(float(np.sum((x - 0.3) ** 2)), 1)))
+        return trace[-1][1]
+
+    return repr(_nelder_mead(f, np.zeros(n), 400, trace))

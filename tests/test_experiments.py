@@ -552,10 +552,10 @@ def test_single_point_lih_noisy_hardware_efficient():
             mitigation="rem",
         )
     )
-    # the 12-parameter simplex settles after 10 132 evaluations, inside the
+    # the 12-parameter simplex settles after 10 177 evaluations, inside the
     # exact-path budget, and the reference correction removes most of the
     # depolarizing bias
-    assert res.converged and res.record["n_evaluations"] == 10132
+    assert res.converged and res.record["n_evaluations"] == 10177
     assert "[not converged]" not in res.text
     assert res.report.err_vqe == pytest.approx(0.0783, abs=1e-3)
     assert abs(res.report.err_rem) < res.report.err_vqe / 10

@@ -1,6 +1,12 @@
 """Energy evaluation, readout unfolding, minimization, and sweep-and-fit."""
 import dataclasses
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,10 +44,11 @@ from remvqe.vqe import (
     _prepare,
     _stream,
 )
-from helpers import hardware_efficient_spec
+from helpers import hardware_efficient_spec, plateau_nelder_mead
 
 H2 = builtin("h2")
 HEH = builtin("heh+")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def h2_evaluator(r: float = 0.7414, **kwargs) -> EnergyEvaluator:
@@ -597,9 +604,10 @@ def test_minimize_validation():
 )
 def test_nelder_mead_replays_scipy(n, kind, budget, seed):
     # the same points in the same order, the same flag and message as scipy's
-    # Nelder-Mead with minimize's options; rounding the bowl to 0.1 makes
-    # plateaus, where ties in the simplex sorts decide the next point, and
-    # NaN past a cut in x[0] holds the comparisons to NaN's semantics there
+    # Nelder-Mead with minimize's options, its np.argsort made stable as ours
+    # is; rounding the bowl to 0.1 makes plateaus, where ties in the simplex
+    # sorts decide the next point, and NaN past a cut in x[0] holds the
+    # comparisons to NaN's semantics there
     rng = np.random.default_rng(seed)
     center, weights = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 3.0, n)
     theta0 = rng.uniform(-0.5, 0.5, n)
@@ -624,13 +632,27 @@ def test_nelder_mead_replays_scipy(n, kind, budget, seed):
     ours: list = []
     out = _nelder_mead(recorder(ours), theta0, max_evals, ours)
     theirs: list = []
-    res = scipy.optimize.minimize(
-        recorder(theirs), theta0, method="Nelder-Mead",
-        options={"fatol": _TOL, "xatol": _TOL, "maxfev": max_evals, "maxiter": max_evals,
-                 "initial_simplex": np.vstack([theta0, theta0 + 0.1 * np.eye(n)])},
-    )
+    with mock.patch.object(np, "argsort", functools.partial(np.argsort, kind="stable")):
+        res = scipy.optimize.minimize(
+            recorder(theirs), theta0, method="Nelder-Mead",
+            options={"fatol": _TOL, "xatol": _TOL, "maxfev": max_evals, "maxiter": max_evals,
+                     "initial_simplex": np.vstack([theta0, theta0 + 0.1 * np.eye(n)])},
+        )
     assert repr(out.trace) == repr(tuple(theirs))  # nan != nan, but their reprs agree
     assert (out.converged, out.message) == (bool(res.success), res.message)
+
+
+def test_nelder_mead_ties_do_not_depend_on_numpy_simd():
+    # numpy's default argsort orders ties one way on its AVX2/AVX-512 path and
+    # another on its scalar one; a run with those loops switched off gives
+    # the trace this process gives
+    sizes = (4, 12)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+               NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+    script = f"from helpers import plateau_nelder_mead\nfor n in {sizes}: print(plateau_nelder_mead(n))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [plateau_nelder_mead(n) for n in sizes]
 
 
 def test_spsa_reduces_noisy_energy():
