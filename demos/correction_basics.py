@@ -10,11 +10,11 @@ import numpy as np
 from remvqe import (
     EnergyEvaluator,
     NoiseModel,
+    RemReport,
     builtin,
     ground_state_energy,
     h2_compact_spec,
     reference_exact_energy,
-    rem_report,
     sweep_and_fit,
 )
 
@@ -43,7 +43,7 @@ def main():
     # All parameters at zero prepare the Hartree-Fock state |01>, so the
     # fitted curve already holds its measured energy: no extra measurement.
     e_vqe_ref = fit.value_at(0.0)
-    report = rem_report(e_vqe_ref, reference_exact_energy(ev), fit.e_min, e_exact)
+    report = RemReport(e_vqe_ref, reference_exact_energy(ev), fit.e_min, e_exact)
     print(f"reference, exact:        {report.e_exact_ref:+.6f}")
     print(f"reference, measured:     {report.e_vqe_ref:+.6f}")
     print(f"delta:                   {report.delta_rem:+.6f}")
@@ -51,7 +51,7 @@ def main():
 
     # --- 5. The correction is a rigid shift ---
     corrected = [
-        rem_report(e_vqe_ref, report.e_exact_ref, e).e_rem for e in fit.energies
+        RemReport(e_vqe_ref, report.e_exact_ref, e).e_rem for e in fit.energies
     ]
     shift = np.array(fit.energies) - np.array(corrected)
     print(f"curve shift (constant):  {shift.min():+.6f} .. {shift.max():+.6f}")

@@ -47,9 +47,7 @@ from .mitigation import (
     format_confusion_csv,
     parse_confusion_csv,
     read_confusion_csv,
-    rem_report,
     unfold,
-    write_confusion_csv,
 )
 from .pauli import (
     PauliHamiltonian,

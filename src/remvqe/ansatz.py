@@ -127,23 +127,16 @@ def _pauli_block(label: str, angle: Param) -> tuple[Gate, ...]:
     """exp(-i * angle / 2 * P): basis change, parity ladder, RZ, unwind."""
     n = len(label)
     support = [q for q in range(n) if label[n - 1 - q] != "I"]
-    enter: list[Gate] = []
-    for q in support:
-        ch = label[n - 1 - q]
-        if ch == "X":
-            enter.append(Gate("H", (q,)))
-        elif ch == "Y":
-            enter.append(Gate("RX", (q,), (0.5 * math.pi,)))
+
+    def basis(qubits, sign: float) -> list[Gate]:  # X -> H, Y -> RX(sign * pi / 2)
+        return [
+            Gate("H", (q,)) if label[n - 1 - q] == "X" else Gate("RX", (q,), (sign * 0.5 * math.pi,))
+            for q in qubits if label[n - 1 - q] != "Z"
+        ]
+
     ladder = [Gate("CNOT", (support[i], support[i + 1])) for i in range(len(support) - 1)]
     core = [Gate("RZ", (support[-1],), (angle,))]
-    unwind: list[Gate] = []
-    for q in reversed(support):
-        ch = label[n - 1 - q]
-        if ch == "X":
-            unwind.append(Gate("H", (q,)))
-        elif ch == "Y":
-            unwind.append(Gate("RX", (q,), (-0.5 * math.pi,)))
-    return tuple(enter + ladder + core + list(reversed(ladder)) + unwind)
+    return tuple(basis(support, 1.0) + ladder + core + ladder[::-1] + basis(reversed(support), -1.0))
 
 
 @lru_cache(maxsize=64)

@@ -6,7 +6,7 @@ execution time by the simulator.
 """
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,18 +26,13 @@ GATE_KINDS: dict[str, tuple[int, int]] = {
 
 @frozen
 class Param:
-    """Named free angle; resolves to scale * bindings[name]."""
+    """Named free angle; binds to scale * bindings[name] (sim._bind)."""
 
     name: str
     scale: float = 1.0
 
     def scaled(self, factor: float) -> "Param":
         return Param(self.name, self.scale * factor)
-
-    def resolve(self, bindings: Mapping[str, float]) -> float:
-        if self.name not in bindings:
-            raise KeyError(f"unbound parameter {self.name!r}")
-        return self.scale * float(bindings[self.name])
 
 
 Angle = Union[float, Param]
@@ -61,12 +56,6 @@ class Gate:
             raise ValueError(
                 f"{self.kind} takes {n_params} parameter(s), got {len(self.params)}"
             )
-
-    def resolved(self, bindings: Mapping[str, float]) -> tuple[float, ...]:
-        return tuple(
-            p.resolve(bindings) if isinstance(p, Param) else float(p)
-            for p in self.params
-        )
 
 
 @frozen
@@ -103,9 +92,6 @@ class Circuit:
                 if isinstance(p, Param) and p.name not in seen:
                     seen.append(p.name)
         return tuple(seen)
-
-    def extended(self, *gates: Gate) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates + tuple(gates))
 
 
 def circuit_stats(c: Circuit) -> tuple[int, int, int]:

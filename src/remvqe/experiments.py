@@ -40,7 +40,6 @@ from .mitigation import (
     device_confusion,
     format_confusion_csv,
     read_confusion_csv,
-    rem_report,
     unfold,
 )
 from .pauli import _DENSE_LIMIT, PauliHamiltonian, ground_state_energy
@@ -370,7 +369,7 @@ def _rem_at(
     else:
         e_vqe_min = evaluate(ev, theta, index=MEASURE_INDEX)
         e_vqe_ref = evaluate(ev, np.zeros(len(theta)), index=REFERENCE_INDEX)
-    return rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
+    return RemReport(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
 
 
 def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResult:

@@ -410,11 +410,6 @@ class RemReport:
         return self.e_rem - float(self.e_exact_min)
 
 
-# rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min=None): the
-# function-style name the README and the demos use.
-rem_report = RemReport
-
-
 # --- confusion matrix CSV serialization -------------------------------------
 
 
@@ -456,11 +451,6 @@ def parse_confusion_csv(text: str) -> ConfusionMatrix:
     mat = mat / sums
     unc = np.array(sigma_rows) if sigma_rows else None
     return ConfusionMatrix(n_qubits, mat, unc)
-
-
-def write_confusion_csv(c: ConfusionMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_confusion_csv(c))
 
 
 def read_confusion_csv(path) -> ConfusionMatrix:

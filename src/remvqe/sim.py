@@ -344,8 +344,8 @@ class _KetProgram:
 
 
 def _bind(angles: tuple, bindings: Mapping[str, float] | None) -> list[float]:
-    """Each distinct angle of a run once: a Param resolved inline, as
-    Param.resolve does, to scale * float(value), a fixed angle as is."""
+    """Each distinct angle of a run once: a Param to scale * float(value),
+    a fixed angle as is. The only code that binds a Param."""
     values = bindings or {}
     try:
         return [a.scale * float(values[a.name]) if isinstance(a, Param) else a for a in angles]
@@ -479,7 +479,7 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
         angle = gate.params[0] if gate.params else None
         conjugation = None
         if not isinstance(angle, Param):
-            unitary = gate_matrix(gate.kind, gate.resolved({}))
+            unitary = gate_matrix(gate.kind, gate.params)
             key = unitary.tobytes()
             if key not in conjugations:
                 conjugations[key] = _conjugation(unitary)

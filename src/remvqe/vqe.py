@@ -189,7 +189,7 @@ class VqeOutcome:
 
     `theta` is the first lowest-energy trace entry's. Under shot noise that
     entry's energy is biased low; the reported energy is a new measurement
-    at theta (experiments.MEASURE_INDEX).
+    at theta (this module's MEASURE_INDEX).
     """
 
     trace: tuple[tuple[tuple[float, ...], float], ...]

@@ -17,6 +17,7 @@ import pytest
 from remvqe import (
     EnergyEvaluator,
     NoiseModel,
+    RemReport,
     ansatz_circuit,
     builtin,
     circuit_stats,
@@ -26,7 +27,6 @@ from remvqe import (
     h2_compact_spec,
     minimize,
     reference_exact_energy,
-    rem_report,
     run_density,
     run_statevector,
     sweep_and_fit,
@@ -240,7 +240,7 @@ def test_criterion_9_structural_invariants():
     fit = sweep_and_fit(noisy)
     e_vqe_ref = evaluate(noisy, np.zeros(1), index=REFERENCE_INDEX)
     reports = [
-        rem_report(e_vqe_ref, reference_exact_energy(noisy), e) for e in fit.energies
+        RemReport(e_vqe_ref, reference_exact_energy(noisy), e) for e in fit.energies
     ]
     assert np.argmin(fit.energies) == np.argmin([r.e_rem for r in reports])
     for e, r in zip(fit.energies, reports):

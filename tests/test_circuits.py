@@ -4,6 +4,7 @@ import pytest
 
 from remvqe import Circuit, Gate, Param, circuit_stats, gate_matrix
 from remvqe.circuits import GATE_KINDS
+from remvqe.sim import _bind
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -24,11 +25,12 @@ def test_gate_validation():
 
 
 def test_param_scaling_and_resolution():
+    # sim._bind is the only code that binds a Param
     p = Param("t0").scaled(-2.0)
-    assert p.resolve({"t0": 0.25}) == pytest.approx(-0.5, abs=1e-15)
+    assert _bind((p,), {"t0": 0.25}) == [pytest.approx(-0.5, abs=1e-15)]
     assert p.scaled(0.5).scale == -1.0
-    with pytest.raises(KeyError, match="t0"):
-        Param("t0").resolve({})
+    with pytest.raises(ValueError, match="unbound parameter 't0'"):
+        _bind((Param("t0"),), {})
 
 
 def test_gate_resolved_mixes_floats_and_params():
@@ -40,7 +42,7 @@ def test_gate_resolved_mixes_floats_and_params():
             Gate("RZ", (0,), (Param("b", scale=2.0),)),
         ),
     )
-    resolved = [g.resolved({"a": 1.0, "b": 0.25}) for g in c.gates]
+    resolved = [tuple(_bind(g.params, {"a": 1.0, "b": 0.25})) for g in c.gates]
     assert resolved == [(1.0,), (0.5,), (0.5,)]
 
 
@@ -61,12 +63,6 @@ def test_free_parameters_first_appearance_order():
         ),
     )
     assert c.free_parameters == ("b", "a")
-
-
-def test_extended_appends():
-    c = Circuit(2).extended(Gate("H", (0,)))
-    assert len(c.gates) == 1
-    assert c.n_qubits == 2
 
 
 def test_stats_empty():

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from remvqe import ConfusionMatrix, experiments, write_confusion_csv
+from remvqe import ConfusionMatrix, experiments, format_confusion_csv
 from remvqe.cli import _build_parser, main
 from remvqe.experiments import ANSATZE, BACKENDS, MITIGATIONS, OPTIMIZERS
 
@@ -484,7 +484,7 @@ def test_calibration_repeats_are_capped_by_width(tmp_path, capsys, no_run):
     # calibration's (repeats, 2^n, 2^n) arrays may hold 10^4 x 4^4 entries:
     # the repeats cap on 4 qubits, 625 repeats on 6
     path = tmp_path / "six.csv"
-    write_confusion_csv(ConfusionMatrix.identity(6), path)
+    path.write_text(format_confusion_csv(ConfusionMatrix.identity(6)))
     rc = main(["calibrate", "--confusion", str(path), "--repeats", "1000"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -494,7 +494,7 @@ def test_calibration_repeats_are_capped_by_width(tmp_path, capsys, no_run):
 
 def test_calibration_at_the_width_cap_runs(tmp_path, capsys):
     path = tmp_path / "six.csv"
-    write_confusion_csv(ConfusionMatrix.identity(6), path)
+    path.write_text(format_confusion_csv(ConfusionMatrix.identity(6)))
     rc = main(["calibrate", "--confusion", str(path), "--repeats", "625", "--shots-per-state", "5"])
     captured = capsys.readouterr()
     assert rc == 0
@@ -504,7 +504,7 @@ def test_calibration_at_the_width_cap_runs(tmp_path, capsys):
 def test_calibrate_takes_width_from_confusion_csv(tmp_path, capsys):
     # without --molecule the CSV's own width applies; with one it must match
     path = tmp_path / "one.csv"
-    write_confusion_csv(ConfusionMatrix(1, [[0.9, 0.2], [0.1, 0.8]]), path)
+    path.write_text(format_confusion_csv(ConfusionMatrix(1, [[0.9, 0.2], [0.1, 0.8]])))
     rc = main(["calibrate", "--confusion", str(path), "--shots-per-state", "50", "--repeats", "2"])
     captured = capsys.readouterr()
     assert rc == 0

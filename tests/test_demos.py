@@ -1,9 +1,10 @@
-"""Smoke test of the demo scripts: each runs to completion and prints.
+"""Smoke test of the demo scripts and of README's Python tour.
 
 Every demo is copied into a temporary directory first, because some write
 their outputs next to the script.
 """
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -31,3 +32,15 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_tour_runs():
+    # the tour's comments promise err_vqe ~2.5e-2 and err_rem ~6e-4
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert 2e-2 < report.err_vqe < 3e-2
+    assert abs(report.err_rem) < 1e-3

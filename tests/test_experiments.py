@@ -14,9 +14,9 @@ from remvqe import (
     NoiseModel,
     builtin,
     device_confusion,
+    format_confusion_csv,
     h2_compact_spec,
     read_confusion_csv,
-    write_confusion_csv,
 )
 from remvqe import mitigation, sim, vqe
 from remvqe.experiments import (
@@ -169,7 +169,7 @@ def test_resolve_readout_sources():
 
 def test_resolve_confusion_from_file(tmp_path):
     path = tmp_path / "c.csv"
-    write_confusion_csv(device_confusion(), path)
+    path.write_text(format_confusion_csv(device_confusion()))
     p = resolve(RunConfig(molecule="h2", confusion=str(path), mitigation="readout"))
     assert np.allclose(p.applied_confusion.matrix, device_confusion().matrix, atol=1e-7)
     bad = tmp_path / "bad.csv"
@@ -599,7 +599,7 @@ def test_calibrate_roundtrips_through_file(tmp_path):
     back = read_confusion_csv(out)
     assert np.allclose(back.matrix, est.matrix, atol=1e-7)
     truth = tmp_path / "truth.csv"
-    write_confusion_csv(device_confusion(), truth)
+    truth.write_text(format_confusion_csv(device_confusion()))
     est2 = cmd_calibrate(
         RunConfig(confusion=str(truth), shots_per_state=200, repeats=4)
     )

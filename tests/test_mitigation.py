@@ -16,9 +16,7 @@ from remvqe import (
     format_confusion_csv,
     parse_confusion_csv,
     read_confusion_csv,
-    rem_report,
     unfold,
-    write_confusion_csv,
 )
 from remvqe.mitigation import CALIBRATION_POINT, _stream
 
@@ -625,27 +623,27 @@ def test_calibrate_draws_at_the_reserved_point():
 
 
 def test_rem_delta_fixtures():
-    assert rem_report(-1.0897, -1.1167, 0.0).delta_rem == pytest.approx(0.0270, abs=1e-12)
-    assert rem_report(-7.6071, -7.8620, 0.0).delta_rem == pytest.approx(0.2549, abs=1e-12)
-    assert rem_report(0.4, 0.4, 0.0).delta_rem == 0.0
+    assert RemReport(-1.0897, -1.1167, 0.0).delta_rem == pytest.approx(0.0270, abs=1e-12)
+    assert RemReport(-7.6071, -7.8620, 0.0).delta_rem == pytest.approx(0.2549, abs=1e-12)
+    assert RemReport(0.4, 0.4, 0.0).delta_rem == 0.0
     with pytest.raises(ValueError, match="finite"):
-        rem_report(float("nan"), 0.0, 0.0)
+        RemReport(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        rem_report(0.0, float("inf"), 0.0)
+        RemReport(0.0, float("inf"), 0.0)
 
 
 def test_rem_apply_fixtures():
-    assert rem_report(-1.0897, -1.1167, -1.1085).e_rem == pytest.approx(-1.1355, abs=1e-12)
-    assert rem_report(-7.6071, -7.8620, -7.6102).e_rem == pytest.approx(-7.8651, abs=1e-12)
+    assert RemReport(-1.0897, -1.1167, -1.1085).e_rem == pytest.approx(-1.1355, abs=1e-12)
+    assert RemReport(-7.6071, -7.8620, -7.6102).e_rem == pytest.approx(-7.8651, abs=1e-12)
     for e in (1.0, 2.0, 3.0):
-        assert rem_report(0.4, 0.4, e).e_rem == e
+        assert RemReport(0.4, 0.4, e).e_rem == e
 
 
 def test_rem_apply_preserves_argmin():
     # the correction of every point of a curve is the same rigid shift
     rng = np.random.default_rng(2)
     curve = rng.normal(size=40)
-    reports = [rem_report(-0.679, -1.0, e) for e in curve]
+    reports = [RemReport(-0.679, -1.0, e) for e in curve]
     shifted = np.array([r.e_rem for r in reports])
     assert np.argmin(shifted) == np.argmin(curve)
     for e, r in zip(curve, reports):
@@ -654,19 +652,19 @@ def test_rem_apply_preserves_argmin():
 
 
 def test_error_metrics_fixtures():
-    report = rem_report(-1.0897, -1.1167, -1.1085, e_exact_min=-1.1373)
+    report = RemReport(-1.0897, -1.1167, -1.1085, e_exact_min=-1.1373)
     assert report.err_vqe == pytest.approx(0.0288, abs=1.5e-4)
     assert report.err_rem == pytest.approx(0.0018, abs=1.5e-4)
-    report = rem_report(-2.8150, -2.8447, -2.8247, e_exact_min=-2.8542)
+    report = RemReport(-2.8150, -2.8447, -2.8247, e_exact_min=-2.8542)
     assert report.err_vqe == pytest.approx(0.0294, abs=1.5e-4)
     assert report.err_rem == pytest.approx(-0.0002, abs=1.5e-4)
     # a correction hitting the error exactly leaves zero residual
-    report = rem_report(-0.9, -1.1, -1.0, e_exact_min=-1.2)
+    report = RemReport(-0.9, -1.1, -1.0, e_exact_min=-1.2)
     assert (report.err_vqe, report.err_rem) == (pytest.approx(0.2), pytest.approx(0.0))
 
 
 def test_rem_report_identities():
-    report = rem_report(-2.8150, -2.8447, -2.8247, e_exact_min=-2.8542)
+    report = RemReport(-2.8150, -2.8447, -2.8247, e_exact_min=-2.8542)
     assert report.delta_rem == pytest.approx(report.e_vqe_ref - report.e_exact_ref, abs=1e-15)
     assert report.e_rem == pytest.approx(report.e_vqe_min - report.delta_rem, abs=1e-15)
     # noise raised the reference energy, so the shift lowers the minimum,
@@ -691,9 +689,9 @@ def test_rem_report_derives_its_outputs(e_vqe_ref, e_exact_ref, e_vqe_min, e_exa
     ]
     if not (math.isfinite(e_vqe_ref) and math.isfinite(e_exact_ref)):
         with pytest.raises(ValueError, match="reference energies must be finite"):
-            rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
+            RemReport(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
         return
-    report = rem_report(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
+    report = RemReport(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
     delta = e_vqe_ref - e_exact_ref
     assert report.delta_rem == delta
     assert report.e_rem == e_vqe_min - delta
@@ -705,7 +703,7 @@ def test_rem_report_derives_its_outputs(e_vqe_ref, e_exact_ref, e_vqe_min, e_exa
 
 
 def test_rem_report_without_oracle():
-    report = rem_report(-1.0, -1.1, -1.3)
+    report = RemReport(-1.0, -1.1, -1.3)
     assert report.e_exact_min is None
     assert report.err_vqe is None
     assert report.err_rem is None
@@ -741,7 +739,7 @@ def test_confusion_csv_rejects_bad_uncertainty(bad):
 
 def test_confusion_csv_files(tmp_path):
     path = tmp_path / "confusion.csv"
-    write_confusion_csv(device_confusion(), path)
+    path.write_text(format_confusion_csv(device_confusion()))
     back = read_confusion_csv(path)
     assert np.allclose(back.matrix, device_confusion().matrix, atol=1e-7)
 

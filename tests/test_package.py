@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,35 @@ def test_a_pauli_term_is_its_label():
     gone = {"PauliString", "MeasurementGroup", "parse_pauli"}
     assert [(m.__name__, name) for m in (remvqe, remvqe.pauli) for name in gone if hasattr(m, name)] == []
     assert gone.isdisjoint(remvqe.__all__)
+
+
+def test_forwarding_names_are_gone():
+    # RemReport and format_confusion_csv serve callers directly, and sim._bind
+    # is the only code that binds a Param
+    gone = {"rem_report", "write_confusion_csv"}
+    assert [(m.__name__, name) for m in (remvqe, remvqe.mitigation) for name in gone if hasattr(m, name)] == []
+    assert gone.isdisjoint(remvqe.__all__)
+    members = [(remvqe.Param, "resolve"), (remvqe.Gate, "resolved"), (remvqe.Circuit, "extended")]
+    assert [(cls.__name__, name) for cls, name in members if hasattr(cls, name)] == []
+
+
+def test_every_import_is_used():
+    # a name a module imports but never reads is dead weight; the exceptions
+    # are __init__'s re-exports and imports marked "# noqa: F401 <reason>"
+    unused = []
+    for path in sorted((ROOT / "src" / "remvqe").glob("*.py")):
+        text = path.read_text()
+        tree, lines = ast.parse(text), text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                exported = path.name == "__init__.py" and name in remvqe.__all__
+                if name not in used and not exported and not re.search(r"# noqa: F401 \S", lines[alias.lineno - 1]):
+                    unused.append((path.name, name))
+    assert unused == []
 
 
 def _imports(module: str) -> list[tuple[int, str]]:

@@ -124,7 +124,8 @@ def evolve(circuit: Circuit, bindings, noise: NoiseModel | None) -> np.ndarray:
     v[0] = 1.0
     for gate in circuit.gates:
         p = None if noise is None else (noise.p1 if len(gate.qubits) == 1 else noise.p2)
-        v = apply_gate(v, gate_matrix(gate.kind, gate.resolved(bindings)), gate.qubits, n, p)
+        unitary = gate_matrix(gate.kind, tuple(sim._bind(gate.params, bindings)))
+        v = apply_gate(v, unitary, gate.qubits, n, p)
     return v
 
 
@@ -212,7 +213,8 @@ def test_statevector_matches_dense_oracle():
         psi = np.zeros(1 << n, dtype=complex)
         psi[0] = 1.0
         for gate in circuit.gates:
-            psi = embed(gate_matrix(gate.kind, gate.resolved({})), gate.qubits, n) @ psi
+            unitary = gate_matrix(gate.kind, tuple(sim._bind(gate.params, {})))
+            psi = embed(unitary, gate.qubits, n) @ psi
         assert np.allclose(run_statevector(circuit).data, psi, atol=1e-10)
 
 
@@ -275,7 +277,7 @@ def test_one_qubit_channel_matches_pauli_mixture():
     for label in "XYZ":
         u = embed(PAULI_1Q[label], (1,), 2)
         mixture += (p / 3) * (u @ rho @ u.conj().T)
-    noisy = run_density(prep.extended(Gate("X", (1,))), noise=noise)
+    noisy = run_density(Circuit(prep.n_qubits, prep.gates + (Gate("X", (1,)),)), noise=noise)
     assert np.allclose(density_matrix(noisy.pauli), mixture, atol=1e-12)
 
 
@@ -293,7 +295,8 @@ def test_two_qubit_channel_matches_pauli_mixture():
             u = np.kron(PAULI_1Q[a], PAULI_1Q[b])
             mixture += (p / 15) * (u @ rho @ u.conj().T)
 
-    noisy = run_density(prep.extended(Gate("CNOT", (0, 1))), noise=NoiseModel(p2=p, p1=0.0))
+    circuit = Circuit(prep.n_qubits, prep.gates + (Gate("CNOT", (0, 1)),))
+    noisy = run_density(circuit, noise=NoiseModel(p2=p, p1=0.0))
     assert np.allclose(density_matrix(noisy.pauli), mixture, atol=1e-12)
 
 
@@ -321,7 +324,7 @@ def kraus_reference(circuit: Circuit, noise: NoiseModel, bindings) -> np.ndarray
     rho[0, 0] = 1.0
     for gate in circuit.gates:
         k = len(gate.qubits)
-        u = embed(gate_matrix(gate.kind, gate.resolved(bindings)), gate.qubits, n)
+        u = embed(gate_matrix(gate.kind, tuple(sim._bind(gate.params, bindings))), gate.qubits, n)
         rho = u @ rho @ u.conj().T
         p = noise.p1 if k == 1 else noise.p2
         kraus = []
