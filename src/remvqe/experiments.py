@@ -348,7 +348,7 @@ def _optimize(problem: _Problem, ev: EnergyEvaluator):
         fit = sweep_and_fit(ev, default_grid(problem.cfg.grid_points))
         return (fit.theta_min,), fit, None
     outcome = minimize(ev, optimizer=problem.optimizer)
-    return tuple(float(v) for v in outcome.theta), None, outcome
+    return outcome.theta, None, outcome
 
 
 def _rem_at(

@@ -185,22 +185,20 @@ def reference_exact_energy(ev: EnergyEvaluator) -> float:
 
 @frozen
 class VqeOutcome:
-    """An optimizer run: every (theta, energy) it evaluated, and why it stopped.
+    """An optimizer run: every (theta, energy) it evaluated, why it stopped,
+    and the theta it chose.
 
-    `theta` is the first lowest-energy trace entry's. Under shot noise that
-    entry's energy is biased low; the reported energy is a new measurement
-    at theta (this module's MEASURE_INDEX).
+    Nelder-Mead and SPSA on exact distributions choose the first
+    lowest-energy trace entry. Under shots the lowest entry is the one the
+    noise pulled down most, so SPSA chooses the mean of its last window's
+    iterates instead. Either way the reported energy is a new measurement at
+    theta (this module's MEASURE_INDEX).
     """
 
     trace: tuple[tuple[tuple[float, ...], float], ...]
     converged: bool
     message: str
-
-    @property
-    def theta(self) -> np.ndarray:
-        arr = np.array(min(self.trace, key=lambda entry: entry[1])[0])
-        arr.setflags(write=False)
-        return arr
+    theta: tuple[float, ...]
 
     @property
     def n_evaluations(self) -> int:
@@ -208,7 +206,8 @@ class VqeOutcome:
 
 
 # Stop rule of both optimizers: Nelder-Mead's simplex spread (fatol and xatol),
-# SPSA's change between successive 10-evaluation window averages.
+# SPSA's change between the energy averages of successive 10-iteration (20-
+# evaluation) windows, or under shots that change's noise floor if higher.
 _TOL = 1e-6
 # SPSA gains a and c of the standard schedules a/(k+1+A)^0.602, c/(k+1)^0.101.
 _SPSA_A, _SPSA_C = 0.15, 0.1
@@ -217,7 +216,7 @@ _SIGNS = np.array([-1.0, 1.0])
 
 
 # Default budgets: every Nelder-Mead run measured on exact distributions converged
-# within 16 939 evaluations (README); shot runs keep 2000: shot noise defeats their stop rules.
+# within 16 939 evaluations (README); SPSA and shot runs get 2000.
 _EXACT_BUDGET, _BUDGET = 20_000, 2000
 
 
@@ -226,10 +225,11 @@ def minimize(
 ) -> VqeOutcome:
     """Derivative-free minimization from the Hartree-Fock start theta = 0.
 
-    Runs until the energy tolerance or the evaluation budget is exhausted;
-    running out of budget sets converged=False in the outcome instead of
-    raising. The reported optimum is the best trace entry. The budget defaults
-    to 20 000 for Nelder-Mead on exact distributions (shots=None), else 2000.
+    Runs until the optimizer's stop rule holds or the evaluation budget is
+    exhausted; running out of budget sets converged=False in the outcome
+    instead of raising. The outcome's theta is the optimizer's choice
+    (VqeOutcome). The budget defaults to 20 000 for Nelder-Mead on exact
+    distributions (shots=None), else 2000.
     """
     if max_evals is None:
         max_evals = _EXACT_BUDGET if ev.shots is None and optimizer == "nelder-mead" else _BUDGET
@@ -314,17 +314,41 @@ def _nelder_mead(f, theta0, max_evals, trace) -> VqeOutcome:
     except _BudgetSpent:
         pass
     if len(trace) >= max_evals:
-        return VqeOutcome(tuple(trace), False, "Maximum number of function evaluations has been exceeded.")
-    return VqeOutcome(tuple(trace), True, "Optimization terminated successfully.")
+        return _outcome(trace, False, "Maximum number of function evaluations has been exceeded.")
+    return _outcome(trace, True, "Optimization terminated successfully.")
+
+
+def _outcome(trace, converged: bool, message: str, theta=None) -> VqeOutcome:
+    """The run's outcome; theta defaults to the first lowest-energy trace entry's."""
+    if theta is None:
+        theta = min(trace, key=lambda entry: entry[1])[0]
+    return VqeOutcome(tuple(trace), converged, message, theta)
 
 
 def _spsa(ev, f, max_evals, trace) -> VqeOutcome:
-    """Simultaneous-perturbation descent with the standard gain schedules."""
+    """Simultaneous-perturbation descent with the standard gain schedules.
+
+    After every 10 iterations the window's energy estimates (e+ + e-)/2 give
+    a mean m and, under shots, the variance v of that mean (their sample
+    variance / 10; on exact distributions v = 0). The run stops once
+    |m_k - m_(k-1)| < max(_TOL, 2 sqrt(v_k + v_(k-1))) holds for one window
+    on exact distributions, or for two windows in a row under shots, where
+    the floor is what two noisy means differ by anyway. Under shots the
+    chosen theta is the mean of the last complete window's iterates, the
+    points that window measured (the final iterate before any window
+    completes); on exact distributions it is the first lowest trace entry.
+    The chosen theta, or the final iterate, is evaluated once more when the
+    budget allows.
+    """
     alpha, gamma, stability = 0.602, 0.101, 10.0
     rng = _stream(ev.seed, ev.point, SPSA_INDEX)
     theta = np.zeros(ev.ansatz.n_params)
+    shots = ev.shots is not None
     window: list[float] = []
-    prev_avg: float | None = None
+    iterates: list[np.ndarray] = []
+    prev: tuple[float, float] | None = None  # the last window's (m, v)
+    passes = 0
+    chosen = None
     converged = False
     message = "evaluation budget exhausted"
     for k in range(max_evals // 2):
@@ -334,19 +358,29 @@ def _spsa(ev, f, max_evals, trace) -> VqeOutcome:
         e_plus = f(theta + ck * direction)
         e_minus = f(theta - ck * direction)
         gradient = (e_plus - e_minus) / (2.0 * ck) * (1.0 / direction)
+        iterates.append(theta)
         theta = theta - ak * gradient
         window.append(0.5 * (e_plus + e_minus))
         if len(window) == 10:
             avg = sum(window) / len(window)
+            var = 0.0
+            if shots:  # the sample variance (n - 1 = 9) over n = 10
+                var = sum((e - avg) ** 2 for e in window) / 90
+                chosen = np.mean(iterates, axis=0)
             window.clear()
-            if prev_avg is not None and abs(avg - prev_avg) < _TOL:
+            iterates.clear()
+            close = prev is not None and abs(avg - prev[0]) < max(_TOL, 2.0 * math.sqrt(var + prev[1]))
+            passes = passes + 1 if close else 0
+            if passes == (2 if shots else 1):
                 converged = True
                 message = "averaged energy change below tolerance"
                 break
-            prev_avg = avg
+            prev = (avg, var)
+    if chosen is not None:
+        theta = chosen
     if len(trace) < max_evals:
         f(theta)
-    return VqeOutcome(tuple(trace), converged, message)
+    return _outcome(trace, converged, message, tuple(theta.tolist()) if shots else None)
 
 
 @frozen

@@ -129,7 +129,17 @@ def test_single_point_report(capsys):
 
 
 def test_single_point_convergence_warning(capsys):
-    # SPSA under shot noise spends its 2000 evaluations without meeting its stop rule
+    # SPSA on exact distributions spends its 2000 evaluations without meeting its stop rule
+    rc = main(["single-point", "--molecule", "heh+", "--backend", "noisy", "--optimizer", "spsa"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "warning: optimizer did not converge" in captured.err
+    assert "[not converged]" in captured.out
+
+
+def test_shot_spsa_reaches_its_noise_floor(capsys):
+    # under shots SPSA stops once its window averages differ by no more than
+    # their noise, instead of spending its budget
     rc = main(
         [
             "single-point", "--molecule", "h2", "--backend", "noisy", "--shots", "500",
@@ -137,9 +147,23 @@ def test_single_point_convergence_warning(capsys):
         ]
     )
     captured = capsys.readouterr()
-    assert rc == 3
-    assert "warning: optimizer did not converge" in captured.err
-    assert "[not converged]" in captured.out
+    assert rc == 0
+    assert captured.err == ""
+    assert "[not converged]" not in captured.out
+
+
+def test_shot_dissociation_converges_at_every_point(capsys):
+    # every point of a 5000-shot SPSA curve stops at its noise floor
+    rc = main(
+        [
+            "dissociation", "--molecule", "heh+", "--backend", "noisy", "--shots", "5000",
+            "--mitigation", "rem", "--seed", "42",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert len(captured.out.strip().split("\n")) == 11
 
 
 def test_unknown_molecule_is_config_error(capsys):

@@ -5,9 +5,9 @@ stderr and exit code with `tests/golden/<name>.txt`. The configs are small
 but cover exact ket energies, shot sampling, the figure-s2 readout model,
 `--confusion calibrate`, a confusion CSV file, unfolding, both optimizer
 paths, every ansatz family (the hardware-efficient one on its 4-qubit T map
-and on a 3-qubit chain from a Hamiltonian file) and exit codes 0, 2 and 3;
-exit 2 includes an `--out` in a missing directory and a zero p2 under
-`--svg`. `{golden}` in an argument, and in the output, stands for the golden
+and on a 3-qubit chain from a Hamiltonian file) and exit codes 0 and 2 (exit
+3 is pinned in test_cli); exit 2 includes an `--out` in a missing directory
+and a zero p2 under `--svg`. `{golden}` in an argument, and in the output, stands for the golden
 directory.
 
 A change that alters output on purpose regenerates the cases it changes with
@@ -50,7 +50,7 @@ CASES = {
         "single-point --molecule heh+ --backend noisy --shots 1000 --confusion figure-s2 "
         "--mitigation readout+rem --seed 6"
     ),
-    "single-point-h2-spsa-not-converged": (
+    "single-point-h2-spsa-shots": (
         "single-point --molecule h2 --backend noisy --shots 500 --optimizer spsa --seed 1"
     ),
     "single-point-lih-qubit-mismatch": "single-point --molecule lih --confusion figure-s2",

@@ -42,6 +42,7 @@ from remvqe.vqe import (
     _nelder_mead,
     _plan,
     _prepare,
+    _spsa,
     _stream,
 )
 from helpers import hardware_efficient_spec, plateau_nelder_mead
@@ -566,14 +567,19 @@ def test_minimize_heh_noiseless():
 
 def test_minimize_outcome_bookkeeping():
     ev = EnergyEvaluator(bowl_hamiltonian(), h2_compact_spec())
-    out = minimize(ev)
-    # the optimum is derived from the trace, not stored beside it
-    assert [f.name for f in dataclasses.fields(out)] == ["trace", "converged", "message"]
-    assert out.n_evaluations == len(out.trace)
-    assert not hasattr(out, "energy")  # the trace minimum is no energy estimate
-    assert evaluate(ev, out.theta) == pytest.approx(min(e for _, e in out.trace), abs=1e-12)
-    with pytest.raises(ValueError):
-        out.theta[0] = 99.0
+    # the optimizer stores the theta it chose: under shots the lowest trace
+    # entry is the one the noise pulled down most (the winner's curse), so
+    # shot SPSA chooses another point (test_spsa_shot_outcome_is_the_window_mean);
+    # on exact distributions both optimizers choose the first lowest entry
+    for optimizer in ("nelder-mead", "spsa"):
+        out = minimize(ev, optimizer, max_evals=200)
+        assert [f.name for f in dataclasses.fields(out)] == ["trace", "converged", "message", "theta"]
+        assert out.n_evaluations == len(out.trace)
+        assert out.theta == min(out.trace, key=lambda entry: entry[1])[0]
+        assert not hasattr(out, "energy")  # the trace minimum is no energy estimate
+        assert evaluate(ev, out.theta) == pytest.approx(min(e for _, e in out.trace), abs=1e-12)
+        with pytest.raises(TypeError):
+            out.theta[0] = 99.0
 
 
 def test_minimize_budget_exhaustion_is_not_an_error():
@@ -678,6 +684,50 @@ def test_spsa_directions_come_from_the_reserved_index():
     first = np.array(minimize(ev, optimizer="spsa", max_evals=2).trace[0][0])
     direction = _SIGNS[_stream(13, 4, SPSA_INDEX).integers(0, 2, size=3)]
     assert np.array_equal(first, 0.1 * direction)
+
+
+def _noisy_objective(trace, energy, sd=0.01, seed=0):
+    """A stub SPSA objective: energy(k) for the k-th evaluation plus
+    fixed-seed Gaussian noise of SD `sd`, recorded in `trace`."""
+    rng = np.random.default_rng(seed)
+
+    def f(theta):
+        e = energy(len(trace)) + sd * rng.standard_normal()
+        trace.append((tuple(theta.tolist()), e))
+        return e
+
+    return f
+
+
+def test_spsa_stops_at_its_noise_floor():
+    # a flat energy under noise: successive window means differ by noise
+    # alone, here within twice its SE at windows 2 and 3, so the run stops
+    # after three windows (60 evaluations) and one final evaluation at the
+    # chosen theta
+    ev = h2_evaluator(shots=500, seed=3)
+    trace = []
+    out = _spsa(ev, _noisy_objective(trace, lambda k: -1.0), 2000, trace)
+    assert (out.converged, out.n_evaluations) == (True, 61)
+
+
+def test_spsa_does_not_stop_while_the_energy_falls():
+    # window means 20 evaluations apart fall by 0.2, far beyond the noise floor
+    ev = h2_evaluator(shots=500, seed=3)
+    trace = []
+    out = _spsa(ev, _noisy_objective(trace, lambda k: -0.01 * k), 400, trace)
+    assert (out.converged, out.n_evaluations) == (False, 400)
+    assert out.message == "evaluation budget exhausted"
+
+
+def test_spsa_shot_outcome_is_the_window_mean():
+    ev = h2_evaluator(shots=500, seed=3)
+    trace = []
+    out = _spsa(ev, _noisy_objective(trace, lambda k: -1.0), 2000, trace)
+    # each iteration measured theta_k +- c_k d; the last window is iterations 20-29
+    centres = [(np.array(trace[2 * k][0]) + np.array(trace[2 * k + 1][0])) / 2 for k in range(20, 30)]
+    assert np.allclose(out.theta, np.mean(centres, axis=0), rtol=0, atol=1e-15)
+    assert out.theta == trace[-1][0]
+    assert out.theta != min(trace, key=lambda entry: entry[1])[0]
 
 
 def test_spsa_trace_determinism():
