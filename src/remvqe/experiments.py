@@ -438,6 +438,8 @@ class DissociationResult:
 
 def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
     """Four-pipeline energies across a molecule's dissociation series."""
+    if cfg.r is not None:
+        raise ConfigError(f"dissociation runs at every geometry of the series, not at r={cfg.r}")
     problem = resolve(cfg, every_pipeline=True)
     if problem.dataset is None:
         raise ConfigError("dissociation runs over a builtin molecule dataset")
@@ -491,6 +493,8 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
     Runs the 1-parameter sweep protocol at one geometry (--r, default
     equilibrium) for each p2; p1 keeps the NoiseModel default unless pinned.
     """
+    if cfg.p2 is not None:
+        raise ConfigError(f"noise sweeps take p2 from p2_grid, not p2={cfg.p2}")
     grid = tuple(float(v) for v in (default_p2_grid() if p2_grid is None else p2_grid))
     if not grid:
         raise ConfigError("p2 grid is empty")

@@ -131,6 +131,8 @@ class ConfusionMatrix:
     uncertainty: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be positive")
         dim = 1 << self.n_qubits
         # C order whatever the caller's layout, so unfold's products (and its
         # last bits) depend on the values only
@@ -427,20 +429,29 @@ def format_confusion_csv(c: ConfusionMatrix) -> str:
 
 
 def parse_confusion_csv(text: str) -> ConfusionMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# confusion n="):
+    """Parse format_confusion_csv's text; raises ValueError naming the line of
+    a bad header or of a row that does not hold 2^n entries."""
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# confusion n="):
         raise ValueError("missing '# confusion n=<qubits>' header")
-    n_qubits = int(lines[0].split("=", 1)[1])
+    lineno, header = lines[0]
+    count = header.split("=", 1)[1].strip()
+    if not count.isdecimal() or int(count) < 1:
+        raise ValueError(f"line {lineno}: qubit count {count!r} is not a positive integer")
+    n_qubits = int(count)
     dim = 1 << n_qubits
     rows: list[list[float]] = []
     sigma_rows: list[list[float]] = []
     current = rows
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         if ln.startswith("#"):
             if ln == "# uncertainty":
                 current = sigma_rows
             continue
-        current.append([float(v) for v in ln.split(",")])
+        entries = ln.split(",")
+        if len(entries) != dim:
+            raise ValueError(f"line {lineno}: expected {dim} entries, got {len(entries)}")
+        current.append([float(v) for v in entries])
     if len(rows) != dim:
         raise ValueError(f"expected {dim} matrix rows, got {len(rows)}")
     # re-normalize columns: 8-decimal rounding may leave ~1e-8 drift

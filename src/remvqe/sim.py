@@ -326,9 +326,10 @@ class _KetProgram:
     `memo` keeps the program's states (module doc).
     """
 
-    def __init__(self, start: np.ndarray, ops: tuple, angles: tuple, slots: tuple[int, ...]):
-        self.start, self.ops, self.angles, self.slots = start, ops, angles, slots
-        self.memo, self.pack = OrderedDict(), struct.Struct(f"{len(angles)}d").pack
+    def __init__(self, start: np.ndarray, ops: tuple):
+        self.start, self.ops = start, ops
+        self.angles, self.slots = _slotted(angle for *_, angle in ops)
+        self.memo, self.pack = OrderedDict(), struct.Struct(f"{len(self.angles)}d").pack
 
     def run(self, bound: list[float]) -> np.ndarray:
         """The compiled circuit's ket from |0...0>, `bound` = _bind(angles, bindings)."""
@@ -366,20 +367,25 @@ class _TransferProgram:
     `start` is r after the channels before the first op. Each op is
     (gather, table, angles) for its k = len(angles) rotations: the new v is
     W (v[gather] * table), v in the previous op's output order, and `final`
-    gathers r from the last op's order. `angles` lists the distinct angles,
-    bound once per run; with u = (0, 1, and cos t, sin t of each of them),
-    u[weights[0]] stacks the single ops' W and u[weights[1]] * u[weights[2]]
-    the pairs', each in op order; a run fills them at once into the W views
-    of `_plan` (module doc). `memo` keeps the program's states (module doc).
+    gathers r from the last op's order. `angles` lists the ops' distinct
+    angles, bound once per run; with u = (0, 1, and cos t, sin t of each of
+    them), op i's W is u[a] * u[b] on its slice of the flat index pair
+    (_a, _b), which a run fills at once into the W views of `_plan` (module
+    doc). `memo` keeps the program's states (module doc).
     """
 
-    def __init__(self, start: np.ndarray, ops: tuple, angles: tuple,
-                 weights: tuple[np.ndarray, np.ndarray, np.ndarray], final: np.ndarray):
-        self.start, self.ops, self.angles, self.weights, self.final = start, ops, angles, weights, final
-        self.memo, self.pack = OrderedDict(), struct.Struct(f"{len(angles)}d").pack
-        # op i's W is u[a] * u[b] on its slice of the flat (a, b) pair (module doc)
-        singles, pairs = iter(weights[0]), zip(weights[1], weights[2])
-        factors = [(next(singles), np.ones((2, 3), np.intp)) if len(op[2]) == 1 else next(pairs) for op in ops]
+    def __init__(self, start: np.ndarray, ops: tuple, final: np.ndarray):
+        self.start, self.ops, self.final = start, ops, final
+        self.angles, slots = _slotted(angle for *_, angles in ops for angle in angles)
+        self.memo, self.pack = OrderedDict(), struct.Struct(f"{len(self.angles)}d").pack
+        rotation_w = iter(np.array([[1, 0, 0], [0, 2 + 2 * k, 3 + 2 * k]]) for k in slots)  # W_i = u[index]
+        factors = []  # each op's (a, b), W = u[a] * u[b]
+        for *_, angles in ops:
+            w1 = next(rotation_w)
+            if len(angles) == 1:  # b reads u[1] = 1
+                factors.append((w1, np.ones_like(w1)))
+            else:  # kron(W2, W1)[i, j] = W2[i // 2, j // 3] W1[i % 2, j % 3]
+                factors.append((next(rotation_w).repeat(2, axis=0).repeat(3, axis=1), np.tile(w1, (2, 3))))
         self._a, self._b = (np.fromiter(itertools.chain(*(f[i].flat for f in factors)), np.intp) for i in (0, 1))
         self._w = np.empty(len(self._a))
         views = np.split(self._w, np.cumsum([a.size for a, _ in factors])[:-1])
@@ -400,36 +406,6 @@ class _TransferProgram:
             r = r[self.final]
         r.setflags(write=False)  # new or start: a QuantumState shares it
         return r
-
-
-def _weights(angles: list, sizes: list[int]) -> tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(distinct angles, weights) of a _TransferProgram whose ops take `sizes`
-    rotations each, the rotations' `angles` in circuit order."""
-    distinct, slots = _slotted(angles)
-    factors = iter(np.array([[1, 0, 0], [0, 2 + 2 * k, 3 + 2 * k]]) for k in slots)  # W = u[factor]
-    one, first, second = [], [], []
-    for size in sizes:
-        if size == 1:
-            one.append(next(factors))
-        else:  # kron(A, B)[i, j] = A[i // 2, j // 3] B[i % 2, j % 3], A the second rotation's
-            b, a = next(factors), next(factors)
-            first.append(a.repeat(2, axis=0).repeat(3, axis=1))
-            second.append(np.tile(b, (2, 3)))
-    one = np.array(one, dtype=np.intp).reshape(-1, 2, 3)
-    first, second = (np.array(w, dtype=np.intp).reshape(-1, 4, 9) for w in (first, second))
-    return distinct, (one, first, second)
-
-
-def _pair_sizes(axes: list[int]) -> list[int]:
-    """The number of rotations in each op, left to right: a rotation and the
-    next one form a pair when their axes differ and commute (module doc)."""
-    sizes, i = [], 0
-    while i < len(axes):
-        p = axes[i]
-        q = axes[i + 1] if i + 1 < len(axes) else p
-        sizes.append(2 if p != q and not _power(p, q) & 1 else 1)
-        i += sizes[-1]
-    return sizes
 
 
 def _transfer_op(index: np.ndarray, at: np.ndarray, rotations: list) -> tuple[tuple, np.ndarray]:
@@ -521,7 +497,7 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
             gather = index ^ flip
             ops.append((gather, -1j * sign * phases[gather], angle))
         ket.setflags(write=False)
-        return _KetProgram(ket, tuple(ops), *_slotted(angle for *_, angle in ops))
+        return _KetProgram(ket, tuple(ops))
 
     stabilizers, signs = np.zeros(1, dtype=np.int64), np.ones(1)  # doubled per generator (module doc)
     for g, s in (table[q][3] for q in range(n)):
@@ -531,14 +507,15 @@ def _program(circuit: Circuit, noise: NoiseModel | None) -> _KetProgram | _Trans
     dampings = _dampings(index, segments)
     start = np.zeros(len(index))
     start[stabilizers] = signs * next(dampings)[stabilizers]
-    sizes = _pair_sizes([string for string, *_ in rotations])
-    steps = (rotation + (damping,) for rotation, damping in zip(rotations, dampings))
-    ops, at = [], index  # at[E]: the position of string E in the state
-    for size in sizes:
-        op, at = _transfer_op(index, at, [next(steps) for _ in range(size)])
+    ops, at, i = [], index, 0  # at[E]: the position of string E in the state
+    while i < len(rotations):  # a rotation pairs with the next when their axes differ and commute
+        p, q = rotations[i][0], rotations[min(i + 1, len(rotations) - 1)][0]
+        size = 2 if p != q and not _power(p, q) & 1 else 1
+        op, at = _transfer_op(index, at, [rotation + (next(dampings),) for rotation in rotations[i:i + size]])
         ops.append(op)
+        i += size
     start.setflags(write=False)
-    return _TransferProgram(start, tuple(ops), *_weights([angle for *_, angle in rotations], sizes), at)
+    return _TransferProgram(start, tuple(ops), at)
 
 
 # A program's memo keeps at most 2^13 floats of states, and at least one state.

@@ -422,6 +422,22 @@ def test_calibrate_rejects_malformed_confusion_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text,message",
+    [("# confusion n=0\n1\n", "line 1: qubit count '0' is not a positive integer"),
+     ("# confusion n=-1\n1\n", "line 1: qubit count '-1' is not a positive integer"),
+     ("# confusion n=1\n1,0\n0,1,0\n", "line 3: expected 2 entries, got 3")],
+    ids=["zero", "negative", "width"],
+)
+def test_calibrate_names_the_bad_confusion_csv_line(text, message, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    rc = main(["calibrate", "--confusion", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {bad}: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "rows,message",
     [("0.9,0,0.1,0\n0.1,0,0,0.1\n0,0,0.9,0\n0,0,0,0.9", "column sums [1.0, 0.0, 1.0, 1.0]"),
      ("nan,0,0,0\nnan,1,0,0\n0,0,1,0\n0,0,0,1", "column sums [nan, 1.0, 1.0, 1.0]")],

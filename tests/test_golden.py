@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import conftest  # noqa: F401  pins OpenBLAS's kernel before numpy loads, for regeneration too
 from remvqe.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -752,3 +752,23 @@ def test_confusion_csv_errors():
     # a column is renormalized by its sum, which must be positive
     with pytest.raises(ValueError, match=r"column sums \[1.0, 0.0\] are not all positive"):
         parse_confusion_csv("# confusion n=1\n0.9,0.0\n0.1,0.0\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("# confusion n=0\n1\n", "line 1: qubit count '0' is not a positive integer"),
+     ("# confusion n=-1\n1\n", "line 1: qubit count '-1' is not a positive integer"),
+     ("\n# confusion n=two\n", "line 2: qubit count 'two' is not a positive integer"),
+     ("# confusion n=1\n0.9,0.1\n0.1,0.8,0.1\n", "line 3: expected 2 entries, got 3"),
+     ("# confusion n=1\n\n0.9,0.1\n0.1,0.9\n# uncertainty\n0.01\n", "line 6: expected 2 entries, got 1")],
+    ids=["zero-qubits", "negative-qubits", "bad-count", "row-width", "uncertainty-width"],
+)
+def test_confusion_csv_names_the_bad_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_confusion_csv(text)
+
+
+@pytest.mark.parametrize("n_qubits", [0, -1])
+def test_confusion_matrix_needs_a_qubit(n_qubits):
+    with pytest.raises(ValueError, match="n_qubits must be positive"):
+        ConfusionMatrix(n_qubits, np.eye(1))

@@ -566,19 +566,37 @@ def test_transfer_program_edges_match_per_gate_reference(circuit, noise):
     assert np.max(np.abs(compiled - evolve(circuit, bindings, noise))) < 1e-12
 
 
+def hash_arrays(digest, arrays) -> None:
+    """Feed each array's dtype, shape and bytes, signed zeros made +0, to `digest`."""
+    for array in arrays:
+        array = np.ascontiguousarray(array + 0.0 if array.dtype.kind in "fc" else array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+
+
+def weight_stacks(program) -> list[np.ndarray]:
+    """The (one, first, second) stacks cut out of a transfer program's flat
+    (_a, _b) index pair by op size: u[one] stacks the single ops' W and
+    u[first] * u[second] the pairs', each in op order."""
+    sizes = [6 if len(angles) == 1 else 36 for *_, angles in program.ops]
+    a, b = (np.split(x, np.cumsum(sizes)[:-1]) for x in (program._a, program._b))
+    one = [x for x, size in zip(a, sizes) if size == 6]
+    first, second = ([x for x, size in zip(y, sizes) if size == 36] for y in (a, b))
+    return [np.array(one, dtype=np.intp).reshape(-1, 2, 3),
+            *(np.array(w, dtype=np.intp).reshape(-1, 4, 9) for w in (first, second))]
+
+
 def program_digest(circuit: Circuit) -> str:
     """sha256 of the circuit's noisy programs under EDGE_NOISES: every array
-    (dtype, shape and bytes, signed zeros made +0) and the angles' repr."""
+    (dtype, shape and bytes, signed zeros made +0), the weight stacks among
+    them, and the angles' repr."""
     digest = hashlib.sha256()
     for noise in [noise for noise in EDGE_NOISES if noise is not None]:
         program = _program(circuit, noise)
-        arrays = [program.start, program.final, *program.weights]
+        arrays = [program.start, program.final, *weight_stacks(program)]
         for gather, table, angles in program.ops:
             arrays += [gather, table]
             digest.update(repr(angles).encode())
-        for array in arrays:
-            array = np.ascontiguousarray(array + 0.0 if array.dtype.kind == "f" else array)
-            digest.update(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+        hash_arrays(digest, arrays)
         digest.update(repr(program.angles).encode())
     return digest.hexdigest()
 
@@ -616,32 +634,67 @@ def test_noisy_programs_match_pinned_digests():
     assert {name: program_digest(c) for name, c in DIGEST_CIRCUITS.items()} == PROGRAM_DIGESTS
 
 
-def stacked_run(program, bound: list[float]) -> np.ndarray:
-    """A transfer program's r with each op's W taken from the stacks of its
-    weights, u[one] for a single and u[first] * u[second] for a pair."""
+def ket_program_digest(circuit: Circuit) -> str:
+    """sha256 of the circuit's ket program without its start: each op's
+    gather and table (as in program_digest) and angle, and the angles and
+    slots that a run binds."""
+    program = _program(circuit, None)
+    digest = hashlib.sha256()
+    for gather, table, angle in program.ops:
+        hash_arrays(digest, [gather, table])
+        digest.update(repr(angle).encode())
+    digest.update(repr((program.angles, program.slots)).encode())
+    return digest.hexdigest()
+
+
+# ket_program_digest of each circuit, held to as PROGRAM_DIGESTS are.
+KET_DIGESTS = {
+    "lih-uccsd": "d6e4534dac542b310f6213795d7a3a7767f583354a53cdfb1e4f019d6202041a",
+    "hwe-4": "e556524b03fe4b3640e4bdaf03452660b87533145dfe73b9199f3ef1703bd859",
+    "hwe-6": "f34df34e72ddfb6ea0617db29572a4ebcd965641c69bb3ea4a438ecadee033b2",
+    "transfer-0": "7459c398398fcb215c89d1edbaf500c0cb5074fe5bf36b6d92565b0e6bb55def",
+    "transfer-1": "2726384ca58190ea171e61a20c0286ac1d0a0542777bc7471f1f3fb28dec8694",
+    "transfer-2": "02449dc85826c1054eafd2c2c287ad08a4bbcf5e114fb08715caa594ef58ea18",
+    "transfer-3": "67c16050159cb9757830099f1f5f6753f1f6ce61ed75d2f1b9501a3a3c47d7f3",
+    "pair-0": "4029db528ad24bdb9407baf0e2d918c462a8ce6facea0706cdfd023aca6f255a",
+    "pair-1": "bf722927e7294e4dcace1d36e204500444f2a0a2e852aa219046e67dd9722dbb",
+    "pair-2": "0621a7e130faf18d466236d5a73d8e355079ae100eb29a3517df8b6daeb556ba",
+    "pair-3": "bc757b22538c85dd80c24dcfc04516c9d7b4322e6c1044be652b28405845a128",
+    "pair-4": "56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88",
+    "h2-compact": "a305cc15b97ca49c1fc1c85c92ac7524cc0f629841e06501ddeed437f79094a1",
+}
+
+
+def test_ket_programs_match_pinned_digests():
+    # the compiled ket programs' ops and binding stay byte for byte the same;
+    # their einsum start ket is left out, it is not bit-stable across numpy builds
+    circuits = {**DIGEST_CIRCUITS, "h2-compact": ansatz_circuit(h2_compact_spec())}
+    assert {name: ket_program_digest(c) for name, c in circuits.items()} == KET_DIGESTS
+
+
+def kron_run(program, bound: list[float]) -> np.ndarray:
+    """A transfer program's r with each op's W formed apart from the program's
+    index pair, from math.cos and math.sin of its bound angles."""
     r = program.start
-    if program.ops:
-        u = np.array([0.0, 1.0, *[x for t in bound for x in (math.cos(t), math.sin(t))]])
-        one, first, second = program.weights
-        singles, pairs = iter(u[one]), iter(u[first] * u[second])
-        for gather, table, angles in program.ops:
-            r = np.dot(next(singles if len(angles) == 1 else pairs), r[gather] * table).ravel()
-        r = r[program.final]
-    return r
+    for gather, table, angles in program.ops:
+        ts = [bound[program.angles.index(angle)] for angle in angles]
+        ws = [np.array([[1.0, 0.0, 0.0], [0.0, math.cos(t), math.sin(t)]]) for t in ts]
+        r = np.dot(ws[0] if len(ws) == 1 else np.kron(ws[1], ws[0]), r[gather] * table).ravel()
+    return r[program.final] if program.ops else r
 
 
 @pytest.mark.parametrize("noise", [noise for noise in EDGE_NOISES if noise is not None])
 @pytest.mark.parametrize("name", list(DIGEST_CIRCUITS))
 def test_transfer_run_fills_each_op_weights_as_its_stack(name, noise):
-    # a run's one product into fixed per-op views gives every op the W its
-    # weights stack, bit for bit; bindings a, b, a show a stale shared buffer
+    # a run's one product into fixed per-op views gives every op the W of
+    # its rotations, bit for bit; bindings a, b, a show a stale shared buffer
     program = _program(DIGEST_CIRCUITS[name], noise)
     names = sorted({angle.name for angle in program.angles if isinstance(angle, Param)})
     rng = np.random.default_rng(len(names))
     a, b = (dict(zip(names, rng.uniform(-7.0, 7.0, len(names)))) for _ in range(2))
     for bindings in (a, b, a):
         bound = sim._bind(program.angles, bindings)
-        assert program.run(bound).tobytes() == stacked_run(program, bound).tobytes()
+        assert program.run(bound).tobytes() == kron_run(program, bound).tobytes()
 
 
 def test_deep_noisy_program_matches_per_gate_reference():
