@@ -2,7 +2,8 @@
 point runs, and readout calibration, with deterministic CSV and optional SVG
 output.
 
-Pipelines per point (all four always computed for curve commands):
+Pipelines per point: one runner, `_run_point`, serves every command. The
+curves (dissociation, noise-sweep) measure all four pipelines at each point:
 
 - e_vqe: raw energies through the configured backend.
 - e_vqe_readout: same counts, unfolded through the confusion matrix.
@@ -10,6 +11,9 @@ Pipelines per point (all four always computed for curve commands):
   shift is (measured reference energy) - (exact reference energy) through the
   matching pipeline. Sweep-based runs take the measured reference from the
   fitted curve at theta = 0 rather than a separate draw.
+
+A single point measures only the pipeline --mitigation selects: unfolded when
+its readout part is set, raw otherwise, and REM-corrected either way.
 
 err_vqe compares the raw pipeline and err_rem the readout+rem pipeline
 against exact diagonalization. Identical configurations (seed included)
@@ -318,79 +322,72 @@ def resolve(cfg: RunConfig, every_pipeline: bool = False) -> _Problem:
     )
 
 
-def _evaluator_pair(problem: _Problem, h: PauliHamiltonian, point: int):
-    """(raw, readout-unfolded) evaluators at `point`, sharing every random draw."""
-    raw = EnergyEvaluator(
-        h, problem.spec, noise=problem.noise, shots=problem.cfg.shots,
-        seed=problem.cfg.seed, confusion=problem.applied_confusion, point=point,
-    )
-    if problem.unfold_confusion is None:
-        return raw, raw
-    return raw, replace(raw, unfold_matrix=problem.unfold_confusion)
-
-
 @frozen
 class PointResult:
-    """Four-pipeline energies at one dissociation/sweep point."""
+    """One point's record: the exact ground energy, the REM report of each
+    measured pipeline, the optimum theta, and the optimizer outcome or the
+    sweep fit that chose it.
+
+    The energy names are a curve point's four pipelines: the first report is
+    raw, the last unfolded (the raw one again when nothing unfolds).
+    """
 
     e_exact: float
-    e_vqe: float
-    e_vqe_readout: float
-    e_rem: float
-    e_readout_rem: float
-    converged: bool
+    reports: tuple[RemReport, ...]
     theta: tuple[float, ...]
+    outcome: VqeOutcome | None
+    fit: SweepFit | None
+
+    e_vqe = property(lambda self: self.reports[0].e_vqe_min)
+    e_vqe_readout = property(lambda self: self.reports[-1].e_vqe_min)
+    e_rem = property(lambda self: self.reports[0].e_rem)
+    e_readout_rem = property(lambda self: self.reports[-1].e_rem)
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome is None or self.outcome.converged
 
 
-def _optimize(problem: _Problem, ev: EnergyEvaluator):
-    """(theta, sweep fit or None, optimizer outcome or None) minimizing ev."""
-    if problem.optimizer == "sweep":
-        fit = sweep_and_fit(ev, default_grid(problem.cfg.grid_points))
-        return (fit.theta_min,), fit, None
-    outcome = minimize(ev, optimizer=problem.optimizer)
-    return outcome.theta, None, outcome
+def _run_point(
+    problem: _Problem, h: PauliHamiltonian, point: int,
+    unfolds: tuple[ConfusionMatrix | None, ...] | None = None,
+) -> PointResult:
+    """Optimize at `point`, then correct each pipeline's energy at the optimum.
 
-
-def _rem_at(
-    ev: EnergyEvaluator,
-    theta: tuple[float, ...],
-    fit: SweepFit | None,
-    e_exact_ref: float,
-    e_exact_min: float,
-) -> RemReport:
-    """Reference-state correction of ev's energy at the optimum theta.
-
-    A sweep fit gives both energies from its model: the minimum and the
-    value at theta = 0. Otherwise the optimum and the reference state (all
-    parameters 0) are measured afresh under their own evaluation indices.
+    `unfolds` holds each measured pipeline's unfolding matrix (None: raw);
+    the first pipeline is optimized and the others share its theta and
+    every random draw. By default a curve point's: raw, then unfolded when
+    the problem unfolds. A sweep fits each pipeline on the same grid and
+    takes both REM energies from the fit, its minimum and its value at
+    theta = 0; otherwise the optimum and the reference state (all parameters
+    0) are measured afresh under their own evaluation indices.
     """
-    if fit is not None:
-        e_vqe_min, e_vqe_ref = fit.e_min, fit.value_at(0.0)
-    else:
-        e_vqe_min = evaluate(ev, theta, index=MEASURE_INDEX)
-        e_vqe_ref = evaluate(ev, np.zeros(len(theta)), index=REFERENCE_INDEX)
-    return RemReport(e_vqe_ref, e_exact_ref, e_vqe_min, e_exact_min)
-
-
-def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResult:
-    raw, unfolded = _evaluator_pair(problem, h, point)
+    if unfolds is None:
+        unfolds = (None,) if problem.unfold_confusion is None else (None, problem.unfold_confusion)
+    evs = [
+        EnergyEvaluator(
+            h, problem.spec, noise=problem.noise, shots=problem.cfg.shots, seed=problem.cfg.seed,
+            confusion=problem.applied_confusion, unfold_matrix=matrix, point=point,
+        )
+        for matrix in unfolds
+    ]
     e_exact = ground_state_energy(h)[0]
-    e_ref_exact = reference_exact_energy(raw)
-    theta, fit, outcome = _optimize(problem, raw)
-    rep_raw = rep_unf = _rem_at(raw, theta, fit, e_ref_exact, e_exact)
-    if unfolded is not raw:
-        # a sweep refits the unfolded curve; an optimizer's theta is shared
-        fit_unf = sweep_and_fit(unfolded, fit.grid) if fit is not None else None
-        rep_unf = _rem_at(unfolded, theta, fit_unf, e_ref_exact, e_exact)
-    return PointResult(
-        e_exact=e_exact,
-        e_vqe=rep_raw.e_vqe_min,
-        e_vqe_readout=rep_unf.e_vqe_min,
-        e_rem=rep_raw.e_rem,
-        e_readout_rem=rep_unf.e_rem,
-        converged=outcome is None or outcome.converged,
-        theta=theta,
-    )
+    e_exact_ref = reference_exact_energy(evs[0])
+    if problem.optimizer == "sweep":
+        grid = default_grid(problem.cfg.grid_points)
+        fits = [sweep_and_fit(ev, grid) for ev in evs]
+        outcome, fit, theta = None, fits[0], (fits[0].theta_min,)
+        measured = [(f.e_min, f.value_at(0.0)) for f in fits]
+    else:
+        outcome, fit = minimize(evs[0], optimizer=problem.optimizer), None
+        theta = outcome.theta
+        measured = [
+            (evaluate(ev, theta, index=MEASURE_INDEX),
+             evaluate(ev, np.zeros(len(theta)), index=REFERENCE_INDEX))
+            for ev in evs
+        ]
+    reports = tuple(RemReport(ref, e_exact_ref, e_min, e_exact) for e_min, ref in measured)
+    return PointResult(e_exact, reports, theta, outcome, fit)
 
 
 @frozen
@@ -537,12 +534,14 @@ _REPORT_ENERGIES = (  # of a single-point report, in printed order
 
 @frozen
 class SinglePointResult:
-    report: RemReport
-    outcome: VqeOutcome | None
-    fit: SweepFit | None
+    point: PointResult  # of the one pipeline --mitigation selects
     record: dict
     text: str
-    converged: bool
+
+    report = property(lambda self: self.point.reports[0])
+    outcome = property(lambda self: self.point.outcome)
+    fit = property(lambda self: self.point.fit)
+    converged = property(lambda self: self.point.converged)
 
 
 def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
@@ -553,15 +552,9 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
     Errors compare against exact diagonalization.
     """
     problem = resolve(cfg)
-    h = problem.hamiltonian
     label = str(cfg.hamiltonian_path) if problem.dataset is None else problem.dataset.name
-    raw, unfolded = _evaluator_pair(problem, h, 0)
-    ev = unfolded if cfg.readout_flag else raw
-    theta, fit, outcome = _optimize(problem, ev)
-    report = _rem_at(
-        ev, theta, fit, reference_exact_energy(ev), ground_state_energy(h)[0]
-    )
-    converged = outcome is None or outcome.converged
+    unfolding = problem.unfold_confusion if cfg.readout_flag else None
+    point = _run_point(problem, problem.hamiltonian, 0, (unfolding,))
     noise = problem.noise or NoiseModel()
     record = {
         "problem": label,
@@ -575,21 +568,21 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
         "ansatz": problem.spec.family,
         "optimizer": problem.optimizer,
         "mitigation": cfg.mitigation,
-        "theta_min": list(theta),
-        **{name: getattr(report, name) for name in _REPORT_ENERGIES},
-        "converged": converged,
-        "n_evaluations": len(fit.grid) if fit is not None else outcome.n_evaluations,
+        "theta_min": list(point.theta),
+        **{name: getattr(point.reports[0], name) for name in _REPORT_ENERGIES},
+        "converged": point.converged,
+        "n_evaluations": point.outcome.n_evaluations if point.fit is None else len(point.fit.grid),
     }
     rows = [
         ("problem", label),
         ("ansatz", f"{problem.spec.family} ({problem.spec.n_params} parameters)"),
-        ("optimizer", problem.optimizer + ("" if converged else "  [not converged]")),
+        ("optimizer", problem.optimizer + ("" if point.converged else "  [not converged]")),
         *((name, f"{record[name]:+.6f}") for name in _REPORT_ENERGIES),
     ]
     payload = json.dumps(record, indent=2) + "\n"
     text = "".join(f"{name + ':':<14}{value}\n" for name, value in rows) + "\n" + payload
     _write(cfg, payload)
-    return SinglePointResult(report, outcome, fit, record, text, converged)
+    return SinglePointResult(point, record, text)
 
 
 def cmd_calibrate(cfg: RunConfig) -> ConfusionMatrix:

@@ -108,6 +108,18 @@ def test_unwritable_output_is_config_error_before_any_run(argv, bad, why, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["single-point", "--molecule", "h2"], ["dissociation", "--molecule", "h2"],
+     ["noise-sweep", "--molecule", "h2", "--p2", "0.01"]],
+    ids=["single-point", "dissociation", "noise-sweep"],
+)
+def test_no_run_guards_every_run_subcommand(argv, no_run):
+    # a valid run reaches the guard, so the refusals that use it test their order
+    with pytest.raises(AssertionError, match="ran before the configuration was checked"):
+        main(argv)
+
+
 def test_noise_sweep_svg_rejects_zero_p2_before_any_run(tmp_path, capsys, no_run):
     out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
     rc = main(["noise-sweep", "--molecule", "h2", "--p2", "0,0.01",

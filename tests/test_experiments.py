@@ -18,7 +18,7 @@ from remvqe import (
     h2_compact_spec,
     read_confusion_csv,
 )
-from remvqe import mitigation, sim, vqe
+from remvqe import experiments, mitigation, sim, vqe
 from remvqe.experiments import (
     ANSATZE,
     BACKENDS,
@@ -296,6 +296,26 @@ def test_dissociation_runs_are_reproducible():
     assert a.csv == b.csv
 
 
+@pytest.mark.parametrize("optimizer", ["sweep", "nelder-mead"])
+def test_dissociation_points_keep_their_reports(optimizer):
+    res = cmd_dissociation(noisy_h2_cfg(optimizer=optimizer))
+    for p in res.points:
+        raw, unfolded = p.reports
+        assert raw.e_vqe_min != unfolded.e_vqe_min and raw.delta_rem != unfolded.delta_rem
+        assert (p.e_vqe, p.e_rem, p.e_vqe_readout, p.e_readout_rem) == (
+            raw.e_vqe_min, raw.e_rem, unfolded.e_vqe_min, unfolded.e_rem
+        )
+        assert p.e_exact == raw.e_exact_min == unfolded.e_exact_min
+        if optimizer == "sweep":
+            assert p.outcome is None and p.theta == (p.fit.theta_min,)
+        else:
+            assert p.fit is None and p.theta == p.outcome.theta
+    assert res.warnings == tuple(
+        f"r={r:g}: optimizer did not converge"
+        for r, p in zip(res.rs, res.points) if not p.converged
+    )
+
+
 def test_dissociation_prepares_each_grid_state_once(monkeypatch):
     # the state depends on the angle and the noise model, not on the bond
     # length or the pipeline: the kernel runs once per grid angle, and each
@@ -492,6 +512,32 @@ def test_single_point_ideal_h2():
         assert line in res.text
     assert "[not converged]" not in res.text
     assert json.loads(res.text.split("\n\n", 1)[1]) == res.record
+
+
+@pytest.mark.parametrize("mitigation", ["rem", "readout+rem"])
+def test_single_point_measures_only_what_it_reports(monkeypatch, mitigation):
+    # the optimizer evaluates through vqe's name, the runner through experiments'
+    unfolds = {vqe: [], experiments: []}
+
+    def spy(module):
+        real = module.evaluate
+
+        def evaluate(ev, *args, **kwargs):
+            unfolds[module].append(ev.unfold_matrix)
+            return real(ev, *args, **kwargs)
+        return evaluate
+
+    for module in unfolds:
+        monkeypatch.setattr(module, "evaluate", spy(module))
+    res = cmd_single_point(RunConfig(molecule="heh+", backend="noisy", shots=1000,
+                                     confusion="figure-s2", mitigation=mitigation))
+    assert len(unfolds[vqe]) == res.outcome.n_evaluations
+    assert len(unfolds[experiments]) == 2
+    seen = unfolds[vqe] + unfolds[experiments]
+    if mitigation == "rem":
+        assert all(m is None for m in seen)
+    else:
+        assert all(m is not None for m in seen)
 
 
 def test_single_point_writes_record(tmp_path):
