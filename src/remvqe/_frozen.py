@@ -4,15 +4,19 @@
 the same `fields()`, `replace()`, `__match_args__`, signature, automatic
 docstring, repr, equality, hash and `FrozenInstanceError`. dataclass compiles
 each class's methods from source text, about a millisecond per class at
-import; here they are closures over the field names. Only what the package's
-records use is implemented: positional or keyword fields, with or without a
-default, and `__post_init__`. Any other field option, default_factory among
-them, raises TypeError when the class is made: records are values, and an
-object that keeps mutable state, as sim's compiled programs keep their state
-memo, is a plain class. `__dataclass_params__` keeps the options of the
-`dataclass` call that records the fields (frozen=False among them), so a
-record cannot be the base of a `dataclass(frozen=True)`; no record is
-subclassed. Standard library only.
+import; here they are closures over the field names. Two differences are
+deliberate: a record keeps its field hash in `_hash` after its first
+`hash()`, because the package's caches look records up on every evaluation,
+and a record without its own `__reduce__` pickles as a call on its fields, so
+no kept hash reaches another process, whose str hashes differ. Only what the
+package's records use is implemented: positional or keyword fields, with or
+without a default, and `__post_init__`. Any other field option,
+default_factory among them, raises TypeError when the class is made: records
+are values, and an object that keeps mutable state, as sim's compiled
+programs keep their state memo, is a plain class. `__dataclass_params__`
+keeps the options of the `dataclass` call that records the fields
+(frozen=False among them), so a record cannot be the base of a
+`dataclass(frozen=True)`; no record is subclassed. Standard library only.
 """
 from __future__ import annotations
 
@@ -105,7 +109,14 @@ def frozen(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(values(self))
+        try:
+            return self._hash
+        except AttributeError:
+            setattr_(self, "_hash", hash(values(self)))
+            return self._hash
+
+    def __reduce__(self):
+        return self.__class__, values(self)
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:
@@ -117,7 +128,7 @@ def frozen(cls):
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__, "__reduce__": __reduce__,
                "__setattr__": __setattr__, "__delattr__": __delattr__}
     for name, fn in methods.items():
         fn.__qualname__ = f"{qualname}.{name}"

@@ -102,22 +102,6 @@ class PauliHamiltonian:
                 raise ValueError(f"{name} must be finite, got {value}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "offset", offset)
-        # Per-Hamiltonian caches look h up on every evaluation, often with an
-        # equal copy: hash and compare plain labels and floats, keyed once.
-        object.__setattr__(self, "_key", (self.n_qubits, terms, offset))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild, never copy, _hash
-        return (PauliHamiltonian, (self.n_qubits, self.terms, self.offset))
 
     @property
     def n_terms(self) -> int:
@@ -153,11 +137,16 @@ def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
             f"dense construction limited to {_DENSE_LIMIT} qubits, got {h.n_qubits}"
         )
     dim = 1 << h.n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
+    actions = [_action(label) for label, _ in h.terms]
+    rows = np.array([coeff for _, coeff in h.terms])[:, None] * np.reshape(
+        [phases for _, phases in actions], (-1, dim))
+    # row f sums, in term order, the terms that flip f: entry i is <i ^ f| H |i>
+    by_flip = np.zeros((dim, dim), dtype=complex)
+    for (flip, _), row in zip(actions, rows):
+        by_flip[flip] += row
     idx = np.arange(dim)
-    for label, coeff in h.terms:
-        flip, phases = _action(label)
-        mat[idx ^ flip, idx] += coeff * phases
+    mat = np.empty((dim, dim), dtype=complex)
+    mat[idx ^ idx[:, None], idx] = by_flip
     mat[idx, idx] += h.offset
     return mat
 

@@ -2,16 +2,26 @@
 records that use every feature the package's records use, built by both,
 must agree on fields, signature, docstring, repr, equality, hash, frozenness,
 replace() and pickling; options frozen does not implement fail at class
-creation."""
+creation. Then its two deliberate differences: a record hashes its fields
+once, and the package's records pickle to a rebuild that hashes alike under
+another str hash seed."""
 import dataclasses
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, InitVar, KW_ONLY, dataclass, field, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import remvqe
+from remvqe import (AnsatzSpec, NoiseModel, ansatz_circuit, builtin, device_confusion,
+                    h2_compact_spec, uccsd_spec)
 from remvqe._frozen import frozen
+from remvqe.chemdata import BUILTIN_NAMES
 
 
 def _records(decorate, home: str) -> SimpleNamespace:
@@ -263,3 +273,82 @@ def test_unsupported_options_fail_at_class_creation():
     for method in ("__setattr__", "__delattr__"):  # dataclass(frozen=True) refuses them too
         with pytest.raises(TypeError):
             frozen(type("Record", (), {"__annotations__": {"a": int}, method: lambda *args: None}))
+
+
+def test_records_hash_their_fields_once():
+    class Counted:
+        calls = 0
+
+        def __hash__(self) -> int:
+            Counted.calls += 1
+            return 7
+
+    @frozen
+    class Pair:
+        item: Counted
+        n: int = 0
+
+    item = Counted()
+    record = Pair(item, 1)
+    changed = replace(record, n=2)  # a new record, which hashes its own fields
+    hashes = [hash(record), hash(record), hash(changed), hash(changed)]
+    assert Counted.calls == 2
+    assert hashes == [hash((item, 1))] * 2 + [hash((item, 2))] * 2
+    assert hashes[0] != hashes[2]
+
+
+def _ansatz_specs() -> list:
+    specs = [h2_compact_spec(), AnsatzSpec("hardware-efficient", 3, "010")]
+    for name in BUILTIN_NAMES:
+        ds = builtin(name)
+        specs += [AnsatzSpec(family, ds.n_qubits, ds.hf_bitstring)
+                  for family in ("uccsd", "hardware-efficient")]
+    return specs
+
+
+def test_hamiltonians_and_circuits_hash_as_their_field_tuples():
+    # the values their own hooks gave before frozen kept hashes, so no dict
+    # or set of them changes its order
+    for name in BUILTIN_NAMES:
+        for geometry in builtin(name).geometries:
+            h = geometry.hamiltonian
+            assert hash(h) == hash((h.n_qubits, h.terms, h.offset)), (name, geometry.r)
+    for spec in _ansatz_specs():
+        c = ansatz_circuit(spec)
+        assert hash(c) == hash((c.n_qubits, c.gates)), spec
+
+
+# Loads the pickled (Hamiltonian, circuit, noise model, confusion matrix) from
+# stdin under another str hash seed: each must equal, and hash like, a fresh
+# construction, and hit the caches the fresh one primed.
+_LOAD_ELSEWHERE = """
+import pickle, sys
+from remvqe import NoiseModel, ansatz_circuit, builtin, device_confusion, sim, uccsd_spec, vqe
+assert hash("remvqe") != int(sys.argv[1]), "the child hashes str as the parent does"
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = (builtin("lih").geometry(1.5949).hamiltonian, ansatz_circuit(uccsd_spec(4)),
+         NoiseModel(p2=4e-3), device_confusion())
+for got, new in zip(loaded, fresh):
+    assert got is not new and got == new and hash(got) == hash(new), type(new).__name__
+h, circuit, noise, confusion = loaded
+for cache, fresh_args, args in ((vqe._plan, fresh[:1], (h,)),
+                                (sim._program, fresh[1:3], (circuit, noise))):
+    cache(*fresh_args)
+    hits = cache.cache_info().hits
+    cache(*args)
+    assert cache.cache_info().hits == hits + 1, cache.__name__
+assert {fresh[3]: "hit"}.get(confusion) == "hit"
+"""
+
+
+def test_pickled_records_rebuild_under_another_hash_seed():
+    records = (builtin("lih").geometry(1.5949).hamiltonian, ansatz_circuit(uccsd_spec(4)),
+               NoiseModel(p2=4e-3), device_confusion())
+    for record in records:
+        hash(record)  # a kept hash must not travel with the pickle
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(remvqe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _LOAD_ELSEWHERE, str(hash("remvqe"))],
+                          input=pickle.dumps(records), env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,5 +1,6 @@
 """Pauli-string algebra: dense oracles, expectation values, grouping, text format."""
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from remvqe import (
     parse_hamiltonian,
     to_dense_matrix,
 )
-from remvqe.pauli import _parity, _support_mask, basis_energy, sign_table
+from remvqe.chemdata import BUILTIN_NAMES
+from remvqe.pauli import _action, _parity, _support_mask, basis_energy, sign_table
 from helpers import hf_state, is_compatible
 
 SINGLE = {
@@ -25,6 +27,7 @@ SINGLE = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def kron_pauli(label: str) -> np.ndarray:
@@ -238,6 +241,51 @@ def test_dense_decomposition_roundtrip(h):
         recovered = np.trace(kron_pauli(label).conj().T @ mat).real / dim
         expect = coeff + (h.offset if label == "I" * h.n_qubits else 0.0)
         assert abs(recovered - expect) < 1e-12
+
+
+def per_term_dense(h: PauliHamiltonian) -> np.ndarray:
+    """Reference build: each term added into its own permuted entries, in term order."""
+    dim = 1 << h.n_qubits
+    mat = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    for label, coeff in h.terms:
+        flip, phases = _action(label)
+        mat[idx ^ flip, idx] += coeff * phases
+    mat[idx, idx] += h.offset
+    return mat
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def shared_flip_hamiltonians(draw):
+    """Up to 6 qubits, terms drawn over a few flip masks, so masks repeat;
+    coefficients and the offset may be 0.0 or -0.0."""
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        mask = draw(st.sampled_from(masks))
+        # qubit q is the label's letter n-1-q: X or Y where the mask flips it, else I or Z
+        letters = [draw(st.sampled_from("XY" if mask >> q & 1 else "IZ")) for q in range(n)]
+        coeff = draw(SIGNED_ZEROS | st.floats(-2, 2, allow_nan=False))
+        terms.append(("".join(reversed(letters)), coeff))
+    offset = draw(SIGNED_ZEROS | st.floats(-1, 1, allow_nan=False))
+    return PauliHamiltonian(n, tuple(terms), offset)
+
+
+def test_dense_build_is_the_per_term_sum_on_every_builtin():
+    hamiltonians = [g.hamiltonian for name in BUILTIN_NAMES for g in builtin(name).geometries]
+    hamiltonians.append(parse_hamiltonian((GOLDEN / "heisenberg3.ham").read_text()))
+    for h in hamiltonians:
+        assert to_dense_matrix(h).tobytes() == per_term_dense(h).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(shared_flip_hamiltonians())
+def test_dense_build_is_the_per_term_sum(h):
+    assert to_dense_matrix(h).tobytes() == per_term_dense(h).tobytes()
 
 
 def test_dense_qubit_limit():
