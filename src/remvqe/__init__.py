@@ -51,7 +51,6 @@ from .mitigation import (
 )
 from .pauli import (
     PauliHamiltonian,
-    format_hamiltonian,
     ground_state_energy,
     group_terms,
     parse_hamiltonian,

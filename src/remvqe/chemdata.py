@@ -11,7 +11,9 @@ reference energies where available:
 - e_exact_ground: lowest eigenvalue, recorded separately when the matching
   ansatz does not span the full ground state (lih hardware-efficient runs).
 
-All energies are total energies in hartree; distances in angstrom.
+All energies are total energies in hartree; distances in angstrom. The
+builtin datasets are the entries of `_moldata.DATASETS`, all built by one
+function.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .pauli import (
     parse_hamiltonian,
 )
 
-BUILTIN_NAMES = ("h2", "heh+", "lih")
+BUILTIN_NAMES = tuple(_moldata.DATASETS)
 
 
 @frozen
@@ -73,27 +75,6 @@ class MoleculeDataset:
         raise ValueError(f"{self.name} has no geometry r={r:g} (available: {known})")
 
 
-def _series(name, labels, rows, n_qubits, hf, equilibrium) -> MoleculeDataset:
-    geometries = []
-    for r, coeffs, vnn, e_ref, e_min in rows:
-        h = PauliHamiltonian(n_qubits, tuple(zip(labels, coeffs)), offset=vnn)
-        geometries.append(Geometry(r, h, e_ref, e_min))
-    return MoleculeDataset(name, n_qubits, hf, tuple(geometries), equilibrium)
-
-
-def _lih_dataset() -> MoleculeDataset:
-    offset = _moldata.LIH_FROZEN_CORE + _moldata.LIH_NUCLEAR_REPULSION
-    h = PauliHamiltonian(4, _moldata.LIH_TERMS, offset=offset)
-    geometry = Geometry(
-        _moldata.LIH_R,
-        h,
-        _moldata.LIH_E_REF,
-        _moldata.LIH_E_MIN,
-        _moldata.LIH_E_GROUND,
-    )
-    return MoleculeDataset("lih", 4, "0011", (geometry,), _moldata.LIH_R)
-
-
 def builtin(name: str) -> MoleculeDataset:
     """Embedded dissociation dataset for one of h2, heh+, lih, built once per
     name and shared: caches keyed by its frozen Hamiltonians hit by identity."""
@@ -109,16 +90,14 @@ def builtin(name: str) -> MoleculeDataset:
 
 @lru_cache(maxsize=None)
 def _builtin(key: str) -> MoleculeDataset:
-    if key == "h2":
-        return _series(
-            "h2", _moldata.H2_LABELS, _moldata.H2_ROWS, 2, "01", _moldata.H2_EQUILIBRIUM
-        )
-    if key == "heh+":
-        return _series(
-            "heh+", _moldata.HEH_LABELS, _moldata.HEH_ROWS, 2, "01",
-            _moldata.HEH_EQUILIBRIUM,
-        )
-    return _lih_dataset()
+    """The dataset of one `_moldata.DATASETS` entry (layout in that module's doc)."""
+    hf, equilibrium, labels, rows = _moldata.DATASETS[key]
+    n_qubits = len(labels[0])
+    geometries = tuple(
+        Geometry(r, PauliHamiltonian(n_qubits, tuple(zip(labels, coeffs)), offset=offset), *energies)
+        for r, coeffs, offset, *energies in rows
+    )
+    return MoleculeDataset(key, n_qubits, hf, geometries, equilibrium)
 
 
 def load(path) -> PauliHamiltonian:

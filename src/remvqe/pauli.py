@@ -194,12 +194,6 @@ def group_terms(h: PauliHamiltonian) -> list[tuple[str, tuple[int, ...]]]:
 # `offset=<real>`, each at most once; term lines `<label> <coefficient>`.
 
 
-def format_hamiltonian(h: PauliHamiltonian) -> str:
-    lines = [f"qubits={h.n_qubits}", f"offset={h.offset!r}"]
-    lines += [f"{label} {coeff!r}" for label, coeff in h.terms]
-    return "\n".join(lines) + "\n"
-
-
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
     """Parse the text format; raises ValueError with a line number on errors."""
     n_qubits: int | None = None

@@ -531,8 +531,15 @@ def _memoized(
     memo = program.memo
     state = memo.get(key)
     if state is None:
-        out = program.run(bound)  # a NaN angle raises below, before the memo grows
-        state = QuantumState(pauli=out) if isinstance(program, _TransferProgram) else QuantumState(out)
+        try:
+            out = program.run(bound)
+            state = QuantumState(pauli=out) if isinstance(program, _TransferProgram) else QuantumState(out)
+        except ValueError:  # raised before the memo grows; a non-finite angle is named
+            for angle, value in zip(program.angles, bound):
+                if isinstance(angle, Param) and not math.isfinite(value):
+                    given = float(bindings[angle.name])
+                    raise ValueError(f"parameter {angle.name!r} is bound to {given}") from None
+            raise
         if memo and (len(memo) + 1) * out.nbytes > _MEMO_BYTES:
             memo.popitem(last=False)  # the oldest
         memo[key] = state

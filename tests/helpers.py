@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from remvqe import AnsatzSpec, MoleculeDataset, QuantumState, format_hamiltonian
+from remvqe import AnsatzSpec, MoleculeDataset, PauliHamiltonian, QuantumState
 from remvqe.experiments import PointResult, RunConfig, _run_point, resolve
 from remvqe.vqe import _nelder_mead
 
@@ -19,6 +19,13 @@ def hf_state(n_qubits: int, bitstring: str) -> QuantumState:
     psi = np.zeros(1 << n_qubits, dtype=complex)
     psi[int(bitstring, 2)] = 1.0
     return QuantumState(psi)
+
+
+def format_hamiltonian(h: PauliHamiltonian) -> str:
+    """The text format chemdata.load reads, each float written as its repr."""
+    lines = [f"qubits={h.n_qubits}", f"offset={h.offset!r}"]
+    lines += [f"{label} {coeff!r}" for label, coeff in h.terms]
+    return "\n".join(lines) + "\n"
 
 
 def dump(ds: MoleculeDataset, directory) -> tuple[Path, ...]:

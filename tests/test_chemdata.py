@@ -1,5 +1,7 @@
 """Embedded molecular datasets: self-consistency, fixtures, file round trips."""
+import hashlib
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,13 @@ from remvqe import (
     PauliHamiltonian,
     audit,
     builtin,
-    format_hamiltonian,
     ground_state_energy,
     load,
     parse_hamiltonian,
 )
+from remvqe.chemdata import BUILTIN_NAMES
 from remvqe.pauli import basis_energy
-from helpers import dump, hardware_efficient_spec
+from helpers import dump, format_hamiltonian, hardware_efficient_spec
 
 ALL_NAMES = ("h2", "heh+", "lih")
 
@@ -27,6 +29,39 @@ def test_embedded_data_is_self_consistent(name):
     # every recorded reference/minimum energy must be reproducible from the
     # embedded coefficients by direct diagonalization
     assert audit(builtin(name)) == []
+
+
+# sha256 of each builtin dataset's bytes (dataset_digest), pinned when lih
+# was still stored as loose constants; audit checks only to 5e-4
+DATASET_DIGESTS = {
+    "h2": "0506a9d5a9c57078f8c41d46f65bb9bfe3a189f8b1448d15d36778c64e186c2f",
+    "heh+": "399a663959ade55f9cb855feebd7ff09f6c4061e9676cf0e9da111d9d5f79c64",
+    "lih": "864f0bccef40882a676c6f249f213066323332a2b24f095e182691b9c35aacf9",
+}
+
+
+def dataset_digest(ds: MoleculeDataset) -> str:
+    """The name, qubit count, reference and equilibrium r, then per geometry
+    r, the labels, and the IEEE bytes of every coefficient, of the offset
+    and of each recorded energy, None written as b"None"."""
+    def pack(x):
+        return b"None" if x is None else struct.pack("<d", x)
+
+    digest = hashlib.sha256(repr((ds.name, ds.n_qubits, ds.hf_bitstring)).encode())
+    digest.update(pack(ds.equilibrium_r))
+    for g in ds.geometries:
+        h = g.hamiltonian
+        digest.update(pack(g.r) + repr(tuple(label for label, _ in h.terms)).encode())
+        for _, coeff in h.terms:
+            digest.update(pack(coeff))
+        for x in (h.offset, g.e_exact_ref, g.e_exact_min, g.e_exact_ground):
+            digest.update(pack(x))
+    return digest.hexdigest()
+
+
+def test_builtin_datasets_are_pinned_byte_for_byte():
+    assert BUILTIN_NAMES == ALL_NAMES
+    assert {name: dataset_digest(builtin(name)) for name in ALL_NAMES} == DATASET_DIGESTS
 
 
 def test_builtin_shares_one_dataset_per_name(monkeypatch):

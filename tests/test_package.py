@@ -76,7 +76,8 @@ def test_all_names_resolve_once():
     exec("from remvqe import *", namespace)
     assert set(names) <= set(namespace)
     # names no pipeline calls are test helpers now (tests/helpers.py)
-    moved = {"dump", "four_pipelines", "hardware_efficient_spec", "hf_state", "is_compatible"}
+    moved = {"dump", "format_hamiltonian", "four_pipelines", "hardware_efficient_spec", "hf_state",
+             "is_compatible"}
     modules = (remvqe, remvqe.ansatz, remvqe.chemdata, remvqe.experiments, remvqe.pauli, remvqe.sim)
     assert [(m.__name__, name) for m in modules for name in moved if hasattr(m, name)] == []
 

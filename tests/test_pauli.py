@@ -11,7 +11,6 @@ from remvqe import (
     QuantumState,
     builtin,
     expectation,
-    format_hamiltonian,
     ground_state_energy,
     group_terms,
     parse_hamiltonian,
@@ -19,7 +18,7 @@ from remvqe import (
 )
 from remvqe.chemdata import BUILTIN_NAMES
 from remvqe.pauli import _action, _parity, _support_mask, basis_energy, sign_table
-from helpers import hf_state, is_compatible
+from helpers import format_hamiltonian, hf_state, is_compatible
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),

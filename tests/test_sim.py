@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import re
 from collections import Counter
 from functools import reduce
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from remvqe import (
     Circuit,
     ConfusionMatrix,
+    EnergyEvaluator,
     Gate,
     NoiseModel,
     Param,
@@ -23,6 +25,7 @@ from remvqe import (
     builtin,
     counts_to_distribution,
     device_confusion,
+    evaluate,
     expectation,
     gate_matrix,
     ground_state_energy,
@@ -787,6 +790,26 @@ def test_memo_keeps_signed_zeros_apart_and_nan_out(name, noise):
     with pytest.raises(ValueError):
         memo_run(spec, noise, {p: math.nan if i == 0 else 0.1 for i, p in enumerate(names)})
     assert len(program.memo) == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("noise", list(MEMO_NOISES), ids=list(MEMO_NOISES))
+@pytest.mark.parametrize("name", list(MEMO_SPECS))
+def test_a_non_finite_angle_fails_naming_its_parameter(name, noise, value):
+    # ket or density, run directly or through evaluate: one message, which
+    # names the parameter and the value it was bound to, and the memo keeps nothing
+    spec, noise = MEMO_SPECS[name], MEMO_NOISES[noise]
+    program = _program(ansatz_circuit(spec), noise)
+    program.memo.clear()
+    names = spec.parameter_names()
+    theta = [0.1] * (len(names) - 1) + [value]
+    message = re.escape(f"parameter {names[-1]!r} is bound to {value}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        memo_run(spec, noise, dict(zip(names, theta)))
+    h = builtin("lih" if spec.n_qubits == 4 else "h2").geometries[0].hamiltonian
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(EnergyEvaluator(h, spec, noise=noise), theta)
+    assert not program.memo
 
 
 def test_memo_holds_its_budget_of_states():
