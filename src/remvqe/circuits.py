@@ -1,11 +1,14 @@
 """Parameterized quantum circuits: gate records, parameter slots, statistics.
 
 A Circuit is an ordered gate list over n qubits. Gate angles are either plain
-floats or Param slots (named free angles, optionally scaled) bound at
-execution time by the simulator.
+finite floats or Param slots (named free angles, scaled by a finite factor)
+bound at execution time by the simulator; a non-finite, complex or non-numeric
+angle or scale is refused when the Gate or Param is made.
 """
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -31,11 +34,22 @@ class Param:
     name: str
     scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not _finite_real(self.scale):
+            raise ValueError(
+                f"parameter {self.name!r} scale must be a finite real number, got {self.scale!r}"
+            )
+
     def scaled(self, factor: float) -> "Param":
         return Param(self.name, self.scale * factor)
 
 
 Angle = Union[float, Param]
+
+
+def _finite_real(x) -> bool:
+    """Whether `x` is a finite real number; numpy's real scalars are."""
+    return isinstance(x, Real) and math.isfinite(x)
 
 
 @frozen
@@ -56,6 +70,11 @@ class Gate:
             raise ValueError(
                 f"{self.kind} takes {n_params} parameter(s), got {len(self.params)}"
             )
+        for angle in self.params:
+            if not (isinstance(angle, Param) or _finite_real(angle)):
+                raise ValueError(
+                    f"{self.kind} angle must be a finite real number or a Param, got {angle!r}"
+                )
 
 
 @frozen

@@ -4,7 +4,14 @@ Readout mitigation: a column-stochastic confusion matrix C with
 C[j][i] = P(measure j | prepared i) is calibrated from prepare-and-measure
 experiments and inverted through a simplex-constrained least-squares unfolding
 (an exact active-set quadratic program; no matrix inversion) whose first
-iterate is one batched solve for a whole stack of distributions.
+iterate is one batched solve for a whole stack of distributions. Every KKT
+solve calls numpy's LAPACK gufunc (`_umath_linalg.solve`/`solve1`, the call
+np.linalg.solve makes, so results are np.linalg.solve's bit for bit) without
+the wrapper's checks and errstate context. LAPACK's dgesv fails on the matrix
+alone, so each KKT matrix's singularity is decided once, by np.linalg.solve,
+where it is built: the full-support one when the ConfusionMatrix is made, a
+free set's when `_active_set` caches it. A singular one is kept as None, and
+solving with it raises LinAlgError("Singular matrix") as np.linalg.solve would.
 
 Reference-state mitigation: the energy discrepancy of a classically tractable
 reference state, delta = e_vqe_ref - e_exact_ref, is subtracted pointwise from
@@ -23,6 +30,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+# private, but np.linalg.solve's own gufuncs under the same name from numpy
+# 1.24 (the declared floor, which CI tests) to 2.x
+from numpy.linalg import _umath_linalg
 
 from ._frozen import frozen
 
@@ -150,13 +160,12 @@ class ConfusionMatrix:
         object.__setattr__(self, "matrix", mat)
         # the values as bytes, read once: the key of the C p grids a state keeps
         object.__setattr__(self, "_key", mat.tobytes())
-        # unfold's H = C^T C and its full-support KKT matrix, built once per matrix
+        # unfold's H = C^T C and its full-support KKT matrix (None if
+        # singular), built and probed once per matrix
         gram = mat.T @ mat
-        kkt = _kkt_matrix(gram)
         gram.setflags(write=False)
-        kkt.setflags(write=False)
         object.__setattr__(self, "_gram", gram)
-        object.__setattr__(self, "_kkt", kkt)
+        object.__setattr__(self, "_kkt", _probed(_kkt_matrix(gram)))
         object.__setattr__(self, "_kkts", {})  # _active_set's, per free index set
         if self.uncertainty is not None:
             unc = np.array(self.uncertainty, dtype=float)
@@ -254,6 +263,28 @@ def _kkt_matrix(H_free: np.ndarray) -> np.ndarray:
     return kkt
 
 
+def _probed(kkt: np.ndarray) -> np.ndarray | None:
+    """`kkt` read-only, or None if it is singular: dgesv fails on the matrix
+    alone, whatever the right-hand side, so one np.linalg.solve decides it
+    for every later `_solve`."""
+    try:
+        np.linalg.solve(kkt, np.ones(len(kkt)))
+    except np.linalg.LinAlgError:
+        return None
+    kkt.setflags(write=False)
+    return kkt
+
+
+def _solve(kkt: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(kkt, rhs) for a `_probed` KKT matrix and a float
+    right-hand side, 1-D or a (G, k, 1) stack: the LAPACK gufunc it calls,
+    with its signature, so the result is np.linalg.solve's bit for bit."""
+    if kkt is None:
+        raise np.linalg.LinAlgError("Singular matrix")
+    solve = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
+    return solve(kkt, rhs, signature="dd->d")
+
+
 def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     """argmin ||m - Cx||^2 over the probability simplex, for one measured
     vector or each row of a (G, 2^n) stack.
@@ -284,7 +315,7 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
     # right-hand side is (b, 1) with b = C^T m formed row by row
     rhs = np.ones((len(rows), c.dim + 1, 1))
     np.matmul(c.matrix.T, rows[:, :, None], out=rhs[:, :-1])
-    sol = np.linalg.solve(c._kkt, rhs)[:, :, 0]
+    sol = _solve(c._kkt, rhs)[:, :, 0]
     target = sol[:, :-1]
     # each row goes by its least target entry. Below 0 (or NaN) a bound blocks
     # the full step (alpha = 1) from the uniform start x, and the row takes the
@@ -309,8 +340,9 @@ def unfold(c: ConfusionMatrix, m: np.ndarray) -> np.ndarray:
 def _active_set(c: ConfusionMatrix, b: np.ndarray, first: np.ndarray) -> list[float]:
     """`unfold`'s active set for one row, from the uniform start and `first`,
     the full-support KKT solution. The KKT system is solved once per free index
-    set visited (its matrix is built once per C); bounds are added at the first
-    blocking constraint and released at the most negative multiplier.
+    set visited (its matrix is built and `_probed` once per C); bounds are
+    added at the first blocking constraint and released at the most negative
+    multiplier.
 
     The solves and the gradient's product stay numpy calls; the rest is
     Python floats, whose single operations round as numpy's elementwise ones."""
@@ -324,8 +356,8 @@ def _active_set(c: ConfusionMatrix, b: np.ndarray, first: np.ndarray) -> list[fl
         key = tuple(free)
         if key not in solved:
             if key not in c._kkts:
-                c._kkts[key] = _kkt_matrix(c._gram[free][:, free])
-            sol = np.linalg.solve(c._kkts[key], np.array([b[i] for i in free] + [1.0])).tolist()
+                c._kkts[key] = _probed(_kkt_matrix(c._gram[free][:, free]))
+            sol = _solve(c._kkts[key], np.array([b[i] for i in free] + [1.0])).tolist()
             target = [0.0] * n
             for i, v in zip(free, sol):
                 target[i] = v

@@ -1,4 +1,6 @@
 """Gate records, parameter binding, circuit statistics, gate matrices."""
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,29 @@ def test_gate_validation():
         Gate("RY", (0,))
     with pytest.raises(ValueError, match="takes 0 parameter"):
         Gate("X", (0,), (0.5,))
+
+
+@pytest.mark.parametrize("kind", ["RX", "RY", "RZ"])
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), 0.5j, "0.5"])
+def test_gate_refuses_an_angle_that_is_not_a_finite_real(kind, angle):
+    # refused where it enters, naming the gate and the value, rather than
+    # failing later in a path-dependent way when the circuit runs
+    message = f"{kind} angle must be a finite real number or a Param, got {angle!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Gate(kind, (0,), (angle,))
+
+
+@pytest.mark.parametrize("angle", [0, 0.5, -np.pi, np.float32(0.25), np.int64(3), Param("t")])
+def test_gate_keeps_finite_real_angles(angle):
+    assert Gate("RY", (0,), (angle,)).params == (angle,)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+def test_param_refuses_a_non_finite_scale(scale):
+    with pytest.raises(ValueError, match=rf"^parameter 't' scale must be a finite real number, got {scale}$"):
+        Param("t", scale)
+    with pytest.raises(ValueError, match="parameter 't' scale"):
+        Param("t").scaled(scale)
 
 
 def test_param_scaling_and_resolution():

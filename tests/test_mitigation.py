@@ -18,6 +18,7 @@ from remvqe import (
     read_confusion_csv,
     unfold,
 )
+from remvqe import mitigation
 from remvqe.mitigation import CALIBRATION_POINT, _stream
 
 
@@ -353,13 +354,13 @@ def test_unfold_solves_each_visited_free_set_once(monkeypatch):
     rows = signed_rows(rng, c.dim, 8)
     full = tuple(range(c.dim))
     solved = []
-    solve = np.linalg.solve
+    solve = mitigation._solve
 
     def counting_solve(a, b):
         solved.append((a, b.ndim))
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(mitigation, "_solve", counting_solve)
     releases = revisits = 0
     for row in rows:
         visited = []
@@ -380,6 +381,89 @@ def test_unfold_solves_each_visited_free_set_once(monkeypatch):
     unfold(c, rows)
     assert c._kkts.keys() == kkts.keys()
     assert all(c._kkts[key] is kkt for key, kkt in kkts.items())
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_kkt_solve_matches_numpy_byte_for_byte(n_qubits):
+    # mitigation._solve calls the LAPACK gufunc under np.linalg.solve without
+    # its wrapper: every result, on stacked and on 1-D right-hand sides, on
+    # the full-support matrix and on free sets, is np.linalg.solve's
+    rng = np.random.default_rng(40 + n_qubits)
+    for trial in range(10):
+        c = random_confusion(rng, n_qubits, diagonal=0.1 * (trial % 7))
+        free = sorted(rng.choice(c.dim, size=rng.integers(1, c.dim + 1), replace=False).tolist())
+        kkts = [c._kkt, mitigation._probed(mitigation._kkt_matrix(c._gram[free][:, free]))]
+        for kkt in kkts:
+            k = len(kkt)
+            for g in (1, 2, 3, 25):
+                rhs = np.ones((g, k, 1))
+                rhs[:, :-1, 0] = rng.normal(size=(g, k - 1))
+                out = mitigation._solve(kkt, rhs)
+                assert out.shape == rhs.shape and out.dtype == float
+                assert out.tobytes() == np.linalg.solve(kkt, rhs).tobytes()
+            rhs = np.append(rng.normal(size=k - 1), 1.0)
+            out = mitigation._solve(kkt, rhs)
+            assert out.shape == rhs.shape
+            assert out.tobytes() == np.linalg.solve(kkt, rhs).tobytes()
+
+
+def singular_confusion(rng: np.random.Generator, n_qubits: int) -> ConfusionMatrix:
+    """A column-stochastic C with two equal columns."""
+    mat = rng.dirichlet(np.ones(1 << n_qubits), size=1 << n_qubits).T
+    mat[:, 1] = mat[:, 0]
+    return ConfusionMatrix(n_qubits, mat)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_singular_unfolding_matrix_raises_before_any_row_is_solved(n_qubits, monkeypatch):
+    c = singular_confusion(np.random.default_rng(n_qubits), n_qubits)
+    assert c._kkt is None
+    lapack = []
+    monkeypatch.setattr(mitigation, "_umath_linalg", type("Recording", (), {
+        "solve": lambda *args, **kwargs: lapack.append(args),
+        "solve1": lambda *args, **kwargs: lapack.append(args),
+    }))
+    uniform = np.full(c.dim, 1.0 / c.dim)
+    for m in (uniform, np.vstack([uniform] * 3)):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            unfold(c, m)
+    assert lapack == []
+    # input errors still come first, as np.linalg.solve's did
+    with pytest.raises(ValueError, match="sum to 1"):
+        unfold(c, np.zeros(c.dim))
+
+
+def test_each_kkt_matrix_singularity_is_decided_once(monkeypatch):
+    # np.linalg.solve probes each KKT matrix once where it is built: the
+    # full-support one with the ConfusionMatrix, a free set's when the active
+    # set first visits it; repeated unfolds, and a singular C's failures,
+    # probe nothing again
+    probed = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        probed.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rng = np.random.default_rng(57)
+    c = random_confusion(rng, 2, diagonal=0.1)
+    assert [id(a) for a in probed] == [id(c._kkt)]
+    rows = signed_rows(rng, c.dim, 8)
+    unfold(c, rows)
+    assert len(c._kkts) >= 2
+    assert sorted(map(id, probed)) == sorted(map(id, [c._kkt, *c._kkts.values()]))
+    for _ in range(3):
+        unfold(c, rows)
+        for row in rows:
+            unfold(c, row)
+    assert len(probed) == 1 + len(c._kkts)
+    probed.clear()
+    singular = singular_confusion(rng, 2)
+    for _ in range(3):
+        with pytest.raises(np.linalg.LinAlgError):
+            unfold(singular, np.full(4, 0.25))
+    assert len(probed) == 1
 
 
 def test_batched_unfold_reaches_the_active_set():
@@ -501,10 +585,8 @@ def test_unfold_row_with_a_nan_target_takes_the_active_set(monkeypatch):
     # The row beside it, feasible or stationary, before or after it, is routed
     # as without the NaN; a stationary one stays exactly 1/d (a test over the
     # whole stack, NaN included, must not skip it)
-    from remvqe import mitigation
-
     c = device_confusion()
-    solve = np.linalg.solve
+    solve = mitigation._solve
     for beside in ("feasible", "stationary"):
         for nan_row in (1, 0):
             other = 1 - nan_row
@@ -521,7 +603,7 @@ def test_unfold_row_with_a_nan_target_takes_the_active_set(monkeypatch):
 
             continued = []
             with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "solve", nan_in_row)
+                patch.setattr(mitigation, "_solve", nan_in_row)
                 with pytest.raises(RuntimeError, match="failed to converge"):
                     unfold(c, m)
                 patch.setattr(mitigation, "_active_set",
