@@ -2,8 +2,12 @@
 point runs, and readout calibration, with deterministic CSV and optional SVG
 output.
 
-Pipelines per point: one runner, `_run_point`, serves every command. The
-curves (dissociation, noise-sweep) measure all four pipelines at each point:
+Pipelines per point: `resolve` decides once which pipelines a command
+measures, as `_Problem.unfolds` (one unfolding matrix per pipeline, None for
+raw), and one runner, `_run_point`, serves every command. A single point
+measures the pipeline --mitigation selects: unfolded when its readout part is
+set, raw otherwise, and REM-corrected either way. The curves (dissociation,
+noise-sweep) measure both, for four energies at each point:
 
 - e_vqe: raw energies through the configured backend.
 - e_vqe_readout: same counts, unfolded through the confusion matrix.
@@ -11,9 +15,6 @@ curves (dissociation, noise-sweep) measure all four pipelines at each point:
   shift is (measured reference energy) - (exact reference energy) through the
   matching pipeline. Sweep-based runs take the measured reference from the
   fitted curve at theta = 0 rather than a separate draw.
-
-A single point measures only the pipeline --mitigation selects: unfolded when
-its readout part is set, raw otherwise, and REM-corrected either way.
 
 err_vqe compares the raw pipeline and err_rem the readout+rem pipeline
 against exact diagonalization. Identical configurations (seed included)
@@ -44,7 +45,6 @@ from .mitigation import (
     device_confusion,
     format_confusion_csv,
     read_confusion_csv,
-    unfold,
 )
 from .pauli import _DENSE_LIMIT, PauliHamiltonian, ground_state_energy
 from .sim import NoiseModel
@@ -129,7 +129,8 @@ class _Problem:
     optimizer: str
     noise: NoiseModel | None  # None on the ideal backend
     applied_confusion: ConfusionMatrix | None
-    unfold_confusion: ConfusionMatrix | None
+    # one unfolding matrix per measured pipeline (None: raw); the first is optimized
+    unfolds: tuple[ConfusionMatrix | None, ...]
 
 
 def _readout_truth(cfg: RunConfig, n_qubits: int | None) -> ConfusionMatrix | None:
@@ -213,8 +214,10 @@ def _noise_model(p2: float, p1: float | None) -> NoiseModel:
 
 
 def resolve(cfg: RunConfig, every_pipeline: bool = False) -> _Problem:
-    """Validate the configuration before any simulation starts; `every_pipeline`
-    marks a command that unfolds without readout mitigation too (the curves)."""
+    """Validate the configuration before any simulation starts, and decide the
+    pipelines each point measures: raw, then unfolded when there is a matrix
+    to unfold with, if `every_pipeline` (the curves); else the one pipeline
+    readout mitigation selects."""
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}")
     if cfg.mitigation not in MITIGATIONS:
@@ -301,24 +304,21 @@ def resolve(cfg: RunConfig, every_pipeline: bool = False) -> _Problem:
             f"the sweep optimizer needs a 1-parameter ansatz, "
             f"{spec.family} has {spec.n_params}"
         )
-    applied = unfolding = _readout_truth(cfg, n_qubits)
-    unfolds = cfg.readout_flag or every_pipeline
-    if cfg.confusion == "calibrate":  # applies the stock matrix, unfolds with an estimate
-        unfolding = _calibrated(cfg, applied) if unfolds else None
-    if cfg.readout_flag and unfolding is None:
-        raise ConfigError(
-            "readout mitigation needs a confusion source other than 'ideal'"
-        )
-    if unfolding is not None and unfolds:
-        try:  # the full KKT system is singular exactly when the matrix is
-            unfold(unfolding, np.full(unfolding.dim, 1.0 / unfolding.dim))
-        except np.linalg.LinAlgError:
+    applied = _readout_truth(cfg, n_qubits)
+    if cfg.readout_flag and applied is None:
+        raise ConfigError("readout mitigation needs a confusion source other than 'ideal'")
+    unfolds = (None,)  # raw
+    if applied is not None and (cfg.readout_flag or every_pipeline):
+        # calibrate applies the stock matrix and unfolds with an estimate
+        unfolding = _calibrated(cfg, applied) if cfg.confusion == "calibrate" else applied
+        if unfolding._kkt is None:  # unfold's full KKT matrix, probed when it was built
             raise ConfigError(
                 f"confusion source {cfg.confusion!r}: the unfolding matrix is singular"
-            ) from None
+            )
+        unfolds = (None, unfolding) if every_pipeline else (unfolding,)
     return _Problem(
         cfg, dataset, hamiltonian, spec, optimizer,
-        noise if cfg.backend == "noisy" else None, applied, unfolding,
+        noise if cfg.backend == "noisy" else None, applied, unfolds,
     )
 
 
@@ -348,28 +348,22 @@ class PointResult:
         return self.outcome is None or self.outcome.converged
 
 
-def _run_point(
-    problem: _Problem, h: PauliHamiltonian, point: int,
-    unfolds: tuple[ConfusionMatrix | None, ...] | None = None,
-) -> PointResult:
+def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResult:
     """Optimize at `point`, then correct each pipeline's energy at the optimum.
 
-    `unfolds` holds each measured pipeline's unfolding matrix (None: raw);
-    the first pipeline is optimized and the others share its theta and
-    every random draw. By default a curve point's: raw, then unfolded when
-    the problem unfolds. A sweep fits each pipeline on the same grid and
-    takes both REM energies from the fit, its minimum and its value at
-    theta = 0; otherwise the optimum and the reference state (all parameters
-    0) are measured afresh under their own evaluation indices.
+    The pipelines are `problem.unfolds`: the first is optimized and the
+    others share its theta and every random draw. A sweep fits each pipeline
+    on the same grid and takes both REM energies from the fit, its minimum
+    and its value at theta = 0; otherwise the optimum and the reference
+    state (all parameters 0) are measured afresh under their own evaluation
+    indices.
     """
-    if unfolds is None:
-        unfolds = (None,) if problem.unfold_confusion is None else (None, problem.unfold_confusion)
     evs = [
         EnergyEvaluator(
             h, problem.spec, noise=problem.noise, shots=problem.cfg.shots, seed=problem.cfg.seed,
             confusion=problem.applied_confusion, unfold_matrix=matrix, point=point,
         )
-        for matrix in unfolds
+        for matrix in problem.unfolds
     ]
     e_exact = ground_state_energy(h)[0]
     e_exact_ref = reference_exact_energy(evs[0])
@@ -545,16 +539,11 @@ class SinglePointResult:
 
 
 def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
-    """Reference evaluation, minimization, and correction at one geometry.
-
-    The readout part of --mitigation selects whether energies are measured
-    through unfolding; the reference-state correction is always reported.
-    Errors compare against exact diagonalization.
-    """
+    """Reference evaluation, minimization, and correction at one geometry, of
+    the one pipeline `resolve` selects; errors compare against exact diagonalization."""
     problem = resolve(cfg)
     label = str(cfg.hamiltonian_path) if problem.dataset is None else problem.dataset.name
-    unfolding = problem.unfold_confusion if cfg.readout_flag else None
-    point = _run_point(problem, problem.hamiltonian, 0, (unfolding,))
+    point = _run_point(problem, problem.hamiltonian, 0)
     noise = problem.noise or NoiseModel()
     record = {
         "problem": label,

@@ -2,6 +2,7 @@
 import hashlib
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,26 @@ def test_embedded_data_is_self_consistent(name):
     # every recorded reference/minimum energy must be reproducible from the
     # embedded coefficients by direct diagonalization
     assert audit(builtin(name)) == []
+
+
+def test_audit_names_each_mismatched_geometry_and_both_values():
+    # a copy of h2 with XX raised at r=0.65 (the ground energy moves, the HF
+    # energy does not) and the HF energy recorded 0.01 high at r=1
+    ds = builtin("h2")
+    geometries = list(ds.geometries)
+    g = geometries[2]
+    terms = tuple((label, c + 0.05 if label == "XX" else c) for label, c in g.hamiltonian.terms)
+    geometries[2] = replace(g, hamiltonian=PauliHamiltonian(2, terms, g.hamiltonian.offset))
+    shifted = geometries[7].e_exact_ref + 0.01
+    geometries[7] = replace(geometries[7], e_exact_ref=shifted)
+    copy = replace(ds, geometries=tuple(geometries))
+    ground = ground_state_energy(geometries[2].hamiltonian)[0]
+    hf = basis_energy(geometries[7].hamiltonian, ds.hf_bitstring)
+    assert audit(copy) == [
+        f"h2 r=0.65: ground energy {ground:.6f} vs recorded {g.e_exact_min:.6f}",
+        f"h2 r=1: HF energy {hf:.6f} vs recorded {shifted:.6f}",
+    ]
+    assert audit(ds) == []
 
 
 # sha256 of each builtin dataset's bytes (dataset_digest), pinned when lih

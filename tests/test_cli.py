@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from remvqe import ConfusionMatrix, experiments, format_confusion_csv
+from remvqe import cli
 from remvqe.cli import _build_parser, main
 from remvqe.experiments import ANSATZE, BACKENDS, MITIGATIONS, OPTIMIZERS
 
@@ -179,11 +180,38 @@ def test_shot_dissociation_converges_at_every_point(capsys):
 
 
 def test_unknown_molecule_is_config_error(capsys):
-    rc = main(["single-point", "--molecule", "xyz"])
+    for argv in (["single-point", "--molecule", "xyz"], ["calibrate", "--molecule", "beh2"]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert "unknown molecule" in captured.err
+        assert captured.out == ""
+
+
+def test_unconverged_dissociation_points_warn_and_exit_3(monkeypatch, capsys):
+    # Nelder-Mead on 200 shots meets its stop rule at some geometries and
+    # spends its 2000 evaluations at the others; each of those warns once
+    results = []
+
+    def keep(cfg):
+        results.append(experiments.cmd_dissociation(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "cmd_dissociation", keep)
+    rc = main(["dissociation", "--molecule", "h2", "--backend", "noisy", "--shots", "200",
+               "--optimizer", "nelder-mead", "--seed", "1"])
     captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err.startswith("error:")
-    assert "unknown molecule" in captured.err
+    (res,) = results
+    assert rc == 3
+    assert captured.out == res.csv
+    unconverged = [(r, p) for r, p in zip(res.rs, res.points) if not p.converged]
+    assert captured.err == "".join(
+        f"warning: r={r:g}: optimizer did not converge\n" for r, _ in unconverged
+    )
+    assert 0 < len(unconverged) < len(res.points)
+    assert all(p.outcome.n_evaluations == 2000 for _, p in unconverged)
+    assert all(p.outcome.n_evaluations < 2000 for p in res.points if p.converged)
 
 
 @pytest.mark.parametrize(

@@ -133,11 +133,11 @@ def test_resolved_readout_problems_compare_equal():
         cfg = RunConfig(molecule="h2", backend="noisy", shots=1000, confusion=confusion,
                         mitigation="readout+rem", repeats=2)
         one, other = resolve(cfg), resolve(cfg)
-        assert one.unfold_confusion is not None
+        assert len(one.unfolds) == 1 and one.unfolds[0] is not None
         assert one == other and hash(one) == hash(other)
-    assert resolve(cfg).unfold_confusion != resolve(replace(cfg, seed=1)).unfold_confusion
+    assert resolve(cfg).unfolds != resolve(replace(cfg, seed=1)).unfolds
     evaluators = [vqe.EnergyEvaluator(p.hamiltonian, p.spec, p.noise, 1000, confusion=p.applied_confusion,
-                                      unfold_matrix=p.unfold_confusion) for p in (one, other)]
+                                      unfold_matrix=p.unfolds[0]) for p in (one, other)]
     assert evaluators[0] == evaluators[1]
 
 
@@ -152,19 +152,28 @@ def test_resolve_hwe_chain_for_odd_widths(tmp_path):
 
 
 def test_resolve_readout_sources():
-    p = resolve(RunConfig(molecule="h2"))
-    assert p.applied_confusion is None and p.unfold_confusion is None
-    p = resolve(RunConfig(molecule="h2", confusion="figure-s2"))
+    # each pipeline's unfolding matrix, None for raw; the first is optimized
+    for every_pipeline in (False, True):
+        p = resolve(RunConfig(molecule="h2"), every_pipeline)
+        assert p.applied_confusion is None and p.unfolds == (None,)
+    cfg = RunConfig(molecule="h2", confusion="figure-s2")
+    p = resolve(cfg)
     assert np.array_equal(p.applied_confusion.matrix, device_confusion().matrix)
-    assert p.unfold_confusion is p.applied_confusion
+    assert p.unfolds == (None,)  # a single point without readout mitigation measures raw
+    p = resolve(replace(cfg, mitigation="readout"))
+    assert len(p.unfolds) == 1 and p.unfolds[0] is p.applied_confusion
+    p = resolve(cfg, every_pipeline=True)
+    assert len(p.unfolds) == 2 and p.unfolds[0] is None and p.unfolds[1] is p.applied_confusion
     # calibrate mode unfolds with an estimate, not the true matrix
     p = resolve(
         RunConfig(molecule="h2", confusion="calibrate", shots_per_state=200, repeats=4),
         every_pipeline=True,
     )
     assert np.array_equal(p.applied_confusion.matrix, device_confusion().matrix)
-    assert not np.array_equal(p.unfold_confusion.matrix, p.applied_confusion.matrix)
-    assert np.max(np.abs(p.unfold_confusion.matrix - p.applied_confusion.matrix)) < 0.05
+    raw, unfolding = p.unfolds
+    assert raw is None
+    assert not np.array_equal(unfolding.matrix, p.applied_confusion.matrix)
+    assert np.max(np.abs(unfolding.matrix - p.applied_confusion.matrix)) < 0.05
 
 
 def test_resolve_confusion_from_file(tmp_path):
@@ -178,10 +187,12 @@ def test_resolve_confusion_from_file(tmp_path):
         resolve(RunConfig(molecule="h2", confusion=str(bad)))
 
 
-def test_resolve_rejects_a_singular_calibrated_estimate():
+def test_resolve_rejects_a_singular_calibrated_estimate(monkeypatch):
     # one shot per state: seed 0 reads two prepared states as the same outcome
     cfg = RunConfig(molecule="h2", confusion="calibrate", shots_per_state=1, repeats=1)
-    assert resolve(cfg).unfold_confusion is None  # nothing unfolds, so nothing is calibrated
+    with monkeypatch.context() as m:  # nothing unfolds, so nothing is calibrated
+        m.setattr(experiments, "calibrate_confusion", lambda *a: pytest.fail("calibrated"))
+        assert resolve(cfg).unfolds == (None,)
     for kwargs in ({"mitigation": "readout"}, {"mitigation": "readout+rem"}, {}):
         with pytest.raises(ConfigError, match="'calibrate': the unfolding matrix is singular"):
             resolve(replace(cfg, **kwargs), every_pipeline=not kwargs)
@@ -264,6 +275,11 @@ def test_dissociation_rejects_a_single_geometry():
 def test_dissociation_rejects_single_geometry_dataset():
     with pytest.raises(ConfigError, match="single geometry"):
         cmd_dissociation(RunConfig(molecule="lih"))
+
+
+def test_dissociation_rejects_a_hamiltonian_file(tmp_path):
+    with pytest.raises(ConfigError, match="dissociation runs over a builtin molecule dataset"):
+        cmd_dissociation(RunConfig(hamiltonian_path=h2_file(tmp_path)))
 
 
 def noisy_h2_cfg(**kwargs) -> RunConfig:
@@ -470,6 +486,8 @@ def test_noise_sweep_guards(tmp_path):
             cmd_noise_sweep(RunConfig(molecule="h2"), p2_grid=grid)
     with pytest.raises(ConfigError, match="strictly increasing"):
         cmd_noise_sweep(RunConfig(molecule="h2"), p2_grid=(0.01, 0.01))
+    with pytest.raises(ConfigError, match="p2 grid is empty"):
+        cmd_noise_sweep(RunConfig(molecule="h2"), p2_grid=())
     with pytest.raises(ConfigError, match="1-parameter sweep protocol"):
         cmd_noise_sweep(RunConfig(molecule="lih"))
     # a single p2 would be dropped for the grid's, so it is refused
