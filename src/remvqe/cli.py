@@ -112,30 +112,22 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "dissociation":
-            result = cmd_dissociation(_config(args))
-            sys.stdout.write(result.csv)
-            for warning in result.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            return 3 if result.warnings else 0
         if args.command == "noise-sweep":
             grid = _parse_grid(args.p2) if "p2" in args else None
-            result = cmd_noise_sweep(_config(args, p2=None), p2_grid=grid)
-            sys.stdout.write(result.csv)
+            sys.stdout.write(cmd_noise_sweep(_config(args, p2=None), p2_grid=grid).csv)
             return 0
-        if args.command == "single-point":
-            result = cmd_single_point(_config(args))
-            sys.stdout.write(result.text)
-            if not result.converged:
-                print("warning: optimizer did not converge", file=sys.stderr)
-                return 3
+        if args.command == "calibrate":
+            sys.stdout.write(format_confusion_csv(cmd_calibrate(_config(args))))
             return 0
-        result = cmd_calibrate(_config(args))
-        sys.stdout.write(format_confusion_csv(result))
-        return 0
+        run = cmd_dissociation if args.command == "dissociation" else cmd_single_point
+        result = run(_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(result.text)
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return 3 if result.warnings else 0
 
 
 if __name__ == "__main__":

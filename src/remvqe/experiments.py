@@ -22,8 +22,11 @@ produce byte-identical CSV text, because every random draw is keyed by the
 point's index and the evaluation index under the master seed (vqe's seed
 rule), not by the order in which points run.
 
-One table, `_PIPELINES`, lists the four pipelines for both curve CSVs and
-every plot. One writer, `_write`, writes a command's --out and --svg once both
+One function, `_values`, turns a point into named printed values, errors
+from its reports among them; every CSV, plot, text row and JSON field selects
+from it, so no writer does REM arithmetic. `PointResult`'s energy properties
+and `SinglePointResult`'s `report`, `outcome` and `converged` stay because
+perfbench reads them. One writer, `_write`, writes --out and --svg once both
 are built, to paths that `_readout_truth` checked before the run.
 """
 from __future__ import annotations
@@ -326,10 +329,8 @@ def resolve(cfg: RunConfig, every_pipeline: bool = False) -> _Problem:
 class PointResult:
     """One point's record: the exact ground energy, the REM report of each
     measured pipeline, the optimum theta, and the optimizer outcome or the
-    sweep fit that chose it.
-
-    The energy names are a curve point's four pipelines: the first report is
-    raw, the last unfolded (the raw one again when nothing unfolds).
+    sweep fit that chose it. Its first report is raw on a curve, its last
+    unfolded (the raw one again when nothing unfolds).
     """
 
     e_exact: float
@@ -342,10 +343,7 @@ class PointResult:
     e_vqe_readout = property(lambda self: self.reports[-1].e_vqe_min)
     e_rem = property(lambda self: self.reports[0].e_rem)
     e_readout_rem = property(lambda self: self.reports[-1].e_rem)
-
-    @property
-    def converged(self) -> bool:
-        return self.outcome is None or self.outcome.converged
+    converged = property(lambda self: self.outcome is None or self.outcome.converged)
 
 
 def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResult:
@@ -384,22 +382,39 @@ def _run_point(problem: _Problem, h: PauliHamiltonian, point: int) -> PointResul
     return PointResult(e_exact, reports, theta, outcome, fit)
 
 
-@frozen
-class _Pipeline:
-    field: str  # of PointResult
-    label: str  # in the dissociation legend
-    short: str  # in the noise-sweep legend, and its CSV column err_<short>
-    color: str
+_REPORT_ENERGIES = ("e_exact_ref", "e_vqe_ref", "delta_rem", "e_vqe_min", "e_rem", "e_exact_min",
+                    "err_vqe", "err_rem")  # of a single-point report, in printed order
 
 
-_PIPELINES = (  # in CSV column order
-    _Pipeline("e_vqe", "vqe", "vqe", "#c62828"),
-    _Pipeline("e_vqe_readout", "vqe+readout", "readout", "#ef6c00"),
-    _Pipeline("e_rem", "rem", "rem", "#1565c0"),
-    _Pipeline("e_readout_rem", "readout+rem", "readout+rem", "#2e7d32"),
+def _values(point: PointResult) -> dict:
+    """A point's printed values, which every writer selects from: the first report's
+    fields, the last one's under readout names, and theta, convergence and count."""
+    first, last = point.reports[0], point.reports[-1]
+    return {
+        **{name: getattr(first, name) for name in _REPORT_ENERGIES},
+        "e_vqe_readout": last.e_vqe_min, "e_readout_rem": last.e_rem,
+        "err_readout": last.err_vqe, "err_readout_rem": last.err_rem,
+        "theta_min": list(point.theta), "converged": point.converged,
+        "n_evaluations": point.outcome.n_evaluations if point.fit is None else len(point.fit.grid),
+    }
+
+
+_PIPELINES = (  # in CSV column order: _values keys, dissociation and noise-sweep labels, color
+    ("e_vqe_min", "err_vqe", "vqe", "vqe", "#c62828"),
+    ("e_vqe_readout", "err_readout", "vqe+readout", "readout", "#ef6c00"),
+    ("e_rem", "err_rem", "rem", "rem", "#1565c0"),
+    ("e_readout_rem", "err_readout_rem", "readout+rem", "readout+rem", "#2e7d32"),
 )
-_ERROR_COLUMNS = {"err_vqe": _PIPELINES[0], "err_rem": _PIPELINES[-1]}  # of a dissociation
+_DISSOCIATION_COLUMNS = dict(  # CSV header name=_values key
+    e_exact="e_exact_min", e_vqe="e_vqe_min", e_vqe_readout="e_vqe_readout", e_rem="e_rem",
+    e_readout_rem="e_readout_rem", err_vqe="err_vqe", err_rem="err_readout_rem")
 _BAND = (0.0, 1.6e-3)  # chemical accuracy, shaded on the error plots
+
+
+def _columns(points) -> dict:
+    """Each name of _values, mapped to its values across the points."""
+    rows = [_values(p) for p in points]
+    return {name: tuple(row[name] for row in rows) for name in rows[0]}
 
 
 def _curve_csv(head: list[str], xs, columns) -> str:
@@ -423,7 +438,7 @@ def _write(cfg: RunConfig, text: str, panels=()) -> None:
 class DissociationResult:
     rs: tuple[float, ...]
     points: tuple[PointResult, ...]
-    csv: str
+    text: str
     warnings: tuple[str, ...]
 
 
@@ -441,27 +456,26 @@ def cmd_dissociation(cfg: RunConfig) -> DissociationResult:
         )
     points = [_run_point(problem, g.hamiltonian, i) for i, g in enumerate(geometries)]
     rs = tuple(g.r for g in geometries)
-    exact = tuple(p.e_exact for p in points)
-    curves = {pl: tuple(getattr(p, pl.field) for p in points) for pl in _PIPELINES}
-    errors = [tuple(e - x for e, x in zip(curves[pl], exact)) for pl in _ERROR_COLUMNS.values()]
-    head = ",".join(["r,e_exact", *(pl.field for pl in _PIPELINES), *_ERROR_COLUMNS])
-    csv = _curve_csv([head], rs, [exact, *curves.values(), *errors])
-    _write(cfg, csv, [
+    col = _columns(points)
+    text = _curve_csv(["r," + ",".join(_DISSOCIATION_COLUMNS)], rs,
+                      [col[key] for key in _DISSOCIATION_COLUMNS.values()])
+    _write(cfg, text, [
         (
-            [_svg.Series("exact", rs, exact, "#222222")]
-            + [_svg.Series(pl.label, rs, ys, pl.color, markers=True) for pl, ys in curves.items()],
+            [_svg.Series("exact", rs, col["e_exact_min"], "#222222")]
+            + [_svg.Series(label, rs, col[energy], color, markers=True)
+               for energy, _, label, _, color in _PIPELINES],
             dict(title="Dissociation curve", xlabel="r (angstrom)", ylabel="energy (hartree)"),
         ),
         (
-            [_svg.Series(f"err {pl.short}", rs, tuple(map(abs, err)), pl.color, markers=True)
-             for pl, err in zip(_ERROR_COLUMNS.values(), errors)],
+            [_svg.Series(f"err {short}", rs, tuple(map(abs, col[error])), color, markers=True)
+             for _, error, _, short, color in (_PIPELINES[0], _PIPELINES[-1])],
             dict(title="Absolute error", xlabel="r (angstrom)", ylabel="|error| (hartree)",
                  band=_BAND),
         ),
     ])
-    warnings = tuple(f"r={r:g}: optimizer did not converge" for r, p in zip(rs, points)
-                     if not p.converged)
-    return DissociationResult(rs, tuple(points), csv, warnings)
+    warnings = tuple(f"r={r:g}: optimizer did not converge"
+                     for r, converged in zip(rs, col["converged"]) if not converged)
+    return DissociationResult(rs, tuple(points), text, warnings)
 
 
 @frozen
@@ -508,22 +522,17 @@ def cmd_noise_sweep(cfg: RunConfig, p2_grid=None) -> NoiseSweepResult:
         _run_point(replace(problem, noise=noise), problem.hamiltonian, i)
         for i, noise in enumerate(noises)
     ]
-    errors = [tuple(abs(getattr(p, pl.field) - p.e_exact) for p in points) for pl in _PIPELINES]
-    head = ",".join(["p2", *("err_" + pl.short.replace("+", "_") for pl in _PIPELINES)])
+    col = _columns(points)
+    errors = [tuple(map(abs, col[error])) for _, error, *_ in _PIPELINES]
+    head = ",".join(["p2", *(error for _, error, *_ in _PIPELINES)])
     csv = _curve_csv([head, f"# device p2={DEVICE_P2:.6f}"], grid, errors)
     _write(cfg, csv, [(
-        [_svg.Series(pl.short, grid, err, pl.color, markers=True)
-         for pl, err in zip(_PIPELINES, errors)],
+        [_svg.Series(short, grid, err, color, markers=True)
+         for (*_, short, color), err in zip(_PIPELINES, errors)],
         dict(title="Error vs depolarizing rate", xlabel="two-qubit error probability p2",
              ylabel="|error| (hartree)", logx=True, band=_BAND, vline=DEVICE_P2),
     )])
     return NoiseSweepResult(grid, *errors, csv)
-
-
-_REPORT_ENERGIES = (  # of a single-point report, in printed order
-    "e_exact_ref", "e_vqe_ref", "delta_rem", "e_vqe_min", "e_rem", "e_exact_min",
-    "err_vqe", "err_rem",
-)
 
 
 @frozen
@@ -531,10 +540,10 @@ class SinglePointResult:
     point: PointResult  # of the one pipeline --mitigation selects
     record: dict
     text: str
+    warnings: tuple[str, ...]
 
     report = property(lambda self: self.point.reports[0])
     outcome = property(lambda self: self.point.outcome)
-    fit = property(lambda self: self.point.fit)
     converged = property(lambda self: self.point.converged)
 
 
@@ -544,6 +553,7 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
     problem = resolve(cfg)
     label = str(cfg.hamiltonian_path) if problem.dataset is None else problem.dataset.name
     point = _run_point(problem, problem.hamiltonian, 0)
+    values = _values(point)
     noise = problem.noise or NoiseModel()
     record = {
         "problem": label,
@@ -557,21 +567,19 @@ def cmd_single_point(cfg: RunConfig) -> SinglePointResult:
         "ansatz": problem.spec.family,
         "optimizer": problem.optimizer,
         "mitigation": cfg.mitigation,
-        "theta_min": list(point.theta),
-        **{name: getattr(point.reports[0], name) for name in _REPORT_ENERGIES},
-        "converged": point.converged,
-        "n_evaluations": point.outcome.n_evaluations if point.fit is None else len(point.fit.grid),
+        **{k: values[k] for k in ("theta_min", *_REPORT_ENERGIES, "converged", "n_evaluations")},
     }
     rows = [
         ("problem", label),
         ("ansatz", f"{problem.spec.family} ({problem.spec.n_params} parameters)"),
-        ("optimizer", problem.optimizer + ("" if point.converged else "  [not converged]")),
-        *((name, f"{record[name]:+.6f}") for name in _REPORT_ENERGIES),
+        ("optimizer", problem.optimizer + ("" if values["converged"] else "  [not converged]")),
+        *((name, f"{values[name]:+.6f}") for name in _REPORT_ENERGIES),
     ]
     payload = json.dumps(record, indent=2) + "\n"
     text = "".join(f"{name + ':':<14}{value}\n" for name, value in rows) + "\n" + payload
     _write(cfg, payload)
-    return SinglePointResult(point, record, text)
+    warnings = () if values["converged"] else ("optimizer did not converge",)
+    return SinglePointResult(point, record, text, warnings)
 
 
 def cmd_calibrate(cfg: RunConfig) -> ConfusionMatrix:

@@ -141,12 +141,22 @@ def test_single_point_report(capsys):
     assert captured.err == ""
 
 
-def test_single_point_convergence_warning(capsys):
+def test_single_point_convergence_warning(monkeypatch, capsys):
     # SPSA on exact distributions spends its 2000 evaluations without meeting its stop rule
+    results = []
+
+    def keep(cfg):
+        results.append(experiments.cmd_single_point(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "cmd_single_point", keep)
     rc = main(["single-point", "--molecule", "heh+", "--backend", "noisy", "--optimizer", "spsa"])
     captured = capsys.readouterr()
+    (res,) = results
     assert rc == 3
-    assert "warning: optimizer did not converge" in captured.err
+    assert res.warnings == ("optimizer did not converge",)
+    assert captured.err == "warning: optimizer did not converge\n"
+    assert captured.out == res.text
     assert "[not converged]" in captured.out
 
 
@@ -204,7 +214,7 @@ def test_unconverged_dissociation_points_warn_and_exit_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     (res,) = results
     assert rc == 3
-    assert captured.out == res.csv
+    assert captured.out == res.text
     unconverged = [(r, p) for r, p in zip(res.rs, res.points) if not p.converged]
     assert captured.err == "".join(
         f"warning: r={r:g}: optimizer did not converge\n" for r, _ in unconverged

@@ -249,7 +249,7 @@ HEADER = "r,e_exact,e_vqe,e_vqe_readout,e_rem,e_readout_rem,err_vqe,err_rem"
 
 def test_dissociation_ideal_h2():
     res = cmd_dissociation(RunConfig(molecule="h2"))
-    lines = res.csv.strip().split("\n")
+    lines = res.text.strip().split("\n")
     assert lines[0] == HEADER
     assert len(lines) == 13
     assert res.warnings == ()
@@ -309,7 +309,7 @@ def test_dissociation_noisy_h2_mitigation_wins_everywhere():
 def test_dissociation_runs_are_reproducible():
     a = cmd_dissociation(noisy_h2_cfg())
     b = cmd_dissociation(noisy_h2_cfg())
-    assert a.csv == b.csv
+    assert a.text == b.text
 
 
 @pytest.mark.parametrize("optimizer", ["sweep", "nelder-mead"])
@@ -425,11 +425,11 @@ def test_dissociation_output_files(tmp_path):
     out = tmp_path / "curve.csv"
     svg = tmp_path / "curve.svg"
     res = cmd_dissociation(RunConfig(molecule="h2", out=str(out), svg=str(svg)))
-    assert out.read_text() == res.csv
+    assert out.read_text() == res.text
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
     plain = cmd_dissociation(RunConfig(molecule="h2"))
-    assert plain.csv == res.csv
+    assert plain.text == res.text
 
 
 @given(st.text(st.sampled_from("&<>\"'; a#1") | st.characters(), max_size=40))
@@ -520,7 +520,7 @@ RECORD_KEYS = {
 def test_single_point_ideal_h2():
     res = cmd_single_point(RunConfig(molecule="h2"))
     assert res.converged
-    assert res.fit is not None and res.outcome is None
+    assert res.point.fit is not None and res.outcome is None
     assert set(res.record) == RECORD_KEYS
     assert res.record["p2"] == 0.0 and res.record["p1"] == 0.0
     assert res.record["r"] == 0.7414
@@ -632,6 +632,108 @@ def test_single_point_lih_noisy_hardware_efficient():
     assert "[not converged]" not in res.text
     assert res.report.err_vqe == pytest.approx(0.0783, abs=1e-3)
     assert abs(res.report.err_rem) < res.report.err_vqe / 10
+
+
+# --- one point mapping ---------------------------------------------------------
+
+ENERGIES = ("e_exact_ref", "e_vqe_ref", "delta_rem", "e_vqe_min", "e_rem", "e_exact_min",
+            "err_vqe", "err_rem")
+
+
+def cells(head: str, row: str) -> dict:
+    return dict(zip(head.split(","), row.split(","), strict=True))
+
+
+@pytest.mark.parametrize("optimizer", ["sweep", "nelder-mead"])
+def test_dissociation_csv_is_a_view_of_values(optimizer):
+    # every cell is a _values entry of its point, and the error columns are
+    # the reports' own errors: the writer does no REM arithmetic of its own
+    res = cmd_dissociation(noisy_h2_cfg(optimizer=optimizer))
+    head, *rows = res.text.strip().split("\n")
+    assert len(rows) == len(res.points) == len(res.rs)
+    for r, p, row in zip(res.rs, res.points, rows):
+        v, (raw, unfolded) = experiments._values(p), p.reports
+        assert cells(head, row) == {"r": f"{r:g}", **{
+            name: f"{v[key]:.6f}" for name, key in (
+                ("e_exact", "e_exact_min"), ("e_vqe", "e_vqe_min"),
+                ("e_vqe_readout", "e_vqe_readout"), ("e_rem", "e_rem"),
+                ("e_readout_rem", "e_readout_rem"), ("err_vqe", "err_vqe"),
+                ("err_rem", "err_readout_rem"),
+            )
+        }}
+        assert (v["e_vqe_min"], v["e_vqe_readout"], v["e_rem"], v["e_readout_rem"]) == (
+            raw.e_vqe_min, unfolded.e_vqe_min, raw.e_rem, unfolded.e_rem
+        )
+        assert (v["err_vqe"], v["err_readout_rem"]) == (raw.err_vqe, unfolded.err_rem)
+        assert v["e_exact_min"] == p.e_exact
+        assert v["converged"] == p.converged
+
+
+def test_noise_sweep_csv_is_a_view_of_values(monkeypatch):
+    points = []
+    run_point = experiments._run_point
+    monkeypatch.setattr(experiments, "_run_point",
+                        lambda *args: points.append(run_point(*args)) or points[-1])
+    res = cmd_noise_sweep(RunConfig(molecule="h2", shots=1000, confusion="figure-s2", seed=1),
+                          p2_grid=(1e-3, 1e-2))
+    head, _, *rows = res.csv.strip().split("\n")
+    assert len(rows) == len(points) == 2
+    errors = ("err_vqe", "err_readout", "err_rem", "err_readout_rem")
+    for p2, p, row in zip(res.p2_values, points, rows):
+        v, (raw, unfolded) = experiments._values(p), p.reports
+        assert cells(head, row) == {"p2": f"{p2:g}", **{e: f"{abs(v[e]):.6f}" for e in errors}}
+        assert tuple(v[e] for e in errors) == (
+            raw.err_vqe, unfolded.err_vqe, raw.err_rem, unfolded.err_rem
+        )
+    for e in errors:
+        assert getattr(res, e) == tuple(abs(experiments._values(p)[e]) for p in points)
+
+
+@pytest.mark.parametrize("mitigation", ["rem", "readout+rem"])
+def test_single_point_text_and_record_are_a_view_of_values(mitigation):
+    res = cmd_single_point(RunConfig(molecule="heh+", backend="noisy", shots=1000,
+                                     confusion="figure-s2", mitigation=mitigation))
+    v = experiments._values(res.point)
+    rows, payload = res.text.split("\n\n", 1)
+    record = json.loads(payload)
+    assert record == res.record and set(record) == RECORD_KEYS
+    for key in ("theta_min", *ENERGIES, "converged", "n_evaluations"):
+        assert record[key] == v[key]
+    printed = dict(line.split(":", 1) for line in rows.split("\n"))
+    for name in ENERGIES:
+        assert printed[name].strip() == f"{v[name]:+.6f}"
+    assert (v["err_vqe"], v["err_rem"]) == (res.report.err_vqe, res.report.err_rem)
+    assert v["n_evaluations"] == res.outcome.n_evaluations
+    assert res.warnings == (() if v["converged"] else ("optimizer did not converge",))
+
+
+@pytest.mark.parametrize(
+    "cfg, optimizer",
+    [
+        (RunConfig(molecule="heh+", backend="noisy", shots=1000, confusion="figure-s2",
+                   mitigation="readout+rem", seed=6), "spsa"),
+        (RunConfig(molecule="h2", backend="noisy", shots=1000, confusion="figure-s2",
+                   mitigation="readout+rem", seed=3), "sweep"),
+        (RunConfig(molecule="lih", backend="noisy", p2=4e-3, mitigation="rem"), "nelder-mead"),
+    ],
+    ids=["heh+-spsa-shots", "h2-sweep-shots", "lih-nelder-mead-density"],
+)
+def test_a_hamiltonian_offset_moves_every_energy_by_itself(cfg, optimizer):
+    # a constant c added to H adds c to every energy, measured or exact, and
+    # cancels from theta, the REM shift and both errors
+    c = 3.25
+    problem = resolve(cfg, every_pipeline=True)
+    assert problem.optimizer == optimizer
+    h = problem.hamiltonian
+    a, b = (_run_point(problem, ham, 0) for ham in (h, replace(h, offset=h.offset + c)))
+    assert np.allclose(b.theta, a.theta, rtol=0, atol=1e-12)
+    assert b.e_exact == pytest.approx(a.e_exact + c, abs=1e-12)
+    assert len(a.reports) == len(b.reports) == len(problem.unfolds)
+    for ra, rb in zip(a.reports, b.reports):
+        for name in ("e_vqe_ref", "e_exact_ref", "e_vqe_min", "e_rem", "e_exact_min"):
+            assert getattr(rb, name) == pytest.approx(getattr(ra, name) + c, abs=1e-12), name
+        for name in ("delta_rem", "err_vqe", "err_rem"):
+            assert getattr(rb, name) == pytest.approx(getattr(ra, name), abs=1e-12), name
 
 
 # --- calibration command -----------------------------------------------------
